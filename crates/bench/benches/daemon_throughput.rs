@@ -1,13 +1,9 @@
 //! Scheduling-throughput micro-benchmark for the daemon hot path: domain-wide
-//! collectives per second for 2/4/8 simulated GPUs, with batched SQ/CQ
-//! draining versus the legacy per-entry path. The first entries of this
-//! repository's performance trajectory; `perf_hotpath` emits the same
-//! comparison as `BENCH_hotpath.json`.
+//! collectives per second for 2/4/8 simulated GPUs. `perf_hotpath` emits the
+//! same panel as `BENCH_hotpath.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dfccl_bench::hotpath::{
-    batched_config, scheduling_throughput, unbatched_config, HotpathWorkload,
-};
+use dfccl_bench::hotpath::{batched_config, scheduling_throughput, HotpathWorkload};
 
 fn bench_daemon_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("daemon_throughput");
@@ -22,14 +18,6 @@ fn bench_daemon_throughput(c: &mut Criterion) {
             &workload,
             |b, &workload| {
                 let config = batched_config();
-                b.iter(|| scheduling_throughput(workload, config.clone()));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("unbatched", format!("{gpus}gpus")),
-            &workload,
-            |b, &workload| {
-                let config = unbatched_config();
                 b.iter(|| scheduling_throughput(workload, config.clone()));
             },
         );

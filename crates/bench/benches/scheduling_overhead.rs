@@ -1,13 +1,18 @@
 //! Criterion micro-benchmarks of the daemon-kernel building blocks whose
 //! costs appear in the Sec. 4.5 performance model: SQ submission, task-queue
 //! reordering, spin-policy arithmetic, context checkout/checkin and the
-//! per-step dispatch comparison (interpreted map-lookup vs compiled index).
+//! per-instruction readiness dispatch of the compiled program.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dfccl::sq::SqCursor;
 use dfccl::{OrderingPolicy, SpinPolicy, Sqe, SubmissionQueue, TaskQueue};
-use dfccl_bench::hotpath::{dispatch_fixture, DispatchFixture};
-use dfccl_collectives::{instr_ready, step_ready, DeviceBuffer, PendingSends};
+use dfccl_collectives::{
+    instr_ready, AlgorithmSelector, CollectiveDescriptor, CompiledProgram, DataType, DeviceBuffer,
+    PendingSends,
+};
+use dfccl_transport::{Communicator, CommunicatorId, LinkModel, Topology};
+use gpu_sim::GpuId;
+use std::sync::Arc;
 
 fn bench_components(c: &mut Criterion) {
     let mut group = c.benchmark_group("daemon_components");
@@ -73,34 +78,41 @@ fn bench_components(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-step readiness dispatch: the interpreted path re-matches peer fields
-/// and does `BTreeMap` connector lookups per poll; the compiled path indexes
-/// a flat connector table with pre-resolved instruction indices.
+/// Per-instruction readiness dispatch: index into the flat connector table
+/// with pre-resolved instruction indices. The workload is rank 0 of an
+/// 8-rank all-to-all striped over 4 channels — the dense-mesh shape
+/// (`(n-1) × K` connectors per direction, the MoE-style workload).
 fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch");
     group.sample_size(30);
     group.measurement_time(std::time::Duration::from_secs(1));
     group.warm_up_time(std::time::Duration::from_millis(200));
 
-    // The same dense-mesh workload the perf_hotpath registration panel
-    // measures: (n-1) × K connectors per direction, the deepest per-poll
-    // map lookups (the MoE-style shape the compiled path is for).
-    let DispatchFixture {
-        plan,
+    let (gpus, channels) = (8, 4);
+    let desc =
+        CollectiveDescriptor::all_to_all(2 * 1024, DataType::F32, (0..gpus).map(GpuId).collect());
+    let topo = Topology::flat(gpus);
+    let selector = AlgorithmSelector {
         channels,
-        program,
-        table,
-    } = dispatch_fixture(8, 4);
+        ..Default::default()
+    };
+    let plan = selector
+        .build_plan(&desc, 0, 256, &topo)
+        .expect("plan builds");
+    let comm = Communicator::new(
+        CommunicatorId(0),
+        desc.devices.clone(),
+        &Arc::new(topo),
+        &Arc::new(LinkModel::zero_cost()),
+        8,
+    )
+    .expect("communicator");
+    let rank_channels = comm
+        .channels(0, plan.send_edges(), plan.recv_edges())
+        .expect("channels");
+    let program = CompiledProgram::compile(&plan, desc.dtype);
+    let table = program.bind(&rank_channels).expect("bind");
     let pending = PendingSends::default();
-
-    group.bench_function("step_ready_map_lookup", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let step = &plan.steps[i % plan.len()];
-            i += 1;
-            black_box(step_ready(step, &channels, &pending))
-        });
-    });
 
     group.bench_function("instr_ready_index", |b| {
         let mut i = 0u32;

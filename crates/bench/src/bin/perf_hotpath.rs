@@ -2,8 +2,7 @@
 //!
 //! Measures domain-wide collectives/sec through the full DFCCL hot path
 //! (invoker → SQ → daemon kernel → CQ → poller → callback) for 2/4/8
-//! simulated GPUs, comparing batched SQ/CQ draining against the legacy
-//! per-entry path, plus the Fig. 7(c) per-variant CQE-publication costs.
+//! simulated GPUs, plus the Fig. 7(c) per-variant CQE-publication costs.
 //! Results are printed as a table and written to `BENCH_hotpath.json` so
 //! every future PR can track the trajectory.
 //!
@@ -18,20 +17,14 @@ use std::fmt::Write as _;
 use dfccl::CqVariant;
 use dfccl_bench::hotpath::{
     batched_config, best_multi_tenant_of, best_of, best_recovery_of, best_replay_of,
-    cq_push_batched_cost_us, cq_push_cost_us, dispatch_cost, registration_throughput,
-    spmd_hit_registration_throughput, unbatched_config, HotpathWorkload,
+    cq_push_batched_cost_us, cq_push_cost_us, registration_throughput,
+    spmd_hit_registration_throughput, HotpathWorkload,
 };
 use dfccl_bench::{arg_num, arg_value, print_row};
 
 const GPU_COUNTS: [usize; 3] = [2, 4, 8];
 const REGISTRATION_GPU_COUNTS: [usize; 2] = [4, 8];
 const REPLAY_GPU_COUNTS: [usize; 2] = [4, 8];
-
-struct ModeResult {
-    gpus: usize,
-    batched: f64,
-    unbatched: f64,
-}
 
 fn main() {
     let repeats: usize = arg_num("--repeats", 3).max(1);
@@ -43,11 +36,8 @@ fn main() {
     println!(
         "# workload: {collectives} collectives x {rounds} rounds of tiny all-reduces, best of {repeats}"
     );
-    let widths = [6, 14, 14, 9];
-    print_row(
-        &["gpus", "batched", "unbatched", "speedup"].map(String::from),
-        &widths,
-    );
+    let widths = [6, 14];
+    print_row(&["gpus", "batched"].map(String::from), &widths);
 
     let mut results = Vec::new();
     for gpus in GPU_COUNTS {
@@ -58,25 +48,12 @@ fn main() {
             count: 16,
         };
         let batched = best_of(repeats, workload, &batched_config()).collectives_per_sec;
-        let unbatched = best_of(repeats, workload, &unbatched_config()).collectives_per_sec;
-        print_row(
-            &[
-                format!("{gpus}"),
-                format!("{batched:.0}"),
-                format!("{unbatched:.0}"),
-                format!("{:.2}x", batched / unbatched),
-            ],
-            &widths,
-        );
-        results.push(ModeResult {
-            gpus,
-            batched,
-            unbatched,
-        });
+        print_row(&[format!("{gpus}"), format!("{batched:.0}")], &widths);
+        results.push((gpus, batched));
     }
 
     // Fig. 7(c): per-variant CQE publication cost under the modelled
-    // host-memory costs, unbatched and batched.
+    // host-memory costs, per entry and per batch of 16.
     println!();
     println!("# CQE publication cost (µs/CQE, modelled host-memory costs)");
     let cost_widths = [16, 12, 20];
@@ -104,21 +81,12 @@ fn main() {
         variant_costs.push((name, single, batched));
     }
 
-    // Registration panel: cold vs plan-cache-hit registrations/sec, plus the
-    // steady-state per-poll dispatch cost of the two execution paths.
+    // Registration panel: cold vs plan-cache-hit registrations/sec.
     println!();
-    println!("# registration throughput (registrations/sec) and per-poll dispatch cost (ns)");
-    let reg_widths = [6, 12, 14, 9, 13, 11];
+    println!("# registration throughput (registrations/sec)");
+    let reg_widths = [6, 12, 14, 9];
     print_row(
-        &[
-            "gpus",
-            "cold",
-            "cache-hit",
-            "speedup",
-            "interp ns",
-            "compiled ns",
-        ]
-        .map(String::from),
+        &["gpus", "cold", "cache-hit", "speedup"].map(String::from),
         &reg_widths,
     );
     let registrations: u64 = arg_num("--registrations", 256).max(1);
@@ -130,30 +98,20 @@ fn main() {
             .map(|_| registration_throughput(gpus, registrations))
             .max_by(|a, b| a.speedup().partial_cmp(&b.speedup()).expect("finite"))
             .expect("at least one repeat");
-        let disp = (0..repeats)
-            .map(|_| dispatch_cost(gpus, 4))
-            .min_by(|a, b| a.compiled_ns.partial_cmp(&b.compiled_ns).expect("finite"))
-            .expect("at least one repeat");
         print_row(
             &[
                 format!("{gpus}"),
                 format!("{:.0}", reg.cold_per_sec),
                 format!("{:.0}", reg.hit_per_sec),
                 format!("{:.2}x", reg.speedup()),
-                format!("{:.1}", disp.interpreted_ns),
-                format!("{:.1}", disp.compiled_ns),
             ],
             &reg_widths,
         );
-        reg_results.push((gpus, reg, disp));
+        reg_results.push((gpus, reg));
     }
-    let hit_speedup_ok = reg_results.iter().all(|(_, r, _)| r.speedup() >= 5.0);
-    let dispatch_ok = reg_results
-        .iter()
-        .all(|(_, _, d)| d.compiled_ns <= d.interpreted_ns);
+    let hit_speedup_ok = reg_results.iter().all(|(_, r)| r.speedup() >= 5.0);
     println!();
     println!("plan-cache-hit speedup >= 5x at every scale: {hit_speedup_ok}");
-    println!("compiled dispatch <= interpreted at every scale: {dispatch_ok}");
 
     // Graph-replay panel: a captured iteration of tiny all-reduces replayed as
     // one SQE per round, compared against the domain-wide cache-hit
@@ -335,15 +293,9 @@ fn main() {
          (bar >= 0.95): {tenancy_ok}; {tenancy_tenants}-tenant weighted-fair {multi_tenant:.0}/sec"
     );
 
-    let speedup_at_4 = results
-        .iter()
-        .find(|r| r.gpus == 4)
-        .map(|r| r.batched / r.unbatched)
-        .unwrap_or(f64::NAN);
     let ordering_ok =
         variant_costs[0].1 > variant_costs[1].1 && variant_costs[1].1 > variant_costs[2].1;
     println!();
-    println!("speedup at 4 GPUs: {speedup_at_4:.2}x (target >= 1.5x)");
     println!(
         "Fig. 7(c) ordering (slot < optimized ring < vanilla ring): {}",
         if ordering_ok { "preserved" } else { "VIOLATED" }
@@ -356,20 +308,18 @@ fn main() {
         json,
         "  \"workload\": {{\"collectives\": {collectives}, \"rounds\": {rounds}, \"count\": 16, \"repeats\": {repeats}}},"
     );
+    // Every panel depends on how many ranks' threads can run at once.
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let _ = writeln!(json, "  \"host\": {{\"available_parallelism\": {cores}}},");
     json.push_str("  \"throughput\": [\n");
-    for (i, r) in results.iter().enumerate() {
+    for (i, (gpus, batched)) in results.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"gpus\": {}, \"batched_collectives_per_sec\": {:.1}, \"unbatched_collectives_per_sec\": {:.1}, \"speedup\": {:.3}}}",
-            r.gpus,
-            r.batched,
-            r.unbatched,
-            r.batched / r.unbatched
+            "    {{\"gpus\": {gpus}, \"batched_collectives_per_sec\": {batched:.1}}}"
         );
         json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"speedup_at_4_gpus\": {speedup_at_4:.3},");
     json.push_str("  \"cq_variant_cost_us\": {\n");
     for (i, (name, single, batched)) in variant_costs.iter().enumerate() {
         let _ = write!(
@@ -386,7 +336,7 @@ fn main() {
     json.push_str("  \"registration\": {\n");
     let _ = writeln!(json, "    \"registrations\": {registrations},");
     json.push_str("    \"throughput\": [\n");
-    for (i, (gpus, reg, _)) in reg_results.iter().enumerate() {
+    for (i, (gpus, reg)) in reg_results.iter().enumerate() {
         let _ = write!(
             json,
             "      {{\"gpus\": {}, \"cold_per_sec\": {:.1}, \"cache_hit_per_sec\": {:.1}, \"speedup\": {:.3}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"size\": {}}}}}",
@@ -405,22 +355,7 @@ fn main() {
         });
     }
     json.push_str("    ],\n");
-    json.push_str("    \"dispatch_ns_per_poll\": [\n");
-    for (i, (gpus, _, disp)) in reg_results.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"gpus\": {}, \"interpreted\": {:.2}, \"compiled\": {:.2}}}",
-            gpus, disp.interpreted_ns, disp.compiled_ns
-        );
-        json.push_str(if i + 1 < reg_results.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(json, "    \"hit_speedup_at_least_5x\": {hit_speedup_ok},");
-    let _ = writeln!(json, "    \"compiled_le_interpreted\": {dispatch_ok}");
+    let _ = writeln!(json, "    \"hit_speedup_at_least_5x\": {hit_speedup_ok}");
     json.push_str("  },\n");
     json.push_str("  \"graph_replay\": {\n");
     let _ = writeln!(
@@ -474,20 +409,12 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");
 
-    if speedup_at_4 < 1.5 {
-        eprintln!("WARNING: batched speedup at 4 GPUs below the 1.5x acceptance bar");
-        std::process::exit(2);
-    }
     if !ordering_ok {
         eprintln!("WARNING: CQ variant cost ordering violated");
         std::process::exit(3);
     }
     if !hit_speedup_ok {
         eprintln!("WARNING: plan-cache-hit registration speedup below the 5x acceptance bar");
-        std::process::exit(2);
-    }
-    if !dispatch_ok {
-        eprintln!("WARNING: compiled dispatch costs more per poll than interpreted");
         std::process::exit(2);
     }
     if !replay_ok {

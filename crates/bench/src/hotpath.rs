@@ -9,7 +9,6 @@
 //! The same harness backs the `daemon_throughput` criterion benchmark and the
 //! `perf_hotpath` binary that emits `BENCH_hotpath.json`.
 
-use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,11 +16,8 @@ use dfccl::{
     CompletionHandle, CqVariant, DfcclConfig, DfcclDomain, DfcclError, PlanCacheStats,
     RecoveryCoordinator, RetryPolicy, TenantHandle, TenantQuota,
 };
-use dfccl_collectives::{
-    instr_ready, step_ready, AlgorithmSelector, CollectiveDescriptor, CompiledProgram, DataType,
-    DeviceBuffer, PendingSends, ReduceOp,
-};
-use dfccl_transport::{Communicator, CommunicatorId, LinkModel, Topology};
+use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
+use dfccl_transport::{LinkModel, Topology};
 use gpu_sim::{GpuId, GpuSpec};
 
 /// Workload shape for one throughput measurement.
@@ -66,8 +62,8 @@ pub struct ThroughputResult {
 }
 
 /// Factor applied to the modelled host-memory costs in the throughput
-/// benchmark (both arms identically, so every ratio between variants and
-/// between batched/unbatched cost components is preserved).
+/// benchmark (every panel identically, so every ratio between CQ variants
+/// is preserved).
 ///
 /// On the paper's hardware the host-memory operations *dominate* the daemon
 /// control path (a CQE write alone is 2–6.9 µs while the on-GPU bookkeeping
@@ -79,8 +75,8 @@ pub struct ThroughputResult {
 /// the paper's host-op-dominated regime.
 pub const HOST_COST_SCALE: f64 = 5.0;
 
-/// The benchmark configuration of the batched (current) hot path: default
-/// batching knobs over the optimized ring CQ with the paper-calibrated
+/// The benchmark configuration of the hot path: the default SQ fetch batch
+/// over the optimized ring CQ with the paper-calibrated
 /// host-memory costs (scaled by [`HOST_COST_SCALE`], see there).
 ///
 /// Two further knobs diverge from the production defaults so the measurement
@@ -99,12 +95,6 @@ pub fn batched_config() -> DfcclConfig {
         connector_capacity: 64,
         ..DfcclConfig::default()
     }
-}
-
-/// The baseline arm: identical, but with SQ/CQ batching disabled (per-entry
-/// fetch and publication — the legacy hot path).
-pub fn unbatched_config() -> DfcclConfig {
-    batched_config().unbatched()
 }
 
 /// Run one scheduling-throughput measurement: every rank submits
@@ -792,106 +782,7 @@ pub fn best_replay_of(
         .expect("at least one repeat")
 }
 
-/// Per-readiness-check dispatch cost of the two execution paths, in
-/// nanoseconds: interpreted (`step_ready` — `Option<peer>` matching plus
-/// `BTreeMap` connector lookups per poll) vs. compiled (`instr_ready` —
-/// index dispatch into the flat connector table). Deterministic CPU work
-/// over a realistic striped plan, so the comparison is stable on shared CI
-/// machines.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchCost {
-    /// Mean ns per interpreted readiness check.
-    pub interpreted_ns: f64,
-    /// Mean ns per compiled readiness check.
-    pub compiled_ns: f64,
-}
-
-/// Rank 0's execution state for the dispatch comparison: the plan and its
-/// channels (the interpreted path's inputs) next to the compiled program and
-/// its bound connector table (the index-dispatch inputs). Shared between
-/// [`dispatch_cost`] and the `dispatch` criterion group in
-/// `scheduling_overhead`, so both measure the same workload.
-pub struct DispatchFixture {
-    /// The interpreted plan.
-    pub plan: dfccl_collectives::Plan,
-    /// Rank 0's `(peer, channel)`-keyed connectors.
-    pub channels: dfccl_transport::RankChannels,
-    /// The compiled program.
-    pub program: CompiledProgram,
-    /// The program's connector indices bound to `channels`.
-    pub table: dfccl_transport::ConnectorTable,
-}
-
-/// Build the dispatch workload for rank 0 of a `gpus`-rank all-to-all
-/// striped over `channels` connectors per edge — the dense-mesh shape
-/// (`(n-1) × K` connectors per direction) where per-poll map lookups are
-/// deepest, i.e. the MoE-style workload the compilation layer is for.
-pub fn dispatch_fixture(gpus: usize, channels: usize) -> DispatchFixture {
-    let devices: Vec<GpuId> = (0..gpus).map(GpuId).collect();
-    let desc = CollectiveDescriptor::all_to_all(2 * 1024, DataType::F32, devices);
-    let topo = Topology::flat(gpus);
-    let selector = AlgorithmSelector {
-        channels,
-        ..Default::default()
-    };
-    let plan = selector
-        .build_plan(&desc, 0, 256, &topo)
-        .expect("plan builds");
-    let comm = Communicator::new(
-        CommunicatorId(0),
-        desc.devices.clone(),
-        &Arc::new(topo),
-        &Arc::new(LinkModel::zero_cost()),
-        8,
-    )
-    .expect("communicator");
-    let rank_channels = comm
-        .channels(0, plan.send_edges(), plan.recv_edges())
-        .expect("channels");
-    let program = CompiledProgram::compile(&plan, desc.dtype);
-    let table = program.bind(&rank_channels).expect("bind");
-    DispatchFixture {
-        plan,
-        channels: rank_channels,
-        program,
-        table,
-    }
-}
-
-/// Measure [`DispatchCost`] over [`dispatch_fixture`]'s workload.
-pub fn dispatch_cost(gpus: usize, channels: usize) -> DispatchCost {
-    let DispatchFixture {
-        plan,
-        channels: rank_channels,
-        program,
-        table,
-    } = dispatch_fixture(gpus, channels);
-    let pending = PendingSends::default();
-
-    let rounds = 200u32;
-    let start = Instant::now();
-    for _ in 0..rounds {
-        for step in &plan.steps {
-            black_box(step_ready(step, &rank_channels, &pending));
-        }
-    }
-    let interpreted_ns = start.elapsed().as_nanos() as f64 / (rounds as usize * plan.len()) as f64;
-
-    let start = Instant::now();
-    for _ in 0..rounds {
-        for idx in 0..program.len() as u32 {
-            black_box(instr_ready(&program, idx, &table, &pending));
-        }
-    }
-    let compiled_ns = start.elapsed().as_nanos() as f64 / (rounds as usize * program.len()) as f64;
-
-    DispatchCost {
-        interpreted_ns,
-        compiled_ns,
-    }
-}
-
-/// Mean modelled cost of a single unbatched CQE publication per CQ variant
+/// Mean modelled cost of a single per-entry CQE publication per CQ variant
 /// (the Fig. 7(c) comparison), in microseconds.
 pub fn cq_push_cost_us(variant: CqVariant, samples: u32) -> f64 {
     let cq = dfccl::build_cq(variant, 64, dfccl::HostMemCosts::default());
@@ -963,16 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_config_only_differs_in_batching() {
-        let b = batched_config();
-        let u = unbatched_config();
-        assert_eq!(b.cq_variant, u.cq_variant);
-        assert_eq!(u.sq_fetch_batch, 1);
-        assert_eq!(u.cq_write_batch, 1);
-        assert!(b.sq_fetch_batch > 1);
-    }
-
-    #[test]
     fn replay_throughput_measures_both_fusion_arms() {
         let fused = replay_throughput(2, 6, 16, 2, true);
         assert!(fused.replayed_per_sec > 0.0);
@@ -1010,24 +891,12 @@ mod tests {
     }
 
     #[test]
-    fn compiled_dispatch_is_not_more_expensive_than_interpreted() {
-        let c = dispatch_cost(4, 4);
-        assert!(c.interpreted_ns > 0.0 && c.compiled_ns > 0.0);
-        assert!(
-            c.compiled_ns <= c.interpreted_ns,
-            "index dispatch ({:.1} ns) must not cost more than map lookups ({:.1} ns)",
-            c.compiled_ns,
-            c.interpreted_ns
-        );
-    }
-
-    #[test]
     fn cq_cost_probes_reproduce_fig7c_ordering() {
         let vanilla = cq_push_cost_us(CqVariant::VanillaRing, 50);
         let ring = cq_push_cost_us(CqVariant::OptimizedRing, 50);
         let slot = cq_push_cost_us(CqVariant::OptimizedSlot, 50);
         assert!(vanilla > ring && ring > slot, "{vanilla} / {ring} / {slot}");
-        // Batched ring publication beats its own unbatched cost.
+        // Batched ring publication beats its own per-entry cost.
         let ring_batched = cq_push_batched_cost_us(CqVariant::OptimizedRing, 16, 20);
         assert!(ring_batched < ring, "batched {ring_batched} vs {ring}");
     }

@@ -19,13 +19,16 @@
 //!   point-to-point send/recv).
 //! * [`AlgorithmSelector`] — topology- and payload-aware selection among the
 //!   families, overridable per collective and globally.
-//! * [`executor`] — executes one primitive against the rank's connectors.
-//!   Every primitive first checks that the connector conditions it needs are
-//!   satisfied and only then runs; the caller decides how long to poll for
-//!   readiness, which is exactly the preemption hook DFCCL's daemon kernel
-//!   uses (Sec. 4.1/4.2) and which the NCCL-like baseline leaves unbounded.
-//!   Because every plan is a sequence of single-chunk, non-blocking
-//!   primitives, preemption safety is independent of the algorithm family.
+//! * [`executor`] — executes one compiled instruction against the rank's
+//!   bound connectors. Every primitive first checks that the connector
+//!   conditions it needs are satisfied and only then runs; the caller decides
+//!   how long to poll for readiness, which is exactly the preemption hook
+//!   DFCCL's daemon kernel uses (Sec. 4.1/4.2). Because every plan is a
+//!   sequence of single-chunk, non-blocking primitives, preemption safety is
+//!   independent of the algorithm family.
+//! * [`reference`] — the plan-IR interpreter with the same primitive
+//!   contract: the oracle the compiled path is tested against, and the
+//!   strict-order, unbounded-wait loop of the NCCL-like baseline.
 
 pub mod alltoall;
 pub mod buffer;
@@ -40,6 +43,7 @@ pub mod plan;
 pub mod primitive;
 pub mod program;
 pub mod redop;
+pub mod reference;
 pub mod ring;
 pub mod selector;
 pub mod tree;
@@ -51,8 +55,7 @@ pub use collective::{CollectiveDescriptor, CollectiveKind};
 pub use cost::{estimate_completion_ns, CostError};
 pub use datatype::DataType;
 pub use executor::{
-    execute_ready_instr, execute_ready_step, flush_pending, flush_pending_channel,
-    flush_pending_compiled, instr_ready, run_plan_blocking, run_program_blocking, step_ready,
+    execute_ready_instr, flush_pending_compiled, instr_ready, run_program_blocking,
     validate_buffers, ExecError, PendingSend, PendingSends, StepOutcome,
 };
 pub use graph::{
@@ -64,6 +67,7 @@ pub use plan::{algorithm, Algorithm, AlgorithmKind, Plan};
 pub use primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 pub use program::{ByteRange, CachedPlan, CompiledProgram, Instr, Lane, PlanCache, PlanKey};
 pub use redop::ReduceOp;
+pub use reference::run_plan_blocking;
 pub use ring::{build_plan, build_plan_striped, RingAlgorithm};
 pub use selector::{AlgorithmSelector, DEFAULT_TREE_THRESHOLD_BYTES};
 pub use tree::DoubleBinaryTreeAlgorithm;

@@ -1,10 +1,12 @@
 //! Compiling plans into flat per-channel programs, and the plan cache.
 //!
-//! The daemon's hot loop used to *interpret* the [`Plan`] IR: every poll of
-//! every step re-matched `Option<peer>` fields and did `BTreeMap` lookups in
-//! the rank's channels, and a single global step cursor let one stalled
-//! channel head-of-line-block ready steps on other channels. This module adds
-//! the compilation stage between plan building and execution:
+//! Interpreting the [`Plan`] IR on the daemon's hot loop would re-match
+//! `Option<peer>` fields and do `BTreeMap` lookups in the rank's channels on
+//! every poll of every step, and a single global step cursor would let one
+//! stalled channel head-of-line-block ready steps on other channels (that
+//! interpreter survives only as the test oracle and baseline loop,
+//! [`crate::reference`]). This module is the compilation stage between plan
+//! building and execution:
 //!
 //! * [`CompiledProgram`] — a dense `Vec<Instr>` lowered from a validated
 //!   plan. Each instruction carries pre-resolved connector *indices* into a
@@ -41,10 +43,10 @@
 //! write-after-read on the recv buffer) with an earlier instruction on a
 //! different lane, and an instruction is only eligible once every lane has
 //! finished the earlier phases. Phase barriers point strictly backward in
-//! plan order, so the constraint graph stays a sub-order of the interpreted
-//! execution — acyclic, hence deadlock-free — while single-phase schedules
-//! (ring, tree, pairwise) keep fully independent lanes. The
-//! compiled-vs-interpreted bit-exactness property test
+//! plan order, so the constraint graph stays a sub-order of the reference
+//! interpreter's execution — acyclic, hence deadlock-free — while
+//! single-phase schedules (ring, tree, pairwise) keep fully independent
+//! lanes. The compiled-vs-reference bit-exactness property test
 //! (`tests/compiled_program.rs`) exercises this across every algorithm
 //! family × collective × rank count × K ∈ {1, 2, 3} at connector capacity 1.
 
@@ -270,7 +272,7 @@ impl CompiledProgram {
         // lane order preserves plan order. The conflicting instruction
         // starts a new phase, and an instruction only becomes eligible once
         // every lane has finished the earlier phases, so executing lanes in
-        // any interleaving observes exactly the interpreted path's
+        // any interleaving observes exactly the reference interpreter's
         // recv-buffer contents. Single-phase schedules (ring, tree,
         // pairwise: within one chunk-major phase, dependencies always
         // connect steps of the same chunk — the same lane) carry no barriers

@@ -717,7 +717,6 @@ impl RankCtx {
             rank,
             tenant,
             communicator,
-            channels,
             plan: cached.plan,
             program: cached.program,
             table,
@@ -1033,7 +1032,6 @@ impl RankCtx {
             rank: old.rank,
             tenant: old.tenant,
             communicator: Arc::clone(&old.communicator),
-            channels,
             plan: cached.plan,
             program: cached.program,
             table,
@@ -1633,49 +1631,6 @@ mod tests {
     }
 
     #[test]
-    fn two_rank_all_reduce_with_unbatched_config() {
-        // The legacy per-entry SQ/CQ path (batch sizes forced to 1) must stay
-        // a correct configuration: it is the baseline arm of the
-        // scheduling-throughput benchmarks.
-        use dfccl_transport::{LinkModel, Topology};
-        use gpu_sim::GpuSpec;
-        let domain = DfcclDomain::new(
-            Topology::flat(2),
-            LinkModel::zero_cost(),
-            GpuSpec::rtx_3090(),
-            DfcclConfig::for_testing().unbatched(),
-        );
-        let count = 32;
-        let ranks: Vec<_> = (0..2)
-            .map(|g| domain.init_rank(GpuId(g)).unwrap())
-            .collect();
-        for ctx in &ranks {
-            ctx.register_all_reduce(1, count, DataType::F32, ReduceOp::Sum, gpus(2), 0)
-                .unwrap();
-        }
-        let mut handles = Vec::new();
-        let mut recvs = Vec::new();
-        for (g, ctx) in ranks.iter().enumerate() {
-            let send = DeviceBuffer::from_f32(&vec![(g + 1) as f32; count]);
-            let recv = DeviceBuffer::zeroed(count * 4);
-            recvs.push(recv.clone());
-            handles.push(ctx.run_awaitable(1, send, recv).unwrap());
-        }
-        for h in &handles {
-            assert!(
-                h.wait_for_timeout(1, Duration::from_secs(20)),
-                "unbatched all-reduce timed out"
-            );
-        }
-        for recv in &recvs {
-            assert_eq!(recv.to_f32_vec(), vec![3.0f32; count]);
-        }
-        for ctx in ranks {
-            ctx.destroy();
-        }
-    }
-
-    #[test]
     fn collective_with_many_more_chunks_than_connector_slots_completes() {
         // Regression test for the flow-control deadlock: with step-major
         // plans, a collective whose per-slice chunk count exceeds the
@@ -2144,6 +2099,54 @@ mod tests {
         // from any particular rank's registry.
         assert!(!domain.edge_samples().is_empty());
         assert!(domain.fault_injector().scripted().is_empty());
+        for ctx in ranks {
+            ctx.destroy();
+        }
+    }
+
+    #[test]
+    fn every_preemption_is_matched_by_a_resume() {
+        // The paper's disorder case: rank 0 invokes alone and is preempted
+        // waiting for a peer that has not invoked yet — possibly before its
+        // first primitive. Every one of those preemptions is followed by a
+        // checkout of the saved context, which must count as a resume.
+        use dfccl_transport::{LinkModel, Topology};
+        use gpu_sim::GpuSpec;
+        let domain = DfcclDomain::new(
+            Topology::flat(2),
+            LinkModel::zero_cost(),
+            GpuSpec::rtx_3090(),
+            DfcclConfig::preemption_stress(),
+        );
+        let count = 32;
+        let ranks: Vec<_> = (0..2)
+            .map(|g| domain.init_rank(GpuId(g)).unwrap())
+            .collect();
+        for ctx in &ranks {
+            ctx.register_all_reduce(1, count, DataType::F32, ReduceOp::Sum, gpus(2), 0)
+                .unwrap();
+        }
+        let run = |g: usize| {
+            let send = DeviceBuffer::from_f32(&vec![(g + 1) as f32; count]);
+            let recv = DeviceBuffer::zeroed(count * 4);
+            (ranks[g].run_awaitable(1, send, recv.clone()).unwrap(), recv)
+        };
+        let (h0, recv0) = run(0);
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while ranks[0].stats().preemptions == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "rank 0 was never preempted"
+            );
+            std::thread::yield_now();
+        }
+        let (h1, _) = run(1);
+        assert!(h0.wait_for_timeout(1, Duration::from_secs(20)));
+        assert!(h1.wait_for_timeout(1, Duration::from_secs(20)));
+        assert_eq!(recv0.to_f32_vec(), vec![3.0f32; count]);
+        let counters = ranks[0].telemetry().counters;
+        assert!(counters.preemptions > 0);
+        assert_eq!(counters.resumes, counters.preemptions);
         for ctx in ranks {
             ctx.destroy();
         }

@@ -235,16 +235,9 @@ pub struct DfcclConfig {
     /// retry interval while the device refuses residency (e.g. a pending
     /// synchronization). Wake-up signals cut these waits short.
     pub restart_backoff: Duration,
-    /// Maximum SQEs fetched per SQ-cursor lock acquisition. `1` reproduces
-    /// the legacy per-entry fetch; larger values amortize the cursor lock and
-    /// the SQ head read across a burst of submissions.
+    /// Maximum SQEs fetched per SQ-cursor lock acquisition: the cursor lock
+    /// and the SQ head read are amortized across a burst of submissions.
     pub sq_fetch_batch: usize,
-    /// Completion-batch flush threshold: the daemon buffers CQEs for
-    /// completed collectives and publishes them with one batched CQ round
-    /// once this many are pending (the batch also flushes at the end of
-    /// every scheduling pass, so completions are never delayed across
-    /// passes). `1` reproduces the legacy per-entry publication.
-    pub cq_write_batch: usize,
     /// Logical grid size of the daemon kernel (number of blocks). Used for
     /// memory accounting and per-block statistics.
     pub daemon_blocks: u32,
@@ -259,12 +252,6 @@ pub struct DfcclConfig {
     pub context_save_ns: f64,
     /// Number of active context slots kept in shared memory (direct-mapped).
     pub active_context_slots: usize,
-    /// Whether the daemon executes registered collectives through their
-    /// compiled programs (flat per-channel instruction lanes with
-    /// pre-resolved connector indices — the default) or by interpreting the
-    /// plan IR step by step (the legacy path, kept as the baseline arm of
-    /// the dispatch-cost benchmarks and as a differential-testing oracle).
-    pub compiled_dispatch: bool,
     /// Graph-capture fusion threshold: consecutive captured all-reduces of
     /// the same (device set, dtype, operator) shape whose payloads are each
     /// at most this many bytes are coalesced into one fused all-reduce when
@@ -288,8 +275,7 @@ pub struct DfcclConfig {
     pub tenant_quantum: u32,
     /// Bypass the staged per-tenant scheduler and run every collective from
     /// one flat task queue with no admission accounting — the pre-service
-    /// scheduling path, kept as the baseline arm of the tenancy benchmarks
-    /// (like [`DfcclConfig::unbatched`] and [`DfcclConfig::interpreted`]).
+    /// scheduling path, kept as the baseline arm of the tenancy benchmarks.
     pub flat_scheduling: bool,
     /// Capacity of the per-daemon telemetry event ring
     /// ([`crate::telemetry::Telemetry`]): the most recent this-many
@@ -318,14 +304,12 @@ impl Default for DfcclConfig {
             idle_spin_passes: 4,
             restart_backoff: Duration::from_micros(100),
             sq_fetch_batch: 64,
-            cq_write_batch: 16,
             daemon_blocks: 4,
             shared_mem_per_block: 13 * 1024,
             context_buffer_per_block: 4 * 1024 * 1024,
             context_load_ns: 450.0,
             context_save_ns: 50.0,
             active_context_slots: 8,
-            compiled_dispatch: true,
             fusion_threshold_bytes: 64 * 1024,
             tenant_quota: TenantQuota::default(),
             tenant_arbitration: TenantArbitration::WeightedFair,
@@ -358,23 +342,6 @@ impl DfcclConfig {
             spin: SpinPolicy::Fixed { threshold: 4 },
             ..Self::for_testing()
         }
-    }
-
-    /// Disable SQ/CQ batching (per-entry fetch and publication) — the legacy
-    /// hot path, kept as the baseline arm of the scheduling-throughput
-    /// benchmarks.
-    pub fn unbatched(mut self) -> Self {
-        self.sq_fetch_batch = 1;
-        self.cq_write_batch = 1;
-        self
-    }
-
-    /// Interpret the plan IR step by step instead of executing the compiled
-    /// per-channel program — the legacy dispatch, kept as the baseline arm
-    /// of the dispatch-cost benchmarks and as a differential-testing oracle.
-    pub fn interpreted(mut self) -> Self {
-        self.compiled_dispatch = false;
-        self
     }
 
     /// Force one collective-algorithm family for every registration (the
@@ -505,18 +472,6 @@ mod tests {
             ..DfcclConfig::default()
         };
         assert_eq!(off.fusion_threshold_bytes, 0);
-    }
-
-    #[test]
-    fn unbatched_disables_both_batch_knobs() {
-        let c = DfcclConfig::default();
-        assert!(
-            c.sq_fetch_batch > 1 && c.cq_write_batch > 1,
-            "batching on by default"
-        );
-        let u = c.unbatched();
-        assert_eq!(u.sq_fetch_batch, 1);
-        assert_eq!(u.cq_write_batch, 1);
     }
 
     #[test]

@@ -38,10 +38,7 @@ pub struct GraphTag {
 /// Dynamic context of one invocation of a collective.
 #[derive(Debug, Clone)]
 pub struct DynamicContext {
-    /// Number of primitives completed so far. Under interpreted dispatch
-    /// this doubles as the index of the next primitive of the plan to
-    /// execute; under compiled dispatch the per-lane positions live in
-    /// `lane_cursors` and this is their sum.
+    /// Number of primitives completed so far (the sum of `lane_cursors`).
     pub next_step: usize,
     /// Per-lane cursors of the compiled program: `lane_cursors[l]` is the
     /// position of the next instruction to execute on lane `l`. Sized
@@ -64,6 +61,10 @@ pub struct DynamicContext {
     /// Whether the collective progressed since its context was last saved
     /// (drives the lazy-saving optimisation).
     pub progressed_since_save: bool,
+    /// Set by [`ContextStore::checkin_incomplete`]: this invocation has been
+    /// preempted, so its next checkout is a resume — even when the preemption
+    /// came before the first primitive completed.
+    pub preempted: bool,
     /// The graph replay this invocation belongs to, if it was expanded from
     /// a graph SQE rather than submitted individually.
     pub graph: Option<GraphTag>,
@@ -86,6 +87,7 @@ impl DynamicContext {
             send,
             recv,
             progressed_since_save: false,
+            preempted: false,
             graph: None,
             silent_replay: false,
         }
@@ -224,6 +226,7 @@ impl ContextStore {
             busy_spin(self.save_cost);
             ctx.progressed_since_save = false;
         }
+        ctx.preempted = true;
         let mut map = self.per_coll.lock();
         let entry = map.entry(coll_id).or_default();
         entry.pending.push_front(ctx);
@@ -449,7 +452,13 @@ mod tests {
         let s = store();
         s.enqueue_invocation(2, ctx(0));
         let (c, _) = s.checkout_current(2).unwrap();
+        assert!(!c.preempted);
         assert!(!s.checkin_incomplete(2, c), "no progress, no save cost");
+        let (c, _) = s.checkout_current(2).unwrap();
+        assert!(
+            c.preempted,
+            "a checked-in context resumes on its next checkout"
+        );
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!
 //! This module implements all three behind [`CqKind`], an enum whose inherent
 //! methods dispatch statically — the runtime hot path pays no vtable
-//! indirection per CQE. The [`CompletionQueue`] trait is kept (and implemented
-//! by every variant and by `CqKind` itself) so tests and the Fig. 7(c)
-//! harness can still treat the variants uniformly.
+//! indirection per CQE.
 //!
 //! ## Batched operation
 //!
@@ -47,48 +45,7 @@ pub struct Cqe {
     pub coll_id: u64,
 }
 
-/// Common interface of the CQ variants. Producers call [`CompletionQueue::push`]
-/// from the daemon kernel; the single poller thread calls
-/// [`CompletionQueue::pop`]. The runtime itself dispatches statically through
-/// [`CqKind`]; this trait remains for tests and generic harness code.
-pub trait CompletionQueue: Send + Sync {
-    /// Publish a completion. Returns `false` when the queue is full.
-    fn push(&self, cqe: Cqe) -> bool;
-    /// Consume one completion, if any.
-    fn pop(&self) -> Option<Cqe>;
-    /// Number of entries currently buffered.
-    fn len(&self) -> usize;
-    /// Whether no entries are buffered.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Which variant this is.
-    fn variant(&self) -> CqVariant;
-    /// Publish a batch, returning how many entries were accepted (a prefix of
-    /// `cqes`). The default just loops `push`.
-    fn push_n(&self, cqes: &[Cqe]) -> usize {
-        let mut accepted = 0;
-        for &cqe in cqes {
-            if !self.push(cqe) {
-                break;
-            }
-            accepted += 1;
-        }
-        accepted
-    }
-    /// Drain every published entry into `out`, returning how many were moved.
-    /// The default just loops `pop`.
-    fn drain_into(&self, out: &mut Vec<Cqe>) -> usize {
-        let before = out.len();
-        while let Some(cqe) = self.pop() {
-            out.push(cqe);
-        }
-        out.len() - before
-    }
-}
-
-/// The statically dispatched completion queue used by the runtime. Replaces
-/// the previous `Box<dyn CompletionQueue>` on the daemon hot path: a `match`
+/// The statically dispatched completion queue used by the runtime: a `match`
 /// on a three-variant enum compiles to a jump the branch predictor learns,
 /// and the inner calls inline.
 pub enum CqKind {
@@ -149,28 +106,11 @@ impl CqKind {
 
     /// Which variant this is.
     pub fn variant(&self) -> CqVariant {
-        cq_dispatch!(self, q => q.variant())
-    }
-}
-
-impl CompletionQueue for CqKind {
-    fn push(&self, cqe: Cqe) -> bool {
-        CqKind::push(self, cqe)
-    }
-    fn pop(&self) -> Option<Cqe> {
-        CqKind::pop(self)
-    }
-    fn len(&self) -> usize {
-        CqKind::len(self)
-    }
-    fn variant(&self) -> CqVariant {
-        CqKind::variant(self)
-    }
-    fn push_n(&self, cqes: &[Cqe]) -> usize {
-        CqKind::push_n(self, cqes)
-    }
-    fn drain_into(&self, out: &mut Vec<Cqe>) -> usize {
-        CqKind::drain_into(self, out)
+        match self {
+            CqKind::VanillaRing(_) => CqVariant::VanillaRing,
+            CqKind::OptimizedRing(_) => CqVariant::OptimizedRing,
+            CqKind::OptimizedSlot(_) => CqVariant::OptimizedSlot,
+        }
     }
 }
 
@@ -229,7 +169,7 @@ impl VanillaRingCq {
     }
 }
 
-impl CompletionQueue for VanillaRingCq {
+impl VanillaRingCq {
     fn push(&self, cqe: Cqe) -> bool {
         // 5 host-memory operations: read head, read tail, claim slot (CAS on
         // tail), write payload, publish validity — plus a fence between the
@@ -316,10 +256,6 @@ impl CompletionQueue for VanillaRingCq {
         let tail = self.tail.load(Ordering::Acquire);
         tail.saturating_sub(head) as usize
     }
-
-    fn variant(&self) -> CqVariant {
-        CqVariant::VanillaRing
-    }
 }
 
 /// The optimized ring-buffer CQ: the tail index and the collective id are
@@ -391,7 +327,7 @@ impl OptimizedRingCq {
     }
 }
 
-impl CompletionQueue for OptimizedRingCq {
+impl OptimizedRingCq {
     fn push(&self, cqe: Cqe) -> bool {
         // 4 host-memory operations, no fence: read head, read/claim tail,
         // single packed payload+validity write.
@@ -469,10 +405,6 @@ impl CompletionQueue for OptimizedRingCq {
         let tail = self.tail.load(Ordering::Acquire);
         tail.saturating_sub(head) as usize
     }
-
-    fn variant(&self) -> CqVariant {
-        CqVariant::OptimizedRing
-    }
 }
 
 /// The fully optimized CQ: a slot array without ring semantics. A producer
@@ -494,7 +426,7 @@ impl OptimizedSlotCq {
     }
 }
 
-impl CompletionQueue for OptimizedSlotCq {
+impl OptimizedSlotCq {
     fn push(&self, cqe: Cqe) -> bool {
         debug_assert_ne!(
             cqe.coll_id, EMPTY_SLOT,
@@ -571,10 +503,6 @@ impl CompletionQueue for OptimizedSlotCq {
             .filter(|s| s.load(Ordering::Relaxed) != EMPTY_SLOT)
             .count()
     }
-
-    fn variant(&self) -> CqVariant {
-        CqVariant::OptimizedSlot
-    }
 }
 
 #[cfg(test)]
@@ -582,19 +510,17 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn all_variants(capacity: usize) -> Vec<Box<dyn CompletionQueue>> {
-        vec![
-            Box::new(VanillaRingCq::new(capacity, HostMemCosts::free())),
-            Box::new(OptimizedRingCq::new(capacity, HostMemCosts::free())),
-            Box::new(OptimizedSlotCq::new(capacity, HostMemCosts::free())),
-        ]
-    }
-
     const ALL_VARIANTS: [CqVariant; 3] = [
         CqVariant::VanillaRing,
         CqVariant::OptimizedRing,
         CqVariant::OptimizedSlot,
     ];
+
+    fn all_variants(capacity: usize) -> impl Iterator<Item = CqKind> {
+        ALL_VARIANTS
+            .into_iter()
+            .map(move |v| build_cq(v, capacity, HostMemCosts::free()))
+    }
 
     #[test]
     fn push_then_pop_round_trips_on_every_variant() {
@@ -609,10 +535,8 @@ mod tests {
 
     #[test]
     fn ring_variants_preserve_fifo_order() {
-        for cq in [
-            Box::new(VanillaRingCq::new(8, HostMemCosts::free())) as Box<dyn CompletionQueue>,
-            Box::new(OptimizedRingCq::new(8, HostMemCosts::free())),
-        ] {
+        for v in [CqVariant::VanillaRing, CqVariant::OptimizedRing] {
+            let cq = build_cq(v, 8, HostMemCosts::free());
             for i in 0..5 {
                 cq.push(Cqe { coll_id: i });
             }
@@ -677,20 +601,6 @@ mod tests {
         for v in ALL_VARIANTS {
             let cq = build_cq(v, 4, HostMemCosts::free());
             assert_eq!(cq.variant(), v);
-        }
-    }
-
-    #[test]
-    fn enum_and_trait_dispatch_agree() {
-        for v in ALL_VARIANTS {
-            let cq = build_cq(v, 8, HostMemCosts::free());
-            // Inherent (static) dispatch.
-            assert!(cq.push(Cqe { coll_id: 3 }));
-            // Trait-object dispatch over the same queue.
-            let dynamic: &dyn CompletionQueue = &cq;
-            assert_eq!(dynamic.len(), 1);
-            assert_eq!(dynamic.pop(), Some(Cqe { coll_id: 3 }));
-            assert!(cq.is_empty());
         }
     }
 
@@ -860,17 +770,15 @@ mod tests {
         // With the default cost model, writing a CQE must be slowest for the
         // vanilla ring and fastest for the slot CQ (the Fig. 7(c) ordering).
         let costs = HostMemCosts::default();
-        let time_one_push = |cq: &dyn CompletionQueue| {
+        let time_one_push = |variant| {
+            let cq = build_cq(variant, 8, costs);
             let start = std::time::Instant::now();
             cq.push(Cqe { coll_id: 1 });
             start.elapsed()
         };
-        let vanilla = VanillaRingCq::new(8, costs);
-        let ring = OptimizedRingCq::new(8, costs);
-        let slot = OptimizedSlotCq::new(8, costs);
-        let t_vanilla = time_one_push(&vanilla);
-        let t_ring = time_one_push(&ring);
-        let t_slot = time_one_push(&slot);
+        let t_vanilla = time_one_push(CqVariant::VanillaRing);
+        let t_ring = time_one_push(CqVariant::OptimizedRing);
+        let t_slot = time_one_push(CqVariant::OptimizedSlot);
         assert!(
             t_vanilla > t_ring,
             "vanilla {t_vanilla:?} vs ring {t_ring:?}"
@@ -885,12 +793,12 @@ mod tests {
         // slot CQ's cost stays linear in the batch size.
         let costs = HostMemCosts::default();
         let batch: Vec<Cqe> = (0..16).map(|i| Cqe { coll_id: i }).collect();
-        let time_batch = |cq: &dyn CompletionQueue| {
+        let time_batch = |cq: &CqKind| {
             let start = std::time::Instant::now();
             assert_eq!(cq.push_n(&batch), batch.len());
             start.elapsed()
         };
-        let time_singles = |cq: &dyn CompletionQueue| {
+        let time_singles = |cq: &CqKind| {
             let start = std::time::Instant::now();
             for &cqe in &batch {
                 assert!(cq.push(cqe));

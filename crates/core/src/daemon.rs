@@ -50,8 +50,8 @@
 //!   arbitration pass over the per-tenant lanes
 //!   ([`crate::task_queue::TenantScheduler`]), preserving FIFO/priority
 //!   semantics within each tenant;
-//! * **execute** ([`execute_stage`]) — unchanged compiled-lane (or
-//!   interpreted) dispatch with two-phase blocking per slice;
+//! * **execute** ([`execute_stage`]) — compiled-lane dispatch with
+//!   two-phase blocking per slice;
 //! * **complete** ([`complete_stage`]) — batched CQE publication with
 //!   per-tenant completion routing and accounting.
 //!
@@ -65,10 +65,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dfccl_collectives::{
-    execute_ready_instr, execute_ready_step, flush_pending, flush_pending_compiled, instr_ready,
-    step_ready, CollectiveDescriptor, CompiledProgram, GraphOp, Plan, StepOutcome,
+    execute_ready_instr, flush_pending_compiled, instr_ready, CollectiveDescriptor,
+    CompiledProgram, GraphOp, Plan, StepOutcome,
 };
-use dfccl_transport::{Communicator, ConnectorTable, RankChannels};
+use dfccl_transport::{Communicator, ConnectorTable};
 use gpu_sim::{GpuDevice, GpuId};
 use parking_lot::{Mutex, RwLock};
 
@@ -97,9 +97,6 @@ pub struct RegisteredCollective {
     pub tenant: TenantId,
     /// The communicator backing the collective.
     pub communicator: Arc<Communicator>,
-    /// This rank's connectors, keyed by `(peer, channel)` — the interpreted
-    /// dispatch path and diagnostics address connectors through this map.
-    pub channels: RankChannels,
     /// This rank's schedule in plan-IR form (shared with the plan cache).
     pub plan: Arc<Plan>,
     /// The plan lowered into its flat per-channel program (shared with the
@@ -474,6 +471,12 @@ impl TenantCache {
     }
 }
 
+/// Completion-batch flush threshold: the daemon buffers CQEs for completed
+/// collectives and publishes them with one batched CQ round once this many
+/// are pending. The batch also flushes at the end of every scheduling pass,
+/// so completions are never delayed across passes.
+const CQ_WRITE_BATCH: usize = 16;
+
 /// Pending CQEs with their owning tenants (parallel vectors — the `Cqe` wire
 /// format is unchanged; tenant routing is daemon-side bookkeeping).
 struct CompletionBatch {
@@ -505,18 +508,27 @@ fn enqueue_completion(
         .record(coll_id, TelemetryEventKind::Complete);
     batch.cqes.push(Cqe { coll_id });
     batch.tenants.push(tenant);
-    if batch.cqes.len() >= shared.config.cq_write_batch.max(1) {
+    if batch.cqes.len() >= CQ_WRITE_BATCH {
         flush_completions(shared, batch);
     }
 }
 
 /// The **complete** stage: publish the pending CQE batch with batched CQ
 /// rounds, route each completion to its tenant's accounting, update rank-wide
-/// accounting and wake the poller. With `cq_write_batch == 1` this
-/// degenerates to the legacy per-entry publication (identical modelled cost).
+/// accounting and wake the poller.
 fn flush_completions(shared: &Arc<DaemonShared>, batch: &mut CompletionBatch) {
     if batch.cqes.is_empty() {
         return;
+    }
+    // Per-collective and per-tenant accounting lands before the CQEs become
+    // visible: a caller woken by its completion callback then already sees
+    // the completion in `stats()` / `tenant_stats()`.
+    let flat = shared.config.flat_scheduling;
+    for (cqe, tenant) in batch.cqes.iter().zip(batch.tenants.iter()) {
+        shared.stats.record_completion(cqe.coll_id);
+        if !flat {
+            shared.tenants.state(*tenant).on_complete();
+        }
     }
     let write_start = Instant::now();
     let mut offset = 0;
@@ -531,18 +543,17 @@ fn flush_completions(shared: &Arc<DaemonShared>, batch: &mut CompletionBatch) {
             std::thread::yield_now();
         }
     }
+    let published = batch.cqes.len() as u64;
     shared
         .stats
-        .record_cqe_write_batch(write_start.elapsed(), batch.cqes.len() as u64);
-    let flat = shared.config.flat_scheduling;
-    for (cqe, tenant) in batch.cqes.iter().zip(batch.tenants.iter()) {
-        shared.stats.record_completion(cqe.coll_id);
-        let previous = shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(previous > 0, "completion without a matching submission");
-        if !flat {
-            shared.tenants.state(*tenant).on_complete();
-        }
-    }
+        .record_cqe_write_batch(write_start.elapsed(), published);
+    // `outstanding` moves only after publication: the poller's stop
+    // condition and `destroy` read it as "no CQE is still owed".
+    let previous = shared.outstanding.fetch_sub(published, Ordering::AcqRel);
+    debug_assert!(
+        previous >= published,
+        "completion without a matching submission"
+    );
     batch.cqes.clear();
     batch.tenants.clear();
     shared.notify_poller();
@@ -690,126 +701,6 @@ struct SliceRun {
     threshold: u64,
 }
 
-/// Execute one slice of `reg` by interpreting the plan IR step by step — the
-/// legacy dispatch (`DfcclConfig::compiled_dispatch == false`): one global
-/// step cursor, per-poll `BTreeMap` connector lookups, and two-phase
-/// blocking per primitive. Kept as the baseline arm of the dispatch-cost
-/// benchmarks and as a differential-testing oracle for the compiled path.
-fn run_interpreted_slice(
-    shared: &Arc<DaemonShared>,
-    reg: &RegisteredCollective,
-    ctx: &mut DynamicContext,
-    spin: crate::config::SpinPolicy,
-    mut threshold: u64,
-) -> SliceRun {
-    let coll_id = reg.coll_id;
-    let mut progressed = false;
-    let mut preempted = false;
-    let mut failed: Option<String> = None;
-
-    while ctx.next_step < reg.plan.len() {
-        let step = &reg.plan.steps[ctx.next_step];
-        // Two-phase blocking: poll the connector conditions up to the
-        // spin threshold, then either execute or abort the primitive.
-        // A chunk staged by the previous fused primitive makes the
-        // condition "its connector drained"; the executor flushes it
-        // before running the step.
-        let mut polls: u64 = 0;
-        let ready = loop {
-            if step_ready(step, &reg.channels, &ctx.pending_sends) {
-                break true;
-            }
-            polls += 1;
-            if polls >= threshold {
-                break false;
-            }
-            std::hint::spin_loop();
-        };
-        if !ready {
-            preempted = true;
-            break;
-        }
-        let staged_before = ctx.pending_sends.len();
-        let exec_start = Instant::now();
-        match execute_ready_step(
-            coll_id,
-            step,
-            &reg.channels,
-            reg.desc.dtype,
-            reg.desc.op,
-            &ctx.send,
-            &ctx.recv,
-            &mut ctx.pending_sends,
-        ) {
-            Ok(StepOutcome::Completed) => {
-                shared.stats.record_primitive(exec_start.elapsed());
-                ctx.next_step += 1;
-                ctx.progressed_since_save = true;
-                progressed = true;
-                // Adaptive stickiness: a successful primitive raises the
-                // threshold of its successors (decentralized dynamic
-                // gang-scheduling).
-                threshold = spin.on_success(threshold);
-            }
-            Ok(StepOutcome::NotReady) => {
-                // The executor may have flushed staged chunks (on any
-                // channel) and only then found the step's own conditions
-                // unmet: those flushes published data, so the pass made
-                // progress even though this collective is preempted.
-                if ctx.pending_sends.len() < staged_before {
-                    progressed = true;
-                }
-                preempted = true;
-                break;
-            }
-            Err(e) => {
-                failed = Some(e.to_string());
-                break;
-            }
-        }
-    }
-
-    // The last primitives may have staged output chunks (one per channel);
-    // the collective is only complete once every one is on the wire.
-    if failed.is_none() && !preempted && !ctx.pending_sends.is_empty() {
-        let mut polls: u64 = 0;
-        loop {
-            let staged_before = ctx.pending_sends.len();
-            match flush_pending(&reg.channels, &mut ctx.pending_sends) {
-                Ok(true) => {
-                    progressed = true;
-                    break;
-                }
-                Ok(false) => {
-                    // A partial flush (some channels drained, others still
-                    // full) published data: that is progress even if the
-                    // collective ends up preempted here.
-                    if ctx.pending_sends.len() < staged_before {
-                        progressed = true;
-                    }
-                    polls += 1;
-                    if polls >= threshold {
-                        preempted = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                Err(e) => {
-                    failed = Some(e.to_string());
-                    break;
-                }
-            }
-        }
-    }
-
-    SliceRun {
-        preempted,
-        failed,
-        progressed,
-        threshold,
-    }
-}
-
 /// Execute one slice of `reg` through its compiled program: every pass polls
 /// each lane's head instruction (pure index dispatch into the bound
 /// connector table — no map lookups) and executes the ready ones, so a
@@ -817,7 +708,7 @@ fn run_interpreted_slice(
 /// applies to the slice as a whole: a full pass over the lanes with no
 /// progress counts as one poll, and the collective is preempted once the
 /// spin threshold of fruitless passes is exhausted — with `K = 1` this
-/// degenerates to the interpreted path's per-primitive polling.
+/// degenerates to per-primitive polling.
 fn run_compiled_slice(
     shared: &Arc<DaemonShared>,
     reg: &RegisteredCollective,
@@ -865,7 +756,9 @@ fn run_compiled_slice(
                     ctx.next_step += 1;
                     ctx.progressed_since_save = true;
                     advanced = true;
-                    // Adaptive stickiness, as in the interpreted path.
+                    // Adaptive stickiness: a successful primitive raises the
+                    // threshold of its successors (decentralized dynamic
+                    // gang-scheduling).
                     threshold = spin.on_success(threshold);
                 }
                 Ok(StepOutcome::NotReady) => {
@@ -1056,8 +949,8 @@ fn schedule_stage(shared: &Arc<DaemonShared>, st: &mut PipelineState) -> Vec<u64
 }
 
 /// The **execute** stage: run one two-phase-blocking slice per scheduled
-/// collective (unchanged compiled-lane or interpreted dispatch), with
-/// per-tenant preemption/failure accounting. Returns whether any slice
+/// collective through its compiled program, with per-tenant
+/// preemption/failure accounting. Returns whether any slice
 /// progressed.
 fn execute_stage(shared: &Arc<DaemonShared>, st: &mut PipelineState, order: &[u64]) -> bool {
     let PipelineState {
@@ -1095,9 +988,7 @@ fn execute_stage(shared: &Arc<DaemonShared>, st: &mut PipelineState, order: &[u6
         if load == ContextLoad::CacheMiss {
             shared.stats.record_preparing(prep_start.elapsed());
         }
-        // A context checked out with primitives already behind it was
-        // preempted in an earlier slice: this checkout is a resume.
-        if ctx.next_step > 0 {
+        if ctx.preempted {
             shared.telemetry.record(coll_id, TelemetryEventKind::Resume);
         }
 
@@ -1106,11 +997,7 @@ fn execute_stage(shared: &Arc<DaemonShared>, st: &mut PipelineState, order: &[u6
             .map(|e| e.spin_threshold)
             .unwrap_or_else(|| spin.initial_threshold(0));
         let steps_before = ctx.next_step;
-        let slice = if shared.config.compiled_dispatch {
-            run_compiled_slice(shared, &reg, &mut ctx, spin, threshold)
-        } else {
-            run_interpreted_slice(shared, &reg, &mut ctx, spin, threshold)
-        };
+        let slice = run_compiled_slice(shared, &reg, &mut ctx, spin, threshold);
         progressed_any |= slice.progressed;
         // One chunk-moved event summarises the slice (not one per
         // primitive) to bound the telemetry cost of a hot slice.
@@ -1216,7 +1103,7 @@ fn run_daemon(shared: Arc<DaemonShared>) {
         registry: RegistryCache::new(),
         scheduler: TenantScheduler::new(shared.config.flat_scheduling),
         tenant_cache: TenantCache::new(),
-        completions: CompletionBatch::with_capacity(shared.config.cq_write_batch.max(1)),
+        completions: CompletionBatch::with_capacity(CQ_WRITE_BATCH),
         sqe_batch: Vec::with_capacity(shared.config.sq_fetch_batch.max(1)),
     };
 
@@ -1517,13 +1404,9 @@ mod tests {
 
     #[test]
     fn completion_batches_flush_within_a_pass() {
-        // Even with a large batch threshold, completions must be published at
-        // the end of the pass that produced them (no cross-pass latency).
-        let config = DfcclConfig {
-            cq_write_batch: 1_000,
-            ..DfcclConfig::for_testing()
-        };
-        let shared = shared_with_config(config);
+        // Fewer completions than the batch threshold must still be published
+        // at the end of the pass that produced them (no cross-pass latency).
+        let shared = shared_for_test();
         let controller = DaemonController::new(Arc::clone(&shared));
         for id in 0..5 {
             shared.outstanding.fetch_add(1, Ordering::Release);

@@ -71,7 +71,7 @@ pub use callback::{Callback, CallbackMap, CompletionHandle};
 pub use config::{
     CqVariant, DfcclConfig, HostMemCosts, OrderingPolicy, SpinPolicy, TenantArbitration,
 };
-pub use cq::{build_cq, CompletionQueue, CqKind, Cqe};
+pub use cq::{build_cq, CqKind, Cqe};
 pub use daemon::{
     is_graph_id, CapturedGraph, DaemonController, DaemonShared, GraphNode, RegisteredCollective,
     GRAPH_ID_BASE,

@@ -198,14 +198,8 @@ impl DaemonStats {
         self.daemon_starts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record an SQE fetch and the time it took to read it from the SQ.
-    pub fn record_sqe_fetch(&self, read_time: Duration) {
-        self.sqes_fetched.fetch_add(1, Ordering::Relaxed);
-        self.sqe_read_time.record(read_time);
-    }
-
     /// Record a batched fetch of `n` SQEs that together took `read_time`
-    /// (per-SQE mean accounting stays comparable with the unbatched path).
+    /// (the mean is per SQE).
     pub fn record_sqe_fetch_batch(&self, read_time: Duration, n: u64) {
         self.sqes_fetched.fetch_add(n, Ordering::Relaxed);
         self.sqe_read_time.record_many(read_time, n);
@@ -216,13 +210,8 @@ impl DaemonStats {
         self.preparing_time.record(d);
     }
 
-    /// Record a CQE write and its duration.
-    pub fn record_cqe_write(&self, d: Duration) {
-        self.cqes_written.fetch_add(1, Ordering::Relaxed);
-        self.cqe_write_time.record(d);
-    }
-
-    /// Record a batched publication of `n` CQEs that together took `d`.
+    /// Record a batched publication of `n` CQEs that together took `d`
+    /// (the mean is per CQE).
     pub fn record_cqe_write_batch(&self, d: Duration, n: u64) {
         self.cqes_written.fetch_add(n, Ordering::Relaxed);
         self.cqe_write_time.record_many(d, n);
@@ -306,8 +295,8 @@ mod tests {
     fn means_are_computed_from_samples() {
         let s = DaemonStats::default();
         assert!(s.snapshot().mean_cqe_write.is_none());
-        s.record_cqe_write(Duration::from_micros(2));
-        s.record_cqe_write(Duration::from_micros(4));
+        s.record_cqe_write_batch(Duration::from_micros(2), 1);
+        s.record_cqe_write_batch(Duration::from_micros(4), 1);
         let snap = s.snapshot();
         assert_eq!(snap.cqes_written, 2);
         assert_eq!(snap.mean_cqe_write, Some(Duration::from_micros(3)));
@@ -344,7 +333,7 @@ mod tests {
     #[test]
     fn sqe_and_preparing_and_primitive_times_recorded() {
         let s = DaemonStats::default();
-        s.record_sqe_fetch(Duration::from_micros(5));
+        s.record_sqe_fetch_batch(Duration::from_micros(5), 1);
         s.record_preparing(Duration::from_micros(1));
         s.record_primitive(Duration::from_micros(10));
         s.record_context_load();
