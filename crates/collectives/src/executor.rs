@@ -50,7 +50,7 @@ use crate::buffer::DeviceBuffer;
 use crate::collective::CollectiveDescriptor;
 use crate::primitive::{PrimitiveKind, SrcBuf};
 use crate::program::CompiledProgram;
-use crate::redop::{reduce_into, ReduceOp};
+use crate::redop::{reduce_from, ReduceOp};
 use crate::CollectiveError;
 
 /// Result of attempting one primitive.
@@ -221,27 +221,23 @@ pub fn flush_pending_compiled(
     table: &ConnectorTable,
     pending: &mut PendingSends,
 ) -> Result<bool, ExecError> {
-    let mut all_clear = true;
-    for channel in pending.channels() {
-        let Some(p) = pending.take(channel) else {
-            continue;
-        };
+    // Walk the slots by index (no staged chunk: no iteration, no allocation).
+    // A rejected chunk goes back into its own position; with one slot per
+    // channel, per-channel FIFO order holds either way.
+    let mut i = 0;
+    while i < pending.slots.len() {
+        let p = pending.slots.remove(i);
         let ci = program
             .send_conn_for(p.peer, p.channel)
             .ok_or(ExecError::MissingPeerConnector { peer: p.peer })?;
-        match table.send(ci).try_send(p.msg) {
-            Ok(()) => {}
-            Err(SendError::Full(msg)) | Err(SendError::Faulted(msg)) => {
-                pending.stage(PendingSend {
-                    peer: p.peer,
-                    channel: p.channel,
-                    msg,
-                });
-                all_clear = false;
-            }
+        if let Err(SendError::Full(msg)) | Err(SendError::Faulted(msg)) =
+            table.send(ci).try_send(p.msg)
+        {
+            pending.slots.insert(i, PendingSend { msg, ..p });
+            i += 1;
         }
     }
-    Ok(all_clear)
+    Ok(pending.slots.is_empty())
 }
 
 /// Execute instruction `idx` of `program`, assuming [`instr_ready`] was just
@@ -328,17 +324,22 @@ pub fn execute_ready_instr(
         | PrimitiveKind::RecvReduceCopy
         | PrimitiveKind::RecvReduceCopySend => {
             let src = instr.src.expect("reducing instructions carry a src range");
-            let mut local = local_buf.read_range(src.off, src.len);
-            let data = incoming.expect("receiving instruction consumed a chunk");
-            if data.len() != local.len() {
+            let mut data = incoming.expect("receiving instruction consumed a chunk");
+            if data.len() != src.len {
                 return Err(ExecError::PayloadSizeMismatch {
-                    expected: local.len(),
+                    expected: src.len,
                     actual: data.len(),
                 });
             }
             let op = op.ok_or(ExecError::MissingReduceOp)?;
-            reduce_into(&mut local, &data, program.dtype(), op);
-            local
+            // Reduce inside the received chunk and pass that allocation on.
+            // The read lock ends with this statement, before `write_range`
+            // below takes a write lock: send and recv may be one allocation.
+            local_buf.with_read(|local| {
+                let local = &local[src.off..src.off + src.len];
+                reduce_from(local, &mut data, program.dtype(), op);
+            });
+            data
         }
     };
 
@@ -464,9 +465,186 @@ pub fn validate_buffers(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
     use super::*;
+    use crate::chunk::ElemRange;
     use crate::datatype::DataType;
+    use crate::plan::{algorithm, AlgorithmKind, Plan};
+    use crate::primitive::PrimitiveStep;
+    use dfccl_transport::{Communicator, CommunicatorId, LinkModel, Topology};
     use gpu_sim::GpuId;
+
+    fn zero_cost_comm(n: usize) -> Arc<Communicator> {
+        Communicator::new(
+            CommunicatorId(0),
+            (0..n).map(GpuId).collect(),
+            &Arc::new(Topology::flat(n)),
+            &Arc::new(LinkModel::zero_cost()),
+            4,
+        )
+        .unwrap()
+    }
+
+    /// Rank 1 of 3 with the single instruction "recv 4 f32 from rank 0, sum
+    /// with send[0..4], send to rank 2", bound to zero-cost connectors.
+    fn recv_reduce_send_rank(comm: &Communicator) -> (CompiledProgram, ConnectorTable) {
+        let plan = Plan::new(
+            AlgorithmKind::Ring,
+            vec![PrimitiveStep {
+                kind: PrimitiveKind::RecvReduceSend,
+                src: Some(ElemRange::new(0, 4)),
+                src_buf: SrcBuf::Send,
+                dst: None,
+                send_to: Some(2),
+                recv_from: Some(0),
+                chunk_index: 0,
+                step: 0,
+                channel: ChannelId(0),
+            }],
+        );
+        let program = CompiledProgram::compile(&plan, DataType::F32);
+        let channels = comm
+            .channels(1, plan.send_edges(), plan.recv_edges())
+            .unwrap();
+        let table = program.bind(&channels).unwrap();
+        (program, table)
+    }
+
+    fn chunk(data: Vec<u8>) -> ChunkMsg {
+        ChunkMsg {
+            coll_id: 9,
+            chunk_index: 0,
+            step: 0,
+            data,
+        }
+    }
+
+    #[test]
+    fn recv_reduce_send_forwards_the_allocation_it_received() {
+        let comm = zero_cost_comm(3);
+        let (program, table) = recv_reduce_send_rank(&comm);
+        let local = [1.0f32, 2.0, 3.0, 4.0];
+        let send = DeviceBuffer::from_f32(&local);
+        let recv = DeviceBuffer::zeroed(16);
+
+        let payload = DeviceBuffer::from_f32(&[10.0, 20.0, 30.0, 40.0]).to_vec();
+        let pushed = payload.as_ptr();
+        let upstream = comm.connector_between(0, 1).unwrap();
+        assert!(upstream.try_send(chunk(payload)).is_ok());
+
+        let outcome = execute_ready_instr(
+            9,
+            &program,
+            0,
+            &table,
+            Some(ReduceOp::Sum),
+            &send,
+            &recv,
+            &mut PendingSends::default(),
+        )
+        .unwrap();
+        assert_eq!(outcome, StepOutcome::Completed);
+
+        let popped = comm
+            .connector_between(1, 2)
+            .unwrap()
+            .try_recv()
+            .expect("the reduced chunk went downstream");
+        assert_eq!(
+            popped.data.as_ptr(),
+            pushed,
+            "chunk was copied, not forwarded"
+        );
+        assert_eq!(
+            DeviceBuffer::from_bytes(popped.data).to_f32_vec(),
+            vec![11.0, 22.0, 33.0, 44.0]
+        );
+        assert_eq!(send.to_f32_vec(), local, "the local operand is only read");
+        assert_eq!(recv.to_vec(), vec![0u8; 16]);
+    }
+
+    #[test]
+    fn wrong_payload_length_is_an_error_that_touches_no_buffer() {
+        let comm = zero_cost_comm(3);
+        let (program, table) = recv_reduce_send_rank(&comm);
+        let local = [1.0f32, 2.0, 3.0, 4.0];
+        let send = DeviceBuffer::from_f32(&local);
+        let recv = DeviceBuffer::zeroed(16);
+        let upstream = comm.connector_between(0, 1).unwrap();
+        assert!(upstream.try_send(chunk(vec![0u8; 12])).is_ok());
+
+        let err = execute_ready_instr(
+            9,
+            &program,
+            0,
+            &table,
+            Some(ReduceOp::Sum),
+            &send,
+            &recv,
+            &mut PendingSends::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::PayloadSizeMismatch {
+                expected: 16,
+                actual: 12
+            }
+        );
+        assert_eq!(send.to_f32_vec(), local);
+        assert_eq!(recv.to_vec(), vec![0u8; 16]);
+        assert!(comm.connector_between(1, 2).unwrap().is_empty());
+    }
+
+    /// In-place all-reduce: every reducing primitive reads its local operand
+    /// from, and `RecvReduceCopy` then writes into, the same allocation. A
+    /// read lock still held when the write lock is taken would wedge the
+    /// rank's thread, hence the timeout rather than `should_abort`.
+    #[test]
+    fn ring_all_reduce_in_place_on_one_buffer_handle_completes_bit_exact() {
+        for n in 2..=4usize {
+            let count = 37; // uneven slices, several 4-element chunks per slice
+            let desc = CollectiveDescriptor::all_reduce(
+                count,
+                DataType::F32,
+                ReduceOp::Sum,
+                (0..n).map(GpuId).collect(),
+            );
+            let comm = zero_cost_comm(n);
+            let topo = Topology::flat(n);
+            let (tx, rx) = mpsc::channel();
+            for rank in 0..n {
+                let plan = algorithm(AlgorithmKind::Ring)
+                    .build_plan(&desc, rank, 4, &topo)
+                    .unwrap();
+                let program = CompiledProgram::compile(&plan, desc.dtype);
+                let channels = comm
+                    .channels(rank, plan.send_edges(), plan.recv_edges())
+                    .unwrap();
+                let table = program.bind(&channels).unwrap();
+                let input: Vec<f32> = (0..count).map(|i| (rank * count + i) as f32).collect();
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let buf = DeviceBuffer::from_f32(&input);
+                    let done =
+                        run_program_blocking(5, &program, &table, desc.op, &buf, &buf, &|| false);
+                    tx.send((rank, done, buf.to_f32_vec())).unwrap();
+                });
+            }
+            let expected: Vec<f32> = (0..count)
+                .map(|i| (0..n).map(|r| (r * count + i) as f32).sum())
+                .collect();
+            for _ in 0..n {
+                let (rank, done, out) = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("an aliased send/recv buffer wedged a rank");
+                assert_eq!(done, Ok(true), "n={n} rank {rank}");
+                assert_eq!(out, expected, "n={n} rank {rank}");
+            }
+        }
+    }
 
     #[test]
     fn validate_buffers_checks_sizes() {

@@ -232,6 +232,43 @@ fn repeated_invocations_of_one_registered_collective_stay_correct() {
     }
 }
 
+/// Integer Sum is two's-complement wrapping in every build profile: an
+/// all-reduce whose inputs overflow completes with the wrapped value instead
+/// of panicking the daemon thread (a hang for the caller) under overflow
+/// checks.
+#[test]
+fn overflowing_i32_sum_all_reduce_completes_with_the_wrapped_value() {
+    let n = 2;
+    let inputs = [[i32::MAX, i32::MIN, 7], [1, -1, -9]];
+    let domain = DfcclDomain::flat_for_testing(n);
+    let ranks: Vec<_> = (0..n)
+        .map(|g| Arc::new(domain.init_rank(GpuId(g)).unwrap()))
+        .collect();
+    let mut handles = Vec::new();
+    let mut outs = Vec::new();
+    for (rank, input) in ranks.iter().zip(&inputs) {
+        rank.register_all_reduce(3, input.len(), DataType::I32, ReduceOp::Sum, gpu_ids(n), 0)
+            .unwrap();
+        let recv = DeviceBuffer::zeroed(input.len() * 4);
+        outs.push(recv.clone());
+        handles.push(
+            rank.run_awaitable(3, DeviceBuffer::from_i32(input), recv)
+                .unwrap(),
+        );
+    }
+    for h in handles {
+        assert!(
+            h.wait_for_timeout(1, Duration::from_secs(20)),
+            "the all-reduce never completed"
+        );
+    }
+    for (rank, out) in ranks.iter().zip(outs) {
+        assert_eq!(out.to_i32_vec(), vec![i32::MIN, i32::MAX, -2]);
+        assert!(rank.collective_errors().is_empty());
+        rank.destroy();
+    }
+}
+
 /// The simulator reproduces the paper's headline conclusion: tiny disorder and
 /// synchronization probabilities produce deadlock ratios orders of magnitude
 /// larger, and the synchronization probability matters more than disorder.
