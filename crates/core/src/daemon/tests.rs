@@ -1,0 +1,372 @@
+//! Daemon unit tests. Pipeline decisions are checked on a claimed
+//! [`DaemonCore`] polled a fixed number of times from the test thread; only
+//! what tests the thread driver (parking, waking, quitting) spawns one.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
+use gpu_sim::{GpuDevice, GpuId, GpuSpec};
+
+use super::*;
+use crate::api::DfcclDomain;
+use crate::callback::CompletionHandle;
+use crate::config::CqVariant;
+use crate::cq::{build_cq, Cqe};
+use crate::sq::Sqe;
+
+fn shared_with_config(config: DfcclConfig) -> Arc<DaemonShared> {
+    let device = GpuDevice::new(GpuId(0), GpuSpec::rtx_3090());
+    let sq = Arc::new(SubmissionQueue::with_costs(
+        config.sq_capacity,
+        1,
+        config.host_costs,
+    ));
+    let cq = Arc::new(build_cq(
+        config.cq_variant,
+        config.cq_capacity,
+        config.host_costs,
+    ));
+    DaemonShared::new(GpuId(0), device, config, sq, cq, CallbackMap::new())
+}
+
+fn shared_for_test() -> Arc<DaemonShared> {
+    shared_with_config(DfcclConfig::for_testing())
+}
+
+/// A rank's shared state with its core claimed by the test thread.
+fn claimed(config: DfcclConfig) -> (Arc<DaemonShared>, Arc<DaemonController>, DaemonCore) {
+    let shared = shared_with_config(config);
+    let controller = DaemonController::new(Arc::clone(&shared));
+    let core = controller.try_claim().expect("nothing else holds the core");
+    (shared, controller, core)
+}
+
+/// Submit an invocation of (unregistered) `coll_id` the way the API layer
+/// does, minus the callback.
+fn submit(shared: &DaemonShared, coll_id: u64) {
+    shared.outstanding.fetch_add(1, Ordering::Release);
+    let sqe = Sqe {
+        coll_id,
+        seq: 0,
+        send: DeviceBuffer::zeroed(4),
+        recv: DeviceBuffer::zeroed(4),
+        exit: false,
+    };
+    shared.sq.try_push(sqe).unwrap();
+}
+
+fn drain_ids(shared: &DaemonShared) -> Vec<u64> {
+    let mut out: Vec<Cqe> = Vec::new();
+    shared.cq.drain_into(&mut out);
+    out.iter().map(|c| c.coll_id).collect()
+}
+
+// ---- the core, polled ----------------------------------------------------
+
+#[test]
+fn claim_is_exclusive_until_the_core_retires() {
+    let (shared, controller, mut core) = claimed(DfcclConfig::for_testing());
+    assert!(shared.is_running());
+    assert!(controller.try_claim().is_none(), "one core per rank");
+    core.retire(true);
+    assert!(!shared.is_running());
+    assert_eq!(
+        core.poll(),
+        Progress::Exited,
+        "a retired core stays retired"
+    );
+    let snap = shared.stats.snapshot();
+    assert_eq!((snap.daemon_starts, snap.voluntary_quits), (1, 1));
+    drop(controller.try_claim().expect("claimable again"));
+    assert!(!shared.is_running(), "dropping a core releases the claim");
+}
+
+#[test]
+fn core_exits_after_exit_sqe() {
+    let (shared, controller, mut core) = claimed(DfcclConfig::for_testing());
+    shared.sq.try_push(Sqe::exit_marker(0)).unwrap();
+    assert_eq!(core.poll(), Progress::Advanced(1), "the exit SQE is read");
+    assert_eq!(core.poll(), Progress::Exited);
+    assert!(shared.final_exit_requested());
+    assert!(!shared.is_running());
+    assert_eq!(shared.stats.snapshot().voluntary_quits, 0);
+    // After final exit with nothing outstanding there is nothing to claim
+    // and ensure_running is a no-op.
+    assert!(controller.try_claim().is_none());
+    controller.ensure_running();
+    assert!(!shared.is_running());
+}
+
+#[test]
+fn unregistered_collective_is_failed_not_hung() {
+    let (shared, _controller, mut core) = claimed(DfcclConfig::for_testing());
+    submit(&shared, 99);
+    assert_eq!(core.poll(), Progress::Advanced(1));
+    // Its slice cannot open: the invocation is failed and its CQE published
+    // by the same step.
+    assert_eq!(core.poll(), Progress::Idle);
+    assert_eq!(shared.outstanding(), 0);
+    assert!(shared.errors.lock().contains_key(&99));
+    assert_eq!(drain_ids(&shared), vec![99]);
+}
+
+#[test]
+fn unknown_graph_replay_is_failed_not_hung() {
+    let (shared, _controller, mut core) = claimed(DfcclConfig::for_testing());
+    let graph_id = GRAPH_ID_BASE | 1;
+    assert!(is_graph_id(graph_id));
+    submit(&shared, graph_id);
+    assert_eq!(core.poll(), Progress::Advanced(1));
+    assert_eq!(core.poll(), Progress::Idle);
+    assert_eq!(shared.outstanding(), 0, "the failed replay completes once");
+    assert!(shared.errors.lock().contains_key(&graph_id));
+    assert_eq!(drain_ids(&shared), vec![graph_id]);
+}
+
+#[test]
+fn completion_batches_flush_within_a_pass() {
+    // Fewer completions than the batch threshold must still be published by
+    // the step that ends the pass that produced them (no cross-pass latency).
+    let (shared, _controller, mut core) = claimed(DfcclConfig::for_testing());
+    for id in 0..5 {
+        submit(&shared, id);
+    }
+    assert_eq!(core.poll(), Progress::Advanced(5));
+    core.poll();
+    assert_eq!(shared.outstanding(), 0);
+    assert_eq!(drain_ids(&shared).len(), 5);
+    assert_eq!(shared.stats.snapshot().cqes_written, 5);
+}
+
+#[test]
+fn full_cq_blocks_the_core_and_retains_the_batch() {
+    // A CQ smaller than one completion batch, and nobody draining: the core
+    // must report the block instead of spinning inside the pipeline.
+    for variant in [
+        CqVariant::VanillaRing,
+        CqVariant::OptimizedRing,
+        CqVariant::OptimizedSlot,
+    ] {
+        let (shared, _controller, mut core) = claimed(DfcclConfig {
+            cq_variant: variant,
+            cq_capacity: 2,
+            ..DfcclConfig::for_testing()
+        });
+        for id in 0..5 {
+            submit(&shared, id);
+        }
+        assert_eq!(core.poll(), Progress::Advanced(5));
+        for _ in 0..4 {
+            assert_eq!(core.poll(), Progress::Blocked(BlockedOn::CqSpace));
+            assert_eq!(shared.cq.len(), 2, "{variant:?}");
+            assert_eq!(shared.outstanding(), 3, "only published CQEs are paid off");
+        }
+        // Each drain lets the retained tail through, two CQEs at a time.
+        let mut seen = drain_ids(&shared);
+        assert_eq!(core.poll(), Progress::Blocked(BlockedOn::CqSpace));
+        seen.extend(drain_ids(&shared));
+        assert_eq!(core.poll(), Progress::Idle, "batch out: the pass can end");
+        seen.extend(drain_ids(&shared));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3, 4], "{variant:?}: one CQE each");
+        assert_eq!(shared.outstanding(), 0);
+        assert_eq!(shared.stats.snapshot().cqes_written, 5);
+    }
+}
+
+#[test]
+fn registry_cache_sees_collectives_registered_after_daemon_start() {
+    // A core that has already stamped its registry cache must pick up a
+    // later registration through the generation counter.
+    let domain = DfcclDomain::flat_for_testing(2);
+    let ranks: Vec<_> = (0..2)
+        .map(|g| domain.init_rank(GpuId(g)).unwrap())
+        .collect();
+    let mut cores: Vec<DaemonCore> = ranks
+        .iter()
+        .map(|r| r.daemon_controller().try_claim().unwrap())
+        .collect();
+    // Rank 0 looks id 42 up before anyone registered it.
+    let shared0 = Arc::clone(ranks[0].shared_state());
+    submit(&shared0, 42);
+    cores[0].poll();
+    cores[0].poll();
+    assert!(shared0.errors.lock().remove(&42).is_some());
+    assert_eq!(cores[0].registry.generation, shared0.registry_generation());
+    let stamped = cores[0].registry.generation;
+
+    let devices = vec![GpuId(0), GpuId(1)];
+    let mut handles = Vec::new();
+    for (r, rank) in ranks.iter().enumerate() {
+        rank.register_all_reduce(42, 8, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
+            .unwrap();
+        let input = DeviceBuffer::from_f32(&[r as f32 + 1.0; 8]);
+        let out = DeviceBuffer::zeroed(32);
+        handles.push((rank.run_awaitable(42, input, out.clone()).unwrap(), out));
+    }
+    assert!(shared0.registry_generation() > stamped);
+    for _ in 0..200 {
+        cores.iter_mut().for_each(|c| {
+            c.poll();
+        });
+    }
+    assert!(cores[0].registry.generation > stamped, "cache re-stamped");
+    for (handle, out) in handles {
+        assert!(handle.wait_for_timeout(1, Duration::from_secs(10)));
+        assert_eq!(out.to_f32_vec(), vec![3.0; 8]);
+    }
+    assert!(ranks[0].collective_errors().is_empty());
+    drop(cores);
+}
+
+// ---- the driver, threaded ------------------------------------------------
+
+#[test]
+fn daemon_with_no_work_quits_voluntarily() {
+    let shared = shared_for_test();
+    let controller = DaemonController::new(Arc::clone(&shared));
+    controller.ensure_running();
+    assert!(controller.wait_idle(Duration::from_secs(5)));
+    let snap = shared.stats.snapshot();
+    assert_eq!(snap.daemon_starts, 1);
+    assert_eq!(snap.voluntary_quits, 1);
+    assert!(!shared.is_running());
+}
+
+#[test]
+fn ensure_running_is_idempotent_while_running() {
+    let shared = shared_for_test();
+    let controller = DaemonController::new(Arc::clone(&shared));
+    controller.ensure_running();
+    controller.ensure_running();
+    controller.ensure_running();
+    assert!(controller.wait_idle(Duration::from_secs(5)));
+    // Only one incarnation ran even though ensure_running was called thrice
+    // before it had a chance to go idle (the extra calls may or may not
+    // have landed after the quit, so allow 1..=3 but require monotonicity).
+    let starts = shared.stats.snapshot().daemon_starts;
+    assert!((1..=3).contains(&starts), "starts = {starts}");
+}
+
+#[test]
+fn daemon_quits_when_device_sync_is_pending() {
+    let shared = shared_for_test();
+    let controller = DaemonController::new(Arc::clone(&shared));
+    controller.ensure_running();
+    // Give the daemon time to acquire residency, then request a sync.
+    std::thread::sleep(Duration::from_millis(20));
+    let waiter = shared
+        .device
+        .request_synchronize(gpu_sim::SyncKind::Explicit);
+    assert!(
+        waiter.wait_timeout(Duration::from_secs(5)),
+        "sync must complete once the daemon quits voluntarily"
+    );
+    controller.wait_idle(Duration::from_secs(5));
+}
+
+/// A configuration under which a daemon with no work parks for a long time
+/// instead of quitting: any prompt reaction must come from a wake-up signal,
+/// not from a poll quantum.
+fn parked_config() -> DfcclConfig {
+    DfcclConfig {
+        idle_passes_before_quit: 1_000_000,
+        idle_spin_passes: 2,
+        restart_backoff: Duration::from_millis(500),
+        ..DfcclConfig::for_testing()
+    }
+}
+
+#[test]
+fn parked_daemon_is_woken_by_new_sqe_within_latency_bound() {
+    let shared = shared_with_config(parked_config());
+    let controller = DaemonController::new(Arc::clone(&shared));
+    controller.ensure_running();
+    // Let the daemon exhaust its spin passes and park.
+    std::thread::sleep(Duration::from_millis(60));
+    assert!(shared.is_running(), "daemon must still be alive (parked)");
+
+    // Submit work the way the API layer does: SQE first, then the signal.
+    submit(&shared, 7);
+    let submitted = Instant::now();
+    shared.notify_daemon();
+
+    // The daemon errors the unregistered collective and publishes a CQE.
+    let woken = loop {
+        if !shared.cq.is_empty() {
+            break submitted.elapsed();
+        }
+        assert!(
+            submitted.elapsed() < Duration::from_secs(5),
+            "daemon never reacted to the SQE"
+        );
+        std::hint::spin_loop();
+    };
+    // The park quantum is 500 ms; an event-driven wake-up must beat it by a
+    // wide margin even on a loaded CI machine.
+    assert!(
+        woken < Duration::from_millis(250),
+        "wake-up took {woken:?}, within the park quantum — daemon was polling, not signalled"
+    );
+    controller.request_exit();
+    assert!(controller.wait_idle(Duration::from_secs(5)));
+}
+
+#[test]
+fn wait_idle_returns_promptly_once_the_daemon_exits() {
+    let shared = shared_with_config(parked_config());
+    let controller = DaemonController::new(Arc::clone(&shared));
+    controller.ensure_running();
+    std::thread::sleep(Duration::from_millis(60));
+    assert!(shared.is_running(), "daemon must still be alive (parked)");
+
+    // Request exit (signals the parked daemon) and time the full
+    // park-wake → drain → exit → wait_idle-wake chain.
+    let start = Instant::now();
+    controller.request_exit();
+    assert!(controller.wait_idle(Duration::from_secs(5)));
+    let elapsed = start.elapsed();
+    // Both the daemon's park (500 ms quantum) and wait_idle itself must be
+    // cut short by signals.
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "exit + wait_idle took {elapsed:?} — some stage slept through its quantum"
+    );
+    assert!(!shared.is_running());
+}
+
+#[test]
+fn driver_restarts_and_drains_what_a_retired_core_left_queued() {
+    // A core retired mid-slice hands its context back; the next incarnation
+    // (here a driver thread, started by the poller) finishes the collective.
+    let domain = DfcclDomain::flat_for_testing(2);
+    let ranks: Vec<_> = (0..2)
+        .map(|g| domain.init_rank(GpuId(g)).unwrap())
+        .collect();
+    let devices = vec![GpuId(0), GpuId(1)];
+    for rank in &ranks {
+        rank.register_all_reduce(1, 8, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
+            .unwrap();
+    }
+    let mut core0 = ranks[0].daemon_controller().try_claim().unwrap();
+    let out0 = DeviceBuffer::zeroed(32);
+    let h0: CompletionHandle = ranks[0]
+        .run_awaitable(1, DeviceBuffer::from_f32(&[1.0; 8]), out0.clone())
+        .unwrap();
+    // Admit, then open the slice: the peer has not submitted, so it blocks.
+    assert_eq!(core0.poll(), Progress::Advanced(1));
+    while core0.poll() != Progress::Blocked(BlockedOn::Connectors) {}
+    drop(core0);
+    let h1 = ranks[1]
+        .run_awaitable(
+            1,
+            DeviceBuffer::from_f32(&[2.0; 8]),
+            DeviceBuffer::zeroed(32),
+        )
+        .unwrap();
+    assert!(h0.wait_for_timeout(1, Duration::from_secs(10)));
+    assert!(h1.wait_for_timeout(1, Duration::from_secs(10)));
+    assert_eq!(out0.to_f32_vec(), vec![3.0; 8]);
+}

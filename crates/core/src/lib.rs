@@ -17,7 +17,8 @@
 //!   task queue, executes each collective's primitive sequence under spin
 //!   thresholds, preempts collectives that are stuck, saves/restores their
 //!   dynamic context, emits CQEs, and quits voluntarily when idle so device
-//!   synchronizations can drain.
+//!   synchronizations can drain. Its decisions live in a steppable
+//!   [`daemon::DaemonCore`]; a thread driver over `poll()` does the waiting.
 //! * The **poller** thread drains the [`cq`] and runs the callbacks.
 //!
 //! ## Quick start

@@ -152,9 +152,12 @@ impl DaemonStats {
             .preemptions += 1;
     }
 
-    /// Record a completed collective.
+    /// Record a completed collective and the CQE owed for it. Called before
+    /// the CQE is published, so a caller woken by its completion callback
+    /// reads both counters already including that completion.
     pub fn record_completion(&self, coll_id: u64) {
         self.collectives_completed.fetch_add(1, Ordering::Relaxed);
+        self.cqes_written.fetch_add(1, Ordering::Relaxed);
         self.per_collective
             .lock()
             .entry(coll_id)
@@ -210,10 +213,10 @@ impl DaemonStats {
         self.preparing_time.record(d);
     }
 
-    /// Record a batched publication of `n` CQEs that together took `d`
-    /// (the mean is per CQE).
-    pub fn record_cqe_write_batch(&self, d: Duration, n: u64) {
-        self.cqes_written.fetch_add(n, Ordering::Relaxed);
+    /// Record that publishing a batch of `n` CQEs took `d` (the mean is per
+    /// CQE). The CQEs themselves are counted by
+    /// [`DaemonStats::record_completion`].
+    pub fn record_cqe_write_time(&self, d: Duration, n: u64) {
         self.cqe_write_time.record_many(d, n);
     }
 
@@ -283,6 +286,7 @@ mod tests {
         assert_eq!(snap.voluntary_quits, 1);
         assert_eq!(snap.daemon_starts, 1);
         assert_eq!(snap.collectives_completed, 1);
+        assert_eq!(snap.cqes_written, 1, "a completion counts its CQE");
         assert_eq!(snap.max_queue_len, 7);
         let per = s.per_collective();
         assert_eq!(per[&3].preemptions, 2);
@@ -295,10 +299,10 @@ mod tests {
     fn means_are_computed_from_samples() {
         let s = DaemonStats::default();
         assert!(s.snapshot().mean_cqe_write.is_none());
-        s.record_cqe_write_batch(Duration::from_micros(2), 1);
-        s.record_cqe_write_batch(Duration::from_micros(4), 1);
+        s.record_cqe_write_time(Duration::from_micros(2), 1);
+        s.record_cqe_write_time(Duration::from_micros(4), 1);
         let snap = s.snapshot();
-        assert_eq!(snap.cqes_written, 2);
+        assert_eq!(snap.cqes_written, 0, "timing a write counts no CQE");
         assert_eq!(snap.mean_cqe_write, Some(Duration::from_micros(3)));
         assert_eq!(s.cqe_write_samples(), 2);
     }
@@ -306,11 +310,10 @@ mod tests {
     #[test]
     fn batch_recording_counts_entries_and_averages_time() {
         let s = DaemonStats::default();
-        s.record_cqe_write_batch(Duration::from_micros(8), 4);
+        s.record_cqe_write_time(Duration::from_micros(8), 4);
         s.record_sqe_fetch_batch(Duration::from_micros(6), 3);
-        s.record_cqe_write_batch(Duration::from_micros(1), 0); // no-op
+        s.record_cqe_write_time(Duration::from_micros(1), 0); // no-op
         let snap = s.snapshot();
-        assert_eq!(snap.cqes_written, 4);
         assert_eq!(snap.mean_cqe_write, Some(Duration::from_micros(2)));
         assert_eq!(snap.sqes_fetched, 3);
         assert_eq!(snap.mean_sqe_read, Some(Duration::from_micros(2)));
