@@ -10,33 +10,18 @@ use std::time::Duration;
 use dfccl_collectives::{algorithm, estimate_completion_ns, AlgorithmKind, CollectiveDescriptor};
 use dfccl_transport::{LinkModel, Topology};
 
-pub mod hotpath;
-
 /// Chunk size (elements) used by the modelled-cost sweeps, matching the
 /// runtime's default `chunk_elems` granularity class.
 pub const MODELLED_SWEEP_CHUNK_ELEMS: usize = 8 * 1024;
 
 /// Modelled completion time of `desc` under `algo` over `topo` with the
 /// Table 2 link parameters, in microseconds — the deterministic quantity the
-/// algorithm sweeps and the crossover assertions share. `None` when the
+/// Fig. 8 model columns and the crossover assertions share. `None` when the
 /// algorithm cannot schedule the descriptor over this topology.
 pub fn modelled_completion_us(
     desc: &CollectiveDescriptor,
     algo: AlgorithmKind,
     topo: &Topology,
-) -> Option<f64> {
-    modelled_completion_us_striped(desc, algo, topo, 1)
-}
-
-/// [`modelled_completion_us`] with the plans striped across `channels`
-/// parallel connectors per edge — the quantity the `channels_sweep` panel
-/// tracks. Each channel is an independent modelled lane, so K > 1 raises the
-/// aggregate bandwidth of bandwidth-bound schedules.
-pub fn modelled_completion_us_striped(
-    desc: &CollectiveDescriptor,
-    algo: AlgorithmKind,
-    topo: &Topology,
-    channels: usize,
 ) -> Option<f64> {
     let generator = algorithm(algo);
     if !generator.supports(desc, topo) {
@@ -45,7 +30,7 @@ pub fn modelled_completion_us_striped(
     let plans: Vec<_> = (0..desc.num_ranks())
         .map(|r| {
             generator
-                .build_plan_striped(desc, r, MODELLED_SWEEP_CHUNK_ELEMS, channels, topo)
+                .build_plan(desc, r, MODELLED_SWEEP_CHUNK_ELEMS, topo)
                 .expect("supported algorithm builds")
         })
         .collect();
@@ -60,20 +45,33 @@ pub fn modelled_completion_us_striped(
     Some(ns / 1_000.0)
 }
 
-/// Parse `--key value` style arguments from `std::env::args`, returning the
-/// value for `key` if present.
-pub fn arg_value(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The number given as `--key value` in `args`, or `default` when `--key` is
+/// absent. A key with no value after it, or a value that does not parse, is an
+/// error: a figure must never be regenerated at parameters nobody asked for.
+fn parse_arg<T>(args: &[String], key: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).ok_or("missing value")?;
+    value.parse().map_err(|e| format!("{value:?}: {e}"))
 }
 
-/// Parse a `--key value` argument as a number, with a default.
-pub fn arg_num<T: std::str::FromStr>(key: &str, default: T) -> T {
-    arg_value(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parse a `--key value` command-line argument as a number, with a default
+/// when the key is absent. Bad input prints `--key: <error>` and exits 2.
+pub fn arg_num<T>(key: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let args: Vec<String> = std::env::args().collect();
+    parse_arg(&args, key, default).unwrap_or_else(|e| {
+        eprintln!("{key}: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// The buffer-size sweep used by the NCCL-tests-style benchmarks (Fig. 8):
@@ -111,109 +109,6 @@ pub fn algo_bandwidth_gbps(bytes: usize, elapsed: Duration) -> f64 {
         return 0.0;
     }
     bytes as f64 / elapsed.as_secs_f64() / 1e9
-}
-
-/// End index (exclusive) of the JSON value starting at `start` in `doc`:
-/// bracket-matched for arrays/objects (string-aware; the emitted documents
-/// never escape quotes), up to the next delimiter for scalars.
-fn json_value_end(doc: &str, start: usize) -> usize {
-    let bytes = doc.as_bytes();
-    match bytes[start] {
-        b'[' | b'{' => {
-            let mut depth = 0usize;
-            let mut in_str = false;
-            for (i, &b) in bytes[start..].iter().enumerate() {
-                match b {
-                    b'"' => in_str = !in_str,
-                    b'[' | b'{' if !in_str => depth += 1,
-                    b']' | b'}' if !in_str => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return start + i + 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            doc.len()
-        }
-        b'"' => {
-            let close = doc[start + 1..].find('"').map(|i| start + i + 2);
-            close.unwrap_or(doc.len())
-        }
-        _ => {
-            let mut i = start;
-            while i < bytes.len() && !matches!(bytes[i], b',' | b'\n' | b'}' | b']') {
-                i += 1;
-            }
-            i
-        }
-    }
-}
-
-/// Start offset of the value of top-level `key` in `doc`, if present. Only
-/// keys at object depth 1 match — an identically named key nested inside a
-/// value (e.g. `"gpus"` inside a panel row) is never spliced.
-fn json_value_start(doc: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\"");
-    let bytes = doc.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' if depth == 1 && !in_str => {
-                // A string at top level is a key (our documents are objects of
-                // key/value pairs); match it against the needle.
-                if doc[i..].starts_with(&needle) {
-                    let after = i + needle.len();
-                    let colon = after + doc[after..].find(':')?;
-                    let vstart = colon
-                        + 1
-                        + doc[colon + 1..]
-                            .bytes()
-                            .take_while(|b| b.is_ascii_whitespace())
-                            .count();
-                    return (vstart < doc.len()).then_some(vstart);
-                }
-                // Not our key: skip the whole string, then its value.
-                let key_end = i + 1 + doc[i + 1..].find('"')? + 1;
-                let colon = key_end + doc[key_end..].find(':')?;
-                let vstart = colon
-                    + 1
-                    + doc[colon + 1..]
-                        .bytes()
-                        .take_while(|b| b.is_ascii_whitespace())
-                        .count();
-                i = json_value_end(doc, vstart);
-                continue;
-            }
-            b'"' => in_str = !in_str,
-            b'{' | b'[' if !in_str => depth += 1,
-            b'}' | b']' if !in_str => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Insert or replace top-level `key` in a benchmark JSON document with the
-/// pre-rendered `value`. Lets several harness binaries share one output file,
-/// each owning its panel without clobbering the others'. An empty or
-/// truncated document (no closing brace — e.g. an interrupted earlier run) is
-/// rebuilt as a fresh object instead of panicking.
-pub fn upsert_json_key(doc: &str, key: &str, value: &str) -> String {
-    if let Some(start) = json_value_start(doc, key) {
-        let end = json_value_end(doc, start);
-        return format!("{}{}{}", &doc[..start], value, &doc[end..]);
-    }
-    let Some(close) = doc.rfind('}') else {
-        return format!("{{\n  \"{key}\": {value}\n}}\n");
-    };
-    let before = doc[..close].trim_end();
-    let comma = if before.ends_with('{') { "" } else { "," };
-    format!("{before}{comma}\n  \"{key}\": {value}\n}}\n")
 }
 
 /// Print a row of right-aligned columns.
@@ -259,121 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn json_upsert_inserts_into_empty_and_nonempty_objects() {
-        let doc = upsert_json_key("{\n}\n", "panel", "[1, 2]");
-        assert_eq!(doc, "{\n  \"panel\": [1, 2]\n}\n");
-        let doc = upsert_json_key(&doc, "flag", "true");
-        assert!(doc.contains("\"panel\": [1, 2],"));
-        assert!(doc.contains("\"flag\": true"));
-        assert!(doc.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn json_upsert_replaces_an_existing_key_in_place() {
-        let doc = "{\n  \"a\": [{\"x\": 1}, {\"x\": 2}],\n  \"b\": 3\n}\n";
-        let out = upsert_json_key(doc, "a", "[]");
-        assert_eq!(out, "{\n  \"a\": [],\n  \"b\": 3\n}\n");
-        let out = upsert_json_key(doc, "b", "7");
-        assert!(out.contains("\"b\": 7"));
-        assert!(out.contains("{\"x\": 2}"));
-    }
-
-    #[test]
-    fn json_upsert_replaces_values_with_brackets_inside_strings() {
-        let doc = "{\n  \"a\": [{\"x\": \"s]\"}, 2],\n  \"b\": \"str\",\n  \"c\": 1.5\n}\n";
-        let out = upsert_json_key(doc, "a", "[]");
-        assert_eq!(out, "{\n  \"a\": [],\n  \"b\": \"str\",\n  \"c\": 1.5\n}\n");
-        let out = upsert_json_key(doc, "b", "\"other\"");
-        assert!(out.contains("\"b\": \"other\""));
-        assert!(out.contains("{\"x\": \"s]\"}"), "bracket in string spliced");
-        let out = upsert_json_key(doc, "c", "2.5");
-        assert!(out.contains("\"c\": 2.5"));
-    }
-
-    #[test]
-    fn json_upsert_ignores_keys_nested_inside_values() {
-        // "gpus" appears inside the panel rows; only a top-level "gpus" key
-        // may be replaced.
-        let doc = "{\n  \"panel\": [{\"gpus\": 4, \"x\": 1}],\n  \"gpus\": 8\n}\n";
-        let out = upsert_json_key(doc, "gpus", "16");
-        assert!(
-            out.contains("{\"gpus\": 4, \"x\": 1}"),
-            "nested value spliced"
+    fn parse_arg_rejects_what_it_cannot_honour() {
+        let args: Vec<String> = ["fig8", "--iters", "7", "--bad", "1O", "--last"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_arg(&args, "--absent", 3usize), Ok(3));
+        assert_eq!(parse_arg(&args, "--iters", 3usize), Ok(7));
+        let unparsable = parse_arg(&args, "--bad", 3usize).unwrap_err();
+        assert!(unparsable.contains("1O"), "{unparsable}");
+        assert_eq!(
+            parse_arg(&args, "--last", 3usize),
+            Err("missing value".to_string())
         );
-        assert!(out.contains("\"gpus\": 16"));
-        assert!(!out.contains("\"gpus\": 8"));
-        // With no top-level occurrence, upsert appends instead of corrupting
-        // the nested one.
-        let doc = "{\n  \"panel\": [{\"gpus\": 4}]\n}\n";
-        let out = upsert_json_key(doc, "gpus", "2");
-        assert!(out.contains("{\"gpus\": 4}"));
-        assert!(out.contains("\n  \"gpus\": 2\n"));
-    }
-
-    #[test]
-    fn json_upsert_never_splices_a_prefix_colliding_panel() {
-        // Regression: key matching must anchor on the whole quoted key, so a
-        // panel whose name is a prefix of another ("alltoall" vs
-        // "alltoall_per_size") can never splice the longer panel.
-        let doc = upsert_json_key("{\n}\n", "alltoall_per_size", "[{\"bytes\": 4}]");
-        let out = upsert_json_key(&doc, "alltoall", "\"short\"");
-        assert!(
-            out.contains("\"alltoall_per_size\": [{\"bytes\": 4}]"),
-            "longer panel spliced by its prefix: {out}"
-        );
-        assert!(out.contains("\"alltoall\": \"short\""));
-        // Updating the shorter key again touches only it, wherever it sits.
-        let out2 = upsert_json_key(&out, "alltoall", "\"updated\"");
-        assert!(out2.contains("\"alltoall_per_size\": [{\"bytes\": 4}]"));
-        assert!(out2.contains("\"alltoall\": \"updated\""));
-        assert!(!out2.contains("\"short\""));
-        // And updating the longer key touches only the longer one.
-        let out3 = upsert_json_key(&out2, "alltoall_per_size", "[]");
-        assert!(out3.contains("\"alltoall_per_size\": []"));
-        assert!(out3.contains("\"alltoall\": \"updated\""));
-    }
-
-    #[test]
-    fn json_upsert_never_splices_a_suffix_colliding_panel() {
-        // "size" is a suffix of "alltoall_per_size"; "sweep" is a substring
-        // of "channels_sweep". Neither may match inside the longer key.
-        let mut doc = upsert_json_key("{\n}\n", "alltoall_per_size", "[1]");
-        doc = upsert_json_key(&doc, "channels_sweep", "[2]");
-        let out = upsert_json_key(&doc, "size", "9");
-        assert!(out.contains("\"alltoall_per_size\": [1]"), "{out}");
-        assert!(out.contains("\n  \"size\": 9\n"), "{out}");
-        let out = upsert_json_key(&out, "sweep", "8");
-        assert!(out.contains("\"channels_sweep\": [2]"), "{out}");
-        assert!(out.contains("\n  \"sweep\": 8\n"), "{out}");
-    }
-
-    #[test]
-    fn json_upsert_ignores_key_lookalikes_inside_string_values() {
-        // A value string that contains a key lookalike must not be treated
-        // as a key position: value strings are jumped over wholesale.
-        let doc = "{\n  \"note\": \"the panel: key\",\n  \"panel\": [1]\n}\n";
-        let out = upsert_json_key(doc, "panel", "[2]");
-        assert!(out.contains("\"panel\": [2]"));
-        assert!(out.contains("\"note\": \"the panel: key\""));
-    }
-
-    #[test]
-    fn json_upsert_rebuilds_empty_or_truncated_documents() {
-        // An interrupted earlier run can leave a zero-byte or truncated file;
-        // the merge must produce a fresh object, not panic.
-        for broken in ["", "   ", "{\n  \"a\": [1, 2"] {
-            let out = upsert_json_key(broken, "panel", "[3]");
-            assert!(out.contains("\"panel\": [3]"), "input {broken:?}");
-            assert!(out.trim_end().ends_with('}'), "input {broken:?}");
-        }
-    }
-
-    #[test]
-    fn upserting_into_an_existing_document_preserves_foreign_panels() {
-        let original = upsert_json_key("{\n}\n", "alltoall_per_size", "[{\"bytes\": 4}]");
-        // Another binary later upserts its own keys into the same file.
-        let merged = upsert_json_key(&original, "bench", "\"algorithms\"");
-        assert!(merged.contains("\"bench\": \"algorithms\""));
-        assert!(merged.contains("\"alltoall_per_size\": [{\"bytes\": 4}]"));
     }
 }

@@ -24,8 +24,7 @@
 //! own chunks). A single channel cannot saturate a fat link — the per-chunk
 //! `alpha + bytes/beta` charge serialises on one lane — so striping across K
 //! lanes raises modelled aggregate bandwidth and moves the latency/bandwidth
-//! crossover, which is exactly the effect `perf_algorithms`' `channels_sweep`
-//! panel tracks.
+//! crossover (`striping_raises_modelled_bandwidth_on_large_payloads` below).
 
 use std::collections::{HashMap, VecDeque};
 

@@ -16,9 +16,9 @@ use dfccl_transport::{LinkHealth, Topology};
 
 /// Default payload threshold at or below which latency dominates and the
 /// tree schedule is preferred (bytes). Matches the modelled crossover of the
-/// Table 2 link parameters (see `perf_algorithms`' sweep): the tree's
-/// O(log n) hop count wins up to ~16 KiB, the ring's lower byte volume wins
-/// beyond it.
+/// Table 2 link parameters (`fig8_bandwidth_latency`'s model columns): the
+/// tree's O(log n) hop count wins up to ~16 KiB, the ring's lower byte volume
+/// wins beyond it.
 pub const DEFAULT_TREE_THRESHOLD_BYTES: usize = 16 * 1024;
 
 /// Picks a collective algorithm from the payload size and the communicator's

@@ -41,6 +41,10 @@ use crate::stats::{CollectiveStats, DaemonStatsSnapshot, TenantStats};
 use crate::telemetry::{TelemetryEventKind, TelemetrySnapshot};
 use crate::tenant::{AdmissionError, TenantHandle, TenantId, TenantQuota};
 
+/// Global memory the daemon kernel reserves per block for the collective
+/// context buffer, bytes (Sec. 6.2: 4 MB for 1,000 registered collectives).
+pub(crate) const CONTEXT_BUFFER_PER_BLOCK: usize = 4 * 1024 * 1024;
+
 /// Errors returned by the DFCCL API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DfcclError {
@@ -177,8 +181,7 @@ impl From<AdmissionError> for DfcclError {
 }
 
 /// Snapshot of the domain plan cache's counters, as reported by
-/// [`DfcclDomain::cache_stats`] and surfaced in the registration benchmark
-/// panel.
+/// [`DfcclDomain::cache_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that found an already-compiled plan.
@@ -430,10 +433,8 @@ impl DfcclDomain {
                 }
             });
             if !dropped.is_empty() {
-                if !self.config.flat_scheduling {
-                    for tenant in &dropped {
-                        shared.tenants.state(*tenant).on_unregister();
-                    }
+                for tenant in &dropped {
+                    shared.tenants.state(*tenant).on_unregister();
                 }
                 shared.bump_registry_generation();
                 removed += dropped.len();
@@ -535,9 +536,7 @@ impl DfcclDomain {
         // context buffer per block, plus the completion counters and other
         // shared bookkeeping — 11 KB in the paper).
         let context_buffer = device
-            .alloc_global(
-                config.context_buffer_per_block * config.daemon_blocks as usize + 11 * 1024,
-            )
+            .alloc_global(CONTEXT_BUFFER_PER_BLOCK * config.daemon_blocks as usize + 11 * 1024)
             .ok();
         // Track the rank for elastic-membership sweeps (pruning entries
         // whose shared state is gone keeps the registry bounded).
@@ -708,9 +707,7 @@ impl RankCtx {
         // Admission: the residency check is the last fallible step, so a
         // rejected registration leaves no partial state behind (connectors
         // bound above are shared, communicator allocation is idempotent).
-        if !self.domain.config.flat_scheduling {
-            self.shared.tenants.state(tenant).try_admit_register()?;
-        }
+        self.shared.tenants.state(tenant).try_admit_register()?;
         let reg = Arc::new(RegisteredCollective {
             coll_id,
             desc,
@@ -907,13 +904,8 @@ impl RankCtx {
         // owning tenant's outstanding quota before anything observable
         // happens. At quota the caller gets typed, retryable backpressure —
         // nothing was bound or queued, so a later retry starts clean.
-        let admitted = if self.domain.config.flat_scheduling {
-            None
-        } else {
-            let state = self.shared.tenants.state(reg.tenant);
-            state.try_admit_run()?;
-            Some(state)
-        };
+        let admitted = self.shared.tenants.state(reg.tenant);
+        admitted.try_admit_run()?;
         let bind_token = self.callbacks.bind(coll_id, callback);
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
@@ -930,9 +922,7 @@ impl RankCtx {
             // spuriously; other in-flight invocations of the same collective
             // (from this or any other thread) keep theirs.
             let _ = self.callbacks.unbind(coll_id, bind_token);
-            if let Some(state) = &admitted {
-                state.cancel_run();
-            }
+            admitted.cancel_run();
             return Err(DfcclError::SubmissionQueueFull);
         }
         self.shared
@@ -1081,16 +1071,11 @@ impl RankCtx {
             .first()
             .map(|n| n.reg.tenant)
             .unwrap_or(TenantId::DEFAULT);
-        let admitted = if self.domain.config.flat_scheduling {
-            None
-        } else {
-            let state = self.shared.tenants.state(tenant);
-            if let Err(e) = state.try_admit_run() {
-                graph.in_flight.store(false, Ordering::Release);
-                return Err(e.into());
-            }
-            Some(state)
-        };
+        let admitted = self.shared.tenants.state(tenant);
+        if let Err(e) = admitted.try_admit_run() {
+            graph.in_flight.store(false, Ordering::Release);
+            return Err(e.into());
+        }
         // Stage fused inputs on the invoker thread, before the SQE becomes
         // visible: the daemon may start executing nodes the moment it drains
         // the queue.
@@ -1115,9 +1100,7 @@ impl RankCtx {
             self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
             let _ = self.callbacks.unbind(graph.graph_id, bind_token);
             graph.in_flight.store(false, Ordering::Release);
-            if let Some(state) = &admitted {
-                state.cancel_run();
-            }
+            admitted.cancel_run();
             return Err(DfcclError::SubmissionQueueFull);
         }
         self.shared
@@ -2158,7 +2141,7 @@ mod tests {
         let ctx = domain.init_rank(GpuId(0)).unwrap();
         let usage = ctx.memory_usage();
         let config = domain.config();
-        let expected = config.context_buffer_per_block * config.daemon_blocks as usize + 11 * 1024;
+        let expected = CONTEXT_BUFFER_PER_BLOCK * config.daemon_blocks as usize + 11 * 1024;
         assert_eq!(usage.global_allocated, expected);
         ctx.destroy();
     }

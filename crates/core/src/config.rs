@@ -176,17 +176,6 @@ impl HostMemCosts {
             sq_read_op_ns: 0.0,
         }
     }
-
-    /// Uniformly scale every modelled cost (used by benchmarks to shift the
-    /// host-memory share of the control path while preserving every ratio).
-    pub fn scaled(self, factor: f64) -> Self {
-        HostMemCosts {
-            host_op_ns: self.host_op_ns * factor,
-            fence_ns: self.fence_ns * factor,
-            cas_system_ns: self.cas_system_ns * factor,
-            sq_read_op_ns: self.sq_read_op_ns * factor,
-        }
-    }
 }
 
 /// Full runtime configuration.
@@ -244,14 +233,10 @@ pub struct DfcclConfig {
     /// Shared memory the daemon kernel reserves per block (task queue + active
     /// context slots), bytes.
     pub shared_mem_per_block: usize,
-    /// Global memory reserved per block for the collective context buffer, bytes.
-    pub context_buffer_per_block: usize,
     /// Modelled cost of loading one collective context into shared memory, ns.
     pub context_load_ns: f64,
     /// Modelled cost of saving one collective's dynamic context, ns.
     pub context_save_ns: f64,
-    /// Number of active context slots kept in shared memory (direct-mapped).
-    pub active_context_slots: usize,
     /// Graph-capture fusion threshold: consecutive captured all-reduces of
     /// the same (device set, dtype, operator) shape whose payloads are each
     /// at most this many bytes are coalesced into one fused all-reduce when
@@ -273,17 +258,6 @@ pub struct DfcclConfig {
     /// per pass. Larger quanta amortize lane switching; `1` gives the
     /// tightest interleaving (used by the fairness tests).
     pub tenant_quantum: u32,
-    /// Bypass the staged per-tenant scheduler and run every collective from
-    /// one flat task queue with no admission accounting — the pre-service
-    /// scheduling path, kept as the baseline arm of the tenancy benchmarks.
-    pub flat_scheduling: bool,
-    /// Capacity of the per-daemon telemetry event ring
-    /// ([`crate::telemetry::Telemetry`]): the most recent this-many
-    /// submit/fetch/preempt/resume/complete/chunk-moved events are retained
-    /// (older ones are dropped and counted). `0` disables event recording
-    /// entirely; the per-kind counters stay on either way (they are plain
-    /// atomics and cost nanoseconds).
-    pub telemetry_events: usize,
 }
 
 impl Default for DfcclConfig {
@@ -306,16 +280,12 @@ impl Default for DfcclConfig {
             sq_fetch_batch: 64,
             daemon_blocks: 4,
             shared_mem_per_block: 13 * 1024,
-            context_buffer_per_block: 4 * 1024 * 1024,
             context_load_ns: 450.0,
             context_save_ns: 50.0,
-            active_context_slots: 8,
             fusion_threshold_bytes: 64 * 1024,
             tenant_quota: TenantQuota::default(),
             tenant_arbitration: TenantArbitration::WeightedFair,
             tenant_quantum: 4,
-            flat_scheduling: false,
-            telemetry_events: 4096,
         }
     }
 }
@@ -358,13 +328,6 @@ impl DfcclConfig {
         self
     }
 
-    /// Set the telemetry event-ring capacity (`0` disables event recording;
-    /// per-kind counters stay on).
-    pub fn with_telemetry(mut self, capacity: usize) -> Self {
-        self.telemetry_events = capacity;
-        self
-    }
-
     /// Set the default quota for tenants without an explicit handle.
     pub fn with_tenant_quota(mut self, quota: TenantQuota) -> Self {
         self.tenant_quota = quota;
@@ -380,13 +343,6 @@ impl DfcclConfig {
     /// Set the weighted-fair base quantum (slices per weight unit per pass).
     pub fn with_tenant_quantum(mut self, quantum: u32) -> Self {
         self.tenant_quantum = quantum.max(1);
-        self
-    }
-
-    /// Run the pre-service flat scheduling path (single task queue, no
-    /// admission accounting) — the baseline arm of the tenancy benchmarks.
-    pub fn legacy_flat_scheduling(mut self) -> Self {
-        self.flat_scheduling = true;
         self
     }
 
@@ -435,7 +391,9 @@ mod tests {
     fn default_config_matches_paper_constants() {
         let c = DfcclConfig::default();
         assert_eq!(c.shared_mem_per_block, 13 * 1024);
-        assert_eq!(c.context_buffer_per_block, 4 * 1024 * 1024);
+        assert_eq!(crate::api::CONTEXT_BUFFER_PER_BLOCK, 4 * 1024 * 1024);
+        assert_eq!(crate::daemon::ACTIVE_CONTEXT_SLOTS, 8);
+        assert_eq!(crate::daemon::TELEMETRY_EVENTS, 4096);
         assert_eq!(c.cq_variant, CqVariant::OptimizedSlot);
         assert!(matches!(c.spin, SpinPolicy::Adaptive { .. }));
     }
@@ -480,9 +438,6 @@ mod tests {
         assert_eq!(c.tenant_quota, TenantQuota::default());
         assert_eq!(c.tenant_arbitration, TenantArbitration::WeightedFair);
         assert_eq!(c.tenant_quantum, 4);
-        assert!(!c.flat_scheduling);
-        let flat = DfcclConfig::default().legacy_flat_scheduling();
-        assert!(flat.flat_scheduling);
         assert_eq!(
             DfcclConfig::default().with_tenant_quantum(0).tenant_quantum,
             1

@@ -51,9 +51,7 @@ impl DaemonCore {
             .telemetry
             .record(coll_id, TelemetryEventKind::Complete);
         shared.stats.record_completion(coll_id);
-        if !shared.config.flat_scheduling {
-            shared.tenants.state(tenant).on_complete();
-        }
+        shared.tenants.state(tenant).on_complete();
         self.completions.push(Cqe { coll_id });
         if self.completions.len() >= CQ_WRITE_BATCH {
             self.publish();

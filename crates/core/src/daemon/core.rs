@@ -112,7 +112,7 @@ impl DaemonCore {
             residency: None,
             retired: false,
             registry: RegistryCache::default(),
-            scheduler: TenantScheduler::new(shared.config.flat_scheduling),
+            scheduler: TenantScheduler::new(false),
             completions: Vec::with_capacity(CQ_WRITE_BATCH),
             sqe_batch: Vec::with_capacity(shared.config.sq_fetch_batch.max(1)),
             rescan_seen: 0,

@@ -121,6 +121,13 @@ pub struct RegisteredCollective {
 /// never cross the wire, so ranks need not agree on them.
 pub const GRAPH_ID_BASE: u64 = 1 << 63;
 
+/// Active context slots the daemon keeps in shared memory (direct-mapped).
+pub(crate) const ACTIVE_CONTEXT_SLOTS: usize = 8;
+
+/// Capacity of the per-daemon telemetry event ring: the most recent
+/// this-many lifecycle events are retained, older ones dropped and counted.
+pub(crate) const TELEMETRY_EVENTS: usize = 4096;
+
 /// Whether an SQE collective id names a graph replay.
 pub fn is_graph_id(coll_id: u64) -> bool {
     coll_id & GRAPH_ID_BASE != 0
@@ -157,8 +164,8 @@ pub struct DaemonShared {
     graph_runs: Mutex<HashMap<(u64, u64), graph::GraphRun>>,
     /// Statistics.
     pub stats: Arc<DaemonStats>,
-    /// Structured telemetry: lifecycle event ring + always-on counters
-    /// (capacity from [`DfcclConfig::telemetry_events`]).
+    /// Structured telemetry: lifecycle event ring ([`TELEMETRY_EVENTS`]
+    /// deep) + always-on counters.
     pub telemetry: Arc<Telemetry>,
     /// Per-tenant admission counters and lifecycle accounting (service
     /// mode). Tenants without an explicit handle get
@@ -198,11 +205,11 @@ impl DaemonShared {
         callbacks: Arc<CallbackMap>,
     ) -> Arc<Self> {
         let contexts = ContextStore::new(
-            config.active_context_slots,
+            ACTIVE_CONTEXT_SLOTS,
             config.context_load_ns,
             config.context_save_ns,
         );
-        let telemetry = Telemetry::new(config.telemetry_events);
+        let telemetry = Telemetry::new(TELEMETRY_EVENTS);
         let tenants = TenantTable::new(config.tenant_quota);
         Arc::new(DaemonShared {
             gpu,

@@ -187,9 +187,7 @@ impl DaemonCore {
         shared
             .telemetry
             .record(reg.coll_id, TelemetryEventKind::Preempt);
-        if !shared.config.flat_scheduling {
-            shared.tenants.state(reg.tenant).on_preempt();
-        }
+        shared.tenants.state(reg.tenant).on_preempt();
         let saved = shared.contexts.checkin_incomplete(reg.coll_id, ctx);
         shared.stats.record_context_save(!saved);
     }
@@ -200,9 +198,7 @@ impl DaemonCore {
         let coll_id = reg.coll_id;
         self.pass_active = true;
         if failed.is_some() {
-            if !self.shared.config.flat_scheduling {
-                self.shared.tenants.state(reg.tenant).on_failed();
-            }
+            self.shared.tenants.state(reg.tenant).on_failed();
             self.finish_invocation(coll_id, reg.tenant, ctx.graph, failed);
         } else {
             // A recovery ghost replay already published its CQE before the

@@ -139,8 +139,8 @@ struct TenantLane {
 #[derive(Debug)]
 pub struct TenantScheduler {
     /// Flat mode collapses every tenant into one lane and skips gauge
-    /// accounting — the pre-refactor scheduling path
-    /// (`DfcclConfig::flat_scheduling`).
+    /// accounting. The daemon always passes `false`; the argument stays only
+    /// until the repository benchmark's probe stops naming it (ROADMAP item 5).
     flat: bool,
     /// Lanes sorted by tenant id.
     lanes: Vec<TenantLane>,

@@ -13,7 +13,7 @@
 //! Costs are kept off the hot path: counters are single relaxed atomic
 //! increments; events take a short mutex but are recorded per *slice* (one
 //! chunk-moved event summarising a scheduling slice, not one per primitive),
-//! and `telemetry_events: 0` turns the ring off entirely.
+//! and a zero-capacity ring records no events at all.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -17,8 +17,7 @@
 //!   compiled against a stale health view are never served after a failure.
 //!
 //! The map is inert until the first quarantine: a healthy domain pays one
-//! relaxed atomic load per query, which is what keeps the recovery layer's
-//! fault-free overhead inside the BENCH_hotpath gate.
+//! relaxed atomic load per query.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use dfccl_repro::collectives::{DataType, DeviceBuffer, ReduceOp};
 use dfccl_repro::dfccl::{
-    AdmissionError, DfcclConfig, DfcclDomain, DfcclError, SpinPolicy, TenantQuota,
+    AdmissionError, DfcclConfig, DfcclDomain, DfcclError, SpinPolicy, TenantId, TenantQuota,
 };
 use dfccl_repro::gpu_sim::{GpuId, GpuSpec};
 use dfccl_repro::transport::{LinkModel, Topology};
@@ -338,4 +338,70 @@ fn telemetry_snapshot_carries_per_tenant_counters() {
     );
     rank0.destroy();
     rank1.destroy();
+}
+
+/// A job that never asks for a tenant handle is accounted all the same, as
+/// `TenantId::DEFAULT`: plain runs and a graph replay are admitted and
+/// completed one for one, nothing is outstanding once the last callback has
+/// fired, and `remove_rank` gives the dropped registrations' residency back.
+#[test]
+fn handle_less_jobs_are_accounted_as_the_default_tenant() {
+    let domain = DfcclDomain::flat_for_testing(2);
+    let ranks = [
+        domain.init_rank(GpuId(0)).unwrap(),
+        domain.init_rank(GpuId(1)).unwrap(),
+    ];
+    for rank in &ranks {
+        for id in [60, 61] {
+            rank.register_all_reduce(id, 8, DataType::F32, ReduceOp::Sum, devices2(), 0)
+                .unwrap();
+        }
+    }
+    let buf = || DeviceBuffer::zeroed(32);
+    // Two plain runs per rank, then one replay of a two-node captured graph.
+    let plain: Vec<_> = ranks
+        .iter()
+        .flat_map(|rank| [60, 61].map(|id| rank.run_awaitable(id, buf(), buf()).unwrap()))
+        .collect();
+    for h in &plain {
+        assert!(h.wait_for_timeout(1, Duration::from_secs(30)));
+    }
+    let graphs: Vec<_> = ranks
+        .iter()
+        .map(|rank| {
+            let mut rec = rank.begin_capture().unwrap();
+            rec.record(60, buf(), buf()).unwrap();
+            rec.record(61, buf(), buf()).unwrap();
+            rec.finish().unwrap()
+        })
+        .collect();
+    let replays: Vec<_> = ranks
+        .iter()
+        .zip(&graphs)
+        .map(|(rank, graph)| rank.replay_awaitable(graph).unwrap())
+        .collect();
+    for h in &replays {
+        assert!(h.wait_for_timeout(1, Duration::from_secs(30)));
+    }
+    let default_row = |rank: &dfccl_repro::dfccl::RankCtx| {
+        rank.tenant_stats()
+            .into_iter()
+            .find(|s| s.tenant == TenantId::DEFAULT)
+            .expect("the default tenant is accounted")
+    };
+    let mut resident = 0;
+    for rank in &ranks {
+        let row = default_row(rank);
+        assert_eq!((row.submitted, row.completed), (3, 3), "{row:?}");
+        assert_eq!((row.outstanding, row.failed), (0, 0), "{row:?}");
+        assert_eq!(rank.outstanding(), 0);
+        // The two registrations, plus whatever fused bucket the capture added.
+        assert!(row.registered >= 2, "{row:?}");
+        resident += row.registered as usize;
+    }
+    assert_eq!(domain.remove_rank(GpuId(1)).unwrap(), resident);
+    for rank in &ranks {
+        assert_eq!(default_row(rank).registered, 0);
+        rank.destroy();
+    }
 }
