@@ -28,7 +28,4 @@ pub use orchestration::{
     HorovodCoordinator, KungFuOrdering, MegatronManual, OneFlowStaticSort, OrchestrationStrategy,
     StrategyKind,
 };
-pub use watchdog::{
-    wait_all_or_deadlock, wait_all_or_deadlock_with_progress, wait_all_or_stall, DeadlockOutcome,
-    StallOutcome,
-};
+pub use watchdog::{wait_all_or_deadlock, wait_all_or_stall, DeadlockOutcome, StallOutcome};

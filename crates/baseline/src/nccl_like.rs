@@ -7,17 +7,24 @@
 //! combined with disordered invocation across GPUs, produces the deadlocks of
 //! Fig. 1. There is no preemption: the only way out of a deadlock is the
 //! watchdog's cooperative abort.
+//!
+//! The kernel executes the same compiled lane program, through the same
+//! executor, as DFCCL's daemon: registration compiles the forced-ring plan
+//! and binds it to the collective's connectors, and the kernel runs it with
+//! [`run_program_blocking`]. The baseline builds single-channel plans, so
+//! there is one lane and execution is strict program order. What differs
+//! from DFCCL is only scheduling: no spin threshold, no preemption.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dfccl_collectives::{
-    run_plan_blocking, validate_buffers, AlgorithmKind, AlgorithmSelector, CollectiveDescriptor,
-    CollectiveError, DeviceBuffer, Plan,
+    run_program_blocking, validate_buffers, AlgorithmKind, AlgorithmSelector, CollectiveDescriptor,
+    CollectiveError, CompiledProgram, DeviceBuffer,
 };
 use dfccl_transport::{
-    Communicator, CommunicatorPool, LinkModel, RankChannels, Topology, TransportError,
+    Communicator, CommunicatorPool, ConnectorTable, LinkModel, Topology, TransportError,
 };
 use gpu_sim::{
     DeviceEngine, FnKernel, GpuDevice, GpuId, GpuSpec, KernelHandle, KernelOutcome, LaunchError,
@@ -81,8 +88,8 @@ impl From<LaunchError> for NcclError {
 struct Registered {
     desc: CollectiveDescriptor,
     rank: usize,
-    channels: RankChannels,
-    plan: Plan,
+    program: CompiledProgram,
+    table: ConnectorTable,
 }
 
 /// Cluster-level state for the NCCL-like baseline: topology, link model,
@@ -139,18 +146,6 @@ impl NcclDomain {
     /// All engines (for watchdog teardown).
     pub fn engines(&self) -> Vec<Arc<DeviceEngine>> {
         self.engines.values().cloned().collect()
-    }
-
-    /// Monotone progress counter: total chunks ever published across every
-    /// communicator of this domain. The watchdog samples it to distinguish a
-    /// slow-but-progressing round (modelled link delays larger than its
-    /// stall deadline) from a genuinely wedged one.
-    pub fn progress_counter(&self) -> u64 {
-        self.communicators
-            .lock()
-            .values()
-            .map(|c| c.transferred_chunks())
-            .sum()
     }
 
     /// The domain-wide fault injector (shared by every communicator the pool
@@ -228,7 +223,8 @@ impl NcclRank {
     }
 
     /// Register a collective under `coll_id` (NCCL has no registration step;
-    /// this mirrors communicator creation + plan construction).
+    /// this mirrors communicator creation + plan construction, and compiles
+    /// the plan into its lane program bound to the communicator).
     pub fn register(&self, coll_id: u64, desc: CollectiveDescriptor) -> Result<(), NcclError> {
         desc.validate()?;
         if self.registered.lock().contains_key(&coll_id) {
@@ -251,22 +247,25 @@ impl NcclRank {
             self.domain.chunk_elems,
             self.domain.pool.topology(),
         )?;
+        plan.validate(rank, desc.num_ranks())?;
+        let program = CompiledProgram::compile(&plan, desc.dtype);
         let channels = comm.channels(rank, plan.send_edges(), plan.recv_edges())?;
+        let table = program.bind(&channels)?;
         self.registered.lock().insert(
             coll_id,
             Arc::new(Registered {
                 desc,
                 rank,
-                channels,
-                plan,
+                program,
+                table,
             }),
         );
         Ok(())
     }
 
     /// Launch the collective as one blocking kernel on `stream`. The kernel
-    /// busy-waits (no spin threshold, no preemption) until every primitive of
-    /// the plan has executed, or until it is aborted by the watchdog.
+    /// busy-waits (no spin threshold, no preemption) until every instruction
+    /// of the program has executed, or until it is aborted by the watchdog.
     pub fn launch_collective(
         &self,
         coll_id: u64,
@@ -284,11 +283,10 @@ impl NcclRank {
         let name = format!("nccl-{}-{}", reg.desc.kind, coll_id);
         let kernel = FnKernel::new(name, move |ctx: &gpu_sim::KernelCtx| {
             let abort = || ctx.should_abort();
-            match run_plan_blocking(
+            match run_program_blocking(
                 coll_id,
-                &reg.plan.steps,
-                &reg.channels,
-                reg.desc.dtype,
+                &reg.program,
+                &reg.table,
                 reg.desc.op,
                 &send,
                 &recv,

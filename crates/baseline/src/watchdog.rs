@@ -7,16 +7,18 @@
 //! scenario is declared deadlocked and every engine is torn down via the
 //! cooperative abort flag.
 //!
-//! The deadline is a **stall** deadline, not a wall-clock budget: a wedged
-//! round makes *no* progress, whereas a slow round (e.g. a modelled
+//! There is one supervision loop, [`wait_all_or_stall`], and the deadline is
+//! a **stall** deadline, not a wall-clock budget: a wedged round makes *no*
+//! progress, whereas a slow round (e.g. a modelled
 //! [`dfccl_transport::LinkModel`] whose per-chunk delay exceeds the deadline)
-//! keeps moving chunks. Callers that can observe progress pass a monotone
-//! counter probe ([`wait_all_or_deadlock_with_progress`], typically
-//! `NcclDomain::progress_counter`); every advance of the counter resets the
-//! deadline, so only a genuine stall is reported as a deadlock.
+//! keeps moving chunks. Its probe returns per-edge samples (typically
+//! `NcclDomain::edge_samples`); progress on any edge resets the deadline, so
+//! only a genuine stall is reported. [`wait_all_or_deadlock`] is the same
+//! loop with an empty probe — no progress is ever observed, so its deadline
+//! is fixed.
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dfccl_transport::fault::{supervise_with_probe, EdgeSample, StallReport, SuperviseOutcome};
 use gpu_sim::{DeviceEngine, GpuId, KernelHandle};
@@ -42,76 +44,21 @@ impl DeadlockOutcome {
     }
 }
 
-/// Wait for every handle to finish, declaring a deadlock after `deadline`
-/// without any observed progress. On timeout, abort all work on the given
-/// engines (so their kernel threads exit) and report which kernels were
-/// unfinished. Without a progress probe this is equivalent to a fixed
-/// deadline — use [`wait_all_or_deadlock_with_progress`] when modelled link
-/// delays can legitimately exceed it.
+/// Wait for every handle to finish, declaring a deadlock once `deadline`
+/// passes. On timeout, abort all work on the engines owning unfinished
+/// kernels (so their kernel threads exit) and report which kernels were
+/// unfinished. The deadline is fixed — use [`wait_all_or_stall`] with an
+/// edge probe when modelled link delays can legitimately exceed it.
 pub fn wait_all_or_deadlock(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
     deadline: Duration,
 ) -> DeadlockOutcome {
-    wait_all_or_deadlock_with_progress(handles, engines, deadline, &|| 0)
-}
-
-/// Wait for every handle to finish, declaring a deadlock only after
-/// `stall_deadline` passes with the `progress` counter unchanged. `progress`
-/// must be monotone (e.g. total chunks published across the domain's
-/// communicators); each observed advance resets the deadline, so a
-/// slow-but-progressing collective — one whose modelled per-chunk link delay
-/// exceeds the deadline — is never misreported as wedged, while a genuine
-/// stall is still detected within one deadline of its onset.
-pub fn wait_all_or_deadlock_with_progress(
-    handles: &[KernelHandle],
-    engines: &[Arc<DeviceEngine>],
-    stall_deadline: Duration,
-    progress: &dyn Fn() -> u64,
-) -> DeadlockOutcome {
-    let mut last_progress = progress();
-    let mut end = Instant::now() + stall_deadline;
-    loop {
-        let unfinished: Vec<String> = handles
-            .iter()
-            .filter(|h| !h.status().is_terminal())
-            .map(|h| h.name().to_string())
-            .collect();
-        if unfinished.is_empty() {
-            // Every kernel terminated; a non-Completed terminal status (an
-            // explicit failure or abort) is the launcher's problem to
-            // surface, not a deadlock.
-            return DeadlockOutcome::AllCompleted;
-        }
-        let now = progress();
-        if now != last_progress {
-            last_progress = now;
-            end = Instant::now() + stall_deadline;
-        }
-        if Instant::now() >= end {
-            // The deadline expired against a progress value that may already
-            // be stale (the probe itself can be expensive, and the final 1 ms
-            // sleep is a window too). Re-sample once more before declaring:
-            // a round that advanced in the meantime gets its deadline back
-            // instead of being aborted as wedged.
-            let fresh = progress();
-            if fresh != last_progress {
-                last_progress = fresh;
-                end = Instant::now() + stall_deadline;
-                continue;
-            }
-            let stalled: Vec<&KernelHandle> = handles
-                .iter()
-                .filter(|h| !h.status().is_terminal())
-                .collect();
-            if stalled.is_empty() {
-                return DeadlockOutcome::AllCompleted;
-            }
-            let unfinished = stalled.iter().map(|h| h.name().to_string()).collect();
-            teardown_stalled(&stalled, engines);
-            return DeadlockOutcome::Deadlock { unfinished };
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    match wait_all_or_stall(handles, engines, deadline, &Vec::new) {
+        StallOutcome::AllCompleted => DeadlockOutcome::AllCompleted,
+        StallOutcome::Stalled(report) => DeadlockOutcome::Deadlock {
+            unfinished: report.unfinished,
+        },
     }
 }
 
@@ -153,14 +100,15 @@ impl StallOutcome {
     }
 }
 
-/// The failure-aware successor of [`wait_all_or_deadlock_with_progress`]:
-/// instead of one domain-wide scalar, the probe returns per-edge
-/// [`EdgeSample`]s (e.g. `NcclDomain::edge_samples`). Progress on *any* edge
-/// resets the stall deadline; on expiry the probe is re-sampled once (same
-/// TOCTOU guard as above) and the two snapshots are classified into a
-/// [`StallReport`] that distinguishes a scheduling wedge from a link failure
-/// and names the edges/collectives involved. Teardown is scoped to the
-/// engines owning unfinished supervised kernels.
+/// Wait for every handle to finish, declaring a stall only after
+/// `stall_deadline` passes with zero progress across the per-edge
+/// [`EdgeSample`]s `probe` returns (e.g. `NcclDomain::edge_samples`).
+/// Progress on *any* edge resets the deadline; on expiry the probe is
+/// re-sampled once (a round that advanced meanwhile gets its deadline back)
+/// and the two snapshots are classified into a [`StallReport`] that
+/// distinguishes a scheduling wedge from a link failure and names the
+/// edges/collectives involved. Teardown is scoped to the engines owning
+/// unfinished supervised kernels.
 pub fn wait_all_or_stall(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
@@ -189,6 +137,7 @@ mod tests {
     use gpu_sim::{
         FnKernel, GpuDevice, GpuId, GpuSpec, KernelCtx, KernelOutcome, KernelStatus, StreamId,
     };
+    use std::time::Instant;
 
     fn engine() -> Arc<DeviceEngine> {
         DeviceEngine::new(GpuDevice::new(GpuId(0), GpuSpec::tiny(2)))
@@ -252,9 +201,9 @@ mod tests {
         // Regression test for the stall-vs-slow confusion: a 2-rank ring
         // all-reduce over a link whose modelled per-chunk delay (~25 ms)
         // multiplies out well beyond the 120 ms stall deadline. With the
-        // domain's chunk counter as the probe, every transferred chunk resets
-        // the deadline and the round must complete — the old fixed deadline
-        // reported this exact scenario as wedged.
+        // domain's edge samples as the probe, every transferred chunk resets
+        // the deadline and the round must complete — a fixed deadline
+        // reports this exact scenario as wedged.
         use crate::nccl_like::NcclDomain;
         use dfccl_collectives::{CollectiveDescriptor, DataType, DeviceBuffer, ReduceOp};
         use dfccl_transport::{LinkClass, LinkModel, LinkParams, Topology};
@@ -295,75 +244,18 @@ mod tests {
             handles.push(r.launch_collective(0, StreamId(1), send, recv).unwrap());
         }
         let stall_deadline = Duration::from_millis(120);
-        let outcome = wait_all_or_deadlock_with_progress(
-            &handles,
-            &domain.engines(),
-            stall_deadline,
-            &|| domain.progress_counter(),
-        );
+        let outcome = wait_all_or_stall(&handles, &domain.engines(), stall_deadline, &|| {
+            domain.edge_samples()
+        });
         assert_eq!(
             outcome,
-            DeadlockOutcome::AllCompleted,
+            StallOutcome::AllCompleted,
             "slow-but-progressing round misreported as wedged"
         );
         for recv in recvs {
             assert_eq!(recv.to_f32_vec(), vec![3.0f32; count]);
         }
         domain.shutdown();
-    }
-
-    #[test]
-    fn expiring_deadline_resamples_progress_before_declaring() {
-        // TOCTOU regression: the deadline expires against a progress value
-        // that went stale while the (expensive) probe slept, even though the
-        // round advanced in the meantime. The watchdog must re-sample at the
-        // expiry point instead of aborting a progressing round.
-        //
-        // Timeline (probe costs ~30 ms, deadline 40 ms): the last pre-expiry
-        // probe captures the counter at ~60 ms (still 0), the counter
-        // advances at ~75 ms, and the expiry check runs at ~90 ms. The old
-        // code declared a deadlock right there; re-sampling sees the advance
-        // and the kernel (done at ~110 ms) completes normally.
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let e = engine();
-        let h = e
-            .launch(
-                StreamId(1),
-                Box::new(FnKernel::new("slow-but-alive", |_| {
-                    std::thread::sleep(Duration::from_millis(110));
-                    KernelOutcome::Completed
-                })),
-            )
-            .unwrap();
-        let counter = Arc::new(AtomicU64::new(0));
-        let advancer = {
-            let counter = Arc::clone(&counter);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(75));
-                counter.store(1, Ordering::Relaxed);
-            })
-        };
-        let probe_counter = Arc::clone(&counter);
-        let outcome = wait_all_or_deadlock_with_progress(
-            std::slice::from_ref(&h),
-            &[Arc::clone(&e)],
-            Duration::from_millis(40),
-            &move || {
-                let v = probe_counter.load(Ordering::Relaxed);
-                // An expensive domain sweep: the returned value is ~30 ms
-                // stale by the time the caller compares it.
-                std::thread::sleep(Duration::from_millis(30));
-                v
-            },
-        );
-        assert_eq!(
-            outcome,
-            DeadlockOutcome::AllCompleted,
-            "a round that advanced during the final probe was aborted as wedged"
-        );
-        advancer.join().unwrap();
-        e.shutdown();
     }
 
     #[test]
@@ -465,25 +357,5 @@ mod tests {
             other => panic!("expected a link-failure stall, got {other:?}"),
         }
         domain.shutdown();
-    }
-
-    #[test]
-    fn progress_probe_does_not_mask_a_genuine_stall() {
-        // A counter that never advances must still trip the stall deadline.
-        let e = engine();
-        let h = e.launch(StreamId(1), spin_forever_kernel()).unwrap();
-        let start = Instant::now();
-        let outcome = wait_all_or_deadlock_with_progress(
-            std::slice::from_ref(&h),
-            &[Arc::clone(&e)],
-            Duration::from_millis(100),
-            &|| 42, // constant: no progress
-        );
-        assert!(outcome.is_deadlock());
-        assert!(
-            start.elapsed() < Duration::from_secs(6),
-            "stall detection must fire within one deadline plus teardown"
-        );
-        e.shutdown();
     }
 }

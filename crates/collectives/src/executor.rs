@@ -18,10 +18,11 @@
 //! Connectors are resolved by plain index into the registration's
 //! [`ConnectorTable`] (no map lookups) and byte ranges were pre-multiplied at
 //! compile time, so the same executor drives ring, tree, hierarchical and
-//! pairwise programs. The plan-IR interpreter with the same semantics lives
-//! in [`crate::reference`]: it is the oracle the compiled path is tested
-//! against and the strict-order loop of the NCCL-like baseline, and shares
-//! the types below.
+//! pairwise programs. It is the only executor: DFCCL's daemon steps it one
+//! lane pass at a time, and the NCCL-like baseline's kernel runs it to
+//! completion with [`run_program_blocking`]. A single-threaded oracle in the
+//! integration tests' support code (`tests/common/oracle.rs`) checks it
+//! against the plan IR.
 //!
 //! ## The staging slots
 //!
@@ -75,8 +76,6 @@ pub enum ExecError {
     /// The step addresses a peer the rank's channels were not built for —
     /// the plan and the registered channels disagree.
     MissingPeerConnector { peer: usize },
-    /// The step's kind requires a peer but the plan named none.
-    MalformedStep(&'static str),
     /// The plan or buffers were inconsistent with the descriptor.
     Collective(CollectiveError),
 }
@@ -103,7 +102,6 @@ impl std::fmt::Display for ExecError {
                     "no connector to peer rank {peer} in this rank's channels"
                 )
             }
-            ExecError::MalformedStep(what) => write!(f, "malformed step: {what}"),
             ExecError::Collective(e) => write!(f, "{e}"),
         }
     }
@@ -164,17 +162,6 @@ impl PendingSends {
             pending.channel
         );
         self.slots.push(pending);
-    }
-
-    /// Remove and return the chunk staged on `channel`, if any.
-    pub fn take(&mut self, channel: ChannelId) -> Option<PendingSend> {
-        let idx = self.slots.iter().position(|p| p.channel == channel)?;
-        Some(self.slots.remove(idx))
-    }
-
-    /// The channels that currently hold a staged chunk.
-    pub fn channels(&self) -> Vec<ChannelId> {
-        self.slots.iter().map(|p| p.channel).collect()
     }
 
     /// Drop every staged chunk but keep the slot storage, so a recycled
@@ -373,9 +360,10 @@ pub fn execute_ready_instr(
 
 /// Run a compiled program to completion lane-wise by busy-waiting: every
 /// pass polls each lane's head instruction and executes the ready ones, so a
-/// stalled channel never blocks another lane's progress. The execution
-/// harness of the compiled-vs-reference bit-exactness tests. `should_abort`
-/// is polled while waiting; returns `Ok(false)` if aborted.
+/// stalled channel never blocks another lane's progress. With one lane this
+/// is strict program order with an unbounded wait on every primitive — the
+/// NCCL-like baseline's kernel, whose deadlocks the paper prevents.
+/// `should_abort` is polled while waiting; returns `Ok(false)` if aborted.
 pub fn run_program_blocking(
     coll_id: u64,
     program: &CompiledProgram,
@@ -487,18 +475,24 @@ mod tests {
         .unwrap()
     }
 
-    /// Rank 1 of 3 with the single instruction "recv 4 f32 from rank 0, sum
-    /// with send[0..4], send to rank 2", bound to zero-cost connectors.
-    fn recv_reduce_send_rank(comm: &Communicator) -> (CompiledProgram, ConnectorTable) {
+    /// Rank 1 of 3 with one channel-0 instruction of `kind` over 4 f32 at
+    /// offset 0, receiving from rank 0 and/or sending to rank 2 as the kind
+    /// requires, bound to `comm`'s connectors.
+    fn single_instr_rank(
+        comm: &Communicator,
+        kind: PrimitiveKind,
+        src_buf: SrcBuf,
+    ) -> (CompiledProgram, ConnectorTable) {
+        let range = Some(ElemRange::new(0, 4));
         let plan = Plan::new(
             AlgorithmKind::Ring,
             vec![PrimitiveStep {
-                kind: PrimitiveKind::RecvReduceSend,
-                src: Some(ElemRange::new(0, 4)),
-                src_buf: SrcBuf::Send,
-                dst: None,
-                send_to: Some(2),
-                recv_from: Some(0),
+                kind,
+                src: range.filter(|_| kind.has_reduce() || !kind.has_recv()),
+                src_buf,
+                dst: range.filter(|_| kind.has_copy()),
+                send_to: Some(2).filter(|_| kind.has_send()),
+                recv_from: Some(0).filter(|_| kind.has_recv()),
                 chunk_index: 0,
                 step: 0,
                 channel: ChannelId(0),
@@ -512,6 +506,12 @@ mod tests {
         (program, table)
     }
 
+    /// The single instruction "recv 4 f32 from rank 0, sum with send[0..4],
+    /// send to rank 2".
+    fn recv_reduce_send_rank(comm: &Communicator) -> (CompiledProgram, ConnectorTable) {
+        single_instr_rank(comm, PrimitiveKind::RecvReduceSend, SrcBuf::Send)
+    }
+
     fn chunk(data: Vec<u8>) -> ChunkMsg {
         ChunkMsg {
             coll_id: 9,
@@ -519,6 +519,134 @@ mod tests {
             step: 0,
             data,
         }
+    }
+
+    /// Execute instruction 0 of `program` as collective 9 with `op`.
+    fn execute(
+        program: &CompiledProgram,
+        table: &ConnectorTable,
+        op: Option<ReduceOp>,
+        send: &DeviceBuffer,
+        recv: &DeviceBuffer,
+        pending: &mut PendingSends,
+    ) -> Result<StepOutcome, ExecError> {
+        execute_ready_instr(9, program, 0, table, op, send, recv, pending)
+    }
+
+    #[test]
+    fn a_send_into_a_full_connector_is_not_ready_and_stages_nothing() {
+        let comm = zero_cost_comm(3);
+        let (program, table) = single_instr_rank(&comm, PrimitiveKind::Send, SrcBuf::Send);
+        let downstream = comm.connector_between(1, 2).unwrap();
+        while downstream.try_send(chunk(vec![0; 16])).is_ok() {}
+        let send = DeviceBuffer::from_f32(&[1.0; 4]);
+        let mut pending = PendingSends::default();
+        let outcome = execute(&program, &table, None, &send, &send, &mut pending).unwrap();
+        assert_eq!(outcome, StepOutcome::NotReady);
+        assert!(pending.is_empty(), "a not-ready send staged its chunk");
+        assert_eq!(downstream.len(), downstream.capacity());
+    }
+
+    #[test]
+    fn a_chunk_of_another_collective_is_an_error() {
+        let comm = zero_cost_comm(3);
+        let (program, table) = recv_reduce_send_rank(&comm);
+        let foreign = ChunkMsg {
+            coll_id: 7,
+            ..chunk(vec![0; 16])
+        };
+        comm.connector_between(0, 1)
+            .unwrap()
+            .try_send(foreign)
+            .unwrap();
+        let buf = DeviceBuffer::zeroed(16);
+        let err = execute(
+            &program,
+            &table,
+            Some(ReduceOp::Sum),
+            &buf,
+            &buf,
+            &mut PendingSends::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::CollectiveMismatch {
+                expected: 9,
+                actual: 7
+            }
+        );
+    }
+
+    #[test]
+    fn a_reducing_instruction_without_an_operator_is_an_error() {
+        let comm = zero_cost_comm(3);
+        let (program, table) = recv_reduce_send_rank(&comm);
+        let upstream = comm.connector_between(0, 1).unwrap();
+        upstream.try_send(chunk(vec![0; 16])).unwrap();
+        let buf = DeviceBuffer::zeroed(16);
+        let err = execute(
+            &program,
+            &table,
+            None,
+            &buf,
+            &buf,
+            &mut PendingSends::default(),
+        );
+        assert_eq!(err, Err(ExecError::MissingReduceOp));
+    }
+
+    #[test]
+    fn src_buf_recv_reads_the_recv_buffer() {
+        // The accumulation pattern tree and hierarchical schedules rely on: a
+        // Send of `SrcBuf::Recv` publishes the recv buffer's bytes.
+        let comm = zero_cost_comm(3);
+        let (program, table) = single_instr_rank(&comm, PrimitiveKind::Send, SrcBuf::Recv);
+        let send = DeviceBuffer::from_f32(&[1.0; 4]);
+        let recv = DeviceBuffer::from_f32(&[42.0; 4]);
+        let outcome = execute(
+            &program,
+            &table,
+            None,
+            &send,
+            &recv,
+            &mut PendingSends::default(),
+        )
+        .unwrap();
+        assert_eq!(outcome, StepOutcome::Completed);
+        let sent = comm.connector_between(1, 2).unwrap().try_recv().unwrap();
+        assert_eq!(DeviceBuffer::from_bytes(sent.data).to_f32_vec(), [42.0; 4]);
+    }
+
+    #[test]
+    fn an_aborted_blocking_run_returns_false() {
+        // Rank 0 of a 2-rank all-reduce whose peer never runs: only the abort
+        // flag can end the run (a hang fails on the timeout).
+        let comm = zero_cost_comm(2);
+        let desc = CollectiveDescriptor::all_reduce(
+            4,
+            DataType::F32,
+            ReduceOp::Sum,
+            vec![GpuId(0), GpuId(1)],
+        );
+        let plan = algorithm(AlgorithmKind::Ring)
+            .build_plan(&desc, 0, 4, &Topology::flat(2))
+            .unwrap();
+        let program = CompiledProgram::compile(&plan, desc.dtype);
+        let channels = comm
+            .channels(0, plan.send_edges(), plan.recv_edges())
+            .unwrap();
+        let table = program.bind(&channels).unwrap();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let buf = DeviceBuffer::zeroed(16);
+            let done = run_program_blocking(1, &program, &table, desc.op, &buf, &buf, &|| true);
+            tx.send(done).unwrap();
+        });
+        let done = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the abort flag did not end the run");
+        assert_eq!(done, Ok(false));
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //!   DFCCL's daemon kernel uses (Sec. 4.1/4.2). Because every plan is a
 //!   sequence of single-chunk, non-blocking primitives, preemption safety is
 //!   independent of the algorithm family.
-//! * [`reference`] — the plan-IR interpreter with the same primitive
-//!   contract: the oracle the compiled path is tested against, and the
-//!   strict-order, unbounded-wait loop of the NCCL-like baseline.
 
 pub mod alltoall;
 pub mod buffer;
@@ -43,7 +40,6 @@ pub mod plan;
 pub mod primitive;
 pub mod program;
 pub mod redop;
-pub mod reference;
 pub mod ring;
 pub mod selector;
 pub mod tree;
@@ -67,7 +63,6 @@ pub use plan::{algorithm, Algorithm, AlgorithmKind, Plan};
 pub use primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 pub use program::{ByteRange, CachedPlan, CompiledProgram, Instr, Lane, PlanCache, PlanKey};
 pub use redop::ReduceOp;
-pub use reference::run_plan_blocking;
 pub use ring::{build_plan, build_plan_striped, RingAlgorithm};
 pub use selector::{AlgorithmSelector, DEFAULT_TREE_THRESHOLD_BYTES};
 pub use tree::DoubleBinaryTreeAlgorithm;

@@ -3,10 +3,10 @@
 //! Interpreting the [`Plan`] IR on the daemon's hot loop would re-match
 //! `Option<peer>` fields and do `BTreeMap` lookups in the rank's channels on
 //! every poll of every step, and a single global step cursor would let one
-//! stalled channel head-of-line-block ready steps on other channels (that
-//! interpreter survives only as the test oracle and baseline loop,
-//! [`crate::reference`]). This module is the compilation stage between plan
-//! building and execution:
+//! stalled channel head-of-line-block ready steps on other channels. This
+//! module is the compilation stage between plan building and execution (the
+//! only executor — DFCCL's daemon and the NCCL-like baseline both run its
+//! output):
 //!
 //! * [`CompiledProgram`] — a dense `Vec<Instr>` lowered from a validated
 //!   plan. Each instruction carries pre-resolved connector *indices* into a
@@ -43,12 +43,12 @@
 //! write-after-read on the recv buffer) with an earlier instruction on a
 //! different lane, and an instruction is only eligible once every lane has
 //! finished the earlier phases. Phase barriers point strictly backward in
-//! plan order, so the constraint graph stays a sub-order of the reference
-//! interpreter's execution — acyclic, hence deadlock-free — while
-//! single-phase schedules (ring, tree, pairwise) keep fully independent
-//! lanes. The compiled-vs-reference bit-exactness property test
-//! (`tests/compiled_program.rs`) exercises this across every algorithm
-//! family × collective × rank count × K ∈ {1, 2, 3} at connector capacity 1.
+//! plan order, so the constraint graph stays a sub-order of plan order —
+//! acyclic, hence deadlock-free — while single-phase schedules (ring, tree,
+//! pairwise) keep fully independent lanes. The compiled-vs-oracle
+//! bit-exactness property test (`tests/compiled_program.rs`, against
+//! `tests/common/oracle.rs`) exercises this across every algorithm family ×
+//! collective × rank count × K ∈ {1, 2, 3} at connector capacity 1.
 
 use std::collections::HashMap;
 
@@ -272,8 +272,8 @@ impl CompiledProgram {
         // lane order preserves plan order. The conflicting instruction
         // starts a new phase, and an instruction only becomes eligible once
         // every lane has finished the earlier phases, so executing lanes in
-        // any interleaving observes exactly the reference interpreter's
-        // recv-buffer contents. Single-phase schedules (ring, tree,
+        // any interleaving observes exactly the recv-buffer contents of
+        // executing the plan in order. Single-phase schedules (ring, tree,
         // pairwise: within one chunk-major phase, dependencies always
         // connect steps of the same chunk — the same lane) carry no barriers
         // at all; the hierarchical schedule's phases (whose phase 2 reads

@@ -381,8 +381,8 @@ impl DfcclDomain {
     /// pending (quiesce first). On success, every registration and captured
     /// graph whose device set includes the GPU is dropped on every live rank
     /// (their tenants' residency is released), intersecting plan-cache
-    /// shapes are invalidated, and idle pooled communicators touching the
-    /// GPU are evicted. Returns the number of registrations dropped.
+    /// shapes are invalidated, and the communicators touching the GPU are
+    /// forgotten. Returns the number of registrations dropped.
     pub fn remove_rank(&self, gpu: GpuId) -> Result<usize, DfcclError> {
         if !self.topology.contains(gpu) {
             return Err(DfcclError::UnknownGpu(gpu));
@@ -448,7 +448,6 @@ impl DfcclDomain {
                 .retain(|_, g| !g.nodes.iter().any(|n| n.reg.desc.devices.contains(&gpu)));
         }
         self.plan_cache.invalidate_device(gpu);
-        self.pool.evict_device(gpu);
         self.communicators
             .lock()
             .retain(|_, comm| !comm.devices().contains(&gpu));
@@ -783,71 +782,6 @@ impl RankCtx {
         )
     }
 
-    /// Register an all-gather.
-    pub fn register_all_gather(
-        &self,
-        coll_id: u64,
-        count: usize,
-        dtype: DataType,
-        devices: Vec<GpuId>,
-        priority: i32,
-    ) -> Result<(), DfcclError> {
-        self.register(
-            coll_id,
-            CollectiveDescriptor::all_gather(count, dtype, devices).with_priority(priority),
-        )
-    }
-
-    /// Register a reduce-scatter.
-    pub fn register_reduce_scatter(
-        &self,
-        coll_id: u64,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        devices: Vec<GpuId>,
-        priority: i32,
-    ) -> Result<(), DfcclError> {
-        self.register(
-            coll_id,
-            CollectiveDescriptor::reduce_scatter(count, dtype, op, devices).with_priority(priority),
-        )
-    }
-
-    /// Register a rooted reduce.
-    #[allow(clippy::too_many_arguments)]
-    pub fn register_reduce(
-        &self,
-        coll_id: u64,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        root: usize,
-        devices: Vec<GpuId>,
-        priority: i32,
-    ) -> Result<(), DfcclError> {
-        self.register(
-            coll_id,
-            CollectiveDescriptor::reduce(count, dtype, op, root, devices).with_priority(priority),
-        )
-    }
-
-    /// Register a broadcast.
-    pub fn register_broadcast(
-        &self,
-        coll_id: u64,
-        count: usize,
-        dtype: DataType,
-        root: usize,
-        devices: Vec<GpuId>,
-        priority: i32,
-    ) -> Result<(), DfcclError> {
-        self.register(
-            coll_id,
-            CollectiveDescriptor::broadcast(count, dtype, root, devices).with_priority(priority),
-        )
-    }
-
     /// Register an all-to-all (`count` elements per rank pair): the dense-mesh
     /// collective behind MoE expert parallelism.
     pub fn register_all_to_all(
@@ -1130,13 +1064,6 @@ impl RankCtx {
         waiter.wait_timeout(timeout)
     }
 
-    /// Issue an implicit synchronization (e.g. a pinned-host-memory allocation)
-    /// and wait for it.
-    pub fn implicit_synchronize(&self, kind: SyncKind, timeout: Duration) -> bool {
-        let waiter = self.device.request_synchronize(kind);
-        waiter.wait_timeout(timeout)
-    }
-
     /// The algorithm the selector chose for a registered collective.
     pub fn algorithm_of(&self, coll_id: u64) -> Option<AlgorithmKind> {
         self.shared
@@ -1397,18 +1324,6 @@ pub fn dfccl_run_all_reduce(
     callback: Callback,
 ) -> Result<(), DfcclError> {
     ctx.run(coll_id, send, recv, callback)
-}
-
-/// `dfcclRegisterAllToAll`: register an all-to-all and prepare its data structures.
-pub fn dfccl_register_all_to_all(
-    ctx: &RankCtx,
-    count: usize,
-    dtype: DataType,
-    coll_id: u64,
-    devices: Vec<GpuId>,
-    priority: i32,
-) -> Result<(), DfcclError> {
-    ctx.register_all_to_all(coll_id, count, dtype, devices, priority)
 }
 
 /// `dfcclDestroy`: destroy the rank context and release its resources.

@@ -49,7 +49,8 @@ pub enum OrderingPolicy {
 
 /// How the daemon arbitrates between per-tenant task-queue lanes in service
 /// mode. Within a lane the paper's semantics ([`OrderingPolicy`]) are
-/// untouched; arbitration only decides how lanes interleave.
+/// untouched; arbitration only decides how lanes interleave. Weighted fair
+/// sharing is the one policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantArbitration {
     /// Deficit-round-robin over lanes: per scheduling pass each contending
@@ -58,10 +59,6 @@ pub enum TenantArbitration {
     /// polled within a bounded number of passes (the rotation is what keeps
     /// the capacity-1 deadlock-freedom argument intact — see DESIGN.md §8).
     WeightedFair,
-    /// Lanes are ordered by descending weight and fully scheduled each pass.
-    /// Pure ordering, no slice caps: a heavy tenant is polled first but can
-    /// never exclude a light tenant from the pass.
-    StrictPriority,
 }
 
 /// How spin thresholds are assigned and adjusted (Sec. 4.3).
@@ -331,12 +328,6 @@ impl DfcclConfig {
     /// Set the default quota for tenants without an explicit handle.
     pub fn with_tenant_quota(mut self, quota: TenantQuota) -> Self {
         self.tenant_quota = quota;
-        self
-    }
-
-    /// Select the lane-arbitration policy for service mode.
-    pub fn with_tenant_arbitration(mut self, arbitration: TenantArbitration) -> Self {
-        self.tenant_arbitration = arbitration;
         self
     }
 

@@ -32,8 +32,8 @@
 //! * **admission** (`admission.rs`) — fetch SQE batches (one cursor-lock
 //!   acquisition and one SQ head read per burst), expand graph replays
 //!   (`graph.rs`), queue invocations on their tenant's lane;
-//! * **schedule** — one weighted-fair / strict-priority arbitration pass
-//!   over the per-tenant lanes ([`crate::task_queue::TenantScheduler`]),
+//! * **schedule** — one weighted-fair arbitration pass over the per-tenant
+//!   lanes ([`crate::task_queue::TenantScheduler`]),
 //!   FIFO/priority within a tenant;
 //! * **execute** (`slice.rs`) — *two-phase blocking*: a scheduled collective
 //!   polls its connector conditions lane pass by lane pass and, once its

@@ -7,13 +7,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dfccl_collectives::{CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp};
-use dfccl_transport::{LinkModel, Topology};
+use dfccl_collectives::{
+    AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp,
+};
+use dfccl_transport::{LinkModel, StallKind, StallReport, Topology};
 use gpu_sim::{GpuId, GpuSpec};
+use parking_lot::Mutex;
 
 use super::{DaemonCore, Progress};
 use crate::api::{DfcclDomain, DfcclError, RankCtx};
 use crate::config::{DfcclConfig, SpinPolicy};
+use crate::recovery::{RecoveryCoordinator, RetryPolicy};
 use crate::tenant::TenantQuota;
 
 /// SplitMix64: the test's only source of disorder.
@@ -262,6 +266,149 @@ fn four_cores_one_thread_drain_a_disorder_mix() {
 #[should_panic(expected = "not drained after")]
 fn a_skipped_core_fails_the_budget_instead_of_hanging() {
     run_disorder_world(1, Some(3));
+}
+
+/// Recovery's ghost replay must not write into the caller's buffer. The
+/// chaos suite's failing world — a 4-rank tree all-reduce striped over 3
+/// channels — polled round-robin until the first rank completes; its
+/// callback fires, the others stall (a dead edge, in the chaos suite), and a
+/// recovery pass rolls them back and has the completed rank ghost-replay the
+/// round. A tree rank accumulates partial sums in its recv buffer, so a ghost
+/// replaying into the caller's buffer shows them to a caller whose CQE
+/// already fired.
+#[test]
+fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
+    const RANKS: usize = 4;
+    const COUNT: usize = 64;
+    let config = DfcclConfig {
+        chunk_elems: 4,
+        connector_capacity: 1,
+        channels: 3,
+        algorithm: Some(AlgorithmKind::DoubleBinaryTree),
+        spin: SpinPolicy::Fixed { threshold: 3 },
+        ..DfcclConfig::for_testing()
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(RANKS),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let ranks: Vec<RankCtx> = (0..RANKS)
+        .map(|g| domain.init_rank(GpuId(g)).unwrap())
+        .collect();
+    let desc =
+        CollectiveDescriptor::all_reduce(COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1, 2, 3]));
+    for rank in &ranks {
+        rank.register(1, desc.clone()).unwrap();
+    }
+    let mut cores = claim_all(&ranks);
+
+    let mut rng = Rng(7);
+    let inputs: Vec<Vec<f32>> = (0..RANKS).map(|_| rng.small_f32s(COUNT)).collect();
+    let expected = oracle(&desc, &inputs).remove(0);
+    let recvs: Vec<DeviceBuffer> = (0..RANKS)
+        .map(|_| DeviceBuffer::zeroed(COUNT * 4))
+        .collect();
+    // What each rank's callback saw in its recv buffer.
+    let seen: Arc<Vec<Mutex<Option<Vec<u8>>>>> =
+        Arc::new((0..RANKS).map(|_| Mutex::new(None)).collect());
+    for (r, rank) in ranks.iter().enumerate() {
+        let (seen, recv) = (Arc::clone(&seen), recvs[r].clone());
+        rank.run(
+            1,
+            DeviceBuffer::from_f32(&inputs[r]),
+            recvs[r].clone(),
+            Box::new(move || *seen[r].lock() = Some(recv.to_vec())),
+        )
+        .unwrap();
+    }
+    let completed = |r: usize| ranks[r].shared_state().contexts.completed_count(1);
+    poll_until(
+        &mut cores,
+        100_000,
+        "first completion",
+        |step| Some(step % RANKS),
+        |_| (0..RANKS).any(|r| completed(r) == 1),
+    );
+    let ahead = (0..RANKS).find(|&r| completed(r) == 1).unwrap();
+    // Only the completed rank's core runs until its CQE is published and the
+    // callback has fired.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while seen[ahead].lock().is_none() {
+        assert!(
+            Instant::now() < deadline,
+            "rank {ahead}'s callback never fired"
+        );
+        cores[ahead].poll();
+        std::thread::yield_now();
+    }
+    let at_callback = seen[ahead].lock().clone().unwrap();
+    assert_eq!(
+        DeviceBuffer::from_bytes(at_callback.clone()).to_f32_vec(),
+        expected
+    );
+
+    for core in &mut cores {
+        if core.slice.is_some() {
+            core.preempt_slice();
+        }
+    }
+    let report = StallReport {
+        kind: StallKind::Wedge,
+        failed_edges: Vec::new(),
+        stalled_edges: Vec::new(),
+        stalled_collectives: vec![1],
+        unfinished: Vec::new(),
+    };
+    let refs: Vec<&RankCtx> = ranks.iter().collect();
+    let outcome = RecoveryCoordinator::new(RetryPolicy::default())
+        .recover(&refs, &report)
+        .unwrap();
+    assert_eq!(outcome.ghost_replays, 1, "only rank {ahead} ran ahead");
+    // Look at the ghost through the recovery protocol's own drain/reinstall.
+    let contexts = &ranks[ahead].shared_state().contexts;
+    let queued = contexts.begin_recovery(1);
+    let ghost = queued[0].clone();
+    contexts.end_recovery(1, queued);
+    // Drain the world before asserting, so a failure unwinds through a
+    // quiet domain instead of leaving `destroy` a half-replayed round.
+    let drained = |r: &RankCtx| {
+        let shared = r.shared_state();
+        shared.outstanding() == 0
+            && shared.contexts.total_pending() == 0
+            && !shared.contexts.in_slice(1)
+    };
+    let mut first_change = None;
+    poll_until(
+        &mut cores,
+        1_000_000,
+        "ghost replay",
+        |step| Some(step % RANKS),
+        |step| {
+            if first_change.is_none() && recvs[ahead].to_vec() != at_callback {
+                first_change = Some(step);
+            }
+            ranks.iter().all(drained)
+        },
+    );
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while (0..RANKS).any(|r| seen[r].lock().is_none()) {
+        assert!(Instant::now() < deadline, "callbacks never fired");
+        std::thread::yield_now();
+    }
+    assert!(ghost.silent_replay);
+    assert!(
+        !ghost.recv.same_allocation(&recvs[ahead]),
+        "the ghost replays into the caller's recv buffer"
+    );
+    assert_eq!(
+        first_change, None,
+        "rank {ahead}'s buffer changed after its callback (at that poll)"
+    );
+    for (r, recv) in recvs.iter().enumerate() {
+        assert_eq!(recv.to_f32_vec(), expected, "rank {r}");
+    }
 }
 
 /// `tests/tenancy.rs::weighted_tenant_outpaces_light_tenant_under_preemption_storm`'s

@@ -28,7 +28,10 @@
 //!    callbacks, so completion publishes the original CQE and the caller
 //!    never observes the failure. Ranks that already completed a round their
 //!    peers did not re-execute it as a *silent ghost replay* (no CQE, no
-//!    callback) so the collective's rounds stay aligned across ranks.
+//!    callback, a private recv buffer) so the collective's rounds stay
+//!    aligned across ranks. The ghost still reads the caller's send buffer,
+//!    so an in-place invocation, or a send buffer reused after its callback,
+//!    feeds the replay the wrong operand.
 //!
 //! A typed [`RetryPolicy`] (bounded attempts, decorrelated-jitter backoff)
 //! governs both the coordinator's resubmission loop and the API-level
@@ -38,6 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dfccl_collectives::DeviceBuffer;
 use dfccl_transport::{supervise_with_probe, EdgeId, StallReport, SuperviseOutcome};
 
 use crate::api::{DfcclError, RankCtx};
@@ -395,7 +399,11 @@ impl RecoveryCoordinator {
                 let mut rebuilt = Vec::new();
                 if shared.contexts.completed_count(coll) > min_done {
                     if let Some((run_seq, send, recv, _)) = shared.contexts.last_completed(coll) {
-                        let mut ghost = DynamicContext::new(run_seq, send, recv);
+                        // The round's CQE has fired: `recv` is the caller's
+                        // again. The ghost only has to feed its peers, so it
+                        // accumulates into a private buffer.
+                        let scratch = DeviceBuffer::zeroed(recv.len());
+                        let mut ghost = DynamicContext::new(run_seq, send, scratch);
                         ghost.silent_replay = true;
                         rebuilt.push(ghost);
                         outcome.ghost_replays += 1;

@@ -8,11 +8,10 @@
 //! In service mode the flat queue becomes a set of per-tenant **lanes**
 //! arbitrated by [`TenantScheduler`]: each tenant keeps its own [`TaskQueue`]
 //! (so the paper's FIFO-and-priority semantics hold unchanged within a
-//! tenant), and a scheduling pass interleaves lanes by weighted-fair or
-//! strict-priority policy. With a single active lane the scheduler is a
+//! tenant), and a scheduling pass interleaves lanes by weighted fair
+//! sharing. With a single active lane the scheduler is a
 //! transparent passthrough to the flat queue — the pre-service path.
 
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -130,7 +129,7 @@ struct TenantLane {
     cursor: usize,
 }
 
-/// Per-tenant queue set with weighted-fair / strict-priority arbitration —
+/// Per-tenant queue set with weighted-fair arbitration —
 /// the **schedule** stage of the service-mode daemon.
 ///
 /// With at most one active lane a pass is byte-for-byte the pre-service
@@ -279,57 +278,40 @@ impl TenantScheduler {
             };
         }
 
-        let order = match arbitration {
-            TenantArbitration::StrictPriority => {
-                // Heaviest lane first (id breaks ties); everything scheduled,
-                // so liveness is trivial — ordering is the only privilege.
-                let mut by_weight = active;
-                by_weight.sort_by_key(|&pos| {
-                    (Reverse(self.lanes[pos].state.weight()), self.lanes[pos].key)
-                });
-                let mut order = Vec::with_capacity(self.index.len());
-                for pos in by_weight {
-                    order.extend(self.lanes[pos].queue.order());
-                }
-                order
+        // Deficit round-robin (the only arbitration policy): each lane is
+        // granted up to weight × quantum slices this pass, chosen by the
+        // rotating cursor over the lane's policy order, then the grants are
+        // interleaved weight entries at a time.
+        let TenantArbitration::WeightedFair = arbitration;
+        let quantum = quantum.max(1) as usize;
+        let mut grants: Vec<(usize, Vec<u64>)> = Vec::with_capacity(active.len());
+        for &pos in &active {
+            let lane = &mut self.lanes[pos];
+            let len = lane.queue.len();
+            let weight = lane.state.weight() as usize;
+            let budget = (weight * quantum).max(1).min(len);
+            let full = lane.queue.order();
+            if budget == len {
+                lane.cursor = 0;
+                grants.push((pos, full));
+            } else {
+                let start = lane.cursor % len;
+                let sel = (0..budget).map(|k| full[(start + k) % len]).collect();
+                lane.cursor = (start + budget) % len;
+                grants.push((pos, sel));
             }
-            TenantArbitration::WeightedFair => {
-                // Deficit round-robin: each lane is granted up to
-                // weight × quantum slices this pass, chosen by the rotating
-                // cursor over the lane's policy order, then the grants are
-                // interleaved weight entries at a time.
-                let quantum = quantum.max(1) as usize;
-                let mut grants: Vec<(usize, Vec<u64>)> = Vec::with_capacity(active.len());
-                for &pos in &active {
-                    let lane = &mut self.lanes[pos];
-                    let len = lane.queue.len();
-                    let weight = lane.state.weight() as usize;
-                    let budget = (weight * quantum).max(1).min(len);
-                    let full = lane.queue.order();
-                    if budget == len {
-                        lane.cursor = 0;
-                        grants.push((pos, full));
-                    } else {
-                        let start = lane.cursor % len;
-                        let sel = (0..budget).map(|k| full[(start + k) % len]).collect();
-                        lane.cursor = (start + budget) % len;
-                        grants.push((pos, sel));
-                    }
-                }
-                let total: usize = grants.iter().map(|(_, sel)| sel.len()).sum();
-                let mut order = Vec::with_capacity(total);
-                let mut taken = vec![0usize; grants.len()];
-                while order.len() < total {
-                    for (g, (pos, sel)) in grants.iter().enumerate() {
-                        let weight = self.lanes[*pos].state.weight() as usize;
-                        let take = weight.min(sel.len() - taken[g]);
-                        order.extend_from_slice(&sel[taken[g]..taken[g] + take]);
-                        taken[g] += take;
-                    }
-                }
-                order
+        }
+        let total: usize = grants.iter().map(|(_, sel)| sel.len()).sum();
+        let mut order = Vec::with_capacity(total);
+        let mut taken = vec![0usize; grants.len()];
+        while order.len() < total {
+            for (g, (pos, sel)) in grants.iter().enumerate() {
+                let weight = self.lanes[*pos].state.weight() as usize;
+                let take = weight.min(sel.len() - taken[g]);
+                order.extend_from_slice(&sel[taken[g]..taken[g] + take]);
+                taken[g] += take;
             }
-        };
+        }
 
         // Spin thresholds follow the scheduled position across lanes, exactly
         // as they followed queue position before: the pass front gets the
@@ -501,26 +483,6 @@ mod tests {
         let order = sched_pass(&mut s, TenantArbitration::WeightedFair, 4);
         assert_eq!(order.len(), 2);
         assert!(order.contains(&1) && order.contains(&2));
-    }
-
-    #[test]
-    fn strict_priority_orders_heavy_first_but_schedules_all() {
-        let table = table();
-        let heavy = table.state_for(&crate::tenant::TenantHandle {
-            id: TenantId(9),
-            quota: TenantQuota::default().with_weight(8),
-        });
-        let light = table.state(TenantId(1));
-        let mut s = TenantScheduler::new(false);
-        s.push(100, &light, 0, 0);
-        s.push(200, &heavy, 0, 0);
-        s.push(201, &heavy, 0, 0);
-        let order = sched_pass(&mut s, TenantArbitration::StrictPriority, 1);
-        assert_eq!(
-            order,
-            vec![200, 201, 100],
-            "every entry scheduled, heavy lane first"
-        );
     }
 
     #[test]

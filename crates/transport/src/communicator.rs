@@ -15,8 +15,6 @@
 //! the old ring-wired communicator created eagerly; a tree or hierarchical
 //! plan materialises its own edge set instead; a striped plan materialises
 //! `K` parallel connectors per directed pair, one per [`ChannelId`].
-//! [`Communicator::new_ring`] remains as a convenience constructor that
-//! pre-creates the (channel-0) ring edges.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,50 +77,6 @@ impl RankChannels {
     /// rank, if the channels were built to cover that edge.
     pub fn recv_on(&self, peer: usize, channel: ChannelId) -> Option<&Arc<Connector>> {
         self.recvs.get(&(peer, channel))
-    }
-
-    /// The channel-0 connector towards `peer` (the whole story for K = 1).
-    pub fn send_to(&self, peer: usize) -> Option<&Arc<Connector>> {
-        self.send_on(peer, ChannelId(0))
-    }
-
-    /// The channel-0 connector from `peer` (the whole story for K = 1).
-    pub fn recv_from(&self, peer: usize) -> Option<&Arc<Connector>> {
-        self.recv_on(peer, ChannelId(0))
-    }
-
-    /// The distinct destination ranks this rank can send to (any channel).
-    pub fn send_peers(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut last = None;
-        self.sends.keys().filter_map(move |&(p, _)| {
-            if last == Some(p) {
-                return None;
-            }
-            last = Some(p);
-            Some(p)
-        })
-    }
-
-    /// The distinct source ranks this rank can receive from (any channel).
-    pub fn recv_peers(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut last = None;
-        self.recvs.keys().filter_map(move |&(p, _)| {
-            if last == Some(p) {
-                return None;
-            }
-            last = Some(p);
-            Some(p)
-        })
-    }
-
-    /// The directed `(peer, channel)` send edges covered by these channels.
-    pub fn send_edges(&self) -> impl Iterator<Item = (usize, ChannelId)> + '_ {
-        self.sends.keys().copied()
-    }
-
-    /// The directed `(peer, channel)` recv edges covered by these channels.
-    pub fn recv_edges(&self) -> impl Iterator<Item = (usize, ChannelId)> + '_ {
-        self.recvs.keys().copied()
     }
 
     /// Dense, index-addressable view of these channels for the given edge
@@ -199,9 +153,8 @@ impl ConnectorTable {
 /// actually uses.
 pub struct Communicator {
     id: CommunicatorId,
-    /// Ordered device set, shared with the pool's free-list key so recycling
-    /// a communicator never re-clones the device vector.
-    devices: Arc<[GpuId]>,
+    /// Ordered device set.
+    devices: Vec<GpuId>,
     topology: Arc<Topology>,
     link_model: Arc<LinkModel>,
     connector_capacity: usize,
@@ -235,41 +188,21 @@ impl Communicator {
         link_model: &Arc<LinkModel>,
         connector_capacity: usize,
     ) -> Result<Arc<Self>, TransportError> {
-        Communicator::with_fault_injector(
-            id,
-            devices,
-            topology,
-            link_model,
-            connector_capacity,
-            FaultInjector::new(0),
-        )
-    }
-
-    /// [`Communicator::new`] with an explicit (typically domain-shared) fault
-    /// injector; pools pass their own so one script reaches every
-    /// communicator's connectors.
-    pub fn with_fault_injector(
-        id: CommunicatorId,
-        devices: Vec<GpuId>,
-        topology: &Arc<Topology>,
-        link_model: &Arc<LinkModel>,
-        connector_capacity: usize,
-        injector: Arc<FaultInjector>,
-    ) -> Result<Arc<Self>, TransportError> {
         Communicator::with_links(
             id,
             devices,
             topology,
             link_model,
             connector_capacity,
-            injector,
+            FaultInjector::new(0),
             LinkHealth::new(),
         )
     }
 
-    /// [`Communicator::with_fault_injector`] with an explicit (typically
-    /// domain-shared) link-health map; pools pass their own so one quarantine
-    /// decision reroutes every communicator's connectors.
+    /// [`Communicator::new`] with an explicit (typically domain-shared) fault
+    /// injector and link-health map; pools pass their own so one script
+    /// reaches every communicator's connectors and one quarantine decision
+    /// reroutes them.
     #[allow(clippy::too_many_arguments)]
     pub fn with_links(
         id: CommunicatorId,
@@ -290,7 +223,7 @@ impl Communicator {
         }
         Ok(Arc::new(Communicator {
             id,
-            devices: devices.into(),
+            devices,
             topology: Arc::clone(topology),
             link_model: Arc::clone(link_model),
             connector_capacity,
@@ -298,23 +231,6 @@ impl Communicator {
             health,
             edges: Mutex::new(HashMap::new()),
         }))
-    }
-
-    /// Build a communicator over `devices` with the ring edges (`i → i+1`)
-    /// pre-created — the layout every pre-mesh caller relied on.
-    pub fn new_ring(
-        id: CommunicatorId,
-        devices: Vec<GpuId>,
-        topology: &Arc<Topology>,
-        link_model: &Arc<LinkModel>,
-        connector_capacity: usize,
-    ) -> Result<Arc<Self>, TransportError> {
-        let comm = Communicator::new(id, devices, topology, link_model, connector_capacity)?;
-        let n = comm.devices.len();
-        for i in 0..n {
-            comm.connector_between(i, (i + 1) % n)?;
-        }
-        Ok(comm)
     }
 
     /// Communicator identifier.
@@ -427,18 +343,8 @@ impl Communicator {
         })
     }
 
-    /// The ring channels used by `rank` (send to `rank+1`, receive from
-    /// `rank-1`, channel 0) — the layout every plan assumed before peer
-    /// addressing.
-    pub fn rank_channels(&self, rank: usize) -> Result<RankChannels, TransportError> {
-        let n = self.devices.len();
-        self.check_rank(rank)?;
-        let next = (rank + 1) % n;
-        let prev = (rank + n - 1) % n;
-        self.channels(rank, &[(next, ChannelId(0))], &[(prev, ChannelId(0))])
-    }
-
-    /// Drop any chunks still buffered in the mesh (used when recycling).
+    /// Drop any chunks still buffered in the mesh (recovery wipes an
+    /// interrupted round's in-flight chunks before re-executing it).
     pub fn clear(&self) {
         for e in self.edges.lock().values() {
             e.clear();
@@ -463,26 +369,10 @@ impl Communicator {
         &self.health
     }
 
-    /// Whether any connector still holds chunks.
-    pub fn has_in_flight_data(&self) -> bool {
-        self.edges.lock().values().any(|e| !e.is_empty())
-    }
-
     /// Number of distinct directed `(src, dst, channel)` edges materialised
     /// so far.
     pub fn edge_count(&self) -> usize {
         self.edges.lock().len()
-    }
-
-    /// Total chunks ever published across every connector of this mesh — a
-    /// monotone progress counter (used by the baseline watchdog to tell a
-    /// slow-but-progressing collective from a wedged one).
-    pub fn transferred_chunks(&self) -> u64 {
-        self.edges
-            .lock()
-            .values()
-            .map(|e| e.stats().chunks_sent)
-            .sum()
     }
 
     /// The fault injector this mesh's connectors consult.
@@ -512,7 +402,9 @@ impl Communicator {
     }
 }
 
-/// A pool of communicators keyed by device set, transparent to the API user.
+/// The communicator pool, transparent to the API user: every allocation is a
+/// fresh mesh (a collective never shares connectors with another), wired to
+/// the pool-wide fault injector and link-health map.
 pub struct CommunicatorPool {
     topology: Arc<Topology>,
     link_model: Arc<LinkModel>,
@@ -524,15 +416,7 @@ pub struct CommunicatorPool {
     /// creates. Inert until a recovery pass quarantines an edge.
     health: Arc<LinkHealth>,
     next_id: AtomicU64,
-    created: AtomicU64,
-    /// Idle communicators keyed by their shared device-set handle. Lookups
-    /// borrow the caller's `&[GpuId]` and releases clone the communicator's
-    /// own `Arc<[GpuId]>` — no device vector is ever copied on the pool path.
-    free: Mutex<FreeList>,
 }
-
-/// The pool's idle communicators per device set.
-type FreeList = HashMap<Arc<[GpuId]>, Vec<Arc<Communicator>>>;
 
 impl CommunicatorPool {
     /// Create a pool over a topology and link model. `connector_capacity` is
@@ -549,8 +433,6 @@ impl CommunicatorPool {
             injector: FaultInjector::new(0),
             health: LinkHealth::new(),
             next_id: AtomicU64::new(0),
-            created: AtomicU64::new(0),
-            free: Mutex::new(HashMap::new()),
         })
     }
 
@@ -586,15 +468,10 @@ impl CommunicatorPool {
         &self.health
     }
 
-    /// Allocate a mesh communicator for `devices`, reusing a previously
-    /// released one when available. Edges materialise as plans request them.
+    /// Allocate a mesh communicator for `devices`. Edges materialise as
+    /// plans request them.
     pub fn allocate(&self, devices: &[GpuId]) -> Result<Arc<Communicator>, TransportError> {
-        if let Some(comm) = self.free.lock().get_mut(devices).and_then(|v| v.pop()) {
-            comm.clear();
-            return Ok(comm);
-        }
         let id = CommunicatorId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.created.fetch_add(1, Ordering::Relaxed);
         Communicator::with_links(
             id,
             devices.to_vec(),
@@ -604,33 +481,6 @@ impl CommunicatorPool {
             Arc::clone(&self.injector),
             Arc::clone(&self.health),
         )
-    }
-
-    /// Drop idle communicators whose device set contains `gpu` — elastic
-    /// membership removes a rank, so pooled meshes touching it must not be
-    /// recycled. Returns the number of communicators dropped.
-    pub fn evict_device(&self, gpu: GpuId) -> usize {
-        let mut free = self.free.lock();
-        let before: usize = free.values().map(Vec::len).sum();
-        free.retain(|devices, _| !devices.contains(&gpu));
-        before - free.values().map(Vec::len).sum::<usize>()
-    }
-
-    /// Return a communicator to the pool for reuse by a later registration
-    /// over the same device set.
-    pub fn release(&self, comm: Arc<Communicator>) {
-        let key = Arc::clone(&comm.devices);
-        self.free.lock().entry(key).or_default().push(comm);
-    }
-
-    /// Number of communicators ever created (not counting reuse).
-    pub fn created_count(&self) -> u64 {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Number of communicators currently idle in the pool.
-    pub fn idle_count(&self) -> usize {
-        self.free.lock().values().map(Vec::len).sum()
     }
 }
 
@@ -649,44 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_channels_wire_neighbours_correctly() {
-        let topo = flat(4);
-        let model = Arc::new(LinkModel::zero_cost());
-        let comm = Communicator::new_ring(CommunicatorId(0), gpus(&[0, 1, 2, 3]), &topo, &model, 4)
-            .unwrap();
-        let ch1 = comm.rank_channels(1).unwrap();
-        assert_eq!(ch1.send_peers().collect::<Vec<_>>(), vec![2]);
-        assert_eq!(ch1.recv_peers().collect::<Vec<_>>(), vec![0]);
-        // Rank 0's send connector is rank 1's recv connector.
-        let ch0 = comm.rank_channels(0).unwrap();
-        ch0.send_to(1)
-            .unwrap()
-            .try_send(ChunkMsg {
-                coll_id: 9,
-                chunk_index: 0,
-                step: 0,
-                data: vec![1, 2, 3],
-            })
-            .unwrap();
-        let got = ch1.recv_from(0).unwrap().try_recv().unwrap();
-        assert_eq!(got.coll_id, 9);
-    }
-
-    #[test]
-    fn ring_wraps_around_for_last_rank() {
-        let topo = flat(3);
-        let model = Arc::new(LinkModel::zero_cost());
-        let comm =
-            Communicator::new_ring(CommunicatorId(0), gpus(&[0, 1, 2]), &topo, &model, 4).unwrap();
-        let last = comm.rank_channels(2).unwrap();
-        assert!(last.send_to(0).is_some());
-        let first = comm.rank_channels(0).unwrap();
-        assert!(first.recv_from(2).is_some());
-        // A ring over n ranks materialises exactly n directed edges.
-        assert_eq!(comm.edge_count(), 3);
-    }
-
-    #[test]
     fn mesh_creates_edges_on_demand_and_shares_them() {
         let topo = flat(4);
         let model = Arc::new(LinkModel::zero_cost());
@@ -702,7 +514,7 @@ mod tests {
         let ch1 = comm.channels(1, &[(0, c0)], &[(0, c0)]).unwrap();
         // Rank 1's edges already existed; nothing new is created.
         assert_eq!(comm.edge_count(), 4);
-        ch0.send_to(1)
+        ch0.send_on(1, c0)
             .unwrap()
             .try_send(ChunkMsg {
                 coll_id: 5,
@@ -711,10 +523,10 @@ mod tests {
                 data: vec![7],
             })
             .unwrap();
-        assert_eq!(ch1.recv_from(0).unwrap().try_recv().unwrap().coll_id, 5);
+        assert_eq!(ch1.recv_on(0, c0).unwrap().try_recv().unwrap().coll_id, 5);
         // Channels cover only the requested peers.
-        assert!(ch0.send_to(3).is_none());
-        assert!(ch0.recv_from(3).is_none());
+        assert!(ch0.send_on(3, c0).is_none());
+        assert!(ch0.recv_on(3, c0).is_none());
     }
 
     #[test]
@@ -731,8 +543,8 @@ mod tests {
                 &[(2, c0), (2, c0)],
             )
             .unwrap();
-        assert_eq!(ch.send_peers().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(ch.recv_peers().collect::<Vec<_>>(), vec![2]);
+        assert!(ch.send_on(1, c0).is_some() && ch.send_on(2, c0).is_some());
+        assert!(ch.recv_on(2, c0).is_some());
         assert_eq!(comm.edge_count(), 3);
     }
 
@@ -748,11 +560,6 @@ mod tests {
         let recv_edges: Vec<(usize, ChannelId)> = (0..3).map(|c| (0usize, ChannelId(c))).collect();
         let ch1 = comm.channels(1, &[], &recv_edges).unwrap();
         assert_eq!(comm.edge_count(), 3);
-        assert_eq!(ch0.send_peers().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(
-            ch0.send_edges().collect::<Vec<_>>(),
-            vec![(1, ChannelId(0)), (1, ChannelId(1)), (1, ChannelId(2))]
-        );
         // Fill every channel (capacity 1 each): a single shared connector
         // would reject the second send.
         for c in 0..3u32 {
@@ -772,12 +579,6 @@ mod tests {
         }
         // A channel the channels were not built for is absent, not aliased.
         assert!(ch0.send_on(1, ChannelId(7)).is_none());
-        // send_to/recv_from are the channel-0 view.
-        assert!(Arc::ptr_eq(
-            ch0.send_to(1).unwrap(),
-            ch0.send_on(1, ChannelId(0)).unwrap()
-        ));
-        assert_eq!(comm.transferred_chunks(), 3);
     }
 
     #[test]
@@ -835,7 +636,7 @@ mod tests {
         let topo = flat(2);
         let model = Arc::new(LinkModel::zero_cost());
         assert!(matches!(
-            Communicator::new_ring(CommunicatorId(0), gpus(&[0]), &topo, &model, 4),
+            Communicator::new(CommunicatorId(0), gpus(&[0]), &topo, &model, 4),
             Err(TransportError::DeviceSetTooSmall(1))
         ));
     }
@@ -844,10 +645,9 @@ mod tests {
     fn invalid_rank_is_an_error() {
         let topo = flat(2);
         let model = Arc::new(LinkModel::zero_cost());
-        let comm =
-            Communicator::new_ring(CommunicatorId(0), gpus(&[0, 1]), &topo, &model, 4).unwrap();
+        let comm = Communicator::new(CommunicatorId(0), gpus(&[0, 1]), &topo, &model, 4).unwrap();
         assert!(matches!(
-            comm.rank_channels(5),
+            comm.channels(5, &[], &[]),
             Err(TransportError::InvalidRank { rank: 5, size: 2 })
         ));
         assert!(matches!(
@@ -863,7 +663,7 @@ mod tests {
         let topo = Arc::new(Topology::single_server());
         let model = Arc::new(LinkModel::zero_cost());
         // Ring 3 -> 4 crosses the socket (IntraSys); 0 -> 1 stays in a PIX domain.
-        let comm = Communicator::new_ring(
+        let comm = Communicator::new(
             CommunicatorId(0),
             gpus(&[0, 1, 2, 3, 4, 5, 6, 7]),
             &topo,
@@ -885,27 +685,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_reuses_released_communicators() {
-        let pool = CommunicatorPool::for_testing(4);
-        let devices = gpus(&[0, 1, 2, 3]);
-        let c1 = pool.allocate(&devices).unwrap();
-        let id1 = c1.id();
-        pool.release(c1);
-        assert_eq!(pool.idle_count(), 1);
-        let c2 = pool.allocate(&devices).unwrap();
-        assert_eq!(c2.id(), id1);
-        assert_eq!(pool.created_count(), 1);
-        assert_eq!(pool.idle_count(), 0);
-    }
-
-    #[test]
     fn pool_creates_distinct_communicators_for_concurrent_requests() {
         let pool = CommunicatorPool::for_testing(4);
         let devices = gpus(&[0, 1, 2, 3]);
         let c1 = pool.allocate(&devices).unwrap();
         let c2 = pool.allocate(&devices).unwrap();
         assert_ne!(c1.id(), c2.id());
-        assert_eq!(pool.created_count(), 2);
     }
 
     #[test]
@@ -977,8 +762,8 @@ mod tests {
         let ch0 = comm.channels(0, &[(1, ChannelId(0))], &[]).unwrap();
         let ch1 = comm.channels(1, &[], &[(0, ChannelId(0))]).unwrap();
         assert!(Arc::ptr_eq(
-            ch0.send_to(1).unwrap(),
-            ch1.recv_from(0).unwrap()
+            ch0.send_on(1, ChannelId(0)).unwrap(),
+            ch1.recv_on(0, ChannelId(0)).unwrap()
         ));
         // The healthy reverse direction is untouched.
         assert_eq!(
@@ -989,40 +774,5 @@ mod tests {
                 .channel,
             ChannelId(0)
         );
-    }
-
-    #[test]
-    fn pool_evicts_idle_communicators_touching_a_removed_device() {
-        let pool = CommunicatorPool::for_testing(4);
-        let a = pool.allocate(&gpus(&[0, 1, 2, 3])).unwrap();
-        let b = pool.allocate(&gpus(&[0, 1])).unwrap();
-        pool.release(a);
-        pool.release(b);
-        assert_eq!(pool.idle_count(), 2);
-        assert_eq!(pool.evict_device(GpuId(3)), 1);
-        assert_eq!(pool.idle_count(), 1);
-        assert_eq!(pool.evict_device(GpuId(3)), 0);
-    }
-
-    #[test]
-    fn pool_clears_stale_data_on_reuse() {
-        let pool = CommunicatorPool::for_testing(2);
-        let devices = gpus(&[0, 1]);
-        let c1 = pool.allocate(&devices).unwrap();
-        c1.rank_channels(0)
-            .unwrap()
-            .send_to(1)
-            .unwrap()
-            .try_send(ChunkMsg {
-                coll_id: 1,
-                chunk_index: 0,
-                step: 0,
-                data: vec![0xAA],
-            })
-            .unwrap();
-        assert!(c1.has_in_flight_data());
-        pool.release(c1);
-        let c2 = pool.allocate(&devices).unwrap();
-        assert!(!c2.has_in_flight_data());
     }
 }

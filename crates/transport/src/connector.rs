@@ -266,8 +266,8 @@ impl Connector {
         }
     }
 
-    /// Drain and discard everything currently buffered (used when a
-    /// communicator is recycled by the pool).
+    /// Drain and discard everything currently buffered (recovery wipes an
+    /// interrupted round's chunks).
     pub fn clear(&self) {
         while self.queue.pop().is_some() {}
     }

@@ -716,4 +716,38 @@ mod tests {
         );
         assert_eq!(outcome, SuperviseOutcome::AllCompleted);
     }
+
+    #[test]
+    fn supervise_resamples_the_probe_before_declaring() {
+        // TOCTOU regression: the deadline expires against a sample that went
+        // stale while the (expensive) probe ran, although the round advanced
+        // meanwhile. Timeline (probe ~30 ms, deadline 40 ms): the last
+        // pre-expiry probe reads the counter at ~60 ms (still 0), it advances
+        // at ~75 ms, the expiry check runs at ~90 ms and must re-sample
+        // instead of declaring; the work finishes at ~110 ms.
+        let start = Instant::now();
+        let e = edge(0, 1, 0);
+        let outcome = supervise_with_probe(
+            &|| start.elapsed() > Duration::from_millis(110),
+            Duration::from_millis(40),
+            &|| {
+                let sent = u64::from(start.elapsed() > Duration::from_millis(75));
+                std::thread::sleep(Duration::from_millis(30));
+                vec![sample(
+                    1,
+                    e,
+                    0,
+                    ConnectorStats {
+                        chunks_sent: sent,
+                        ..ConnectorStats::default()
+                    },
+                )]
+            },
+        );
+        assert_eq!(
+            outcome,
+            SuperviseOutcome::AllCompleted,
+            "a round that advanced during the final probe was declared stalled"
+        );
+    }
 }

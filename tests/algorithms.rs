@@ -1,80 +1,22 @@
 //! Cross-algorithm integration tests: deadlock freedom under minimal
 //! connector capacity, bit-identical results across plan shapes, and the
-//! latency/bandwidth crossover between ring and tree schedules.
+//! latency/bandwidth crossover between ring and tree schedules. Schedules run
+//! on the compiled executor, one thread per rank.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
 
-use dfccl_collectives::{
-    algorithm, run_plan_blocking, AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType,
-    DeviceBuffer, ReduceOp,
+use common::{
+    descriptor_for, family_matrix, gpus, hierarchical_splits, inputs_for, plans_for, run_compiled,
+    run_reference,
 };
-use dfccl_transport::{Communicator, CommunicatorId, LinkModel, Topology};
+use dfccl_collectives::{
+    AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp,
+};
+use dfccl_transport::{LinkModel, Topology};
 use gpu_sim::GpuId;
 
-fn gpus(n: usize) -> Vec<GpuId> {
-    (0..n).map(GpuId).collect()
-}
-
-/// Run `desc` with `algo` over `topo`, one thread per rank, with
-/// `connector_capacity` chunk slots per connector, striped across `channels`
-/// parallel connectors per edge. Panics if any rank fails or the collective
-/// does not finish within the deadline.
-#[allow(clippy::too_many_arguments)]
-fn run_striped(
-    desc: &CollectiveDescriptor,
-    algo: AlgorithmKind,
-    topo: &Topology,
-    link: &LinkModel,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    connector_capacity: usize,
-    channels: usize,
-) -> Vec<Vec<f32>> {
-    let n = desc.num_ranks();
-    let topo_arc = Arc::new(topo.clone());
-    let comm = Communicator::new(
-        CommunicatorId(0),
-        desc.devices.clone(),
-        &topo_arc,
-        &Arc::new(link.clone()),
-        connector_capacity,
-    )
-    .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut joins = Vec::new();
-    for (rank, input) in inputs.iter().enumerate() {
-        let desc = desc.clone();
-        let input = input.clone();
-        let plan = algorithm(algo)
-            .build_plan_striped(&desc, rank, chunk_elems, channels, topo)
-            .unwrap();
-        plan.validate(rank, n).unwrap();
-        let channels = comm
-            .channels(rank, plan.send_edges(), plan.recv_edges())
-            .unwrap();
-        joins.push(std::thread::spawn(move || {
-            let send = DeviceBuffer::from_f32(&input);
-            let recv = DeviceBuffer::zeroed(desc.recv_bytes(rank).max(4));
-            let done = run_plan_blocking(
-                7,
-                &plan.steps,
-                &channels,
-                desc.dtype,
-                desc.op,
-                &send,
-                &recv,
-                &|| Instant::now() > deadline,
-            )
-            .unwrap();
-            assert!(done, "rank {rank} hit the deadlock deadline");
-            recv.to_f32_vec()
-        }));
-    }
-    joins.into_iter().map(|j| j.join().unwrap()).collect()
-}
-
-/// The unstriped (single-channel) variant of [`run_striped`].
+/// Run `desc` with `algo` over `topo` on the compiled executor with
+/// `connector_capacity` chunk slots per connector, unstriped.
 fn run(
     desc: &CollectiveDescriptor,
     algo: AlgorithmKind,
@@ -84,60 +26,8 @@ fn run(
     chunk_elems: usize,
     connector_capacity: usize,
 ) -> Vec<Vec<f32>> {
-    run_striped(
-        desc,
-        algo,
-        topo,
-        link,
-        inputs,
-        chunk_elems,
-        connector_capacity,
-        1,
-    )
-}
-
-fn descriptor_for(kind: CollectiveKind, count: usize, n: usize) -> CollectiveDescriptor {
-    match kind {
-        CollectiveKind::AllReduce => {
-            CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(n))
-        }
-        CollectiveKind::AllGather => {
-            CollectiveDescriptor::all_gather(count, DataType::F32, gpus(n))
-        }
-        CollectiveKind::ReduceScatter => {
-            CollectiveDescriptor::reduce_scatter(count, DataType::F32, ReduceOp::Sum, gpus(n))
-        }
-        CollectiveKind::Reduce => {
-            CollectiveDescriptor::reduce(count, DataType::F32, ReduceOp::Sum, n - 1, gpus(n))
-        }
-        CollectiveKind::Broadcast => {
-            CollectiveDescriptor::broadcast(count, DataType::F32, n - 1, gpus(n))
-        }
-        CollectiveKind::AllToAll => CollectiveDescriptor::all_to_all(count, DataType::F32, gpus(n)),
-        CollectiveKind::SendRecv => {
-            CollectiveDescriptor::send_recv(count, DataType::F32, GpuId(0), GpuId(1))
-        }
-    }
-}
-
-/// Integer-valued inputs: every reduction association is exact in f32, so
-/// results must be bit-identical across algorithms.
-fn inputs_for(desc: &CollectiveDescriptor) -> Vec<Vec<f32>> {
-    (0..desc.num_ranks())
-        .map(|r| {
-            (0..desc.send_elems(r))
-                .map(|i| ((r * 31 + i * 7) % 101) as f32)
-                .collect()
-        })
-        .collect()
-}
-
-/// The multi-node splits of `n` the hierarchical algorithm can run on.
-fn hierarchical_splits(n: usize) -> Vec<Topology> {
-    (2..=n)
-        .filter(|d| n.is_multiple_of(*d))
-        .map(|d| Topology::uniform_cluster(d, n / d))
-        .collect()
+    let plans = plans_for(desc, algo, topo, chunk_elems, 1);
+    run_compiled(desc, &plans, topo, link, inputs, connector_capacity)
 }
 
 #[test]
@@ -145,55 +35,20 @@ fn every_algorithm_is_deadlock_free_with_one_slot_connectors() {
     // The generalization of the chunk-major regression test to the plan IR:
     // every algorithm x collective kind x rank count (including non-powers of
     // two) x chunk size completes with *1-slot* connectors — the minimal
-    // capacity, where any ordering mistake wedges immediately.
+    // capacity, where any ordering mistake wedges immediately — and matches
+    // the single-threaded oracle.
     let link = LinkModel::zero_cost();
     let count = 17; // odd: uneven slices, partial chunks
     for n in 2..=8usize {
         for chunk_elems in [1usize, 3, 1024] {
-            // Ring schedules every classic kind; pairwise schedules the
-            // dense-mesh kinds (all-to-all, send/recv).
-            for kind in CollectiveKind::ALL {
-                let desc = descriptor_for(kind, count, n);
-                let algo = match kind {
-                    CollectiveKind::AllToAll | CollectiveKind::SendRecv => AlgorithmKind::Pairwise,
-                    _ => AlgorithmKind::Ring,
-                };
-                let topo = Topology::flat(desc.num_ranks());
-                run(
-                    &desc,
-                    algo,
-                    &topo,
-                    &link,
-                    &inputs_for(&desc),
-                    chunk_elems,
-                    1,
-                );
-            }
-            // Tree schedules all-reduce and broadcast.
-            for kind in [CollectiveKind::AllReduce, CollectiveKind::Broadcast] {
-                let desc = descriptor_for(kind, count, n);
-                let topo = Topology::flat(n);
-                run(
-                    &desc,
-                    AlgorithmKind::DoubleBinaryTree,
-                    &topo,
-                    &link,
-                    &inputs_for(&desc),
-                    chunk_elems,
-                    1,
-                );
-            }
-            // Hierarchical schedules all-reduce over every uniform split.
-            for topo in hierarchical_splits(n) {
-                let desc = descriptor_for(CollectiveKind::AllReduce, count, n);
-                run(
-                    &desc,
-                    AlgorithmKind::Hierarchical,
-                    &topo,
-                    &link,
-                    &inputs_for(&desc),
-                    chunk_elems,
-                    1,
+            for (desc, algo, topo) in family_matrix(n, count) {
+                let inputs = inputs_for(&desc);
+                let plans = plans_for(&desc, algo, &topo, chunk_elems, 1);
+                assert_eq!(
+                    run_compiled(&desc, &plans, &topo, &link, &inputs, 1),
+                    run_reference(&desc, &plans, &inputs),
+                    "{algo} {} n={n} chunk={chunk_elems}",
+                    desc.kind
                 );
             }
         }
@@ -202,50 +57,27 @@ fn every_algorithm_is_deadlock_free_with_one_slot_connectors() {
 
 #[test]
 fn striped_channels_complete_at_capacity_one_and_match_the_unstriped_oracle() {
-    // The tentpole's property test: every algorithm family x collective kind
-    // x rank count 2-8 x channel count K in {1, 2, 3} completes with 1-slot
-    // connectors and produces results bit-identical to the K = 1 plan. The
-    // chunk size (3) is far below the per-slice element counts, so every
-    // schedule genuinely stripes across all K channels, and capacity 1 means
-    // any per-channel ordering or pairing mistake wedges immediately.
+    // Every algorithm family x collective kind x rank count 2-8 x channel
+    // count K in {2, 3} completes with 1-slot connectors and produces
+    // results bit-identical to the oracle's K = 1 run. The chunk size (3) is
+    // far below the per-slice element counts, so every schedule genuinely
+    // stripes across all K channels, and capacity 1 means any per-channel
+    // ordering or pairing mistake wedges immediately.
     let link = LinkModel::zero_cost();
     let count = 17; // odd: uneven slices, partial chunks
     let chunk_elems = 3;
     for n in 2..=8usize {
-        // (descriptor kind, algorithm, topology) jobs for this rank count.
-        let mut jobs: Vec<(CollectiveKind, AlgorithmKind, Topology)> = Vec::new();
-        for kind in CollectiveKind::ALL {
-            let algo = match kind {
-                CollectiveKind::AllToAll | CollectiveKind::SendRecv => AlgorithmKind::Pairwise,
-                _ => AlgorithmKind::Ring,
-            };
-            let ranks = if kind == CollectiveKind::SendRecv {
-                2
-            } else {
-                n
-            };
-            jobs.push((kind, algo, Topology::flat(ranks)));
-        }
-        for kind in [CollectiveKind::AllReduce, CollectiveKind::Broadcast] {
-            jobs.push((kind, AlgorithmKind::DoubleBinaryTree, Topology::flat(n)));
-        }
-        for topo in hierarchical_splits(n) {
-            jobs.push((CollectiveKind::AllReduce, AlgorithmKind::Hierarchical, topo));
-        }
-        for (kind, algo, topo) in jobs {
-            let ranks = if kind == CollectiveKind::SendRecv {
-                2
-            } else {
-                n
-            };
-            let desc = descriptor_for(kind, count, ranks);
+        for (desc, algo, topo) in family_matrix(n, count) {
             let inputs = inputs_for(&desc);
-            let oracle = run_striped(&desc, algo, &topo, &link, &inputs, chunk_elems, 1, 1);
+            let unstriped = plans_for(&desc, algo, &topo, chunk_elems, 1);
+            let oracle = run_reference(&desc, &unstriped, &inputs);
             for k in [2usize, 3] {
-                let striped = run_striped(&desc, algo, &topo, &link, &inputs, chunk_elems, 1, k);
+                let plans = plans_for(&desc, algo, &topo, chunk_elems, k);
+                let striped = run_compiled(&desc, &plans, &topo, &link, &inputs, 1);
                 assert_eq!(
                     striped, oracle,
-                    "{algo} {kind} n={n} K={k} diverges from the K=1 oracle"
+                    "{algo} {} n={n} K={k} diverges from the K=1 oracle",
+                    desc.kind
                 );
             }
         }

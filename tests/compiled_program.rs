@@ -1,179 +1,47 @@
 //! The compilation layer's integration contract: compiled per-channel
-//! programs execute bit-identically to the interpreted plan IR across every
+//! programs execute bit-identically to the reference oracle across every
 //! algorithm family × collective kind × rank count × channel count, a
 //! stalled lane never blocks a ready one, lane cursors survive preemption
 //! storms, and the plan cache serves repeat registrations end to end.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use common::{
+    descriptor_for, family_matrix, gpus, inputs_for, plans_for, run_compiled, run_reference,
+};
 use dfccl_collectives::{
-    algorithm, execute_ready_instr, instr_ready, run_plan_blocking, run_program_blocking,
-    AlgorithmKind, CollectiveDescriptor, CollectiveKind, CompiledProgram, DataType, DeviceBuffer,
-    PendingSends, ReduceOp, StepOutcome,
+    algorithm, execute_ready_instr, instr_ready, AlgorithmKind, CollectiveKind, CompiledProgram,
+    DataType, DeviceBuffer, PendingSends, ReduceOp, StepOutcome,
 };
 use dfccl_transport::{ChannelId, Communicator, CommunicatorId, LinkModel, Topology};
 use gpu_sim::GpuId;
 
-fn gpus(n: usize) -> Vec<GpuId> {
-    (0..n).map(GpuId).collect()
-}
-
-fn descriptor_for(kind: CollectiveKind, count: usize, n: usize) -> CollectiveDescriptor {
-    match kind {
-        CollectiveKind::AllReduce => {
-            CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(n))
-        }
-        CollectiveKind::AllGather => {
-            CollectiveDescriptor::all_gather(count, DataType::F32, gpus(n))
-        }
-        CollectiveKind::ReduceScatter => {
-            CollectiveDescriptor::reduce_scatter(count, DataType::F32, ReduceOp::Sum, gpus(n))
-        }
-        CollectiveKind::Reduce => {
-            CollectiveDescriptor::reduce(count, DataType::F32, ReduceOp::Sum, n - 1, gpus(n))
-        }
-        CollectiveKind::Broadcast => {
-            CollectiveDescriptor::broadcast(count, DataType::F32, n - 1, gpus(n))
-        }
-        CollectiveKind::AllToAll => CollectiveDescriptor::all_to_all(count, DataType::F32, gpus(n)),
-        CollectiveKind::SendRecv => {
-            CollectiveDescriptor::send_recv(count, DataType::F32, GpuId(0), GpuId(1))
-        }
-    }
-}
-
-/// Integer-valued inputs: every reduction association is exact in f32, so
-/// results must be bit-identical across execution paths.
-fn inputs_for(desc: &CollectiveDescriptor) -> Vec<Vec<f32>> {
-    (0..desc.num_ranks())
-        .map(|r| {
-            (0..desc.send_elems(r))
-                .map(|i| ((r * 31 + i * 7) % 101) as f32)
-                .collect()
-        })
-        .collect()
-}
-
-/// Run `desc` with `algo`, one thread per rank, either interpreting each
-/// rank's plan (`compiled = false`, the oracle) or executing its compiled
-/// program lane-wise (`compiled = true`). Connector capacity 1, so any
-/// per-lane ordering or pairing mistake wedges immediately.
-#[allow(clippy::too_many_arguments)]
-fn run_all_ranks(
-    desc: &CollectiveDescriptor,
-    algo: AlgorithmKind,
-    topo: &Topology,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    channels: usize,
-    compiled: bool,
-) -> Vec<Vec<f32>> {
-    let n = desc.num_ranks();
-    let topo_arc = Arc::new(topo.clone());
-    let comm = Communicator::new(
-        CommunicatorId(0),
-        desc.devices.clone(),
-        &topo_arc,
-        &Arc::new(LinkModel::zero_cost()),
-        1,
-    )
-    .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut joins = Vec::new();
-    for (rank, input) in inputs.iter().enumerate() {
-        let desc = desc.clone();
-        let input = input.clone();
-        let plan = algorithm(algo)
-            .build_plan_striped(&desc, rank, chunk_elems, channels, topo)
-            .unwrap();
-        plan.validate(rank, n).unwrap();
-        let rank_channels = comm
-            .channels(rank, plan.send_edges(), plan.recv_edges())
-            .unwrap();
-        joins.push(std::thread::spawn(move || {
-            let send = DeviceBuffer::from_f32(&input);
-            let recv = DeviceBuffer::zeroed(desc.recv_bytes(rank).max(4));
-            let done = if compiled {
-                let program = CompiledProgram::compile(&plan, desc.dtype);
-                let table = program.bind(&rank_channels).unwrap();
-                run_program_blocking(7, &program, &table, desc.op, &send, &recv, &|| {
-                    Instant::now() > deadline
-                })
-                .unwrap()
-            } else {
-                run_plan_blocking(
-                    7,
-                    &plan.steps,
-                    &rank_channels,
-                    desc.dtype,
-                    desc.op,
-                    &send,
-                    &recv,
-                    &|| Instant::now() > deadline,
-                )
-                .unwrap()
-            };
-            assert!(done, "rank {rank} hit the deadlock deadline");
-            recv.to_f32_vec()
-        }));
-    }
-    joins.into_iter().map(|j| j.join().unwrap()).collect()
-}
-
-/// The multi-node splits of `n` the hierarchical algorithm can run on.
-fn hierarchical_splits(n: usize) -> Vec<Topology> {
-    (2..=n)
-        .filter(|d| n.is_multiple_of(*d))
-        .map(|d| Topology::uniform_cluster(d, n / d))
-        .collect()
-}
-
 #[test]
 fn compiled_execution_is_bit_identical_to_interpreted_for_every_family() {
-    // The tentpole's property test: every algorithm family × collective kind
-    // × rank count 2–8 × channel count K ∈ {1, 2, 3} completes through the
-    // compiled per-channel lanes at connector capacity 1 and produces
-    // results bit-identical to the interpreted plan execution. The chunk
-    // size (3) is far below the per-slice element counts, so every schedule
-    // genuinely stripes across all K channels, and capacity 1 means any
-    // lane-ordering mistake wedges rather than merely slowing down.
+    // Every algorithm family × collective kind × rank count 2–8 × channel
+    // count K ∈ {1, 2, 3} completes through the compiled per-channel lanes
+    // at connector capacity 1 and produces results bit-identical to the
+    // single-threaded oracle interpreting the same plans. The chunk size (3)
+    // is far below the per-slice element counts, so every schedule genuinely
+    // stripes across all K channels, and capacity 1 means any lane-ordering
+    // mistake wedges rather than merely slowing down.
+    let link = LinkModel::zero_cost();
     let count = 17; // odd: uneven slices, partial chunks
     let chunk_elems = 3;
     for n in 2..=8usize {
-        let mut jobs: Vec<(CollectiveKind, AlgorithmKind, Topology)> = Vec::new();
-        for kind in CollectiveKind::ALL {
-            let algo = match kind {
-                CollectiveKind::AllToAll | CollectiveKind::SendRecv => AlgorithmKind::Pairwise,
-                _ => AlgorithmKind::Ring,
-            };
-            let ranks = if kind == CollectiveKind::SendRecv {
-                2
-            } else {
-                n
-            };
-            jobs.push((kind, algo, Topology::flat(ranks)));
-        }
-        for kind in [CollectiveKind::AllReduce, CollectiveKind::Broadcast] {
-            jobs.push((kind, AlgorithmKind::DoubleBinaryTree, Topology::flat(n)));
-        }
-        for topo in hierarchical_splits(n) {
-            jobs.push((CollectiveKind::AllReduce, AlgorithmKind::Hierarchical, topo));
-        }
-        for (kind, algo, topo) in jobs {
-            let ranks = if kind == CollectiveKind::SendRecv {
-                2
-            } else {
-                n
-            };
-            let desc = descriptor_for(kind, count, ranks);
+        for (desc, algo, topo) in family_matrix(n, count) {
             let inputs = inputs_for(&desc);
             for k in [1usize, 2, 3] {
-                let oracle = run_all_ranks(&desc, algo, &topo, &inputs, chunk_elems, k, false);
-                let compiled = run_all_ranks(&desc, algo, &topo, &inputs, chunk_elems, k, true);
+                let plans = plans_for(&desc, algo, &topo, chunk_elems, k);
+                let oracle = run_reference(&desc, &plans, &inputs);
+                let compiled = run_compiled(&desc, &plans, &topo, &link, &inputs, 1);
                 assert_eq!(
                     compiled, oracle,
-                    "{algo} {kind} n={n} K={k}: compiled diverges from interpreted"
+                    "{algo} {} n={n} K={k}: compiled diverges from the oracle",
+                    desc.kind
                 );
             }
         }
