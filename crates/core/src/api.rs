@@ -5,16 +5,17 @@
 //!   pool. In the real system this state is implicit in the machine; here it
 //!   is explicit so tests and benchmarks can build arbitrary clusters.
 //! * [`RankCtx`] — the per-GPU rank context created by [`dfccl_init`]. It owns
-//!   the SQ/CQ pair, the callback map, the poller thread and the daemon-kernel
-//!   controller for that GPU.
+//!   the SQ/CQ pair, the callback map and the daemon-kernel controller for
+//!   that GPU. Its daemon core and its poller step run on one of the domain's
+//!   carrier threads ([`crate::daemon::World`]), shared with other ranks.
 //! * [`dfccl_register_all_reduce`]-style functions register a collective once;
 //!   [`dfccl_run_all_reduce`]-style functions invoke it repeatedly, each time
-//!   with a callback that is run by the poller when the collective completes.
+//!   with a callback that the rank's carrier runs when the collective
+//!   completes.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dfccl_collectives::{
@@ -32,7 +33,7 @@ use crate::callback::{Callback, CallbackMap, CompletionHandle};
 use crate::config::DfcclConfig;
 use crate::cq::{build_cq, CqKind};
 use crate::daemon::{
-    run_poller, CapturedGraph, DaemonController, DaemonShared, GraphNode, RegisteredCollective,
+    CapturedGraph, DaemonController, DaemonShared, GraphNode, RegisteredCollective, World,
     GRAPH_ID_BASE,
 };
 use crate::recovery::RetryPolicy;
@@ -224,6 +225,8 @@ pub struct DfcclDomain {
     /// changes can sweep registrations and captured graphs across live
     /// ranks without the domain keeping dead ranks alive.
     rank_shareds: Mutex<Vec<(GpuId, Weak<DaemonShared>)>>,
+    /// The carrier threads that step every rank's daemon core and poller.
+    world: World,
 }
 
 impl DfcclDomain {
@@ -247,6 +250,7 @@ impl DfcclDomain {
             .map(|g| (g, GpuDevice::new(g, gpu_spec.clone())))
             .collect();
         let membership = topology.gpus().into_iter().collect();
+        let world = World::new(topology.gpu_count());
         Arc::new(DfcclDomain {
             topology,
             link_model,
@@ -259,6 +263,7 @@ impl DfcclDomain {
             next_tenant_id: AtomicU64::new(1),
             membership: Mutex::new(membership),
             rank_shareds: Mutex::new(Vec::new()),
+            world,
         })
     }
 
@@ -508,6 +513,10 @@ impl DfcclDomain {
     /// Initialise a rank context for `gpu` (the `dfcclInit` call).
     pub fn init_rank(self: &Arc<Self>, gpu: GpuId) -> Result<RankCtx, DfcclError> {
         let device = self.device(gpu).ok_or(DfcclError::UnknownGpu(gpu))?;
+        let index = self.topology.gpus().iter().position(|&g| g == gpu);
+        let carrier = self
+            .world
+            .carrier(index.ok_or(DfcclError::UnknownGpu(gpu))?);
         if !self.membership.lock().contains(&gpu) {
             return Err(DfcclError::NotMember(gpu));
         }
@@ -530,6 +539,7 @@ impl DfcclDomain {
             Arc::clone(&sq),
             cq,
             Arc::clone(&callbacks),
+            Arc::clone(carrier),
         );
         // Account for the daemon kernel's global-memory footprint (collective
         // context buffer per block, plus the completion counters and other
@@ -545,16 +555,7 @@ impl DfcclDomain {
             ranks.push((gpu, Arc::downgrade(&shared)));
         }
         let controller = DaemonController::new(Arc::clone(&shared));
-        let poller_stop = Arc::new(AtomicBool::new(false));
-        let poller = {
-            let shared = Arc::clone(&shared);
-            let controller = Arc::clone(&controller);
-            let stop = Arc::clone(&poller_stop);
-            std::thread::Builder::new()
-                .name(format!("dfccl-poller-{gpu}"))
-                .spawn(move || run_poller(shared, controller, stop))
-                .expect("failed to spawn poller thread")
-        };
+        controller.attach();
         Ok(RankCtx {
             domain: Arc::clone(self),
             gpu,
@@ -563,8 +564,6 @@ impl DfcclDomain {
             controller,
             callbacks,
             sq,
-            poller: Mutex::new(Some(poller)),
-            poller_stop,
             next_seq: AtomicU64::new(0),
             next_graph_id: AtomicU64::new(1),
             destroyed: AtomicBool::new(false),
@@ -582,8 +581,6 @@ pub struct RankCtx {
     controller: Arc<DaemonController>,
     callbacks: Arc<CallbackMap>,
     sq: Arc<SubmissionQueue>,
-    poller: Mutex<Option<JoinHandle<()>>>,
-    poller_stop: Arc<AtomicBool>,
     next_seq: AtomicU64,
     next_graph_id: AtomicU64,
     destroyed: AtomicBool,
@@ -817,7 +814,8 @@ impl RankCtx {
     }
 
     /// Invoke a registered collective (`dfcclRun*`). The callback runs on the
-    /// poller thread once the collective completes on this rank.
+    /// rank's carrier once the collective completes on this rank (see
+    /// [`Callback`]: it must not block).
     pub fn run(
         &self,
         coll_id: u64,
@@ -1143,7 +1141,8 @@ impl RankCtx {
     }
 
     /// Destroy the rank context (`dfcclDestroy`): inserts the exiting SQE,
-    /// waits for the daemon kernel to exit and stops the poller.
+    /// waits for the daemon kernel to exit and for the rank's last callback,
+    /// and leaves the carrier (see [`DaemonController::shut_down`]).
     pub fn destroy(&self) {
         if self.destroyed.swap(true, Ordering::AcqRel) {
             return;
@@ -1160,16 +1159,7 @@ impl RankCtx {
                 }
             }
         }
-        self.controller.request_exit();
-        self.controller.ensure_running();
-        // Let the daemon drain outstanding work and read the exiting SQE.
-        let _ = self.controller.wait_idle(Duration::from_secs(30));
-        self.poller_stop.store(true, Ordering::Release);
-        // Wake a parked poller so it observes the stop flag immediately.
-        self.shared.notify_poller();
-        if let Some(p) = self.poller.lock().take() {
-            let _ = p.join();
-        }
+        self.controller.shut_down();
     }
 }
 

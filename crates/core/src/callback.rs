@@ -1,11 +1,15 @@
-//! Callback map and poller: how completion notifications reach the invoker.
+//! Callback map: how completion notifications reach the invoker.
 //!
 //! When a collective is invoked, the invoker records a `(collective id,
-//! callback)` pair in the callback map (step ❷ of Fig. 4). The poller thread
-//! monitors the CQ; when it finds a CQE it runs the callback tied to that
-//! collective (steps ❻–❼), notifying the invoker in a user-defined way.
-//! Because the same collective can be invoked repeatedly, callbacks are queued
-//! per collective in FIFO order.
+//! callback)` pair in the callback map (step ❷ of Fig. 4). The poller step
+//! drains the CQ; for each CQE it runs the callback tied to that collective
+//! (steps ❻–❼), notifying the invoker in a user-defined way. Because the
+//! same collective can be invoked repeatedly, callbacks are queued per
+//! collective in FIFO order.
+//!
+//! The poller step runs on the rank's carrier (`daemon/world.rs`), a thread
+//! that also steps the daemon cores and pollers of other ranks. A callback
+//! must therefore not block: see [`Callback`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,6 +19,14 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 
 /// A user-supplied completion callback.
+///
+/// It runs on the rank's carrier thread, which also steps other ranks'
+/// daemons and pollers, so it must not block: a callback that sleeps, joins
+/// a thread or waits for another completion stalls every rank on that
+/// carrier, its peers in the waited-for collective included. Record the
+/// completion and return — set a flag, notify a condvar, or submit the next
+/// invocation with `RankCtx::run`, which never waits. A callback that
+/// panics is reported and skipped.
 pub type Callback = Box<dyn FnOnce() + Send + 'static>;
 
 /// Token identifying one bound callback, for targeted rollback.

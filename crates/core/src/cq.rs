@@ -1,7 +1,7 @@
 //! The completion queue (CQ): multi-producer / single-consumer.
 //!
 //! Blocks of the daemon kernel insert CQEs for completed collectives; a single
-//! poller thread on the CPU consumes them. Because the CQ lives in page-locked
+//! poller on the CPU (the rank's carrier) consumes them. Because the CQ lives in page-locked
 //! host memory, every operation issued from the GPU pays a host-memory access.
 //! The paper compares three designs (Sec. 5, Fig. 7(c)):
 //!

@@ -73,7 +73,7 @@ impl DaemonCore {
             shared
                 .stats
                 .record_cqe_write_time(write_start.elapsed(), published as u64);
-            // `outstanding` moves only after publication: the poller's stop
+            // `outstanding` moves only after publication: the carrier's leave
             // condition and `destroy` read it as "no CQE is still owed".
             let previous = shared
                 .outstanding

@@ -4,7 +4,7 @@
 //! [`DaemonCore::poll`] performs one bounded step and reports what happened;
 //! it contains no wait of any kind (CI greps this file and the stage files
 //! for one). Whoever holds the core decides when to call it again: the
-//! thread driver (`driver.rs`) in production, a test or a schedule explorer
+//! rank's carrier (`world.rs`) in production, a test or a schedule explorer
 //! stepping several ranks' cores from one thread otherwise.
 
 use std::collections::HashMap;
@@ -48,7 +48,7 @@ pub enum Progress {
     /// A between-passes step fetched nothing and no slice has advanced since
     /// the previous one — including when every scheduled collective was
     /// preempted fruitlessly, so a core can be retired with work queued (the
-    /// poller restarts the daemon while completions are owed).
+    /// carrier re-claims it while completions are owed).
     Idle,
     /// The incarnation is over (final exit, or [`DaemonCore::retire`]).
     Exited,

@@ -2,7 +2,7 @@
 //! (Sec. 4, Algorithm 1).
 //!
 //! One daemon kernel serves each GPU. It is split into a **core** that
-//! decides and a **driver** that waits:
+//! decides and a **carrier** that waits:
 //!
 //! * [`DaemonCore`] (`core.rs`) is one incarnation of the kernel as a
 //!   steppable state machine. [`DaemonCore::poll`] performs one bounded step
@@ -10,22 +10,27 @@
 //!   step between two scheduling passes — and returns a [`Progress`]. It
 //!   contains no sleep, yield, spin or park: the paper's deadlock-freedom
 //!   argument is about these decisions, not about how a host thread waits.
-//! * `drive` (`driver.rs`) is the thread loop over it, the only code that
-//!   waits on the daemon's behalf:
+//! * A carrier (`world.rs`) is the only production caller of `poll`. Each
+//!   domain owns a [`World`] of C = min(GPUs, available parallelism)
+//!   carrier threads; a carrier sweeps the ranks it owns, doing each rank's
+//!   poller step (`poller.rs`) and one `poll`, then waits as little as its
+//!   hottest rank allows:
 //!
-//! | `poll` returns | from | the driver |
+//! | `poll` returns | from | the rank wants |
 //! |---|---|---|
-//! | `Advanced(n)` | a lane pass that moved, a slice that closed, a between-passes step that fetched or followed progress | polls again, idle count reset |
-//! | `Blocked(Connectors)` | a fruitless lane pass (the `threshold`-th in a row also preempts) | `spin_loop`, polls again |
-//! | `Blocked(CqSpace)` | complete: the CQ refused part of the batch (retained) | wakes the poller, `yield_now` |
-//! | `Blocked(Residency)` | the device refused residency (synchronization pending) | parks on `daemon_wake` ≤ `restart_backoff` |
-//! | `Idle` | a between-passes step: nothing fetched, nothing advanced since the last one | `yield_now` for `idle_spin_passes`, then parks; retires the core after `idle_passes_before_quit` (2 if a device synchronization is pending) |
-//! | `Exited` | exit SQE read (or exit forced) and nothing left | returns |
+//! | `Advanced(n)` | a lane pass that moved, a slice that closed, a between-passes step that fetched or followed progress | to be polled again; idle count reset |
+//! | `Blocked(Connectors)` | a fruitless lane pass (the `threshold`-th in a row also preempts) | a `spin_loop` |
+//! | `Blocked(CqSpace)` | complete: the CQ refused part of the batch (retained) | its CQ drained on the next sweep |
+//! | `Blocked(Residency)` | the device refused residency (synchronization pending) | a park ≤ `restart_backoff` |
+//! | `Idle` | a between-passes step: nothing fetched, nothing advanced since the last one | a `yield_now` for `idle_spin_passes`, then a park; the core is retired after `idle_passes_before_quit` (2 if a device synchronization is pending) |
+//! | `Exited` | exit SQE read (or exit forced) and nothing left | nothing: the core is gone |
 //!
+//! The carrier parks on its bell only when every rank it owns wants to park.
 //! [`DaemonController::try_claim`] hands out the core (at most one per rank:
 //! the `running` flag); [`DaemonController::ensure_running`] is `try_claim`
-//! plus a thread running the driver. A test or schedule explorer claims the
-//! cores itself and steps several ranks from one thread.
+//! plus a hand-off to the rank's carrier. A test or schedule explorer claims
+//! the cores itself and steps several ranks from one thread; the carriers
+//! then only drain the CQs and run the callbacks.
 //!
 //! ## The pipeline, one file per stage
 //!
@@ -46,16 +51,15 @@
 //! Shared state that must outlive an incarnation ([`DaemonShared`]: SQ
 //! cursor, context store, graph runs, `outstanding`) stays here, with the
 //! controller. The control path is signal-driven end to end (see
-//! [`crate::park::Parker`]): an invoker pushing an SQE signals the daemon's
-//! parker; a published CQE batch signals the poller's (`poller.rs`); the core
-//! announcing its retirement signals the one [`DaemonController::wait_idle`]
-//! waits on. A daemon that quit is restarted event-driven, by the next
-//! submission or by the poller while completions are owed.
+//! [`crate::park::Parker`]): an invoker pushing an SQE, a published CQE
+//! batch and a released core all ring the carrier's bell; a core retiring
+//! signals the one [`DaemonController::wait_idle`] waits on. A daemon that
+//! quit is restarted event-driven, by the next submission or by its carrier
+//! while completions are owed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dfccl_collectives::{CollectiveDescriptor, CompiledProgram, Plan};
@@ -76,7 +80,6 @@ use crate::tenant::{TenantId, TenantTable};
 mod admission;
 mod complete;
 mod core;
-mod driver;
 mod graph;
 #[cfg(test)]
 mod one_thread_tests;
@@ -84,10 +87,11 @@ mod poller;
 mod slice;
 #[cfg(test)]
 mod tests;
+mod world;
 
 pub use self::core::{BlockedOn, DaemonCore, Progress};
 pub use graph::{CapturedGraph, GraphNode};
-pub use poller::run_poller;
+pub use world::{Carrier, World};
 
 /// Static context of a registered collective on one rank: everything that is
 /// fixed at registration time (Sec. 4.2).
@@ -133,8 +137,8 @@ pub fn is_graph_id(coll_id: u64) -> bool {
     coll_id & GRAPH_ID_BASE != 0
 }
 
-/// State shared between the API layer, the poller thread and the daemon core
-/// (and surviving daemon restarts).
+/// State shared between the API layer, the rank's carrier and the daemon
+/// core (and surviving daemon restarts).
 pub struct DaemonShared {
     /// The GPU this daemon serves.
     pub gpu: GpuId,
@@ -148,7 +152,7 @@ pub struct DaemonShared {
     pub cq: Arc<CqKind>,
     /// Completion callbacks.
     pub callbacks: Arc<CallbackMap>,
-    /// Registered collectives (static contexts). The daemon thread reads
+    /// Registered collectives (static contexts). The daemon core reads
     /// these through a generation-stamped local cache; see
     /// [`DaemonShared::registry_generation`].
     pub registered: RwLock<HashMap<u64, Arc<RegisteredCollective>>>,
@@ -186,16 +190,19 @@ pub struct DaemonShared {
     /// daemon must re-scan the context store to pick them up (an idle daemon
     /// finds them in its restart rebuild instead).
     rescan: AtomicU64,
-    /// Wake-up signal for the daemon thread (new SQE, exit request).
-    daemon_wake: Parker,
-    /// Wake-up signal for the poller thread (CQE batch published, stop).
-    cq_ready: Parker,
-    /// Signalled when the daemon thread stops running (for `wait_idle`).
+    /// The carrier that steps this rank; its bell is the rank's wake-up
+    /// signal.
+    carrier: Arc<Carrier>,
+    /// Bumped on every CQE-batch publication: the carrier drains the CQ only
+    /// when it moved.
+    cq_ready: AtomicU64,
+    /// Signalled when the core is released and when the rank leaves its
+    /// carrier (for `wait_idle` and `shut_down`).
     idle_signal: Parker,
 }
 
 impl DaemonShared {
-    /// Create the shared state for one rank.
+    /// Create the shared state for one rank, stepped by `carrier`.
     pub fn new(
         gpu: GpuId,
         device: Arc<GpuDevice>,
@@ -203,6 +210,7 @@ impl DaemonShared {
         sq: Arc<SubmissionQueue>,
         cq: Arc<CqKind>,
         callbacks: Arc<CallbackMap>,
+        carrier: Arc<Carrier>,
     ) -> Arc<Self> {
         let contexts = ContextStore::new(
             ACTIVE_CONTEXT_SLOTS,
@@ -232,13 +240,13 @@ impl DaemonShared {
             sq_cursor: Mutex::new(SqCursor::default()),
             outstanding: AtomicU64::new(0),
             rescan: AtomicU64::new(0),
-            daemon_wake: Parker::new(),
-            cq_ready: Parker::new(),
+            carrier,
+            cq_ready: AtomicU64::new(0),
             idle_signal: Parker::new(),
         })
     }
 
-    /// Whether the daemon thread is currently alive.
+    /// Whether a daemon core is currently claimed.
     pub fn is_running(&self) -> bool {
         self.running.load(Ordering::Acquire)
     }
@@ -263,9 +271,9 @@ impl DaemonShared {
         self.registry_generation.fetch_add(1, Ordering::Release);
     }
 
-    /// Wake the daemon thread: a new SQE is visible or an exit was requested.
+    /// Ring the carrier: a new SQE is visible or an exit was requested.
     pub fn notify_daemon(&self) {
-        self.daemon_wake.signal();
+        self.carrier.bell.signal();
     }
 
     /// Ask a running daemon to re-scan the context store for pending
@@ -274,34 +282,51 @@ impl DaemonShared {
     /// through its restart rebuild instead.
     pub fn request_rescan(&self) {
         self.rescan.fetch_add(1, Ordering::Release);
-        self.daemon_wake.signal();
+        self.notify_daemon();
     }
 
-    /// Wake the poller thread: CQEs are visible (or a stop was requested).
+    /// Tell the carrier that CQEs are visible.
     pub fn notify_poller(&self) {
-        self.cq_ready.signal();
+        self.cq_ready.fetch_add(1, Ordering::Release);
+        self.notify_daemon();
     }
 
-    /// Mark the daemon core as released and wake `wait_idle`.
+    /// Mark the daemon core as released, wake `wait_idle` and ring the
+    /// carrier, which re-claims the core if completions are still owed.
     fn mark_not_running(&self) {
         self.running.store(false, Ordering::Release);
         self.idle_signal.signal();
+        self.notify_daemon();
     }
 }
 
-/// Starts, restarts and joins daemon-kernel threads for one rank.
+/// Claims, hands off and shuts down one rank's daemon core.
 pub struct DaemonController {
     shared: Arc<DaemonShared>,
-    join: Mutex<Option<JoinHandle<()>>>,
+    /// A core `ensure_running` claimed on the caller's thread, until the
+    /// carrier takes it.
+    handoff: Mutex<Option<DaemonCore>>,
+    /// Set by `shut_down`: the carrier drops the rank once nothing is owed.
+    leaving: AtomicBool,
+    /// Set by the carrier once it dropped the rank.
+    left: AtomicBool,
 }
 
 impl DaemonController {
-    /// Create a controller over shared state.
+    /// Create a controller over shared state. Nothing steps the rank until
+    /// [`DaemonController::attach`].
     pub fn new(shared: Arc<DaemonShared>) -> Arc<Self> {
         Arc::new(DaemonController {
             shared,
-            join: Mutex::new(None),
+            handoff: Mutex::new(None),
+            leaving: AtomicBool::new(false),
+            left: AtomicBool::new(false),
         })
+    }
+
+    /// Start stepping the rank on its carrier.
+    pub fn attach(self: &Arc<Self>) {
+        self.shared.carrier.attach(Arc::clone(self));
     }
 
     /// The shared state.
@@ -310,7 +335,7 @@ impl DaemonController {
     }
 
     /// Claim this rank's daemon core, if no incarnation holds it and there
-    /// is still something for one to do. The thread path and single-thread
+    /// is still something for one to do. The carrier and single-thread
     /// steppers both start here.
     pub fn try_claim(&self) -> Option<DaemonCore> {
         let shared = &self.shared;
@@ -325,26 +350,27 @@ impl DaemonController {
     }
 
     /// Start the daemon kernel if it is not already running (event-driven
-    /// starting: called on SQE insertion and by the poller while completions
-    /// are owed). A daemon that is alive but parked is woken instead.
+    /// starting: called on SQE insertion and by recovery): claim the core
+    /// here and hand it to the carrier, then ring the carrier, which also
+    /// wakes a running but parked incarnation.
     pub fn ensure_running(&self) {
-        // Wake a parked incarnation first: if the daemon is alive, this is
-        // the whole job; if it is mid-exit, the claim below takes over.
-        self.shared.notify_daemon();
-        let Some(core) = self.try_claim() else {
-            return;
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("dfccl-daemon-{}", self.shared.gpu))
-            .spawn(move || driver::drive(core))
-            .expect("failed to spawn daemon kernel thread");
-        let mut join = self.join.lock();
-        // Reap the previous incarnation's handle, if any; it has exited
-        // (running was false when we claimed it).
-        if let Some(old) = join.take() {
-            let _ = old.join();
+        if let Some(core) = self.try_claim() {
+            *self.handoff.lock() = Some(core);
         }
-        *join = Some(handle);
+        self.shared.notify_daemon();
+    }
+
+    /// The carrier's claim: a handed-off core, or — the second half of the
+    /// event-driven starting rule — a fresh one while completions are owed
+    /// and no incarnation runs.
+    fn take_core(&self) -> Option<DaemonCore> {
+        if self.shared.is_running() {
+            self.handoff.lock().take()
+        } else if self.shared.outstanding() > 0 {
+            self.try_claim()
+        } else {
+            None
+        }
     }
 
     /// Force the exit flag (used by `dfccl_destroy` alongside the exiting SQE)
@@ -354,27 +380,55 @@ impl DaemonController {
         self.shared.notify_daemon();
     }
 
-    /// Wait until the daemon thread is no longer running, up to `timeout`.
-    /// Event-driven: the daemon signals its exit, so this returns as soon as
-    /// the daemon stops instead of discovering it on a 200 µs polling grid.
+    /// Wait until the daemon core is no longer claimed, up to `timeout`.
+    /// Event-driven: the core signals its release, so this returns as soon as
+    /// the daemon stops instead of discovering it on a polling grid.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        self.wait_for(Some(Instant::now() + timeout), || !self.shared.is_running())
+    }
+
+    /// The final exit (`dfcclDestroy`, after the exiting SQE was pushed):
+    /// let the daemon drain its work and read the exit, then leave the
+    /// carrier once the last callback ran, and join the carrier thread if
+    /// this rank was its last. Returns after the rank's last callback —
+    /// except on a carrier thread (a callback destroying a rank), which
+    /// cannot wait for a carrier: the carrier finishes the exit and drops the
+    /// rank by itself.
+    pub fn shut_down(&self) {
+        self.request_exit();
+        self.ensure_running();
+        let waits = !world::on_carrier();
+        if waits {
+            let _ = self.wait_idle(Duration::from_secs(30));
+        }
+        self.leaving.store(true, Ordering::Release);
+        self.shared.notify_daemon();
+        if waits {
+            self.wait_for(None, || self.left.load(Ordering::Acquire));
+            self.shared.carrier.reap();
+        }
+    }
+
+    /// The carrier dropped the rank: release `shut_down`.
+    fn mark_left(&self) {
+        self.left.store(true, Ordering::Release);
+        self.shared.idle_signal.signal();
+    }
+
+    /// Park on the idle signal until `done()`, or until `deadline`.
+    fn wait_for(&self, deadline: Option<Instant>, done: impl Fn() -> bool) -> bool {
         loop {
             let seen = self.shared.idle_signal.generation();
-            if !self.shared.is_running() {
-                break;
+            if done() {
+                return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let timeout = deadline.map_or(Duration::from_millis(100), |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if timeout.is_zero() {
                 return false;
             }
-            self.shared
-                .idle_signal
-                .park_if_unchanged(seen, deadline - now);
+            self.shared.idle_signal.park_if_unchanged(seen, timeout);
         }
-        if let Some(h) = self.join.lock().take() {
-            let _ = h.join();
-        }
-        true
     }
 }

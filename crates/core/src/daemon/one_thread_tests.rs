@@ -1,7 +1,7 @@
 //! Whole worlds on one thread: every rank's [`DaemonCore`] is claimed by the
 //! test and polled round-robin, so the schedule is a function of the seed —
-//! no OS scheduling, no waits. (The pollers, which only drain CQs and run
-//! callbacks, stay threads.)
+//! no OS scheduling, no waits. (The domain's carriers, left without a core to
+//! step, only drain the CQs and run the callbacks.)
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -159,7 +159,7 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
         }
     }
     // Declared after `ranks`, so on a failing assert the cores are released
-    // first and `destroy` can finish the work on driver threads.
+    // first and `destroy` can finish the work on the carriers.
     let mut cores = claim_all(&ranks);
 
     let mut rng = Rng(seed);
@@ -219,7 +219,7 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
     let polls = poll_until(&mut cores, 100_000, &what, round_robin, |_| {
         ranks.iter().all(|r| r.shared_state().outstanding() == 0)
     });
-    // The daemons are done; the callbacks run on the poller threads.
+    // The daemons are done; the callbacks run on the carriers.
     let deadline = Instant::now() + Duration::from_secs(20);
     while (0..RANKS).any(|r| fired[r].load(Ordering::Acquire) < per_rank[r]) {
         assert!(Instant::now() < deadline, "{what}: callbacks never fired");
@@ -539,7 +539,8 @@ fn preemption_storm_world_drains_in_lockstep() {
 /// With the peer descheduled for bursts longer than a spin threshold every
 /// seed still drains — but at one capacity-1 hand-off per carrier switch:
 /// ~142M polls and ~32k preemptions for the ~52k polls of work above. That
-/// ratio, not a wait-for cycle, is the threaded test's 30 s "livelock".
+/// ratio, not a wait-for cycle, was the threaded test's 30 s "livelock" when
+/// each rank had a daemon thread of its own.
 #[test]
 #[cfg_attr(
     debug_assertions,

@@ -1,41 +1,20 @@
-//! The CPU-side poller thread.
+//! The poller's step: drain a rank's CQ and run the callbacks bound to what
+//! completed (steps ❻–❼ of Fig. 4). Its carrier calls it (`world.rs`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use super::{DaemonController, DaemonShared};
+use super::DaemonShared;
 use crate::cq::Cqe;
 
-/// The CPU-side poller: drains the CQ in batches, runs the callbacks bound to
-/// completed collectives, and restarts the daemon kernel while completions
-/// are owed (the second half of DFCCL's event-driven starting rule). Parks on
-/// the completion signal instead of sleep-polling.
-pub fn run_poller(
-    shared: Arc<DaemonShared>,
-    controller: Arc<DaemonController>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut batch: Vec<Cqe> = Vec::new();
-    loop {
-        let ready_seen = shared.cq_ready.generation();
-        batch.clear();
-        shared.cq.drain_into(&mut batch);
-        for cqe in &batch {
-            if let Some(cb) = shared.callbacks.take(cqe.coll_id) {
-                cb();
-            }
-        }
-        if stop.load(Ordering::Acquire) && shared.cq.is_empty() && shared.outstanding() == 0 {
-            return;
-        }
-        if batch.is_empty() {
-            // Completions are owed but no daemon is running: restart it.
-            if shared.outstanding() > 0 && !shared.is_running() {
-                controller.ensure_running();
-            }
-            shared
-                .cq_ready
-                .park_if_unchanged(ready_seen, shared.config.restart_backoff);
+/// Drain `shared`'s CQ into `batch` and run the callback bound to each
+/// entry. A callback that panics is reported by the panic hook and skipped:
+/// it must not take down the carrier and every other rank it steps.
+pub(super) fn drain(shared: &DaemonShared, batch: &mut Vec<Cqe>) {
+    batch.clear();
+    shared.cq.drain_into(batch);
+    for cqe in batch.iter() {
+        if let Some(callback) = shared.callbacks.take(cqe.coll_id) {
+            let _ = catch_unwind(AssertUnwindSafe(callback));
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Daemon unit tests. Pipeline decisions are checked on a claimed
-//! [`DaemonCore`] polled a fixed number of times from the test thread; only
-//! what tests the thread driver (parking, waking, quitting) spawns one.
+//! [`DaemonCore`] polled a fixed number of times from the test thread, with
+//! no carrier attached; what tests the carrier (parking, waking, quitting,
+//! callbacks) attaches the rank to one.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -10,7 +11,7 @@ use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
 use gpu_sim::{GpuDevice, GpuId, GpuSpec};
 
 use super::*;
-use crate::api::DfcclDomain;
+use crate::api::{DfcclDomain, RankCtx};
 use crate::callback::CompletionHandle;
 use crate::config::CqVariant;
 use crate::cq::{build_cq, Cqe};
@@ -28,11 +29,27 @@ fn shared_with_config(config: DfcclConfig) -> Arc<DaemonShared> {
         config.cq_capacity,
         config.host_costs,
     ));
-    DaemonShared::new(GpuId(0), device, config, sq, cq, CallbackMap::new())
+    let carrier = Carrier::new(0);
+    DaemonShared::new(
+        GpuId(0),
+        device,
+        config,
+        sq,
+        cq,
+        CallbackMap::new(),
+        carrier,
+    )
 }
 
 fn shared_for_test() -> Arc<DaemonShared> {
     shared_with_config(DfcclConfig::for_testing())
+}
+
+/// A rank stepped by a carrier of its own.
+fn attached(shared: &Arc<DaemonShared>) -> Arc<DaemonController> {
+    let controller = DaemonController::new(Arc::clone(shared));
+    controller.attach();
+    controller
 }
 
 /// A rank's shared state with its core claimed by the test thread.
@@ -221,24 +238,25 @@ fn registry_cache_sees_collectives_registered_after_daemon_start() {
     drop(cores);
 }
 
-// ---- the driver, threaded ------------------------------------------------
+// ---- the carrier, threaded -----------------------------------------------
 
 #[test]
 fn daemon_with_no_work_quits_voluntarily() {
     let shared = shared_for_test();
-    let controller = DaemonController::new(Arc::clone(&shared));
+    let controller = attached(&shared);
     controller.ensure_running();
     assert!(controller.wait_idle(Duration::from_secs(5)));
     let snap = shared.stats.snapshot();
     assert_eq!(snap.daemon_starts, 1);
     assert_eq!(snap.voluntary_quits, 1);
     assert!(!shared.is_running());
+    controller.shut_down();
 }
 
 #[test]
 fn ensure_running_is_idempotent_while_running() {
     let shared = shared_for_test();
-    let controller = DaemonController::new(Arc::clone(&shared));
+    let controller = attached(&shared);
     controller.ensure_running();
     controller.ensure_running();
     controller.ensure_running();
@@ -248,12 +266,13 @@ fn ensure_running_is_idempotent_while_running() {
     // have landed after the quit, so allow 1..=3 but require monotonicity).
     let starts = shared.stats.snapshot().daemon_starts;
     assert!((1..=3).contains(&starts), "starts = {starts}");
+    controller.shut_down();
 }
 
 #[test]
 fn daemon_quits_when_device_sync_is_pending() {
     let shared = shared_for_test();
-    let controller = DaemonController::new(Arc::clone(&shared));
+    let controller = attached(&shared);
     controller.ensure_running();
     // Give the daemon time to acquire residency, then request a sync.
     std::thread::sleep(Duration::from_millis(20));
@@ -265,6 +284,7 @@ fn daemon_quits_when_device_sync_is_pending() {
         "sync must complete once the daemon quits voluntarily"
     );
     controller.wait_idle(Duration::from_secs(5));
+    controller.shut_down();
 }
 
 /// A configuration under which a daemon with no work parks for a long time
@@ -282,7 +302,7 @@ fn parked_config() -> DfcclConfig {
 #[test]
 fn parked_daemon_is_woken_by_new_sqe_within_latency_bound() {
     let shared = shared_with_config(parked_config());
-    let controller = DaemonController::new(Arc::clone(&shared));
+    let controller = attached(&shared);
     controller.ensure_running();
     // Let the daemon exhaust its spin passes and park.
     std::thread::sleep(Duration::from_millis(60));
@@ -293,9 +313,10 @@ fn parked_daemon_is_woken_by_new_sqe_within_latency_bound() {
     let submitted = Instant::now();
     shared.notify_daemon();
 
-    // The daemon errors the unregistered collective and publishes a CQE.
+    // The daemon errors the unregistered collective and publishes a CQE
+    // (which the carrier drains at once; `outstanding` falls at publication).
     let woken = loop {
-        if !shared.cq.is_empty() {
+        if shared.outstanding() == 0 {
             break submitted.elapsed();
         }
         assert!(
@@ -312,12 +333,13 @@ fn parked_daemon_is_woken_by_new_sqe_within_latency_bound() {
     );
     controller.request_exit();
     assert!(controller.wait_idle(Duration::from_secs(5)));
+    controller.shut_down();
 }
 
 #[test]
 fn wait_idle_returns_promptly_once_the_daemon_exits() {
     let shared = shared_with_config(parked_config());
-    let controller = DaemonController::new(Arc::clone(&shared));
+    let controller = attached(&shared);
     controller.ensure_running();
     std::thread::sleep(Duration::from_millis(60));
     assert!(shared.is_running(), "daemon must still be alive (parked)");
@@ -335,12 +357,14 @@ fn wait_idle_returns_promptly_once_the_daemon_exits() {
         "exit + wait_idle took {elapsed:?} — some stage slept through its quantum"
     );
     assert!(!shared.is_running());
+    controller.shut_down();
 }
 
 #[test]
-fn driver_restarts_and_drains_what_a_retired_core_left_queued() {
+fn carrier_restarts_and_drains_what_a_retired_core_left_queued() {
     // A core retired mid-slice hands its context back; the next incarnation
-    // (here a driver thread, started by the poller) finishes the collective.
+    // (claimed by the carrier while completions are owed) finishes the
+    // collective.
     let domain = DfcclDomain::flat_for_testing(2);
     let ranks: Vec<_> = (0..2)
         .map(|g| domain.init_rank(GpuId(g)).unwrap())
@@ -369,4 +393,82 @@ fn driver_restarts_and_drains_what_a_retired_core_left_queued() {
     assert!(h0.wait_for_timeout(1, Duration::from_secs(10)));
     assert!(h1.wait_for_timeout(1, Duration::from_secs(10)));
     assert_eq!(out0.to_f32_vec(), vec![3.0; 8]);
+}
+
+/// Submit rank `r`'s `round`-th invocation with a callback that records the
+/// result and submits round `round + 1` from the carrier running it.
+fn resubmit_chain(
+    rank: Arc<RankCtx>,
+    r: usize,
+    round: usize,
+    rounds: usize,
+    results: Arc<Vec<parking_lot::Mutex<Vec<Vec<f32>>>>>,
+    done: Arc<CompletionHandle>,
+) {
+    const COUNT: usize = 16;
+    let input: Vec<f32> = (0..COUNT).map(|i| (r * 7 + round * 3 + i) as f32).collect();
+    let recv = DeviceBuffer::zeroed(COUNT * 4);
+    let out = recv.clone();
+    let next = Arc::clone(&rank);
+    rank.run(
+        1,
+        DeviceBuffer::from_f32(&input),
+        recv,
+        Box::new(move || {
+            results[r].lock().push(out.to_f32_vec());
+            if round + 1 < rounds {
+                resubmit_chain(next, r, round + 1, rounds, results, done);
+            } else {
+                (done.completion_callback())();
+            }
+        }),
+    )
+    .expect("a callback's submission is admitted");
+}
+
+#[test]
+fn callbacks_resubmit_from_the_carrier_bit_exact_for_100_rounds() {
+    // Each rank's callback submits that rank's next invocation from the
+    // carrier that runs it: `run` never waits, so the carrier keeps stepping
+    // the peers the next round needs.
+    const RANKS: usize = 4;
+    const ROUNDS: usize = 100;
+    let domain = DfcclDomain::flat_for_testing(RANKS);
+    let ranks: Vec<Arc<RankCtx>> = (0..RANKS)
+        .map(|g| Arc::new(domain.init_rank(GpuId(g)).unwrap()))
+        .collect();
+    let devices: Vec<GpuId> = (0..RANKS).map(GpuId).collect();
+    for rank in &ranks {
+        rank.register_all_reduce(1, 16, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
+            .unwrap();
+    }
+    let results: Arc<Vec<parking_lot::Mutex<Vec<Vec<f32>>>>> = Arc::new(
+        (0..RANKS)
+            .map(|_| parking_lot::Mutex::new(Vec::new()))
+            .collect(),
+    );
+    let done = Arc::new(CompletionHandle::new());
+    for (r, rank) in ranks.iter().enumerate() {
+        let (results, done) = (Arc::clone(&results), Arc::clone(&done));
+        resubmit_chain(Arc::clone(rank), r, 0, ROUNDS, results, done);
+    }
+    assert!(
+        done.wait_for_timeout(RANKS as u64, Duration::from_secs(30)),
+        "only {} of {RANKS} chains finished within 30 s",
+        done.completions()
+    );
+    for (r, seen) in results.iter().enumerate() {
+        let seen = seen.lock();
+        assert_eq!(seen.len(), ROUNDS, "rank {r}");
+        for (round, got) in seen.iter().enumerate() {
+            let expected: Vec<f32> = (0..16)
+                .map(|i| (0..RANKS).map(|p| (p * 7 + round * 3 + i) as f32).sum())
+                .collect();
+            assert_eq!(got, &expected, "rank {r}, round {round}");
+        }
+    }
+    for rank in &ranks {
+        assert!(rank.collective_errors().is_empty());
+        rank.destroy();
+    }
 }

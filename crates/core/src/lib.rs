@@ -18,8 +18,11 @@
 //!   thresholds, preempts collectives that are stuck, saves/restores their
 //!   dynamic context, emits CQEs, and quits voluntarily when idle so device
 //!   synchronizations can drain. Its decisions live in a steppable
-//!   [`daemon::DaemonCore`]; a thread driver over `poll()` does the waiting.
-//! * The **poller** thread drains the [`cq`] and runs the callbacks.
+//!   [`daemon::DaemonCore`].
+//! * The **poller** drains the [`cq`] and runs the callbacks.
+//! * A domain's few **carrier** threads ([`daemon::World`], min(GPUs,
+//!   available parallelism) of them) step every rank's daemon core and
+//!   poller, and do all the waiting.
 //!
 //! ## Quick start
 //!

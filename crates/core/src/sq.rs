@@ -4,7 +4,7 @@
 //! reads each SQE. A per-slot read counter tracks how many consumers have seen
 //! the entry; when the counter reaches the configured consumer count the slot
 //! becomes writable again (Sec. 5, "Implementation Details of the Daemon
-//! Kernel"). In this reproduction the daemon thread usually registers as a
+//! Kernel"). In this reproduction the daemon core usually registers as a
 //! single consumer, but the protocol is implemented (and tested) for any
 //! consumer count.
 

@@ -73,12 +73,34 @@ pub struct ConnectorStats {
     pub chunks_received: u64,
     /// Payload bytes successfully published.
     pub bytes_sent: u64,
-    /// `try_send` calls that found the ring full.
+    /// Sender polls that found the ring full: a `send_ready` answering no
+    /// because of it, or a `try_send` bounced by it.
     pub full_rejections: u64,
-    /// `try_recv` calls that found the ring empty.
+    /// Receiver polls that found the ring empty: a `recv_ready` answering
+    /// no, or a `try_recv` returning nothing.
     pub empty_polls: u64,
     /// `try_send` calls bounced by fault injection or an unreachable link.
     pub fault_rejections: u64,
+}
+
+/// The counters only the sending rank writes, on a cache line of their own.
+#[derive(Default)]
+#[repr(align(128))]
+struct SenderCounters {
+    chunks_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    full_rejections: AtomicU64,
+    fault_rejections: AtomicU64,
+    send_attempts: AtomicU64,
+}
+
+/// The counters only the receiving rank writes: a receiver spinning on an
+/// empty ring never bounces the sender's line, nor the other way round.
+#[derive(Default)]
+#[repr(align(128))]
+struct ReceiverCounters {
+    chunks_received: AtomicU64,
+    empty_polls: AtomicU64,
 }
 
 /// A directed, bounded, lock-free channel between two GPUs.
@@ -95,13 +117,8 @@ pub struct Connector {
     /// class. Cached at construction — the model is immutable — so the
     /// `send_ready` hot poll stays branch-cheap.
     link_unreachable: bool,
-    chunks_sent: AtomicU64,
-    chunks_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    full_rejections: AtomicU64,
-    empty_polls: AtomicU64,
-    fault_rejections: AtomicU64,
-    send_attempts: AtomicU64,
+    sender: SenderCounters,
+    receiver: ReceiverCounters,
 }
 
 impl std::fmt::Debug for Connector {
@@ -139,13 +156,8 @@ impl Connector {
             edge,
             injector,
             link_unreachable,
-            chunks_sent: AtomicU64::new(0),
-            chunks_received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            full_rejections: AtomicU64::new(0),
-            empty_polls: AtomicU64::new(0),
-            fault_rejections: AtomicU64::new(0),
-            send_attempts: AtomicU64::new(0),
+            sender: SenderCounters::default(),
+            receiver: ReceiverCounters::default(),
         })
     }
 
@@ -172,7 +184,7 @@ impl Connector {
         }
         match (&self.injector, self.edge) {
             (Some(inj), Some(edge)) => {
-                inj.edge_dead(edge, self.chunks_sent.load(Ordering::Relaxed))
+                inj.edge_dead(edge, self.sender.chunks_sent.load(Ordering::Relaxed))
             }
             _ => false,
         }
@@ -199,17 +211,27 @@ impl Connector {
     }
 
     /// Whether a send would currently succeed. This is the condition a send
-    /// primitive busy-waits on (bounded by its spin threshold). A dead link
-    /// reports not-ready, so the sender's spin bound trips and the collective
-    /// is preempted instead of burning its slice on a link that cannot drain.
+    /// primitive busy-waits on (bounded by its spin threshold); a full ring
+    /// counts a `full_rejections`. A dead link reports not-ready, so the
+    /// sender's spin bound trips and the collective is preempted instead of
+    /// burning its slice on a link that cannot drain.
     pub fn send_ready(&self) -> bool {
-        !self.queue.is_full() && !self.is_dead()
+        if self.queue.is_full() {
+            self.sender.full_rejections.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        !self.is_dead()
     }
 
     /// Whether a recv would currently succeed. This is the condition a recv
-    /// primitive busy-waits on (bounded by its spin threshold).
+    /// primitive busy-waits on (bounded by its spin threshold); an empty ring
+    /// counts an `empty_polls`.
     pub fn recv_ready(&self) -> bool {
-        !self.queue.is_empty()
+        if self.queue.is_empty() {
+            self.receiver.empty_polls.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        true
     }
 
     /// Publish a chunk. Charges the modelled link transfer time *before* the
@@ -218,35 +240,36 @@ impl Connector {
     /// without spinning; the sender stages and retries the chunk exactly as
     /// it would on a full ring.
     pub fn try_send(&self, msg: ChunkMsg) -> Result<(), SendError> {
+        let sender = &self.sender;
         if self.queue.is_full() {
-            self.full_rejections.fetch_add(1, Ordering::Relaxed);
+            sender.full_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(SendError::Full(msg));
         }
-        let attempt = self.send_attempts.fetch_add(1, Ordering::Relaxed);
+        let attempt = sender.send_attempts.fetch_add(1, Ordering::Relaxed);
         let mut factor = 1.0;
         if let (Some(inj), Some(edge)) = (&self.injector, self.edge) {
-            match inj.decide(edge, self.chunks_sent.load(Ordering::Relaxed), attempt) {
+            match inj.decide(edge, sender.chunks_sent.load(Ordering::Relaxed), attempt) {
                 FaultDecision::Allow => {}
                 FaultDecision::Slow(f) => factor = f,
                 FaultDecision::Reject => {
-                    self.fault_rejections.fetch_add(1, Ordering::Relaxed);
+                    sender.fault_rejections.fetch_add(1, Ordering::Relaxed);
                     return Err(SendError::Faulted(msg));
                 }
             }
         }
         let bytes = msg.data.len();
         if !self.model.try_charge_scaled(self.link, bytes, factor) {
-            self.fault_rejections.fetch_add(1, Ordering::Relaxed);
+            sender.fault_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(SendError::Faulted(msg));
         }
         match self.queue.push(msg) {
             Ok(()) => {
-                self.chunks_sent.fetch_add(1, Ordering::Relaxed);
-                self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+                sender.chunks_sent.fetch_add(1, Ordering::Relaxed);
+                sender.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
                 Ok(())
             }
             Err(msg) => {
-                self.full_rejections.fetch_add(1, Ordering::Relaxed);
+                sender.full_rejections.fetch_add(1, Ordering::Relaxed);
                 Err(SendError::Full(msg))
             }
         }
@@ -256,11 +279,13 @@ impl Connector {
     pub fn try_recv(&self) -> Option<ChunkMsg> {
         match self.queue.pop() {
             Some(msg) => {
-                self.chunks_received.fetch_add(1, Ordering::Relaxed);
+                self.receiver
+                    .chunks_received
+                    .fetch_add(1, Ordering::Relaxed);
                 Some(msg)
             }
             None => {
-                self.empty_polls.fetch_add(1, Ordering::Relaxed);
+                self.receiver.empty_polls.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -274,13 +299,14 @@ impl Connector {
 
     /// Traffic counters.
     pub fn stats(&self) -> ConnectorStats {
+        let (sender, receiver) = (&self.sender, &self.receiver);
         ConnectorStats {
-            chunks_sent: self.chunks_sent.load(Ordering::Relaxed),
-            chunks_received: self.chunks_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            full_rejections: self.full_rejections.load(Ordering::Relaxed),
-            empty_polls: self.empty_polls.load(Ordering::Relaxed),
-            fault_rejections: self.fault_rejections.load(Ordering::Relaxed),
+            chunks_sent: sender.chunks_sent.load(Ordering::Relaxed),
+            chunks_received: receiver.chunks_received.load(Ordering::Relaxed),
+            bytes_sent: sender.bytes_sent.load(Ordering::Relaxed),
+            full_rejections: sender.full_rejections.load(Ordering::Relaxed),
+            empty_polls: receiver.empty_polls.load(Ordering::Relaxed),
+            fault_rejections: sender.fault_rejections.load(Ordering::Relaxed),
         }
     }
 }
@@ -330,7 +356,8 @@ mod tests {
             Err(SendError::Full(m)) => assert_eq!(m.chunk_index, 2),
             other => panic!("expected Full, got {other:?}"),
         }
-        assert_eq!(c.stats().full_rejections, 1);
+        // One from the readiness poll, one from the bounced send.
+        assert_eq!(c.stats().full_rejections, 2);
     }
 
     #[test]
@@ -338,8 +365,61 @@ mod tests {
         let c = Connector::unmodelled(2);
         assert!(c.try_recv().is_none());
         assert!(c.try_recv().is_none());
+        assert_eq!(c.stats().empty_polls, 2);
+    }
+
+    #[test]
+    fn recv_ready_on_an_empty_ring_counts_an_empty_poll() {
+        // The executor asks `recv_ready` first and calls `try_recv` only on
+        // a yes, so the readiness poll is where the waiting shows.
+        let c = Connector::unmodelled(2);
+        assert!(!c.recv_ready());
         assert!(!c.recv_ready());
         assert_eq!(c.stats().empty_polls, 2);
+        c.try_send(msg(0)).unwrap();
+        assert!(c.recv_ready());
+        c.try_recv().unwrap();
+        let s = c.stats();
+        assert_eq!((s.empty_polls, s.full_rejections), (2, 0));
+    }
+
+    #[test]
+    fn send_ready_on_a_full_ring_counts_a_full_rejection() {
+        let c = Connector::unmodelled(1);
+        assert!(c.send_ready());
+        c.try_send(msg(0)).unwrap();
+        assert!(!c.send_ready());
+        assert!(!c.send_ready());
+        let s = c.stats();
+        assert_eq!((s.full_rejections, s.empty_polls), (2, 0));
+        c.try_recv().unwrap();
+        assert!(c.send_ready());
+        assert_eq!(c.stats().full_rejections, 2);
+    }
+
+    #[test]
+    fn a_dead_link_is_not_counted_as_a_full_ring() {
+        let model = Arc::new(LinkModel::zero_cost());
+        let edge = EdgeId {
+            src: gpu_sim::GpuId(0),
+            dst: gpu_sim::GpuId(1),
+            channel: crate::ChannelId(0),
+        };
+        let inj = FaultInjector::new(1);
+        inj.script(edge, crate::fault::FaultSpec::dead());
+        let c = Connector::with_edge(2, LinkClass::Local, model, Some(edge), Some(inj));
+        assert!(!c.send_ready());
+        assert_eq!(c.stats().full_rejections, 0);
+    }
+
+    #[test]
+    fn each_sides_counters_sit_on_their_own_cache_line() {
+        let c = Connector::unmodelled(1);
+        let sender = &c.sender as *const SenderCounters as usize;
+        let receiver = &c.receiver as *const ReceiverCounters as usize;
+        assert!(sender.abs_diff(receiver) >= 128);
+        assert_eq!(sender % 128, 0);
+        assert_eq!(receiver % 128, 0);
     }
 
     #[test]
