@@ -4,7 +4,9 @@
 //! the scheduling machinery, not by moving bytes. The repository benchmark
 //! (`benchmark/`) stops at 4 ranks; this is the only measurement of how the
 //! rate falls towards 8 ranks on a host with fewer cores than daemons. It
-//! prints criterion's table and gates nothing.
+//! first prints the primitives one collective executes at each size, summed
+//! over its ranks, so colls/s converts to primitives/s, then criterion's
+//! table; it gates nothing.
 
 use std::time::Duration;
 
@@ -29,8 +31,9 @@ fn config() -> DfcclConfig {
 }
 
 /// One run: a fresh `gpus`-rank domain, one invoker thread per rank, returns
-/// when the last completion callback has fired on every rank.
-fn run_once(gpus: usize) {
+/// when the last completion callback has fired on every rank, with the
+/// primitives executed over all ranks.
+fn run_once(gpus: usize) -> u64 {
     let domain = DfcclDomain::new(
         Topology::flat(gpus),
         LinkModel::zero_cost(),
@@ -75,13 +78,20 @@ fn run_once(gpus: usize) {
             });
         }
     });
+    let mut primitives = 0;
     for rank in &ranks {
         assert!(rank.collective_errors().is_empty(), "collective errors");
+        primitives += rank.stats().primitives_executed;
         rank.destroy();
     }
+    primitives
 }
 
 fn bench_daemon_throughput(c: &mut Criterion) {
+    for gpus in [2usize, 4, 8] {
+        let per_collective = run_once(gpus) as f64 / (COLLECTIVES * ROUNDS) as f64;
+        println!("daemon_throughput/{gpus}gpus: {per_collective} primitives per collective");
+    }
     let mut group = c.benchmark_group("daemon_throughput");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));

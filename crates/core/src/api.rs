@@ -5,9 +5,10 @@
 //!   pool. In the real system this state is implicit in the machine; here it
 //!   is explicit so tests and benchmarks can build arbitrary clusters.
 //! * [`RankCtx`] — the per-GPU rank context created by [`dfccl_init`]. It owns
-//!   the SQ/CQ pair, the callback map and the daemon-kernel controller for
-//!   that GPU. Its daemon core and its poller step run on one of the domain's
-//!   carrier threads ([`crate::daemon::World`]), shared with other ranks.
+//!   that GPU's daemon state ([`DaemonShared`]: the SQ/CQ pair, the callback
+//!   map, the context store). Its daemon core and its poller step run on one
+//!   of the domain's carrier threads ([`crate::daemon::World`]), shared with
+//!   other ranks.
 //! * [`dfccl_register_all_reduce`]-style functions register a collective once;
 //!   [`dfccl_run_all_reduce`]-style functions invoke it repeatedly, each time
 //!   with a callback that the rank's carrier runs when the collective
@@ -33,8 +34,7 @@ use crate::callback::{Callback, CallbackMap, CompletionHandle};
 use crate::config::DfcclConfig;
 use crate::cq::{build_cq, CqKind};
 use crate::daemon::{
-    CapturedGraph, DaemonController, DaemonShared, GraphNode, RegisteredCollective, World,
-    GRAPH_ID_BASE,
+    CapturedGraph, DaemonShared, GraphNode, RegisteredCollective, World, GRAPH_ID_BASE,
 };
 use crate::recovery::RetryPolicy;
 use crate::sq::{Sqe, SubmissionQueue};
@@ -196,8 +196,6 @@ pub struct PlanCacheStats {
 /// Cluster-level state shared by every rank created in this process.
 pub struct DfcclDomain {
     topology: Arc<Topology>,
-    #[allow(dead_code)]
-    link_model: Arc<LinkModel>,
     pool: Arc<CommunicatorPool>,
     devices: HashMap<GpuId, Arc<GpuDevice>>,
     config: DfcclConfig,
@@ -238,10 +236,9 @@ impl DfcclDomain {
         config: DfcclConfig,
     ) -> Arc<Self> {
         let topology = Arc::new(topology);
-        let link_model = Arc::new(link_model);
         let pool = CommunicatorPool::new(
             Arc::clone(&topology),
-            Arc::clone(&link_model),
+            Arc::new(link_model),
             config.connector_capacity,
         );
         let devices = topology
@@ -253,7 +250,6 @@ impl DfcclDomain {
         let world = World::new(topology.gpu_count());
         Arc::new(DfcclDomain {
             topology,
-            link_model,
             pool,
             devices,
             config,
@@ -296,6 +292,12 @@ impl DfcclDomain {
     /// The topology of the domain.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topology
+    }
+
+    /// The carriers, for tests that hold them ([`World::hold`]).
+    #[cfg(test)]
+    pub(crate) fn world(&self) -> &World {
+        &self.world
     }
 
     /// The device model for `gpu`, if it exists in the topology.
@@ -531,14 +533,13 @@ impl DfcclDomain {
             config.cq_capacity,
             config.host_costs,
         ));
-        let callbacks = CallbackMap::new();
         let shared = DaemonShared::new(
             gpu,
             Arc::clone(&device),
             config.clone(),
-            Arc::clone(&sq),
+            sq,
             cq,
-            Arc::clone(&callbacks),
+            CallbackMap::new(),
             Arc::clone(carrier),
         );
         // Account for the daemon kernel's global-memory footprint (collective
@@ -554,16 +555,12 @@ impl DfcclDomain {
             ranks.retain(|(_, weak)| weak.strong_count() > 0);
             ranks.push((gpu, Arc::downgrade(&shared)));
         }
-        let controller = DaemonController::new(Arc::clone(&shared));
-        controller.attach();
+        shared.attach();
         Ok(RankCtx {
             domain: Arc::clone(self),
             gpu,
             device,
             shared,
-            controller,
-            callbacks,
-            sq,
             next_seq: AtomicU64::new(0),
             next_graph_id: AtomicU64::new(1),
             destroyed: AtomicBool::new(false),
@@ -578,9 +575,6 @@ pub struct RankCtx {
     gpu: GpuId,
     device: Arc<GpuDevice>,
     shared: Arc<DaemonShared>,
-    controller: Arc<DaemonController>,
-    callbacks: Arc<CallbackMap>,
-    sq: Arc<SubmissionQueue>,
     next_seq: AtomicU64,
     next_graph_id: AtomicU64,
     destroyed: AtomicBool,
@@ -838,7 +832,7 @@ impl RankCtx {
         // nothing was bound or queued, so a later retry starts clean.
         let admitted = self.shared.tenants.state(reg.tenant);
         admitted.try_admit_run()?;
-        let bind_token = self.callbacks.bind(coll_id, callback);
+        let bind_token = self.shared.callbacks.bind(coll_id, callback);
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let sqe = Sqe {
@@ -848,19 +842,19 @@ impl RankCtx {
             recv,
             exit: false,
         };
-        if self.sq.try_push(sqe).is_err() {
+        if self.shared.sq.try_push(sqe).is_err() {
             self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
             // Drop exactly the callback we just bound so it does not fire
             // spuriously; other in-flight invocations of the same collective
             // (from this or any other thread) keep theirs.
-            let _ = self.callbacks.unbind(coll_id, bind_token);
+            let _ = self.shared.callbacks.unbind(coll_id, bind_token);
             admitted.cancel_run();
             return Err(DfcclError::SubmissionQueueFull);
         }
         self.shared
             .telemetry
             .record(coll_id, TelemetryEventKind::Submit);
-        self.controller.ensure_running();
+        self.shared.notify_daemon();
         Ok(())
     }
 
@@ -906,11 +900,6 @@ impl RankCtx {
     /// The rank's daemon-shared state (recovery-coordinator plumbing).
     pub(crate) fn shared_state(&self) -> &Arc<DaemonShared> {
         &self.shared
-    }
-
-    /// The rank's daemon controller (recovery-coordinator plumbing).
-    pub(crate) fn daemon_controller(&self) -> &Arc<DaemonController> {
-        &self.controller
     }
 
     /// Recovery-path re-registration: re-plan a registered collective under
@@ -1016,7 +1005,7 @@ impl RankCtx {
                 fused.gather();
             }
         }
-        let bind_token = self.callbacks.bind(graph.graph_id, callback);
+        let bind_token = self.shared.callbacks.bind(graph.graph_id, callback);
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
         // `seq` doubles as the replay's run number: the daemon keys the
         // run's countdown state by (graph_id, seq).
@@ -1028,9 +1017,9 @@ impl RankCtx {
             recv: DeviceBuffer::zeroed(0),
             exit: false,
         };
-        if self.sq.try_push(sqe).is_err() {
+        if self.shared.sq.try_push(sqe).is_err() {
             self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-            let _ = self.callbacks.unbind(graph.graph_id, bind_token);
+            let _ = self.shared.callbacks.unbind(graph.graph_id, bind_token);
             graph.in_flight.store(false, Ordering::Release);
             admitted.cancel_run();
             return Err(DfcclError::SubmissionQueueFull);
@@ -1038,7 +1027,7 @@ impl RankCtx {
         self.shared
             .telemetry
             .record(graph.graph_id, TelemetryEventKind::Submit);
-        self.controller.ensure_running();
+        self.shared.notify_daemon();
         Ok(())
     }
 
@@ -1141,25 +1130,17 @@ impl RankCtx {
     }
 
     /// Destroy the rank context (`dfcclDestroy`): inserts the exiting SQE,
-    /// waits for the daemon kernel to exit and for the rank's last callback,
-    /// and leaves the carrier (see [`DaemonController::shut_down`]).
+    /// waits for the daemon kernel to drain what is owed and exit and for the
+    /// rank's last callback, and leaves the carrier (see
+    /// [`DaemonShared::shut_down`]).
     pub fn destroy(&self) {
         if self.destroyed.swap(true, Ordering::AcqRel) {
             return;
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        // Push the exiting SQE; retry briefly if the SQ is momentarily full.
-        let mut sqe = Sqe::exit_marker(seq);
-        for _ in 0..1_000 {
-            match self.sq.try_push(sqe) {
-                Ok(()) => break,
-                Err(crate::sq::SqFull(back)) => {
-                    sqe = back;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
-        self.controller.shut_down();
+        // A full SQ refuses the marker; `shut_down` sets the same exit flag.
+        let _ = self.shared.sq.try_push(Sqe::exit_marker(seq));
+        self.shared.shut_down();
     }
 }
 

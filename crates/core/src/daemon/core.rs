@@ -3,9 +3,9 @@
 //!
 //! [`DaemonCore::poll`] performs one bounded step and reports what happened;
 //! it contains no wait of any kind (CI greps this file and the stage files
-//! for one). Whoever holds the core decides when to call it again: the
-//! rank's carrier (`world.rs`) in production, a test or a schedule explorer
-//! stepping several ranks' cores from one thread otherwise.
+//! for one). The rank's seat on its carrier (`world.rs`) claims the core,
+//! decides when to call it again and releases it; a unit test may claim one
+//! to poll it directly.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -48,7 +48,7 @@ pub enum Progress {
     /// A between-passes step fetched nothing and no slice has advanced since
     /// the previous one — including when every scheduled collective was
     /// preempted fruitlessly, so a core can be retired with work queued (the
-    /// carrier re-claims it while completions are owed).
+    /// seat re-claims it while work is owed).
     Idle,
     /// The incarnation is over (final exit, or [`DaemonCore::retire`]).
     Exited,
@@ -79,9 +79,9 @@ impl RegistryCache {
     }
 }
 
-/// One daemon-kernel incarnation. Obtained from
-/// [`super::DaemonController::try_claim`] (at most one per rank exists at a
-/// time); ends with [`Progress::Exited`], [`DaemonCore::retire`] or drop.
+/// One daemon-kernel incarnation. Obtained from `DaemonShared::try_claim`
+/// (at most one per rank exists at a time); ends with [`Progress::Exited`],
+/// [`DaemonCore::retire`] or drop.
 pub struct DaemonCore {
     pub(super) shared: Arc<DaemonShared>,
     /// Kernel residency on the device, held from the first successful poll
@@ -149,7 +149,8 @@ impl DaemonCore {
     /// never-started invocations). While a device synchronization is pending
     /// the device rejects new residents.
     fn acquire_residency(&mut self) -> Result<(), Progress> {
-        if self.shared.final_exit_requested() && self.shared.contexts.total_pending() == 0 {
+        // SQEs still unread when the exit was forced are owed, not pending.
+        if self.shared.final_exit_requested() && !self.shared.owes_work() {
             self.retire(false);
             return Err(Progress::Exited);
         }

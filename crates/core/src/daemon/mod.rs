@@ -26,11 +26,11 @@
 //! | `Exited` | exit SQE read (or exit forced) and nothing left | nothing: the core is gone |
 //!
 //! The carrier parks on its bell only when every rank it owns wants to park.
-//! [`DaemonController::try_claim`] hands out the core (at most one per rank:
-//! the `running` flag); [`DaemonController::ensure_running`] is `try_claim`
-//! plus a hand-off to the rank's carrier. A test or schedule explorer claims
-//! the cores itself and steps several ranks from one thread; the carriers
-//! then only drain the CQs and run the callbacks.
+//! The rank's seat on its carrier is the only owner of its core: it claims
+//! one (`DaemonShared::try_claim`, at most one per rank: the `running` flag)
+//! whenever work is owed (`DaemonShared::owes_work`), steps it and releases
+//! it. Invokers, recovery and `destroy` only ring the bell. A test
+//! holds the carriers on its own thread and steps the seats itself.
 //!
 //! ## The pipeline, one file per stage
 //!
@@ -48,19 +48,18 @@
 //!   (the queue-claim atomics and, on the ring variants, the fence are paid
 //!   once per batch).
 //!
-//! Shared state that must outlive an incarnation ([`DaemonShared`]: SQ
-//! cursor, context store, graph runs, `outstanding`) stays here, with the
-//! controller. The control path is signal-driven end to end (see
+//! State that must outlive an incarnation ([`DaemonShared`]: SQ cursor,
+//! context store, graph runs, `outstanding`, the claim and leave flags) stays
+//! here. The control path is signal-driven end to end (see
 //! [`crate::park::Parker`]): an invoker pushing an SQE, a published CQE
-//! batch and a released core all ring the carrier's bell; a core retiring
-//! signals the one [`DaemonController::wait_idle`] waits on. A daemon that
-//! quit is restarted event-driven, by the next submission or by its carrier
-//! while completions are owed.
+//! batch and a released core all ring the carrier's bell, and the carrier
+//! dropping a rank signals the `shut_down` waiting for it. A daemon that quit
+//! is restarted by its seat on the next bell that finds work owed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dfccl_collectives::{CollectiveDescriptor, CompiledProgram, Plan};
 use dfccl_transport::{Communicator, ConnectorTable};
@@ -196,9 +195,11 @@ pub struct DaemonShared {
     /// Bumped on every CQE-batch publication: the carrier drains the CQ only
     /// when it moved.
     cq_ready: AtomicU64,
-    /// Signalled when the core is released and when the rank leaves its
-    /// carrier (for `wait_idle` and `shut_down`).
-    idle_signal: Parker,
+    /// Set by `shut_down`: the seat drops the rank once nothing is owed.
+    leaving: AtomicBool,
+    /// Set, and `left_signal` signalled, once the carrier dropped the rank.
+    left: AtomicBool,
+    left_signal: Parker,
 }
 
 impl DaemonShared {
@@ -242,8 +243,35 @@ impl DaemonShared {
             rescan: AtomicU64::new(0),
             carrier,
             cq_ready: AtomicU64::new(0),
-            idle_signal: Parker::new(),
+            leaving: AtomicBool::new(false),
+            left: AtomicBool::new(false),
+            left_signal: Parker::new(),
         })
+    }
+
+    /// Start stepping the rank on its carrier.
+    pub(crate) fn attach(self: &Arc<Self>) {
+        self.carrier.attach(Arc::clone(self));
+    }
+
+    /// Claim this rank's daemon core, if no incarnation holds it and there
+    /// is still something for one to do. Only the rank's seat claims in
+    /// production; tests claim to poll a core directly.
+    pub(crate) fn try_claim(self: &Arc<Self>) -> Option<DaemonCore> {
+        if self.final_exit_requested() && !self.owes_work() {
+            return None;
+        }
+        self.running
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .ok()?;
+        Some(DaemonCore::new(Arc::clone(self)))
+    }
+
+    /// Whether a core has work here — the paper's event-driven starting
+    /// rule: invocations owe CQEs, or contexts are pending without one (a
+    /// recovery ghost replay owes no CQE).
+    pub(crate) fn owes_work(&self) -> bool {
+        self.outstanding() > 0 || self.contexts.total_pending() > 0
     }
 
     /// Whether a daemon core is currently claimed.
@@ -291,144 +319,46 @@ impl DaemonShared {
         self.notify_daemon();
     }
 
-    /// Mark the daemon core as released, wake `wait_idle` and ring the
-    /// carrier, which re-claims the core if completions are still owed.
+    /// Mark the daemon core as released and ring the carrier, whose seat
+    /// re-claims it if work is still owed.
     fn mark_not_running(&self) {
         self.running.store(false, Ordering::Release);
-        self.idle_signal.signal();
         self.notify_daemon();
     }
-}
 
-/// Claims, hands off and shuts down one rank's daemon core.
-pub struct DaemonController {
-    shared: Arc<DaemonShared>,
-    /// A core `ensure_running` claimed on the caller's thread, until the
-    /// carrier takes it.
-    handoff: Mutex<Option<DaemonCore>>,
-    /// Set by `shut_down`: the carrier drops the rank once nothing is owed.
-    leaving: AtomicBool,
-    /// Set by the carrier once it dropped the rank.
-    left: AtomicBool,
-}
-
-impl DaemonController {
-    /// Create a controller over shared state. Nothing steps the rank until
-    /// [`DaemonController::attach`].
-    pub fn new(shared: Arc<DaemonShared>) -> Arc<Self> {
-        Arc::new(DaemonController {
-            shared,
-            handoff: Mutex::new(None),
-            leaving: AtomicBool::new(false),
-            left: AtomicBool::new(false),
-        })
-    }
-
-    /// Start stepping the rank on its carrier.
-    pub fn attach(self: &Arc<Self>) {
-        self.shared.carrier.attach(Arc::clone(self));
-    }
-
-    /// The shared state.
-    pub fn shared(&self) -> &Arc<DaemonShared> {
-        &self.shared
-    }
-
-    /// Claim this rank's daemon core, if no incarnation holds it and there
-    /// is still something for one to do. The carrier and single-thread
-    /// steppers both start here.
-    pub fn try_claim(&self) -> Option<DaemonCore> {
-        let shared = &self.shared;
-        if shared.final_exit_requested() && shared.outstanding() == 0 {
-            return None;
-        }
-        shared
-            .running
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .ok()?;
-        Some(DaemonCore::new(Arc::clone(shared)))
-    }
-
-    /// Start the daemon kernel if it is not already running (event-driven
-    /// starting: called on SQE insertion and by recovery): claim the core
-    /// here and hand it to the carrier, then ring the carrier, which also
-    /// wakes a running but parked incarnation.
-    pub fn ensure_running(&self) {
-        if let Some(core) = self.try_claim() {
-            *self.handoff.lock() = Some(core);
-        }
-        self.shared.notify_daemon();
-    }
-
-    /// The carrier's claim: a handed-off core, or — the second half of the
-    /// event-driven starting rule — a fresh one while completions are owed
-    /// and no incarnation runs.
-    fn take_core(&self) -> Option<DaemonCore> {
-        if self.shared.is_running() {
-            self.handoff.lock().take()
-        } else if self.shared.outstanding() > 0 {
-            self.try_claim()
-        } else {
-            None
-        }
-    }
-
-    /// Force the exit flag (used by `dfccl_destroy` alongside the exiting SQE)
-    /// and wake the daemon so it observes the request immediately.
+    /// Force the exit flag (set as well by reading the exiting SQE) and ring
+    /// the carrier so the daemon observes it at once.
     pub fn request_exit(&self) {
-        self.shared.final_exit.store(true, Ordering::Release);
-        self.shared.notify_daemon();
-    }
-
-    /// Wait until the daemon core is no longer claimed, up to `timeout`.
-    /// Event-driven: the core signals its release, so this returns as soon as
-    /// the daemon stops instead of discovering it on a polling grid.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
-        self.wait_for(Some(Instant::now() + timeout), || !self.shared.is_running())
+        self.final_exit.store(true, Ordering::Release);
+        self.notify_daemon();
     }
 
     /// The final exit (`dfcclDestroy`, after the exiting SQE was pushed):
-    /// let the daemon drain its work and read the exit, then leave the
-    /// carrier once the last callback ran, and join the carrier thread if
-    /// this rank was its last. Returns after the rank's last callback —
-    /// except on a carrier thread (a callback destroying a rank), which
-    /// cannot wait for a carrier: the carrier finishes the exit and drops the
-    /// rank by itself.
+    /// the seat lets the daemon drain what is owed and read the exit, then
+    /// drops the rank once its last callback ran; this waits for that and
+    /// joins the carrier thread if the rank was its last. On a carrier
+    /// thread (a callback destroying a rank) it cannot wait for a carrier
+    /// and only asks.
     pub fn shut_down(&self) {
-        self.request_exit();
-        self.ensure_running();
-        let waits = !world::on_carrier();
-        if waits {
-            let _ = self.wait_idle(Duration::from_secs(30));
-        }
         self.leaving.store(true, Ordering::Release);
-        self.shared.notify_daemon();
-        if waits {
-            self.wait_for(None, || self.left.load(Ordering::Acquire));
-            self.shared.carrier.reap();
+        self.request_exit();
+        if world::on_carrier() {
+            return;
         }
+        loop {
+            let seen = self.left_signal.generation();
+            if self.left.load(Ordering::Acquire) {
+                break;
+            }
+            self.left_signal
+                .park_if_unchanged(seen, Duration::from_millis(100));
+        }
+        self.carrier.reap();
     }
 
     /// The carrier dropped the rank: release `shut_down`.
     fn mark_left(&self) {
         self.left.store(true, Ordering::Release);
-        self.shared.idle_signal.signal();
-    }
-
-    /// Park on the idle signal until `done()`, or until `deadline`.
-    fn wait_for(&self, deadline: Option<Instant>, done: impl Fn() -> bool) -> bool {
-        loop {
-            let seen = self.shared.idle_signal.generation();
-            if done() {
-                return true;
-            }
-            let timeout = deadline.map_or(Duration::from_millis(100), |d| {
-                d.saturating_duration_since(Instant::now())
-            });
-            if timeout.is_zero() {
-                return false;
-            }
-            self.shared.idle_signal.park_if_unchanged(seen, timeout);
-        }
+        self.left_signal.signal();
     }
 }

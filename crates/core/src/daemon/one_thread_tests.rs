@@ -1,11 +1,11 @@
-//! Whole worlds on one thread: every rank's [`DaemonCore`] is claimed by the
-//! test and polled round-robin, so the schedule is a function of the seed —
-//! no OS scheduling, no waits. (The domain's carriers, left without a core to
-//! step, only drain the CQs and run the callbacks.)
+//! Whole worlds on one thread: the test holds the domain's carriers
+//! (`World::hold`) and steps each rank's seat — the production step: poller
+//! drain and callbacks, claim, one `poll` — in an order picked from the
+//! seed. No carrier thread runs and nothing reads a clock, so the schedule,
+//! and the step count printed, are functions of the seed.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dfccl_collectives::{
     AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp,
@@ -14,7 +14,7 @@ use dfccl_transport::{LinkModel, StallKind, StallReport, Topology};
 use gpu_sim::{GpuId, GpuSpec};
 use parking_lot::Mutex;
 
-use super::{DaemonCore, Progress};
+use super::world::{HeldWorld, Wish};
 use crate::api::{DfcclDomain, DfcclError, RankCtx};
 use crate::config::{DfcclConfig, SpinPolicy};
 use crate::recovery::{RecoveryCoordinator, RetryPolicy};
@@ -72,36 +72,59 @@ fn oracle(desc: &CollectiveDescriptor, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
     }
 }
 
-/// Claim every rank's core for the calling thread.
-fn claim_all(ranks: &[RankCtx]) -> Vec<DaemonCore> {
-    ranks
-        .iter()
-        .map(|r| r.daemon_controller().try_claim().expect("core unclaimed"))
+/// GPUs `0..n` of `domain` as ranks. Hold the world first; declared after
+/// it, the ranks are dropped first on a failing assert, and their `destroy`
+/// only asks while the test thread is still the carrier.
+fn init_ranks(domain: &Arc<DfcclDomain>, n: usize) -> Vec<RankCtx> {
+    (0..n)
+        .map(|g| domain.init_rank(GpuId(g)).unwrap())
         .collect()
 }
 
-/// Poll the core `pick(step)` names (none: the step is skipped) until
-/// `done(step)`, at most `budget` steps. On exhaustion, panic with every
-/// core's last `Progress` — with the seed, the replayable diagnosis —
+/// Step the seat of the rank `pick(step)` names (none: the step is skipped)
+/// until `done(step)`, at most `budget` steps. On exhaustion, panic with
+/// every seat's last `Wish` — with the seed, the replayable diagnosis —
 /// instead of hanging.
-fn poll_until(
-    cores: &mut [DaemonCore],
+fn step_until(
+    world: &mut HeldWorld,
+    ranks: &[RankCtx],
     budget: usize,
     what: &str,
     mut pick: impl FnMut(usize) -> Option<usize>,
     mut done: impl FnMut(usize) -> bool,
 ) -> usize {
-    let mut last = vec![None::<Progress>; cores.len()];
+    let mut last = vec![None::<Wish>; ranks.len()];
     for step in 0..budget {
         if done(step) {
             return step;
         }
         if let Some(r) = pick(step) {
-            last[r] = Some(cores[r].poll());
+            last[r] = world.step(GpuId(r));
         }
     }
-    let owed: Vec<u64> = cores.iter().map(|c| c.shared.outstanding()).collect();
-    panic!("{what}: not drained after {budget} polls; last progress per core {last:?}, outstanding per rank {owed:?}");
+    let owed: Vec<u64> = ranks.iter().map(RankCtx::outstanding).collect();
+    panic!("{what}: not drained after {budget} steps; last wish per seat {last:?}, outstanding per rank {owed:?}");
+}
+
+/// Destroy every rank (on the test's carrier thread that only asks), then
+/// step the seats until each rank has drained what it owes and left.
+fn tear_down(world: &mut HeldWorld, ranks: &[RankCtx], what: &str) {
+    for rank in ranks {
+        rank.destroy();
+    }
+    let n = ranks.len();
+    step_until(
+        world,
+        ranks,
+        10_000,
+        what,
+        |step| Some(step % n),
+        |_| {
+            ranks
+                .iter()
+                .all(|r| r.shared_state().left.load(Ordering::Acquire))
+        },
+    );
 }
 
 /// The benchmark's `disorder_step` shape: eight collectives over overlapping
@@ -132,7 +155,7 @@ fn disorder_mix(n: usize) -> Vec<(u64, CollectiveDescriptor)> {
 }
 
 /// Four ranks, the disorder mix, each rank submitting in its own seeded
-/// order, all four cores polled from this thread. `skip` never polls one
+/// order, all four seats stepped from this thread. `skip` never steps one
 /// rank (the mutation check: the run must fail, not hang).
 fn run_disorder_world(seed: u64, skip: Option<usize>) {
     const RANKS: usize = 4;
@@ -149,18 +172,14 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
         GpuSpec::rtx_3090(),
         config,
     );
-    let ranks: Vec<RankCtx> = (0..RANKS)
-        .map(|g| domain.init_rank(GpuId(g)).unwrap())
-        .collect();
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, RANKS);
     let mix = disorder_mix(256);
     for (id, desc) in &mix {
         for gpu in &desc.devices {
             ranks[gpu.0].register(*id, desc.clone()).unwrap();
         }
     }
-    // Declared after `ranks`, so on a failing assert the cores are released
-    // first and `destroy` can finish the work on the carriers.
-    let mut cores = claim_all(&ranks);
 
     let mut rng = Rng(seed);
     let per_rank: Vec<usize> = (0..RANKS)
@@ -216,15 +235,10 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
     let what = format!("disorder world, seed {seed}");
     let start = (seed % RANKS as u64) as usize;
     let round_robin = |step: usize| Some((start + step) % RANKS).filter(|&r| Some(r) != skip);
-    let polls = poll_until(&mut cores, 100_000, &what, round_robin, |_| {
-        ranks.iter().all(|r| r.shared_state().outstanding() == 0)
+    // The callbacks run on this thread, in the seat steps that drain them.
+    let steps = step_until(&mut world, &ranks, 100_000, &what, round_robin, |_| {
+        (0..RANKS).all(|r| fired[r].load(Ordering::Acquire) == per_rank[r])
     });
-    // The daemons are done; the callbacks run on the carriers.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while (0..RANKS).any(|r| fired[r].load(Ordering::Acquire) < per_rank[r]) {
-        assert!(Instant::now() < deadline, "{what}: callbacks never fired");
-        std::thread::yield_now();
-    }
 
     for (c, member, recv, expected) in &checks {
         assert_eq!(
@@ -250,7 +264,8 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
         preemptions += rank.stats().preemptions;
     }
     assert!(preemptions > 0, "{what}: the threshold must bind");
-    eprintln!("{what}: drained in {polls} polls, {preemptions} preemptions");
+    eprintln!("{what}: drained in {steps} steps, {preemptions} preemptions");
+    tear_down(&mut world, &ranks, &what);
 }
 
 #[test]
@@ -260,7 +275,7 @@ fn four_cores_one_thread_drain_a_disorder_mix() {
     }
 }
 
-/// The mutation check of the test above: with rank 3 never polled the world
+/// The mutation check of the test above: with rank 3 never stepped the world
 /// cannot drain, and the run must say so rather than hang.
 #[test]
 #[should_panic(expected = "not drained after")]
@@ -270,12 +285,13 @@ fn a_skipped_core_fails_the_budget_instead_of_hanging() {
 
 /// Recovery's ghost replay must not write into the caller's buffer. The
 /// chaos suite's failing world — a 4-rank tree all-reduce striped over 3
-/// channels — polled round-robin until the first rank completes; its
-/// callback fires, the others stall (a dead edge, in the chaos suite), and a
-/// recovery pass rolls them back and has the completed rank ghost-replay the
-/// round. A tree rank accumulates partial sums in its recv buffer, so a ghost
-/// replaying into the caller's buffer shows them to a caller whose CQE
-/// already fired.
+/// channels — stepped round-robin until the first rank completes; its
+/// callback fires and its idle core quits, the others stall (a dead edge, in
+/// the chaos suite), and a recovery pass rolls them back and has the
+/// completed rank ghost-replay the round. A tree rank accumulates partial
+/// sums in its recv buffer, so a ghost replaying into the caller's buffer
+/// shows them to a caller whose CQE already fired. The ghost owes no CQE:
+/// only the pending context makes the completed rank's seat claim a core.
 #[test]
 fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     const RANKS: usize = 4;
@@ -294,15 +310,13 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         GpuSpec::rtx_3090(),
         config,
     );
-    let ranks: Vec<RankCtx> = (0..RANKS)
-        .map(|g| domain.init_rank(GpuId(g)).unwrap())
-        .collect();
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, RANKS);
     let desc =
         CollectiveDescriptor::all_reduce(COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1, 2, 3]));
     for rank in &ranks {
         rank.register(1, desc.clone()).unwrap();
     }
-    let mut cores = claim_all(&ranks);
 
     let mut rng = Rng(7);
     let inputs: Vec<Vec<f32>> = (0..RANKS).map(|_| rng.small_f32s(COUNT)).collect();
@@ -324,34 +338,40 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         .unwrap();
     }
     let completed = |r: usize| ranks[r].shared_state().contexts.completed_count(1);
-    poll_until(
-        &mut cores,
+    let round_robin = |step: usize| Some(step % RANKS);
+    step_until(
+        &mut world,
+        &ranks,
         100_000,
         "first completion",
-        |step| Some(step % RANKS),
+        round_robin,
         |_| (0..RANKS).any(|r| completed(r) == 1),
     );
     let ahead = (0..RANKS).find(|&r| completed(r) == 1).unwrap();
-    // Only the completed rank's core runs until its CQE is published and the
-    // callback has fired.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while seen[ahead].lock().is_none() {
-        assert!(
-            Instant::now() < deadline,
-            "rank {ahead}'s callback never fired"
-        );
-        cores[ahead].poll();
-        std::thread::yield_now();
-    }
+    // Only the completed rank's seat steps: its CQE is published, its
+    // callback fires, and its idle core quits.
+    let ahead_shared = Arc::clone(ranks[ahead].shared_state());
+    step_until(
+        &mut world,
+        &ranks,
+        1_000,
+        "the completed rank's callback and quit",
+        |_| Some(ahead),
+        |_| seen[ahead].lock().is_some() && !ahead_shared.is_running(),
+    );
     let at_callback = seen[ahead].lock().clone().unwrap();
     assert_eq!(
         DeviceBuffer::from_bytes(at_callback.clone()).to_f32_vec(),
         expected
     );
 
-    for core in &mut cores {
-        if core.slice.is_some() {
-            core.preempt_slice();
+    // Close the stalled ranks' open slices, so recovery finds every context
+    // in the store.
+    for r in 0..RANKS {
+        if let Some(core) = world.core(GpuId(r)) {
+            if core.slice.is_some() {
+                core.preempt_slice();
+            }
         }
     }
     let report = StallReport {
@@ -371,8 +391,9 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     let queued = contexts.begin_recovery(1);
     let ghost = queued[0].clone();
     contexts.end_recovery(1, queued);
-    // Drain the world before asserting, so a failure unwinds through a
-    // quiet domain instead of leaving `destroy` a half-replayed round.
+    assert_eq!(ahead_shared.outstanding(), 0, "the ghost owes no CQE");
+    assert!(!ahead_shared.is_running(), "no core holds the ghost yet");
+    let starts = ahead_shared.stats.snapshot().daemon_starts;
     let drained = |r: &RankCtx| {
         let shared = r.shared_state();
         shared.outstanding() == 0
@@ -380,23 +401,23 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
             && !shared.contexts.in_slice(1)
     };
     let mut first_change = None;
-    poll_until(
-        &mut cores,
+    step_until(
+        &mut world,
+        &ranks,
         1_000_000,
         "ghost replay",
-        |step| Some(step % RANKS),
+        round_robin,
         |step| {
             if first_change.is_none() && recvs[ahead].to_vec() != at_callback {
                 first_change = Some(step);
             }
-            ranks.iter().all(drained)
+            ranks.iter().all(drained) && seen.iter().all(|s| s.lock().is_some())
         },
     );
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while (0..RANKS).any(|r| seen[r].lock().is_none()) {
-        assert!(Instant::now() < deadline, "callbacks never fired");
-        std::thread::yield_now();
-    }
+    assert!(
+        ahead_shared.stats.snapshot().daemon_starts > starts,
+        "rank {ahead}'s seat claimed a core for the ghost"
+    );
     assert!(ghost.silent_replay);
     assert!(
         !ghost.recv.same_allocation(&recvs[ahead]),
@@ -404,19 +425,20 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     );
     assert_eq!(
         first_change, None,
-        "rank {ahead}'s buffer changed after its callback (at that poll)"
+        "rank {ahead}'s buffer changed after its callback (at that step)"
     );
     for (r, recv) in recvs.iter().enumerate() {
         assert_eq!(recv.to_f32_vec(), expected, "rank {r}");
     }
+    tear_down(&mut world, &ranks, "ghost replay");
 }
 
 /// `tests/tenancy.rs::weighted_tenant_outpaces_light_tenant_under_preemption_storm`'s
 /// world — 2 ranks, capacity-1 connectors, `Fixed{4096}`, quantum 1, three
-/// tenants — on two claimed cores. Seed 0 is the symmetric world (both ranks
-/// submit alike, cores alternate poll by poll); any other seed gives each
+/// tenants — on two held seats. Seed 0 is the symmetric world (both ranks
+/// submit alike, seats alternate step by step); any other seed gives each
 /// rank its own merge of the three tenants' submission streams (the threaded
-/// test's racing submitter threads) and polls one core for a burst of up to
+/// test's racing submitter threads) and steps one seat for a burst of up to
 /// 16 384 steps before switching (OS quanta: the peer is descheduled for
 /// longer than a spin threshold, so slices time out and the storm is real).
 fn run_storm_world(seed: u64) -> (usize, u64) {
@@ -441,9 +463,8 @@ fn run_storm_world(seed: u64) -> (usize, u64) {
         (domain.tenant(TenantQuota::default().with_weight(2)), HEAVY),
         (domain.tenant(TenantQuota::default().with_weight(1)), LIGHT),
     ];
-    let ranks: Vec<RankCtx> = (0..2)
-        .map(|g| domain.init_rank(GpuId(g)).unwrap())
-        .collect();
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, 2);
     for rank in &ranks {
         for (tenant, (base, colls, _, count)) in &tenants {
             for c in 0..*colls {
@@ -461,7 +482,6 @@ fn run_storm_world(seed: u64) -> (usize, u64) {
             }
         }
     }
-    let mut cores = claim_all(&ranks);
 
     // Each tenant submits invocation-major, as its submitter thread does; a
     // rank's plan is a merge of the three streams.
@@ -491,68 +511,124 @@ fn run_storm_world(seed: u64) -> (usize, u64) {
 
     let what = format!("storm world, seed {seed}");
     let mut next = [0usize; 2];
-    let mut handles = Vec::new();
-    let (mut core, mut burst) = (0, 0u64);
+    let fired = Arc::new(AtomicUsize::new(0));
+    let total = plans[0].len() + plans[1].len();
+    let (mut seat, mut burst) = (0, 0u64);
     let pick = |step: usize| {
         if seed == 0 {
             return Some(step % 2);
         }
         if burst == 0 {
-            core = rng.next() as usize % 2;
+            seat = rng.next() as usize % 2;
             burst = 1 << (rng.next() % 15);
         }
         burst -= 1;
-        Some(core)
+        Some(seat)
     };
-    let polls = poll_until(&mut cores, 400_000_000, &what, pick, |step| {
+    let steps = step_until(&mut world, &ranks, 400_000_000, &what, pick, |step| {
         // Top the SQs up every so often; SQ-full is the only backpressure.
         if step % 64 == 0 {
             for (r, rank) in ranks.iter().enumerate() {
                 while let Some(&(id, bytes)) = plans[r].get(next[r]) {
                     let (send, recv) = (DeviceBuffer::zeroed(bytes), DeviceBuffer::zeroed(bytes));
-                    match rank.run_awaitable(id, send, recv) {
-                        Ok(handle) => handles.push(handle),
+                    let fired = Arc::clone(&fired);
+                    let callback = Box::new(move || {
+                        fired.fetch_add(1, Ordering::AcqRel);
+                    });
+                    match rank.run(id, send, recv, callback) {
+                        Ok(()) => next[r] += 1,
                         Err(DfcclError::SubmissionQueueFull) => break,
                         Err(e) => panic!("unexpected submit error: {e:?}"),
                     }
-                    next[r] += 1;
                 }
             }
         }
-        (0..2).all(|r| next[r] == plans[r].len() && ranks[r].shared_state().outstanding() == 0)
+        fired.load(Ordering::Acquire) == total
     });
-    for handle in &handles {
-        assert!(handle.wait_for_timeout(1, Duration::from_secs(20)));
-    }
-    (polls, ranks.iter().map(|r| r.stats().preemptions).sum())
+    let preemptions = ranks.iter().map(|r| r.stats().preemptions).sum();
+    tear_down(&mut world, &ranks, &what);
+    (steps, preemptions)
 }
 
 /// In lockstep the pipeline's decisions never even preempt: the world
-/// drains in ~52k polls. Whatever stalls the threaded test is not here.
+/// drains in ~52k steps. Whatever stalls the threaded test is not here.
 #[test]
 fn preemption_storm_world_drains_in_lockstep() {
-    let (polls, preemptions) = run_storm_world(0);
-    eprintln!("storm world, lockstep: drained in {polls} polls, {preemptions} preemptions");
-    assert!(polls < 1_000_000, "{polls} polls");
+    let (steps, preemptions) = run_storm_world(0);
+    eprintln!("storm world, lockstep: drained in {steps} steps, {preemptions} preemptions");
+    assert!(steps < 1_000_000, "{steps} steps");
 }
 
 /// With the peer descheduled for bursts longer than a spin threshold every
 /// seed still drains — but at one capacity-1 hand-off per carrier switch:
-/// ~142M polls and ~32k preemptions for the ~52k polls of work above. That
+/// ~142M steps and ~32k preemptions for the ~52k steps of work above. That
 /// ratio, not a wait-for cycle, was the threaded test's 30 s "livelock" when
 /// each rank had a daemon thread of its own.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "~142M polls per seed: minutes unoptimised; CI's soak job runs it in release"
+    ignore = "~142M steps per seed: minutes unoptimised; CI's soak job runs it in release"
 )]
 fn preemption_storm_world_drains_under_bursty_schedules() {
     for seed in [1, 2] {
-        let (polls, preemptions) = run_storm_world(seed);
-        eprintln!("storm world, seed {seed}: drained in {polls} polls, {preemptions} preemptions");
+        let (steps, preemptions) = run_storm_world(seed);
+        eprintln!("storm world, seed {seed}: drained in {steps} steps, {preemptions} preemptions");
         assert!(
             preemptions > 0,
             "seed {seed}: bursts past the threshold must preempt"
         );
+    }
+}
+
+/// `destroy` with a full SQ: the exiting SQE finds no slot and is dropped,
+/// but the exit flag `shut_down` sets still lets each seat drain the
+/// invocations owed, fire every callback, read the exit and leave its
+/// carrier.
+#[test]
+fn destroy_with_a_full_sq_drains_fires_every_callback_and_leaves() {
+    const COUNT: usize = 8;
+    let config = DfcclConfig {
+        sq_capacity: 2,
+        ..DfcclConfig::for_testing()
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(2),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, 2);
+    for rank in &ranks {
+        rank.register_all_reduce(1, COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1]), 0)
+            .unwrap();
+    }
+    let fired = Arc::new(AtomicUsize::new(0));
+    let mut recvs = Vec::new();
+    for (r, rank) in ranks.iter().enumerate() {
+        for _ in 0..2 {
+            let recv = DeviceBuffer::zeroed(COUNT * 4);
+            let fired = Arc::clone(&fired);
+            let send = DeviceBuffer::from_f32(&[r as f32 + 1.0; COUNT]);
+            let callback = Box::new(move || {
+                fired.fetch_add(1, Ordering::AcqRel);
+            });
+            rank.run(1, send, recv.clone(), callback).unwrap();
+            recvs.push(recv);
+        }
+    }
+    let (send, recv) = (
+        DeviceBuffer::zeroed(COUNT * 4),
+        DeviceBuffer::zeroed(COUNT * 4),
+    );
+    assert_eq!(
+        ranks[0].run(1, send, recv, Box::new(|| {})),
+        Err(DfcclError::SubmissionQueueFull),
+        "the SQ is full when the rank is destroyed"
+    );
+    tear_down(&mut world, &ranks, "destroy with a full SQ");
+    assert_eq!(fired.load(Ordering::Acquire), 4);
+    for recv in &recvs {
+        assert_eq!(recv.to_f32_vec(), vec![3.0; COUNT]);
     }
 }

@@ -41,23 +41,34 @@ fn shared_with_config(config: DfcclConfig) -> Arc<DaemonShared> {
     )
 }
 
-fn shared_for_test() -> Arc<DaemonShared> {
-    shared_with_config(DfcclConfig::for_testing())
+/// A rank stepped by a carrier of its own, started the way production
+/// starts a daemon: an invocation (of an unregistered id, failed at once)
+/// is submitted and the bell rung.
+fn started(config: DfcclConfig) -> Arc<DaemonShared> {
+    let shared = shared_with_config(config);
+    shared.attach();
+    submit(&shared, 99);
+    shared.notify_daemon();
+    shared
 }
 
-/// A rank stepped by a carrier of its own.
-fn attached(shared: &Arc<DaemonShared>) -> Arc<DaemonController> {
-    let controller = DaemonController::new(Arc::clone(shared));
-    controller.attach();
-    controller
+/// Wait until nothing is owed and no core is claimed, up to `timeout`.
+fn wait_idle(shared: &DaemonShared, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    while shared.outstanding() > 0 || shared.is_running() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
 }
 
 /// A rank's shared state with its core claimed by the test thread.
-fn claimed(config: DfcclConfig) -> (Arc<DaemonShared>, Arc<DaemonController>, DaemonCore) {
+fn claimed(config: DfcclConfig) -> (Arc<DaemonShared>, DaemonCore) {
     let shared = shared_with_config(config);
-    let controller = DaemonController::new(Arc::clone(&shared));
-    let core = controller.try_claim().expect("nothing else holds the core");
-    (shared, controller, core)
+    let core = shared.try_claim().expect("nothing else holds the core");
+    (shared, core)
 }
 
 /// Submit an invocation of (unregistered) `coll_id` the way the API layer
@@ -84,9 +95,9 @@ fn drain_ids(shared: &DaemonShared) -> Vec<u64> {
 
 #[test]
 fn claim_is_exclusive_until_the_core_retires() {
-    let (shared, controller, mut core) = claimed(DfcclConfig::for_testing());
+    let (shared, mut core) = claimed(DfcclConfig::for_testing());
     assert!(shared.is_running());
-    assert!(controller.try_claim().is_none(), "one core per rank");
+    assert!(shared.try_claim().is_none(), "one core per rank");
     core.retire(true);
     assert!(!shared.is_running());
     assert_eq!(
@@ -96,29 +107,27 @@ fn claim_is_exclusive_until_the_core_retires() {
     );
     let snap = shared.stats.snapshot();
     assert_eq!((snap.daemon_starts, snap.voluntary_quits), (1, 1));
-    drop(controller.try_claim().expect("claimable again"));
+    drop(shared.try_claim().expect("claimable again"));
     assert!(!shared.is_running(), "dropping a core releases the claim");
 }
 
 #[test]
 fn core_exits_after_exit_sqe() {
-    let (shared, controller, mut core) = claimed(DfcclConfig::for_testing());
+    let (shared, mut core) = claimed(DfcclConfig::for_testing());
     shared.sq.try_push(Sqe::exit_marker(0)).unwrap();
     assert_eq!(core.poll(), Progress::Advanced(1), "the exit SQE is read");
     assert_eq!(core.poll(), Progress::Exited);
     assert!(shared.final_exit_requested());
     assert!(!shared.is_running());
     assert_eq!(shared.stats.snapshot().voluntary_quits, 0);
-    // After final exit with nothing outstanding there is nothing to claim
-    // and ensure_running is a no-op.
-    assert!(controller.try_claim().is_none());
-    controller.ensure_running();
+    // After final exit with nothing owed there is nothing to claim.
+    assert!(shared.try_claim().is_none());
     assert!(!shared.is_running());
 }
 
 #[test]
 fn unregistered_collective_is_failed_not_hung() {
-    let (shared, _controller, mut core) = claimed(DfcclConfig::for_testing());
+    let (shared, mut core) = claimed(DfcclConfig::for_testing());
     submit(&shared, 99);
     assert_eq!(core.poll(), Progress::Advanced(1));
     // Its slice cannot open: the invocation is failed and its CQE published
@@ -131,7 +140,7 @@ fn unregistered_collective_is_failed_not_hung() {
 
 #[test]
 fn unknown_graph_replay_is_failed_not_hung() {
-    let (shared, _controller, mut core) = claimed(DfcclConfig::for_testing());
+    let (shared, mut core) = claimed(DfcclConfig::for_testing());
     let graph_id = GRAPH_ID_BASE | 1;
     assert!(is_graph_id(graph_id));
     submit(&shared, graph_id);
@@ -146,7 +155,7 @@ fn unknown_graph_replay_is_failed_not_hung() {
 fn completion_batches_flush_within_a_pass() {
     // Fewer completions than the batch threshold must still be published by
     // the step that ends the pass that produced them (no cross-pass latency).
-    let (shared, _controller, mut core) = claimed(DfcclConfig::for_testing());
+    let (shared, mut core) = claimed(DfcclConfig::for_testing());
     for id in 0..5 {
         submit(&shared, id);
     }
@@ -166,7 +175,7 @@ fn full_cq_blocks_the_core_and_retains_the_batch() {
         CqVariant::OptimizedRing,
         CqVariant::OptimizedSlot,
     ] {
-        let (shared, _controller, mut core) = claimed(DfcclConfig {
+        let (shared, mut core) = claimed(DfcclConfig {
             cq_variant: variant,
             cq_capacity: 2,
             ..DfcclConfig::for_testing()
@@ -203,7 +212,7 @@ fn registry_cache_sees_collectives_registered_after_daemon_start() {
         .collect();
     let mut cores: Vec<DaemonCore> = ranks
         .iter()
-        .map(|r| r.daemon_controller().try_claim().unwrap())
+        .map(|r| r.shared_state().try_claim().unwrap())
         .collect();
     // Rank 0 looks id 42 up before anyone registered it.
     let shared0 = Arc::clone(ranks[0].shared_state());
@@ -242,38 +251,21 @@ fn registry_cache_sees_collectives_registered_after_daemon_start() {
 
 #[test]
 fn daemon_with_no_work_quits_voluntarily() {
-    let shared = shared_for_test();
-    let controller = attached(&shared);
-    controller.ensure_running();
-    assert!(controller.wait_idle(Duration::from_secs(5)));
+    let shared = started(DfcclConfig::for_testing());
+    // The seat claims for the submission; once its CQE is out nothing is
+    // owed, and the idle core quits.
+    assert!(wait_idle(&shared, Duration::from_secs(5)));
+    assert_eq!(shared.outstanding(), 0);
     let snap = shared.stats.snapshot();
     assert_eq!(snap.daemon_starts, 1);
     assert_eq!(snap.voluntary_quits, 1);
     assert!(!shared.is_running());
-    controller.shut_down();
-}
-
-#[test]
-fn ensure_running_is_idempotent_while_running() {
-    let shared = shared_for_test();
-    let controller = attached(&shared);
-    controller.ensure_running();
-    controller.ensure_running();
-    controller.ensure_running();
-    assert!(controller.wait_idle(Duration::from_secs(5)));
-    // Only one incarnation ran even though ensure_running was called thrice
-    // before it had a chance to go idle (the extra calls may or may not
-    // have landed after the quit, so allow 1..=3 but require monotonicity).
-    let starts = shared.stats.snapshot().daemon_starts;
-    assert!((1..=3).contains(&starts), "starts = {starts}");
-    controller.shut_down();
+    shared.shut_down();
 }
 
 #[test]
 fn daemon_quits_when_device_sync_is_pending() {
-    let shared = shared_for_test();
-    let controller = attached(&shared);
-    controller.ensure_running();
+    let shared = started(DfcclConfig::for_testing());
     // Give the daemon time to acquire residency, then request a sync.
     std::thread::sleep(Duration::from_millis(20));
     let waiter = shared
@@ -283,8 +275,8 @@ fn daemon_quits_when_device_sync_is_pending() {
         waiter.wait_timeout(Duration::from_secs(5)),
         "sync must complete once the daemon quits voluntarily"
     );
-    controller.wait_idle(Duration::from_secs(5));
-    controller.shut_down();
+    assert!(wait_idle(&shared, Duration::from_secs(5)));
+    shared.shut_down();
 }
 
 /// A configuration under which a daemon with no work parks for a long time
@@ -301,9 +293,7 @@ fn parked_config() -> DfcclConfig {
 
 #[test]
 fn parked_daemon_is_woken_by_new_sqe_within_latency_bound() {
-    let shared = shared_with_config(parked_config());
-    let controller = attached(&shared);
-    controller.ensure_running();
+    let shared = started(parked_config());
     // Let the daemon exhaust its spin passes and park.
     std::thread::sleep(Duration::from_millis(60));
     assert!(shared.is_running(), "daemon must still be alive (parked)");
@@ -331,40 +321,35 @@ fn parked_daemon_is_woken_by_new_sqe_within_latency_bound() {
         woken < Duration::from_millis(250),
         "wake-up took {woken:?}, within the park quantum — daemon was polling, not signalled"
     );
-    controller.request_exit();
-    assert!(controller.wait_idle(Duration::from_secs(5)));
-    controller.shut_down();
+    shared.request_exit();
+    assert!(wait_idle(&shared, Duration::from_secs(5)));
+    shared.shut_down();
 }
 
 #[test]
-fn wait_idle_returns_promptly_once_the_daemon_exits() {
-    let shared = shared_with_config(parked_config());
-    let controller = attached(&shared);
-    controller.ensure_running();
+fn parked_daemon_exits_promptly_on_an_exit_request() {
+    let shared = started(parked_config());
     std::thread::sleep(Duration::from_millis(60));
     assert!(shared.is_running(), "daemon must still be alive (parked)");
 
-    // Request exit (signals the parked daemon) and time the full
-    // park-wake → drain → exit → wait_idle-wake chain.
+    // Request exit (rings the bell of the parked carrier) and time the
+    // park-wake → drain → exit chain.
     let start = Instant::now();
-    controller.request_exit();
-    assert!(controller.wait_idle(Duration::from_secs(5)));
+    shared.request_exit();
+    assert!(wait_idle(&shared, Duration::from_secs(5)));
     let elapsed = start.elapsed();
-    // Both the daemon's park (500 ms quantum) and wait_idle itself must be
-    // cut short by signals.
+    // The carrier's park (500 ms quantum) must be cut short by the bell.
     assert!(
         elapsed < Duration::from_millis(250),
-        "exit + wait_idle took {elapsed:?} — some stage slept through its quantum"
+        "exit took {elapsed:?} — the carrier slept through its park quantum"
     );
-    assert!(!shared.is_running());
-    controller.shut_down();
+    shared.shut_down();
 }
 
 #[test]
 fn carrier_restarts_and_drains_what_a_retired_core_left_queued() {
     // A core retired mid-slice hands its context back; the next incarnation
-    // (claimed by the carrier while completions are owed) finishes the
-    // collective.
+    // (claimed by the seat while work is owed) finishes the collective.
     let domain = DfcclDomain::flat_for_testing(2);
     let ranks: Vec<_> = (0..2)
         .map(|g| domain.init_rank(GpuId(g)).unwrap())
@@ -374,7 +359,7 @@ fn carrier_restarts_and_drains_what_a_retired_core_left_queued() {
         rank.register_all_reduce(1, 8, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
             .unwrap();
     }
-    let mut core0 = ranks[0].daemon_controller().try_claim().unwrap();
+    let mut core0 = ranks[0].shared_state().try_claim().unwrap();
     let out0 = DeviceBuffer::zeroed(32);
     let h0: CompletionHandle = ranks[0]
         .run_awaitable(1, DeviceBuffer::from_f32(&[1.0; 8]), out0.clone())

@@ -8,19 +8,22 @@
 //! `Topology::gpus`, machine-major) belongs to carrier ⌊r·C/N⌋ — contiguous
 //! blocks, so intra-node hops stay on one carrier.
 //!
-//! A carrier sweeps the ranks it owns. For each it does the poller's job —
-//! drains the CQ when the rank's `cq_ready` generation moved and runs the
-//! callbacks (`poller.rs`), re-claims a retired core while completions are
-//! owed — and polls the rank's [`DaemonCore`] once, mapping the [`Progress`]
-//! to what that rank wants next (`Wish`) with the per-rank idle policy
-//! (`idle_spin_passes`, `idle_passes_before_quit`, retiring while a device
-//! synchronization is pending). After the sweep it waits as little as its
-//! hottest rank allows, parking on its one bell only when every rank it owns
-//! wants to park. `carrier_wait` is the only wait in this file; CI greps
-//! the rest of it, and the pipeline stage files, for one.
+//! A carrier sweeps the ranks it owns, each held in a `Seat`: the only owner
+//! of the rank's [`DaemonCore`]. A seat's step does the poller's job — drains
+//! the CQ when the rank's `cq_ready` generation moved and runs the callbacks
+//! (`poller.rs`) — then claims a core if none is held and work is owed
+//! (`DaemonShared::owes_work`), polls it once and maps the
+//! [`Progress`] to what the rank wants next (`Wish`) with the per-rank idle
+//! policy (`idle_spin_passes`, `idle_passes_before_quit`, retiring while a
+//! device synchronization is pending). After the sweep the carrier waits as
+//! little as its hottest rank allows, parking on its one bell only when
+//! every rank it owns wants to park. `carrier_wait` is the only wait in this
+//! file; CI greps the rest of it, and the pipeline stage files, for one.
 //!
 //! A carrier thread starts when its first rank attaches and exits when its
-//! last rank leaves, so a domain with no live rank holds no thread.
+//! last rank leaves, so a domain with no live rank holds no thread. A test
+//! may instead hold every carrier on its own thread and step the seats in
+//! an order it picks (`World::hold`).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +34,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use super::core::{BlockedOn, DaemonCore, Progress};
-use super::{poller, DaemonController};
+use super::{poller, DaemonShared};
 use crate::cq::Cqe;
 use crate::park::Parker;
 
@@ -91,8 +94,9 @@ pub struct Carrier {
 
 #[derive(Default)]
 struct Roster {
-    ranks: Vec<Arc<DaemonController>>,
+    ranks: Vec<Arc<DaemonShared>>,
     thread: Option<JoinHandle<()>>,
+    /// A thread steps the roster (or a test holds the carrier).
     running: bool,
 }
 
@@ -108,7 +112,7 @@ impl Carrier {
     }
 
     /// Start stepping `rank`, starting the thread if it is not running.
-    pub(super) fn attach(self: &Arc<Self>, rank: Arc<DaemonController>) {
+    pub(super) fn attach(self: &Arc<Self>, rank: Arc<DaemonShared>) {
         let exited = {
             let mut roster = self.roster.lock();
             roster.ranks.push(rank);
@@ -156,17 +160,13 @@ impl Carrier {
         loop {
             // Sampled before the sweep: a ring during it cancels the park.
             let rung = self.bell.generation();
-            let generation = self.roster_generation.load(Ordering::Acquire);
-            if generation != roster_seen {
-                roster_seen = generation;
-                self.seat_newcomers(&mut seats);
-            }
+            self.seat_newcomers(&mut roster_seen, &mut seats);
             let mut sweep = Sweep::new(rung);
             let mut leavers = Vec::new();
             seats.retain_mut(|seat| {
                 let stays = sweep.visit(seat, &mut batch);
                 if !stays {
-                    leavers.push(Arc::clone(&seat.rank));
+                    leavers.push(Arc::clone(&seat.shared));
                 }
                 stays
             });
@@ -179,10 +179,16 @@ impl Carrier {
         }
     }
 
-    /// Give every rank in the roster without a seat one.
-    fn seat_newcomers(&self, seats: &mut Vec<Seat>) {
+    /// Give every rank in the roster without a seat one, if an attach moved
+    /// the roster since `seen`.
+    fn seat_newcomers(&self, seen: &mut u64, seats: &mut Vec<Seat>) {
+        let generation = self.roster_generation.load(Ordering::Acquire);
+        if generation == *seen {
+            return;
+        }
+        *seen = generation;
         for rank in &self.roster.lock().ranks {
-            if !seats.iter().any(|s| Arc::ptr_eq(&s.rank, rank)) {
+            if !seats.iter().any(|s| Arc::ptr_eq(&s.shared, rank)) {
                 seats.push(Seat::new(Arc::clone(rank)));
             }
         }
@@ -191,7 +197,7 @@ impl Carrier {
     /// Drop `leavers` from the roster and tell their `shut_down`s. Returns
     /// `false` when no rank is left: the thread stops running, in the same
     /// critical section an `attach` would start a successor in.
-    fn release(&self, leavers: &[Arc<DaemonController>]) -> bool {
+    fn release(&self, leavers: &[Arc<DaemonShared>]) -> bool {
         let mut roster = self.roster.lock();
         roster
             .ranks
@@ -226,7 +232,7 @@ impl Drop for ReleaseOnUnwind<'_> {
 
 /// What a rank wants from its carrier after one step, hottest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Wish {
+pub(super) enum Wish {
     /// It moved, or has something to do at once.
     Poll,
     /// Idle within `idle_spin_passes`: give the CPU away once.
@@ -275,7 +281,7 @@ impl Sweep {
             return false;
         };
         if wish == Wish::Park {
-            let until = self.now() + seat.rank.shared.config.restart_backoff;
+            let until = self.now() + seat.shared.config.restart_backoff;
             seat.doze = Some((self.rung, until));
             self.doze_until(until);
         }
@@ -297,9 +303,9 @@ impl Sweep {
     }
 }
 
-/// One rank as its carrier holds it.
+/// One rank as its carrier holds it: the only owner of its core.
 struct Seat {
-    rank: Arc<DaemonController>,
+    shared: Arc<DaemonShared>,
     core: Option<DaemonCore>,
     idle_passes: u32,
     /// The `cq_ready` generation the last drain saw.
@@ -310,9 +316,9 @@ struct Seat {
 }
 
 impl Seat {
-    fn new(rank: Arc<DaemonController>) -> Self {
+    fn new(shared: Arc<DaemonShared>) -> Self {
         Seat {
-            rank,
+            shared,
             core: None,
             idle_passes: 0,
             cq_seen: 0,
@@ -320,27 +326,29 @@ impl Seat {
         }
     }
 
-    /// Drain the CQ if something was published, then poll the core once.
-    /// `None` when the rank is leaving and nothing is owed any more.
+    /// Drain the CQ if something was published, claim a core if none is
+    /// held and work is owed, then poll it once. `None` when the rank is
+    /// leaving and nothing is owed any more.
     fn step(&mut self, batch: &mut Vec<Cqe>) -> Option<Wish> {
-        let shared = &self.rank.shared;
+        let shared = &self.shared;
         // Draining the slot CQ scans every slot: only when it moved.
         let published = shared.cq_ready.load(Ordering::Acquire);
         if published != self.cq_seen {
             self.cq_seen = published;
             poller::drain(shared, batch);
         }
-        if self.core.is_none() {
-            self.core = self.rank.take_core();
+        if self.core.is_none() && shared.owes_work() {
+            self.core = shared.try_claim();
             self.idle_passes = 0;
         }
         let Some(core) = self.core.as_mut() else {
-            // `outstanding` first: it falls only after the CQE is in the CQ.
-            let leaving = self.rank.leaving.load(Ordering::Acquire);
-            if leaving && shared.outstanding() == 0 && shared.cq.is_empty() {
+            // `owes_work` first: `outstanding` falls only after the CQE is
+            // in the CQ.
+            let leaving = shared.leaving.load(Ordering::Acquire);
+            if leaving && !shared.owes_work() && shared.cq.is_empty() {
                 return None;
             }
-            // A callback that submitted work rang the bell.
+            // A submission or a recovery reinstall rings the bell.
             return Some(Wish::Park);
         };
         let config = &shared.config;
@@ -392,5 +400,70 @@ fn carrier_wait(bell: &Parker, rung: u64, wish: Wish, timeout: Duration) {
         Wish::Park => {
             bell.park_if_unchanged(rung, timeout);
         }
+    }
+}
+
+#[cfg(test)]
+impl World {
+    /// Hold every carrier on the calling thread, before any rank attaches:
+    /// no carrier thread starts, and the thread steps each rank's seat
+    /// itself ([`HeldWorld::step`]), so pollers and callbacks run on it at
+    /// the step it picks. It counts as a carrier, so a `destroy` on it only
+    /// asks; stepping the rank's seat until it leaves finishes the exit.
+    pub(super) fn hold(&self) -> HeldWorld {
+        for carrier in &self.carriers {
+            let mut roster = carrier.roster.lock();
+            assert!(!roster.running, "hold the world before a rank attaches");
+            roster.running = true;
+        }
+        ON_CARRIER.with(|on| on.set(true));
+        HeldWorld {
+            carriers: self.carriers.clone(),
+            roster_seen: vec![0; self.carriers.len()],
+            seats: Vec::new(),
+            batch: Vec::new(),
+        }
+    }
+}
+
+/// A world whose carriers the test thread holds ([`World::hold`]).
+#[cfg(test)]
+pub(super) struct HeldWorld {
+    carriers: Vec<Arc<Carrier>>,
+    roster_seen: Vec<u64>,
+    seats: Vec<Seat>,
+    batch: Vec<Cqe>,
+}
+
+#[cfg(test)]
+impl HeldWorld {
+    /// One step of `gpu`'s seat, as its carrier would take it (the caller
+    /// picks the order, so nothing dozes). `None` once the rank left.
+    pub(super) fn step(&mut self, gpu: gpu_sim::GpuId) -> Option<Wish> {
+        for (carrier, seen) in self.carriers.iter().zip(&mut self.roster_seen) {
+            carrier.seat_newcomers(seen, &mut self.seats);
+        }
+        let at = self.seats.iter().position(|s| s.shared.gpu == gpu)?;
+        let wish = self.seats[at].step(&mut self.batch);
+        if wish.is_none() {
+            let shared = self.seats.swap_remove(at).shared;
+            shared.carrier.release(&[Arc::clone(&shared)]);
+            // Still held: a later attach must not start a thread.
+            shared.carrier.roster.lock().running = true;
+        }
+        wish
+    }
+
+    /// The core `gpu`'s seat holds, if any.
+    pub(super) fn core(&mut self, gpu: gpu_sim::GpuId) -> Option<&mut DaemonCore> {
+        let seat = self.seats.iter_mut().find(|s| s.shared.gpu == gpu)?;
+        seat.core.as_mut()
+    }
+}
+
+#[cfg(test)]
+impl Drop for HeldWorld {
+    fn drop(&mut self) {
+        ON_CARRIER.with(|on| on.set(false));
     }
 }

@@ -77,8 +77,7 @@ pub use config::{
 };
 pub use cq::{build_cq, CqKind, Cqe};
 pub use daemon::{
-    is_graph_id, CapturedGraph, DaemonController, DaemonShared, GraphNode, RegisteredCollective,
-    GRAPH_ID_BASE,
+    is_graph_id, CapturedGraph, DaemonShared, GraphNode, RegisteredCollective, GRAPH_ID_BASE,
 };
 pub use park::Parker;
 pub use recovery::{Backoff, RecoveryCoordinator, RecoveryError, RecoveryOutcome, RetryPolicy};

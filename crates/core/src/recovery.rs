@@ -431,10 +431,10 @@ impl RecoveryCoordinator {
         }
 
         // 6. Wake every rank: a running daemon re-scans the context store; an
-        // idle one is restarted and finds the contexts in its rebuild.
+        // idle one is restarted by its seat and finds the contexts in its
+        // rebuild.
         for ctx in ranks {
             ctx.shared_state().request_rescan();
-            ctx.daemon_controller().ensure_running();
         }
         Ok(outcome)
     }
