@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dfccl::sq::SqCursor;
-use dfccl::{OrderingPolicy, SpinPolicy, Sqe, SubmissionQueue, TaskQueue};
+use dfccl::{HostMemCosts, OrderingPolicy, SpinPolicy, Sqe, SubmissionQueue, TaskQueue};
 use dfccl_collectives::{
     instr_ready, AlgorithmSelector, CollectiveDescriptor, CompiledProgram, DataType, DeviceBuffer,
     PendingSends,
@@ -60,7 +60,7 @@ fn bench_components(c: &mut Criterion) {
     });
 
     group.bench_function("context_checkout_checkin", |b| {
-        let store = dfccl::context::ContextStore::new(8, 0.0, 0.0);
+        let store = dfccl::context::ContextStore::new(8, HostMemCosts::free());
         store.enqueue_invocation(
             3,
             dfccl::context::DynamicContext::new(
@@ -90,13 +90,10 @@ fn bench_dispatch(c: &mut Criterion) {
 
     let (gpus, channels) = (8, 4);
     let desc =
-        CollectiveDescriptor::all_to_all(2 * 1024, DataType::F32, (0..gpus).map(GpuId).collect());
+        CollectiveDescriptor::all_to_all(2 * 1024, DataType::F32, (0..gpus).map(GpuId).collect())
+            .with_channels(channels);
     let topo = Topology::flat(gpus);
-    let selector = AlgorithmSelector {
-        channels,
-        ..Default::default()
-    };
-    let plan = selector
+    let plan = AlgorithmSelector::default()
         .build_plan(&desc, 0, 256, &topo)
         .expect("plan builds");
     let comm = Communicator::new(

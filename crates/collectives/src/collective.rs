@@ -108,8 +108,8 @@ pub struct CollectiveDescriptor {
     /// choice fails registration).
     pub algorithm: Option<AlgorithmKind>,
     /// Per-collective channel-count override: stripe this collective across
-    /// `K` parallel connectors per `(src, dst)` edge. `None` uses the
-    /// runtime-wide setting (`DfcclConfig::channels`).
+    /// `K` parallel connectors per `(src, dst)` edge. `None` is unstriped
+    /// (`K = 1`).
     pub channels: Option<usize>,
     /// Opt this collective out of graph-capture fusion: even when it is a
     /// small all-reduce recorded between fusable neighbours, the fusion pass

@@ -4,18 +4,20 @@
 //! describes: ring for bandwidth-bound (large) payloads, tree for
 //! latency-bound (small) payloads, hierarchical across node boundaries.
 //! The choice can be forced per collective (via
-//! [`CollectiveDescriptor::algorithm`]) or globally (via
-//! [`AlgorithmSelector::force`]); a per-collective override always wins and
-//! is validated strictly — asking for an algorithm that cannot schedule the
-//! descriptor is a registration error, not a silent fallback.
+//! [`CollectiveDescriptor::algorithm`]) or, for a whole baseline run, by a
+//! [`AlgorithmSelector::forced`] selector; a per-collective override always
+//! wins and is validated strictly — asking for an algorithm that cannot
+//! schedule the descriptor is a registration error, not a silent fallback.
+//! Striping is per collective only ([`CollectiveDescriptor::channels`],
+//! unstriped by default).
 
 use crate::collective::CollectiveDescriptor;
 use crate::plan::{algorithm, AlgorithmKind, Plan};
 use crate::CollectiveError;
 use dfccl_transport::{LinkHealth, Topology};
 
-/// Default payload threshold at or below which latency dominates and the
-/// tree schedule is preferred (bytes). Matches the modelled crossover of the
+/// Payload threshold at or below which latency dominates and the tree
+/// schedule is preferred (bytes). Matches the modelled crossover of the
 /// Table 2 link parameters (`fig8_bandwidth_latency`'s model columns): the
 /// tree's O(log n) hop count wins up to ~16 KiB, the ring's lower byte volume
 /// wins beyond it.
@@ -23,37 +25,17 @@ pub const DEFAULT_TREE_THRESHOLD_BYTES: usize = 16 * 1024;
 
 /// Picks a collective algorithm from the payload size and the communicator's
 /// topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AlgorithmSelector {
-    /// Payloads at or below this many bytes use the tree schedule (when the
-    /// collective kind supports it).
-    pub tree_threshold_bytes: usize,
     /// Global override: always use this algorithm when it supports the
     /// descriptor (a per-collective override still wins).
     pub force: Option<AlgorithmKind>,
-    /// Parallel channels every `(src, dst)` edge is striped across
-    /// (`1` = unstriped). A per-collective override on the descriptor
-    /// ([`CollectiveDescriptor::with_channels`]) wins.
-    pub channels: usize,
-}
-
-impl Default for AlgorithmSelector {
-    fn default() -> Self {
-        AlgorithmSelector {
-            tree_threshold_bytes: DEFAULT_TREE_THRESHOLD_BYTES,
-            force: None,
-            channels: 1,
-        }
-    }
 }
 
 impl AlgorithmSelector {
     /// A selector that always picks `kind` when possible.
     pub fn forced(kind: AlgorithmKind) -> Self {
-        AlgorithmSelector {
-            force: Some(kind),
-            ..Default::default()
-        }
+        AlgorithmSelector { force: Some(kind) }
     }
 
     /// Choose the algorithm for `desc` over `topology`.
@@ -78,7 +60,7 @@ impl AlgorithmSelector {
         }
         let payload = desc.count * desc.dtype.size_bytes();
         let tree = algorithm(AlgorithmKind::DoubleBinaryTree);
-        if payload <= self.tree_threshold_bytes && tree.supports(desc, topology) {
+        if payload <= DEFAULT_TREE_THRESHOLD_BYTES && tree.supports(desc, topology) {
             return AlgorithmKind::DoubleBinaryTree;
         }
         let hierarchical = algorithm(AlgorithmKind::Hierarchical);
@@ -121,12 +103,10 @@ impl AlgorithmSelector {
     }
 
     /// The channel count in effect for `desc`: the per-collective override
-    /// when present, this selector's global setting otherwise. A zero count
-    /// is passed through so the plan builders reject it
-    /// (`CollectiveError::InvalidChannelCount`) — the same hard error the
-    /// descriptor-level override gets from validation.
+    /// when present, unstriped otherwise. A zero override is passed through
+    /// so the plan builders reject it (`CollectiveError::InvalidChannelCount`).
     pub fn channels_for(&self, desc: &CollectiveDescriptor) -> usize {
-        desc.channels.unwrap_or(self.channels)
+        desc.channels.unwrap_or(1)
     }
 
     /// Select an algorithm and compile `rank`'s plan with it, striped across
@@ -299,36 +279,19 @@ mod tests {
 
     #[test]
     fn channel_count_resolution_prefers_the_descriptor() {
-        let sel = AlgorithmSelector {
-            channels: 2,
-            ..Default::default()
-        };
+        let sel = AlgorithmSelector::default();
         let topo = Topology::flat(4);
-        assert_eq!(sel.channels_for(&all_reduce(1 << 20, 4)), 2);
         let overridden = all_reduce(1 << 20, 4).with_channels(4);
         assert_eq!(sel.channels_for(&overridden), 4);
         // The compiled plan actually stripes across the resolved count.
         let plan = sel.build_plan(&overridden, 0, 1024, &topo).unwrap();
         assert_eq!(plan.channel_count(), 4);
-        let global = sel
-            .build_plan(&all_reduce(1 << 20, 4), 0, 1024, &topo)
-            .unwrap();
-        assert_eq!(global.channel_count(), 2);
-        // The default selector stays unstriped.
-        let default = AlgorithmSelector::default()
+        // Without an override the plan stays unstriped.
+        assert_eq!(sel.channels_for(&all_reduce(1 << 20, 4)), 1);
+        let default = sel
             .build_plan(&all_reduce(1 << 20, 4), 0, 1024, &topo)
             .unwrap();
         assert_eq!(default.channel_count(), 1);
-        // A zero global channel count is a hard error at build time, exactly
-        // like the descriptor-level override is at validation time.
-        let zero = AlgorithmSelector {
-            channels: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            zero.build_plan(&all_reduce(16, 4), 0, 1024, &topo),
-            Err(CollectiveError::InvalidChannelCount(0))
-        ));
     }
 
     #[test]

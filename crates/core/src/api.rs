@@ -326,7 +326,7 @@ impl DfcclDomain {
     /// [`RankCtx::register_for`] with this handle are admitted, scheduled and
     /// accounted under it on every rank of the domain. Ids are unique within
     /// the domain; the implicit default tenant (`TenantId::DEFAULT`) carries
-    /// the domain-wide `DfcclConfig::tenant_quota` and is what plain
+    /// the unlimited [`TenantQuota::default`] and is what plain
     /// [`RankCtx::register`] uses.
     pub fn tenant(&self, quota: TenantQuota) -> TenantHandle {
         let id = TenantId(self.next_tenant_id.fetch_add(1, Ordering::Relaxed) as u32);
@@ -334,18 +334,18 @@ impl DfcclDomain {
         TenantHandle { id, quota }
     }
 
-    /// The implicit tenant that un-tenanted registrations run under, carrying
-    /// the domain-wide quota from the config.
+    /// The implicit tenant that un-tenanted registrations run under, with
+    /// the unlimited [`TenantQuota::default`].
     pub fn default_tenant(&self) -> TenantHandle {
         TenantHandle {
             id: TenantId::DEFAULT,
-            quota: self.config.tenant_quota,
+            quota: TenantQuota::default(),
         }
     }
 
     fn tenant_quota(&self, id: TenantId) -> Option<TenantQuota> {
         if id == TenantId::DEFAULT {
-            return Some(self.config.tenant_quota);
+            return Some(TenantQuota::default());
         }
         self.tenants.lock().get(&id).copied()
     }
@@ -406,11 +406,15 @@ impl DfcclDomain {
                 .collect()
         };
         // Validate quiescence first so a refused removal leaves no partial
-        // state behind.
+        // state behind. An invocation is in flight from `run` until its
+        // callback is taken — an SQE the daemon has not fetched yet included
+        // — and a recovery ghost replay (which has no callback) while its
+        // context is pending.
         for shared in &shareds {
             for (&coll_id, reg) in shared.registered.read().iter() {
-                let busy =
-                    shared.contexts.has_pending(coll_id) || shared.contexts.in_slice(coll_id);
+                let busy = shared.callbacks.is_bound(coll_id)
+                    || shared.contexts.has_pending(coll_id)
+                    || shared.contexts.in_slice(coll_id);
                 if reg.desc.devices.contains(&gpu) && busy {
                     return Err(DfcclError::MembershipBusy { gpu, coll_id });
                 }
@@ -561,7 +565,7 @@ impl DfcclDomain {
             gpu,
             device,
             shared,
-            next_seq: AtomicU64::new(0),
+            next_seq: Mutex::new(0),
             next_graph_id: AtomicU64::new(1),
             destroyed: AtomicBool::new(false),
             _context_buffer: context_buffer,
@@ -575,7 +579,10 @@ pub struct RankCtx {
     gpu: GpuId,
     device: Arc<GpuDevice>,
     shared: Arc<DaemonShared>,
-    next_seq: AtomicU64,
+    /// Sequence number of the next SQE. Its lock is held across each push:
+    /// the SQ has a single producer, and two threads pushing at once could
+    /// both claim one slot, losing an SQE or reporting a spurious full SQ.
+    next_seq: Mutex<u64>,
     next_graph_id: AtomicU64,
     destroyed: AtomicBool,
     _context_buffer: Option<gpu_sim::device::GlobalAllocation>,
@@ -671,34 +678,51 @@ impl RankCtx {
                 coll_id,
             },
         )?;
-        // Select the algorithm (payload/topology policy, overridable per
-        // collective and globally), build + validate + compile the rank's
-        // plan — all through the domain's plan cache, so a repeat
-        // registration of an identical shape reuses the shared plan and
-        // program without building anything — then materialise exactly the
-        // connectors the plan addresses out of the mesh and bind the
-        // program's connector indices to them.
-        let selector = self.domain.config.algorithm_selector();
-        let cached = self.domain.plan_cache.get_or_compile(
-            &selector,
-            &desc,
-            rank,
-            self.domain.config.chunk_elems,
-            self.domain.topology(),
-            self.domain.pool.link_health(),
-        )?;
-        if cached.degraded {
-            self.shared.telemetry.record_plan_degraded();
-        }
         let communicator = self.domain.communicator_for(coll_id, &desc.devices)?;
-        let channels =
-            communicator.channels(rank, cached.plan.send_edges(), cached.plan.recv_edges())?;
-        let table = cached.program.bind(&channels)?;
+        let (reg, _) = self.plan_and_bind(coll_id, desc, rank, tenant, communicator)?;
         // Admission: the residency check is the last fallible step, so a
         // rejected registration leaves no partial state behind (connectors
         // bound above are shared, communicator allocation is idempotent).
         self.shared.tenants.state(tenant).try_admit_register()?;
-        let reg = Arc::new(RegisteredCollective {
+        let reg = Arc::new(reg);
+        self.shared
+            .registered
+            .write()
+            .insert(coll_id, Arc::clone(&reg));
+        // Invalidate the daemon's lock-free registry cache.
+        self.shared.bump_registry_generation();
+        Ok(reg)
+    }
+
+    /// Plan-and-bind, shared by registration and recovery: select and compile
+    /// `desc`'s plan for `rank` through the domain's plan cache (counting a
+    /// degraded plan), then bind the program to exactly the connectors the
+    /// plan addresses in `communicator`'s mesh. Returns the unpublished
+    /// registration and whether its plan is degraded.
+    fn plan_and_bind(
+        &self,
+        coll_id: u64,
+        desc: CollectiveDescriptor,
+        rank: usize,
+        tenant: TenantId,
+        communicator: Arc<Communicator>,
+    ) -> Result<(RegisteredCollective, bool), DfcclError> {
+        let domain = &self.domain;
+        let cached = domain.plan_cache.get_or_compile(
+            &domain.config.algorithm_selector(),
+            &desc,
+            rank,
+            domain.config.chunk_elems,
+            domain.topology(),
+            domain.pool.link_health(),
+        )?;
+        if cached.degraded {
+            self.shared.telemetry.record_plan_degraded();
+        }
+        let channels =
+            communicator.channels(rank, cached.plan.send_edges(), cached.plan.recv_edges())?;
+        let table = cached.program.bind(&channels)?;
+        let reg = RegisteredCollective {
             coll_id,
             desc,
             rank,
@@ -707,14 +731,8 @@ impl RankCtx {
             plan: cached.plan,
             program: cached.program,
             table,
-        });
-        self.shared
-            .registered
-            .write()
-            .insert(coll_id, Arc::clone(&reg));
-        // Invalidate the daemon's lock-free registry cache.
-        self.shared.bump_registry_generation();
-        Ok(reg)
+        };
+        Ok((reg, cached.degraded))
     }
 
     /// Resolve (registering on first use) the fused collective a capture
@@ -826,23 +844,41 @@ impl RankCtx {
             .cloned()
             .ok_or(DfcclError::NotRegistered(coll_id))?;
         validate_buffers(&reg.desc, reg.rank, &send, &recv)?;
-        // Admission stage (service mode): charge the invocation against the
-        // owning tenant's outstanding quota before anything observable
-        // happens. At quota the caller gets typed, retryable backpressure —
-        // nothing was bound or queued, so a later retry starts clean.
-        let admitted = self.shared.tenants.state(reg.tenant);
+        self.submit(reg.tenant, coll_id, send, recv, callback)
+    }
+
+    /// The submission path of [`RankCtx::run`] and [`RankCtx::replay`]: admit
+    /// against `tenant`'s outstanding quota first (typed, retryable
+    /// backpressure with nothing bound or queued), then bind the callback,
+    /// count the invocation owed and push its SQE, rolling all three back on
+    /// a full SQ; a visible SQE is recorded as `Submit` and rings the carrier.
+    fn submit(
+        &self,
+        tenant: TenantId,
+        coll_id: u64,
+        send: DeviceBuffer,
+        recv: DeviceBuffer,
+        callback: Callback,
+    ) -> Result<(), DfcclError> {
+        let admitted = self.shared.tenants.state(tenant);
         admitted.try_admit_run()?;
         let bind_token = self.shared.callbacks.bind(coll_id, callback);
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let sqe = Sqe {
-            coll_id,
-            seq,
-            send,
-            recv,
-            exit: false,
+        let pushed = {
+            let mut next_seq = self.next_seq.lock();
+            // For a graph replay `seq` doubles as the run number: the daemon
+            // keys the run's countdown state by (graph_id, seq).
+            let sqe = Sqe {
+                coll_id,
+                seq: *next_seq,
+                send,
+                recv,
+                exit: false,
+            };
+            *next_seq += 1;
+            self.shared.sq.try_push(sqe)
         };
-        if self.shared.sq.try_push(sqe).is_err() {
+        if pushed.is_err() {
             self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
             // Drop exactly the callback we just bound so it does not fire
             // spuriously; other in-flight invocations of the same collective
@@ -915,39 +951,20 @@ impl RankCtx {
             .get(&coll_id)
             .cloned()
             .ok_or(DfcclError::NotRegistered(coll_id))?;
-        let selector = self.domain.config.algorithm_selector();
-        let cached = self.domain.plan_cache.get_or_compile(
-            &selector,
-            &old.desc,
-            old.rank,
-            self.domain.config.chunk_elems,
-            self.domain.topology(),
-            self.domain.pool.link_health(),
-        )?;
-        let degraded = cached.degraded;
-        if degraded {
-            self.shared.telemetry.record_plan_degraded();
-        }
         // Rebinding materialises exactly the connectors the new plan
         // addresses; labels quarantined since the original registration were
         // purged by the coordinator, so these come back rerouted.
-        let channels = old.communicator.channels(
-            old.rank,
-            cached.plan.send_edges(),
-            cached.plan.recv_edges(),
-        )?;
-        let table = cached.program.bind(&channels)?;
-        let reg = Arc::new(RegisteredCollective {
+        let (reg, degraded) = self.plan_and_bind(
             coll_id,
-            desc: old.desc.clone(),
-            rank: old.rank,
-            tenant: old.tenant,
-            communicator: Arc::clone(&old.communicator),
-            plan: cached.plan,
-            program: cached.program,
-            table,
-        });
-        self.shared.registered.write().insert(coll_id, reg);
+            old.desc.clone(),
+            old.rank,
+            old.tenant,
+            Arc::clone(&old.communicator),
+        )?;
+        self.shared
+            .registered
+            .write()
+            .insert(coll_id, Arc::new(reg));
         self.shared.bump_registry_generation();
         Ok(degraded)
     }
@@ -984,19 +1001,6 @@ impl RankCtx {
         {
             return Err(DfcclError::GraphReplayInFlight(graph.graph_id));
         }
-        // Admission stage: a replay counts as one outstanding invocation of
-        // the tenant that captured the graph (attributed to its first node,
-        // matching how the daemon routes the graph's completion).
-        let tenant = graph
-            .nodes
-            .first()
-            .map(|n| n.reg.tenant)
-            .unwrap_or(TenantId::DEFAULT);
-        let admitted = self.shared.tenants.state(tenant);
-        if let Err(e) = admitted.try_admit_run() {
-            graph.in_flight.store(false, Ordering::Release);
-            return Err(e.into());
-        }
         // Stage fused inputs on the invoker thread, before the SQE becomes
         // visible: the daemon may start executing nodes the moment it drains
         // the queue.
@@ -1005,30 +1009,20 @@ impl RankCtx {
                 fused.gather();
             }
         }
-        let bind_token = self.shared.callbacks.bind(graph.graph_id, callback);
-        self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-        // `seq` doubles as the replay's run number: the daemon keys the
-        // run's countdown state by (graph_id, seq).
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let sqe = Sqe {
-            coll_id: graph.graph_id,
-            seq,
-            send: DeviceBuffer::zeroed(0),
-            recv: DeviceBuffer::zeroed(0),
-            exit: false,
-        };
-        if self.shared.sq.try_push(sqe).is_err() {
-            self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-            let _ = self.shared.callbacks.unbind(graph.graph_id, bind_token);
+        // A replay counts as one outstanding invocation of the tenant that
+        // captured the graph (attributed to its first node, matching how the
+        // daemon routes the graph's completion).
+        let tenant = graph
+            .nodes
+            .first()
+            .map(|n| n.reg.tenant)
+            .unwrap_or(TenantId::DEFAULT);
+        let empty = || DeviceBuffer::zeroed(0);
+        let submitted = self.submit(tenant, graph.graph_id, empty(), empty(), callback);
+        if submitted.is_err() {
             graph.in_flight.store(false, Ordering::Release);
-            admitted.cancel_run();
-            return Err(DfcclError::SubmissionQueueFull);
         }
-        self.shared
-            .telemetry
-            .record(graph.graph_id, TelemetryEventKind::Submit);
-        self.shared.notify_daemon();
-        Ok(())
+        submitted
     }
 
     /// Replay a captured graph and get a waitable handle back. The handle
@@ -1137,9 +1131,12 @@ impl RankCtx {
         if self.destroyed.swap(true, Ordering::AcqRel) {
             return;
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        // A full SQ refuses the marker; `shut_down` sets the same exit flag.
-        let _ = self.shared.sq.try_push(Sqe::exit_marker(seq));
+        {
+            let mut next_seq = self.next_seq.lock();
+            // A full SQ refuses the marker; `shut_down` sets the same exit flag.
+            let _ = self.shared.sq.try_push(Sqe::exit_marker(*next_seq));
+            *next_seq += 1;
+        }
         self.shared.shut_down();
     }
 }
@@ -1561,7 +1558,6 @@ mod tests {
         let config = DfcclConfig {
             chunk_elems: 4,
             connector_capacity: 1,
-            channels: 3,
             ..DfcclConfig::for_testing()
         };
         let domain = DfcclDomain::new(
@@ -1574,18 +1570,12 @@ mod tests {
         let ranks: Vec<_> = (0..2)
             .map(|g| domain.init_rank(GpuId(g)).unwrap())
             .collect();
+        let desc = CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(2));
         for ctx in &ranks {
-            ctx.register_all_reduce(1, count, DataType::F32, ReduceOp::Sum, gpus(2), 0)
-                .unwrap();
-            assert_eq!(ctx.channels_of(1), Some(3), "global K=3 must stripe");
-            // A per-collective override beats the global setting.
-            ctx.register(
-                2,
-                CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(2))
-                    .with_channels(2),
-            )
-            .unwrap();
-            assert_eq!(ctx.channels_of(2), Some(2), "descriptor override wins");
+            for (coll, k) in [(1u64, 3usize), (2, 2)] {
+                ctx.register(coll, desc.clone().with_channels(k)).unwrap();
+                assert_eq!(ctx.channels_of(coll), Some(k), "K={k} must stripe");
+            }
         }
         for coll in [1u64, 2] {
             let mut handles = Vec::new();

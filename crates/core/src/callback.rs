@@ -85,6 +85,12 @@ impl CallbackMap {
         cb
     }
 
+    /// Whether any callback is still bound to `coll_id`: an invocation of
+    /// it was submitted and its completion has not been delivered yet.
+    pub fn is_bound(&self, coll_id: u64) -> bool {
+        self.inner.lock().contains_key(&coll_id)
+    }
+
     /// Number of callbacks currently pending across all collectives.
     pub fn pending(&self) -> usize {
         self.inner.lock().values().map(VecDeque::len).sum()

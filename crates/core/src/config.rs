@@ -5,12 +5,12 @@
 //! queue, a twenty-fold raise after a successful primitive (Sec. 6.4.1), 13 KB
 //! of shared memory and 4 MB of global memory per block for 1,000 registered
 //! collectives (Sec. 6.2), and the optimized completion queue (Sec. 5).
+//! Algorithm family and channel count are not here: they are set per
+//! collective on its `CollectiveDescriptor`.
 
 use std::time::Duration;
 
-use dfccl_collectives::{AlgorithmKind, AlgorithmSelector, DEFAULT_TREE_THRESHOLD_BYTES};
-
-use crate::tenant::TenantQuota;
+use dfccl_collectives::AlgorithmSelector;
 
 /// Charge a modelled host-memory cost by busy-spinning for `ns` nanoseconds
 /// (no-op for non-positive costs). The single entry point of the cost model:
@@ -133,7 +133,8 @@ impl SpinPolicy {
 }
 
 /// Modelled host-memory operation costs used by the CQ variants, so that the
-/// Fig. 7(c) comparison has the right shape without real PCIe hardware.
+/// Fig. 7(c) comparison has the right shape without real PCIe hardware, and
+/// the daemon's modelled context load/save costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostMemCosts {
     /// One ordinary host-memory read/write issued from the GPU, in nanoseconds.
@@ -147,6 +148,10 @@ pub struct HostMemCosts {
     /// three of these (head check, slot state, payload); a batched fetch pays
     /// the head check once per batch and two per entry.
     pub sq_read_op_ns: f64,
+    /// Loading one collective context into shared memory, in nanoseconds.
+    pub context_load_ns: f64,
+    /// Saving one collective's dynamic context, in nanoseconds.
+    pub context_save_ns: f64,
 }
 
 impl Default for HostMemCosts {
@@ -159,6 +164,8 @@ impl Default for HostMemCosts {
             fence_ns: 900.0,
             cas_system_ns: 2_000.0,
             sq_read_op_ns: 1_000.0,
+            context_load_ns: 450.0,
+            context_save_ns: 50.0,
         }
     }
 }
@@ -171,6 +178,8 @@ impl HostMemCosts {
             fence_ns: 0.0,
             cas_system_ns: 0.0,
             sq_read_op_ns: 0.0,
+            context_load_ns: 0.0,
+            context_save_ns: 0.0,
         }
     }
 }
@@ -182,28 +191,14 @@ pub struct DfcclConfig {
     pub chunk_elems: usize,
     /// Chunk slots per connector.
     pub connector_capacity: usize,
-    /// Global collective-algorithm override. `None` lets the selector pick
-    /// ring/tree/hierarchical from payload size and topology per collective;
-    /// `Some` forces one family whenever it supports the collective. A
-    /// per-collective override on the descriptor still wins.
-    pub algorithm: Option<AlgorithmKind>,
-    /// Payloads at or below this many bytes prefer the latency-optimal tree
-    /// schedule (when the collective kind supports it).
-    pub tree_threshold_bytes: usize,
-    /// Parallel channels every `(src, dst)` edge is striped across: each
-    /// channel gets its own connector and its own round-robin share of the
-    /// chunk stream, so a large collective fills `K × connector_capacity`
-    /// in-flight slots per edge instead of serialising on one chunk queue.
-    /// `1` (the default) is the unstriped schedule. A per-collective override
-    /// on the descriptor (`CollectiveDescriptor::with_channels`) wins.
-    pub channels: usize,
     /// Submission-queue capacity (SQEs).
     pub sq_capacity: usize,
     /// Completion-queue capacity (CQEs).
     pub cq_capacity: usize,
     /// Which CQ implementation to use.
     pub cq_variant: CqVariant,
-    /// Modelled host-memory costs for SQ/CQ operations.
+    /// Modelled host-memory costs for SQ/CQ operations and context
+    /// load/save.
     pub host_costs: HostMemCosts,
     /// Task-queue ordering policy.
     pub ordering: OrderingPolicy,
@@ -230,10 +225,6 @@ pub struct DfcclConfig {
     /// Shared memory the daemon kernel reserves per block (task queue + active
     /// context slots), bytes.
     pub shared_mem_per_block: usize,
-    /// Modelled cost of loading one collective context into shared memory, ns.
-    pub context_load_ns: f64,
-    /// Modelled cost of saving one collective's dynamic context, ns.
-    pub context_save_ns: f64,
     /// Graph-capture fusion threshold: consecutive captured all-reduces of
     /// the same (device set, dtype, operator) shape whose payloads are each
     /// at most this many bytes are coalesced into one fused all-reduce when
@@ -242,11 +233,6 @@ pub struct DfcclConfig {
     /// [`CollectiveDescriptor::with_no_fuse`](dfccl_collectives::CollectiveDescriptor::with_no_fuse)
     /// opts a single collective out.
     pub fusion_threshold_bytes: usize,
-    /// Default quota for tenants that never received an explicit one — the
-    /// implicit tenant 0 of handle-less registrations, and any tenant whose
-    /// handle this rank has not seen. Unlimited by default, so single-job use
-    /// is unaffected by service mode.
-    pub tenant_quota: TenantQuota,
     /// How per-tenant task-queue lanes are interleaved when more than one
     /// tenant has queued work.
     pub tenant_arbitration: TenantArbitration,
@@ -262,9 +248,6 @@ impl Default for DfcclConfig {
         DfcclConfig {
             chunk_elems: 32 * 1024,
             connector_capacity: 8,
-            algorithm: None,
-            tree_threshold_bytes: DEFAULT_TREE_THRESHOLD_BYTES,
-            channels: 1,
             sq_capacity: 1024,
             cq_capacity: 1024,
             cq_variant: CqVariant::OptimizedSlot,
@@ -277,10 +260,7 @@ impl Default for DfcclConfig {
             sq_fetch_batch: 64,
             daemon_blocks: 4,
             shared_mem_per_block: 13 * 1024,
-            context_load_ns: 450.0,
-            context_save_ns: 50.0,
             fusion_threshold_bytes: 64 * 1024,
-            tenant_quota: TenantQuota::default(),
             tenant_arbitration: TenantArbitration::WeightedFair,
             tenant_quantum: 4,
         }
@@ -293,8 +273,6 @@ impl DfcclConfig {
     pub fn for_testing() -> Self {
         DfcclConfig {
             host_costs: HostMemCosts::free(),
-            context_load_ns: 0.0,
-            context_save_ns: 0.0,
             idle_passes_before_quit: 16,
             restart_backoff: Duration::from_micros(20),
             ..Default::default()
@@ -311,39 +289,16 @@ impl DfcclConfig {
         }
     }
 
-    /// Force one collective-algorithm family for every registration (the
-    /// per-collective descriptor override still wins).
-    pub fn with_algorithm(mut self, algorithm: AlgorithmKind) -> Self {
-        self.algorithm = Some(algorithm);
-        self
-    }
-
-    /// Stripe every registration across `channels` parallel connectors per
-    /// edge (the per-collective descriptor override still wins).
-    pub fn with_channels(mut self, channels: usize) -> Self {
-        self.channels = channels;
-        self
-    }
-
-    /// Set the default quota for tenants without an explicit handle.
-    pub fn with_tenant_quota(mut self, quota: TenantQuota) -> Self {
-        self.tenant_quota = quota;
-        self
-    }
-
     /// Set the weighted-fair base quantum (slices per weight unit per pass).
     pub fn with_tenant_quantum(mut self, quantum: u32) -> Self {
         self.tenant_quantum = quantum.max(1);
         self
     }
 
-    /// The algorithm selector this configuration describes.
+    /// The algorithm selector registrations use: the topology/payload
+    /// policy, overridden only per collective on the descriptor.
     pub fn algorithm_selector(&self) -> AlgorithmSelector {
-        AlgorithmSelector {
-            tree_threshold_bytes: self.tree_threshold_bytes,
-            force: self.algorithm,
-            channels: self.channels,
-        }
+        AlgorithmSelector::default()
     }
 }
 
@@ -387,29 +342,25 @@ mod tests {
         assert_eq!(crate::daemon::TELEMETRY_EVENTS, 4096);
         assert_eq!(c.cq_variant, CqVariant::OptimizedSlot);
         assert!(matches!(c.spin, SpinPolicy::Adaptive { .. }));
+        assert_eq!(c.host_costs.context_load_ns, 450.0);
+        assert_eq!(c.host_costs.context_save_ns, 50.0);
     }
 
     #[test]
     fn testing_config_is_cost_free() {
         let c = DfcclConfig::for_testing();
         assert_eq!(c.host_costs, HostMemCosts::free());
-        assert_eq!(c.context_load_ns, 0.0);
+        assert_eq!(HostMemCosts::free().context_load_ns, 0.0);
+        assert_eq!(HostMemCosts::free().context_save_ns, 0.0);
         let s = DfcclConfig::preemption_stress();
         assert_eq!(s.spin, SpinPolicy::Fixed { threshold: 4 });
     }
 
     #[test]
     fn algorithm_selection_defaults_to_the_topology_aware_policy() {
-        let c = DfcclConfig::default();
-        assert_eq!(c.algorithm, None);
-        assert_eq!(c.tree_threshold_bytes, DEFAULT_TREE_THRESHOLD_BYTES);
-        let sel = c.algorithm_selector();
+        let sel = DfcclConfig::default().algorithm_selector();
+        assert_eq!(sel, AlgorithmSelector::default());
         assert_eq!(sel.force, None);
-        assert_eq!(sel.channels, 1, "unstriped by default");
-        let forced = DfcclConfig::default().with_algorithm(AlgorithmKind::Ring);
-        assert_eq!(forced.algorithm_selector().force, Some(AlgorithmKind::Ring));
-        let striped = DfcclConfig::default().with_channels(4);
-        assert_eq!(striped.algorithm_selector().channels, 4);
     }
 
     #[test]
@@ -426,7 +377,6 @@ mod tests {
     #[test]
     fn tenancy_defaults_leave_single_job_use_unconstrained() {
         let c = DfcclConfig::default();
-        assert_eq!(c.tenant_quota, TenantQuota::default());
         assert_eq!(c.tenant_arbitration, TenantArbitration::WeightedFair);
         assert_eq!(c.tenant_quantum, 4);
         assert_eq!(

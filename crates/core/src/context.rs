@@ -21,6 +21,8 @@ use dfccl_collectives::DeviceBuffer;
 use gpu_sim::busy_spin;
 use parking_lot::Mutex;
 
+use crate::config::HostMemCosts;
+
 /// Which graph replay an invocation belongs to, if any. Carried in the
 /// dynamic context so the daemon can route the constituent's completion to
 /// the graph's single completion accounting instead of emitting a per-node
@@ -155,14 +157,14 @@ pub struct ContextStore {
 }
 
 impl ContextStore {
-    /// Create a store with `active_slots` cache slots and the given modelled
-    /// load/save costs (nanoseconds).
-    pub fn new(active_slots: usize, load_ns: f64, save_ns: f64) -> Self {
+    /// Create a store with `active_slots` cache slots, charging the modelled
+    /// context load/save costs of `costs`.
+    pub fn new(active_slots: usize, costs: HostMemCosts) -> Self {
         ContextStore {
             per_coll: Mutex::new(HashMap::new()),
             active_slots: Mutex::new(vec![None; active_slots.max(1)]),
-            load_cost: Duration::from_nanos(load_ns.max(0.0) as u64),
-            save_cost: Duration::from_nanos(save_ns.max(0.0) as u64),
+            load_cost: Duration::from_nanos(costs.context_load_ns.max(0.0) as u64),
+            save_cost: Duration::from_nanos(costs.context_save_ns.max(0.0) as u64),
         }
     }
 
@@ -364,7 +366,7 @@ mod tests {
     }
 
     fn store() -> ContextStore {
-        ContextStore::new(4, 0.0, 0.0)
+        ContextStore::new(4, HostMemCosts::free())
     }
 
     #[test]
@@ -474,7 +476,7 @@ mod tests {
 
     #[test]
     fn direct_mapped_slots_conflict_on_collisions() {
-        let s = ContextStore::new(2, 0.0, 0.0);
+        let s = ContextStore::new(2, HostMemCosts::free());
         // Collective ids 0 and 2 both map to slot 0.
         s.enqueue_invocation(0, ctx(0));
         s.enqueue_invocation(2, ctx(0));

@@ -19,9 +19,10 @@ pub(super) const CQ_WRITE_BATCH: usize = 16;
 
 impl DaemonCore {
     /// Deliver the outcome of one invocation of `coll_id`: record a failure
-    /// (the error map and a `Failed` event — the failure is still delivered
-    /// through the CQ), then count a graph-tagged invocation down against
-    /// its replay or buffer an individual invocation's own CQE.
+    /// (the error map, a `Failed` event and the tenant's failure count — the
+    /// failure is still delivered through the CQ), then count a graph-tagged
+    /// invocation down against its replay or buffer an individual
+    /// invocation's own CQE.
     pub(super) fn finish_invocation(
         &mut self,
         coll_id: u64,
@@ -34,6 +35,7 @@ impl DaemonCore {
             self.shared
                 .telemetry
                 .record(coll_id, TelemetryEventKind::Failed);
+            self.shared.tenants.state(tenant).on_failed();
         }
         match graph {
             Some(tag) => self.complete_graph_node(tag, failed),

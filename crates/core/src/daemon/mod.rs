@@ -74,7 +74,7 @@ use crate::park::Parker;
 use crate::sq::{SqCursor, SubmissionQueue};
 use crate::stats::DaemonStats;
 use crate::telemetry::Telemetry;
-use crate::tenant::{TenantId, TenantTable};
+use crate::tenant::{TenantId, TenantQuota, TenantTable};
 
 mod admission;
 mod complete;
@@ -172,7 +172,7 @@ pub struct DaemonShared {
     pub telemetry: Arc<Telemetry>,
     /// Per-tenant admission counters and lifecycle accounting (service
     /// mode). Tenants without an explicit handle get
-    /// [`DfcclConfig::tenant_quota`].
+    /// [`TenantQuota::default`] (unlimited).
     pub tenants: Arc<TenantTable>,
     /// Collectives that failed with a protocol error, and why.
     pub errors: Mutex<HashMap<u64, String>>,
@@ -213,13 +213,9 @@ impl DaemonShared {
         callbacks: Arc<CallbackMap>,
         carrier: Arc<Carrier>,
     ) -> Arc<Self> {
-        let contexts = ContextStore::new(
-            ACTIVE_CONTEXT_SLOTS,
-            config.context_load_ns,
-            config.context_save_ns,
-        );
+        let contexts = ContextStore::new(ACTIVE_CONTEXT_SLOTS, config.host_costs);
         let telemetry = Telemetry::new(TELEMETRY_EVENTS);
-        let tenants = TenantTable::new(config.tenant_quota);
+        let tenants = TenantTable::new(TenantQuota::default());
         Arc::new(DaemonShared {
             gpu,
             device,

@@ -299,8 +299,6 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     let config = DfcclConfig {
         chunk_elems: 4,
         connector_capacity: 1,
-        channels: 3,
-        algorithm: Some(AlgorithmKind::DoubleBinaryTree),
         spin: SpinPolicy::Fixed { threshold: 3 },
         ..DfcclConfig::for_testing()
     };
@@ -313,7 +311,9 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     let mut world = domain.world().hold();
     let ranks = init_ranks(&domain, RANKS);
     let desc =
-        CollectiveDescriptor::all_reduce(COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1, 2, 3]));
+        CollectiveDescriptor::all_reduce(COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1, 2, 3]))
+            .with_algorithm(AlgorithmKind::DoubleBinaryTree)
+            .with_channels(3);
     for rank in &ranks {
         rank.register(1, desc.clone()).unwrap();
     }
@@ -578,6 +578,79 @@ fn preemption_storm_world_drains_under_bursty_schedules() {
             "seed {seed}: bursts past the threshold must preempt"
         );
     }
+}
+
+/// Invocations pushed from several threads at once and not fetched yet. The
+/// SQ has a single producer, so submitters must take turns: two pushes racing
+/// for one slot lose an SQE (its peer then waits forever) or see a spurious
+/// full SQ. And a rank with unread SQEs is not quiescent: were `remove_rank`
+/// to drop the registration, the daemon would fail them as unregistered under
+/// tenant 0 and their own tenant's `outstanding` would never drain.
+#[test]
+fn concurrent_unread_submissions_are_delivered_and_block_remove_rank() {
+    const THREADS: usize = 4;
+    const RUNS: usize = 500;
+    const COUNT: usize = 4;
+    let config = DfcclConfig {
+        sq_capacity: THREADS * RUNS,
+        ..DfcclConfig::for_testing()
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(2),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let tenant = domain.tenant(TenantQuota::default());
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, 2);
+    for rank in &ranks {
+        let (id, devices) = (1, gpus(&[0, 1]));
+        rank.register_all_reduce_for(&tenant, id, COUNT, DataType::F32, ReduceOp::Sum, devices, 0)
+            .unwrap();
+    }
+    let fired = Arc::new(AtomicUsize::new(0));
+    let run = |rank: &RankCtx| {
+        let fired = Arc::clone(&fired);
+        let (send, recv) = (
+            DeviceBuffer::zeroed(COUNT * 4),
+            DeviceBuffer::zeroed(COUNT * 4),
+        );
+        let callback = Box::new(move || {
+            fired.fetch_add(1, Ordering::AcqRel);
+        });
+        rank.run(1, send, recv, callback).unwrap();
+    };
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| (0..RUNS).for_each(|_| run(&ranks[0])));
+        }
+    });
+    (0..THREADS * RUNS).for_each(|_| run(&ranks[1]));
+    // No seat has stepped: every SQE is unread.
+    let busy = DfcclError::MembershipBusy {
+        gpu: GpuId(1),
+        coll_id: 1,
+    };
+    assert_eq!(domain.remove_rank(GpuId(1)), Err(busy));
+    let what = "concurrent unread submissions";
+    step_until(
+        &mut world,
+        &ranks,
+        1_000_000,
+        what,
+        |step| Some(step % 2),
+        |_| fired.load(Ordering::Acquire) == 2 * THREADS * RUNS,
+    );
+    for rank in &ranks {
+        assert!(rank.collective_errors().is_empty());
+        let stats = rank.tenant_stats();
+        let row = stats.iter().find(|t| t.tenant == tenant.id()).unwrap();
+        let runs = (THREADS * RUNS) as u64;
+        assert_eq!((row.outstanding, row.completed, row.failed), (0, runs, 0));
+    }
+    assert_eq!(domain.remove_rank(GpuId(1)), Ok(2), "quiescent now");
+    tear_down(&mut world, &ranks, what);
 }
 
 /// `destroy` with a full SQ: the exiting SQE finds no slot and is dropped,

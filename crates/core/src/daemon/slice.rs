@@ -198,7 +198,6 @@ impl DaemonCore {
         let coll_id = reg.coll_id;
         self.pass_active = true;
         if failed.is_some() {
-            self.shared.tenants.state(reg.tenant).on_failed();
             self.finish_invocation(coll_id, reg.tenant, ctx.graph, failed);
         } else {
             // A recovery ghost replay already published its CQE before the

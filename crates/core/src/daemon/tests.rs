@@ -136,6 +136,9 @@ fn unregistered_collective_is_failed_not_hung() {
     assert_eq!(shared.outstanding(), 0);
     assert!(shared.errors.lock().contains_key(&99));
     assert_eq!(drain_ids(&shared), vec![99]);
+    // The failure is counted once in telemetry and once for its tenant.
+    assert_eq!(shared.telemetry.counters().failures, 1);
+    assert_eq!(shared.tenants.state(TenantId::DEFAULT).stats().failed, 1);
 }
 
 #[test]

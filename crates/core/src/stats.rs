@@ -101,14 +101,12 @@ pub struct CollectiveStats {
 #[derive(Debug, Default)]
 pub struct DaemonStats {
     preemptions: AtomicU64,
-    context_switches: AtomicU64,
     context_loads: AtomicU64,
     context_saves: AtomicU64,
     lazy_save_skips: AtomicU64,
     voluntary_quits: AtomicU64,
     daemon_starts: AtomicU64,
     sqes_fetched: AtomicU64,
-    cqes_written: AtomicU64,
     collectives_completed: AtomicU64,
     primitives_executed: AtomicU64,
     max_queue_len: AtomicU64,
@@ -119,7 +117,9 @@ pub struct DaemonStats {
     per_collective: Mutex<HashMap<u64, CollectiveStats>>,
 }
 
-/// A point-in-time copy of the aggregate counters.
+/// A point-in-time copy of the aggregate counters. `context_switches` and
+/// `cqes_written` are derived, not counted: every preemption switches the
+/// core to the next collective, and every completion owes one CQE.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DaemonStatsSnapshot {
     pub preemptions: u64,
@@ -144,7 +144,6 @@ impl DaemonStats {
     /// Record one preemption of `coll_id`.
     pub fn record_preemption(&self, coll_id: u64) {
         self.preemptions.fetch_add(1, Ordering::Relaxed);
-        self.context_switches.fetch_add(1, Ordering::Relaxed);
         self.per_collective
             .lock()
             .entry(coll_id)
@@ -154,10 +153,9 @@ impl DaemonStats {
 
     /// Record a completed collective and the CQE owed for it. Called before
     /// the CQE is published, so a caller woken by its completion callback
-    /// reads both counters already including that completion.
+    /// reads a count already including that completion.
     pub fn record_completion(&self, coll_id: u64) {
         self.collectives_completed.fetch_add(1, Ordering::Relaxed);
-        self.cqes_written.fetch_add(1, Ordering::Relaxed);
         self.per_collective
             .lock()
             .entry(coll_id)
@@ -228,17 +226,19 @@ impl DaemonStats {
 
     /// Aggregate snapshot.
     pub fn snapshot(&self) -> DaemonStatsSnapshot {
+        let preemptions = self.preemptions.load(Ordering::Relaxed);
+        let collectives_completed = self.collectives_completed.load(Ordering::Relaxed);
         DaemonStatsSnapshot {
-            preemptions: self.preemptions.load(Ordering::Relaxed),
-            context_switches: self.context_switches.load(Ordering::Relaxed),
+            preemptions,
+            context_switches: preemptions,
             context_loads: self.context_loads.load(Ordering::Relaxed),
             context_saves: self.context_saves.load(Ordering::Relaxed),
             lazy_save_skips: self.lazy_save_skips.load(Ordering::Relaxed),
             voluntary_quits: self.voluntary_quits.load(Ordering::Relaxed),
             daemon_starts: self.daemon_starts.load(Ordering::Relaxed),
             sqes_fetched: self.sqes_fetched.load(Ordering::Relaxed),
-            cqes_written: self.cqes_written.load(Ordering::Relaxed),
-            collectives_completed: self.collectives_completed.load(Ordering::Relaxed),
+            cqes_written: collectives_completed,
+            collectives_completed,
             primitives_executed: self.primitives_executed.load(Ordering::Relaxed),
             max_queue_len: self.max_queue_len.load(Ordering::Relaxed),
             mean_sqe_read: self.sqe_read_time.mean(),

@@ -339,7 +339,6 @@ fn preemption_storm_with_striped_channels_saves_and_restores_every_channel() {
     let config = DfcclConfig {
         chunk_elems: 4,
         connector_capacity: 1,
-        channels: 3,
         ..DfcclConfig::preemption_stress()
     };
     let domain = DfcclDomain::new(
@@ -352,11 +351,18 @@ fn preemption_storm_with_striped_channels_saves_and_restores_every_channel() {
         .map(|g| domain.init_rank(GpuId(g)).unwrap())
         .collect();
     for ctx in &ranks {
-        ctx.register_all_to_all(1, count, DataType::F32, gpus(n), 0)
-            .unwrap();
+        ctx.register(
+            1,
+            CollectiveDescriptor::all_to_all(count, DataType::F32, gpus(n)).with_channels(3),
+        )
+        .unwrap();
         assert_eq!(ctx.channels_of(1), Some(3), "all-to-all must stripe");
-        ctx.register_all_reduce(2, count * n, DataType::F32, ReduceOp::Sum, gpus(n), 0)
-            .unwrap();
+        ctx.register(
+            2,
+            CollectiveDescriptor::all_reduce(count * n, DataType::F32, ReduceOp::Sum, gpus(n))
+                .with_channels(3),
+        )
+        .unwrap();
         assert_eq!(ctx.channels_of(2), Some(3), "all-reduce must stripe");
     }
     let inputs: Vec<Vec<f32>> = (0..n)

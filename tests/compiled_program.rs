@@ -13,8 +13,8 @@ use common::{
     descriptor_for, family_matrix, gpus, inputs_for, plans_for, run_compiled, run_reference,
 };
 use dfccl_collectives::{
-    algorithm, execute_ready_instr, instr_ready, AlgorithmKind, CollectiveKind, CompiledProgram,
-    DataType, DeviceBuffer, PendingSends, ReduceOp, StepOutcome,
+    algorithm, execute_ready_instr, instr_ready, AlgorithmKind, CollectiveDescriptor,
+    CollectiveKind, CompiledProgram, DataType, DeviceBuffer, PendingSends, ReduceOp, StepOutcome,
 };
 use dfccl_transport::{ChannelId, Communicator, CommunicatorId, LinkModel, Topology};
 use gpu_sim::GpuId;
@@ -164,7 +164,6 @@ fn preemption_storm_restores_lane_cursors_bit_exactly() {
     let config = DfcclConfig {
         chunk_elems: 4,
         connector_capacity: 1,
-        channels: 3,
         ..DfcclConfig::preemption_stress()
     };
     let domain = DfcclDomain::new(
@@ -177,10 +176,17 @@ fn preemption_storm_restores_lane_cursors_bit_exactly() {
         .map(|g| domain.init_rank(GpuId(g)).unwrap())
         .collect();
     for ctx in &ranks {
-        ctx.register_all_to_all(1, count, DataType::F32, gpus(n), 0)
-            .unwrap();
-        ctx.register_all_reduce(2, count * n, DataType::F32, ReduceOp::Sum, gpus(n), 0)
-            .unwrap();
+        ctx.register(
+            1,
+            CollectiveDescriptor::all_to_all(count, DataType::F32, gpus(n)).with_channels(3),
+        )
+        .unwrap();
+        ctx.register(
+            2,
+            CollectiveDescriptor::all_reduce(count * n, DataType::F32, ReduceOp::Sum, gpus(n))
+                .with_channels(3),
+        )
+        .unwrap();
     }
     let mut handles = Vec::new();
     let mut recvs = Vec::new();

@@ -63,11 +63,10 @@ fn mild_links() -> LinkModel {
 
 /// The stress-grade config: minimal connector capacity, tiny chunks, a low
 /// fixed spin threshold so preemption is constantly exercised.
-fn fault_config(channels: usize) -> DfcclConfig {
+fn fault_config() -> DfcclConfig {
     DfcclConfig {
         chunk_elems: 8,
         connector_capacity: 1,
-        channels,
         spin: SpinPolicy::Fixed { threshold: 16 },
         ..DfcclConfig::for_testing()
     }
@@ -92,19 +91,15 @@ fn slowdown_round(
     seed: u64,
 ) {
     let n = devices.len();
-    let domain = DfcclDomain::new(
-        topology,
-        mild_links(),
-        GpuSpec::rtx_3090(),
-        fault_config(channels),
-    );
+    let domain = DfcclDomain::new(topology, mild_links(), GpuSpec::rtx_3090(), fault_config());
     let count = 16 * n; // divisible by every rank count, several chunks deep
     let desc = if family == AlgorithmKind::Pairwise {
         CollectiveDescriptor::all_to_all(count / n, DataType::F32, devices.clone())
     } else {
         CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices.clone())
     }
-    .with_algorithm(family);
+    .with_algorithm(family)
+    .with_channels(channels);
 
     let ranks: Vec<RankCtx> = devices
         .iter()
@@ -228,7 +223,7 @@ fn dead_edge_yields_a_stall_report_naming_it_then_healing_completes() {
         Topology::flat(2),
         mild_links(),
         GpuSpec::rtx_3090(),
-        fault_config(1),
+        fault_config(),
     );
     let devices = vec![GpuId(0), GpuId(1)];
     let count = 64;
@@ -307,7 +302,7 @@ fn dead_inter_node_edge_is_identified_and_healable_on_two_servers() {
         Topology::two_servers(),
         LinkModel::table2_testbed(),
         GpuSpec::rtx_3090(),
-        fault_config(1),
+        fault_config(),
     );
     let count = 64;
     let ranks: Vec<RankCtx> = devices
@@ -404,7 +399,7 @@ fn slow_inter_node_edge_completes_with_zero_watchdog_false_positives() {
         Topology::two_servers(),
         LinkModel::table2_testbed(),
         GpuSpec::rtx_3090(),
-        fault_config(1),
+        fault_config(),
     );
     let count = 64;
     let ranks: Vec<RankCtx> = devices
@@ -480,7 +475,7 @@ fn flaky_edge_retries_to_a_bit_exact_result() {
             Topology::flat(4),
             mild_links(),
             GpuSpec::rtx_3090(),
-            fault_config(2),
+            fault_config(),
         );
         let devices: Vec<GpuId> = (0..4).map(GpuId).collect();
         let count = 64;
@@ -488,9 +483,11 @@ fn flaky_edge_retries_to_a_bit_exact_result() {
             .iter()
             .map(|&g| domain.init_rank(g).unwrap())
             .collect();
+        let desc =
+            CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices.clone())
+                .with_channels(2);
         for rank in &ranks {
-            rank.register_all_reduce(1, count, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
-                .unwrap();
+            rank.register(1, desc.clone()).unwrap();
         }
         let injector = domain.fault_injector();
         injector.set_seed(seed);
@@ -567,19 +564,15 @@ fn recovery_round(
     seed: u64,
 ) {
     let n = devices.len();
-    let domain = DfcclDomain::new(
-        topology,
-        mild_links(),
-        GpuSpec::rtx_3090(),
-        fault_config(channels),
-    );
+    let domain = DfcclDomain::new(topology, mild_links(), GpuSpec::rtx_3090(), fault_config());
     let count = 16 * n;
     let desc = if family == AlgorithmKind::Pairwise {
         CollectiveDescriptor::all_to_all(count / n, DataType::F32, devices.clone())
     } else {
         CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices.clone())
     }
-    .with_algorithm(family);
+    .with_algorithm(family)
+    .with_channels(channels);
 
     let ranks: Vec<RankCtx> = devices
         .iter()
@@ -752,7 +745,7 @@ fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
         Topology::two_servers(),
         LinkModel::table2_testbed(),
         GpuSpec::rtx_3090(),
-        fault_config(1),
+        fault_config(),
     );
     let count = 64;
     let ranks: Vec<RankCtx> = devices
@@ -871,7 +864,7 @@ fn recovery_survives_a_preemption_storm() {
             Topology::flat(4),
             mild_links(),
             GpuSpec::rtx_3090(),
-            fault_config(1),
+            fault_config(),
         );
         let devices: Vec<GpuId> = (0..4).map(GpuId).collect();
         let a2a_per = 24usize;

@@ -151,12 +151,14 @@ fn run_job(kind: CollectiveKind, algo: AlgorithmKind, topo: Topology, channels: 
     let config = DfcclConfig {
         chunk_elems: 3,
         connector_capacity: 1,
-        channels,
         ..DfcclConfig::for_testing()
-    }
-    .with_algorithm(algo);
+    };
     let domain = DfcclDomain::new(topo, LinkModel::zero_cost(), GpuSpec::rtx_3090(), config);
-    let descs = step_descriptors(kind, n);
+    // Family and K are set on every descriptor; a fused node inherits both.
+    let descs: Vec<_> = step_descriptors(kind, n)
+        .into_iter()
+        .map(|d| d.with_algorithm(algo).with_channels(channels))
+        .collect();
     let ranks: Vec<_> = (0..n)
         .map(|g| domain.init_rank(GpuId(g)).unwrap())
         .collect();
@@ -262,7 +264,6 @@ fn replay_matches_individual_submission_under_preemption_storm() {
     let config = DfcclConfig {
         chunk_elems: 4,
         connector_capacity: 1,
-        channels: 3,
         ..DfcclConfig::preemption_stress()
     };
     let domain = DfcclDomain::new(
@@ -278,7 +279,8 @@ fn replay_matches_individual_submission_under_preemption_storm() {
         .iter()
         .enumerate()
         .map(|(i, &count)| {
-            let d = CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(n));
+            let d = CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(n))
+                .with_channels(3);
             if i == 3 {
                 d.with_no_fuse()
             } else {
