@@ -38,8 +38,7 @@ use crate::daemon::{
 };
 use crate::recovery::RetryPolicy;
 use crate::sq::{Sqe, SubmissionQueue};
-use crate::stats::{CollectiveStats, DaemonStatsSnapshot, TenantStats};
-use crate::telemetry::{TelemetryEventKind, TelemetrySnapshot};
+use crate::telemetry::{CollectiveStats, DaemonStatsSnapshot, TelemetrySnapshot, TenantStats};
 use crate::tenant::{AdmissionError, TenantHandle, TenantId, TenantQuota};
 
 /// Global memory the daemon kernel reserves per block for the collective
@@ -851,7 +850,8 @@ impl RankCtx {
     /// against `tenant`'s outstanding quota first (typed, retryable
     /// backpressure with nothing bound or queued), then bind the callback,
     /// count the invocation owed and push its SQE, rolling all three back on
-    /// a full SQ; a visible SQE is recorded as `Submit` and rings the carrier.
+    /// a full SQ; the push is recorded as `Submit` if the SQE became visible,
+    /// which rings the carrier.
     fn submit(
         &self,
         tenant: TenantId,
@@ -876,7 +876,9 @@ impl RankCtx {
                 exit: false,
             };
             *next_seq += 1;
-            self.shared.sq.try_push(sqe)
+            self.shared
+                .telemetry
+                .record_submit(coll_id, tenant, || self.shared.sq.try_push(sqe))
         };
         if pushed.is_err() {
             self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
@@ -884,12 +886,9 @@ impl RankCtx {
             // spuriously; other in-flight invocations of the same collective
             // (from this or any other thread) keep theirs.
             let _ = self.shared.callbacks.unbind(coll_id, bind_token);
-            admitted.cancel_run();
+            admitted.release_run();
             return Err(DfcclError::SubmissionQueueFull);
         }
-        self.shared
-            .telemetry
-            .record(coll_id, TelemetryEventKind::Submit);
         self.shared.notify_daemon();
         Ok(())
     }
@@ -1009,16 +1008,8 @@ impl RankCtx {
                 fused.gather();
             }
         }
-        // A replay counts as one outstanding invocation of the tenant that
-        // captured the graph (attributed to its first node, matching how the
-        // daemon routes the graph's completion).
-        let tenant = graph
-            .nodes
-            .first()
-            .map(|n| n.reg.tenant)
-            .unwrap_or(TenantId::DEFAULT);
         let empty = || DeviceBuffer::zeroed(0);
-        let submitted = self.submit(tenant, graph.graph_id, empty(), empty(), callback);
+        let submitted = self.submit(graph.tenant(), graph.graph_id, empty(), empty(), callback);
         if submitted.is_err() {
             graph.in_flight.store(false, Ordering::Release);
         }
@@ -1065,20 +1056,20 @@ impl RankCtx {
             .map(|r| r.plan.channel_count())
     }
 
-    /// Aggregate daemon statistics for this rank.
+    /// Aggregate daemon statistics for this rank (sums over its ledger).
     pub fn stats(&self) -> DaemonStatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.telemetry.daemon_stats()
     }
 
     /// Per-collective statistics for this rank (Fig. 11 data).
     pub fn per_collective_stats(&self) -> HashMap<u64, CollectiveStats> {
-        self.shared.stats.per_collective()
+        self.shared.telemetry.per_collective()
     }
 
-    /// Preemptions per logical daemon block (the Sec. 6.1 metric).
+    /// This rank's preemptions per logical daemon block (the Sec. 6.1
+    /// metric; see [`DaemonStatsSnapshot::preemptions_per_block`]).
     pub fn preemptions_per_block(&self) -> f64 {
-        self.shared
-            .stats
+        self.stats()
             .preemptions_per_block(self.domain.config.daemon_blocks)
     }
 
@@ -1104,9 +1095,7 @@ impl RankCtx {
             }
         }
         edges.sort_by_key(|a| (a.coll_id, a.edge));
-        self.shared
-            .telemetry
-            .snapshot(edges, self.shared.tenants.snapshot())
+        self.shared.telemetry.snapshot(edges, &self.shared.tenants)
     }
 
     /// Per-tenant accounting on this rank — the service-mode analogue of
@@ -1115,7 +1104,7 @@ impl RankCtx {
     /// lifecycle counters, sorted by tenant id. Also embedded in
     /// [`RankCtx::telemetry`] snapshots.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.shared.tenants.snapshot()
+        self.shared.telemetry.tenant_stats(&self.shared.tenants)
     }
 
     /// Number of invocations submitted but not yet completed on this rank.
@@ -1302,6 +1291,7 @@ pub fn dfccl_destroy(ctx: RankCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryEventKind;
 
     fn gpus(n: usize) -> Vec<GpuId> {
         (0..n).map(GpuId).collect()

@@ -18,19 +18,24 @@ impl DaemonCore {
     /// on its tenant's lane with the configured initial spin threshold for
     /// its arrival position. `reg` is its registration if the caller holds
     /// it (graph nodes), else the registry is consulted; an unregistered id
-    /// queues under tenant 0 and is failed when its slice opens.
-    pub(super) fn track(&mut self, coll_id: u64, reg: Option<&Arc<RegisteredCollective>>) {
-        if self.scheduler.contains(coll_id) {
-            return;
-        }
+    /// queues under tenant 0 and is failed when its slice opens. Returns the
+    /// tenant it is accounted to.
+    pub(super) fn track(
+        &mut self,
+        coll_id: u64,
+        reg: Option<&Arc<RegisteredCollective>>,
+    ) -> TenantId {
         let shared = &self.shared;
         let (priority, tenant) = reg
             .cloned()
             .or_else(|| self.registry.get(shared, coll_id))
             .map_or((0, TenantId::DEFAULT), |r| (r.desc.priority, r.tenant));
-        let state = shared.tenants.state(tenant);
-        let initial_spin = shared.config.spin.initial_threshold(self.scheduler.len());
-        self.scheduler.push(coll_id, &state, priority, initial_spin);
+        if !self.scheduler.contains(coll_id) {
+            let state = shared.tenants.state(tenant);
+            let initial_spin = shared.config.spin.initial_threshold(self.scheduler.len());
+            self.scheduler.push(coll_id, &state, priority, initial_spin);
+        }
+        tenant
     }
 
     /// Fetch and parse SQEs, a batch per cursor-lock acquisition, until the
@@ -54,8 +59,8 @@ impl DaemonCore {
                 break;
             }
             self.shared
-                .stats
-                .record_sqe_fetch_batch(read_start.elapsed(), fetched as u64);
+                .telemetry
+                .record_sqe_read(read_start.elapsed(), fetched as u64);
             fetched_total += fetched;
             let prep_start = Instant::now();
             for sqe in batch.drain(..) {
@@ -63,9 +68,6 @@ impl DaemonCore {
                     self.shared.final_exit.store(true, Ordering::Release);
                     continue;
                 }
-                self.shared
-                    .telemetry
-                    .record(sqe.coll_id, TelemetryEventKind::Fetch);
                 if is_graph_id(sqe.coll_id) {
                     self.expand_graph(sqe.coll_id, sqe.seq);
                     continue;
@@ -74,12 +76,12 @@ impl DaemonCore {
                     sqe.coll_id,
                     DynamicContext::new(sqe.seq, sqe.send, sqe.recv),
                 );
-                self.track(sqe.coll_id, None);
-                self.shared
-                    .stats
-                    .record_queue_len(sqe.coll_id, self.scheduler.len() as u64);
+                let tenant = self.track(sqe.coll_id, None);
+                let telemetry = &self.shared.telemetry;
+                telemetry.record(sqe.coll_id, tenant, TelemetryEventKind::Fetch);
+                telemetry.record_queue_len(sqe.coll_id, tenant, self.scheduler.len() as u64);
             }
-            self.shared.stats.record_preparing(prep_start.elapsed());
+            self.shared.telemetry.record_preparing(prep_start.elapsed());
         }
         self.sqe_batch = batch;
         fetched_total

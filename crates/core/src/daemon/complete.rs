@@ -19,10 +19,9 @@ pub(super) const CQ_WRITE_BATCH: usize = 16;
 
 impl DaemonCore {
     /// Deliver the outcome of one invocation of `coll_id`: record a failure
-    /// (the error map, a `Failed` event and the tenant's failure count — the
-    /// failure is still delivered through the CQ), then count a graph-tagged
-    /// invocation down against its replay or buffer an individual
-    /// invocation's own CQE.
+    /// (the error map and a `Failed` fact — the failure is still delivered
+    /// through the CQ), then count a graph-tagged invocation down against its
+    /// replay or buffer an individual invocation's own CQE.
     pub(super) fn finish_invocation(
         &mut self,
         coll_id: u64,
@@ -34,8 +33,7 @@ impl DaemonCore {
             self.shared.errors.lock().insert(coll_id, reason.clone());
             self.shared
                 .telemetry
-                .record(coll_id, TelemetryEventKind::Failed);
-            self.shared.tenants.state(tenant).on_failed();
+                .record(coll_id, tenant, TelemetryEventKind::Failed);
         }
         match graph {
             Some(tag) => self.complete_graph_node(tag, failed),
@@ -44,16 +42,16 @@ impl DaemonCore {
     }
 
     /// Append a CQE to the pending batch, publishing opportunistically at
-    /// the batch threshold. Rank-wide and per-tenant accounting lands here,
-    /// before the CQE can become visible: a caller woken by its completion
-    /// callback already sees the completion in `stats()` / `tenant_stats()`.
+    /// the batch threshold. The `Complete` fact and the tenant's quota slot
+    /// land here, before the CQE can become visible: a caller woken by its
+    /// completion callback already sees the completion in `stats()` /
+    /// `tenant_stats()`.
     pub(super) fn enqueue_completion(&mut self, coll_id: u64, tenant: TenantId) {
         let shared = &self.shared;
         shared
             .telemetry
-            .record(coll_id, TelemetryEventKind::Complete);
-        shared.stats.record_completion(coll_id);
-        shared.tenants.state(tenant).on_complete();
+            .record(coll_id, tenant, TelemetryEventKind::Complete);
+        shared.tenants.state(tenant).release_run();
         self.completions.push(Cqe { coll_id });
         if self.completions.len() >= CQ_WRITE_BATCH {
             self.publish();
@@ -73,7 +71,7 @@ impl DaemonCore {
         let published = shared.cq.push_n(&self.completions);
         if published > 0 {
             shared
-                .stats
+                .telemetry
                 .record_cqe_write_time(write_start.elapsed(), published as u64);
             // `outstanding` moves only after publication: the carrier's leave
             // condition and `destroy` read it as "no CQE is still owed".

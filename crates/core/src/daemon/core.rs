@@ -107,7 +107,7 @@ impl DaemonCore {
     /// Start an incarnation over `shared`, whose `running` flag the caller
     /// has just won.
     pub(super) fn new(shared: Arc<DaemonShared>) -> Self {
-        shared.stats.record_daemon_start();
+        shared.telemetry.record_daemon_start();
         DaemonCore {
             residency: None,
             retired: false,
@@ -227,7 +227,7 @@ impl DaemonCore {
         }
         self.publish();
         if voluntary {
-            self.shared.stats.record_voluntary_quit();
+            self.shared.telemetry.record_voluntary_quit();
         }
         self.residency = None;
         self.shared.mark_not_running();

@@ -12,6 +12,7 @@ use gpu_sim::GpuId;
 use super::core::DaemonCore;
 use super::RegisteredCollective;
 use crate::context::{DynamicContext, GraphTag};
+use crate::telemetry::TelemetryEventKind;
 use crate::tenant::TenantId;
 
 /// One node of a captured graph: the (possibly fused) recorded operation and
@@ -60,6 +61,14 @@ impl CapturedGraph {
             .filter(|n| matches!(n.op, GraphOp::Fused(_)))
             .count()
     }
+
+    /// The tenant a replay is accounted to: the first node's registering
+    /// tenant (capture is rank-local, so all nodes share it in practice).
+    pub fn tenant(&self) -> TenantId {
+        self.nodes
+            .first()
+            .map_or(TenantId::DEFAULT, |n| n.reg.tenant)
+    }
 }
 
 /// Countdown state of one in-flight graph replay: lives in
@@ -79,11 +88,16 @@ impl DaemonCore {
     /// the ordinary slices; only their completions are routed differently
     /// (see [`DaemonCore::complete_graph_node`]).
     pub(super) fn expand_graph(&mut self, graph_id: u64, run: u64) {
-        let Some(graph) = self.shared.graphs.read().get(&graph_id).cloned() else {
+        let graph = self.shared.graphs.read().get(&graph_id).cloned();
+        let tenant = graph.as_ref().map_or(TenantId::DEFAULT, |g| g.tenant());
+        self.shared
+            .telemetry
+            .record(graph_id, tenant, TelemetryEventKind::Fetch);
+        let Some(graph) = graph else {
             // Replay of a graph this rank never captured: fail it like an
             // unregistered collective instead of hanging the submitter.
             let reason = "graph not captured on this rank".to_string();
-            self.finish_invocation(graph_id, TenantId::DEFAULT, None, Some(reason));
+            self.finish_invocation(graph_id, tenant, None, Some(reason));
             return;
         };
         self.shared.graph_runs.lock().insert(
@@ -106,10 +120,10 @@ impl DaemonCore {
                 node: node as u32,
             });
             self.shared.contexts.enqueue_invocation(coll_id, ctx);
-            self.track(coll_id, Some(&graph_node.reg));
+            let tenant = self.track(coll_id, Some(&graph_node.reg));
             self.shared
-                .stats
-                .record_queue_len(coll_id, self.scheduler.len() as u64);
+                .telemetry
+                .record_queue_len(coll_id, tenant, self.scheduler.len() as u64);
         }
     }
 
@@ -150,15 +164,7 @@ impl DaemonCore {
         };
         if let Some(graph) = finished {
             graph.in_flight.store(false, Ordering::Release);
-            // The replay's single CQE is accounted to the tenant that
-            // captured the graph (the first node's registering tenant —
-            // capture is rank-local, so all nodes share it in practice).
-            let tenant = graph
-                .nodes
-                .first()
-                .map(|n| n.reg.tenant)
-                .unwrap_or(TenantId::DEFAULT);
-            self.enqueue_completion(tag.graph_id, tenant);
+            self.enqueue_completion(tag.graph_id, graph.tenant());
         }
     }
 }

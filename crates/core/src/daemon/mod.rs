@@ -72,7 +72,6 @@ use crate::context::ContextStore;
 use crate::cq::CqKind;
 use crate::park::Parker;
 use crate::sq::{SqCursor, SubmissionQueue};
-use crate::stats::DaemonStats;
 use crate::telemetry::Telemetry;
 use crate::tenant::{TenantId, TenantQuota, TenantTable};
 
@@ -165,14 +164,12 @@ pub struct DaemonShared {
     /// In-flight graph replays keyed by `(graph_id, run)`; like `contexts`,
     /// this survives daemon restarts mid-replay.
     graph_runs: Mutex<HashMap<(u64, u64), graph::GraphRun>>,
-    /// Statistics.
-    pub stats: Arc<DaemonStats>,
-    /// Structured telemetry: lifecycle event ring ([`TELEMETRY_EVENTS`]
-    /// deep) + always-on counters.
+    /// The rank's one ledger: every lifecycle fact per (tenant, collective),
+    /// the daemon's counters and component times, and an event ring
+    /// ([`TELEMETRY_EVENTS`] deep).
     pub telemetry: Arc<Telemetry>,
-    /// Per-tenant admission counters and lifecycle accounting (service
-    /// mode). Tenants without an explicit handle get
-    /// [`TenantQuota::default`] (unlimited).
+    /// Per-tenant admission state (service mode). Tenants without an
+    /// explicit handle get [`TenantQuota::default`] (unlimited).
     pub tenants: Arc<TenantTable>,
     /// Collectives that failed with a protocol error, and why.
     pub errors: Mutex<HashMap<u64, String>>,
@@ -228,7 +225,6 @@ impl DaemonShared {
             contexts,
             graphs: RwLock::new(HashMap::new()),
             graph_runs: Mutex::new(HashMap::new()),
-            stats: Arc::new(DaemonStats::default()),
             telemetry,
             tenants,
             errors: Mutex::new(HashMap::new()),

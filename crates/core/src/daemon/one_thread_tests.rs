@@ -214,7 +214,7 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
                 let member = desc.devices.iter().position(|g| g.0 == r).unwrap();
                 let recv = DeviceBuffer::zeroed(desc.recv_bytes(member));
                 let (fired, cqes_at_last) = (Arc::clone(&fired), Arc::clone(&cqes_at_last));
-                let stats = Arc::clone(&rank.shared_state().stats);
+                let ledger = Arc::clone(&rank.shared_state().telemetry);
                 let total = per_rank[r];
                 rank.run(
                     *id,
@@ -222,7 +222,8 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
                     recv.clone(),
                     Box::new(move || {
                         if fired[r].fetch_add(1, Ordering::AcqRel) + 1 == total {
-                            cqes_at_last[r].store(stats.snapshot().cqes_written, Ordering::Release);
+                            let cqes = ledger.daemon_stats().cqes_written;
+                            cqes_at_last[r].store(cqes, Ordering::Release);
                         }
                     }),
                 )
@@ -261,7 +262,39 @@ fn run_disorder_world(seed: u64, skip: Option<usize>) {
             counters.preemptions, counters.resumes,
             "{what}: rank {r} left a Preempt without its Resume"
         );
-        preemptions += rank.stats().preemptions;
+        // One ledger: every view of a fact reads the same count, and every
+        // submission completed exactly once.
+        let stats = rank.stats();
+        let tenants = rank.tenant_stats();
+        let per_coll = rank.per_collective_stats();
+        let facts = [
+            (counters.submits, stats.sqes_fetched, "submits vs fetches"),
+            (counters.submits, stats.cqes_written, "submits vs CQEs"),
+            (
+                counters.preemptions,
+                tenants.iter().map(|t| t.preempted).sum(),
+                "rank vs tenant preemptions",
+            ),
+            (
+                stats.preemptions,
+                per_coll.values().map(|c| c.preemptions).sum(),
+                "rank vs per-collective preemptions",
+            ),
+            (
+                stats.collectives_completed,
+                tenants.iter().map(|t| t.completed).sum(),
+                "rank vs tenant completions",
+            ),
+            (
+                stats.collectives_completed,
+                per_rank[r] as u64,
+                "CQEs vs invocations",
+            ),
+        ];
+        for (a, b, fact) in facts {
+            assert_eq!(a, b, "{what}: rank {r}: {fact}");
+        }
+        preemptions += stats.preemptions;
     }
     assert!(preemptions > 0, "{what}: the threshold must bind");
     eprintln!("{what}: drained in {steps} steps, {preemptions} preemptions");
@@ -393,7 +426,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     contexts.end_recovery(1, queued);
     assert_eq!(ahead_shared.outstanding(), 0, "the ghost owes no CQE");
     assert!(!ahead_shared.is_running(), "no core holds the ghost yet");
-    let starts = ahead_shared.stats.snapshot().daemon_starts;
+    let starts = ranks[ahead].stats().daemon_starts;
     let drained = |r: &RankCtx| {
         let shared = r.shared_state();
         shared.outstanding() == 0
@@ -415,7 +448,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         },
     );
     assert!(
-        ahead_shared.stats.snapshot().daemon_starts > starts,
+        ranks[ahead].stats().daemon_starts > starts,
         "rank {ahead}'s seat claimed a core for the ghost"
     );
     assert!(ghost.silent_replay);

@@ -50,12 +50,14 @@ impl DaemonCore {
             self.scheduler.remove(coll_id);
             return;
         };
-        shared.stats.record_context_load();
+        shared.telemetry.record_context_load();
         if load == ContextLoad::CacheMiss {
-            shared.stats.record_preparing(prep_start.elapsed());
+            shared.telemetry.record_preparing(prep_start.elapsed());
         }
         if ctx.preempted {
-            shared.telemetry.record(coll_id, TelemetryEventKind::Resume);
+            shared
+                .telemetry
+                .record(coll_id, reg.tenant, TelemetryEventKind::Resume);
         }
         ctx.ensure_lanes(reg.program.lane_count());
         let threshold = self
@@ -112,7 +114,7 @@ impl DaemonCore {
                 &mut ctx.pending_sends,
             ) {
                 Ok(StepOutcome::Completed) => {
-                    self.shared.stats.record_primitive(exec_start.elapsed());
+                    self.shared.telemetry.record_primitive(exec_start.elapsed());
                     ctx.lane_cursors[li] += 1;
                     ctx.next_step += 1;
                     ctx.progressed_since_save = true;
@@ -166,12 +168,12 @@ impl DaemonCore {
     /// hot slice) and persisting the adaptively raised threshold.
     fn take_slice(&mut self) -> (Arc<RegisteredCollective>, DynamicContext) {
         let slice = self.slice.take().expect("no open slice");
-        let coll_id = slice.reg.coll_id;
+        let (coll_id, tenant) = (slice.reg.coll_id, slice.reg.tenant);
         let moved = (slice.ctx.next_step - slice.steps_before) as u64;
         if moved > 0 {
             self.shared
                 .telemetry
-                .record(coll_id, TelemetryEventKind::ChunkMoved(moved));
+                .record(coll_id, tenant, TelemetryEventKind::ChunkMoved(moved));
         }
         if let Some(entry) = self.scheduler.entry_mut(coll_id) {
             entry.spin_threshold = slice.threshold;
@@ -182,14 +184,10 @@ impl DaemonCore {
     /// Preempt the open slice: save its context back at its queue position.
     pub(super) fn preempt_slice(&mut self) {
         let (reg, ctx) = self.take_slice();
-        let shared = &self.shared;
-        shared.stats.record_preemption(reg.coll_id);
-        shared
-            .telemetry
-            .record(reg.coll_id, TelemetryEventKind::Preempt);
-        shared.tenants.state(reg.tenant).on_preempt();
-        let saved = shared.contexts.checkin_incomplete(reg.coll_id, ctx);
-        shared.stats.record_context_save(!saved);
+        let telemetry = &self.shared.telemetry;
+        telemetry.record(reg.coll_id, reg.tenant, TelemetryEventKind::Preempt);
+        let saved = self.shared.contexts.checkin_incomplete(reg.coll_id, ctx);
+        telemetry.record_context_save(saved);
     }
 
     /// Close the open slice as failed (with the reason) or completed.

@@ -105,7 +105,7 @@ fn claim_is_exclusive_until_the_core_retires() {
         Progress::Exited,
         "a retired core stays retired"
     );
-    let snap = shared.stats.snapshot();
+    let snap = shared.telemetry.daemon_stats();
     assert_eq!((snap.daemon_starts, snap.voluntary_quits), (1, 1));
     drop(shared.try_claim().expect("claimable again"));
     assert!(!shared.is_running(), "dropping a core releases the claim");
@@ -119,7 +119,7 @@ fn core_exits_after_exit_sqe() {
     assert_eq!(core.poll(), Progress::Exited);
     assert!(shared.final_exit_requested());
     assert!(!shared.is_running());
-    assert_eq!(shared.stats.snapshot().voluntary_quits, 0);
+    assert_eq!(shared.telemetry.daemon_stats().voluntary_quits, 0);
     // After final exit with nothing owed there is nothing to claim.
     assert!(shared.try_claim().is_none());
     assert!(!shared.is_running());
@@ -136,9 +136,17 @@ fn unregistered_collective_is_failed_not_hung() {
     assert_eq!(shared.outstanding(), 0);
     assert!(shared.errors.lock().contains_key(&99));
     assert_eq!(drain_ids(&shared), vec![99]);
-    // The failure is counted once in telemetry and once for its tenant.
+    // The failure is counted once, in the default tenant's row for the id,
+    // and every total reads that one count.
     assert_eq!(shared.telemetry.counters().failures, 1);
-    assert_eq!(shared.tenants.state(TenantId::DEFAULT).stats().failed, 1);
+    let tenants = shared.telemetry.tenant_stats(&shared.tenants);
+    assert_eq!(tenants.len(), 1);
+    assert_eq!(
+        (tenants[0].tenant, tenants[0].failed),
+        (TenantId::DEFAULT, 1)
+    );
+    assert_eq!(tenants[0].completed, 1, "a failure still completes");
+    assert_eq!(shared.telemetry.per_collective()[&99].failures, 1);
 }
 
 #[test]
@@ -166,7 +174,7 @@ fn completion_batches_flush_within_a_pass() {
     core.poll();
     assert_eq!(shared.outstanding(), 0);
     assert_eq!(drain_ids(&shared).len(), 5);
-    assert_eq!(shared.stats.snapshot().cqes_written, 5);
+    assert_eq!(shared.telemetry.daemon_stats().cqes_written, 5);
 }
 
 #[test]
@@ -201,7 +209,7 @@ fn full_cq_blocks_the_core_and_retains_the_batch() {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4], "{variant:?}: one CQE each");
         assert_eq!(shared.outstanding(), 0);
-        assert_eq!(shared.stats.snapshot().cqes_written, 5);
+        assert_eq!(shared.telemetry.daemon_stats().cqes_written, 5);
     }
 }
 
@@ -259,7 +267,7 @@ fn daemon_with_no_work_quits_voluntarily() {
     // owed, and the idle core quits.
     assert!(wait_idle(&shared, Duration::from_secs(5)));
     assert_eq!(shared.outstanding(), 0);
-    let snap = shared.stats.snapshot();
+    let snap = shared.telemetry.daemon_stats();
     assert_eq!(snap.daemon_starts, 1);
     assert_eq!(snap.voluntary_quits, 1);
     assert!(!shared.is_running());

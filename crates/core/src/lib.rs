@@ -62,7 +62,6 @@ pub mod daemon;
 pub mod park;
 pub mod recovery;
 pub mod sq;
-pub mod stats;
 pub mod task_queue;
 pub mod telemetry;
 pub mod tenant;
@@ -82,9 +81,9 @@ pub use daemon::{
 pub use park::Parker;
 pub use recovery::{Backoff, RecoveryCoordinator, RecoveryError, RecoveryOutcome, RetryPolicy};
 pub use sq::{Sqe, SubmissionQueue};
-pub use stats::{CollectiveStats, DaemonStats, DaemonStatsSnapshot, TenantStats};
 pub use task_queue::{TaskEntry, TaskQueue, TenantScheduler};
 pub use telemetry::{
-    Telemetry, TelemetryCounters, TelemetryEvent, TelemetryEventKind, TelemetrySnapshot,
+    CollectiveStats, DaemonStatsSnapshot, Telemetry, TelemetryCounters, TelemetryEvent,
+    TelemetryEventKind, TelemetrySnapshot, TenantStats,
 };
 pub use tenant::{AdmissionError, TenantHandle, TenantId, TenantQuota};

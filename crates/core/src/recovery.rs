@@ -46,6 +46,7 @@ use dfccl_transport::{supervise_with_probe, EdgeId, StallReport, SuperviseOutcom
 
 use crate::api::{DfcclError, RankCtx};
 use crate::context::DynamicContext;
+use crate::telemetry::TelemetryEventKind;
 
 /// Bounded-retry policy with decorrelated-jitter backoff, shared by the
 /// recovery coordinator's resubmission loop and
@@ -419,7 +420,9 @@ impl RecoveryCoordinator {
                     if !fresh.silent_replay {
                         outcome.rolled_back += 1;
                         if let Some(tenant) = tenant {
-                            shared.tenants.state(tenant).on_recovered();
+                            shared
+                                .telemetry
+                                .record(coll, tenant, TelemetryEventKind::Recovered);
                         }
                     }
                     rebuilt.push(fresh);

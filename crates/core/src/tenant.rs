@@ -13,8 +13,9 @@
 //! Admission failures are **typed backpressure**, not wedges: a tenant at its
 //! quota gets [`AdmissionError::AtQuota`] (retryable — resubmit after a
 //! completion) while other tenants keep progressing. The per-rank
-//! [`TenantTable`] holds the admission counters and the per-tenant lifecycle
-//! counters surfaced in [`crate::telemetry::TelemetrySnapshot`].
+//! [`TenantTable`] holds the admission counters; the tenant's lifecycle
+//! counts are sums over its rows in the rank's ledger
+//! ([`crate::telemetry::Telemetry::tenant_stats`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::stats::TenantStats;
+use crate::telemetry::{CollectiveStats, TenantStats};
 
 /// First-class tenant identity. `TenantId::DEFAULT` (id 0) is the implicit
 /// tenant of every registration made without a handle — single-job use of the
@@ -197,9 +198,11 @@ impl TenantHandle {
     }
 }
 
-/// Per-rank, per-tenant accounting: admission counters (outstanding,
-/// registered), the scheduling-lane depth gauge maintained by the daemon, and
-/// lifecycle counters. All fields are relaxed atomics — reads are snapshots.
+/// Per-rank, per-tenant admission state: the counters quotas are checked
+/// against (outstanding, registered) and the scheduling-lane depth gauge
+/// maintained by the daemon. The tenant's lifecycle counts live in the
+/// rank's ledger ([`crate::telemetry::Telemetry`]). All fields are relaxed
+/// atomics — reads are snapshots.
 #[derive(Debug)]
 pub struct TenantState {
     id: TenantId,
@@ -208,11 +211,6 @@ pub struct TenantState {
     registered: AtomicU64,
     queue_depth: AtomicU64,
     max_queue_depth: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    preempted: AtomicU64,
-    recovered: AtomicU64,
 }
 
 impl TenantState {
@@ -224,11 +222,6 @@ impl TenantState {
             registered: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            preempted: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
         })
     }
 
@@ -270,24 +263,19 @@ impl TenantState {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => {
-                    self.submitted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
+                Ok(_) => return Ok(()),
                 Err(observed) => current = observed,
             }
         }
     }
 
-    /// Roll back an admission whose SQE never became visible (SQ full).
-    pub fn cancel_run(&self) {
+    /// Give an admitted invocation's quota slot back: its CQE was enqueued,
+    /// or its SQE never became visible (SQ full). Saturating, so completions
+    /// synthesized for never-admitted ids (e.g. raw SQEs injected in daemon
+    /// tests) cannot underflow.
+    pub fn release_run(&self) {
         let _ = self
             .outstanding
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                Some(v.saturating_sub(1))
-            });
-        let _ = self
-            .submitted
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
                 Some(v.saturating_sub(1))
             });
@@ -316,35 +304,6 @@ impl TenantState {
         }
     }
 
-    /// A CQE for the tenant was published: one invocation left the system.
-    /// Saturating, so completions synthesized for never-admitted ids (e.g.
-    /// raw SQEs injected in daemon tests) cannot underflow.
-    pub fn on_complete(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .outstanding
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
-    /// One of the tenant's collectives failed (its CQE still counts as a
-    /// completion when it is published).
-    pub fn on_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One of the tenant's collectives was preempted.
-    pub fn on_preempt(&self) {
-        self.preempted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One of the tenant's invocations was rolled back and re-executed to
-    /// completion by the recovery coordinator.
-    pub fn on_recovered(&self) {
-        self.recovered.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A registration was removed (elastic membership shrink). Saturating so
     /// removals synthesized for never-admitted registrations cannot
     /// underflow.
@@ -362,8 +321,9 @@ impl TenantState {
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Point-in-time copy of every counter.
-    pub fn stats(&self) -> TenantStats {
+    /// Point-in-time copy of the admission state, completed with `life`:
+    /// the sums of the tenant's rows in the rank's ledger.
+    pub fn stats(&self, life: &CollectiveStats) -> TenantStats {
         TenantStats {
             tenant: self.id,
             weight: self.weight(),
@@ -371,11 +331,11 @@ impl TenantState {
             registered: self.registered.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            preempted: self.preempted.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
+            submitted: life.submits,
+            completed: life.completions,
+            failed: life.failures,
+            preempted: life.preemptions,
+            recovered: life.recovered,
         }
     }
 }
@@ -429,16 +389,10 @@ impl TenantTable {
         )
     }
 
-    /// Per-tenant snapshots, sorted by tenant id — the service-mode analogue
-    /// of `DfcclDomain::cache_stats`.
-    pub fn snapshot(&self) -> Vec<TenantStats> {
-        let mut all: Vec<TenantStats> = self
-            .states
-            .read()
-            .values()
-            .map(|state| state.stats())
-            .collect();
-        all.sort_by_key(|s| s.tenant);
+    /// Every tenant this rank has seen, sorted by tenant id.
+    pub fn states(&self) -> Vec<Arc<TenantState>> {
+        let mut all: Vec<Arc<TenantState>> = self.states.read().values().cloned().collect();
+        all.sort_by_key(|state| state.id);
         all
     }
 }
@@ -471,7 +425,7 @@ mod tests {
         assert_eq!(err.tenant(), TenantId(3));
         assert!(err.to_string().contains("2/2"), "{err}");
         // A completion frees the slot; retry succeeds.
-        state.on_complete();
+        state.release_run();
         state.try_admit_run().unwrap();
         assert_eq!(state.outstanding(), 2);
     }
@@ -491,29 +445,28 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_saturating_complete_never_underflow() {
+    fn release_never_underflows() {
         let table = TenantTable::new(TenantQuota::default().with_max_outstanding(8));
         let state = table.state(TenantId::DEFAULT);
         state.try_admit_run().unwrap();
-        state.cancel_run();
+        state.release_run();
         assert_eq!(state.outstanding(), 0);
-        state.on_complete(); // completion without admission (injected SQE)
+        state.release_run(); // completion without admission (injected SQE)
         assert_eq!(state.outstanding(), 0);
-        assert_eq!(state.stats().completed, 1);
     }
 
     #[test]
-    fn snapshot_sorts_by_tenant_and_tracks_gauges() {
+    fn states_sort_by_tenant_and_track_gauges() {
         let table = TenantTable::new(TenantQuota::default());
         table.state(TenantId(2)).record_queue_depth(5);
         table.state(TenantId(2)).record_queue_depth(1);
-        table.state(TenantId(0)).on_preempt();
-        let snap = table.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].tenant, TenantId(0));
-        assert_eq!(snap[0].preempted, 1);
-        assert_eq!(snap[1].tenant, TenantId(2));
-        assert_eq!(snap[1].queue_depth, 1, "gauge holds the latest depth");
-        assert_eq!(snap[1].max_queue_depth, 5, "high-water mark persists");
+        table.state(TenantId(0));
+        let states = table.states();
+        assert_eq!(states.len(), 2);
+        assert_eq!(states[0].id(), TenantId(0));
+        let snap = states[1].stats(&CollectiveStats::default());
+        assert_eq!(snap.tenant, TenantId(2));
+        assert_eq!(snap.queue_depth, 1, "gauge holds the latest depth");
+        assert_eq!(snap.max_queue_depth, 5, "high-water mark persists");
     }
 }
