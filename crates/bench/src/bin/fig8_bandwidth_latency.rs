@@ -167,9 +167,10 @@ fn run_panel(kind: CollectiveKind, gpus: usize, sizes: &[usize], iters: usize, c
 
 /// The ring-vs-tree-vs-hierarchical sweep: modelled completion times of the
 /// all-reduce under each algorithm family (Table 2 link parameters, no time
-/// compression), plus what the topology/payload selector would pick. The
-/// estimates are deterministic — they show the algorithmic shape even on
-/// hosts with fewer cores than simulated GPUs.
+/// compression), plus the family the selector picks — by construction the
+/// cheapest column, since it minimises the same estimate. The estimates are
+/// deterministic — they show the algorithmic shape even on hosts with fewer
+/// cores than simulated GPUs.
 fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
     let topo = if gpus > 8 {
         Topology::two_eight_gpu_servers()

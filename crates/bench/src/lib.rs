@@ -7,41 +7,34 @@
 
 use std::time::Duration;
 
-use dfccl_collectives::{algorithm, estimate_completion_ns, AlgorithmKind, CollectiveDescriptor};
+use dfccl_collectives::{
+    algorithm, estimate_family_ns, AlgorithmKind, CollectiveDescriptor, DEFAULT_CHUNK_ELEMS,
+};
 use dfccl_transport::{LinkModel, Topology};
 
-/// Chunk size (elements) used by the modelled-cost sweeps, matching the
-/// runtime's default `chunk_elems` granularity class.
-pub const MODELLED_SWEEP_CHUNK_ELEMS: usize = 8 * 1024;
-
 /// Modelled completion time of `desc` under `algo` over `topo` with the
-/// Table 2 link parameters, in microseconds — the deterministic quantity the
-/// Fig. 8 model columns and the crossover assertions share. `None` when the
-/// algorithm cannot schedule the descriptor over this topology.
+/// Table 2 link parameters at the runtime's default chunk size, in
+/// microseconds — the quantity the selector minimises, so the Fig. 8 model
+/// columns, the crossover assertions and the selector's choice all read the
+/// same estimate. `None` when the algorithm cannot schedule the descriptor
+/// over this topology.
 pub fn modelled_completion_us(
     desc: &CollectiveDescriptor,
     algo: AlgorithmKind,
     topo: &Topology,
 ) -> Option<f64> {
-    let generator = algorithm(algo);
-    if !generator.supports(desc, topo) {
+    if !algorithm(algo).supports(desc, topo) {
         return None;
     }
-    let plans: Vec<_> = (0..desc.num_ranks())
-        .map(|r| {
-            generator
-                .build_plan(desc, r, MODELLED_SWEEP_CHUNK_ELEMS, topo)
-                .expect("supported algorithm builds")
-        })
-        .collect();
-    let ns = estimate_completion_ns(
-        &plans,
-        &desc.devices,
+    let ns = estimate_family_ns(
+        desc,
+        algo,
+        DEFAULT_CHUNK_ELEMS,
         topo,
         &LinkModel::table2_testbed(),
-        desc.dtype,
+        None,
     )
-    .expect("acyclic plan set completes");
+    .expect("a supported family builds an acyclic plan set");
     Some(ns / 1_000.0)
 }
 

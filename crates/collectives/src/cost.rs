@@ -26,14 +26,14 @@
 //! lanes raises modelled aggregate bandwidth and moves the latency/bandwidth
 //! crossover (`striping_raises_modelled_bandwidth_on_large_payloads` below).
 
-use std::collections::{HashMap, VecDeque};
-
-use dfccl_transport::{ChannelId, EdgeId, LinkHealth, LinkModel, Topology, TransportError};
+use dfccl_transport::{
+    ChannelId, EdgeId, LinkHealth, LinkModel, LinkParams, Topology, TransportError,
+};
 use gpu_sim::GpuId;
 
+use crate::collective::CollectiveDescriptor;
 use crate::datatype::DataType;
-use crate::plan::Plan;
-use crate::primitive::PrimitiveStep;
+use crate::plan::{algorithm, AlgorithmKind, Plan};
 use crate::CollectiveError;
 
 /// Errors from cost estimation.
@@ -84,44 +84,80 @@ pub fn estimate_completion_ns_with_health(
     dtype: DataType,
     health: Option<&LinkHealth>,
 ) -> Result<f64, CostError> {
+    let n = plans.len();
     let elem = dtype.size_bytes();
     let health = health.filter(|h| !h.is_clean());
-    // One lane per (rank, channel): the channel's subsequence of the rank's
-    // plan, in plan order.
-    let mut lanes: Vec<(usize, Vec<&PrimitiveStep>)> = Vec::new();
+    let k = plans
+        .iter()
+        .flat_map(|p| &p.steps)
+        .map(|s| s.channel.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    // Channels and ranks are dense small ids, so every table below is a flat
+    // vector sized up front: the walk allocates a fixed handful of times,
+    // whatever the plans' length.
+    let mut lane_steps = vec![0usize; n * k];
+    let mut edge_sends = vec![0usize; n * n * k];
     for (r, plan) in plans.iter().enumerate() {
-        let mut by_channel: HashMap<ChannelId, Vec<&PrimitiveStep>> = HashMap::new();
         for step in &plan.steps {
-            by_channel.entry(step.channel).or_default().push(step);
-        }
-        let mut channels: Vec<ChannelId> = by_channel.keys().copied().collect();
-        channels.sort_unstable();
-        for c in channels {
-            lanes.push((r, by_channel.remove(&c).expect("channel collected")));
+            let c = step.channel.0 as usize;
+            lane_steps[r * k + c] += 1;
+            if let Some(dst) = step.send_to.filter(|&dst| dst < n) {
+                edge_sends[(r * n + dst) * k + c] += 1;
+            }
         }
     }
-
-    let mut clock = vec![0.0f64; lanes.len()];
-    let mut cursor = vec![0usize; lanes.len()];
-    // Per directed (src, dst, channel) edge: FIFO of message-visible times.
-    let mut edges: HashMap<(usize, usize, ChannelId), VecDeque<f64>> = HashMap::new();
+    // One lane per (rank, channel) that has steps: the channel's subsequence
+    // of the rank's plan, in plan order, with its own clock.
+    let mut lanes: Vec<Lane> = (0..n * k)
+        .filter(|&i| lane_steps[i] > 0)
+        .map(|i| Lane {
+            rank: i / k,
+            channel: ChannelId((i % k) as u32),
+            pos: 0,
+            left: lane_steps[i],
+            clock: 0.0,
+        })
+        .collect();
+    // Per directed (src, dst, channel) edge, at `(src * n + dst) * k + c`:
+    // a FIFO of message-visible times, as a [read, write) window into its own
+    // segment of `slots` (one slot per send the plans make on the edge).
+    let mut next = 0;
+    let mut fifos: Vec<(usize, usize)> = edge_sends
+        .iter()
+        .map(|&sends| {
+            next += sends;
+            (next - sends, next - sends)
+        })
+        .collect();
+    let mut slots = vec![0.0f64; next];
+    // Per (src, dst) rank pair, at `src * n + dst`: its link's parameters,
+    // classified on the pair's first send.
+    let mut params: Vec<Option<LinkParams>> = vec![None; n * n];
 
     loop {
         let mut progressed = false;
         let mut remaining = 0usize;
-        for (l, (r, steps)) in lanes.iter().enumerate() {
-            let r = *r;
+        for lane in &mut lanes {
+            let r = lane.rank;
+            let steps = &plans[r].steps;
             // Drain as many of this lane's steps as are currently executable.
-            while cursor[l] < steps.len() {
-                let step = steps[cursor[l]];
-                let mut t = clock[l];
+            while lane.left > 0 {
+                while steps[lane.pos].channel != lane.channel {
+                    lane.pos += 1;
+                }
+                let step = &steps[lane.pos];
+                let c = lane.channel.0 as usize;
+                let mut t = lane.clock;
                 if let Some(src) = step.recv_from {
-                    let key = (src, r, step.channel);
-                    match edges.get_mut(&key).and_then(|q| q.front().copied()) {
-                        Some(avail) => t = t.max(avail),
+                    let fifo = (src < n).then(|| &mut fifos[(src * n + r) * k + c]);
+                    match fifo.filter(|(read, write)| read < write) {
+                        Some((read, _)) => {
+                            t = t.max(slots[*read]);
+                            *read += 1;
+                        }
                         None => break, // input not produced yet
                     }
-                    edges.get_mut(&key).unwrap().pop_front();
                 }
                 if let Some(dst) = step.send_to {
                     if health.is_some_and(|h| {
@@ -133,24 +169,28 @@ pub fn estimate_completion_ns_with_health(
                     }) {
                         break; // the edge can never deliver: the lane stalls
                     }
-                    let bytes = step.elems() * elem;
-                    let class = topology.link_between(devices[r], devices[dst])?;
-                    t += link.params(class).transfer_nanos(bytes);
-                    edges
-                        .entry((r, dst, step.channel))
-                        .or_default()
-                        .push_back(t);
+                    let pair = &mut params[r * n + dst];
+                    let link_params = match *pair {
+                        Some(p) => p,
+                        None => *pair
+                            .insert(link.params(topology.link_between(devices[r], devices[dst])?)),
+                    };
+                    t += link_params.transfer_nanos(step.elems() * elem);
+                    let (_, write) = &mut fifos[(r * n + dst) * k + c];
+                    slots[*write] = t;
+                    *write += 1;
                 }
-                clock[l] = t;
-                cursor[l] += 1;
+                lane.clock = t;
+                lane.pos += 1;
+                lane.left -= 1;
                 progressed = true;
             }
-            if cursor[l] < steps.len() {
+            if lane.left > 0 {
                 remaining += 1;
             }
         }
         if remaining == 0 {
-            return Ok(clock.iter().copied().fold(0.0, f64::max));
+            return Ok(lanes.iter().map(|l| l.clock).fold(0.0, f64::max));
         }
         if !progressed {
             return Err(CostError::Stalled { stalled: remaining });
@@ -158,11 +198,55 @@ pub fn estimate_completion_ns_with_health(
     }
 }
 
+/// One `(rank, channel)` lane of [`estimate_completion_ns_with_health`]'s
+/// walk.
+struct Lane {
+    rank: usize,
+    channel: ChannelId,
+    /// Index into the rank's plan of the lane's next step (or of an earlier
+    /// step on another channel, skipped on the way to it).
+    pos: usize,
+    /// Steps the lane has left.
+    left: usize,
+    clock: f64,
+}
+
+/// Modelled completion time of `desc` under family `kind`: every member's
+/// plan, built at `chunk_elems` and the descriptor's channel count, walked
+/// under `link` and constrained by `health` as in
+/// [`estimate_completion_ns_with_health`]. This is the one quantity the
+/// selector minimises ([`crate::AlgorithmSelector::select`]) and the Fig. 8
+/// model columns print.
+pub fn estimate_family_ns(
+    desc: &CollectiveDescriptor,
+    kind: AlgorithmKind,
+    chunk_elems: usize,
+    topology: &Topology,
+    link: &LinkModel,
+    health: Option<&LinkHealth>,
+) -> Result<f64, CostError> {
+    let plans = member_plans(desc, kind, chunk_elems, topology).map_err(CostError::Collective)?;
+    estimate_completion_ns_with_health(&plans, &desc.devices, topology, link, desc.dtype, health)
+}
+
+/// Every member's plan of `desc` under family `kind`, in rank order, built
+/// at `chunk_elems` and the descriptor's channel count (unstriped by
+/// default).
+pub(crate) fn member_plans(
+    desc: &CollectiveDescriptor,
+    kind: AlgorithmKind,
+    chunk_elems: usize,
+    topology: &Topology,
+) -> Result<Vec<Plan>, CollectiveError> {
+    let channels = desc.channels.unwrap_or(1);
+    (0..desc.num_ranks())
+        .map(|r| algorithm(kind).build_plan_striped(desc, r, chunk_elems, channels, topology))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::CollectiveDescriptor;
-    use crate::plan::{algorithm, AlgorithmKind};
     use crate::redop::ReduceOp;
 
     fn gpus(n: usize) -> Vec<GpuId> {

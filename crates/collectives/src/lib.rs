@@ -17,8 +17,8 @@
 //!   payloads), [`hierarchical`] (two-level, for multi-node topologies) and
 //!   [`alltoall`] (pairwise exchange for dense-mesh all-to-all and plain
 //!   point-to-point send/recv).
-//! * [`AlgorithmSelector`] — topology- and payload-aware selection among the
-//!   families, overridable per collective and globally.
+//! * [`AlgorithmSelector`] — picks the family the [`cost`] model rates
+//!   fastest for each collective, overridable per collective and globally.
 //! * [`executor`] — executes one compiled instruction against the rank's
 //!   bound connectors. Every primitive first checks that the connector
 //!   conditions it needs are satisfied and only then runs; the caller decides
@@ -48,7 +48,7 @@ pub use alltoall::PairwiseAlgorithm;
 pub use buffer::DeviceBuffer;
 pub use chunk::{chunk_ranges, slice_ranges, ElemRange};
 pub use collective::{CollectiveDescriptor, CollectiveKind};
-pub use cost::{estimate_completion_ns, CostError};
+pub use cost::{estimate_completion_ns, estimate_family_ns, CostError};
 pub use datatype::DataType;
 pub use executor::{
     execute_ready_instr, flush_pending_compiled, instr_ready, run_program_blocking,
@@ -63,8 +63,8 @@ pub use plan::{algorithm, Algorithm, AlgorithmKind, Plan};
 pub use primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 pub use program::{ByteRange, CachedPlan, CompiledProgram, Instr, Lane, PlanCache, PlanKey};
 pub use redop::ReduceOp;
-pub use ring::{build_plan, build_plan_striped, RingAlgorithm};
-pub use selector::{AlgorithmSelector, DEFAULT_TREE_THRESHOLD_BYTES};
+pub use ring::{build_plan, build_plan_striped, RingAlgorithm, DEFAULT_CHUNK_ELEMS};
+pub use selector::AlgorithmSelector;
 pub use tree::DoubleBinaryTreeAlgorithm;
 
 /// Errors raised while building or validating collectives.

@@ -58,8 +58,9 @@ use std::sync::Arc;
 
 use crate::chunk::ElemRange;
 use crate::collective::{CollectiveDescriptor, CollectiveKind};
+use crate::cost::member_plans;
 use crate::datatype::DataType;
-use crate::plan::{algorithm, AlgorithmKind, Plan};
+use crate::plan::{AlgorithmKind, Plan};
 use crate::primitive::{PrimitiveKind, SrcBuf};
 use crate::redop::ReduceOp;
 use crate::selector::AlgorithmSelector;
@@ -413,15 +414,17 @@ impl CompiledProgram {
     }
 }
 
-/// The shape of a registration, i.e. everything a compiled plan depends on
-/// besides the topology and the device set (a [`PlanCache`] lives inside one
-/// domain, whose topology and chunking are fixed — callers must not share a
-/// cache across topologies or chunk configurations beyond the keyed
-/// `chunk_elems`). The ordered device set is keyed separately, as the outer
-/// level of the cache's two-level map, so the hit path can probe it with a
-/// borrowed `&[GpuId]` instead of cloning the descriptor's `Vec<GpuId>`;
-/// everything left in this key is `Copy`, so building a probe key allocates
-/// nothing.
+/// The shape of a collective, i.e. everything its selection and its members'
+/// compiled plans depend on besides the topology and the device set (a
+/// [`PlanCache`] lives inside one domain, whose topology, selector and
+/// chunking are fixed — callers must not share a cache across topologies,
+/// selectors or chunk configurations beyond the keyed `chunk_elems`). There
+/// is no rank in it: the selection is made once per shape and holds every
+/// member's plan, so every member registers the same family. The ordered
+/// device set is keyed separately, as the outer level of the cache's
+/// two-level map, so the hit path can probe it with a borrowed `&[GpuId]`
+/// instead of cloning the descriptor's `Vec<GpuId>`; everything left in this
+/// key is `Copy`, so building a probe key allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Collective kind.
@@ -434,15 +437,13 @@ pub struct PlanKey {
     pub op: Option<ReduceOp>,
     /// Root rank (rooted collectives).
     pub root: Option<usize>,
-    /// The registering rank.
-    pub rank: usize,
-    /// The resolved algorithm family.
-    pub algorithm: AlgorithmKind,
-    /// Chunk granularity the plan was built at.
+    /// The descriptor's algorithm override, if any.
+    pub algorithm: Option<AlgorithmKind>,
+    /// The descriptor's channel-count override, if any.
+    pub channels: Option<usize>,
+    /// Chunk granularity the plans were built at.
     pub chunk_elems: usize,
-    /// The resolved channel count (striping factor).
-    pub channels: usize,
-    /// The domain's [`dfccl_transport::LinkHealth`] generation the plan was
+    /// The domain's [`dfccl_transport::LinkHealth`] generation the plans were
     /// selected under. A quarantine or heal bumps the generation, so plans
     /// chosen against a stale health view miss instead of riding a dead edge
     /// (0 forever in a domain that never sees a failure).
@@ -457,7 +458,7 @@ pub struct CachedPlan {
     pub plan: Arc<Plan>,
     /// Its connector-free compiled program.
     pub program: Arc<CompiledProgram>,
-    /// Whether selection had to avoid a quarantined edge (family fallback or
+    /// Whether selection had to avoid a quarantined edge (family change or
     /// mesh reroute) — surfaced as the `plans_degraded` telemetry counter.
     pub degraded: bool,
 }
@@ -469,10 +470,12 @@ pub struct CachedPlan {
 /// growing without bound — evicted shapes simply recompile on next use.
 pub const PLAN_CACHE_MAX_SHAPES: usize = 4096;
 
-/// Memoized plan building + compilation keyed by collective shape
-/// ([`PlanKey`]). Repeat registrations of the same shape — the common case
-/// for per-layer collectives — return the shared `Arc`s without building,
-/// validating or lowering anything.
+/// Memoized selection, plan building and compilation keyed by collective
+/// shape ([`PlanKey`]). The first registration of a shape selects its family
+/// and compiles every member's plan; every later registration of the shape —
+/// the other members', and repeats for per-layer collectives — returns the
+/// shared `Arc`s without selecting, building, validating or lowering
+/// anything.
 ///
 /// Invalidation: a plan depends on its key, the domain's fixed topology, and
 /// the domain's link-health view — the latter enters the key as
@@ -484,10 +487,11 @@ pub const PLAN_CACHE_MAX_SHAPES: usize = 4096;
 /// bounded by [`PLAN_CACHE_MAX_SHAPES`].
 #[derive(Default)]
 pub struct PlanCache {
-    /// Two-level map: ordered device set → [`PlanKey`] → cached plan. The
-    /// outer level exists so the hit path can probe with the descriptor's
-    /// borrowed `&[GpuId]` (via `Vec<GpuId>: Borrow<[GpuId]>`) and the inner
-    /// key is all-`Copy` — a cache hit allocates nothing.
+    /// Two-level map: ordered device set → [`PlanKey`] → every member's
+    /// cached plan, in rank order. The outer level exists so the hit path
+    /// can probe with the descriptor's borrowed `&[GpuId]` (via
+    /// `Vec<GpuId>: Borrow<[GpuId]>`) and the inner key is all-`Copy` — a
+    /// cache hit allocates nothing.
     shapes: Mutex<Shapes>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -495,7 +499,7 @@ pub struct PlanCache {
 
 #[derive(Default)]
 struct Shapes {
-    by_devices: HashMap<Vec<GpuId>, HashMap<PlanKey, CachedPlan>>,
+    by_devices: HashMap<Vec<GpuId>, HashMap<PlanKey, Arc<[CachedPlan]>>>,
     /// Total cached shapes across every device set (the eviction bound).
     total: usize,
 }
@@ -506,10 +510,9 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The cached plan+program for `desc` as registered by `rank`, building,
-    /// validating and compiling on the first request of a shape. Selection
-    /// runs on every call (it is a pure function of the descriptor, topology
-    /// and health view, and is part of the key).
+    /// The cached plan+program for `desc` as registered by `rank`. The first
+    /// request of a shape selects under `health` and compiles every member's
+    /// plan; later requests, from any member, are hits.
     pub fn get_or_compile(
         &self,
         selector: &AlgorithmSelector,
@@ -519,18 +522,15 @@ impl PlanCache {
         topology: &Topology,
         health: &LinkHealth,
     ) -> Result<CachedPlan, CollectiveError> {
-        let (kind, degraded) = selector.select_with_health(desc, topology, health);
-        let channels = selector.channels_for(desc);
         let key = PlanKey {
             kind: desc.kind,
             count: desc.count,
             dtype: desc.dtype,
             op: desc.op,
             root: desc.root,
-            rank,
-            algorithm: kind,
+            algorithm: desc.algorithm,
+            channels: desc.channels,
             chunk_elems,
-            channels,
             health_epoch: health.generation(),
         };
         {
@@ -539,22 +539,33 @@ impl PlanCache {
                 .by_devices
                 .get(desc.devices.as_slice())
                 .and_then(|inner| inner.get(&key))
+                .and_then(|members| members.get(rank))
             {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(cached.clone());
             }
         }
-        // Build outside the lock: concurrent first registrations of one
-        // shape may build twice, but registration never blocks behind
+        // Select and build outside the lock: concurrent first registrations
+        // of one shape may build twice, but registration never blocks behind
         // another shape's plan construction. Last insert wins.
-        let plan =
-            algorithm(kind).build_plan_striped(desc, rank, chunk_elems, channels, topology)?;
-        plan.validate(rank, desc.num_ranks())?;
-        let cached = CachedPlan {
-            program: Arc::new(CompiledProgram::compile(&plan, desc.dtype)),
-            plan: Arc::new(plan),
-            degraded,
-        };
+        let (kind, degraded) = selector.select_at_chunk(desc, chunk_elems, topology, Some(health));
+        let n = desc.num_ranks();
+        let members = member_plans(desc, kind, chunk_elems, topology)?
+            .into_iter()
+            .enumerate()
+            .map(|(r, plan)| {
+                plan.validate(r, n)?;
+                Ok(CachedPlan {
+                    program: Arc::new(CompiledProgram::compile(&plan, desc.dtype)),
+                    plan: Arc::new(plan),
+                    degraded,
+                })
+            })
+            .collect::<Result<Arc<[CachedPlan]>, CollectiveError>>()?;
+        let cached = members
+            .get(rank)
+            .cloned()
+            .ok_or(CollectiveError::InvalidRank { rank, size: n })?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.shapes.lock();
         let shapes = &mut *guard;
@@ -575,7 +586,7 @@ impl PlanCache {
             }
         }
         let inner = shapes.by_devices.entry(desc.devices.clone()).or_default();
-        if inner.insert(key, cached.clone()).is_none() {
+        if inner.insert(key, members).is_none() {
             shapes.total += 1;
         }
         Ok(cached)
@@ -606,12 +617,12 @@ impl PlanCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Requests that had to build and compile.
+    /// Requests that had to select, build and compile (one per shape).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct shapes cached.
+    /// Number of distinct shapes cached, each holding every member's plan.
     pub fn len(&self) -> usize {
         self.shapes.lock().total
     }
@@ -625,6 +636,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::algorithm;
     use crate::redop::ReduceOp;
 
     fn gpus(n: usize) -> Vec<GpuId> {
@@ -749,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_on_identical_shapes_and_misses_on_different_ones() {
+    fn plan_cache_selects_once_per_shape_and_serves_every_member() {
         let cache = PlanCache::new();
         let topo = Topology::flat(4);
         let sel = AlgorithmSelector::default();
@@ -768,10 +780,15 @@ mod tests {
             Arc::ptr_eq(&a.program, &b.program),
             "hits share the program"
         );
-        // A different rank, count or channel count is a different shape.
-        cache
+        // Another member of the same shape is a hit: the first request
+        // compiled every member's plan, all of one family.
+        let peer = cache
             .get_or_compile(&sel, &all_reduce(1 << 20, 4), 1, 1024, &topo, &health)
             .unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        assert_eq!(peer.plan.algorithm, a.plan.algorithm);
+        assert_ne!(peer.plan.steps, a.plan.steps, "rank 1's own plan");
+        // A different count or channel count is a different shape.
         cache
             .get_or_compile(&sel, &all_reduce(1 << 19, 4), 0, 1024, &topo, &health)
             .unwrap();
@@ -785,8 +802,13 @@ mod tests {
                 &health,
             )
             .unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 4));
-        assert_eq!(cache.len(), 4);
+        assert_eq!((cache.hits(), cache.misses()), (2, 3));
+        assert_eq!(cache.len(), 3);
+        // A rank outside the device set is an error, not a panic.
+        assert!(matches!(
+            cache.get_or_compile(&sel, &all_reduce(1 << 20, 4), 4, 1024, &topo, &health),
+            Err(CollectiveError::InvalidRank { rank: 4, size: 4 })
+        ));
     }
 
     #[test]
@@ -844,16 +866,16 @@ mod tests {
         cache
             .get_or_compile(&sel, &other, 0, 1024, &topo, &health)
             .unwrap();
-        assert_eq!(cache.len(), 3);
-        // Removing GPU 2 drops both shapes over [0, 1, 2, 3], not the [4, 5] one.
-        assert_eq!(cache.invalidate_device(GpuId(2)), 2);
+        assert_eq!(cache.len(), 2, "both members share one shape");
+        // Removing GPU 2 drops the shape over [0, 1, 2, 3], not the [4, 5] one.
+        assert_eq!(cache.invalidate_device(GpuId(2)), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidate_device(GpuId(2)), 0);
         let hit = cache
             .get_or_compile(&sel, &other, 0, 1024, &topo, &health)
             .unwrap();
         assert!(!hit.degraded);
-        assert_eq!(cache.hits(), 1, "surviving shape still serves hits");
+        assert_eq!(cache.hits(), 2, "surviving shape still serves hits");
     }
 
     #[test]

@@ -1,8 +1,22 @@
-//! Topology- and payload-aware algorithm selection.
+//! Cost-model algorithm selection.
 //!
-//! Mirrors the NCCL design point the GPU-centric-communication survey
-//! describes: ring for bandwidth-bound (large) payloads, tree for
-//! latency-bound (small) payloads, hierarchical across node boundaries.
+//! Every collective runs the family the Table 2 cost model rates fastest,
+//! as NCCL and GC3 pick theirs by minimising a cost model: for each family
+//! that can schedule the descriptor, [`estimate_family_ns`] builds every
+//! member's plan at the descriptor's channel count and the plans' chunk size
+//! and walks them under [`LinkModel::table2_testbed`]; the lowest modelled
+//! completion wins, ties going to the earlier family in
+//! [`AlgorithmKind::ALL`]. So the tree-vs-ring crossover depends on the rank
+//! count as well as the bytes (a 64 B all-reduce is ring on 2 or 4 ranks,
+//! tree on 8), and hierarchical wins across nodes wherever it is cheaper.
+//! The selection is a pure function of the descriptor, the chunk size, the
+//! topology and the link-health view, with no rank in it, so every member of
+//! a collective resolves the same family.
+//!
+//! K and the chunk size are inputs, not searched: the model gives every
+//! channel lane the link's full bandwidth, so an argmin over K would always
+//! take the largest K.
+//!
 //! The choice can be forced per collective (via
 //! [`CollectiveDescriptor::algorithm`]) or, for a whole baseline run, by a
 //! [`AlgorithmSelector::forced`] selector; a per-collective override always
@@ -12,19 +26,15 @@
 //! unstriped by default).
 
 use crate::collective::CollectiveDescriptor;
+use crate::cost::estimate_family_ns;
 use crate::plan::{algorithm, AlgorithmKind, Plan};
+use crate::ring::DEFAULT_CHUNK_ELEMS;
 use crate::CollectiveError;
-use dfccl_transport::{LinkHealth, Topology};
+use dfccl_transport::{LinkHealth, LinkModel, Topology};
+use std::sync::OnceLock;
 
-/// Payload threshold at or below which latency dominates and the tree
-/// schedule is preferred (bytes). Matches the modelled crossover of the
-/// Table 2 link parameters (`fig8_bandwidth_latency`'s model columns): the
-/// tree's O(log n) hop count wins up to ~16 KiB, the ring's lower byte volume
-/// wins beyond it.
-pub const DEFAULT_TREE_THRESHOLD_BYTES: usize = 16 * 1024;
-
-/// Picks a collective algorithm from the payload size and the communicator's
-/// topology.
+/// Picks each collective's algorithm family by minimising the modelled
+/// completion time over the families that can schedule it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AlgorithmSelector {
     /// Global override: always use this algorithm when it supports the
@@ -38,68 +48,78 @@ impl AlgorithmSelector {
         AlgorithmSelector { force: Some(kind) }
     }
 
-    /// Choose the algorithm for `desc` over `topology`.
+    /// Choose the algorithm for `desc` over `topology`, modelled at the
+    /// default chunk size ([`DEFAULT_CHUNK_ELEMS`]).
     ///
     /// Precedence: per-collective override (strict — returned even if
     /// unsupported, so the caller surfaces a clear error), then the global
-    /// override (skipped when unsupported), then the topology/payload policy,
-    /// then ring.
+    /// override (skipped when unsupported), then the cost-model argmin.
     pub fn select(&self, desc: &CollectiveDescriptor, topology: &Topology) -> AlgorithmKind {
-        if let Some(kind) = desc.algorithm {
-            return kind;
-        }
-        if let Some(kind) = self.force {
-            if algorithm(kind).supports(desc, topology) {
-                return kind;
-            }
-        }
-        // Dense-mesh kinds (all-to-all, send/recv) have exactly one schedule
-        // family; no payload/topology policy applies.
-        if algorithm(AlgorithmKind::Pairwise).supports(desc, topology) {
-            return AlgorithmKind::Pairwise;
-        }
-        let payload = desc.count * desc.dtype.size_bytes();
-        let tree = algorithm(AlgorithmKind::DoubleBinaryTree);
-        if payload <= DEFAULT_TREE_THRESHOLD_BYTES && tree.supports(desc, topology) {
-            return AlgorithmKind::DoubleBinaryTree;
-        }
-        let hierarchical = algorithm(AlgorithmKind::Hierarchical);
-        if hierarchical.supports(desc, topology) {
-            return AlgorithmKind::Hierarchical;
-        }
-        AlgorithmKind::Ring
+        self.select_at_chunk(desc, DEFAULT_CHUNK_ELEMS, topology, None)
+            .0
     }
 
     /// [`AlgorithmSelector::select`] constrained by the domain's link-health
-    /// map: when a quarantined edge lies inside `desc`'s device set, the
-    /// preferred family may have to change. Returns the chosen kind plus a
-    /// `degraded` flag (true when the plan had to avoid a dead edge).
-    ///
-    /// Policy: a healthy device set selects exactly as before (and is the
-    /// zero-cost fast path). A degraded ring falls back to the double binary
-    /// tree when the kind supports it — the tree's edge set differs from the
-    /// ring's, giving re-planning a chance to route around the failure
-    /// outright. Any other degraded family keeps its schedule and relies on
-    /// the mesh rerouting quarantined lanes onto spares
-    /// ([`dfccl_transport::LinkHealth::reroute`]). A strict per-collective
-    /// override is never second-guessed.
+    /// map. Returns the chosen kind plus a `degraded` flag (true when a
+    /// quarantined edge lies inside `desc`'s device set).
     pub fn select_with_health(
         &self,
         desc: &CollectiveDescriptor,
         topology: &Topology,
         health: &LinkHealth,
     ) -> (AlgorithmKind, bool) {
-        let kind = self.select(desc, topology);
-        if !topology.degraded_for(&desc.devices, health) {
-            return (kind, false);
+        self.select_at_chunk(desc, DEFAULT_CHUNK_ELEMS, topology, Some(health))
+    }
+
+    /// The family for `desc` with plans chunked at `chunk_elems`, plus the
+    /// `degraded` flag of [`AlgorithmSelector::select_with_health`].
+    ///
+    /// A healthy device set takes the argmin of [`estimate_family_ns`]. A
+    /// degraded one takes the argmin over the same estimate under `health`:
+    /// a family whose plans send over a quarantined edge stalls and drops
+    /// out. If every family stalls, the healthy argmin is kept and the mesh
+    /// reroute ([`dfccl_transport::LinkHealth::reroute`]) carries it. A
+    /// family whose plans fail to build drops out too; when none is left
+    /// the first supported family is returned so building it reports why.
+    pub(crate) fn select_at_chunk(
+        &self,
+        desc: &CollectiveDescriptor,
+        chunk_elems: usize,
+        topology: &Topology,
+        health: Option<&LinkHealth>,
+    ) -> (AlgorithmKind, bool) {
+        let health = health.filter(|h| topology.degraded_for(&desc.devices, h));
+        let degraded = health.is_some();
+        let supported = |kind: &AlgorithmKind| algorithm(*kind).supports(desc, topology);
+        let pinned = desc.algorithm.or(self.force.filter(supported));
+        let mut candidates = AlgorithmKind::ALL.into_iter().filter(supported);
+        let first = candidates.next();
+        // Nothing to compare: the override, the only family, or ring (whose
+        // build then reports why it cannot schedule the descriptor).
+        if pinned.is_some() || candidates.next().is_none() {
+            let kind = pinned.or(first).unwrap_or(AlgorithmKind::Ring);
+            return (kind, degraded);
         }
-        if kind == AlgorithmKind::Ring && desc.algorithm.is_none() {
-            let tree = algorithm(AlgorithmKind::DoubleBinaryTree);
-            if tree.supports(desc, topology) {
-                return (AlgorithmKind::DoubleBinaryTree, true);
+        // The link model every selection is made under, built once.
+        static TABLE2: OnceLock<LinkModel> = OnceLock::new();
+        let link = TABLE2.get_or_init(LinkModel::table2_testbed);
+        let argmin = |health: Option<&LinkHealth>| {
+            let mut best: Option<(f64, AlgorithmKind)> = None;
+            for kind in AlgorithmKind::ALL.into_iter().filter(supported) {
+                if let Ok(ns) = estimate_family_ns(desc, kind, chunk_elems, topology, link, health)
+                {
+                    if best.is_none_or(|(b, _)| ns < b) {
+                        best = Some((ns, kind));
+                    }
+                }
             }
-        }
-        (kind, true)
+            best.map(|(_, kind)| kind)
+        };
+        let kind = argmin(health)
+            .or_else(|| health.and_then(|_| argmin(None)))
+            .or(first)
+            .expect("two families support the descriptor");
+        (kind, degraded)
     }
 
     /// The channel count in effect for `desc`: the per-collective override
@@ -109,8 +129,9 @@ impl AlgorithmSelector {
         desc.channels.unwrap_or(1)
     }
 
-    /// Select an algorithm and compile `rank`'s plan with it, striped across
-    /// the channel count in effect ([`AlgorithmSelector::channels_for`]).
+    /// Select an algorithm at `max_chunk_elems` and compile `rank`'s plan
+    /// with it, striped across the channel count in effect
+    /// ([`AlgorithmSelector::channels_for`]).
     pub fn build_plan(
         &self,
         desc: &CollectiveDescriptor,
@@ -118,7 +139,7 @@ impl AlgorithmSelector {
         max_chunk_elems: usize,
         topology: &Topology,
     ) -> Result<Plan, CollectiveError> {
-        let kind = self.select(desc, topology);
+        let (kind, _) = self.select_at_chunk(desc, max_chunk_elems, topology, None);
         algorithm(kind).build_plan_striped(
             desc,
             rank,
@@ -145,32 +166,130 @@ mod tests {
     }
 
     #[test]
-    fn small_payloads_pick_tree_large_pick_ring() {
+    fn the_cost_model_decides_the_family() {
+        use AlgorithmKind::{DoubleBinaryTree, Hierarchical, Ring};
         let sel = AlgorithmSelector::default();
-        let topo = Topology::flat(8);
-        // 1 KiB all-reduce: latency-bound -> tree.
+        // 64 B: the ring's 2(n-1) hops beat the tree's on 2 and 4 ranks
+        // (3.61 vs 7.21 us, 10.81 vs 14.42 us); on 8 the tree's depth wins.
+        assert_eq!(sel.select(&all_reduce(16, 2), &Topology::flat(2)), Ring);
+        assert_eq!(sel.select(&all_reduce(16, 4), &Topology::flat(4)), Ring);
         assert_eq!(
-            sel.select(&all_reduce(256, 8), &topo),
-            AlgorithmKind::DoubleBinaryTree
+            sel.select(&all_reduce(16, 8), &Topology::flat(8)),
+            DoubleBinaryTree
         );
-        // 4 MiB all-reduce: bandwidth-bound -> ring.
+        // Across two 8-GPU servers the hierarchical schedule wins small
+        // (1 KiB: 45.65 vs the tree's 56.47 us) and large payloads alike.
+        let servers = Topology::two_eight_gpu_servers();
+        assert_eq!(sel.select(&all_reduce(256, 16), &servers), Hierarchical);
+        assert_eq!(sel.select(&all_reduce(1 << 20, 16), &servers), Hierarchical);
         assert_eq!(
-            sel.select(&all_reduce(1 << 20, 8), &topo),
-            AlgorithmKind::Ring
+            sel.select(&all_reduce(1 << 20, 4), &Topology::uniform_cluster(2, 2)),
+            Hierarchical
         );
     }
 
     #[test]
-    fn multi_node_large_payloads_pick_hierarchical() {
+    fn the_chosen_family_is_the_modelled_minimum_and_every_member_agrees() {
+        // Every kind x 2-8 ranks x 64 B-4 MiB x {flat, two equal nodes, two
+        // 8-GPU servers} x K in {1, 2}: no supported family models faster
+        // than the chosen one, and every member's cached plan runs it.
+        use crate::program::PlanCache;
+        use crate::CollectiveKind;
+
         let sel = AlgorithmSelector::default();
-        let topo = Topology::two_eight_gpu_servers();
-        let desc = all_reduce(1 << 20, 16);
-        assert_eq!(sel.select(&desc, &topo), AlgorithmKind::Hierarchical);
-        // Small payloads still prefer the tree even across nodes.
-        assert_eq!(
-            sel.select(&all_reduce(256, 16), &topo),
-            AlgorithmKind::DoubleBinaryTree
-        );
+        let link = LinkModel::table2_testbed();
+        let health = LinkHealth::new();
+        let chunk = DEFAULT_CHUNK_ELEMS;
+        let servers = Topology::two_eight_gpu_servers();
+        let mut checked = 0;
+        for n in 2..=8usize {
+            // Half the ranks on each server of the two-server topology.
+            let split: Vec<GpuId> = (0..n).map(|i| GpuId(i % 2 * 8 + i / 2)).collect();
+            let mut topologies = vec![(Topology::flat(n), gpus(n))];
+            if n % 2 == 0 {
+                topologies.push((Topology::uniform_cluster(2, n / 2), gpus(n)));
+                topologies.push((servers.clone(), split));
+            }
+            for (topo, devices) in &topologies {
+                for kind in CollectiveKind::ALL {
+                    if kind == CollectiveKind::SendRecv && n != 2 {
+                        continue;
+                    }
+                    for bytes in [64usize, 4 << 10, 256 << 10, 4 << 20] {
+                        for k in [1usize, 2] {
+                            let count = bytes / 4;
+                            let d = devices.clone();
+                            let desc = match kind {
+                                CollectiveKind::AllReduce => CollectiveDescriptor::all_reduce(
+                                    count,
+                                    DataType::F32,
+                                    ReduceOp::Sum,
+                                    d,
+                                ),
+                                CollectiveKind::AllGather => {
+                                    CollectiveDescriptor::all_gather(count, DataType::F32, d)
+                                }
+                                CollectiveKind::ReduceScatter => {
+                                    CollectiveDescriptor::reduce_scatter(
+                                        count,
+                                        DataType::F32,
+                                        ReduceOp::Sum,
+                                        d,
+                                    )
+                                }
+                                CollectiveKind::Reduce => CollectiveDescriptor::reduce(
+                                    count,
+                                    DataType::F32,
+                                    ReduceOp::Sum,
+                                    n - 1,
+                                    d,
+                                ),
+                                CollectiveKind::Broadcast => {
+                                    CollectiveDescriptor::broadcast(count, DataType::F32, 1, d)
+                                }
+                                CollectiveKind::AllToAll => {
+                                    CollectiveDescriptor::all_to_all(count, DataType::F32, d)
+                                }
+                                CollectiveKind::SendRecv => CollectiveDescriptor::send_recv(
+                                    count,
+                                    DataType::F32,
+                                    d[0],
+                                    d[1],
+                                ),
+                            }
+                            .with_channels(k);
+                            let (chosen, _) = sel.select_at_chunk(&desc, chunk, topo, None);
+                            let cost = |family| {
+                                estimate_family_ns(&desc, family, chunk, topo, &link, None)
+                            };
+                            let best = cost(chosen).expect("the chosen family builds");
+                            for family in AlgorithmKind::ALL {
+                                if algorithm(family).supports(&desc, topo) {
+                                    if let Ok(ns) = cost(family) {
+                                        assert!(
+                                            best <= ns,
+                                            "{kind} n={n} {bytes} B K={k}: {chosen} {best} \
+                                             vs {family} {ns}"
+                                        );
+                                    }
+                                }
+                            }
+                            let cache = PlanCache::new();
+                            for rank in 0..n {
+                                let plan = cache
+                                    .get_or_compile(&sel, &desc, rank, chunk, topo, &health)
+                                    .unwrap()
+                                    .plan;
+                                assert_eq!(plan.algorithm, chosen, "{kind} n={n} rank {rank}");
+                            }
+                            assert_eq!(cache.misses(), 1, "one selection per shape");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 500, "{checked} cases");
     }
 
     #[test]

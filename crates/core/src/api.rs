@@ -188,7 +188,7 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that had to build and compile a plan.
     pub misses: u64,
-    /// Distinct (shape, rank) plans currently cached.
+    /// Distinct shapes currently cached, each holding every member's plan.
     pub size: usize,
 }
 
@@ -1891,11 +1891,12 @@ mod tests {
         // Same shape, different id, same rank: a pure hit.
         ctx0.register_all_reduce(2, 16, DataType::F32, ReduceOp::Sum, gpus(2), 0)
             .unwrap();
-        // Same shape on the peer rank: a miss (plans are per-rank).
+        // Same shape on the peer rank: also a hit (the miss selected once
+        // and compiled every member's plan).
         ctx1.register_all_reduce(1, 16, DataType::F32, ReduceOp::Sum, gpus(2), 0)
             .unwrap();
         let stats = domain.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.size), (1, 2, 2));
+        assert_eq!((stats.hits, stats.misses, stats.size), (2, 1, 1));
         ctx0.destroy();
         ctx1.destroy();
     }

@@ -15,11 +15,11 @@
 //!    model refuses schedules that cross it, and the communicator mesh
 //!    relabels new connectors onto rerouted physical channels.
 //! 3. **Re-plan** — each stalled collective is re-registered through the
-//!    plan cache on every rank. Degraded mode either swaps ring for a
-//!    double-binary tree or keeps the algorithm and reroutes the striped
-//!    channel around the dead edge; either way the schedule is a capacity-1
-//!    per-collective structure of the same family, so the paper's
-//!    deadlock-freedom argument applies unchanged.
+//!    plan cache on every rank. Degraded mode either takes the cheapest
+//!    family whose modelled plans avoid the dead edge or, when every family
+//!    rides it, keeps the cheapest and reroutes the striped channel around
+//!    it; either way the schedule is one of the ordinary families, so the
+//!    paper's deadlock-freedom argument applies unchanged.
 //! 4. **Resubmit** — partially-executed invocations are rolled back and
 //!    **re-executed from their source buffers** (chunks already reduced into
 //!    the receive buffer cannot be resumed — re-running the full reduction

@@ -7,8 +7,8 @@
 //! the cost model, and the communicator mesh itself — consults the same map,
 //! so a dead link is avoided rather than retried:
 //!
-//! * plan selection falls back ring → tree when the preferred family would
-//!   ride a quarantined edge ([`AlgorithmSelector::select_with_health`] in
+//! * plan selection takes the cheapest family whose modelled plans avoid
+//!   every quarantined edge ([`AlgorithmSelector::select_with_health`] in
 //!   the collectives crate);
 //! * the mesh reroutes any connector that would be labelled with a dead edge
 //!   onto a fresh physical channel label ([`LinkHealth::reroute`]), which

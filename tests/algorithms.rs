@@ -156,10 +156,13 @@ fn estimate_us(desc: &CollectiveDescriptor, algo: AlgorithmKind, topo: &Topology
 
 #[test]
 fn tree_beats_ring_on_small_payloads_and_ring_wins_large() {
-    // The Fig. 8-style crossover the selector encodes: a small all-reduce is
+    // The Fig. 8-style crossover on 8 ranks: a small all-reduce is
     // hop-count-bound (tree: O(log n) depth; ring: 2(n-1) pipeline stages),
     // a large one is byte-volume-bound (ring moves 2(n-1)/n of the buffer
-    // per rank; the tree re-sends whole halves at every level).
+    // per rank; the tree re-sends whole halves at every level). Where it
+    // falls depends on n, not only on bytes: on 2 or 4 ranks the ring's
+    // 2(n-1) hops beat the tree even at 64 B, and the selector, which
+    // minimises this same estimate, runs the ring there.
     let n = 8;
     let flat = Topology::flat(n);
 

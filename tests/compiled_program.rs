@@ -243,10 +243,10 @@ fn plan_cache_serves_repeat_registrations_through_the_full_stack() {
     }
     assert_eq!(
         domain.plan_cache().misses(),
-        2,
-        "one build per rank's shape"
+        1,
+        "one selection and build per shape, for every member"
     );
-    assert_eq!(domain.plan_cache().hits(), 2, "repeat shapes are served");
+    assert_eq!(domain.plan_cache().hits(), 3, "repeat shapes are served");
 
     // Cache-served registrations execute correctly end to end.
     for coll in [1u64, 2] {

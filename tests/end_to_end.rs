@@ -232,6 +232,81 @@ fn repeated_invocations_of_one_registered_collective_stay_correct() {
     }
 }
 
+/// The benchmark's disorder step (8 collectives of 16 KiB over overlapping
+/// groups of a flat 4-GPU node), registered by each rank in its own seeded
+/// order: whichever member registers a shape first, every member runs the
+/// family the cost model picks, so their plans pair up. On 2 and 4 ranks the
+/// ring's hop count beats the tree's at this size.
+#[test]
+fn every_member_of_a_disorder_step_collective_runs_one_family() {
+    use dfccl_repro::collectives::AlgorithmKind;
+
+    let n = 4;
+    let count = 4096;
+    let set = |members: &[usize]| members.iter().map(|&g| GpuId(g)).collect::<Vec<_>>();
+    let all_reduce = |members: &[usize]| {
+        CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, set(members))
+    };
+    let colls: Vec<(u64, CollectiveDescriptor, AlgorithmKind)> = vec![
+        (
+            1,
+            CollectiveDescriptor::all_to_all(count / 4, DataType::F32, set(&[0, 1, 2, 3])),
+            AlgorithmKind::Pairwise,
+        ),
+        (2, all_reduce(&[0, 1, 2, 3]), AlgorithmKind::Ring),
+        (3, all_reduce(&[0, 1]), AlgorithmKind::Ring),
+        (4, all_reduce(&[2, 3]), AlgorithmKind::Ring),
+        (5, all_reduce(&[1, 2]), AlgorithmKind::Ring),
+        (6, all_reduce(&[0, 3]), AlgorithmKind::Ring),
+        (
+            7,
+            CollectiveDescriptor::all_gather(count, DataType::F32, set(&[0, 2])),
+            AlgorithmKind::Ring,
+        ),
+        (
+            8,
+            CollectiveDescriptor::broadcast(count, DataType::F32, 0, set(&[1, 3])),
+            AlgorithmKind::Ring,
+        ),
+    ];
+    let domain = DfcclDomain::new(
+        Topology::flat(n),
+        LinkModel::table2_testbed(),
+        GpuSpec::rtx_3090(),
+        DfcclConfig::for_testing(),
+    );
+    let ranks: Vec<_> = (0..n)
+        .map(|g| domain.init_rank(GpuId(g)).unwrap())
+        .collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    for rank in ranks.iter().rev() {
+        let mut mine: Vec<_> = colls
+            .iter()
+            .filter(|(_, desc, _)| desc.devices.contains(&rank.gpu()))
+            .collect();
+        mine.shuffle(&mut rng);
+        for (id, desc, _) in mine {
+            rank.register(*id, desc.clone()).unwrap();
+        }
+    }
+    let selector = domain.config().algorithm_selector();
+    for (id, desc, expected) in &colls {
+        let chosen = selector.select(desc, domain.topology());
+        assert_eq!(chosen, *expected, "coll {id}");
+        for gpu in &desc.devices {
+            assert_eq!(
+                ranks[gpu.0].algorithm_of(*id),
+                Some(chosen),
+                "coll {id} on {gpu}"
+            );
+        }
+    }
+    assert_eq!(domain.cache_stats().misses, colls.len() as u64);
+    for rank in ranks {
+        rank.destroy();
+    }
+}
+
 /// Integer Sum is two's-complement wrapping in every build profile: an
 /// all-reduce whose inputs overflow completes with the wrapped value instead
 /// of panicking the daemon thread (a hang for the caller) under overflow
