@@ -25,6 +25,17 @@
 //! `alpha + bytes/beta` charge serialises on one lane — so striping across K
 //! lanes raises modelled aggregate bandwidth and moves the latency/bandwidth
 //! crossover (`striping_raises_modelled_bandwidth_on_large_payloads` below).
+//! The model is plain about its simplification: K lanes over one link each
+//! still get that link's full bandwidth.
+//!
+//! Lanes are independent except for **phase barriers**: a step only starts
+//! once every lane of its rank has finished the earlier phases, and no
+//! earlier than the last of those steps finished. The phases are the ones
+//! the executor gates lanes on, from the same function
+//! (`program::segment_phases`), so the walk never starts a step before the
+//! data it reads exists — the hierarchical plan's inter lane waits for the
+//! partials its intra lane reduced. Ring, tree and pairwise plans are one
+//! phase, so their lanes run fully free.
 
 use dfccl_transport::{
     ChannelId, EdgeId, LinkHealth, LinkModel, LinkParams, Topology, TransportError,
@@ -34,6 +45,7 @@ use gpu_sim::GpuId;
 use crate::collective::CollectiveDescriptor;
 use crate::datatype::DataType;
 use crate::plan::{algorithm, AlgorithmKind, Plan};
+use crate::program::segment_phases;
 use crate::CollectiveError;
 
 /// Errors from cost estimation.
@@ -96,12 +108,35 @@ pub fn estimate_completion_ns_with_health(
     // Channels and ranks are dense small ids, so every table below is a flat
     // vector sized up front: the walk allocates a fixed handful of times,
     // whatever the plans' length.
+    //
+    // Phase barriers (`segment_phases`, the one definition compiled programs
+    // gate their lanes on): `phase_of` holds every step's phase, rank `r`'s
+    // from `gates[r].first_step`, and `phase_left` every phase's unfinished
+    // steps, rank `r`'s from `gates[r].first_phase`.
+    let mut phase_of = vec![0u32; plans.iter().map(Plan::len).sum()];
+    let mut gates: Vec<Gate> = Vec::with_capacity(n);
+    let (mut first_step, mut first_phase) = (0, 0);
+    for plan in plans {
+        let phases = segment_phases(&plan.steps, |i, p| phase_of[first_step + i] = p);
+        gates.push(Gate {
+            first_step,
+            first_phase,
+            open: 0,
+            open_end: 0.0,
+            sealed: 0.0,
+        });
+        first_step += plan.len();
+        first_phase += phases as usize;
+    }
+    let mut phase_left = vec![0usize; first_phase];
     let mut lane_steps = vec![0usize; n * k];
     let mut edge_sends = vec![0usize; n * n * k];
     for (r, plan) in plans.iter().enumerate() {
-        for step in &plan.steps {
+        let gate = &gates[r];
+        for (i, step) in plan.steps.iter().enumerate() {
             let c = step.channel.0 as usize;
             lane_steps[r * k + c] += 1;
+            phase_left[gate.first_phase + phase_of[gate.first_step + i] as usize] += 1;
             if let Some(dst) = step.send_to.filter(|&dst| dst < n) {
                 edge_sends[(r * n + dst) * k + c] += 1;
             }
@@ -148,7 +183,12 @@ pub fn estimate_completion_ns_with_health(
                 }
                 let step = &steps[lane.pos];
                 let c = lane.channel.0 as usize;
-                let mut t = lane.clock;
+                let gate = &mut gates[r];
+                let phase = phase_of[gate.first_step + lane.pos];
+                if phase != gate.open {
+                    break; // behind a phase barrier
+                }
+                let mut t = lane.clock.max(gate.sealed);
                 if let Some(src) = step.recv_from {
                     let fifo = (src < n).then(|| &mut fifos[(src * n + r) * k + c]);
                     match fifo.filter(|(read, write)| read < write) {
@@ -184,6 +224,15 @@ pub fn estimate_completion_ns_with_health(
                 lane.pos += 1;
                 lane.left -= 1;
                 progressed = true;
+                // The phase's last step opens the next one, which starts no
+                // earlier than every step before it has finished.
+                gate.open_end = gate.open_end.max(t);
+                let left = &mut phase_left[gate.first_phase + phase as usize];
+                *left -= 1;
+                if *left == 0 {
+                    gate.sealed = gate.open_end;
+                    gate.open += 1;
+                }
             }
             if lane.left > 0 {
                 remaining += 1;
@@ -209,6 +258,22 @@ struct Lane {
     /// Steps the lane has left.
     left: usize,
     clock: f64,
+}
+
+/// One rank's phase barrier in [`estimate_completion_ns_with_health`]'s
+/// walk: only steps of the open phase may run.
+struct Gate {
+    /// Index into `phase_of` of the rank's first step.
+    first_step: usize,
+    /// Index into `phase_left` of the rank's first phase.
+    first_phase: usize,
+    /// The phase the rank's lanes are running.
+    open: u32,
+    /// Latest finish of any step of the open or an earlier phase.
+    open_end: f64,
+    /// Latest finish of any step of an earlier phase: the open phase's steps
+    /// start no earlier.
+    sealed: f64,
 }
 
 /// Modelled completion time of `desc` under family `kind`: every member's
@@ -418,6 +483,75 @@ mod tests {
             Some(&health),
         )
         .unwrap();
+    }
+
+    #[test]
+    fn a_step_behind_a_phase_barrier_waits_for_the_earlier_phase() {
+        // Rank 0 sends 16 elements to rank 1 on channel 0 and receives them
+        // back on channel 1. Rank 1 receives them into its recv buffer on
+        // channel 0 and forwards that buffer on channel 1: a cross-lane
+        // read-after-write, so its forward is a second phase. A walk that
+        // ignored the barrier would forward at time 0 and finish after one
+        // hop; honouring it takes two.
+        use crate::chunk::ElemRange;
+        use crate::primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
+        let range = Some(ElemRange::new(0, 16));
+        let step = |kind, src_buf, peer, channel| {
+            let sends = kind == PrimitiveKind::Send;
+            PrimitiveStep {
+                kind,
+                src: range.filter(|_| sends),
+                src_buf,
+                dst: range.filter(|_| !sends),
+                send_to: Some(peer).filter(|_| sends),
+                recv_from: Some(peer).filter(|_| !sends),
+                chunk_index: 0,
+                step: 0,
+                channel: ChannelId(channel),
+            }
+        };
+        let (send, recv) = (PrimitiveKind::Send, PrimitiveKind::Recv);
+        let rank0 = vec![
+            step(send, SrcBuf::Send, 1, 0),
+            step(recv, SrcBuf::Send, 1, 1),
+        ];
+        let rank1 = vec![
+            step(recv, SrcBuf::Send, 0, 0),
+            step(send, SrcBuf::Recv, 0, 1),
+        ];
+        let plans = [rank0, rank1].map(|steps| Plan::new(AlgorithmKind::Ring, steps));
+        let topo = Topology::flat(2);
+        let link = LinkModel::table2_testbed();
+        let ns = estimate_completion_ns(&plans, &gpus(2), &topo, &link, DataType::F32).unwrap();
+        // One 64 B hop over a PIX link: 1.8 us + 64 B / 11 GB/s.
+        let hop = 1_800.0 + 64.0 / 11.0;
+        assert_eq!(ns, 2.0 * hop);
+    }
+
+    #[test]
+    fn the_hierarchical_estimate_never_beats_the_inter_node_link() {
+        // A 4 MiB all-reduce over two nodes of two: each node leader sends
+        // half of its 2 MiB slice across the 5.5 GB/s inter-node link to be
+        // reduced and the other half back reduced, 2 MiB in all, so no
+        // schedule finishes before that link has been busy for
+        // 2 MiB / 5.5 GB/s = 381 us. Each lane alone is busy ~450 us and
+        // the stages back to back take 892 us, so staying under 620 us
+        // leaves room for the pipeline's fill and drain, not for serial
+        // stages.
+        let topo = Topology::uniform_cluster(2, 2);
+        let desc = CollectiveDescriptor::all_reduce(1 << 20, DataType::F32, ReduceOp::Sum, gpus(4));
+        let ns = estimate_family_ns(
+            &desc,
+            AlgorithmKind::Hierarchical,
+            crate::DEFAULT_CHUNK_ELEMS,
+            &topo,
+            &LinkModel::table2_testbed(),
+            None,
+        )
+        .unwrap();
+        let inter_busy = (2 << 20) as f64 / 5.5;
+        assert!(ns >= inter_busy, "{ns} ns beats the {inter_busy} ns floor");
+        assert!(ns < 620_000.0, "{ns} ns: the stages do not overlap");
     }
 
     #[test]

@@ -3,29 +3,50 @@
 //! Flat rings over a multi-node cluster push `2(n-1)/n` of the buffer across
 //! the slow inter-node fabric on *every* hop-pair. The hierarchical schedule
 //! confines most traffic to the fast intra-node links (the standard NCCL
-//! multi-node design point):
+//! multi-node design point). Over a node's `k` local ranks it has three
+//! stages:
 //!
 //! 1. **Intra-node reduce-scatter** — a ring over the node's local ranks;
 //!    afterwards local rank `j` holds the node-wide partial sum of slice `j`
 //!    in its recv buffer.
-//! 2. **Inter-node exchange** — for each slice, the ranks holding it (one
-//!    per node — the slice's *node leaders*) run a ring all-reduce of that
-//!    slice across the fabric. Only `1/k`-th of the buffer crosses the
-//!    inter-node boundary per leader.
+//! 2. **Leader ring** — the ranks holding slice `j` (one per node: the
+//!    slice's *node leaders*) ring-all-reduce it across the fabric. Only
+//!    `1/k`-th of the buffer crosses the inter-node boundary per leader.
 //! 3. **Intra-node all-gather** — the ring again, redistributing the now
 //!    globally-reduced slices to every local rank.
 //!
-//! The phases use [`SrcBuf::Recv`] operands where a step consumes a partial
-//! accumulated by an earlier phase. Each phase is sorted chunk-major
-//! independently and the phases are concatenated in order on every rank:
-//! within a phase the ring argument gives deadlock freedom, and across
-//! phases a blocked rank only ever waits on a peer in the same or an earlier
-//! phase, so the schedule completes even with 1-slot connectors.
+//! The stages run **block-pipelined**, not one after another. Each slice is
+//! cut into blocks of `nodes × K` chunks, so the leader ring splits a block
+//! into `nodes` sub-ranges of at most `K` chunks, one per channel. The
+//! reduce-scatter and the all-gather ride the *intra lane* (channels
+//! `0..K`), which sends only over intra-node edges; the leader ring rides
+//! the *inter lane* (channels `K..2K`), which sends only over inter-node
+//! edges. In plan order, iteration `i` holds block `i-1`'s leader ring, then
+//! block `i`'s reduce-scatter, then block `i-2`'s all-gather. So while the
+//! inter lane reduces block `b` across nodes, the intra lane reduces block
+//! `b+1` and gathers block `b-1`, and each GPU's intra-node and inter-node
+//! links work at once (GC3's pipelined hierarchical all-reduce, with lanes
+//! for thread blocks). With one rank per node only the leader ring is left,
+//! on one lane (channels `0..K`).
+//!
+//! The stages hand blocks over in the recv buffer ([`SrcBuf::Recv`]
+//! operands) from one lane to the other. Compilation turns exactly those
+//! hand-overs into phase barriers (`program::segment_phases`, derived from
+//! the byte ranges), and the cost model waits on the same barriers, so the
+//! pipeline needs no mechanism of its own. Deadlock freedom: every step has
+//! a position `(iteration, stage, chunk, step)` that plan order sorts by,
+//! both ends of every edge emit its messages in that order, a blocked step
+//! only waits on a strictly earlier position, and a phase barrier only on
+//! earlier steps of its own rank — so the schedule completes even with
+//! 1-slot connectors.
+//!
+//! Slices differ in length by at most one element, so their chunk and block
+//! counts can differ by one. A (slice, block) pair that does not exist has
+//! an empty range, which emits no step on either end of its edges.
 //!
 //! The algorithm requires every node group (as classified by
 //! [`Topology::machine_of`]) to contribute the same number of ranks, and at
-//! least two nodes. Single-rank groups degenerate gracefully: phases 1 and 3
-//! vanish and phase 2 becomes a flat inter-node ring.
+//! least two nodes.
 
 use crate::chunk::{slice_ranges, ElemRange};
 use crate::collective::{CollectiveDescriptor, CollectiveKind};
@@ -39,23 +60,23 @@ use dfccl_transport::Topology;
 /// The hierarchical schedule generator.
 pub struct HierarchicalAlgorithm;
 
-/// Emit one macro step of a ring phase: peers derive from the primitive
-/// kind, chunks split at `max_chunk`, and the shared step counter advances.
+/// Emit one macro step of a ring stage: peers derive from the primitive
+/// kind, chunks split at `max_chunk` and stripe over `channels`, and the
+/// shared step counter advances.
 #[allow(clippy::too_many_arguments)]
-fn emit_phase_step(
-    phase: &mut Vec<PrimitiveStep>,
+fn emit_ring_step(
+    out: &mut Vec<PrimitiveStep>,
     kind: PrimitiveKind,
     src: Option<ElemRange>,
     src_buf: SrcBuf,
     dst: Option<ElemRange>,
-    next: usize,
-    prev: usize,
+    (next, prev): (usize, usize),
     step: &mut u32,
     max_chunk: usize,
     channels: usize,
 ) {
     push_chunked(
-        phase,
+        out,
         kind,
         src,
         src_buf,
@@ -119,39 +140,37 @@ impl Algorithm for HierarchicalAlgorithm {
             ));
         };
 
-        let my_group = groups
+        let g = groups
             .iter()
-            .position(|g| g.contains(&rank))
+            .position(|grp| grp.contains(&rank))
             .expect("rank is grouped");
-        let local = &groups[my_group];
+        let local = &groups[g];
         let k = local.len();
         let j = local.iter().position(|&r| r == rank).expect("rank local");
-        let n_nodes = groups.len();
+        let nodes = groups.len();
 
         // One slice per local rank; slice `j`'s leaders are the local-index-j
         // ranks of every node.
         let slices = slice_ranges(desc.count, k);
         let slice = |idx: usize| slices[idx % k];
-        let leaders: Vec<usize> = groups.iter().map(|g| g[j]).collect();
-
-        let mut steps: Vec<PrimitiveStep> = Vec::new();
         let mut step = 0u32;
 
-        // Phase 1: intra-node ring reduce-scatter over the whole buffer.
-        // Local rank j ends up owning slice j (node partial, in recv_buf).
+        // The intra lane: ring reduce-scatter, then ring all-gather, over the
+        // whole buffer, each chunk-major on its own. Chunk `c` of a slice
+        // belongs to block `c / (nodes * K)`.
+        let mut reduce_scatter = Vec::new();
+        let mut all_gather = Vec::new();
         if k >= 2 {
-            let next = local[(j + 1) % k];
-            let prev = local[(j + k - 1) % k];
-            let mut phase = Vec::new();
+            let ring = (local[(j + 1) % k], local[(j + k - 1) % k]);
+            let out = &mut reduce_scatter;
             let mut emit = |kind, src, src_buf, dst| {
-                emit_phase_step(
-                    &mut phase,
+                emit_ring_step(
+                    out,
                     kind,
                     src,
                     src_buf,
                     dst,
-                    next,
-                    prev,
+                    ring,
                     &mut step,
                     max_chunk_elems,
                     channels,
@@ -178,83 +197,17 @@ impl Algorithm for HierarchicalAlgorithm {
                 SrcBuf::Send,
                 Some(slice(j)),
             );
-            sort_chunk_major(&mut phase);
-            steps.extend(phase);
-        }
+            sort_chunk_major(out);
 
-        // Phase 2: ring all-reduce of slice j among its node leaders. The
-        // local operand is the phase-1 partial in the recv buffer (or the
-        // original input when the node has a single rank and phase 1 ran on
-        // nobody).
-        let my_slice = slice(j);
-        let operand = if k == 1 { SrcBuf::Send } else { SrcBuf::Recv };
-        if my_slice.len > 0 {
-            let g = my_group;
-            let next = leaders[(g + 1) % n_nodes];
-            let prev = leaders[(g + n_nodes - 1) % n_nodes];
-            let subs = slice_ranges(my_slice.len, n_nodes);
-            let sub = |idx: usize| {
-                let s = subs[idx % n_nodes];
-                ElemRange::new(my_slice.offset + s.offset, s.len)
-            };
-            let mut phase = Vec::new();
+            let out = &mut all_gather;
             let mut emit = |kind, src, src_buf, dst| {
-                emit_phase_step(
-                    &mut phase,
+                emit_ring_step(
+                    out,
                     kind,
                     src,
                     src_buf,
                     dst,
-                    next,
-                    prev,
-                    &mut step,
-                    max_chunk_elems,
-                    channels,
-                )
-            };
-            emit(PrimitiveKind::Send, Some(sub(g)), operand, None);
-            for t in 1..n_nodes - 1 {
-                emit(
-                    PrimitiveKind::RecvReduceSend,
-                    Some(sub(g + n_nodes - t)),
-                    operand,
-                    None,
-                );
-            }
-            let owned = sub(g + 1);
-            emit(
-                PrimitiveKind::RecvReduceCopySend,
-                Some(owned),
-                operand,
-                Some(owned),
-            );
-            for t in 1..n_nodes - 1 {
-                emit(
-                    PrimitiveKind::RecvCopySend,
-                    None,
-                    SrcBuf::Send,
-                    Some(sub(g + n_nodes - t + 1)),
-                );
-            }
-            emit(PrimitiveKind::Recv, None, SrcBuf::Send, Some(sub(g + 2)));
-            sort_chunk_major(&mut phase);
-            steps.extend(phase);
-        }
-
-        // Phase 3: intra-node ring all-gather of the globally-reduced slices.
-        if k >= 2 {
-            let next = local[(j + 1) % k];
-            let prev = local[(j + k - 1) % k];
-            let mut phase = Vec::new();
-            let mut emit = |kind, src, src_buf, dst| {
-                emit_phase_step(
-                    &mut phase,
-                    kind,
-                    src,
-                    src_buf,
-                    dst,
-                    next,
-                    prev,
+                    ring,
                     &mut step,
                     max_chunk_elems,
                     channels,
@@ -271,8 +224,101 @@ impl Algorithm for HierarchicalAlgorithm {
                 );
             }
             emit(PrimitiveKind::Recv, None, SrcBuf::Send, Some(slice(j + 1)));
-            sort_chunk_major(&mut phase);
-            steps.extend(phase);
+            sort_chunk_major(out);
+        }
+
+        // The inter lane: per block of slice j, a ring all-reduce among its
+        // node leaders, at most K chunks per sub-range. The local operand is
+        // the reduce-scatter's partial in the recv buffer (or the original
+        // input when the node has a single rank). Chunk indices count on
+        // across blocks (block b's chunk c is b·K + c), so the lane is
+        // chunk-major as a whole, on the K channels after the intra lane's.
+        let leaders: Vec<usize> = groups.iter().map(|grp| grp[j]).collect();
+        let ring = (leaders[(g + 1) % nodes], leaders[(g + nodes - 1) % nodes]);
+        let operand = if k == 1 { SrcBuf::Send } else { SrcBuf::Recv };
+        let first_channel = if k == 1 { 0 } else { channels };
+        let block_elems = nodes * channels * max_chunk_elems;
+        let mut leader_ring = Vec::new();
+        let my_slice = slice(j);
+        for (b, start) in (0..my_slice.len).step_by(block_elems).enumerate() {
+            let block = ElemRange::new(
+                my_slice.offset + start,
+                block_elems.min(my_slice.len - start),
+            );
+            let subs = slice_ranges(block.len, nodes);
+            let sub = |idx: usize| subs[idx % nodes].shifted(block.offset);
+            let first = leader_ring.len();
+            let out = &mut leader_ring;
+            let mut emit = |kind, src, src_buf, dst| {
+                emit_ring_step(
+                    out,
+                    kind,
+                    src,
+                    src_buf,
+                    dst,
+                    ring,
+                    &mut step,
+                    max_chunk_elems,
+                    channels,
+                )
+            };
+            emit(PrimitiveKind::Send, Some(sub(g)), operand, None);
+            for t in 1..nodes - 1 {
+                emit(
+                    PrimitiveKind::RecvReduceSend,
+                    Some(sub(g + nodes - t)),
+                    operand,
+                    None,
+                );
+            }
+            let owned = sub(g + 1);
+            emit(
+                PrimitiveKind::RecvReduceCopySend,
+                Some(owned),
+                operand,
+                Some(owned),
+            );
+            for t in 1..nodes - 1 {
+                emit(
+                    PrimitiveKind::RecvCopySend,
+                    None,
+                    SrcBuf::Send,
+                    Some(sub(g + nodes - t + 1)),
+                );
+            }
+            emit(PrimitiveKind::Recv, None, SrcBuf::Send, Some(sub(g + 2)));
+            for s in &mut leader_ring[first..] {
+                s.chunk_index += (b * channels) as u32;
+                s.channel.0 += first_channel as u32;
+            }
+        }
+        sort_chunk_major(&mut leader_ring);
+
+        // Merge the stages block-pipelined: iteration `i` takes block
+        // `i-1`'s leader ring, block `i`'s reduce-scatter and block `i-2`'s
+        // all-gather, each stage's steps in their own order. Leader ring
+        // first: the hand-over barriers then cut the plan into phases of one
+        // block per stage, which keep both lanes busy (reduce-scatter first
+        // cuts uneven phases that leave a lane idle at each barrier).
+        let mut stages = [
+            (leader_ring.into_iter().peekable(), 1, channels),
+            (reduce_scatter.into_iter().peekable(), 0, nodes * channels),
+            (all_gather.into_iter().peekable(), 2, nodes * channels),
+        ];
+        let mut steps = Vec::with_capacity(stages.iter().map(|(s, _, _)| s.len()).sum());
+        for iteration in 0.. {
+            let mut left = false;
+            for (stage, lag, chunks_per_block) in &mut stages {
+                while let Some(s) = stage
+                    .next_if(|s| s.chunk_index as usize / *chunks_per_block + *lag <= iteration)
+                {
+                    steps.push(s);
+                }
+                left |= stage.peek().is_some();
+            }
+            if !left {
+                break;
+            }
         }
 
         Ok(Plan::new(AlgorithmKind::Hierarchical, steps))
@@ -349,34 +395,134 @@ mod tests {
         }
     }
 
+    /// The stages of a hierarchical plan, in the order one block passes
+    /// through them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Stage {
+        ReduceScatter,
+        LeaderRing,
+        AllGather,
+    }
+
+    /// A step's stage and block, for nodes of at least two ranks striped
+    /// over `k` channels: the leader ring rides channels `k..2k` in blocks
+    /// of `k` chunks; on the intra lane, the reduce-scatter's steps are the
+    /// ones that reduce or send from the send buffer, and both intra stages
+    /// run in blocks of `nodes * k` chunks.
+    fn stage_and_block(s: &PrimitiveStep, nodes: usize, k: usize) -> (Stage, usize) {
+        let chunk = s.chunk_index as usize;
+        if s.channel.0 as usize >= k {
+            (Stage::LeaderRing, chunk / k)
+        } else if s.kind.has_reduce()
+            || (s.kind == PrimitiveKind::Send && s.src_buf == SrcBuf::Send)
+        {
+            (Stage::ReduceScatter, chunk / (nodes * k))
+        } else {
+            (Stage::AllGather, chunk / (nodes * k))
+        }
+    }
+
+    /// Every rank's plan of an 8000-element all-reduce at chunk 100 over
+    /// multi-node splits with at least two ranks per node, for K in {1, 2,
+    /// 3}: `(rank, nodes, K, machine of each rank, plan)`.
+    fn pipelined_plans() -> Vec<(usize, usize, usize, Vec<usize>, Plan)> {
+        let mut out = Vec::new();
+        for (nodes, per_node) in [(2, 2), (2, 3), (3, 2), (2, 4)] {
+            let topo = Topology::uniform_cluster(nodes, per_node);
+            let n = nodes * per_node;
+            let d = desc(n, 8000);
+            let machine: Vec<usize> = d
+                .devices
+                .iter()
+                .map(|&gpu| topo.machine_of(gpu).unwrap())
+                .collect();
+            for k in [1, 2, 3] {
+                for rank in 0..n {
+                    let plan = HierarchicalAlgorithm
+                        .build_plan_striped(&d, rank, 100, k, &topo)
+                        .unwrap();
+                    plan.validate(rank, n).unwrap();
+                    out.push((rank, nodes, k, machine.clone(), plan));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn phases_are_individually_chunk_major() {
-        // Within a phase, (chunk, step) must be lexicographically ascending
-        // (the chunk-major invariant). A descent is only legal at a phase
-        // boundary, where the monotone step counter jumps above everything
-        // seen before; at most two boundaries exist (three phases).
-        let topo = Topology::uniform_cluster(2, 2);
-        let d = desc(4, 4000);
-        for rank in 0..4 {
-            let plan = HierarchicalAlgorithm
-                .build_plan(&d, rank, 100, &topo)
-                .unwrap();
-            assert!(!plan.is_empty());
-            let mut descents = 0;
-            let mut max_step = plan.steps[0].step;
-            for w in plan.steps.windows(2) {
-                let a = (w[0].chunk_index, w[0].step);
-                let b = (w[1].chunk_index, w[1].step);
-                if b < a {
-                    descents += 1;
+    fn each_lane_runs_each_stage_chunk_major() {
+        // On every channel, each stage's steps appear in ascending
+        // (chunk, step) order: the per-channel FIFO argument of the ring
+        // holds stage by stage, and the stages interleave by block.
+        for (rank, nodes, k, _, plan) in pipelined_plans() {
+            for channel in 0..2 * k as u32 {
+                for stage in [Stage::ReduceScatter, Stage::LeaderRing, Stage::AllGather] {
+                    let keys: Vec<(u32, u32)> = plan
+                        .steps
+                        .iter()
+                        .filter(|s| s.channel.0 == channel)
+                        .filter(|s| stage_and_block(s, nodes, k).0 == stage)
+                        .map(|s| (s.chunk_index, s.step))
+                        .collect();
                     assert!(
-                        w[1].step > max_step,
-                        "rank {rank}: descent without a phase boundary at {b:?}"
+                        keys.windows(2).all(|w| w[0] < w[1]),
+                        "rank {rank} K={k} channel {channel} {stage:?}: not chunk-major"
                     );
                 }
-                max_step = max_step.max(w[1].step);
             }
-            assert!(descents <= 2, "rank {rank}: more than three phases?");
+        }
+    }
+
+    #[test]
+    fn a_block_passes_the_stages_in_order() {
+        // In plan order, block b's leader ring follows all of its
+        // reduce-scatter, and its all-gather follows all of its leader ring;
+        // and the stages overlap: block 0's leader ring starts before the
+        // last block's reduce-scatter.
+        for (rank, nodes, k, _, plan) in pipelined_plans() {
+            let mut span: std::collections::BTreeMap<(usize, usize), (usize, usize)> =
+                Default::default();
+            for (pos, s) in plan.steps.iter().enumerate() {
+                let (stage, block) = stage_and_block(s, nodes, k);
+                let e = span.entry((block, stage as usize)).or_insert((pos, pos));
+                e.1 = pos;
+            }
+            let blocks = span.keys().map(|&(b, _)| b).max().unwrap() + 1;
+            assert!(blocks >= 3, "rank {rank} K={k}: the plan must pipeline");
+            for b in 0..blocks {
+                let rs = span[&(b, Stage::ReduceScatter as usize)];
+                let ag = span[&(b, Stage::AllGather as usize)];
+                if let Some(lr) = span.get(&(b, Stage::LeaderRing as usize)) {
+                    assert!(rs.1 < lr.0, "rank {rank} K={k} block {b}: ring before RS");
+                    assert!(lr.1 < ag.0, "rank {rank} K={k} block {b}: AG before ring");
+                }
+                assert!(rs.1 < ag.0, "rank {rank} K={k} block {b}: AG before RS");
+            }
+            let first_ring = span[&(0, Stage::LeaderRing as usize)].0;
+            let last_scatter = span[&(blocks - 1, Stage::ReduceScatter as usize)].0;
+            assert!(
+                first_ring < last_scatter,
+                "rank {rank} K={k}: the stages run one after another"
+            );
+        }
+    }
+
+    #[test]
+    fn the_intra_lane_stays_inside_the_node_and_the_inter_lane_leaves_it() {
+        // Channels 0..K send and receive only within the node, channels
+        // K..2K only across nodes — so at K = 1 each link carries one lane.
+        for (rank, _, k, machine, plan) in pipelined_plans() {
+            for s in &plan.steps {
+                let intra = (s.channel.0 as usize) < k;
+                for peer in s.send_to.iter().chain(&s.recv_from) {
+                    assert_eq!(
+                        machine[*peer] == machine[rank],
+                        intra,
+                        "rank {rank} K={k}: channel {} talks to {peer}",
+                        s.channel
+                    );
+                }
+            }
         }
     }
 

@@ -287,15 +287,18 @@ pub(crate) fn push_chunked(
     max_chunk: usize,
     channels: usize,
 ) {
-    use crate::chunk::{chunk_ranges, ElemRange};
+    use crate::chunk::ElemRange;
     let total = src_base
         .map(|r| r.len)
         .or(dst_base.map(|r| r.len))
         .unwrap_or(0);
     let channels = channels.max(1) as u32;
-    for (ci, chunk) in chunk_ranges(total, max_chunk).into_iter().enumerate() {
-        let src = src_base.map(|r| ElemRange::new(r.offset + chunk.offset, chunk.len));
-        let dst = dst_base.map(|r| ElemRange::new(r.offset + chunk.offset, chunk.len));
+    // The chunks of `chunk::chunk_ranges(total, max_chunk)`, without
+    // allocating them: plans are built on every registration miss.
+    for (ci, offset) in (0..total).step_by(max_chunk).enumerate() {
+        let len = max_chunk.min(total - offset);
+        let src = src_base.map(|r| ElemRange::new(r.offset + offset, len));
+        let dst = dst_base.map(|r| ElemRange::new(r.offset + offset, len));
         out.push(PrimitiveStep {
             kind,
             src,

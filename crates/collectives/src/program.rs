@@ -33,10 +33,10 @@
 //! What lane order alone does **not** preserve is *local* recv-buffer
 //! dependencies that cross lanes: within one chunk-major phase they cannot
 //! exist (a dependency connects steps of the same chunk index — the same
-//! channel, where lane order is plan order), but a multi-phase schedule like
-//! the hierarchical all-reduce re-chunks another phase's output (its leader
-//! ring reads phase 1's partials under a different chunking), so a lane
-//! running ahead could read bytes a sibling lane has not written yet.
+//! channel, where lane order is plan order), but a multi-stage schedule like
+//! the hierarchical all-reduce hands data between lanes (its inter-node
+//! lane reads the partials its intra-node lane reduced), so a lane running
+//! ahead could read bytes a sibling lane has not written yet.
 //! Compilation therefore segments the instruction stream into **phases**
 //! derived from the actual byte ranges: a new phase starts exactly at an
 //! instruction that conflicts (read-after-write, write-after-write or
@@ -45,10 +45,12 @@
 //! finished the earlier phases. Phase barriers point strictly backward in
 //! plan order, so the constraint graph stays a sub-order of plan order —
 //! acyclic, hence deadlock-free — while single-phase schedules (ring, tree,
-//! pairwise) keep fully independent lanes. The compiled-vs-oracle
-//! bit-exactness property test (`tests/compiled_program.rs`, against
-//! `tests/common/oracle.rs`) exercises this across every algorithm family ×
-//! collective × rank count × K ∈ {1, 2, 3} at connector capacity 1.
+//! pairwise) keep fully independent lanes. `segment_phases` is the one
+//! definition; the cost model's walk (`cost.rs`) waits on the same barriers.
+//! The compiled-vs-oracle bit-exactness property test
+//! (`tests/compiled_program.rs`, against `tests/common/oracle.rs`) exercises
+//! this across every algorithm family × collective × rank count × K ∈
+//! {1, 2, 3} at connector capacity 1.
 
 use std::collections::HashMap;
 
@@ -61,7 +63,7 @@ use crate::collective::{CollectiveDescriptor, CollectiveKind};
 use crate::cost::member_plans;
 use crate::datatype::DataType;
 use crate::plan::{AlgorithmKind, Plan};
-use crate::primitive::{PrimitiveKind, SrcBuf};
+use crate::primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 use crate::redop::ReduceOp;
 use crate::selector::AlgorithmSelector;
 use crate::CollectiveError;
@@ -87,31 +89,50 @@ impl ByteRange {
             len: range.byte_len(elem_bytes),
         }
     }
-
-    fn overlaps(self, other: ByteRange) -> bool {
-        self.len > 0
-            && other.len > 0
-            && self.off < other.off + other.len
-            && other.off < self.off + self.len
-    }
 }
 
 /// Whether executing `later` before `earlier` could observe or clobber the
 /// wrong recv-buffer bytes (`later` follows `earlier` in plan order). The
 /// send buffer is never written, so only recv-buffer accesses can conflict:
 /// a read is an `src` operand with [`SrcBuf::Recv`], a write is any `dst`.
-fn recv_buffer_conflict(later: &Instr, earlier: &Instr) -> bool {
-    let read = |i: &Instr| match i.src_buf {
-        SrcBuf::Recv => i.src,
+fn recv_buffer_conflict(later: &PrimitiveStep, earlier: &PrimitiveStep) -> bool {
+    let read = |s: &PrimitiveStep| match s.src_buf {
+        SrcBuf::Recv => s.src,
         SrcBuf::Send => None,
     };
-    let overlap = |a: Option<ByteRange>, b: Option<ByteRange>| match (a, b) {
-        (Some(a), Some(b)) => a.overlaps(b),
+    let overlap = |a: Option<ElemRange>, b: Option<ElemRange>| match (a, b) {
+        (Some(a), Some(b)) => a.len > 0 && b.len > 0 && a.offset < b.end() && b.offset < a.end(),
         _ => false,
     };
     overlap(read(later), earlier.dst)       // read-after-write
         || overlap(later.dst, earlier.dst)  // write-after-write
         || overlap(later.dst, read(earlier)) // write-after-read
+}
+
+/// Segment a plan's steps into phases (see the module docs): greedily grow a
+/// phase until a step conflicts on the recv buffer with an earlier step of
+/// the phase *on a different channel*; that step starts the next phase.
+/// Calls `mark(i, phase)` for every step in plan order and returns the phase
+/// count. The one definition of a phase barrier: [`CompiledProgram::compile`]
+/// gates lanes on it and the cost model's walk waits on it
+/// (`crate::cost`). A single-channel plan is one phase — plan order is
+/// lane order — and skips the quadratic scan.
+pub(crate) fn segment_phases(steps: &[PrimitiveStep], mut mark: impl FnMut(usize, u32)) -> u32 {
+    let one_lane = steps.iter().all(|s| s.channel == steps[0].channel);
+    let mut phase = 0u32;
+    let mut phase_start = 0usize;
+    for (i, step) in steps.iter().enumerate() {
+        let split = !one_lane
+            && steps[phase_start..i].iter().rev().any(|earlier| {
+                earlier.channel != step.channel && recv_buffer_conflict(step, earlier)
+            });
+        if split {
+            phase += 1;
+            phase_start = i;
+        }
+        mark(i, phase);
+    }
+    phase + 1
 }
 
 /// One lowered instruction of a compiled program. Connector references are
@@ -266,39 +287,18 @@ impl CompiledProgram {
         // sort makes the layout independent of emission order.
         lanes.sort_by_key(|l| l.channel);
         // Phase segmentation, derived from actual recv-buffer data
-        // dependencies: greedily grow a phase until an instruction conflicts
-        // (read-after-write / write-after-write / write-after-read on the
-        // recv buffer) with an earlier instruction *on a different lane* —
-        // same-lane conflicts are already ordered by the lane cursor, since
-        // lane order preserves plan order. The conflicting instruction
-        // starts a new phase, and an instruction only becomes eligible once
-        // every lane has finished the earlier phases, so executing lanes in
-        // any interleaving observes exactly the recv-buffer contents of
-        // executing the plan in order. Single-phase schedules (ring, tree,
-        // pairwise: within one chunk-major phase, dependencies always
-        // connect steps of the same chunk — the same lane) carry no barriers
-        // at all; the hierarchical schedule's phases (whose phase 2 reads
-        // phase 1's partials under a different chunking) are recovered
-        // automatically. Single-lane programs skip the quadratic scan —
-        // plan order is lane order.
-        let mut phase = 0u32;
-        if lanes.len() > 1 {
-            let mut phase_start = 0usize;
-            for i in 0..instrs.len() {
-                let split = instrs[phase_start..i].iter().rev().any(|earlier| {
-                    earlier.channel != instrs[i].channel
-                        && recv_buffer_conflict(&instrs[i], earlier)
-                });
-                if split {
-                    phase += 1;
-                    phase_start = i;
-                }
-                instrs[i].phase = phase;
-            }
-        }
+        // dependencies (`segment_phases`): an instruction only becomes
+        // eligible once every lane has finished the earlier phases, so
+        // executing lanes in any interleaving observes exactly the
+        // recv-buffer contents of executing the plan in order. Same-lane
+        // conflicts are already ordered by the lane cursor. Single-phase
+        // schedules (ring, tree, pairwise: within one chunk-major phase,
+        // dependencies always connect steps of the same chunk — the same
+        // lane) carry no barriers at all; the hierarchical schedule's hand-
+        // overs between its intra and inter lanes become barriers.
+        let phase_count = segment_phases(&plan.steps, |i, phase| instrs[i].phase = phase) as usize;
         // Per-lane phase prefixes: how many of the lane's instructions sit
         // in phases before `p`, for every phase — the barrier check's data.
-        let phase_count = phase as usize + 1;
         for lane in &mut lanes {
             let mut prefix = vec![0u32; phase_count + 1];
             for &idx in &lane.instrs {
@@ -723,10 +723,9 @@ mod tests {
             assert!(ring.instr_eligible(idx, &vec![0; ring.lane_count()]));
         }
 
-        // A hierarchical plan with chunk-misaligned phases (odd count, so
-        // the leader-ring sub-slices re-chunk the phase-1 partials across
-        // lanes) must split: instructions of a later phase are gated until
-        // every lane finishes the earlier ones.
+        // A hierarchical plan hands each block from its intra lane to its
+        // inter lane and back, so it must split: instructions of a later
+        // phase are gated until every lane finishes the earlier ones.
         let desc = all_reduce(17, 6);
         let topo = Topology::uniform_cluster(2, 3);
         let plan = algorithm(AlgorithmKind::Hierarchical)
@@ -736,7 +735,7 @@ mod tests {
         let program = CompiledProgram::compile(&plan, DataType::F32);
         assert!(
             program.phase_count() >= 2,
-            "chunk-misaligned hierarchical schedules are multi-phase"
+            "hierarchical schedules are multi-phase"
         );
         let later = (0..program.len() as u32)
             .find(|&i| program.instr(i).phase > 0)

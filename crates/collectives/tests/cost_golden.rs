@@ -102,14 +102,14 @@ const GOLDEN: &[(AlgorithmKind, usize, usize, usize, &str, u64)] = &[
     (Hierarchical, 4, 64, 2, "cluster", 0x40c8a1d1745d1746), // 12611.636363636364
     (Hierarchical, 4, 16384, 1, "cluster", 0x40ce6d745d1745d2), // 15578.909090909092
     (Hierarchical, 4, 16384, 2, "cluster", 0x40ce6d745d1745d2), // 15578.909090909092
-    (Hierarchical, 4, 4194304, 1, "cluster", 0x412b3a51745d1742), // 892200.7272727268
-    (Hierarchical, 4, 4194304, 2, "cluster", 0x411b3a51745d1744), // 446100.36363636353
+    (Hierarchical, 4, 4194304, 1, "cluster", 0x411f040ba2e8ba2c), // 508162.90909090894
+    (Hierarchical, 4, 4194304, 2, "cluster", 0x41112ea2e8ba2e8c), // 281512.7272727273
     (Hierarchical, 8, 64, 1, "cluster", 0x40d358e8ba2e8ba2), // 19811.63636363636
     (Hierarchical, 8, 64, 2, "cluster", 0x40d358e8ba2e8ba2), // 19811.63636363636
     (Hierarchical, 8, 16384, 1, "cluster", 0x40d63eba2e8ba2e9), // 22778.909090909092
     (Hierarchical, 8, 16384, 2, "cluster", 0x40d63eba2e8ba2e9), // 22778.909090909092
-    (Hierarchical, 8, 4194304, 1, "cluster", 0x412b0211745d1741), // 885000.7272727267
-    (Hierarchical, 8, 4194304, 2, "cluster", 0x411b0211745d1744), // 442500.36363636353
+    (Hierarchical, 8, 4194304, 1, "cluster", 0x4124175d1745d171), // 658350.5454545451
+    (Hierarchical, 8, 4194304, 2, "cluster", 0x4114175d1745d172), // 329175.2727272726
     (Pairwise, 2, 64, 1, "flat", 0x409c3745d1745d17), // 1805.8181818181818
     (Pairwise, 2, 64, 1, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
     (Pairwise, 2, 64, 2, "flat", 0x409c3745d1745d17), // 1805.8181818181818
