@@ -165,12 +165,12 @@ fn run_panel(kind: CollectiveKind, gpus: usize, sizes: &[usize], iters: usize, c
     }
 }
 
-/// The ring-vs-tree-vs-hierarchical sweep: modelled completion times of the
-/// all-reduce under each algorithm family (Table 2 link parameters, no time
-/// compression), plus the family the selector picks — by construction the
-/// cheapest column, since it minimises the same estimate. The estimates are
-/// deterministic — they show the algorithmic shape even on hosts with fewer
-/// cores than simulated GPUs.
+/// The algorithm-family sweep: modelled completion times of the all-reduce
+/// under each family (Table 2 link parameters, no time compression), plus
+/// the family the selector picks — by construction the cheapest column,
+/// since it minimises the same estimate. The estimates are deterministic —
+/// they show the algorithmic shape even on hosts with fewer cores than
+/// simulated GPUs.
 fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
     let topo = if gpus > 8 {
         Topology::two_eight_gpu_servers()
@@ -179,36 +179,35 @@ fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
     };
     let devices: Vec<GpuId> = (0..gpus).map(GpuId).collect();
     let selector = AlgorithmSelector::default();
+    let columns = [
+        (AlgorithmKind::Ring, "ring µs"),
+        (AlgorithmKind::DoubleBinaryTree, "tree µs"),
+        (AlgorithmKind::Hierarchical, "hier µs"),
+        (AlgorithmKind::Pairwise, "pairwise µs"),
+    ];
 
     println!("\n=== all-reduce algorithm sweep on {gpus} GPUs (modelled µs) ===");
-    let widths = [8, 12, 12, 14, 14];
-    print_row(
-        &["bytes", "ring µs", "tree µs", "hier µs", "selector"].map(String::from),
-        &widths,
-    );
+    let widths = [8, 12, 12, 12, 12, 14];
+    let header = std::iter::once("bytes")
+        .chain(columns.iter().map(|&(_, label)| label))
+        .chain(std::iter::once("selector"))
+        .map(String::from)
+        .collect::<Vec<_>>();
+    print_row(&header, &widths);
     for &bytes in sizes {
         let count = (bytes / 4).max(1);
         let desc =
             CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices.clone());
         let fmt = |v: Option<f64>| v.map_or("-".to_string(), |us| format!("{us:.1}"));
-        print_row(
-            &[
-                fmt_bytes(bytes),
-                fmt(modelled_completion_us(&desc, AlgorithmKind::Ring, &topo)),
-                fmt(modelled_completion_us(
-                    &desc,
-                    AlgorithmKind::DoubleBinaryTree,
-                    &topo,
-                )),
-                fmt(modelled_completion_us(
-                    &desc,
-                    AlgorithmKind::Hierarchical,
-                    &topo,
-                )),
-                selector.select(&desc, &topo).to_string(),
-            ],
-            &widths,
-        );
+        let row = std::iter::once(fmt_bytes(bytes))
+            .chain(
+                columns
+                    .iter()
+                    .map(|&(kind, _)| fmt(modelled_completion_us(&desc, kind, &topo))),
+            )
+            .chain(std::iter::once(selector.select(&desc, &topo).to_string()))
+            .collect::<Vec<_>>();
+        print_row(&row, &widths);
     }
 }
 
@@ -245,8 +244,8 @@ fn main() {
         println!("\n(pass --gpus 32 for the Fig. 8(c) four-server panel)");
     }
 
-    // (d) the algorithm sweep: ring vs double binary tree vs hierarchical,
-    // with the selection policy's choice per payload size.
+    // (d) the algorithm sweep: every family's modelled time, with the
+    // selection policy's choice per payload size.
     run_algorithm_panel(gpus.min(8), &sizes);
     if gpus > 8 {
         run_algorithm_panel(16, &sizes);

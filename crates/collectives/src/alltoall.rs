@@ -1,5 +1,5 @@
-//! Pairwise-exchange schedules: all-to-all and point-to-point send/recv over
-//! the dense connector mesh.
+//! Pairwise-exchange schedules: all-to-all, point-to-point send/recv and
+//! recursive-doubling all-reduce over the dense connector mesh.
 //!
 //! All-to-all is the canonical dense-mesh collective — the backbone of MoE
 //! expert parallelism — and the one schedule family that uses the *full*
@@ -12,18 +12,39 @@
 //! copy at shift 0. Every directed edge carries exactly one macro step's
 //! worth of data, so per-edge FIFO pairing is trivially consistent.
 //!
+//! **All-reduce on `n = 2^m` ranks** is recursive doubling (Thakur,
+//! Rabenseifner & Gropp, 2005): at level `i ∈ 1..=m`, with `d = 2^(i-1)`,
+//! rank `r` `Send`s its whole partial to `r ^ d` (step `2i-1`), then
+//! `RecvReduceCopy`s that peer's partial into its recv buffer (step `2i`).
+//! Level 1 reads the send buffer, later levels the partial the previous
+//! level left in the recv buffer. That is `log₂ n` hops of the whole buffer
+//! against the ring's `2(n-1)` hops of `1/n` of it, so the cost model picks
+//! it for short all-reduces and keeps the ring for long ones. The edge
+//! `r → r ^ d` carries exactly level `i`'s chunks, as a shift's edge does.
+//!
 //! ## Ordering and deadlock freedom
 //!
-//! Within a shift, the send half is emitted at step `2s-1` and the recv half
-//! at step `2s`, and the final plan is sorted chunk-major like every other
-//! family. With 1-slot connectors this is deadlock-free by the usual lattice
-//! argument: a blocked send at `(chunk k+1, step 2s-1)` waits for its peer to
-//! pass `(k, 2s)` (strictly smaller chunk), and a blocked recv at `(k, 2s)`
-//! waits for its peer to pass `(k, 2s-1)` (same chunk, smaller step) — every
-//! wait-for edge points to a strictly earlier position in the shared
-//! `(chunk, step)` order, so no cycle can form. Crucially the send half
-//! *precedes* the recv half of the same shift: the reverse order would have
-//! every rank waiting for a chunk nobody has published yet.
+//! Within a shift or level, the send half is emitted at step `2s-1` and the
+//! recv half at step `2s`, and the final plan is sorted chunk-major like
+//! every other family. With 1-slot connectors this is deadlock-free by the
+//! usual lattice argument: a blocked send at `(chunk k+1, step 2s-1)` waits
+//! for its peer to pass `(k, 2s)` (strictly smaller chunk), and a blocked
+//! recv at `(k, 2s)` waits for its peer to pass `(k, 2s-1)` (same chunk,
+//! smaller step) — every wait-for edge points to a strictly earlier position
+//! in the shared `(chunk, step)` order, so no cycle can form. Crucially the
+//! send half *precedes* the recv half of the same shift: the reverse order
+//! would have every rank waiting for a chunk nobody has published yet. A
+//! level's steps touch only their own chunk's range, so the recursive
+//! doubling plan is one phase and its lanes run free.
+//!
+//! ## Operand order
+//!
+//! The two ends of a pair reduce each other's partials, and under Max and
+//! Min the operand order decides ties (`max(+0, -0)`) and which NaN
+//! survives. So the upper rank of each pair (`r & d != 0`) sets its reducing
+//! steps' [`PrimitiveStep::incoming_first`](crate::PrimitiveStep): both ends
+//! compute `op(lower partial, upper partial)` and every rank ends with the
+//! same bits.
 //!
 //! Point-to-point send/recv is the degenerate two-rank case: rank 0 emits
 //! chunked `Send` primitives, rank 1 the matching `Recv`s.
@@ -44,7 +65,8 @@ use crate::primitive::{PrimitiveKind, SrcBuf};
 use crate::CollectiveError;
 use dfccl_transport::Topology;
 
-/// The pairwise-exchange schedule generator (all-to-all, send/recv).
+/// The pairwise-exchange schedule generator (all-to-all, send/recv, and
+/// all-reduce on a power-of-two group).
 pub struct PairwiseAlgorithm;
 
 impl Algorithm for PairwiseAlgorithm {
@@ -53,10 +75,11 @@ impl Algorithm for PairwiseAlgorithm {
     }
 
     fn supports(&self, desc: &CollectiveDescriptor, _topology: &Topology) -> bool {
-        matches!(
-            desc.kind,
-            CollectiveKind::AllToAll | CollectiveKind::SendRecv
-        )
+        match desc.kind {
+            CollectiveKind::AllToAll | CollectiveKind::SendRecv => true,
+            CollectiveKind::AllReduce => desc.num_ranks().is_power_of_two(),
+            _ => false,
+        }
     }
 
     fn build_plan_striped(
@@ -65,7 +88,7 @@ impl Algorithm for PairwiseAlgorithm {
         rank: usize,
         max_chunk_elems: usize,
         channels: usize,
-        _topology: &Topology,
+        topology: &Topology,
     ) -> Result<Plan, CollectiveError> {
         check_builder_inputs(desc, rank, max_chunk_elems, channels)?;
         match desc.kind {
@@ -79,6 +102,13 @@ impl Algorithm for PairwiseAlgorithm {
             CollectiveKind::SendRecv => {
                 Ok(send_recv_plan(desc.count, rank, max_chunk_elems, channels))
             }
+            CollectiveKind::AllReduce if self.supports(desc, topology) => Ok(all_reduce_plan(
+                desc.count,
+                desc.num_ranks(),
+                rank,
+                max_chunk_elems,
+                channels,
+            )),
             other => Err(CollectiveError::UnsupportedAlgorithm {
                 algorithm: AlgorithmKind::Pairwise,
                 kind: other,
@@ -139,6 +169,57 @@ fn all_to_all_plan(count: usize, n: usize, rank: usize, max_chunk: usize, channe
     Plan::new(AlgorithmKind::Pairwise, steps)
 }
 
+/// Recursive-doubling all-reduce of `count` elements on `n = 2^m` ranks: at
+/// level `i ∈ 1..=m`, with `d = 2^(i-1)`, the rank sends its whole partial to
+/// `rank ^ d` and reduces that peer's partial into its recv buffer. Level 1
+/// reads the send buffer, later levels the partial in the recv buffer; the
+/// upper rank of each pair reduces with the incoming partial first.
+fn all_reduce_plan(count: usize, n: usize, rank: usize, max_chunk: usize, channels: usize) -> Plan {
+    let whole = ElemRange::new(0, count);
+    let mut steps = Vec::new();
+    for level in 1..=n.trailing_zeros() {
+        let d = 1usize << (level - 1);
+        let peer = rank ^ d;
+        let src_buf = if level == 1 {
+            SrcBuf::Send
+        } else {
+            SrcBuf::Recv
+        };
+        // Send before reduce within the level, as in a shift above.
+        push_chunked(
+            &mut steps,
+            PrimitiveKind::Send,
+            Some(whole),
+            src_buf,
+            None,
+            Some(peer),
+            None,
+            2 * level - 1,
+            max_chunk,
+            channels,
+        );
+        let first_reduce = steps.len();
+        push_chunked(
+            &mut steps,
+            PrimitiveKind::RecvReduceCopy,
+            Some(whole),
+            src_buf,
+            Some(whole),
+            None,
+            Some(peer),
+            2 * level,
+            max_chunk,
+            channels,
+        );
+        // Both ends of the pair compute op(lower partial, upper partial).
+        for step in &mut steps[first_reduce..] {
+            step.incoming_first = rank & d != 0;
+        }
+    }
+    sort_chunk_major(&mut steps);
+    Plan::new(AlgorithmKind::Pairwise, steps)
+}
+
 /// Point-to-point transfer of `count` elements from rank 0 to rank 1.
 fn send_recv_plan(count: usize, rank: usize, max_chunk: usize, channels: usize) -> Plan {
     let whole = ElemRange::new(0, count);
@@ -178,6 +259,7 @@ fn send_recv_plan(count: usize, rank: usize, max_chunk: usize, channels: usize) 
 mod tests {
     use super::*;
     use crate::datatype::DataType;
+    use crate::redop::ReduceOp;
     use gpu_sim::GpuId;
 
     fn gpus(n: usize) -> Vec<GpuId> {
@@ -188,19 +270,73 @@ mod tests {
         CollectiveDescriptor::all_to_all(count, DataType::F32, gpus(n))
     }
 
+    fn all_reduce(count: usize, n: usize) -> CollectiveDescriptor {
+        CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(n))
+    }
+
     #[test]
-    fn supports_all_to_all_and_send_recv_only() {
+    fn supports_all_to_all_send_recv_and_power_of_two_all_reduce() {
         let a = PairwiseAlgorithm;
-        let topo = Topology::flat(4);
+        let topo = Topology::flat(8);
         assert!(a.supports(&a2a(8, 4), &topo));
         let p2p = CollectiveDescriptor::send_recv(8, DataType::F32, GpuId(0), GpuId(1));
         assert!(a.supports(&p2p, &topo));
+        for n in [2, 4, 8] {
+            assert!(a.supports(&all_reduce(8, n), &topo), "n={n}");
+        }
         let ag = CollectiveDescriptor::all_gather(8, DataType::F32, gpus(4));
-        assert!(!a.supports(&ag, &topo));
-        assert!(matches!(
-            a.build_plan(&ag, 0, 64, &topo),
-            Err(CollectiveError::UnsupportedAlgorithm { .. })
-        ));
+        for unsupported in [ag, all_reduce(8, 3), all_reduce(8, 6)] {
+            assert!(!a.supports(&unsupported, &topo));
+            assert!(matches!(
+                a.build_plan(&unsupported, 0, 64, &topo),
+                Err(CollectiveError::UnsupportedAlgorithm { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn recursive_doubling_exchanges_with_rank_xor_d_at_each_level() {
+        let n = 8;
+        let topo = Topology::flat(n);
+        for rank in 0..n {
+            let plan = PairwiseAlgorithm
+                .build_plan(&all_reduce(10, n), rank, 4, &topo)
+                .unwrap();
+            plan.validate(rank, n).unwrap();
+            let peers = vec![rank ^ 1, rank ^ 2, rank ^ 4];
+            let mut sorted = peers.clone();
+            sorted.sort_unstable();
+            assert_eq!(plan.send_peers(), sorted, "rank {rank} send peers");
+            assert_eq!(plan.recv_peers(), sorted, "rank {rank} recv peers");
+            // 10 elements at chunk 4 = 3 chunks x 3 levels x (send, reduce).
+            assert_eq!(plan.len(), 18);
+            for p in &plan.steps {
+                let level = p.step.div_ceil(2) as usize;
+                let d = 1 << (level - 1);
+                // Level 1 reads the input, later levels the partial.
+                let src_buf = if level == 1 {
+                    SrcBuf::Send
+                } else {
+                    SrcBuf::Recv
+                };
+                assert_eq!(p.src_buf, src_buf, "rank {rank} step {}", p.step);
+                if p.step % 2 == 1 {
+                    assert_eq!(p.kind, PrimitiveKind::Send);
+                    assert_eq!(p.send_to, Some(peers[level - 1]));
+                } else {
+                    assert_eq!(p.kind, PrimitiveKind::RecvReduceCopy);
+                    assert_eq!(p.recv_from, Some(peers[level - 1]));
+                    assert_eq!(p.src, p.dst, "reduces the whole range it writes");
+                    // Both ends compute op(lower partial, upper partial).
+                    assert_eq!(p.incoming_first, rank & d != 0, "rank {rank} level {level}");
+                }
+            }
+            let order: Vec<(u32, u32)> =
+                plan.steps.iter().map(|p| (p.chunk_index, p.step)).collect();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(order, sorted, "rank {rank} plan is not chunk-major");
+        }
     }
 
     #[test]

@@ -508,6 +508,7 @@ mod tests {
                 chunk_index: 0,
                 step: 0,
                 channel: ChannelId(channel),
+                incoming_first: false,
             }
         };
         let (send, recv) = (PrimitiveKind::Send, PrimitiveKind::Recv);
@@ -571,6 +572,7 @@ mod tests {
                 chunk_index: 0,
                 step: 0,
                 channel: ChannelId(0),
+                incoming_first: false,
             }],
         );
         let idle = Plan::new(AlgorithmKind::Ring, Vec::new());

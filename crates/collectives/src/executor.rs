@@ -51,7 +51,7 @@ use crate::buffer::DeviceBuffer;
 use crate::collective::CollectiveDescriptor;
 use crate::primitive::{PrimitiveKind, SrcBuf};
 use crate::program::CompiledProgram;
-use crate::redop::{reduce_from, ReduceOp};
+use crate::redop::{reduce_from, reduce_into, ReduceOp};
 use crate::CollectiveError;
 
 /// Result of attempting one primitive.
@@ -319,12 +319,17 @@ pub fn execute_ready_instr(
                 });
             }
             let op = op.ok_or(ExecError::MissingReduceOp)?;
-            // Reduce inside the received chunk and pass that allocation on.
-            // The read lock ends with this statement, before `write_range`
-            // below takes a write lock: send and recv may be one allocation.
+            // Reduce inside the received chunk and pass that allocation on,
+            // in the instruction's operand order. The read lock ends with
+            // this statement, before `write_range` below takes a write lock:
+            // send and recv may be one allocation.
             local_buf.with_read(|local| {
                 let local = &local[src.off..src.off + src.len];
-                reduce_from(local, &mut data, program.dtype(), op);
+                if instr.incoming_first {
+                    reduce_into(&mut data, local, program.dtype(), op);
+                } else {
+                    reduce_from(local, &mut data, program.dtype(), op);
+                }
             });
             data
         }
@@ -496,6 +501,7 @@ mod tests {
                 chunk_index: 0,
                 step: 0,
                 channel: ChannelId(0),
+                incoming_first: false,
             }],
         );
         let program = CompiledProgram::compile(&plan, DataType::F32);

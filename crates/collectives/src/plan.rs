@@ -45,9 +45,11 @@ pub enum AlgorithmKind {
     /// reduce-scatter, inter-node exchange among the per-slice node leaders,
     /// intra-node all-gather.
     Hierarchical,
-    /// Linear-shift pairwise exchange over the dense connector mesh: at shift
-    /// `s`, rank `r` sends to `r+s` and receives from `r-s`. Schedules
-    /// all-to-all and plain point-to-point send/recv.
+    /// Pairwise exchange over the dense connector mesh. Schedules
+    /// all-to-all by linear shift (at shift `s`, rank `r` sends to `r+s` and
+    /// receives from `r-s`), plain point-to-point send/recv, and all-reduce
+    /// on a power-of-two group by recursive doubling (at level `d`, rank `r`
+    /// exchanges its whole partial with `r ^ d`: `log₂ n` hops).
     Pairwise,
 }
 
@@ -309,6 +311,7 @@ pub(crate) fn push_chunked(
             chunk_index: ci as u32,
             step,
             channel: ChannelId(ci as u32 % channels),
+            incoming_first: false,
         });
     }
 }
@@ -348,6 +351,7 @@ mod tests {
             chunk_index: 0,
             step: 0,
             channel: ChannelId(0),
+            incoming_first: false,
         }
     }
 

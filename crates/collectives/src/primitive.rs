@@ -138,6 +138,14 @@ pub struct PrimitiveStep {
     /// share the chunk index — always agree on the channel, and each
     /// channel's subsequence stays independently chunk-major.
     pub channel: ChannelId,
+    /// Operand order of a reducing kind: `false` computes
+    /// `op(local, incoming)`, `true` computes `op(incoming, local)`. Max and
+    /// Min break ties (±0) and unordered pairs (NaN) by position, so two
+    /// ranks that reduce each other's partials — the pairwise family's
+    /// recursive-doubling all-reduce — end bit-identical only if they agree
+    /// on which partial goes first; there the upper rank of each pair sets
+    /// it. Ignored by non-reducing kinds.
+    pub incoming_first: bool,
 }
 
 impl PrimitiveStep {
@@ -203,6 +211,7 @@ mod tests {
             chunk_index: 0,
             step: 0,
             channel: ChannelId(0),
+            incoming_first: false,
         };
         assert_eq!(s.elems(), 10);
         let r = PrimitiveStep {
@@ -215,6 +224,7 @@ mod tests {
             chunk_index: 0,
             step: 1,
             channel: ChannelId(0),
+            incoming_first: false,
         };
         assert_eq!(r.elems(), 6);
     }
@@ -231,6 +241,7 @@ mod tests {
             chunk_index: 0,
             step: 0,
             channel: ChannelId(0),
+            incoming_first: false,
         };
         assert!(s.peers_consistent(2));
         assert!(!s.peers_consistent(1), "peer out of range");

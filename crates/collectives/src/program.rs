@@ -162,6 +162,9 @@ pub struct Instr {
     pub step: u32,
     /// The channel this instruction's transfer rides on.
     pub channel: ChannelId,
+    /// Operand order of a reducing kind (see
+    /// [`PrimitiveStep::incoming_first`]).
+    pub incoming_first: bool,
     /// The phase this instruction belongs to (see the module docs): lanes
     /// run free within a phase, and an instruction only becomes eligible
     /// once every lane has finished the earlier phases.
@@ -279,6 +282,7 @@ impl CompiledProgram {
                 chunk_index: step.chunk_index,
                 step: step.step,
                 channel: step.channel,
+                incoming_first: step.incoming_first,
                 phase: 0,
             });
         }
@@ -824,7 +828,8 @@ mod tests {
             .unwrap();
         assert_eq!(healthy.plan.algorithm, AlgorithmKind::Ring);
         // Quarantine a ring edge: the next request is a *miss* (new epoch)
-        // and selection degrades to the tree family.
+        // and selection degrades to the family that avoids it, recursive
+        // doubling, whose pairs (0,1), (2,3), (0,2), (1,3) never use 1→2.
         health.quarantine(EdgeId {
             src: GpuId(1),
             dst: GpuId(2),
@@ -835,7 +840,7 @@ mod tests {
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert!(degraded.degraded);
-        assert_eq!(degraded.plan.algorithm, AlgorithmKind::DoubleBinaryTree);
+        assert_eq!(degraded.plan.algorithm, AlgorithmKind::Pairwise);
         // Same epoch, same shape: served from cache, still marked degraded.
         let again = cache
             .get_or_compile(&sel, &desc, 0, 1024, &topo, &health)

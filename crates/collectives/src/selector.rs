@@ -6,16 +6,18 @@
 //! member's plan at the descriptor's channel count and the plans' chunk size
 //! and walks them under [`LinkModel::table2_testbed`]; the lowest modelled
 //! completion wins, ties going to the earlier family in
-//! [`AlgorithmKind::ALL`]. So the tree-vs-ring crossover depends on the rank
-//! count as well as the bytes (a 64 B all-reduce is ring on 2 or 4 ranks,
-//! tree on 8), and hierarchical wins across nodes wherever it is cheaper —
-//! at 4 MiB on two nodes of two by running its intra-node and inter-node
-//! lanes at once (508 µs, against 892 µs for its stages in sequence and
-//! 1 360 µs for the flat ring). The estimate honours the plans' phase
-//! barriers, so a pipelined family is credited only with the overlap its
-//! data dependencies allow. The selection is a pure function of the
-//! descriptor, the chunk size, the topology and the link-health view, with
-//! no rank in it, so every member of a collective resolves the same family.
+//! [`AlgorithmKind::ALL`]. So the crossovers depend on the rank count as
+//! well as the bytes: an all-reduce on 2, 4 or 8 ranks runs the pairwise
+//! family's recursive doubling (`log₂ n` hops) up to 128 KiB and the ring
+//! from 192 KiB, a 64 B one on 6 ranks runs the ring, and hierarchical wins
+//! across nodes wherever it is cheaper — at 4 MiB on two nodes of two by
+//! running its intra-node and inter-node lanes at once (508 µs, against
+//! 892 µs for its stages in sequence and 1 360 µs for the flat ring). The
+//! estimate honours the plans' phase barriers, so a pipelined family is
+//! credited only with the overlap its data dependencies allow. The
+//! selection is a pure function of the descriptor, the chunk size, the
+//! topology and the link-health view, with no rank in it, so every member
+//! of a collective resolves the same family.
 //!
 //! K and the chunk size are inputs, not searched: the model gives every
 //! channel lane the link's full bandwidth, so an argmin over K would always
@@ -171,20 +173,38 @@ mod tests {
 
     #[test]
     fn the_cost_model_decides_the_family() {
-        use AlgorithmKind::{DoubleBinaryTree, Hierarchical, Ring};
+        use AlgorithmKind::{DoubleBinaryTree, Hierarchical, Pairwise, Ring};
         let sel = AlgorithmSelector::default();
-        // 64 B: the ring's 2(n-1) hops beat the tree's on 2 and 4 ranks
-        // (3.61 vs 7.21 us, 10.81 vs 14.42 us); on 8 the tree's depth wins.
-        assert_eq!(sel.select(&all_reduce(16, 2), &Topology::flat(2)), Ring);
-        assert_eq!(sel.select(&all_reduce(16, 4), &Topology::flat(4)), Ring);
+        // 64 B on 2^m ranks: recursive doubling's log2(n) hops beat the
+        // ring's 2(n-1) and the tree's depth (1.81 / 3.61 / 5.42 us on
+        // 2 / 4 / 8 ranks, against the ring's 3.61 / 10.81 / 25.21).
+        for n in [2, 4, 8] {
+            assert_eq!(sel.select(&all_reduce(16, n), &Topology::flat(n)), Pairwise);
+        }
+        // Off a power of two the ring's 2(n-1) hops still beat the tree's
+        // depth on 6 ranks, narrowly (18.01 vs 18.03 us); on 12 the tree's
+        // depth wins.
+        assert_eq!(sel.select(&all_reduce(16, 6), &Topology::flat(6)), Ring);
         assert_eq!(
-            sel.select(&all_reduce(16, 8), &Topology::flat(8)),
+            sel.select(&all_reduce(16, 12), &Topology::flat(12)),
             DoubleBinaryTree
         );
-        // Across two 8-GPU servers the hierarchical schedule wins small
-        // (1 KiB: 45.65 vs the tree's 56.47 us) and large payloads alike.
+        // From 192 KiB recursive doubling's whole-buffer hops cost more
+        // than the ring's slices (42.95 vs 37.61 us on 4 ranks); at 4 MiB
+        // on 2 ranks the two tie (438.9 us) and the ring comes first.
+        assert_eq!(
+            sel.select(&all_reduce(48 << 10, 4), &Topology::flat(4)),
+            Ring
+        );
+        assert_eq!(
+            sel.select(&all_reduce(1 << 20, 2), &Topology::flat(2)),
+            Ring
+        );
+        // Across two 8-GPU servers recursive doubling wins small payloads
+        // (1 KiB: 11.20 vs hierarchical's 45.65 us) and the hierarchical
+        // schedule large ones.
         let servers = Topology::two_eight_gpu_servers();
-        assert_eq!(sel.select(&all_reduce(256, 16), &servers), Hierarchical);
+        assert_eq!(sel.select(&all_reduce(256, 16), &servers), Pairwise);
         assert_eq!(sel.select(&all_reduce(1 << 20, 16), &servers), Hierarchical);
         assert_eq!(
             sel.select(&all_reduce(1 << 20, 4), &Topology::uniform_cluster(2, 2)),

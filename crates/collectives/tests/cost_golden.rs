@@ -1,7 +1,8 @@
 //! The modelled completion estimator, pinned bit for bit: every family's
-//! all-reduce (pairwise: all-to-all) over n in {2, 4, 8} ranks x
-//! {64 B, 16 KiB, 4 MiB} x K in {1, 2} channels, on a flat node and on two
-//! equal nodes, at the default chunk size under the Table 2 link model.
+//! all-reduce (pairwise: all-to-all, and recursive-doubling all-reduce in a
+//! table of its own) over n in {2, 4, 8} ranks x {64 B, 16 KiB, 4 MiB} x
+//! K in {1, 2} channels, on a flat node and on two equal nodes, at the
+//! default chunk size under the Table 2 link model.
 //! The values are `f64` bit patterns; a change to the estimator's walk that
 //! moves any of them changes what the selector picks.
 
@@ -148,32 +149,113 @@ const GOLDEN: &[(AlgorithmKind, usize, usize, usize, &str, u64)] = &[
     (Pairwise, 8, 4194304, 2, "cluster", 0x4148357745d1746b), // 3173102.545454552
 ];
 
+/// The pairwise family's recursive-doubling all-reduce, in the layout of
+/// [`GOLDEN`] without the family column.
+#[rustfmt::skip]
+const PAIRWISE_ALL_REDUCE: &[(usize, usize, usize, &str, u64)] = &[
+    (2, 64, 1, "flat", 0x409c3745d1745d17), // 1805.8181818181818
+    (2, 64, 1, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
+    (2, 64, 2, "flat", 0x409c3745d1745d17), // 1805.8181818181818
+    (2, 64, 2, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
+    (2, 16384, 1, "flat", 0x40a9b2e8ba2e8ba3), // 3289.4545454545455
+    (2, 16384, 1, "cluster", 0x40bd36e8ba2e8ba3), // 7478.909090909091
+    (2, 16384, 2, "flat", 0x40a9b2e8ba2e8ba3), // 3289.4545454545455
+    (2, 16384, 2, "cluster", 0x40bd36e8ba2e8ba3), // 7478.909090909091
+    (2, 4194304, 1, "flat", 0x411ac9d1745d1742), // 438900.3636363634
+    (2, 4194304, 1, "cluster", 0x412baad1745d1742), // 906600.7272727268
+    (2, 4194304, 2, "flat", 0x410ac9d1745d1744), // 219450.18181818177
+    (2, 4194304, 2, "cluster", 0x411baad1745d1744), // 453300.36363636353
+    (4, 64, 1, "flat", 0x40ac3745d1745d17), // 3611.6363636363635
+    (4, 64, 1, "cluster", 0x40b8ad745d1745d2), // 6317.454545454546
+    (4, 64, 2, "flat", 0x40ac3745d1745d17), // 3611.6363636363635
+    (4, 64, 2, "cluster", 0x40b8ad745d1745d2), // 6317.454545454546
+    (4, 16384, 1, "flat", 0x40b9b2e8ba2e8ba3), // 6578.909090909091
+    (4, 16384, 1, "cluster", 0x40c5082e8ba2e8ba), // 10768.363636363636
+    (4, 16384, 2, "flat", 0x40b9b2e8ba2e8ba3), // 6578.909090909091
+    (4, 16384, 2, "cluster", 0x40c5082e8ba2e8ba), // 10768.363636363636
+    (4, 4194304, 1, "flat", 0x412ac9d1745d1741), // 877800.7272727267
+    (4, 4194304, 1, "cluster", 0x413487dd1745d175), // 1345501.090909091
+    (4, 4194304, 2, "flat", 0x411ac9d1745d1742), // 438900.3636363634
+    (4, 4194304, 2, "cluster", 0x412487dd1745d172), // 672750.5454545452
+    (8, 64, 1, "flat", 0x40b529745d1745d1), // 5417.454545454545
+    (8, 64, 1, "cluster", 0x40bfbb45d1745d18), // 8123.272727272728
+    (8, 64, 2, "flat", 0x40b529745d1745d1), // 5417.454545454545
+    (8, 64, 2, "cluster", 0x40bfbb45d1745d18), // 8123.272727272728
+    (8, 16384, 1, "flat", 0x40c3462e8ba2e8ba), // 9868.363636363636
+    (8, 16384, 1, "cluster", 0x40cb74e8ba2e8ba3), // 14057.818181818182
+    (8, 16384, 2, "flat", 0x40c3462e8ba2e8ba), // 9868.363636363636
+    (8, 16384, 2, "cluster", 0x40cb74e8ba2e8ba3), // 14057.818181818182
+    (8, 4194304, 1, "flat", 0x4134175d1745d17a), // 1316701.0909090922
+    (8, 4194304, 1, "cluster", 0x413b3a51745d174e), // 1784401.4545454565
+    (8, 4194304, 2, "flat", 0x4124175d1745d171), // 658350.5454545451
+    (8, 4194304, 2, "cluster", 0x412b3a51745d1742), // 892200.7272727268
+];
+
+/// `f64::to_bits` of the estimate for `kind` over the descriptor `make`
+/// returns for `n` ranks and `bytes`, striped over `k` channels.
+fn estimate_bits(
+    kind: AlgorithmKind,
+    make: fn(usize, Vec<GpuId>) -> CollectiveDescriptor,
+    (n, bytes, k, topo_name): (usize, usize, usize, &str),
+) -> u64 {
+    let topo = match topo_name {
+        "flat" => Topology::flat(n),
+        _ => Topology::uniform_cluster(2, n / 2),
+    };
+    let desc = make(bytes / 4, (0..n).map(GpuId).collect()).with_channels(k);
+    estimate_family_ns(
+        &desc,
+        kind,
+        DEFAULT_CHUNK_ELEMS,
+        &topo,
+        &LinkModel::table2_testbed(),
+        None,
+    )
+    .unwrap_or_else(|e| panic!("{kind} n={n} {bytes} B K={k} {topo_name}: {e:?}"))
+    .to_bits()
+}
+
+fn all_reduce(count: usize, devices: Vec<GpuId>) -> CollectiveDescriptor {
+    CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices)
+}
+
+fn all_to_all(count: usize, devices: Vec<GpuId>) -> CollectiveDescriptor {
+    CollectiveDescriptor::all_to_all(count, DataType::F32, devices)
+}
+
 #[test]
 fn estimates_match_the_golden_values_bit_for_bit() {
-    let link = LinkModel::table2_testbed();
     for &(kind, n, bytes, k, topo_name, bits) in GOLDEN {
-        let topo = match topo_name {
-            "flat" => Topology::flat(n),
-            _ => Topology::uniform_cluster(2, n / 2),
+        let make = if kind == Pairwise {
+            all_to_all
+        } else {
+            all_reduce
         };
-        let devices: Vec<GpuId> = (0..n).map(GpuId).collect();
-        let count = bytes / 4;
-        let desc = match kind {
-            Pairwise => CollectiveDescriptor::all_to_all(count, DataType::F32, devices),
-            _ => CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices),
-        }
-        .with_channels(k);
-        let ns = estimate_family_ns(&desc, kind, DEFAULT_CHUNK_ELEMS, &topo, &link, None)
-            .unwrap_or_else(|e| panic!("{kind} n={n} {bytes} B K={k} {topo_name}: {e:?}"));
+        let got = estimate_bits(kind, make, (n, bytes, k, topo_name));
         assert_eq!(
-            ns.to_bits(),
+            got,
             bits,
-            "{kind} n={n} {bytes} B K={k} {topo_name}: {ns:?} vs golden {:?}",
+            "{kind} n={n} {bytes} B K={k} {topo_name}: {:?} vs golden {:?}",
+            f64::from_bits(got),
             f64::from_bits(bits)
         );
     }
     // Every family is pinned.
     for kind in [Ring, DoubleBinaryTree, Hierarchical, Pairwise] {
         assert!(GOLDEN.iter().any(|g| g.0 == kind), "{kind} missing");
+    }
+}
+
+#[test]
+fn pairwise_all_reduce_estimates_match_the_golden_values_bit_for_bit() {
+    for &(n, bytes, k, topo_name, bits) in PAIRWISE_ALL_REDUCE {
+        let got = estimate_bits(Pairwise, all_reduce, (n, bytes, k, topo_name));
+        assert_eq!(
+            got,
+            bits,
+            "n={n} {bytes} B K={k} {topo_name}: {:?} vs golden {:?}",
+            f64::from_bits(got),
+            f64::from_bits(bits)
+        );
     }
 }

@@ -7,7 +7,7 @@ mod common;
 
 use common::{
     descriptor_for, family_matrix, gpus, hierarchical_splits, inputs_for, plans_for, run_compiled,
-    run_reference,
+    run_compiled_bytes, run_reference,
 };
 use dfccl_collectives::{
     AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp,
@@ -125,6 +125,71 @@ fn tree_and_hierarchical_all_reduce_match_ring_bit_for_bit() {
     }
 }
 
+/// Whether two little-endian float buffers of `dtype` hold the same
+/// values, a NaN matching any NaN: Rust leaves the sign and payload of a NaN
+/// produced by arithmetic unspecified, so only NaN-ness is portable.
+fn same_floats(a: &[u8], b: &[u8], dtype: DataType) -> bool {
+    let w = dtype.size_bytes();
+    let is_nan = |e: &[u8]| match dtype {
+        DataType::F32 => f32::from_le_bytes(e.try_into().unwrap()).is_nan(),
+        _ => f64::from_le_bytes(e.try_into().unwrap()).is_nan(),
+    };
+    a.len() == b.len()
+        && a.chunks_exact(w)
+            .zip(b.chunks_exact(w))
+            .all(|(x, y)| x == y || (is_nan(x) && is_nan(y)))
+}
+
+#[test]
+fn every_all_reduce_family_leaves_every_rank_with_the_same_values() {
+    // Max and Min break ties (+0 vs -0) and unordered pairs (NaN) by operand
+    // position, so a schedule in which two ranks reduce each other's
+    // partials — recursive doubling — agrees only if both ends put the same
+    // partial first. Every family that schedules the all-reduce
+    // (hierarchical on each split) x every operator x {F32, F64} x n in
+    // {2, 4, 8}, on inputs drawn from {+0, -0, NaN, -NaN, +1, -1}: every
+    // rank must end with rank 0's values. Rank 0's and rank 1's 36 elements
+    // pair every special with every other, in both orders.
+    let link = LinkModel::zero_cost();
+    let count = 36;
+    let pick = |rank: usize, i: usize| (i / 6usize.pow(rank as u32 % 2) + rank / 2) % 6;
+    for n in [2usize, 4, 8] {
+        let jobs: Vec<_> = family_matrix(n, count)
+            .into_iter()
+            .filter(|(desc, ..)| desc.kind == CollectiveKind::AllReduce)
+            .map(|(_, algo, topo)| (algo, topo))
+            .collect();
+        for dtype in [DataType::F32, DataType::F64] {
+            let special = |k: usize| match dtype {
+                DataType::F32 => [0.0f32, -0.0, f32::NAN, -f32::NAN, 1.0, -1.0][k]
+                    .to_le_bytes()
+                    .to_vec(),
+                _ => [0.0f64, -0.0, f64::NAN, -f64::NAN, 1.0, -1.0][k]
+                    .to_le_bytes()
+                    .to_vec(),
+            };
+            let inputs: Vec<Vec<u8>> = (0..n)
+                .map(|r| (0..count).flat_map(|i| special(pick(r, i))).collect())
+                .collect();
+            for op in ReduceOp::ALL {
+                let desc = CollectiveDescriptor::all_reduce(count, dtype, op, gpus(n));
+                for (algo, topo) in &jobs {
+                    // Chunk 5 leaves a partial chunk; capacity 1.
+                    let plans = plans_for(&desc, *algo, topo, 5, 1);
+                    let outs = run_compiled_bytes(&desc, &plans, topo, &link, &inputs, 1);
+                    for (rank, out) in outs.iter().enumerate() {
+                        assert!(
+                            same_floats(out, &outs[0], dtype),
+                            "{algo} {op} {dtype} n={n} machines={}: rank {rank} disagrees with rank 0",
+                            topo.machines().len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn tree_broadcast_matches_ring_bit_for_bit() {
     let link = LinkModel::zero_cost();
@@ -161,8 +226,9 @@ fn tree_beats_ring_on_small_payloads_and_ring_wins_large() {
     // a large one is byte-volume-bound (ring moves 2(n-1)/n of the buffer
     // per rank; the tree re-sends whole halves at every level). Where it
     // falls depends on n, not only on bytes: on 2 or 4 ranks the ring's
-    // 2(n-1) hops beat the tree even at 64 B, and the selector, which
-    // minimises this same estimate, runs the ring there.
+    // 2(n-1) hops beat the tree even at 64 B. (The selector, which
+    // minimises this same estimate, runs neither on 2, 4 or 8 ranks:
+    // recursive doubling's log2(n) hops beat both.)
     let n = 8;
     let flat = Topology::flat(n);
 

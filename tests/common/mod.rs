@@ -64,9 +64,9 @@ pub fn hierarchical_splits(n: usize) -> Vec<Topology> {
 }
 
 /// Every (descriptor, family, topology) the schedule generators support at
-/// `n` ranks: ring for the classic kinds, pairwise for the dense-mesh ones,
-/// tree for all-reduce and broadcast, hierarchical for all-reduce over every
-/// uniform multi-node split.
+/// `n` ranks: ring for the classic kinds, pairwise for the dense-mesh ones
+/// and for all-reduce on a power of two, tree for all-reduce and broadcast,
+/// hierarchical for all-reduce over every uniform multi-node split.
 pub fn family_matrix(
     n: usize,
     count: usize,
@@ -80,6 +80,13 @@ pub fn family_matrix(
         };
         let topo = Topology::flat(desc.num_ranks());
         jobs.push((desc, algo, topo));
+    }
+    if n.is_power_of_two() {
+        jobs.push((
+            descriptor_for(CollectiveKind::AllReduce, count, n),
+            AlgorithmKind::Pairwise,
+            Topology::flat(n),
+        ));
     }
     for kind in [CollectiveKind::AllReduce, CollectiveKind::Broadcast] {
         jobs.push((
@@ -135,6 +142,26 @@ pub fn run_compiled(
     inputs: &[Vec<f32>],
     capacity: usize,
 ) -> Vec<Vec<f32>> {
+    let inputs: Vec<Vec<u8>> = inputs
+        .iter()
+        .map(|i| i.iter().flat_map(|v| v.to_le_bytes()).collect())
+        .collect();
+    run_compiled_bytes(desc, plans, topo, link, &inputs, capacity)
+        .into_iter()
+        .map(|out| DeviceBuffer::from_bytes(out).to_f32_vec())
+        .collect()
+}
+
+/// [`run_compiled`] over raw little-endian inputs of any element type,
+/// returning every rank's recv buffer as bytes.
+pub fn run_compiled_bytes(
+    desc: &CollectiveDescriptor,
+    plans: &[Plan],
+    topo: &Topology,
+    link: &LinkModel,
+    inputs: &[Vec<u8>],
+    capacity: usize,
+) -> Vec<Vec<u8>> {
     let comm = Communicator::new(
         CommunicatorId(0),
         desc.devices.clone(),
@@ -156,7 +183,7 @@ pub fn run_compiled(
             let table = program.bind(&channels).unwrap();
             let (op, send, recv) = (
                 desc.op,
-                DeviceBuffer::from_f32(&inputs[rank]),
+                DeviceBuffer::from_bytes(inputs[rank].clone()),
                 recvs[rank].clone(),
             );
             std::thread::spawn(move || {
@@ -171,7 +198,7 @@ pub fn run_compiled(
     for join in joins {
         join.join().unwrap();
     }
-    recvs.iter().map(DeviceBuffer::to_f32_vec).collect()
+    recvs.iter().map(DeviceBuffer::to_vec).collect()
 }
 
 /// Run every rank's plan through the single-threaded reference oracle.

@@ -12,8 +12,9 @@
 //! send never waits), and the ranks are stepped round-robin, one primitive
 //! per rank per round. A round in which no rank can move is a deadlock of the
 //! plans themselves and is reported as an error, as is a chunk left unread
-//! at the end. Reductions use [`reduce_into`] with the local operand first —
-//! the operand order the executor's `reduce_from` reproduces.
+//! at the end. Reductions use [`reduce_into`] with the local operand first,
+//! or the incoming chunk first where the step sets `incoming_first` — the
+//! operand orders the executor's `reduce_from` and `reduce_into` reproduce.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -111,8 +112,14 @@ fn execute(
             let op = desc
                 .op
                 .ok_or("a reducing primitive without a reduce operator")?;
-            reduce_into(&mut acc, &chunk, desc.dtype, op);
-            acc
+            if step.incoming_first {
+                let mut chunk = chunk;
+                reduce_into(&mut chunk, &acc, desc.dtype, op);
+                chunk
+            } else {
+                reduce_into(&mut acc, &chunk, desc.dtype, op);
+                acc
+            }
         }
     };
     if let Some(dst) = step.dst.filter(|_| step.kind.has_copy()) {

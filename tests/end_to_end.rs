@@ -235,8 +235,9 @@ fn repeated_invocations_of_one_registered_collective_stay_correct() {
 /// The benchmark's disorder step (8 collectives of 16 KiB over overlapping
 /// groups of a flat 4-GPU node), registered by each rank in its own seeded
 /// order: whichever member registers a shape first, every member runs the
-/// family the cost model picks, so their plans pair up. On 2 and 4 ranks the
-/// ring's hop count beats the tree's at this size.
+/// family the cost model picks, so their plans pair up. On 2 and 4 ranks
+/// recursive doubling's log2(n) hops beat the ring's 2(n-1) and the tree's
+/// at this size, so every all-reduce runs the pairwise family.
 #[test]
 fn every_member_of_a_disorder_step_collective_runs_one_family() {
     use dfccl_repro::collectives::AlgorithmKind;
@@ -253,11 +254,11 @@ fn every_member_of_a_disorder_step_collective_runs_one_family() {
             CollectiveDescriptor::all_to_all(count / 4, DataType::F32, set(&[0, 1, 2, 3])),
             AlgorithmKind::Pairwise,
         ),
-        (2, all_reduce(&[0, 1, 2, 3]), AlgorithmKind::Ring),
-        (3, all_reduce(&[0, 1]), AlgorithmKind::Ring),
-        (4, all_reduce(&[2, 3]), AlgorithmKind::Ring),
-        (5, all_reduce(&[1, 2]), AlgorithmKind::Ring),
-        (6, all_reduce(&[0, 3]), AlgorithmKind::Ring),
+        (2, all_reduce(&[0, 1, 2, 3]), AlgorithmKind::Pairwise),
+        (3, all_reduce(&[0, 1]), AlgorithmKind::Pairwise),
+        (4, all_reduce(&[2, 3]), AlgorithmKind::Pairwise),
+        (5, all_reduce(&[1, 2]), AlgorithmKind::Pairwise),
+        (6, all_reduce(&[0, 3]), AlgorithmKind::Pairwise),
         (
             7,
             CollectiveDescriptor::all_gather(count, DataType::F32, set(&[0, 2])),

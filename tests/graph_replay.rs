@@ -233,6 +233,14 @@ fn replay_matches_individual_submission_for_every_family() {
                 Topology::flat(n),
                 k,
             );
+            if n.is_power_of_two() {
+                run_job(
+                    CollectiveKind::AllReduce,
+                    AlgorithmKind::Pairwise,
+                    Topology::flat(n),
+                    k,
+                );
+            }
             if n == 2 {
                 run_job(
                     CollectiveKind::SendRecv,
@@ -248,6 +256,111 @@ fn replay_matches_individual_submission_for_every_family() {
                     topo,
                     k,
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn pairwise_all_reduce_in_place_reaches_the_host_sum() {
+    // Recursive doubling through the full stack on one buffer per rank and
+    // collective (send == recv): every level after the first sends and
+    // reduces the partial the previous level wrote into that allocation.
+    // Checked against the sum computed on the host, not against another run
+    // of the same plans — once submitted individually, once captured (the
+    // three small all-reduces fused) and replayed, both in place.
+    for n in [2usize, 4, 8] {
+        for k in [1usize, 2, 3] {
+            let config = DfcclConfig {
+                chunk_elems: 3,
+                connector_capacity: 1,
+                ..DfcclConfig::for_testing()
+            };
+            let domain = DfcclDomain::new(
+                Topology::flat(n),
+                LinkModel::zero_cost(),
+                GpuSpec::rtx_3090(),
+                config,
+            );
+            let descs: Vec<_> = step_descriptors(CollectiveKind::AllReduce, n)
+                .into_iter()
+                .map(|d| d.with_algorithm(AlgorithmKind::Pairwise).with_channels(k))
+                .collect();
+            let ranks: Vec<_> = (0..n)
+                .map(|g| domain.init_rank(GpuId(g)).unwrap())
+                .collect();
+            for ctx in &ranks {
+                for (i, desc) in descs.iter().enumerate() {
+                    ctx.register(i as u64 + 1, desc.clone()).unwrap();
+                }
+            }
+            let inputs: Vec<_> = (0..n).map(|r| inputs_for(&descs, r)).collect();
+            let sums: Vec<Vec<f32>> = descs
+                .iter()
+                .enumerate()
+                .map(|(i, d)| {
+                    (0..d.count)
+                        .map(|j| inputs.iter().map(|rank| rank[i][j]).sum())
+                        .collect()
+                })
+                .collect();
+            let bufs: Vec<Vec<DeviceBuffer>> = inputs
+                .iter()
+                .map(|rank| rank.iter().map(|v| DeviceBuffer::from_f32(v)).collect())
+                .collect();
+            let check = |how: &str| {
+                for (r, rank_bufs) in bufs.iter().enumerate() {
+                    for (i, buf) in rank_bufs.iter().enumerate() {
+                        assert_eq!(
+                            buf.to_f32_vec(),
+                            sums[i],
+                            "{how} n={n} K={k} rank {r} collective {i}"
+                        );
+                    }
+                }
+            };
+
+            let mut handles = Vec::new();
+            for (ctx, rank_bufs) in ranks.iter().zip(&bufs) {
+                for (i, buf) in rank_bufs.iter().enumerate() {
+                    handles.push(
+                        ctx.run_awaitable(i as u64 + 1, buf.clone(), buf.clone())
+                            .unwrap(),
+                    );
+                }
+            }
+            for h in &handles {
+                assert!(
+                    h.wait_for_timeout(1, Duration::from_secs(60)),
+                    "in place wedged"
+                );
+            }
+            check("individual");
+
+            let mut graphs = Vec::new();
+            for ((ctx, rank_bufs), rank_inputs) in ranks.iter().zip(&bufs).zip(&inputs) {
+                let mut rec = ctx.begin_capture().unwrap();
+                for (i, (buf, input)) in rank_bufs.iter().zip(rank_inputs).enumerate() {
+                    buf.replace(input.iter().flat_map(|v| v.to_le_bytes()).collect());
+                    rec.record(i as u64 + 1, buf.clone(), buf.clone()).unwrap();
+                }
+                graphs.push(rec.finish().unwrap());
+            }
+            let handles: Vec<_> = ranks
+                .iter()
+                .zip(&graphs)
+                .map(|(ctx, g)| ctx.replay_awaitable(g).unwrap())
+                .collect();
+            for h in &handles {
+                assert!(
+                    h.wait_for_timeout(1, Duration::from_secs(60)),
+                    "replay wedged"
+                );
+            }
+            check("replayed");
+            for ctx in ranks {
+                assert!(ctx.collective_errors().is_empty());
+                ctx.destroy();
             }
         }
     }

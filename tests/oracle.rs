@@ -172,6 +172,7 @@ fn step(kind: PrimitiveKind, send_to: Option<usize>, recv_from: Option<usize>) -
         chunk_index: 0,
         step: 0,
         channel: ChannelId(0),
+        incoming_first: false,
     }
 }
 
