@@ -12,6 +12,16 @@
 //! copy at shift 0. Every directed edge carries exactly one macro step's
 //! worth of data, so per-edge FIFO pairing is trivially consistent.
 //!
+//! **Per-peer lanes.** The shifts share no data and use distinct links, so
+//! each rides its own lane: shift `s`'s sends and receives stripe over
+//! channels `(s-1)·K′ .. s·K′`, with `K′ = min(K, chunks per slice)`, and
+//! the local copy over `0..K′`. The channel of an exchange depends on the
+//! shift alone, which both ends of the edge share, so sender and receiver
+//! agree on it. An all-to-all thus compiles to `(n-1)·K′` lanes that run at
+//! once (GC3 likewise gives each thread block one send and one recv peer).
+//! The shifts write disjoint recv slices, so no phase barrier separates
+//! them.
+//!
 //! **All-reduce on `n = 2^m` ranks** is recursive doubling (Thakur,
 //! Rabenseifner & Gropp, 2005): at level `i ∈ 1..=m`, with `d = 2^(i-1)`,
 //! rank `r` `Send`s its whole partial to `r ^ d` (step `2i-1`), then
@@ -27,7 +37,9 @@
 //! Within a shift or level, the send half is emitted at step `2s-1` and the
 //! recv half at step `2s`, and the final plan is sorted chunk-major like
 //! every other family. With 1-slot connectors this is deadlock-free by the
-//! usual lattice argument: a blocked send at `(chunk k+1, step 2s-1)` waits
+//! usual lattice argument, applied lane by lane (an all-to-all lane is one
+//! shift's permutation exchange, so both ends of its edges sit at the same
+//! steps of the same lane): a blocked send at `(chunk k+1, step 2s-1)` waits
 //! for its peer to pass `(k, 2s)` (strictly smaller chunk), and a blocked
 //! recv at `(k, 2s)` waits for its peer to pass `(k, 2s-1)` (same chunk,
 //! smaller step) — every wait-for edge points to a strictly earlier position
@@ -118,9 +130,12 @@ impl Algorithm for PairwiseAlgorithm {
 }
 
 /// Linear-shift all-to-all: `count` elements per (rank, peer) pair, `n - 1`
-/// pairwise exchanges plus the local copy of the rank's own slice.
+/// pairwise exchanges plus the local copy of the rank's own slice. Shift `s`
+/// rides its own lane, channels `(s-1)·K′ .. s·K′` with `K′ = min(K, chunks
+/// per slice)`, so the shifts run at once (see the module docs).
 fn all_to_all_plan(count: usize, n: usize, rank: usize, max_chunk: usize, channels: usize) -> Plan {
     let slice = |idx: usize| ElemRange::new((idx % n) * count, count);
+    let k = channels.min(count.div_ceil(max_chunk)).max(1);
     let mut steps = Vec::new();
 
     // Shift 0: the rank's own slice never crosses the wire.
@@ -134,11 +149,12 @@ fn all_to_all_plan(count: usize, n: usize, rank: usize, max_chunk: usize, channe
         None,
         0,
         max_chunk,
-        channels,
+        k,
     );
     for s in 1..n {
         let to = (rank + s) % n;
         let from = (rank + n - s) % n;
+        let first = steps.len();
         // Send before recv within the shift (see the module docs).
         push_chunked(
             &mut steps,
@@ -150,7 +166,7 @@ fn all_to_all_plan(count: usize, n: usize, rank: usize, max_chunk: usize, channe
             None,
             (2 * s - 1) as u32,
             max_chunk,
-            channels,
+            k,
         );
         push_chunked(
             &mut steps,
@@ -162,8 +178,11 @@ fn all_to_all_plan(count: usize, n: usize, rank: usize, max_chunk: usize, channe
             Some(from),
             (2 * s) as u32,
             max_chunk,
-            channels,
+            k,
         );
+        for step in &mut steps[first..] {
+            step.channel.0 += ((s - 1) * k) as u32;
+        }
     }
     sort_chunk_major(&mut steps);
     Plan::new(AlgorithmKind::Pairwise, steps)
@@ -407,6 +426,75 @@ mod tests {
                     assert_eq!(p.kind, PrimitiveKind::Send);
                 } else {
                     assert_eq!(p.kind, PrimitiveKind::Recv);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_to_all_gives_each_shift_its_own_lane_of_k_channels() {
+        let chunk = 4;
+        for n in 2..=8usize {
+            let topo = Topology::flat(n);
+            for k in 1..=3usize {
+                // 1, 2 and 5 chunks per slice: fewer and more than K.
+                for count in [3usize, 8, 20] {
+                    let kk = k.min(count.div_ceil(chunk));
+                    let plans: Vec<Plan> = (0..n)
+                        .map(|r| {
+                            PairwiseAlgorithm
+                                .build_plan_striped(&a2a(count, n), r, chunk, k, &topo)
+                                .unwrap()
+                        })
+                        .collect();
+                    for (rank, plan) in plans.iter().enumerate() {
+                        let ctx = format!("n={n} K={k} count={count} rank={rank}");
+                        plan.validate(rank, n).unwrap();
+                        assert_eq!(plan.channel_count(), (n - 1) * kk, "{ctx}");
+                        // Shift s (shift 0 is the local copy) rides exactly
+                        // channels (s-1)K'..sK', every one of them.
+                        for s in 0..n {
+                            let lane = s.saturating_sub(1) * kk..s.max(1) * kk;
+                            let mut used: Vec<usize> = plan
+                                .steps
+                                .iter()
+                                .filter(|p| p.step.div_ceil(2) as usize == s)
+                                .map(|p| p.channel.0 as usize)
+                                .collect();
+                            used.sort_unstable();
+                            used.dedup();
+                            assert_eq!(used, lane.collect::<Vec<_>>(), "{ctx} shift {s}");
+                        }
+                        // Each channel's steps are chunk-major.
+                        for c in 0..plan.channel_count() as u32 {
+                            let order: Vec<(u32, u32)> = plan
+                                .steps
+                                .iter()
+                                .filter(|p| p.channel.0 == c)
+                                .map(|p| (p.chunk_index, p.step))
+                                .collect();
+                            assert!(order.is_sorted(), "{ctx} channel {c}: {order:?}");
+                        }
+                    }
+                    // Both ends of every directed edge use the same channels.
+                    for (src, plan) in plans.iter().enumerate() {
+                        for dst in (0..n).filter(|&d| d != src) {
+                            let sent: Vec<_> = plan
+                                .send_edges()
+                                .iter()
+                                .filter(|e| e.0 == dst)
+                                .map(|e| e.1)
+                                .collect();
+                            let received: Vec<_> = plans[dst]
+                                .recv_edges()
+                                .iter()
+                                .filter(|e| e.0 == src)
+                                .map(|e| e.1)
+                                .collect();
+                            assert!(!sent.is_empty(), "n={n} K={k} count={count} {src}->{dst}");
+                            assert_eq!(sent, received, "n={n} K={k} count={count} {src}->{dst}");
+                        }
+                    }
                 }
             }
         }

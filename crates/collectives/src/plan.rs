@@ -47,9 +47,11 @@ pub enum AlgorithmKind {
     Hierarchical,
     /// Pairwise exchange over the dense connector mesh. Schedules
     /// all-to-all by linear shift (at shift `s`, rank `r` sends to `r+s` and
-    /// receives from `r-s`), plain point-to-point send/recv, and all-reduce
-    /// on a power-of-two group by recursive doubling (at level `d`, rank `r`
-    /// exchanges its whole partial with `r ^ d`: `log₂ n` hops).
+    /// receives from `r-s`; each shift on its own lane of K channels, so the
+    /// `n-1` exchanges run at once), plain point-to-point send/recv, and
+    /// all-reduce on a power-of-two group by recursive doubling (at level
+    /// `d`, rank `r` exchanges its whole partial with `r ^ d`: `log₂ n`
+    /// hops).
     Pairwise,
 }
 

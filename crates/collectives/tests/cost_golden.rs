@@ -123,30 +123,30 @@ const GOLDEN: &[(AlgorithmKind, usize, usize, usize, &str, u64)] = &[
     (Pairwise, 2, 4194304, 1, "cluster", 0x412baad1745d1742), // 906600.7272727268
     (Pairwise, 2, 4194304, 2, "flat", 0x410ac9d1745d1744), // 219450.18181818177
     (Pairwise, 2, 4194304, 2, "cluster", 0x411baad1745d1744), // 453300.36363636353
-    (Pairwise, 4, 64, 1, "flat", 0x40b529745d1745d1), // 5417.454545454545
-    (Pairwise, 4, 64, 1, "cluster", 0x40ca6f745d1745d2), // 13534.909090909092
-    (Pairwise, 4, 64, 2, "flat", 0x40b529745d1745d1), // 5417.454545454545
-    (Pairwise, 4, 64, 2, "cluster", 0x40ca6f745d1745d2), // 13534.909090909092
-    (Pairwise, 4, 16384, 1, "flat", 0x40c3462e8ba2e8ba), // 9868.363636363636
-    (Pairwise, 4, 16384, 1, "cluster", 0x40d5e92e8ba2e8ba), // 22436.727272727272
-    (Pairwise, 4, 16384, 2, "flat", 0x40c3462e8ba2e8ba), // 9868.363636363636
-    (Pairwise, 4, 16384, 2, "cluster", 0x40d5e92e8ba2e8ba), // 22436.727272727272
-    (Pairwise, 4, 4194304, 1, "flat", 0x4134175d1745d17a), // 1316701.0909090922
-    (Pairwise, 4, 4194304, 1, "cluster", 0x4144c01d1745d17b), // 2719802.181818185
-    (Pairwise, 4, 4194304, 2, "flat", 0x4124175d1745d171), // 658350.5454545451
-    (Pairwise, 4, 4194304, 2, "cluster", 0x4134c01d1745d171), // 1359901.0909090901
-    (Pairwise, 8, 64, 1, "flat", 0x40c8b05d1745d174), // 12640.727272727272
-    (Pairwise, 8, 64, 1, "cluster", 0x40ded75d1745d175), // 31581.454545454548
-    (Pairwise, 8, 64, 2, "flat", 0x40c8b05d1745d174), // 12640.727272727272
-    (Pairwise, 8, 64, 2, "cluster", 0x40ded75d1745d175), // 31581.454545454548
-    (Pairwise, 8, 16384, 1, "flat", 0x40d67c8ba2e8ba2e), // 23026.181818181816
-    (Pairwise, 8, 16384, 1, "cluster", 0x40e9900ba2e8ba2e), // 52352.36363636363
-    (Pairwise, 8, 16384, 2, "flat", 0x40d67c8ba2e8ba2e), // 23026.181818181816
-    (Pairwise, 8, 16384, 2, "cluster", 0x40e9900ba2e8ba2e), // 52352.36363636363
-    (Pairwise, 8, 4194304, 1, "flat", 0x4147709745d17459), // 3072302.5454545435
-    (Pairwise, 8, 4194304, 1, "cluster", 0x4158357745d17458), // 6346205.090909086
-    (Pairwise, 8, 4194304, 2, "flat", 0x4137709745d1746a), // 1536151.2727272757
-    (Pairwise, 8, 4194304, 2, "cluster", 0x4148357745d1746b), // 3173102.545454552
+    (Pairwise, 4, 64, 1, "flat", 0x409c3745d1745d17), // 1805.8181818181818
+    (Pairwise, 4, 64, 1, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
+    (Pairwise, 4, 64, 2, "flat", 0x409c3745d1745d17), // 1805.8181818181818
+    (Pairwise, 4, 64, 2, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
+    (Pairwise, 4, 16384, 1, "flat", 0x40a9b2e8ba2e8ba3), // 3289.4545454545455
+    (Pairwise, 4, 16384, 1, "cluster", 0x40bd36e8ba2e8ba3), // 7478.909090909091
+    (Pairwise, 4, 16384, 2, "flat", 0x40a9b2e8ba2e8ba3), // 3289.4545454545455
+    (Pairwise, 4, 16384, 2, "cluster", 0x40bd36e8ba2e8ba3), // 7478.909090909091
+    (Pairwise, 4, 4194304, 1, "flat", 0x411ac9d1745d1742), // 438900.3636363634
+    (Pairwise, 4, 4194304, 1, "cluster", 0x412baad1745d1742), // 906600.7272727268
+    (Pairwise, 4, 4194304, 2, "flat", 0x410ac9d1745d1744), // 219450.18181818177
+    (Pairwise, 4, 4194304, 2, "cluster", 0x411baad1745d1744), // 453300.36363636353
+    (Pairwise, 8, 64, 1, "flat", 0x409c3745d1745d17), // 1805.8181818181818
+    (Pairwise, 8, 64, 1, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
+    (Pairwise, 8, 64, 2, "flat", 0x409c3745d1745d17), // 1805.8181818181818
+    (Pairwise, 8, 64, 2, "cluster", 0x40b19fa2e8ba2e8c), // 4511.636363636364
+    (Pairwise, 8, 16384, 1, "flat", 0x40a9b2e8ba2e8ba3), // 3289.4545454545455
+    (Pairwise, 8, 16384, 1, "cluster", 0x40bd36e8ba2e8ba3), // 7478.909090909091
+    (Pairwise, 8, 16384, 2, "flat", 0x40a9b2e8ba2e8ba3), // 3289.4545454545455
+    (Pairwise, 8, 16384, 2, "cluster", 0x40bd36e8ba2e8ba3), // 7478.909090909091
+    (Pairwise, 8, 4194304, 1, "flat", 0x411ac9d1745d1742), // 438900.3636363634
+    (Pairwise, 8, 4194304, 1, "cluster", 0x412baad1745d1742), // 906600.7272727268
+    (Pairwise, 8, 4194304, 2, "flat", 0x410ac9d1745d1744), // 219450.18181818177
+    (Pairwise, 8, 4194304, 2, "cluster", 0x411baad1745d1744), // 453300.36363636353
 ];
 
 /// The pairwise family's recursive-doubling all-reduce, in the layout of

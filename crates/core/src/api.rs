@@ -1046,9 +1046,10 @@ impl RankCtx {
     }
 
     /// The number of parallel channels a registered collective's compiled
-    /// plan actually stripes across (at most the configured K, or 2K for the
-    /// hierarchical family's two lanes; fewer when the payload has fewer
-    /// chunks than channels).
+    /// plan actually stripes across (at most the configured K, 2K for the
+    /// hierarchical family's two lanes, or `(n-1)K` for an all-to-all's
+    /// per-peer lanes; fewer when the payload has fewer chunks than
+    /// channels).
     pub fn channels_of(&self, coll_id: u64) -> Option<usize> {
         self.shared
             .registered

@@ -195,6 +195,15 @@ fn moe_dfccl(gpus: &[GpuId], cfg: &MoeConfig) -> Vec<Vec<Duration>> {
         joins.push(std::thread::spawn(move || {
             let n = rank.domain().topology().gpu_count();
             let mut times = Vec::with_capacity(cfg.iterations);
+            // A wedge names how long the wait ran and how often this rank
+            // preempted, so a slow drain reads apart from a true deadlock.
+            let waited = |since: Instant| {
+                format!(
+                    "after {:.1?} ({} preemptions on this rank)",
+                    since.elapsed(),
+                    rank.stats().preemptions
+                )
+            };
             for iter in 0..cfg.iterations {
                 barrier.wait();
                 let start = Instant::now();
@@ -202,11 +211,14 @@ fn moe_dfccl(gpus: &[GpuId], cfg: &MoeConfig) -> Vec<Vec<Duration>> {
                 for l in 0..cfg.layers {
                     // Dispatch must land before the expert can compute...
                     let (send, recv) = a2a_buffers(&cfg, n);
+                    let handle = rank
+                        .run_awaitable(cfg.dispatch_id(l), send, recv)
+                        .expect("dispatch");
+                    let since = Instant::now();
                     assert!(
-                        rank.run_awaitable(cfg.dispatch_id(l), send, recv)
-                            .expect("dispatch")
-                            .wait_for_timeout(1, Duration::from_secs(60)),
-                        "gpu {gpu_idx} iter {iter}: dispatch of layer {l} wedged"
+                        handle.wait_for_timeout(1, Duration::from_secs(60)),
+                        "gpu {gpu_idx} iter {iter}: dispatch of layer {l} wedged {}",
+                        waited(since)
                     );
                     busy_spin(cfg.expert_compute);
                     // ...but the combine overlaps the next layer's dispatch
@@ -223,9 +235,11 @@ fn moe_dfccl(gpus: &[GpuId], cfg: &MoeConfig) -> Vec<Vec<Duration>> {
                     handles.push(rank.run_awaitable(id, send, recv).expect("all-reduce"));
                 }
                 for h in handles {
+                    let since = Instant::now();
                     assert!(
                         h.wait_for_timeout(1, Duration::from_secs(60)),
-                        "gpu {gpu_idx} iter {iter}: an in-flight collective wedged"
+                        "gpu {gpu_idx} iter {iter}: an in-flight collective wedged {}",
+                        waited(since)
                     );
                 }
                 times.push(start.elapsed());

@@ -425,7 +425,12 @@ fn preemption_storm_with_striped_channels_saves_and_restores_every_channel() {
             CollectiveDescriptor::all_to_all(count, DataType::F32, gpus(n)).with_channels(3),
         )
         .unwrap();
-        assert_eq!(ctx.channels_of(1), Some(3), "all-to-all must stripe");
+        // One lane of 3 channels per shift.
+        assert_eq!(
+            ctx.channels_of(1),
+            Some((n - 1) * 3),
+            "all-to-all must stripe"
+        );
         ctx.register(
             2,
             CollectiveDescriptor::all_reduce(count * n, DataType::F32, ReduceOp::Sum, gpus(n))
