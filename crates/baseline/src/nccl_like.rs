@@ -3,32 +3,32 @@
 //!
 //! Each invocation of a collective launches one kernel on a CUDA-like stream.
 //! The kernel holds its residency slot (streaming-multiprocessor resources)
-//! while busy-waiting for its peers — the hold-and-wait behaviour that,
-//! combined with disordered invocation across GPUs, produces the deadlocks of
-//! Fig. 1. There is no preemption: the only way out of a deadlock is the
-//! watchdog's cooperative abort.
+//! while it waits for its peers — the hold-and-wait behaviour that, combined
+//! with disordered invocation across GPUs, produces the deadlocks of Fig. 1.
+//! There is no preemption: a deadlocked round ends only when the watchdog
+//! tears its engines down.
 //!
 //! The kernel executes the same compiled lane program, through the same
 //! executor, as DFCCL's daemon: registration compiles the forced-ring plan
-//! and binds it to the collective's connectors, and the kernel runs it with
-//! [`run_program_blocking`]. The baseline builds single-channel plans, so
+//! and binds it to the collective's connectors, and each poll of the kernel
+//! makes one [`LaneRun::pass`]. The baseline builds single-channel plans, so
 //! there is one lane and execution is strict program order. What differs
 //! from DFCCL is only scheduling: no spin threshold, no preemption.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dfccl_collectives::{
-    run_program_blocking, validate_buffers, AlgorithmKind, AlgorithmSelector, CollectiveDescriptor,
-    CollectiveError, CompiledProgram, DeviceBuffer,
+    validate_buffers, AlgorithmKind, AlgorithmSelector, CollectiveDescriptor, CollectiveError,
+    CompiledProgram, DeviceBuffer, LanePass, LaneRun,
 };
 use dfccl_transport::{
     Communicator, CommunicatorPool, ConnectorTable, LinkModel, Topology, TransportError,
 };
 use gpu_sim::{
-    DeviceEngine, FnKernel, GpuDevice, GpuId, GpuSpec, KernelHandle, KernelOutcome, LaunchError,
-    StreamId, SyncKind,
+    DeviceEngine, GpuDevice, GpuId, GpuSpec, Kernel, KernelCtx, KernelHandle, KernelOutcome,
+    KernelPoll, LaunchError, StreamId,
 };
 use parking_lot::Mutex;
 
@@ -92,11 +92,55 @@ struct Registered {
     table: ConnectorTable,
 }
 
+/// One collective invocation as a kernel: each poll makes one pass over the
+/// lane program. It never gives its slot back before the program finishes.
+struct CollectiveKernel {
+    coll_id: u64,
+    reg: Arc<Registered>,
+    send: DeviceBuffer,
+    recv: DeviceBuffer,
+    run: LaneRun,
+}
+
+impl Kernel for CollectiveKernel {
+    fn name(&self) -> String {
+        format!("nccl-{}-{}", self.reg.desc.kind, self.coll_id)
+    }
+
+    fn grid_blocks(&self) -> u32 {
+        4
+    }
+
+    fn shared_mem_per_block(&self) -> usize {
+        13 * 1024
+    }
+
+    fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll {
+        let reg = &*self.reg;
+        let pass = self.run.pass(
+            self.coll_id,
+            &reg.program,
+            &reg.table,
+            reg.desc.op,
+            &self.send,
+            &self.recv,
+        );
+        match pass {
+            Ok(LanePass::Done) => KernelPoll::Ready(KernelOutcome::Completed),
+            Ok(LanePass::Moved) => KernelPoll::Moved,
+            Ok(LanePass::Stuck) => {
+                KernelPoll::Pending(self.run.waits(&reg.program, &reg.table, &reg.desc.devices))
+            }
+            Err(e) => KernelPoll::Ready(KernelOutcome::Failed(e.to_string())),
+        }
+    }
+}
+
 /// Cluster-level state for the NCCL-like baseline: topology, link model,
-/// communicator pool and one launch engine per GPU.
+/// communicator pool and one launch engine per GPU, all in one step group.
 pub struct NcclDomain {
     pool: Arc<CommunicatorPool>,
-    engines: HashMap<GpuId, Arc<DeviceEngine>>,
+    engines: BTreeMap<GpuId, Arc<DeviceEngine>>,
     communicators: Mutex<HashMap<u64, Arc<Communicator>>>,
     chunk_elems: usize,
 }
@@ -114,10 +158,13 @@ impl NcclDomain {
         let topology = Arc::new(topology);
         let link_model = Arc::new(link_model);
         let pool = CommunicatorPool::new(Arc::clone(&topology), Arc::clone(&link_model), 8);
-        let engines = topology
+        let devices = topology
             .gpus()
             .into_iter()
-            .map(|g| (g, DeviceEngine::new(GpuDevice::new(g, gpu_spec.clone()))))
+            .map(|g| GpuDevice::new(g, gpu_spec.clone()));
+        let engines = DeviceEngine::group(devices)
+            .into_iter()
+            .map(|e| (e.device().id(), e))
             .collect();
         Arc::new(NcclDomain {
             pool,
@@ -138,12 +185,7 @@ impl NcclDomain {
         )
     }
 
-    /// The engine driving `gpu`.
-    pub fn engine(&self, gpu: GpuId) -> Option<Arc<DeviceEngine>> {
-        self.engines.get(&gpu).cloned()
-    }
-
-    /// All engines (for watchdog teardown).
+    /// All engines, by GPU id: what the watchdog steps and tears down.
     pub fn engines(&self) -> Vec<Arc<DeviceEngine>> {
         self.engines.values().cloned().collect()
     }
@@ -172,7 +214,11 @@ impl NcclDomain {
 
     /// Create a rank context for `gpu`.
     pub fn init_rank(self: &Arc<Self>, gpu: GpuId) -> Result<NcclRank, NcclError> {
-        let engine = self.engine(gpu).ok_or(NcclError::UnknownGpu(gpu))?;
+        let engine = self
+            .engines
+            .get(&gpu)
+            .cloned()
+            .ok_or(NcclError::UnknownGpu(gpu))?;
         Ok(NcclRank {
             domain: Arc::clone(self),
             gpu,
@@ -217,11 +263,6 @@ impl NcclRank {
         self.gpu
     }
 
-    /// The launch engine of this rank's GPU.
-    pub fn engine(&self) -> &Arc<DeviceEngine> {
-        &self.engine
-    }
-
     /// Register a collective under `coll_id` (NCCL has no registration step;
     /// this mirrors communicator creation + plan construction, and compiles
     /// the plan into its lane program bound to the communicator).
@@ -263,9 +304,10 @@ impl NcclRank {
         Ok(())
     }
 
-    /// Launch the collective as one blocking kernel on `stream`. The kernel
-    /// busy-waits (no spin threshold, no preemption) until every instruction
-    /// of the program has executed, or until it is aborted by the watchdog.
+    /// Launch the collective as one kernel on `stream`. Once started, the
+    /// kernel holds its slot (no spin threshold, no preemption) until every
+    /// instruction of the program has executed, or until the watchdog tears
+    /// its engine down.
     pub fn launch_collective(
         &self,
         coll_id: u64,
@@ -280,34 +322,23 @@ impl NcclRank {
             .cloned()
             .ok_or(NcclError::NotRegistered(coll_id))?;
         validate_buffers(&reg.desc, reg.rank, &send, &recv)?;
-        let name = format!("nccl-{}-{}", reg.desc.kind, coll_id);
-        let kernel = FnKernel::new(name, move |ctx: &gpu_sim::KernelCtx| {
-            let abort = || ctx.should_abort();
-            match run_program_blocking(
-                coll_id,
-                &reg.program,
-                &reg.table,
-                reg.desc.op,
-                &send,
-                &recv,
-                &abort,
-            ) {
-                Ok(true) => KernelOutcome::Completed,
-                Ok(false) => KernelOutcome::Aborted,
-                Err(e) => KernelOutcome::Failed(e.to_string()),
-            }
-        })
-        .with_blocks(4)
-        .with_shared_mem(13 * 1024);
+        let run = LaneRun::new(&reg.program);
+        let kernel = CollectiveKernel {
+            coll_id,
+            reg,
+            send,
+            recv,
+            run,
+        };
         Ok(self.engine.launch(stream, Box::new(kernel))?)
     }
 
     /// Issue a device-wide synchronization and wait for it (bounded). With the
     /// NCCL-like baseline this is the operation that turns disordered
-    /// collectives into the Fig. 1(d) deadlock.
+    /// collectives into the Fig. 1(d) deadlock. A zero timeout issues the
+    /// barrier without waiting; a barrier that times out stays in force.
     pub fn device_synchronize_timeout(&self, timeout: Duration) -> bool {
-        self.engine
-            .synchronize_timeout(SyncKind::Explicit, Some(timeout))
+        self.engine.synchronize_timeout(Some(timeout))
     }
 }
 
@@ -316,7 +347,9 @@ mod tests {
     use super::*;
     use crate::watchdog::{wait_all_or_deadlock, DeadlockOutcome};
     use dfccl_collectives::{DataType, ReduceOp};
-    use gpu_sim::KernelStatus;
+    use gpu_sim::{KernelStatus, StepReport};
+
+    const COUNT: usize = 32;
 
     fn gpus(n: usize) -> Vec<GpuId> {
         (0..n).map(GpuId).collect()
@@ -326,167 +359,226 @@ mod tests {
         CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(n))
     }
 
-    #[test]
-    fn consistent_order_completes_and_produces_correct_sums() {
-        // Fig. 1(a): both GPUs launch A then B — no deadlock.
-        let domain = NcclDomain::flat_for_testing(2, 2);
+    /// A 2-GPU domain with collectives 0 and 1 (all-reduces of `COUNT`
+    /// floats) registered on both ranks.
+    fn two_gpu_world(slots: u32) -> (Arc<NcclDomain>, Vec<NcclRank>) {
+        let domain = NcclDomain::flat_for_testing(2, slots);
         let ranks: Vec<NcclRank> = (0..2)
             .map(|g| domain.init_rank(GpuId(g)).unwrap())
             .collect();
         for r in &ranks {
-            r.register(0, all_reduce_desc(16, 2)).unwrap();
-            r.register(1, all_reduce_desc(16, 2)).unwrap();
+            r.register(0, all_reduce_desc(COUNT, 2)).unwrap();
+            r.register(1, all_reduce_desc(COUNT, 2)).unwrap();
         }
-        let mut handles = Vec::new();
-        let mut recvs = Vec::new();
-        for (g, r) in ranks.iter().enumerate() {
-            for coll in [0u64, 1u64] {
-                let send = DeviceBuffer::from_f32(&[(g + 1) as f32; 16]);
-                let recv = DeviceBuffer::zeroed(64);
-                recvs.push(recv.clone());
-                handles.push(
-                    r.launch_collective(coll, StreamId(coll as usize + 1), send, recv)
-                        .unwrap(),
-                );
+        (domain, ranks)
+    }
+
+    /// Launch `coll` on `rank` on `stream`, every element `rank * 10 + coll + 1`;
+    /// returns the handle and the recv buffer.
+    fn launch(rank: &NcclRank, coll: u64, stream: usize) -> (KernelHandle, DeviceBuffer) {
+        let value = (rank.gpu().0 * 10) as f32 + coll as f32 + 1.0;
+        let recv = DeviceBuffer::zeroed(COUNT * 4);
+        let h = rank
+            .launch_collective(
+                coll,
+                StreamId(stream),
+                DeviceBuffer::from_f32(&[value; COUNT]),
+                recv.clone(),
+            )
+            .unwrap();
+        (h, recv)
+    }
+
+    /// Step every engine of `domain` from this thread, in an order a seeded
+    /// generator shuffles before each sweep, until every handle is terminal
+    /// or a sweep is quiet. Returns whether the round deadlocked and how many
+    /// engine steps it took.
+    fn run_held(domain: &NcclDomain, handles: &[KernelHandle], seed: u64) -> (bool, u64) {
+        let mut engines = domain.engines();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut steps = 0u64;
+        while !handles.iter().all(|h| h.status().is_terminal()) {
+            for i in (1..engines.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                engines.swap(i, (state % (i as u64 + 1)) as usize);
             }
+            let mut sweep = StepReport::default();
+            for e in &engines {
+                sweep += e.step();
+                steps += 1;
+            }
+            if sweep.is_quiet() {
+                return (true, steps);
+            }
+            assert!(
+                steps < 1_000_000,
+                "seed {seed}: no decision after {steps} steps"
+            );
         }
-        let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(20));
-        assert_eq!(outcome, DeadlockOutcome::AllCompleted);
-        for recv in recvs {
-            assert_eq!(recv.to_f32_vec(), vec![3.0f32; 16]);
+        (false, steps)
+    }
+
+    /// Run a scenario held, twice per seed: the two runs must agree on the
+    /// outcome and the step count. Returns the first run's outcome, handles
+    /// and recv buffers, with the world still standing.
+    fn held_twice(
+        slots: u32,
+        seed: u64,
+        scenario: impl Fn(&[NcclRank]) -> Vec<(KernelHandle, DeviceBuffer)>,
+    ) -> (bool, Arc<NcclDomain>, Vec<(KernelHandle, DeviceBuffer)>) {
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let (domain, ranks) = two_gpu_world(slots);
+            let launched = scenario(&ranks);
+            let handles: Vec<KernelHandle> = launched.iter().map(|(h, _)| h.clone()).collect();
+            let (deadlocked, steps) = run_held(&domain, &handles, seed);
+            runs.push((deadlocked, steps, domain, launched));
         }
-        domain.shutdown();
+        let (second, first) = (runs.pop().unwrap(), runs.pop().unwrap());
+        assert_eq!(
+            (first.0, first.1),
+            (second.0, second.1),
+            "seed {seed}: two runs disagree"
+        );
+        second.2.shutdown();
+        (first.0, first.2, first.3)
+    }
+
+    /// Decide a held round's deadlock through the watchdog and return what
+    /// each unfinished kernel waits on, by kernel name.
+    fn stuck_waits(domain: &NcclDomain, launched: &[(KernelHandle, DeviceBuffer)]) -> Vec<String> {
+        let handles: Vec<KernelHandle> = launched.iter().map(|(h, _)| h.clone()).collect();
+        match wait_all_or_deadlock(&handles, &domain.engines()) {
+            DeadlockOutcome::Deadlock { unfinished } => unfinished,
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
     }
 
     #[test]
-    fn disorder_on_a_single_stream_deadlocks() {
-        // Fig. 1(c), single queue: GPU 0 launches A then B, GPU 1 launches B
-        // then A, all on one stream per GPU.
-        let domain = NcclDomain::flat_for_testing(2, 1);
-        let ranks: Vec<NcclRank> = (0..2)
-            .map(|g| domain.init_rank(GpuId(g)).unwrap())
-            .collect();
-        for r in &ranks {
-            r.register(0, all_reduce_desc(64, 2)).unwrap();
-            r.register(1, all_reduce_desc(64, 2)).unwrap();
-        }
-        let order = [vec![0u64, 1u64], vec![1u64, 0u64]];
-        let mut handles = Vec::new();
-        for (g, r) in ranks.iter().enumerate() {
-            for &coll in &order[g] {
-                let send = DeviceBuffer::from_f32(&vec![1.0; 64]);
-                let recv = DeviceBuffer::zeroed(256);
-                handles.push(r.launch_collective(coll, StreamId(1), send, recv).unwrap());
+    fn fig1a_consistent_order_completes_bit_exact_at_one_and_two_slots() {
+        // Both GPUs launch A then B, each on its own stream.
+        for slots in [1, 2] {
+            for seed in 0..24 {
+                let (deadlocked, domain, launched) = held_twice(slots, seed, |ranks| {
+                    ranks
+                        .iter()
+                        .flat_map(|r| [launch(r, 0, 1), launch(r, 1, 2)])
+                        .collect()
+                });
+                assert!(!deadlocked, "slots {slots} seed {seed}: flagged");
+                for (i, (h, recv)) in launched.iter().enumerate() {
+                    assert_eq!(h.status(), KernelStatus::Completed);
+                    let coll = (i % 2) as f32;
+                    let sum = (coll + 1.0) + (10.0 + coll + 1.0);
+                    assert_eq!(
+                        recv.to_f32_vec(),
+                        vec![sum; COUNT],
+                        "slots {slots} seed {seed}"
+                    );
+                }
+                domain.shutdown();
             }
         }
-        let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(2));
-        assert!(outcome.is_deadlock(), "single-queue disorder must deadlock");
-        domain.shutdown();
+    }
+
+    #[test]
+    fn fig1b_disorder_on_a_single_queue_deadlocks() {
+        // GPU 0 launches A then B, GPU 1 B then A, on one stream per GPU:
+        // plenty of slots, but each GPU's second kernel queues behind a
+        // first kernel that waits for it.
+        for seed in 0..4 {
+            let (deadlocked, domain, launched) = held_twice(4, seed, |ranks| {
+                vec![
+                    launch(&ranks[0], 0, 1),
+                    launch(&ranks[0], 1, 1),
+                    launch(&ranks[1], 1, 1),
+                    launch(&ranks[1], 0, 1),
+                ]
+            });
+            assert!(deadlocked, "seed {seed}");
+            assert_eq!(
+                stuck_waits(&domain, &launched),
+                [
+                    "nccl-all-reduce-0 on gpu0 waits on recv from gpu1 ch0",
+                    "nccl-all-reduce-1 on gpu0 waits on its stream head",
+                    "nccl-all-reduce-1 on gpu1 waits on recv from gpu0 ch0",
+                    "nccl-all-reduce-0 on gpu1 waits on its stream head",
+                ]
+            );
+        }
     }
 
     #[test]
     fn disorder_with_separate_streams_and_enough_resources_completes() {
-        // Fig. 1(b): disorder is fine when both collectives can run concurrently.
-        let domain = NcclDomain::flat_for_testing(2, 2);
-        let ranks: Vec<NcclRank> = (0..2)
-            .map(|g| domain.init_rank(GpuId(g)).unwrap())
-            .collect();
-        for r in &ranks {
-            r.register(0, all_reduce_desc(32, 2)).unwrap();
-            r.register(1, all_reduce_desc(32, 2)).unwrap();
+        for seed in 0..4 {
+            let (deadlocked, domain, launched) = held_twice(2, seed, |ranks| {
+                vec![
+                    launch(&ranks[0], 0, 1),
+                    launch(&ranks[0], 1, 2),
+                    launch(&ranks[1], 1, 2),
+                    launch(&ranks[1], 0, 1),
+                ]
+            });
+            assert!(!deadlocked, "seed {seed}");
+            assert!(launched
+                .iter()
+                .all(|(h, _)| h.status() == KernelStatus::Completed));
+            domain.shutdown();
         }
-        let order = [vec![0u64, 1u64], vec![1u64, 0u64]];
-        let mut handles = Vec::new();
-        for (g, r) in ranks.iter().enumerate() {
-            for &coll in &order[g] {
-                let send = DeviceBuffer::from_f32(&[1.0; 32]);
-                let recv = DeviceBuffer::zeroed(128);
-                handles.push(
-                    r.launch_collective(coll, StreamId(coll as usize + 1), send, recv)
-                        .unwrap(),
-                );
-            }
-        }
-        let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(20));
-        assert_eq!(outcome, DeadlockOutcome::AllCompleted);
-        domain.shutdown();
     }
 
     #[test]
-    fn disorder_with_resource_depletion_deadlocks() {
-        // Fig. 1(c), resource depletion: separate streams but only one
-        // residency slot per GPU.
-        let domain = NcclDomain::flat_for_testing(2, 1);
-        let ranks: Vec<NcclRank> = (0..2)
-            .map(|g| domain.init_rank(GpuId(g)).unwrap())
-            .collect();
-        for r in &ranks {
-            r.register(0, all_reduce_desc(32, 2)).unwrap();
-            r.register(1, all_reduce_desc(32, 2)).unwrap();
+    fn fig1c_disorder_with_resource_depletion_deadlocks() {
+        // Separate streams, but one residency slot per GPU.
+        for seed in 0..4 {
+            let (deadlocked, domain, launched) = held_twice(1, seed, |ranks| {
+                vec![
+                    launch(&ranks[0], 0, 1),
+                    launch(&ranks[0], 1, 2),
+                    launch(&ranks[1], 1, 2),
+                    launch(&ranks[1], 0, 1),
+                ]
+            });
+            assert!(deadlocked, "seed {seed}");
+            assert_eq!(
+                stuck_waits(&domain, &launched),
+                [
+                    "nccl-all-reduce-0 on gpu0 waits on recv from gpu1 ch0",
+                    "nccl-all-reduce-1 on gpu0 waits on a residency slot",
+                    "nccl-all-reduce-1 on gpu1 waits on recv from gpu0 ch0",
+                    "nccl-all-reduce-0 on gpu1 waits on a residency slot",
+                ]
+            );
         }
-        let order = [vec![0u64, 1u64], vec![1u64, 0u64]];
-        let mut handles = Vec::new();
-        for (g, r) in ranks.iter().enumerate() {
-            for &coll in &order[g] {
-                let send = DeviceBuffer::from_f32(&[1.0; 32]);
-                let recv = DeviceBuffer::zeroed(128);
-                handles.push(
-                    r.launch_collective(coll, StreamId(coll as usize + 1), send, recv)
-                        .unwrap(),
-                );
-            }
-        }
-        let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(2));
-        assert!(outcome.is_deadlock(), "resource depletion must deadlock");
-        domain.shutdown();
     }
 
     #[test]
-    fn disorder_with_device_sync_deadlocks_despite_resources() {
-        // Fig. 1(d): plenty of resources, but each GPU synchronizes between
-        // the two disordered collectives.
-        let domain = NcclDomain::flat_for_testing(2, 4);
-        let domain2 = Arc::clone(&domain);
-        let mut threads = Vec::new();
-        for g in 0..2 {
-            let domain = Arc::clone(&domain2);
-            threads.push(std::thread::spawn(move || {
-                let rank = domain.init_rank(GpuId(g)).unwrap();
-                rank.register(0, all_reduce_desc(32, 2)).unwrap();
-                rank.register(1, all_reduce_desc(32, 2)).unwrap();
-                let order = if g == 0 { [0u64, 1u64] } else { [1u64, 0u64] };
-                let first = rank
-                    .launch_collective(
-                        order[0],
-                        StreamId(order[0] as usize + 1),
-                        DeviceBuffer::from_f32(&[1.0; 32]),
-                        DeviceBuffer::zeroed(128),
-                    )
-                    .unwrap();
-                // cudaDeviceSynchronize between the two collectives.
-                let synced = rank.device_synchronize_timeout(Duration::from_secs(2));
-                let second = rank
-                    .launch_collective(
-                        order[1],
-                        StreamId(order[1] as usize + 1),
-                        DeviceBuffer::from_f32(&[1.0; 32]),
-                        DeviceBuffer::zeroed(128),
-                    )
-                    .unwrap();
-                (synced, first, second)
-            }));
+    fn fig1d_disorder_with_device_sync_deadlocks_despite_resources() {
+        // Plenty of slots and streams, but each GPU synchronizes between its
+        // two disordered launches. A zero timeout issues the barrier without
+        // waiting; it stays in force.
+        for seed in 0..4 {
+            let (deadlocked, domain, launched) = held_twice(4, seed, |ranks| {
+                let first = [launch(&ranks[0], 0, 1), launch(&ranks[1], 1, 2)];
+                for r in ranks {
+                    assert!(!r.device_synchronize_timeout(Duration::ZERO));
+                }
+                let second = [launch(&ranks[0], 1, 2), launch(&ranks[1], 0, 1)];
+                first.into_iter().chain(second).collect()
+            });
+            assert!(deadlocked, "seed {seed}");
+            assert_eq!(
+                stuck_waits(&domain, &launched),
+                [
+                    "nccl-all-reduce-0 on gpu0 waits on recv from gpu1 ch0",
+                    "nccl-all-reduce-1 on gpu1 waits on recv from gpu0 ch0",
+                    "nccl-all-reduce-1 on gpu0 waits on a synchronization barrier",
+                    "nccl-all-reduce-0 on gpu1 waits on a synchronization barrier",
+                ]
+            );
         }
-        let results: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-        // The synchronizations cannot complete: each waits for a collective
-        // whose peer is stuck behind the other GPU's synchronization.
-        assert!(results.iter().any(|(synced, _, _)| !synced));
-        let handles: Vec<KernelHandle> = results
-            .iter()
-            .flat_map(|(_, a, b)| [a.clone(), b.clone()])
-            .collect();
-        let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(2));
-        assert!(outcome.is_deadlock(), "sync-related disorder must deadlock");
-        domain.shutdown();
     }
 
     #[test]
@@ -510,9 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_status_failed_surfaces_plan_errors() {
-        // Registering with mismatched device sets across ranks is the user's
-        // bug; the baseline surfaces it as a failed kernel rather than hanging.
+    fn a_collective_whose_peer_never_launches_is_a_deadlock_not_a_hang() {
         let domain = NcclDomain::flat_for_testing(2, 2);
         let rank = domain.init_rank(GpuId(0)).unwrap();
         rank.register(0, all_reduce_desc(8, 2)).unwrap();
@@ -526,17 +616,14 @@ mod tests {
                 DeviceBuffer::zeroed(32),
             )
             .unwrap();
-        // The peer never launches; abort through the watchdog.
-        let outcome = wait_all_or_deadlock(
-            std::slice::from_ref(&h),
-            &domain.engines(),
-            Duration::from_millis(200),
-        );
-        assert!(outcome.is_deadlock());
+        let outcome = wait_all_or_deadlock(std::slice::from_ref(&h), &domain.engines());
         assert_eq!(
-            h.wait_timeout(Duration::from_secs(5)),
-            KernelStatus::Aborted
+            outcome,
+            DeadlockOutcome::Deadlock {
+                unfinished: vec!["nccl-all-reduce-0 on gpu0 waits on recv from gpu1 ch0".into()]
+            }
         );
+        assert_eq!(h.status(), KernelStatus::Aborted);
         domain.shutdown();
     }
 }

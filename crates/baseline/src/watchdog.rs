@@ -1,38 +1,36 @@
 //! Deadlock watchdog for the NCCL-like baseline.
 //!
-//! Real NCCL deadlocks manifest as the program hanging with GPUs pinned at
-//! 100% utilisation and no useful log output (Sec. 2.2). In a test suite that
-//! is unacceptable, so the baseline scenarios run under a watchdog: if the
-//! launched collective kernels do not all complete within a deadline, the
-//! scenario is declared deadlocked and every engine is torn down via the
-//! cooperative abort flag.
+//! Real NCCL deadlocks hang the program with GPUs pinned at 100%
+//! utilisation (Sec. 2.2). The baseline's engines are stepped, so the
+//! watchdog decides a deadlock instead of timing one out: it sweeps the
+//! engines until every supervised kernel is terminal, or until a sweep in
+//! which nothing started, moved or retired and no link refused a send —
+//! every later sweep would repeat it. The report names what each unfinished
+//! kernel waits on ([`gpu_sim::BlockedOn`]), and teardown drops the kernels
+//! of only the engines that own unfinished supervised work.
 //!
-//! There is one supervision loop, [`wait_all_or_stall`], and the deadline is
-//! a **stall** deadline, not a wall-clock budget: a wedged round makes *no*
-//! progress, whereas a slow round (e.g. a modelled
-//! [`dfccl_transport::LinkModel`] whose per-chunk delay exceeds the deadline)
-//! keeps moving chunks. Its probe returns per-edge samples (typically
-//! `NcclDomain::edge_samples`); progress on any edge resets the deadline, so
-//! only a genuine stall is reported. [`wait_all_or_deadlock`] is the same
-//! loop with an empty probe — no progress is ever observed, so its deadline
-//! is fixed.
+//! A send refused by a faulted link is not a structural wait: the link may
+//! heal. [`wait_all_or_stall`] gives such a round a stall deadline that any
+//! kernel progress resets, and classifies the stall from per-edge samples
+//! into a [`StallReport`]. [`wait_all_or_deadlock`] has no deadline.
 
 use std::collections::HashSet;
-use std::time::Duration;
-
-use dfccl_transport::fault::{supervise_with_probe, EdgeSample, StallReport, SuperviseOutcome};
-use gpu_sim::{DeviceEngine, GpuId, KernelHandle};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dfccl_transport::fault::{classify_stall, EdgeSample, StallReport};
+use gpu_sim::{DeviceEngine, GpuId, KernelHandle, StepReport};
 
 /// Result of supervising a set of collective kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeadlockOutcome {
-    /// Every kernel completed before the deadline.
+    /// Every kernel reached a terminal state.
     AllCompleted,
-    /// The deadline expired with kernels still queued or running — the
-    /// scenario is deadlocked. Contains the names of the unfinished kernels.
+    /// A sweep could move nothing while kernels were still queued or
+    /// running: the round is deadlocked.
     Deadlock {
-        /// Kernels that had not completed when the deadline expired.
+        /// Each unfinished kernel and what it waits on, one line each:
+        /// `"<kernel> on <gpu> waits on <what>"`.
         unfinished: Vec<String>,
     },
 }
@@ -44,39 +42,17 @@ impl DeadlockOutcome {
     }
 }
 
-/// Wait for every handle to finish, declaring a deadlock once `deadline`
-/// passes. On timeout, abort all work on the engines owning unfinished
-/// kernels (so their kernel threads exit) and report which kernels were
-/// unfinished. The deadline is fixed — use [`wait_all_or_stall`] with an
-/// edge probe when modelled link delays can legitimately exceed it.
+/// Step `engines` until every handle is terminal or the round deadlocks.
+/// `engines` must include the engine of every handle.
 pub fn wait_all_or_deadlock(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
-    deadline: Duration,
 ) -> DeadlockOutcome {
-    match wait_all_or_stall(handles, engines, deadline, &Vec::new) {
-        StallOutcome::AllCompleted => DeadlockOutcome::AllCompleted,
-        StallOutcome::Stalled(report) => DeadlockOutcome::Deadlock {
-            unfinished: report.unfinished,
+    match step_until_stuck(handles, engines, None, &Vec::new) {
+        None => DeadlockOutcome::AllCompleted,
+        Some(_) => DeadlockOutcome::Deadlock {
+            unfinished: tear_down(handles, engines),
         },
-    }
-}
-
-/// Abort only the engines that still own unfinished supervised kernels, and
-/// wait only on those kernels. Engines whose supervised work already
-/// completed — or that only run *other* tenants' kernels — are left alone, so
-/// one stalled tenant's timeout no longer kills bystanders sharing the
-/// domain.
-fn teardown_stalled(stalled: &[&KernelHandle], engines: &[Arc<DeviceEngine>]) {
-    let stalled_devices: HashSet<GpuId> = stalled.iter().map(|h| h.device()).collect();
-    for e in engines {
-        if stalled_devices.contains(&e.device().id()) {
-            e.abort_all();
-        }
-    }
-    // Give the aborted kernels a moment to observe the flag.
-    for h in stalled {
-        let _ = h.wait_timeout(Duration::from_secs(5));
     }
 }
 
@@ -85,71 +61,113 @@ fn teardown_stalled(stalled: &[&KernelHandle], engines: &[Arc<DeviceEngine>]) {
 /// and collectives.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StallOutcome {
-    /// Every kernel completed before a stall deadline expired.
+    /// Every kernel reached a terminal state.
     AllCompleted,
-    /// A full stall deadline passed with zero progress on every edge; the
-    /// report classifies the stall (wedge vs link failure) and names the
-    /// implicated edges, collectives and unfinished kernels.
+    /// The round deadlocked, or no kernel progressed for a full stall
+    /// deadline while a link refused sends; the report classifies the stall
+    /// (wedge vs link failure) and names the implicated edges, collectives
+    /// and unfinished kernels.
     Stalled(StallReport),
 }
 
-impl StallOutcome {
-    /// Whether a stall was detected.
-    pub fn is_stalled(&self) -> bool {
-        matches!(self, StallOutcome::Stalled(_))
-    }
-}
-
-/// Wait for every handle to finish, declaring a stall only after
-/// `stall_deadline` passes with zero progress across the per-edge
-/// [`EdgeSample`]s `probe` returns (e.g. `NcclDomain::edge_samples`).
-/// Progress on *any* edge resets the deadline; on expiry the probe is
-/// re-sampled once (a round that advanced meanwhile gets its deadline back)
-/// and the two snapshots are classified into a [`StallReport`] that
-/// distinguishes a scheduling wedge from a link failure and names the
-/// edges/collectives involved. Teardown is scoped to the engines owning
-/// unfinished supervised kernels.
+/// Step `engines` until every handle is terminal, until the round deadlocks,
+/// or until `stall_deadline` passes with no kernel progress while a link
+/// refuses sends. A stall is classified by comparing the `probe` samples
+/// taken when progress stopped with fresh ones.
 pub fn wait_all_or_stall(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
     stall_deadline: Duration,
     probe: &dyn Fn() -> Vec<EdgeSample>,
 ) -> StallOutcome {
-    let done = || handles.iter().all(|h| h.status().is_terminal());
-    match supervise_with_probe(&done, stall_deadline, probe) {
-        SuperviseOutcome::AllCompleted => StallOutcome::AllCompleted,
-        SuperviseOutcome::Stalled(mut report) => {
-            let stalled: Vec<&KernelHandle> = handles
-                .iter()
-                .filter(|h| !h.status().is_terminal())
-                .collect();
-            report.unfinished = stalled.iter().map(|h| h.name().to_string()).collect();
-            teardown_stalled(&stalled, engines);
-            StallOutcome::Stalled(report)
+    let Some(window_start) = step_until_stuck(handles, engines, Some(stall_deadline), probe) else {
+        return StallOutcome::AllCompleted;
+    };
+    let mut report = classify_stall(&window_start, &probe());
+    report.unfinished = tear_down(handles, engines);
+    StallOutcome::Stalled(report)
+}
+
+/// Sweep `engines` until every handle is terminal (`None`), until a quiet
+/// sweep, or until `stall_deadline` passes without progress. Returns the
+/// edge samples taken when progress stopped.
+fn step_until_stuck(
+    handles: &[KernelHandle],
+    engines: &[Arc<DeviceEngine>],
+    stall_deadline: Option<Duration>,
+    probe: &dyn Fn() -> Vec<EdgeSample>,
+) -> Option<Vec<EdgeSample>> {
+    let mut stalled: Option<(Instant, Vec<EdgeSample>)> = None;
+    while !handles.iter().all(|h| h.status().is_terminal()) {
+        let mut sweep = StepReport::default();
+        for e in engines {
+            sweep += e.step();
         }
+        if sweep.progressed() {
+            stalled = None;
+            continue;
+        }
+        let (since, window_start) = stalled.get_or_insert_with(|| (Instant::now(), probe()));
+        if sweep.is_quiet() || stall_deadline.is_some_and(|d| since.elapsed() >= d) {
+            return Some(std::mem::take(window_start));
+        }
+        std::thread::yield_now();
     }
+    None
+}
+
+/// Describe what each unfinished handle waits on, then drop every kernel of
+/// the engines that own one. Engines without unfinished supervised kernels
+/// are spared, so one stalled tenant does not kill bystanders sharing the
+/// domain.
+fn tear_down(handles: &[KernelHandle], engines: &[Arc<DeviceEngine>]) -> Vec<String> {
+    let engine_of = |gpu: GpuId| engines.iter().find(|e| e.device().id() == gpu);
+    let stuck: Vec<&KernelHandle> = handles
+        .iter()
+        .filter(|h| !h.status().is_terminal())
+        .collect();
+    let unfinished = stuck
+        .iter()
+        .map(|h| {
+            let waits = engine_of(h.device()).and_then(|e| e.blocked_on(h.seq()));
+            let waits = waits.map_or("an unsupervised engine".into(), |b| b.to_string());
+            format!("{} on {} waits on {waits}", h.name(), h.device())
+        })
+        .collect();
+    let devices: HashSet<GpuId> = stuck.iter().map(|h| h.device()).collect();
+    for e in devices.into_iter().filter_map(engine_of) {
+        e.abort_all();
+    }
+    unfinished
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::kernel::Kernel;
     use gpu_sim::{
-        FnKernel, GpuDevice, GpuId, GpuSpec, KernelCtx, KernelOutcome, KernelStatus, StreamId,
+        EdgeWait, FnKernel, GpuDevice, GpuSpec, Kernel, KernelCtx, KernelOutcome, KernelPoll,
+        KernelStatus, StreamId, WaitSide,
     };
-    use std::time::Instant;
 
     fn engine() -> Arc<DeviceEngine> {
         DeviceEngine::new(GpuDevice::new(GpuId(0), GpuSpec::tiny(2)))
     }
 
-    fn spin_forever_kernel() -> Box<dyn Kernel> {
-        Box::new(FnKernel::new("spin-forever", |ctx: &KernelCtx| {
-            while !ctx.should_abort() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            KernelOutcome::Aborted
-        }))
+    /// A kernel that waits on a chunk from GPU 1 forever.
+    struct WaitsForGpu1;
+
+    impl Kernel for WaitsForGpu1 {
+        fn name(&self) -> String {
+            "waits-for-gpu1".to_string()
+        }
+
+        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll {
+            KernelPoll::Pending(vec![EdgeWait {
+                peer: GpuId(1),
+                channel: 0,
+                side: WaitSide::Recv,
+            }])
+        }
     }
 
     #[test]
@@ -161,38 +179,30 @@ mod tests {
                 Box::new(FnKernel::new("quick", |_| KernelOutcome::Completed)),
             )
             .unwrap();
-        let outcome = wait_all_or_deadlock(&[h], &[Arc::clone(&e)], Duration::from_secs(5));
+        let outcome = wait_all_or_deadlock(&[h], &[Arc::clone(&e)]);
         assert_eq!(outcome, DeadlockOutcome::AllCompleted);
-        e.shutdown();
     }
 
     #[test]
-    fn hung_kernel_is_reported_and_torn_down() {
+    fn hung_kernel_is_reported_with_its_wait_and_torn_down() {
         let e = engine();
-        let h = e.launch(StreamId(1), spin_forever_kernel()).unwrap();
-        let outcome = wait_all_or_deadlock(
-            std::slice::from_ref(&h),
-            &[Arc::clone(&e)],
-            Duration::from_millis(100),
-        );
-        match &outcome {
-            DeadlockOutcome::Deadlock { unfinished } => {
-                assert_eq!(unfinished, &vec!["spin-forever".to_string()]);
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-        assert!(outcome.is_deadlock());
-        // The kernel was aborted so the engine can shut down cleanly.
+        let h = e.launch(StreamId(1), Box::new(WaitsForGpu1)).unwrap();
+        let outcome = wait_all_or_deadlock(std::slice::from_ref(&h), &[Arc::clone(&e)]);
+        let DeadlockOutcome::Deadlock { unfinished } = outcome else {
+            panic!("expected a deadlock, got {outcome:?}");
+        };
         assert_eq!(
-            h.wait_timeout(Duration::from_secs(5)),
-            KernelStatus::Aborted
+            unfinished,
+            ["waits-for-gpu1 on gpu0 waits on recv from gpu1 ch0"]
         );
-        e.shutdown();
+        // The kernel was dropped, so its slot is free again.
+        assert_eq!(h.status(), KernelStatus::Aborted);
+        assert_eq!(e.device().resident_kernels(), 0);
     }
 
     #[test]
     fn empty_handle_set_completes_immediately() {
-        let outcome = wait_all_or_deadlock(&[], &[], Duration::from_millis(10));
+        let outcome = wait_all_or_deadlock(&[], &[]);
         assert_eq!(outcome, DeadlockOutcome::AllCompleted);
     }
 
@@ -260,46 +270,24 @@ mod tests {
 
     #[test]
     fn teardown_spares_engines_without_stalled_kernels() {
-        // Two engines share the domain: engine A runs a supervised kernel
-        // that wedges, engine B runs a bystander tenant the watchdog is not
-        // supervising. Declaring A's deadlock must not abort B's kernel.
+        // Two engines share the sweep: engine A runs a supervised kernel that
+        // wedges, engine B a bystander tenant the watchdog is not
+        // supervising, wedged too. Declaring A's deadlock must not touch B.
         let a = engine();
         let b = DeviceEngine::new(GpuDevice::new(GpuId(1), GpuSpec::tiny(2)));
-        let stalled = a.launch(StreamId(1), spin_forever_kernel()).unwrap();
-        let bystander = b
-            .launch(
-                StreamId(1),
-                Box::new(FnKernel::new("bystander", |ctx: &KernelCtx| {
-                    let start = Instant::now();
-                    while start.elapsed() < Duration::from_millis(400) {
-                        if ctx.should_abort() {
-                            return KernelOutcome::Aborted;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    KernelOutcome::Completed
-                })),
-            )
-            .unwrap();
+        let stalled = a.launch(StreamId(1), Box::new(WaitsForGpu1)).unwrap();
+        let bystander = b.launch(StreamId(1), Box::new(WaitsForGpu1)).unwrap();
         let outcome = wait_all_or_deadlock(
             std::slice::from_ref(&stalled),
             &[Arc::clone(&a), Arc::clone(&b)],
-            Duration::from_millis(100),
         );
         assert!(outcome.is_deadlock());
-        // The stalled tenant was torn down...
+        assert_eq!(stalled.status(), KernelStatus::Aborted);
         assert_eq!(
-            stalled.wait_timeout(Duration::from_secs(5)),
-            KernelStatus::Aborted
-        );
-        // ...but the bystander engine was never aborted.
-        assert_eq!(
-            bystander.wait_timeout(Duration::from_secs(5)),
-            KernelStatus::Completed,
+            bystander.status(),
+            KernelStatus::Running,
             "bystander tenant was killed by another tenant's deadlock teardown"
         );
-        a.shutdown();
-        b.shutdown();
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn nccl_program(with_sync: bool) {
     for j in joins {
         handles.extend(j.join().unwrap());
     }
-    let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(5));
+    let outcome = wait_all_or_deadlock(&handles, &domain.engines());
     println!(
         "  NCCL-like baseline: {}",
         if outcome.is_deadlock() {

@@ -19,8 +19,8 @@
 //! [`ConnectorTable`] (no map lookups) and byte ranges were pre-multiplied at
 //! compile time, so the same executor drives ring, tree, hierarchical and
 //! pairwise programs. It is the only executor: DFCCL's daemon steps it one
-//! lane pass at a time, and the NCCL-like baseline's kernel runs it to
-//! completion with [`run_program_blocking`]. A single-threaded oracle in the
+//! lane pass at a time, and the NCCL-like baseline's kernel makes one
+//! [`LaneRun::pass`] per poll. A single-threaded oracle in the
 //! integration tests' support code (`tests/common/oracle.rs`) checks it
 //! against the plan IR.
 //!
@@ -46,6 +46,7 @@
 //! chunks intact.
 
 use dfccl_transport::{ChannelId, ChunkMsg, ConnectorTable, SendError};
+use gpu_sim::{EdgeWait, GpuId, WaitSide};
 
 use crate::buffer::DeviceBuffer;
 use crate::collective::CollectiveDescriptor;
@@ -363,41 +364,64 @@ pub fn execute_ready_instr(
     Ok(StepOutcome::Completed)
 }
 
-/// Run a compiled program to completion lane-wise by busy-waiting: every
-/// pass polls each lane's head instruction and executes the ready ones, so a
-/// stalled channel never blocks another lane's progress. With one lane this
-/// is strict program order with an unbounded wait on every primitive — the
-/// NCCL-like baseline's kernel, whose deadlocks the paper prevents.
-/// `should_abort` is polled while waiting; returns `Ok(false)` if aborted.
-pub fn run_program_blocking(
-    coll_id: u64,
-    program: &CompiledProgram,
-    table: &ConnectorTable,
-    op: Option<ReduceOp>,
-    send_buf: &DeviceBuffer,
-    recv_buf: &DeviceBuffer,
-    should_abort: &dyn Fn() -> bool,
-) -> Result<bool, ExecError> {
-    let mut cursors = vec![0u32; program.lane_count()];
-    let mut pending = PendingSends::default();
-    loop {
-        if should_abort() {
-            return Ok(false);
+/// One run of a compiled program outside the daemon: a cursor per lane and
+/// the per-channel staging slots. Each [`LaneRun::pass`] polls every lane
+/// head once, so a stalled channel never blocks another lane. The NCCL-like
+/// baseline's kernel makes one pass per poll, with no spin bound and no
+/// preemption: the kernel whose deadlocks the paper prevents.
+#[derive(Debug, Clone)]
+pub struct LaneRun {
+    cursors: Vec<u32>,
+    pending: PendingSends,
+}
+
+/// What one [`LaneRun::pass`] achieved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LanePass {
+    /// Every instruction has run and every staged chunk is on the wire.
+    Done,
+    /// An instruction ran or a staged chunk left.
+    Moved,
+    /// Nothing could run.
+    Stuck,
+}
+
+impl LaneRun {
+    /// A run of `program` with every lane at its first instruction.
+    pub fn new(program: &CompiledProgram) -> Self {
+        LaneRun {
+            cursors: vec![0; program.lane_count()],
+            pending: PendingSends::default(),
         }
-        let mut progressed = false;
+    }
+
+    /// Offer every staged chunk to its connector once, then run each lane
+    /// head whose phase and connector conditions hold. Never blocks.
+    #[allow(clippy::too_many_arguments)]
+    pub fn pass(
+        &mut self,
+        coll_id: u64,
+        program: &CompiledProgram,
+        table: &ConnectorTable,
+        op: Option<ReduceOp>,
+        send_buf: &DeviceBuffer,
+        recv_buf: &DeviceBuffer,
+    ) -> Result<LanePass, ExecError> {
+        let staged = self.pending.len();
+        flush_pending_compiled(program, table, &mut self.pending)?;
+        let mut moved = self.pending.len() < staged;
         let mut remaining = false;
         for (li, lane) in program.lanes().iter().enumerate() {
-            let cur = cursors[li] as usize;
-            if cur >= lane.len() {
+            let Some(&idx) = lane.instr_ids().get(self.cursors[li] as usize) else {
                 continue;
-            }
+            };
             remaining = true;
-            let idx = lane.instr_ids()[cur];
-            if !program.instr_eligible(idx, &cursors) || !instr_ready(program, idx, table, &pending)
+            if !program.instr_eligible(idx, &self.cursors)
+                || !instr_ready(program, idx, table, &self.pending)
             {
                 continue;
             }
-            match execute_ready_instr(
+            let outcome = execute_ready_instr(
                 coll_id,
                 program,
                 idx,
@@ -405,29 +429,65 @@ pub fn run_program_blocking(
                 op,
                 send_buf,
                 recv_buf,
-                &mut pending,
-            )? {
-                StepOutcome::Completed => {
-                    cursors[li] += 1;
-                    progressed = true;
-                }
-                StepOutcome::NotReady => {}
+                &mut self.pending,
+            )?;
+            if outcome == StepOutcome::Completed {
+                self.cursors[li] += 1;
+                moved = true;
             }
         }
-        if !remaining {
-            // The last instructions may have staged output chunks; the
-            // program is only complete once every channel's chunk is on the
-            // wire.
-            if flush_pending_compiled(program, table, &mut pending)? {
-                return Ok(true);
+        Ok(if !remaining && self.pending.is_empty() {
+            LanePass::Done
+        } else if moved {
+            LanePass::Moved
+        } else {
+            LanePass::Stuck
+        })
+    }
+
+    /// The edges the lane heads wait on after a stuck pass, naming rank `r`
+    /// as `devices[r]`. A staged chunk waits to send on its channel; a head
+    /// held back by a phase barrier waits on another lane of this program
+    /// and names no edge. A send into a connector that has room waits on a
+    /// link that refused it, not on the peer.
+    pub fn waits(
+        &self,
+        program: &CompiledProgram,
+        table: &ConnectorTable,
+        devices: &[GpuId],
+    ) -> Vec<EdgeWait> {
+        let wait = |peer: usize, channel: ChannelId, side| EdgeWait {
+            peer: devices[peer],
+            channel: channel.0,
+            side,
+        };
+        let send_side = |conn: Option<u32>| match conn.map(|c| table.send(c).is_full()) {
+            Some(true) => WaitSide::Send,
+            _ => WaitSide::Refused,
+        };
+        let mut waits = Vec::new();
+        for (lane, &cur) in program.lanes().iter().zip(&self.cursors) {
+            if let Some(p) = self.pending.on(lane.channel()) {
+                let side = send_side(program.send_conn_for(p.peer, p.channel));
+                waits.push(wait(p.peer, p.channel, side));
+                continue;
+            }
+            let Some(&idx) = lane.instr_ids().get(cur as usize) else {
+                continue;
+            };
+            let instr = program.instr(idx);
+            if !program.instr_eligible(idx, &self.cursors) {
+                continue;
+            }
+            if instr.kind.has_recv() {
+                let (peer, channel) = program.recv_edges()[instr.recv_conn as usize];
+                waits.push(wait(peer, channel, WaitSide::Recv));
+            } else if instr.kind.has_send() {
+                let side = send_side(Some(instr.send_conn));
+                waits.push(wait(instr.send_peer as usize, instr.channel, side));
             }
         }
-        if !progressed {
-            // Busy-wait, but let other ranks' threads run: on machines with
-            // fewer cores than ranks a pure spin starves the very peer that
-            // would make an instruction ready.
-            std::thread::yield_now();
-        }
+        waits
     }
 }
 
@@ -625,9 +685,9 @@ mod tests {
     }
 
     #[test]
-    fn an_aborted_blocking_run_returns_false() {
-        // Rank 0 of a 2-rank all-reduce whose peer never runs: only the abort
-        // flag can end the run (a hang fails on the timeout).
+    fn a_pass_whose_peer_never_runs_is_stuck_on_the_recv_edge() {
+        // Rank 0 of a 2-rank ring all-reduce whose peer never runs: it sends
+        // what it can, then every pass is stuck on the chunk from rank 1.
         let comm = zero_cost_comm(2);
         let desc = CollectiveDescriptor::all_reduce(
             4,
@@ -643,16 +703,20 @@ mod tests {
             .channels(0, plan.send_edges(), plan.recv_edges())
             .unwrap();
         let table = program.bind(&channels).unwrap();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let buf = DeviceBuffer::zeroed(16);
-            let done = run_program_blocking(1, &program, &table, desc.op, &buf, &buf, &|| true);
-            tx.send(done).unwrap();
-        });
-        let done = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("the abort flag did not end the run");
-        assert_eq!(done, Ok(false));
+        let buf = DeviceBuffer::zeroed(16);
+        let mut run = LaneRun::new(&program);
+        let pass = |run: &mut LaneRun| run.pass(1, &program, &table, desc.op, &buf, &buf);
+        assert_eq!(pass(&mut run), Ok(LanePass::Moved));
+        assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
+        assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
+        assert_eq!(
+            run.waits(&program, &table, &desc.devices),
+            vec![EdgeWait {
+                peer: GpuId(1),
+                channel: 0,
+                side: WaitSide::Recv,
+            }]
+        );
     }
 
     #[test]
@@ -735,7 +799,7 @@ mod tests {
     /// In-place all-reduce: every reducing primitive reads its local operand
     /// from, and `RecvReduceCopy` then writes into, the same allocation. A
     /// read lock still held when the write lock is taken would wedge the
-    /// rank's thread, hence the timeout rather than `should_abort`.
+    /// rank's thread, hence a thread per rank and a timeout.
     #[test]
     fn ring_all_reduce_in_place_on_one_buffer_handle_completes_bit_exact() {
         for n in 2..=4usize {
@@ -762,8 +826,14 @@ mod tests {
                 let tx = tx.clone();
                 std::thread::spawn(move || {
                     let buf = DeviceBuffer::from_f32(&input);
-                    let done =
-                        run_program_blocking(5, &program, &table, desc.op, &buf, &buf, &|| false);
+                    let mut run = LaneRun::new(&program);
+                    let done = loop {
+                        match run.pass(5, &program, &table, desc.op, &buf, &buf) {
+                            Ok(LanePass::Moved) => {}
+                            Ok(LanePass::Stuck) => std::thread::yield_now(),
+                            other => break other,
+                        }
+                    };
                     tx.send((rank, done, buf.to_f32_vec())).unwrap();
                 });
             }
@@ -774,7 +844,7 @@ mod tests {
                 let (rank, done, out) = rx
                     .recv_timeout(Duration::from_secs(30))
                     .expect("an aliased send/recv buffer wedged a rank");
-                assert_eq!(done, Ok(true), "n={n} rank {rank}");
+                assert_eq!(done, Ok(LanePass::Done), "n={n} rank {rank}");
                 assert_eq!(out, expected, "n={n} rank {rank}");
             }
         }

@@ -51,8 +51,8 @@ pub use collective::{CollectiveDescriptor, CollectiveKind};
 pub use cost::{estimate_completion_ns, estimate_family_ns, CostError};
 pub use datatype::DataType;
 pub use executor::{
-    execute_ready_instr, flush_pending_compiled, instr_ready, run_program_blocking,
-    validate_buffers, ExecError, PendingSend, PendingSends, StepOutcome,
+    execute_ready_instr, flush_pending_compiled, instr_ready, validate_buffers, ExecError,
+    LanePass, LaneRun, PendingSend, PendingSends, StepOutcome,
 };
 pub use graph::{
     fused_coll_id, plan_fusion, FusedAllReduce, FusedSegment, GraphOp, RecordedCollective,

@@ -48,56 +48,6 @@ impl TimeScale {
         let scaled = (nanos * self.factor).max(0.0);
         Duration::from_nanos(scaled as u64)
     }
-
-    /// Apply the scale to a [`Duration`].
-    pub fn scale(&self, d: Duration) -> Duration {
-        self.scale_nanos(d.as_nanos() as f64)
-    }
-}
-
-/// A simple stopwatch used by the instrumentation in the daemon kernel and in
-/// the benchmark harness.
-#[derive(Debug, Clone)]
-pub struct Stopwatch {
-    start: Instant,
-    laps: Vec<(String, Duration)>,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// Start a new stopwatch.
-    pub fn new() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-            laps: Vec::new(),
-        }
-    }
-
-    /// Restart the stopwatch, clearing laps.
-    pub fn restart(&mut self) {
-        self.start = Instant::now();
-        self.laps.clear();
-    }
-
-    /// Elapsed time since the last restart.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Record a named lap (elapsed since start).
-    pub fn lap(&mut self, name: impl Into<String>) {
-        self.laps.push((name.into(), self.start.elapsed()));
-    }
-
-    /// Recorded laps as `(name, elapsed-at-lap)` pairs.
-    pub fn laps(&self) -> &[(String, Duration)] {
-        &self.laps
-    }
 }
 
 #[cfg(test)]
@@ -122,34 +72,18 @@ mod tests {
     #[test]
     fn time_scale_compresses() {
         let ts = TimeScale::compressed(10.0);
-        let scaled = ts.scale(Duration::from_micros(100));
-        assert_eq!(scaled, Duration::from_micros(10));
+        assert_eq!(ts.scale_nanos(100_000.0), Duration::from_micros(10));
     }
 
     #[test]
     fn time_scale_default_is_identity() {
         let ts = TimeScale::default();
-        assert_eq!(
-            ts.scale(Duration::from_nanos(1234)),
-            Duration::from_nanos(1234)
-        );
+        assert_eq!(ts.scale_nanos(1234.0), Duration::from_nanos(1234));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn time_scale_rejects_zero_compression() {
         let _ = TimeScale::compressed(0.0);
-    }
-
-    #[test]
-    fn stopwatch_records_laps_in_order() {
-        let mut sw = Stopwatch::new();
-        sw.lap("a");
-        busy_spin(Duration::from_micros(50));
-        sw.lap("b");
-        assert_eq!(sw.laps().len(), 2);
-        assert!(sw.laps()[1].1 >= sw.laps()[0].1);
-        sw.restart();
-        assert!(sw.laps().is_empty());
     }
 }

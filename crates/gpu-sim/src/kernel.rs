@@ -1,27 +1,72 @@
 //! Kernels: the unit of work launched on a device through the [`crate::DeviceEngine`].
 //!
-//! The NCCL-like baseline implements each collective as one blocking kernel
-//! (busy-waiting until all peers are ready); DFCCL instead runs a single
-//! persistent daemon kernel per device and never launches per-collective
-//! kernels. Both styles sit on top of this abstraction.
+//! A kernel is a state machine that each [`crate::DeviceEngine::step`] polls
+//! once; [`Kernel::poll`] never blocks and says whether the kernel finished,
+//! moved, or waits — and on what. A waiting kernel keeps its residency slot
+//! (hold-and-wait) until it finishes (no preemption). DFCCL launches no
+//! per-collective kernels: its daemons run on their own carriers.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::device::GpuId;
+use crate::engine::StepGroup;
 
-/// Result of running a kernel to the end of its `run` method.
+/// How a kernel ended, as returned by its last poll.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelOutcome {
     /// The kernel finished its work.
     Completed,
-    /// The kernel observed an abort request and stopped early.
-    Aborted,
     /// The kernel failed with an error message.
     Failed(String),
+}
+
+/// Which side of a connector edge a blocked lane head waits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WaitSide {
+    /// Waits for a chunk from the peer.
+    Recv,
+    /// Waits for the peer to drain a full connector.
+    Send,
+    /// Its send was refused by a faulted link whose connector has room: it
+    /// waits on the link, not on the peer, so the wait is not structural.
+    Refused,
+}
+
+/// One connector edge a pending kernel's lane head waits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EdgeWait {
+    /// The GPU on the other end of the edge.
+    pub peer: GpuId,
+    /// The channel the edge belongs to.
+    pub channel: u32,
+    /// Which side of the edge the lane head waits on.
+    pub side: WaitSide,
+}
+
+impl std::fmt::Display for EdgeWait {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let side = match self.side {
+            WaitSide::Recv => "recv from",
+            WaitSide::Send => "send to",
+            WaitSide::Refused => "refused send to",
+        };
+        write!(f, "{side} {} ch{}", self.peer, self.channel)
+    }
+}
+
+/// The result of one [`Kernel::poll`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KernelPoll {
+    /// The kernel finished; the engine retires it and frees its slot.
+    Ready(KernelOutcome),
+    /// The kernel did work this poll and has more to do.
+    Moved,
+    /// The kernel moved nothing this poll. It waits on these edges (empty
+    /// when it waits on nothing the engine can name).
+    Pending(Vec<EdgeWait>),
 }
 
 /// Externally observable status of a launched kernel.
@@ -33,7 +78,7 @@ pub enum KernelStatus {
     Running,
     /// Finished successfully.
     Completed,
-    /// Stopped after an abort request.
+    /// Dropped by teardown (`abort_all` or `shutdown`) before finishing.
     Aborted,
     /// Failed with an error message.
     Failed(String),
@@ -53,19 +98,6 @@ pub struct KernelCtx {
     pub device: GpuId,
     /// Launch sequence number on that device's engine.
     pub seq: u64,
-    abort: Arc<AtomicBool>,
-}
-
-impl KernelCtx {
-    pub(crate) fn new(device: GpuId, seq: u64, abort: Arc<AtomicBool>) -> Self {
-        KernelCtx { device, seq, abort }
-    }
-
-    /// Whether an abort has been requested (e.g. by the deadlock watchdog).
-    /// Long-running or busy-waiting kernels must poll this.
-    pub fn should_abort(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
 }
 
 /// A unit of GPU work.
@@ -83,17 +115,18 @@ pub trait Kernel: Send + 'static {
         0
     }
 
-    /// Execute the kernel. Implementations that busy-wait must poll
-    /// [`KernelCtx::should_abort`] so that deadlocked scenarios can be torn down.
-    fn run(self: Box<Self>, ctx: &KernelCtx) -> KernelOutcome;
+    /// Advance the kernel without blocking. The engine polls a started
+    /// kernel once per step until it returns [`KernelPoll::Ready`], and
+    /// never polls it again after that.
+    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll;
 }
 
-/// A kernel built from a closure; convenient for tests and simple workloads.
+/// A kernel built from a closure that runs to completion in its first poll;
+/// convenient for tests and simple workloads.
 pub struct FnKernel<F> {
     name: String,
-    blocks: u32,
     shared_mem: usize,
-    f: F,
+    f: Option<F>,
 }
 
 impl<F> FnKernel<F>
@@ -104,16 +137,9 @@ where
     pub fn new(name: impl Into<String>, f: F) -> Self {
         FnKernel {
             name: name.into(),
-            blocks: 1,
             shared_mem: 0,
-            f,
+            f: Some(f),
         }
-    }
-
-    /// Set the grid size.
-    pub fn with_blocks(mut self, blocks: u32) -> Self {
-        self.blocks = blocks;
-        self
     }
 
     /// Set the per-block shared-memory requirement.
@@ -131,51 +157,43 @@ where
         self.name.clone()
     }
 
-    fn grid_blocks(&self) -> u32 {
-        self.blocks
-    }
-
     fn shared_mem_per_block(&self) -> usize {
         self.shared_mem
     }
 
-    fn run(self: Box<Self>, ctx: &KernelCtx) -> KernelOutcome {
-        (self.f)(ctx)
+    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll {
+        let f = self.f.take().expect("a finished kernel is never polled");
+        KernelPoll::Ready(f(ctx))
     }
 }
 
 pub(crate) struct KernelShared {
-    pub(crate) status: Mutex<KernelStatus>,
-    pub(crate) cv: Condvar,
-    pub(crate) abort: Arc<AtomicBool>,
+    status: Mutex<KernelStatus>,
 }
 
 impl KernelShared {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(KernelShared {
             status: Mutex::new(KernelStatus::Queued),
-            cv: Condvar::new(),
-            abort: Arc::new(AtomicBool::new(false)),
         })
     }
 
     pub(crate) fn set_status(&self, status: KernelStatus) {
-        let mut s = self.status.lock();
-        *s = status;
-        self.cv.notify_all();
+        *self.status.lock() = status;
     }
 }
 
-/// Handle to a launched kernel: observe status, wait for completion, request abort.
+/// Handle to a launched kernel: observe its status or wait for it.
 ///
-/// The name is a shared `Arc<str>`: the engine hands it to the queue entry,
-/// the handle and the worker without re-allocating the string per launch.
+/// Waiting is what drives the device: a waiting thread steps every engine
+/// of the kernel's step group until the kernel reaches a terminal state.
 #[derive(Clone)]
 pub struct KernelHandle {
     pub(crate) shared: Arc<KernelShared>,
     pub(crate) seq: u64,
     pub(crate) name: Arc<str>,
     pub(crate) device: GpuId,
+    pub(crate) group: Arc<StepGroup>,
 }
 
 impl std::fmt::Debug for KernelHandle {
@@ -206,36 +224,32 @@ impl KernelHandle {
         self.device
     }
 
-    /// Current status.
+    /// Current status. Reading it steps nothing.
     pub fn status(&self) -> KernelStatus {
         self.shared.status.lock().clone()
     }
 
-    /// Request the kernel to abort. Cooperative: the kernel must poll
-    /// [`KernelCtx::should_abort`].
-    pub fn request_abort(&self) {
-        self.shared.abort.store(true, Ordering::Relaxed);
-    }
-
-    /// Block until the kernel reaches a terminal state.
+    /// Step the kernel's engines until it reaches a terminal state. A kernel
+    /// that can never finish keeps this call stepping forever, as a wedged
+    /// CUDA kernel would.
     pub fn wait(&self) -> KernelStatus {
-        let mut s = self.shared.status.lock();
-        while !s.is_terminal() {
-            self.shared.cv.wait(&mut s);
-        }
-        s.clone()
+        self.wait_until(None)
     }
 
-    /// Block until the kernel reaches a terminal state or `timeout` elapses.
+    /// Step the kernel's engines until it reaches a terminal state or
+    /// `timeout` elapses; returns the status at that point.
     pub fn wait_timeout(&self, timeout: Duration) -> KernelStatus {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.shared.status.lock();
-        while !s.is_terminal() {
-            if self.shared.cv.wait_until(&mut s, deadline).timed_out() {
-                break;
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> KernelStatus {
+        loop {
+            let status = self.status();
+            if status.is_terminal() || deadline.is_some_and(|d| Instant::now() >= d) {
+                return status;
             }
+            self.group.step_or_yield();
         }
-        s.clone()
     }
 }
 
@@ -245,22 +259,23 @@ mod tests {
 
     #[test]
     fn fn_kernel_reports_configuration() {
-        let k = FnKernel::new("k", |_ctx| KernelOutcome::Completed)
-            .with_blocks(8)
-            .with_shared_mem(1024);
+        let k = FnKernel::new("k", |_ctx| KernelOutcome::Completed).with_shared_mem(1024);
         assert_eq!(k.name(), "k");
-        assert_eq!(k.grid_blocks(), 8);
+        assert_eq!(k.grid_blocks(), 1);
         assert_eq!(k.shared_mem_per_block(), 1024);
     }
 
     #[test]
-    fn fn_kernel_runs_closure() {
-        let k = Box::new(FnKernel::new("k", |ctx: &KernelCtx| {
+    fn fn_kernel_runs_closure_in_its_first_poll() {
+        let mut k = FnKernel::new("k", |ctx: &KernelCtx| {
             assert_eq!(ctx.device, GpuId(3));
             KernelOutcome::Completed
-        }));
-        let ctx = KernelCtx::new(GpuId(3), 7, Arc::new(AtomicBool::new(false)));
-        assert_eq!(k.run(&ctx), KernelOutcome::Completed);
+        });
+        let ctx = KernelCtx {
+            device: GpuId(3),
+            seq: 7,
+        };
+        assert_eq!(k.poll(&ctx), KernelPoll::Ready(KernelOutcome::Completed));
     }
 
     #[test]
@@ -273,45 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn handle_abort_flag_reaches_ctx() {
-        let shared = KernelShared::new();
-        let handle = KernelHandle {
-            shared: Arc::clone(&shared),
-            seq: 0,
-            name: "k".into(),
-            device: GpuId(0),
+    fn edge_waits_name_the_peer_channel_and_side() {
+        let wait = EdgeWait {
+            peer: GpuId(1),
+            channel: 2,
+            side: WaitSide::Recv,
         };
-        let ctx = KernelCtx::new(GpuId(0), 0, Arc::clone(&shared.abort));
-        assert!(!ctx.should_abort());
-        handle.request_abort();
-        assert!(ctx.should_abort());
-    }
-
-    #[test]
-    fn handle_wait_timeout_returns_nonterminal_on_timeout() {
-        let shared = KernelShared::new();
-        let handle = KernelHandle {
-            shared,
-            seq: 0,
-            name: "k".into(),
-            device: GpuId(0),
-        };
-        let st = handle.wait_timeout(Duration::from_millis(10));
-        assert_eq!(st, KernelStatus::Queued);
-    }
-
-    #[test]
-    fn handle_wait_unblocks_on_terminal_status() {
-        let shared = KernelShared::new();
-        let handle = KernelHandle {
-            shared: Arc::clone(&shared),
-            seq: 0,
-            name: "k".into(),
-            device: GpuId(0),
-        };
-        let t = std::thread::spawn(move || handle.wait());
-        std::thread::sleep(Duration::from_millis(20));
-        shared.set_status(KernelStatus::Completed);
-        assert_eq!(t.join().unwrap(), KernelStatus::Completed);
+        assert_eq!(wait.to_string(), "recv from gpu1 ch2");
     }
 }

@@ -10,11 +10,13 @@
 //! * [`DeviceEngine`] — a CUDA-style launch engine: per-stream FIFO ordering,
 //!   cross-stream concurrency bounded by the device's residency slots, and
 //!   synchronization barriers that prevent later-launched kernels from starting
-//!   until all earlier kernels drain.
-//! * [`Kernel`] — the unit of work launched on a stream. The NCCL-like baseline
-//!   implements collectives as blocking kernels; DFCCL's daemon kernel instead
-//!   acquires residency on the [`GpuDevice`] directly and cooperates with
-//!   synchronization by *voluntarily quitting*.
+//!   until all earlier kernels drain. It owns no thread: waiting threads step
+//!   it, and a sweep in which nothing can move is a deadlock.
+//! * [`Kernel`] — the unit of work launched on a stream, a state machine the
+//!   engine polls. The NCCL-like baseline implements collectives as kernels
+//!   that hold their slot until their peers let them finish; DFCCL's daemon
+//!   kernel instead acquires residency on the [`GpuDevice`] directly and
+//!   cooperates with synchronization by *voluntarily quitting*.
 //!
 //! The model deliberately reproduces the three conditions that make GPU
 //! collectives deadlock-prone (Sec. 2.3 of the paper): mutual exclusion of
@@ -28,10 +30,13 @@ pub mod kernel;
 pub mod stream;
 pub mod sync;
 
-pub use clock::{busy_spin, Stopwatch, TimeScale};
+pub use clock::{busy_spin, TimeScale};
 pub use device::{GpuDevice, GpuId, GpuSpec, MemoryUsage, ResidencyGuard};
-pub use engine::{DeviceEngine, LaunchError};
-pub use kernel::{FnKernel, Kernel, KernelCtx, KernelHandle, KernelOutcome, KernelStatus};
+pub use engine::{BlockedOn, DeviceEngine, LaunchError, StepReport};
+pub use kernel::{
+    EdgeWait, FnKernel, Kernel, KernelCtx, KernelHandle, KernelOutcome, KernelPoll, KernelStatus,
+    WaitSide,
+};
 pub use stream::StreamId;
 pub use sync::{SyncKind, SyncWaiter};
 
@@ -44,8 +49,6 @@ pub enum GpuError {
     OutOfSharedMemory { requested: usize, available: usize },
     /// Kernel residency could not be acquired (all slots busy or sync pending).
     ResidencyUnavailable,
-    /// The engine has been shut down.
-    EngineShutdown,
 }
 
 impl std::fmt::Display for GpuError {
@@ -66,7 +69,6 @@ impl std::fmt::Display for GpuError {
                 "out of shared memory: requested {requested} bytes, {available} available per block"
             ),
             GpuError::ResidencyUnavailable => write!(f, "kernel residency unavailable"),
-            GpuError::EngineShutdown => write!(f, "device engine has been shut down"),
         }
     }
 }
@@ -92,6 +94,5 @@ mod tests {
         assert!(GpuError::ResidencyUnavailable
             .to_string()
             .contains("residency"));
-        assert!(GpuError::EngineShutdown.to_string().contains("shut down"));
     }
 }

@@ -20,21 +20,13 @@ impl std::fmt::Display for StreamId {
     }
 }
 
-impl StreamId {
-    /// Whether this is the default stream.
-    pub fn is_default(&self) -> bool {
-        *self == DEFAULT_STREAM
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_stream_is_stream_zero() {
-        assert!(DEFAULT_STREAM.is_default());
-        assert!(!StreamId(3).is_default());
+        assert_eq!(DEFAULT_STREAM, StreamId(0));
         assert_eq!(format!("{}", StreamId(3)), "stream3");
     }
 

@@ -26,13 +26,6 @@ pub enum SyncKind {
     ImplicitMemOp,
 }
 
-impl SyncKind {
-    /// Whether the synchronization is implicit (not an explicit user call).
-    pub fn is_implicit(&self) -> bool {
-        !matches!(self, SyncKind::Explicit)
-    }
-}
-
 /// Shared completion state of one synchronization operation.
 #[derive(Debug)]
 pub struct SyncShared {
@@ -78,14 +71,6 @@ impl SyncWaiter {
         *self.shared.done.lock()
     }
 
-    /// Block until the synchronization completes.
-    pub fn wait(&self) {
-        let mut d = self.shared.done.lock();
-        while !*d {
-            self.shared.cv.wait(&mut d);
-        }
-    }
-
     /// Block until the synchronization completes or `timeout` elapses.
     /// Returns `true` if the synchronization completed.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
@@ -105,14 +90,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sync_kind_classification() {
-        assert!(!SyncKind::Explicit.is_implicit());
-        assert!(SyncKind::ImplicitDefaultStream.is_implicit());
-        assert!(SyncKind::ImplicitPinnedAlloc.is_implicit());
-        assert!(SyncKind::ImplicitMemOp.is_implicit());
-    }
-
-    #[test]
     fn waiter_completes_after_complete_call() {
         let shared = Arc::new(SyncShared::new(SyncKind::Explicit));
         let waiter = SyncWaiter::new(Arc::clone(&shared));
@@ -120,7 +97,6 @@ mod tests {
         assert!(!waiter.wait_timeout(Duration::from_millis(10)));
         shared.complete();
         assert!(waiter.is_complete());
-        waiter.wait();
         assert!(waiter.wait_timeout(Duration::from_millis(1)));
         assert_eq!(waiter.kind(), SyncKind::Explicit);
     }
@@ -129,10 +105,7 @@ mod tests {
     fn waiter_wakes_a_blocked_thread() {
         let shared = Arc::new(SyncShared::new(SyncKind::ImplicitMemOp));
         let waiter = SyncWaiter::new(Arc::clone(&shared));
-        let t = std::thread::spawn(move || {
-            waiter.wait();
-            true
-        });
+        let t = std::thread::spawn(move || waiter.wait_timeout(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
         shared.complete();
         assert!(t.join().unwrap());

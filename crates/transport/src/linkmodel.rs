@@ -122,17 +122,6 @@ impl LinkModel {
         }
     }
 
-    /// The time scale in effect.
-    pub fn scale(&self) -> TimeScale {
-        self.scale
-    }
-
-    /// Replace the time scale.
-    pub fn with_scale(mut self, scale: TimeScale) -> Self {
-        self.scale = scale;
-        self
-    }
-
     /// Parameters for a link class (falls back to the slowest class if absent).
     pub fn params(&self, class: LinkClass) -> LinkParams {
         self.params
@@ -197,16 +186,6 @@ impl LinkModel {
         busy_spin(self.scale.scale_nanos(nanos));
         true
     }
-
-    /// Busy-spin for the transfer cost, modelling the occupancy of the sending
-    /// primitive while the chunk moves across the link. On an unreachable link
-    /// this blocks for the saturated [`LinkModel::UNREACHABLE_COST`]; paths
-    /// that must not block use [`LinkModel::try_charge`] instead.
-    pub fn charge(&self, class: LinkClass, bytes: usize) {
-        if !self.try_charge(class, bytes) {
-            busy_spin(Self::UNREACHABLE_COST);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -257,10 +236,6 @@ mod tests {
             m.transfer_cost(LinkClass::InterNode, 1 << 20),
             Duration::ZERO
         );
-        // charge() should return immediately.
-        let start = std::time::Instant::now();
-        m.charge(LinkClass::IntraPix, 1 << 20);
-        assert!(start.elapsed() < Duration::from_millis(5));
     }
 
     #[test]
@@ -329,14 +304,5 @@ mod tests {
             elapsed >= base * 20,
             "20x-scaled charge took {elapsed:?}, base cost {base:?}"
         );
-    }
-
-    #[test]
-    fn charge_spins_for_roughly_the_modelled_time() {
-        let m = LinkModel::table2_testbed();
-        let cost = m.transfer_cost(LinkClass::IntraPix, 256 * 1024);
-        let start = std::time::Instant::now();
-        m.charge(LinkClass::IntraPix, 256 * 1024);
-        assert!(start.elapsed() >= cost);
     }
 }

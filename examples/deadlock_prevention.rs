@@ -71,7 +71,7 @@ fn baseline_deadlocks() {
     for t in threads {
         handles.extend(t.join().unwrap());
     }
-    let outcome = wait_all_or_deadlock(&handles, &domain.engines(), Duration::from_secs(2));
+    let outcome = wait_all_or_deadlock(&handles, &domain.engines());
     println!("baseline outcome: {outcome:?}\n");
     assert!(outcome.is_deadlock());
     domain.shutdown();

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dfccl_collectives::{
-    algorithm, run_program_blocking, AlgorithmKind, CollectiveDescriptor, CollectiveKind,
-    CompiledProgram, DataType, DeviceBuffer, Plan, ReduceOp,
+    algorithm, AlgorithmKind, CollectiveDescriptor, CollectiveKind, CompiledProgram, DataType,
+    DeviceBuffer, LanePass, LaneRun, Plan, ReduceOp,
 };
 use dfccl_transport::{Communicator, CommunicatorId, LinkModel, Topology};
 use gpu_sim::GpuId;
@@ -186,12 +186,21 @@ pub fn run_compiled_bytes(
                 DeviceBuffer::from_bytes(inputs[rank].clone()),
                 recvs[rank].clone(),
             );
+            // One thread per rank, each making lane passes until its program
+            // is done, yielding after a stuck pass so its peers' threads run.
             std::thread::spawn(move || {
-                let done = run_program_blocking(7, &program, &table, op, &send, &recv, &|| {
-                    Instant::now() > deadline
-                })
-                .unwrap();
-                assert!(done, "rank {rank} hit the deadlock deadline");
+                let mut run = LaneRun::new(&program);
+                loop {
+                    match run.pass(7, &program, &table, op, &send, &recv).unwrap() {
+                        LanePass::Done => break,
+                        LanePass::Moved => {}
+                        LanePass::Stuck => std::thread::yield_now(),
+                    }
+                    assert!(
+                        Instant::now() <= deadline,
+                        "rank {rank} hit the deadlock deadline"
+                    );
+                }
             })
         })
         .collect();

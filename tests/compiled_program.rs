@@ -28,7 +28,8 @@ fn compiled_execution_is_bit_identical_to_interpreted_for_every_family() {
     // is far below the per-slice element counts, so every schedule genuinely
     // stripes across all K channels, and capacity 1 means any lane-ordering
     // mistake wedges rather than merely slowing down. Each rank runs
-    // `run_program_blocking`, the NCCL-like baseline's loop (no preemption).
+    // lane passes on its own thread, as the NCCL-like baseline kernel does
+    // one pass per poll (no preemption).
     // 17 elements: uneven slices, partial chunks. 13: on two local ranks the
     // hierarchical slices are 3 and 2 chunks, so one slice has a block the
     // other lacks, and both ends of every edge must skip it alike.
