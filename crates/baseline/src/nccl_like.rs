@@ -23,9 +23,7 @@ use dfccl_collectives::{
     validate_buffers, AlgorithmKind, AlgorithmSelector, CollectiveDescriptor, CollectiveError,
     CompiledProgram, DeviceBuffer, LanePass, LaneRun,
 };
-use dfccl_transport::{
-    Communicator, CommunicatorPool, ConnectorTable, LinkModel, Topology, TransportError,
-};
+use dfccl_transport::{CommunicatorPool, ConnectorTable, LinkModel, Topology, TransportError};
 use gpu_sim::{
     DeviceEngine, GpuDevice, GpuId, GpuSpec, Kernel, KernelCtx, KernelHandle, KernelOutcome,
     KernelPoll, LaunchError, StreamId,
@@ -43,6 +41,8 @@ pub enum NcclError {
     UnknownGpu(GpuId),
     /// The rank's GPU is not in the collective's device set.
     RankNotInDeviceSet { gpu: GpuId, coll_id: u64 },
+    /// Two ranks registered the same collective id with different device sets.
+    DeviceSetMismatch(u64),
     /// Collective-level validation failed.
     Collective(CollectiveError),
     /// Transport-level failure.
@@ -60,6 +60,12 @@ impl std::fmt::Display for NcclError {
             NcclError::RankNotInDeviceSet { gpu, coll_id } => {
                 write!(f, "{gpu} is not in the device set of collective {coll_id}")
             }
+            NcclError::DeviceSetMismatch(id) => {
+                write!(
+                    f,
+                    "collective {id} was registered with a different device set elsewhere"
+                )
+            }
             NcclError::Collective(e) => write!(f, "{e}"),
             NcclError::Transport(e) => write!(f, "{e}"),
             NcclError::Launch(e) => write!(f, "{e}"),
@@ -76,7 +82,10 @@ impl From<CollectiveError> for NcclError {
 }
 impl From<TransportError> for NcclError {
     fn from(e: TransportError) -> Self {
-        NcclError::Transport(e)
+        match e {
+            TransportError::DeviceSetMismatch(id) => NcclError::DeviceSetMismatch(id),
+            e => NcclError::Transport(e),
+        }
     }
 }
 impl From<LaunchError> for NcclError {
@@ -127,7 +136,7 @@ impl Kernel for CollectiveKernel {
         );
         match pass {
             Ok(LanePass::Done) => KernelPoll::Ready(KernelOutcome::Completed),
-            Ok(LanePass::Moved) => KernelPoll::Moved,
+            Ok(LanePass::Moved(_)) => KernelPoll::Moved,
             Ok(LanePass::Stuck) => {
                 KernelPoll::Pending(self.run.waits(&reg.program, &reg.table, &reg.desc.devices))
             }
@@ -141,7 +150,6 @@ impl Kernel for CollectiveKernel {
 pub struct NcclDomain {
     pool: Arc<CommunicatorPool>,
     engines: BTreeMap<GpuId, Arc<DeviceEngine>>,
-    communicators: Mutex<HashMap<u64, Arc<Communicator>>>,
     chunk_elems: usize,
 }
 
@@ -169,7 +177,6 @@ impl NcclDomain {
         Arc::new(NcclDomain {
             pool,
             engines,
-            communicators: Mutex::new(HashMap::new()),
             chunk_elems,
         })
     }
@@ -201,15 +208,7 @@ impl NcclDomain {
     /// [`crate::watchdog::wait_all_or_stall`] consumes to classify a stall
     /// and name the edges/collectives involved.
     pub fn edge_samples(&self) -> Vec<dfccl_transport::EdgeSample> {
-        let mut samples = Vec::new();
-        for (&coll_id, comm) in self.communicators.lock().iter() {
-            for mut s in comm.edge_samples() {
-                s.coll_id = Some(coll_id);
-                samples.push(s);
-            }
-        }
-        samples.sort_by_key(|s| (s.coll_id, s.edge));
-        samples
+        self.pool.edge_samples()
     }
 
     /// Create a rank context for `gpu`.
@@ -232,20 +231,6 @@ impl NcclDomain {
         for e in self.engines.values() {
             e.shutdown();
         }
-    }
-
-    fn communicator_for(
-        &self,
-        coll_id: u64,
-        devices: &[GpuId],
-    ) -> Result<Arc<Communicator>, NcclError> {
-        let mut comms = self.communicators.lock();
-        if let Some(c) = comms.get(&coll_id) {
-            return Ok(Arc::clone(c));
-        }
-        let c = self.pool.allocate(devices)?;
-        comms.insert(coll_id, Arc::clone(&c));
-        Ok(c)
     }
 }
 
@@ -277,7 +262,7 @@ impl NcclRank {
                 coll_id,
             },
         )?;
-        let comm = self.domain.communicator_for(coll_id, &desc.devices)?;
+        let comm = self.domain.pool.communicator_for(coll_id, &desc.devices)?;
         // The NCCL-like baseline runs the ring schedule wherever a ring
         // exists; dense-mesh kinds (all-to-all, send/recv) fall through to
         // the pairwise family, mirroring NCCL's grouped p2p implementation.
@@ -322,13 +307,12 @@ impl NcclRank {
             .cloned()
             .ok_or(NcclError::NotRegistered(coll_id))?;
         validate_buffers(&reg.desc, reg.rank, &send, &recv)?;
-        let run = LaneRun::new(&reg.program);
         let kernel = CollectiveKernel {
             coll_id,
             reg,
             send,
             recv,
-            run,
+            run: LaneRun::default(),
         };
         Ok(self.engine.launch(stream, Box::new(kernel))?)
     }
@@ -598,6 +582,22 @@ mod tests {
             domain.init_rank(GpuId(42)),
             Err(NcclError::UnknownGpu(_))
         ));
+        domain.shutdown();
+    }
+
+    #[test]
+    fn an_id_registered_over_another_device_set_is_refused() {
+        // Rank 2 is rank 1 of {gpu1, gpu2}: were it handed the {gpu0, gpu1}
+        // mesh of id 0, it would bind gpu1's connectors.
+        let domain = NcclDomain::flat_for_testing(3, 2);
+        let r0 = domain.init_rank(GpuId(0)).unwrap();
+        let r2 = domain.init_rank(GpuId(2)).unwrap();
+        let desc =
+            |devices| CollectiveDescriptor::all_reduce(8, DataType::F32, ReduceOp::Sum, devices);
+        r0.register(0, desc(gpus(2))).unwrap();
+        let err = r2.register(0, desc(vec![GpuId(1), GpuId(2)])).unwrap_err();
+        assert!(matches!(err, NcclError::DeviceSetMismatch(0)), "{err}");
+        r2.register(1, desc(vec![GpuId(1), GpuId(2)])).unwrap();
         domain.shutdown();
     }
 

@@ -5,9 +5,7 @@
 //!
 //! * [`instr_ready`] — whether the connector conditions the instruction needs
 //!   (free slot towards the send peer, available chunk from the recv peer)
-//!   currently hold. This is the condition a primitive busy-waits on: DFCCL's
-//!   daemon kernel polls it up to a spin threshold and preempts the
-//!   collective when the bound is exceeded.
+//!   currently hold. This is the condition a primitive busy-waits on.
 //! * [`execute_ready_instr`] — runs the instruction once the conditions hold.
 //!   It consumes at most one chunk, produces at most one chunk, and never
 //!   blocks, so a collective can be suspended before or after any primitive
@@ -18,11 +16,10 @@
 //! Connectors are resolved by plain index into the registration's
 //! [`ConnectorTable`] (no map lookups) and byte ranges were pre-multiplied at
 //! compile time, so the same executor drives ring, tree, hierarchical and
-//! pairwise programs. It is the only executor: DFCCL's daemon steps it one
-//! lane pass at a time, and the NCCL-like baseline's kernel makes one
-//! [`LaneRun::pass`] per poll. A single-threaded oracle in the
-//! integration tests' support code (`tests/common/oracle.rs`) checks it
-//! against the plan IR.
+//! pairwise programs. [`LaneRun::pass`] drives both calls over every lane:
+//! it is the only lane loop, and both stacks call it. A single-threaded
+//! oracle in the integration tests' support code (`tests/common/oracle.rs`)
+//! checks the executor against the plan IR.
 //!
 //! ## The staging slots
 //!
@@ -364,12 +361,12 @@ pub fn execute_ready_instr(
     Ok(StepOutcome::Completed)
 }
 
-/// One run of a compiled program outside the daemon: a cursor per lane and
-/// the per-channel staging slots. Each [`LaneRun::pass`] polls every lane
-/// head once, so a stalled channel never blocks another lane. The NCCL-like
-/// baseline's kernel makes one pass per poll, with no spin bound and no
-/// preemption: the kernel whose deadlocks the paper prevents.
-#[derive(Debug, Clone)]
+/// One run of a compiled program: a cursor per lane and the per-channel
+/// staging slots. The NCCL-like baseline's kernel makes one
+/// [`LaneRun::pass`] per poll, with no spin bound and no preemption; DFCCL's
+/// daemon makes one per lane-pass step, adds only the spin bound and
+/// preemption, and keeps the run in the dynamic context across preemptions.
+#[derive(Debug, Clone, Default)]
 pub struct LaneRun {
     cursors: Vec<u32>,
     pending: PendingSends,
@@ -380,23 +377,25 @@ pub struct LaneRun {
 pub enum LanePass {
     /// Every instruction has run and every staged chunk is on the wire.
     Done,
-    /// An instruction ran or a staged chunk left.
-    Moved,
-    /// Nothing could run.
+    /// This many instructions ran; 0 when the pass only put staged chunks on
+    /// the wire.
+    Moved(usize),
+    /// Nothing could run and no staged chunk left.
     Stuck,
 }
 
 impl LaneRun {
-    /// A run of `program` with every lane at its first instruction.
-    pub fn new(program: &CompiledProgram) -> Self {
-        LaneRun {
-            cursors: vec![0; program.lane_count()],
-            pending: PendingSends::default(),
-        }
+    /// Drop every cursor and staged chunk but keep the storage: the next
+    /// pass starts every lane at its first instruction without allocating.
+    pub fn clear(&mut self) {
+        self.cursors.clear();
+        self.pending.clear();
     }
 
     /// Offer every staged chunk to its connector once, then run each lane
-    /// head whose phase and connector conditions hold. Never blocks.
+    /// head whose phase and connector conditions hold. A run whose cursors
+    /// do not fit `program` (a fresh or cleared one) starts every lane at
+    /// its first instruction. Never blocks.
     #[allow(clippy::too_many_arguments)]
     pub fn pass(
         &mut self,
@@ -407,9 +406,14 @@ impl LaneRun {
         send_buf: &DeviceBuffer,
         recv_buf: &DeviceBuffer,
     ) -> Result<LanePass, ExecError> {
+        if self.cursors.len() != program.lane_count() {
+            self.cursors.clear();
+            self.cursors.resize(program.lane_count(), 0);
+        }
         let staged = self.pending.len();
         flush_pending_compiled(program, table, &mut self.pending)?;
-        let mut moved = self.pending.len() < staged;
+        let mut flushed = self.pending.len() < staged;
+        let mut ran = 0;
         let mut remaining = false;
         for (li, lane) in program.lanes().iter().enumerate() {
             let Some(&idx) = lane.instr_ids().get(self.cursors[li] as usize) else {
@@ -421,6 +425,7 @@ impl LaneRun {
             {
                 continue;
             }
+            let staged = self.pending.len();
             let outcome = execute_ready_instr(
                 coll_id,
                 program,
@@ -431,15 +436,20 @@ impl LaneRun {
                 recv_buf,
                 &mut self.pending,
             )?;
-            if outcome == StepOutcome::Completed {
-                self.cursors[li] += 1;
-                moved = true;
+            match outcome {
+                StepOutcome::Completed => {
+                    self.cursors[li] += 1;
+                    ran += 1;
+                }
+                // Its opportunistic flush may still have published a chunk
+                // staged on another channel.
+                StepOutcome::NotReady => flushed |= self.pending.len() < staged,
             }
         }
         Ok(if !remaining && self.pending.is_empty() {
             LanePass::Done
-        } else if moved {
-            LanePass::Moved
+        } else if ran > 0 || flushed {
+            LanePass::Moved(ran)
         } else {
             LanePass::Stuck
         })
@@ -704,9 +714,9 @@ mod tests {
             .unwrap();
         let table = program.bind(&channels).unwrap();
         let buf = DeviceBuffer::zeroed(16);
-        let mut run = LaneRun::new(&program);
+        let mut run = LaneRun::default();
         let pass = |run: &mut LaneRun| run.pass(1, &program, &table, desc.op, &buf, &buf);
-        assert_eq!(pass(&mut run), Ok(LanePass::Moved));
+        assert_eq!(pass(&mut run), Ok(LanePass::Moved(1)));
         assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
         assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
         assert_eq!(
@@ -717,6 +727,40 @@ mod tests {
                 side: WaitSide::Recv,
             }]
         );
+    }
+
+    #[test]
+    fn the_pass_that_flushes_the_last_staged_chunk_completes_the_run() {
+        // A fused primitive into a full connector completes by staging its
+        // output; the run is done in the pass that gets that chunk out.
+        let comm = zero_cost_comm(3);
+        let (program, table) = recv_reduce_send_rank(&comm);
+        let upstream = comm.connector_between(0, 1).unwrap();
+        upstream.try_send(chunk(vec![0; 16])).unwrap();
+        let downstream = comm.connector_between(1, 2).unwrap();
+        while downstream.try_send(chunk(vec![0; 16])).is_ok() {}
+        let buf = DeviceBuffer::zeroed(16);
+        let mut run = LaneRun::default();
+        let pass =
+            |run: &mut LaneRun| run.pass(9, &program, &table, Some(ReduceOp::Sum), &buf, &buf);
+        assert_eq!(pass(&mut run), Ok(LanePass::Moved(1)));
+        assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
+        let devices = [GpuId(0), GpuId(1), GpuId(2)];
+        assert_eq!(
+            run.waits(&program, &table, &devices),
+            vec![EdgeWait {
+                peer: GpuId(2),
+                channel: 0,
+                side: WaitSide::Send,
+            }]
+        );
+        downstream.try_recv().unwrap();
+        assert_eq!(pass(&mut run), Ok(LanePass::Done));
+        // A cleared run keeps its storage for the next invocation.
+        let cap = run.cursors.capacity();
+        run.clear();
+        assert!(run.cursors.is_empty() && run.pending.is_empty());
+        assert_eq!(run.cursors.capacity(), cap);
     }
 
     #[test]
@@ -826,10 +870,10 @@ mod tests {
                 let tx = tx.clone();
                 std::thread::spawn(move || {
                     let buf = DeviceBuffer::from_f32(&input);
-                    let mut run = LaneRun::new(&program);
+                    let mut run = LaneRun::default();
                     let done = loop {
                         match run.pass(5, &program, &table, desc.op, &buf, &buf) {
-                            Ok(LanePass::Moved) => {}
+                            Ok(LanePass::Moved(_)) => {}
                             Ok(LanePass::Stuck) => std::thread::yield_now(),
                             other => break other,
                         }

@@ -6,7 +6,7 @@
 //! stalled channel head-of-line-block ready steps on other channels. This
 //! module is the compilation stage between plan building and execution (the
 //! only executor — DFCCL's daemon and the NCCL-like baseline both run its
-//! output):
+//! output through [`crate::LaneRun::pass`]):
 //!
 //! * [`CompiledProgram`] — a dense `Vec<Instr>` lowered from a validated
 //!   plan. Each instruction carries pre-resolved connector *indices* into a
@@ -14,7 +14,7 @@
 //!   [`dfccl_transport::RankChannels::dense_view`]) and precomputed byte
 //!   offsets/lengths, so the poll path is pure index arithmetic.
 //! * [`Lane`] — the per-channel split of the instruction stream, each with
-//!   its own cursor position. The daemon polls only each lane's head
+//!   its own cursor position. A lane pass polls only each lane's head
 //!   instruction; a stalled lane never blocks a ready one.
 //! * [`PlanCache`] — memoized plan building + compilation keyed by the
 //!   collective's shape, so identical registrations (e.g. the MoE workload's
@@ -173,7 +173,7 @@ pub struct Instr {
 
 /// One channel's slice of a compiled program: the indices of its
 /// instructions, in plan order. Each in-flight invocation keeps an
-/// independent cursor per lane, so the daemon polls only lane heads and a
+/// independent cursor per lane, so a lane pass polls only lane heads and a
 /// stalled channel never blocks a ready one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lane {

@@ -170,7 +170,10 @@ impl From<CollectiveError> for DfcclError {
 
 impl From<TransportError> for DfcclError {
     fn from(e: TransportError) -> Self {
-        DfcclError::Transport(e)
+        match e {
+            TransportError::DeviceSetMismatch(id) => DfcclError::DeviceSetMismatch(id),
+            e => DfcclError::Transport(e),
+        }
     }
 }
 
@@ -198,7 +201,6 @@ pub struct DfcclDomain {
     pool: Arc<CommunicatorPool>,
     devices: HashMap<GpuId, Arc<GpuDevice>>,
     config: DfcclConfig,
-    communicators: Mutex<HashMap<u64, Arc<Communicator>>>,
     /// Memoized plan building + compilation, keyed by collective shape.
     /// Repeat registrations of an identical shape (per-layer collectives,
     /// re-registration after teardown) share one `Arc<Plan>` and one
@@ -252,7 +254,6 @@ impl DfcclDomain {
             pool,
             devices,
             config,
-            communicators: Mutex::new(HashMap::new()),
             plan_cache: PlanCache::new(),
             tenants: Mutex::new(HashMap::new()),
             next_tenant_id: AtomicU64::new(1),
@@ -458,9 +459,7 @@ impl DfcclDomain {
                 .retain(|_, g| !g.nodes.iter().any(|n| n.reg.desc.devices.contains(&gpu)));
         }
         self.plan_cache.invalidate_device(gpu);
-        self.communicators
-            .lock()
-            .retain(|_, comm| !comm.devices().contains(&gpu));
+        self.pool.forget_device(gpu);
         self.membership.lock().remove(&gpu);
         Ok(removed)
     }
@@ -482,37 +481,7 @@ impl DfcclDomain {
     /// allocated, stamped with the owning collective id and sorted by
     /// `(coll_id, edge)` — the probe fed to the failure-aware watchdog.
     pub fn edge_samples(&self) -> Vec<EdgeSample> {
-        let comms = self.communicators.lock();
-        let mut samples = Vec::new();
-        for (&coll_id, comm) in comms.iter() {
-            for mut s in comm.edge_samples() {
-                s.coll_id = Some(coll_id);
-                samples.push(s);
-            }
-        }
-        drop(comms);
-        samples.sort_by_key(|a| (a.coll_id, a.edge));
-        samples
-    }
-
-    /// Get (or create) the communicator backing collective `coll_id` over
-    /// `devices`. All ranks registering the same id must pass the same ordered
-    /// device set.
-    fn communicator_for(
-        &self,
-        coll_id: u64,
-        devices: &[GpuId],
-    ) -> Result<Arc<Communicator>, DfcclError> {
-        let mut comms = self.communicators.lock();
-        if let Some(existing) = comms.get(&coll_id) {
-            if existing.devices() != devices {
-                return Err(DfcclError::DeviceSetMismatch(coll_id));
-            }
-            return Ok(Arc::clone(existing));
-        }
-        let comm = self.pool.allocate(devices)?;
-        comms.insert(coll_id, Arc::clone(&comm));
-        Ok(comm)
+        self.pool.edge_samples()
     }
 
     /// Initialise a rank context for `gpu` (the `dfcclInit` call).
@@ -677,7 +646,7 @@ impl RankCtx {
                 coll_id,
             },
         )?;
-        let communicator = self.domain.communicator_for(coll_id, &desc.devices)?;
+        let communicator = self.domain.pool.communicator_for(coll_id, &desc.devices)?;
         let (reg, _) = self.plan_and_bind(coll_id, desc, rank, tenant, communicator)?;
         // Admission: the residency check is the last fallible step, so a
         // rejected registration leaves no partial state behind (connectors

@@ -2,8 +2,8 @@
 //!
 //! The *static context* of a collective (descriptor, rank, primitive plan,
 //! connectors) is fixed at registration time. The *dynamic context* changes as
-//! the collective executes — the index of the next primitive to run and the
-//! buffers of the current invocation — and is what must be saved when the
+//! the collective executes — its lane run (per-lane cursors and staged chunks)
+//! and the buffers of the current invocation — and is what must be saved when the
 //! collective is preempted and reloaded when it is rescheduled (Sec. 4.2).
 //!
 //! The store models the paper's memory hierarchy: a small direct-mapped cache
@@ -16,8 +16,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use dfccl_collectives::executor::PendingSends;
-use dfccl_collectives::DeviceBuffer;
+use dfccl_collectives::{DeviceBuffer, LaneRun};
 use gpu_sim::busy_spin;
 use parking_lot::Mutex;
 
@@ -40,20 +39,11 @@ pub struct GraphTag {
 /// Dynamic context of one invocation of a collective.
 #[derive(Debug, Clone)]
 pub struct DynamicContext {
-    /// Number of primitives completed so far (the sum of `lane_cursors`).
-    pub next_step: usize,
-    /// Per-lane cursors of the compiled program: `lane_cursors[l]` is the
-    /// position of the next instruction to execute on lane `l`. Sized
-    /// lazily on first schedule (the daemon knows the program, the invoker
-    /// does not) and saved/restored across preemptions alongside the
-    /// per-channel `PendingSend`s, so a resumed collective continues every
-    /// lane exactly where it stalled.
-    pub lane_cursors: Vec<u32>,
-    /// Chunks staged by fused primitives while their send connectors were
-    /// full, one slot per channel; a channel's slot must be flushed before
-    /// the next primitive on that channel (or completion). Survives
-    /// preemption like the rest of the context, covering every channel.
-    pub pending_sends: PendingSends,
+    /// The compiled program's lane run: the next instruction of every lane
+    /// and the chunks staged per channel. Sized by its first pass and kept
+    /// across preemptions, so a resumed collective continues every lane
+    /// exactly where it stalled.
+    pub run: LaneRun,
     /// Submission sequence number of this invocation.
     pub run_seq: u64,
     /// Send buffer of this invocation.
@@ -82,9 +72,7 @@ impl DynamicContext {
     /// Fresh context for a new invocation.
     pub fn new(run_seq: u64, send: DeviceBuffer, recv: DeviceBuffer) -> Self {
         DynamicContext {
-            next_step: 0,
-            lane_cursors: Vec::new(),
-            pending_sends: PendingSends::default(),
+            run: LaneRun::default(),
             run_seq,
             send,
             recv,
@@ -92,18 +80,6 @@ impl DynamicContext {
             preempted: false,
             graph: None,
             silent_replay: false,
-        }
-    }
-
-    /// Size the lane cursors for a program with `lanes` lanes. A fresh
-    /// context starts every lane at 0; a context restored from a preemption
-    /// already carries its positions and is left untouched. Resizing clears
-    /// and refills in place, so a recycled context's cursor storage keeps
-    /// its capacity instead of reallocating.
-    pub fn ensure_lanes(&mut self, lanes: usize) {
-        if self.lane_cursors.len() != lanes {
-            self.lane_cursors.clear();
-            self.lane_cursors.resize(lanes, 0);
         }
     }
 }
@@ -123,10 +99,10 @@ struct PerCollective {
     /// Pending invocations in FIFO order; the front is the one currently
     /// being executed or next to execute.
     pending: VecDeque<DynamicContext>,
-    /// Cleared lane-cursor and pending-send storage recycled from the last
-    /// completed invocation: the next invocation of this collective refills
-    /// it instead of allocating (the shapes recur, so the capacity fits).
-    spare: Option<(Vec<u32>, PendingSends)>,
+    /// The cleared lane run of the last completed invocation: the next
+    /// invocation of this collective refills it instead of allocating (the
+    /// shapes recur, so the capacity fits).
+    spare: Option<LaneRun>,
     /// The recovery coordinator has quarantined this collective: checkouts
     /// return `None` (the daemon sees an empty queue and drops the task)
     /// until [`ContextStore::end_recovery`] reinstalls the rolled-back
@@ -169,20 +145,15 @@ impl ContextStore {
     }
 
     /// Queue a new invocation of `coll_id`. Returns the number of invocations
-    /// now pending for that collective (including this one). A fresh context
-    /// adopts the storage recycled from the collective's last completed
-    /// invocation, so steady-state invocations allocate no cursor or
-    /// staging-slot storage.
+    /// now pending for that collective (including this one). The new
+    /// (fresh) context adopts the lane run recycled from the collective's
+    /// last completed invocation, so steady-state invocations allocate no
+    /// cursor or staging-slot storage.
     pub fn enqueue_invocation(&self, coll_id: u64, mut ctx: DynamicContext) -> usize {
         let mut map = self.per_coll.lock();
         let entry = map.entry(coll_id).or_default();
-        if let Some((cursors, pending_sends)) = entry.spare.take() {
-            if ctx.lane_cursors.capacity() == 0 {
-                ctx.lane_cursors = cursors;
-            }
-            if ctx.pending_sends.is_empty() {
-                ctx.pending_sends = pending_sends;
-            }
+        if let Some(run) = entry.spare.take() {
+            ctx.run = run;
         }
         entry.pending.push_back(ctx);
         entry.pending.len()
@@ -236,13 +207,11 @@ impl ContextStore {
         saved
     }
 
-    /// Recycle a completed invocation's context: clear its lane-cursor and
-    /// pending-send storage (capacity retained) and stash it for the next
-    /// invocation of `coll_id` to adopt in
-    /// [`ContextStore::enqueue_invocation`].
+    /// Recycle a completed invocation's context: clear its lane run
+    /// (capacity retained) and stash it for the next invocation of `coll_id`
+    /// to adopt in [`ContextStore::enqueue_invocation`].
     pub fn recycle(&self, coll_id: u64, mut ctx: DynamicContext) {
-        ctx.lane_cursors.clear();
-        ctx.pending_sends.clear();
+        ctx.run.clear();
         let mut map = self.per_coll.lock();
         let entry = map.entry(coll_id).or_default();
         entry.in_slice = false;
@@ -251,7 +220,7 @@ impl ContextStore {
             entry.last_completed =
                 Some((ctx.run_seq, ctx.send.clone(), ctx.recv.clone(), ctx.graph));
         }
-        entry.spare = Some((ctx.lane_cursors, ctx.pending_sends));
+        entry.spare = Some(ctx.run);
     }
 
     /// Whether more invocations are pending for `coll_id`.
@@ -389,64 +358,24 @@ mod tests {
         s.enqueue_invocation(1, ctx(0));
         s.enqueue_invocation(1, ctx(1));
         let (mut c, _) = s.checkout_current(1).unwrap();
-        c.next_step = 5;
         c.progressed_since_save = true;
         assert!(s.checkin_incomplete(1, c));
         let (c, _) = s.checkout_current(1).unwrap();
         assert_eq!(c.run_seq, 0, "preempted invocation stays in front");
-        assert_eq!(c.next_step, 5);
+        assert!(c.preempted);
         assert!(!c.progressed_since_save, "flag reset after save");
     }
 
     #[test]
-    fn lane_cursors_survive_checkin_and_resize_only_when_stale() {
+    fn the_next_invocation_adopts_the_recycled_lane_run() {
         let s = store();
         s.enqueue_invocation(1, ctx(0));
-        let (mut c, _) = s.checkout_current(1).unwrap();
-        c.ensure_lanes(3);
-        assert_eq!(c.lane_cursors, vec![0, 0, 0]);
-        c.lane_cursors = vec![2, 0, 5];
-        c.progressed_since_save = true;
-        s.checkin_incomplete(1, c);
-        let (mut c, _) = s.checkout_current(1).unwrap();
-        assert_eq!(c.lane_cursors, vec![2, 0, 5], "cursors restored verbatim");
-        // Re-ensuring the same lane count must not reset progress.
-        c.ensure_lanes(3);
-        assert_eq!(c.lane_cursors, vec![2, 0, 5]);
-        // A different program shape resizes from scratch.
-        c.ensure_lanes(2);
-        assert_eq!(c.lane_cursors, vec![0, 0]);
-    }
-
-    #[test]
-    fn ensure_lanes_resizes_in_place_without_losing_capacity() {
-        let mut c = ctx(0);
-        c.ensure_lanes(8);
-        let cap = c.lane_cursors.capacity();
-        c.lane_cursors[5] = 7;
-        c.ensure_lanes(2);
-        assert_eq!(c.lane_cursors, vec![0, 0], "stale cursors reset");
-        assert!(c.lane_cursors.capacity() >= cap, "capacity retained");
-        c.ensure_lanes(8);
-        assert_eq!(c.lane_cursors, vec![0; 8], "refill starts lanes at zero");
-    }
-
-    #[test]
-    fn recycled_storage_is_adopted_by_the_next_invocation() {
-        let s = store();
-        s.enqueue_invocation(1, ctx(0));
-        let (mut c, _) = s.checkout_current(1).unwrap();
-        c.ensure_lanes(3);
-        let cap = c.lane_cursors.capacity();
-        assert!(cap >= 3);
+        let (c, _) = s.checkout_current(1).unwrap();
         s.recycle(1, c);
+        let spare = |s: &ContextStore| s.per_coll.lock()[&1].spare.is_some();
+        assert!(spare(&s), "a completed invocation leaves its run behind");
         s.enqueue_invocation(1, ctx(1));
-        let (mut c, _) = s.checkout_current(1).unwrap();
-        assert!(c.lane_cursors.is_empty(), "adopted storage arrives cleared");
-        assert_eq!(c.lane_cursors.capacity(), cap, "allocation reused");
-        c.ensure_lanes(3);
-        assert_eq!(c.lane_cursors, vec![0, 0, 0]);
-        assert!(c.pending_sends.is_empty());
+        assert!(!spare(&s), "the next invocation took it");
     }
 
     #[test]

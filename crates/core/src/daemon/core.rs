@@ -38,10 +38,10 @@ pub enum BlockedOn {
 /// Outcome of one [`DaemonCore::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Progress {
-    /// The step moved work: primitives executed or chunks put on the wire by
-    /// a lane pass, SQEs admitted by a between-passes step. `Advanced(0)`
-    /// still means "not idle" (a slice closed, or the pass just ended had
-    /// advanced).
+    /// The step moved work: primitives executed by a lane pass, SQEs
+    /// admitted by a between-passes step. `Advanced(0)` still means "not
+    /// idle" (a lane pass only put staged chunks on the wire, a slice
+    /// closed, or the pass just ended had advanced).
     Advanced(usize),
     /// The step could not move; see [`BlockedOn`].
     Blocked(BlockedOn),

@@ -41,9 +41,10 @@
 //!   lanes ([`crate::task_queue::TenantScheduler`]),
 //!   FIFO/priority within a tenant;
 //! * **execute** (`slice.rs`) — *two-phase blocking*: a scheduled collective
-//!   polls its connector conditions lane pass by lane pass and, once its
-//!   spin threshold of consecutive fruitless passes is spent, is deemed
-//!   stuck and preempted (dynamic context saved, next collective scheduled);
+//!   makes one `LaneRun::pass` (the NCCL-like baseline's pass) per step and,
+//!   once its spin threshold of consecutive fruitless passes is spent, is
+//!   deemed stuck and preempted (dynamic context saved, next collective
+//!   scheduled);
 //! * **complete** (`complete.rs`) — accounting, then batched CQE publication
 //!   (the queue-claim atomics and, on the ring variants, the fence are paid
 //!   once per batch).

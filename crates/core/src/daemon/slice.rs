@@ -1,14 +1,17 @@
 //! The **execute** stage: a *slice* is the time one collective holds the
 //! core between being scheduled and completing, failing or being preempted.
-//! [`DaemonCore::open_slice`] checks the collective's dynamic context out,
-//! every [`DaemonCore::lane_pass`] polls each lane of its compiled program
-//! once, and the slice is closed by completion, failure or — two-phase
-//! blocking — the spin threshold's worth of consecutive fruitless passes.
+//! [`DaemonCore::open_slice`] checks the collective's dynamic context out and
+//! every [`DaemonCore::lane_pass`] makes one pass of its lane run — the same
+//! [`LaneRun::pass`](dfccl_collectives::LaneRun::pass) the NCCL-like
+//! baseline's kernel makes. What is DFCCL's own is the bookkeeping around it:
+//! the adaptive spin threshold, the lazy-saving flag and two-phase blocking,
+//! which closes the slice after the threshold's worth of consecutive
+//! fruitless passes.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use dfccl_collectives::{execute_ready_instr, flush_pending_compiled, instr_ready, StepOutcome};
+use dfccl_collectives::LanePass;
 
 use super::core::{BlockedOn, DaemonCore, Progress};
 use super::RegisteredCollective;
@@ -23,11 +26,11 @@ pub(super) struct Slice {
     ctx: DynamicContext,
     /// Spin threshold after adaptive raises; persisted in the task queue on
     /// close for the collective's next slice.
-    threshold: u64,
+    pub(super) threshold: u64,
     /// Consecutive fruitless lane passes.
     polls: u64,
-    /// `ctx.next_step` at open, for the slice's one `ChunkMoved` event.
-    steps_before: usize,
+    /// Primitives completed in this slice, for its one `ChunkMoved` event.
+    primitives: u64,
 }
 
 impl DaemonCore {
@@ -46,7 +49,7 @@ impl DaemonCore {
             return;
         };
         let prep_start = Instant::now();
-        let Some((mut ctx, load)) = shared.contexts.checkout_current(coll_id) else {
+        let Some((ctx, load)) = shared.contexts.checkout_current(coll_id) else {
             self.scheduler.remove(coll_id);
             return;
         };
@@ -59,108 +62,74 @@ impl DaemonCore {
                 .telemetry
                 .record(coll_id, reg.tenant, TelemetryEventKind::Resume);
         }
-        ctx.ensure_lanes(reg.program.lane_count());
         let threshold = self
             .scheduler
             .entry_mut(coll_id)
             .map(|e| e.spin_threshold)
             .unwrap_or_else(|| shared.config.spin.initial_threshold(0));
         self.slice = Some(Slice {
-            steps_before: ctx.next_step,
             reg,
             ctx,
             threshold,
             polls: 0,
+            primitives: 0,
         });
     }
 
-    /// One pass over the open slice's lanes: poll each lane's head
-    /// instruction once (pure index dispatch into the bound connector table
-    /// — no map lookups) and execute the ready ones, so a stalled channel
-    /// never head-of-line-blocks a ready one. With `K = 1` lanes this is
-    /// per-primitive polling; the `threshold`-th consecutive fruitless pass
-    /// preempts the collective (its context saved, the next one scheduled).
+    /// One pass of the open slice's lane run: each lane's head instruction
+    /// is polled once and run if ready, so a stalled channel never
+    /// head-of-line-blocks a ready one. Each completed primitive raises the
+    /// spin threshold; the `threshold`-th consecutive pass that neither ran
+    /// a primitive nor put a staged chunk on the wire preempts the
+    /// collective (its context saved, the next one scheduled).
     pub(super) fn lane_pass(&mut self) -> Progress {
         let slice = self.slice.as_mut().expect("lane pass needs an open slice");
         let (reg, ctx) = (&*slice.reg, &mut slice.ctx);
-        let program = reg.program.as_ref();
-        let mut advanced = 0;
-        let mut remaining = false;
-        let mut failed = None;
-        for (li, lane) in program.lanes().iter().enumerate() {
-            let cur = ctx.lane_cursors[li] as usize;
-            if cur >= lane.len() {
-                continue;
-            }
-            remaining = true;
-            let idx = lane.instr_ids()[cur];
-            // Phase barrier first (cross-phase local-buffer dependencies may
-            // cross lanes), then the connector conditions.
-            if !program.instr_eligible(idx, &ctx.lane_cursors)
-                || !instr_ready(program, idx, &reg.table, &ctx.pending_sends)
-            {
-                continue;
-            }
-            let staged_before = ctx.pending_sends.len();
-            let exec_start = Instant::now();
-            match execute_ready_instr(
-                reg.coll_id,
-                program,
-                idx,
-                &reg.table,
-                reg.desc.op,
-                &ctx.send,
-                &ctx.recv,
-                &mut ctx.pending_sends,
-            ) {
-                Ok(StepOutcome::Completed) => {
-                    self.shared.telemetry.record_primitive(exec_start.elapsed());
-                    ctx.lane_cursors[li] += 1;
-                    ctx.next_step += 1;
+        let start = Instant::now();
+        let pass = ctx.run.pass(
+            reg.coll_id,
+            &reg.program,
+            &reg.table,
+            reg.desc.op,
+            &ctx.send,
+            &ctx.recv,
+        );
+        match pass {
+            Ok(LanePass::Moved(ran)) => {
+                if ran > 0 {
+                    let shared = &self.shared;
+                    shared
+                        .telemetry
+                        .record_primitives(start.elapsed(), ran as u64);
                     ctx.progressed_since_save = true;
-                    advanced += 1;
-                    // Adaptive stickiness: a successful primitive raises the
-                    // threshold of its successors (decentralized dynamic
+                    slice.primitives += ran as u64;
+                    // Adaptive stickiness: each successful primitive raises
+                    // the threshold of its successors (decentralized dynamic
                     // gang-scheduling).
-                    slice.threshold = self.shared.config.spin.on_success(slice.threshold);
+                    for _ in 0..ran {
+                        slice.threshold = shared.config.spin.on_success(slice.threshold);
+                    }
                 }
-                // The executor may still have flushed staged chunks on other
-                // channels — published data is progress.
-                Ok(StepOutcome::NotReady) => {
-                    advanced += usize::from(ctx.pending_sends.len() < staged_before);
+                slice.polls = 0;
+                self.pass_active = true;
+                Progress::Advanced(ran)
+            }
+            Ok(LanePass::Stuck) => {
+                slice.polls += 1;
+                if slice.polls >= slice.threshold {
+                    self.preempt_slice();
                 }
-                Err(e) => {
-                    failed = Some(e.to_string());
-                    break;
-                }
+                Progress::Blocked(BlockedOn::Connectors)
+            }
+            Ok(LanePass::Done) => {
+                self.finish_slice(None);
+                Progress::Advanced(0)
+            }
+            Err(e) => {
+                self.finish_slice(Some(e.to_string()));
+                Progress::Advanced(0)
             }
         }
-        if !remaining {
-            // Every lane is done; the collective completes once the staged
-            // chunks (at most one per channel) are on the wire.
-            let staged_before = ctx.pending_sends.len();
-            match flush_pending_compiled(program, &reg.table, &mut ctx.pending_sends) {
-                Ok(true) => {
-                    self.finish_slice(None);
-                    return Progress::Advanced(advanced + 1);
-                }
-                Ok(false) => advanced += usize::from(ctx.pending_sends.len() < staged_before),
-                Err(e) => failed = Some(e.to_string()),
-            }
-        }
-        if failed.is_some() {
-            self.finish_slice(failed);
-        } else if advanced > 0 {
-            slice.polls = 0;
-            self.pass_active = true;
-        } else {
-            slice.polls += 1;
-            if slice.polls >= slice.threshold {
-                self.preempt_slice();
-            }
-            return Progress::Blocked(BlockedOn::Connectors);
-        }
-        Progress::Advanced(advanced)
     }
 
     /// Take the open slice off the core, emitting its one `ChunkMoved` event
@@ -169,11 +138,9 @@ impl DaemonCore {
     fn take_slice(&mut self) -> (Arc<RegisteredCollective>, DynamicContext) {
         let slice = self.slice.take().expect("no open slice");
         let (coll_id, tenant) = (slice.reg.coll_id, slice.reg.tenant);
-        let moved = (slice.ctx.next_step - slice.steps_before) as u64;
-        if moved > 0 {
-            self.shared
-                .telemetry
-                .record(coll_id, tenant, TelemetryEventKind::ChunkMoved(moved));
+        if slice.primitives > 0 {
+            let moved = TelemetryEventKind::ChunkMoved(slice.primitives);
+            self.shared.telemetry.record(coll_id, tenant, moved);
         }
         if let Some(entry) = self.scheduler.entry_mut(coll_id) {
             entry.spin_threshold = slice.threshold;
@@ -203,8 +170,8 @@ impl DaemonCore {
             if !ctx.silent_replay {
                 self.finish_invocation(coll_id, reg.tenant, ctx.graph, None);
             }
-            // The invocation is done with its context: recycle the
-            // cursor/staging storage for the collective's next one.
+            // The invocation is done with its context: recycle its lane run
+            // for the collective's next one.
             self.shared.contexts.recycle(coll_id, ctx);
         }
         if !self.shared.contexts.has_pending(coll_id) {

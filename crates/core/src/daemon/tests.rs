@@ -7,13 +7,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
+use dfccl_collectives::{AlgorithmKind, DataType, DeviceBuffer, ReduceOp};
+use dfccl_transport::{LinkModel, Topology};
 use gpu_sim::{GpuDevice, GpuId, GpuSpec};
 
 use super::*;
 use crate::api::{DfcclDomain, RankCtx};
 use crate::callback::CompletionHandle;
-use crate::config::CqVariant;
+use crate::config::{CqVariant, SpinPolicy};
 use crate::cq::{build_cq, Cqe};
 use crate::sq::Sqe;
 
@@ -256,6 +257,145 @@ fn registry_cache_sees_collectives_registered_after_daemon_start() {
     }
     assert!(ranks[0].collective_errors().is_empty());
     drop(cores);
+}
+
+/// A 3-GPU domain under `config` (1-slot connectors, 1-element chunks) whose
+/// ranks registered collective 1, a ring broadcast of `count` floats from
+/// rank 0 over `channels` channels. The test thread holds every core; each
+/// has admitted its rank's invocation and has not opened a slice yet.
+fn held_broadcast(
+    config: DfcclConfig,
+    count: usize,
+    channels: usize,
+) -> (
+    Vec<RankCtx>,
+    Vec<DaemonCore>,
+    Vec<(CompletionHandle, DeviceBuffer)>,
+) {
+    let config = DfcclConfig {
+        connector_capacity: 1,
+        chunk_elems: 1,
+        ..config
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(3),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let devices: Vec<GpuId> = (0..3).map(GpuId).collect();
+    let input: Vec<f32> = (0..count).map(|i| i as f32 + 1.0).collect();
+    let (mut ranks, mut cores, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+    for g in 0..3 {
+        let rank = domain.init_rank(GpuId(g)).unwrap();
+        let desc = CollectiveDescriptor::broadcast(count, DataType::F32, 0, devices.clone())
+            .with_algorithm(AlgorithmKind::Ring)
+            .with_channels(channels);
+        rank.register(1, desc).unwrap();
+        let mut core = rank.shared_state().try_claim().unwrap();
+        let out = DeviceBuffer::zeroed(count * 4);
+        let send = DeviceBuffer::from_f32(&input);
+        runs.push((rank.run_awaitable(1, send, out.clone()).unwrap(), out));
+        assert_eq!(core.poll(), Progress::Advanced(1), "rank {g} admits");
+        ranks.push(rank);
+        cores.push(core);
+    }
+    (ranks, cores, runs)
+}
+
+/// Poll every held core until the broadcast is done everywhere, then check
+/// each rank received `1..=count`.
+fn finish_broadcast(
+    ranks: &[RankCtx],
+    mut cores: Vec<DaemonCore>,
+    runs: Vec<(CompletionHandle, DeviceBuffer)>,
+) {
+    let owed = || ranks.iter().any(|r| r.shared_state().outstanding() > 0);
+    for _ in 0..10_000 {
+        if !owed() {
+            break;
+        }
+        cores.iter_mut().for_each(|c| {
+            c.poll();
+        });
+    }
+    drop(cores);
+    for (g, (handle, out)) in runs.into_iter().enumerate() {
+        assert!(
+            handle.wait_for_timeout(1, Duration::from_secs(10)),
+            "rank {g}"
+        );
+        let expected: Vec<f32> = (0..out.len() / 4).map(|i| i as f32 + 1.0).collect();
+        assert_eq!(out.to_f32_vec(), expected, "rank {g}");
+    }
+    assert!(ranks.iter().all(|r| r.collective_errors().is_empty()));
+}
+
+#[test]
+fn each_primitive_of_a_pass_raises_the_adaptive_threshold_once() {
+    // Rank 0 is the root: each of its 3 lanes copies, then sends, a chunk
+    // per pass.
+    let spin = SpinPolicy::Adaptive {
+        front_threshold: 2,
+        min_threshold: 1,
+        success_multiplier: 3,
+        max_threshold: 100,
+    };
+    let config = DfcclConfig {
+        spin,
+        ..DfcclConfig::for_testing()
+    };
+    let (ranks, mut cores, runs) = held_broadcast(config, 6, 3);
+    let threshold = |core: &DaemonCore| core.slice.as_ref().unwrap().threshold;
+    assert_eq!(cores[0].poll(), Progress::Advanced(3));
+    assert_eq!(threshold(&cores[0]), 2 * 3 * 3 * 3, "three raises, not one");
+    assert_eq!(cores[0].poll(), Progress::Advanced(3));
+    assert_eq!(
+        threshold(&cores[0]),
+        100,
+        "raises saturate at max_threshold"
+    );
+    assert_eq!(ranks[0].stats().primitives_executed, 6, "one per primitive");
+    finish_broadcast(&ranks, cores, runs);
+}
+
+#[test]
+fn a_pass_that_only_flushes_a_staged_chunk_does_not_count_toward_preemption() {
+    // Rank 1 forwards the root's chunks to rank 2 over 1-slot connectors.
+    let config = DfcclConfig {
+        spin: SpinPolicy::Fixed { threshold: 2 },
+        ..DfcclConfig::for_testing()
+    };
+    let (ranks, mut cores, runs) = held_broadcast(config, 3, 1);
+    let preemptions = |r: &RankCtx| r.stats().preemptions;
+    // The root copies each chunk into its own recv buffer, then sends it.
+    assert_eq!(cores[0].poll(), Progress::Advanced(1));
+    assert_eq!(cores[0].poll(), Progress::Advanced(1), "root sends chunk 0");
+    assert_eq!(cores[1].poll(), Progress::Advanced(1), "chunk 0 forwarded");
+    assert_eq!(cores[0].poll(), Progress::Advanced(1));
+    assert_eq!(cores[0].poll(), Progress::Advanced(1), "root sends chunk 1");
+    assert_eq!(cores[1].poll(), Progress::Advanced(1), "chunk 1 staged");
+    assert_eq!(cores[1].poll(), Progress::Blocked(BlockedOn::Connectors));
+    assert_eq!(
+        cores[2].poll(),
+        Progress::Advanced(1),
+        "rank 2 takes chunk 0"
+    );
+    // The staged chunk leaves; chunk 2 has not arrived: a flush-only pass.
+    assert_eq!(cores[1].poll(), Progress::Advanced(0));
+    assert_eq!(cores[1].poll(), Progress::Blocked(BlockedOn::Connectors));
+    assert!(
+        cores[1].slice.is_some(),
+        "the flush reset the fruitless count"
+    );
+    assert_eq!(preemptions(&ranks[1]), 0);
+    assert_eq!(cores[1].poll(), Progress::Blocked(BlockedOn::Connectors));
+    assert!(
+        cores[1].slice.is_none(),
+        "the second fruitless pass in a row preempts"
+    );
+    assert_eq!(preemptions(&ranks[1]), 1);
+    finish_broadcast(&ranks, cores, runs);
 }
 
 // ---- the carrier, threaded -----------------------------------------------

@@ -229,24 +229,16 @@ impl From<DfcclError> for RecoveryError {
 /// Drives stall recovery for a set of rank contexts of one domain.
 pub struct RecoveryCoordinator {
     policy: RetryPolicy,
-    /// How long to wait for an in-flight execution slice to check its
-    /// context back in before declaring the collective unquiesceable.
-    quiesce_deadline: Duration,
 }
+
+/// How long recovery waits for an in-flight execution slice to check its
+/// context back in before declaring the collective unquiesceable.
+const QUIESCE_DEADLINE: Duration = Duration::from_secs(2);
 
 impl RecoveryCoordinator {
     /// A coordinator with the given retry policy.
     pub fn new(policy: RetryPolicy) -> Self {
-        RecoveryCoordinator {
-            policy,
-            quiesce_deadline: Duration::from_secs(2),
-        }
-    }
-
-    /// Override the quiesce deadline (tests shorten it).
-    pub fn with_quiesce_deadline(mut self, deadline: Duration) -> Self {
-        self.quiesce_deadline = deadline;
-        self
+        RecoveryCoordinator { policy }
     }
 
     /// The retry policy in effect.
@@ -339,7 +331,7 @@ impl RecoveryCoordinator {
                 drained.insert((r, coll), shared.contexts.begin_recovery(coll));
             }
         }
-        let quiesce_end = Instant::now() + self.quiesce_deadline;
+        let quiesce_end = Instant::now() + QUIESCE_DEADLINE;
         for (&(r, coll), bucket) in drained.iter_mut() {
             let shared = ranks[r].shared_state();
             while shared.contexts.in_slice(coll) {

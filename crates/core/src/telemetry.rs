@@ -463,9 +463,10 @@ impl Telemetry {
         self.cqe_write_time.record(d, n);
     }
 
-    /// Record the execution of one primitive.
-    pub fn record_primitive(&self, d: Duration) {
-        self.primitive_exec_time.record(d, 1);
+    /// Record that a lane pass which completed `n` primitives took `d` (the
+    /// mean is per primitive).
+    pub fn record_primitives(&self, d: Duration, n: u64) {
+        self.primitive_exec_time.record(d, n);
     }
 
     /// Count a recovery pass starting on a collective of this rank.
@@ -769,8 +770,8 @@ mod tests {
             t.record_context_save(saved);
         }
         t.record(4, T0, TelemetryEventKind::Complete);
-        t.record_primitive(Duration::from_micros(10));
-        t.record_primitive(Duration::from_micros(20));
+        t.record_primitives(Duration::from_micros(30), 2);
+        t.record_primitives(Duration::from_micros(5), 0); // no-op
         let s = t.daemon_stats();
         assert_eq!((s.preemptions, s.context_switches), (3, 3));
         assert_eq!((s.context_saves, s.lazy_save_skips), (2, 1));

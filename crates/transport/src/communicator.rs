@@ -402,9 +402,9 @@ impl Communicator {
     }
 }
 
-/// The communicator pool, transparent to the API user: every allocation is a
-/// fresh mesh (a collective never shares connectors with another), wired to
-/// the pool-wide fault injector and link-health map.
+/// The communicator pool, transparent to the API user: each collective id
+/// gets a fresh mesh (a collective never shares connectors with another),
+/// wired to the pool-wide fault injector and link-health map.
 pub struct CommunicatorPool {
     topology: Arc<Topology>,
     link_model: Arc<LinkModel>,
@@ -416,6 +416,8 @@ pub struct CommunicatorPool {
     /// creates. Inert until a recovery pass quarantines an edge.
     health: Arc<LinkHealth>,
     next_id: AtomicU64,
+    /// The communicator of every collective id handed out so far.
+    by_coll: Mutex<HashMap<u64, Arc<Communicator>>>,
 }
 
 impl CommunicatorPool {
@@ -433,6 +435,7 @@ impl CommunicatorPool {
             injector: FaultInjector::new(0),
             health: LinkHealth::new(),
             next_id: AtomicU64::new(0),
+            by_coll: Mutex::new(HashMap::new()),
         })
     }
 
@@ -468,11 +471,26 @@ impl CommunicatorPool {
         &self.health
     }
 
-    /// Allocate a mesh communicator for `devices`. Edges materialise as
+    /// The communicator of collective `coll_id` over `devices`: a fresh
+    /// mesh for the first rank to ask, the same one for every later rank.
+    /// Every rank must pass the same ordered device set, since a rank's
+    /// position in it is its rank in the mesh; a different set is refused
+    /// with [`TransportError::DeviceSetMismatch`]. Edges materialise as
     /// plans request them.
-    pub fn allocate(&self, devices: &[GpuId]) -> Result<Arc<Communicator>, TransportError> {
+    pub fn communicator_for(
+        &self,
+        coll_id: u64,
+        devices: &[GpuId],
+    ) -> Result<Arc<Communicator>, TransportError> {
+        let mut comms = self.by_coll.lock();
+        if let Some(existing) = comms.get(&coll_id) {
+            if existing.devices() != devices {
+                return Err(TransportError::DeviceSetMismatch(coll_id));
+            }
+            return Ok(Arc::clone(existing));
+        }
         let id = CommunicatorId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        Communicator::with_links(
+        let comm = Communicator::with_links(
             id,
             devices.to_vec(),
             &self.topology,
@@ -480,7 +498,32 @@ impl CommunicatorPool {
             self.connector_capacity,
             Arc::clone(&self.injector),
             Arc::clone(&self.health),
-        )
+        )?;
+        comms.insert(coll_id, Arc::clone(&comm));
+        Ok(comm)
+    }
+
+    /// Forget the communicator of every collective whose device set
+    /// includes `gpu`; a later registration allocates a fresh one.
+    pub fn forget_device(&self, gpu: GpuId) {
+        self.by_coll
+            .lock()
+            .retain(|_, comm| !comm.devices().contains(&gpu));
+    }
+
+    /// Per-edge progress samples of every collective's communicator, each
+    /// stamped with its collective id and sorted by `(coll_id, edge)`: the
+    /// probe the stall watchdogs classify.
+    pub fn edge_samples(&self) -> Vec<EdgeSample> {
+        let mut samples = Vec::new();
+        for (&coll_id, comm) in self.by_coll.lock().iter() {
+            for mut s in comm.edge_samples() {
+                s.coll_id = Some(coll_id);
+                samples.push(s);
+            }
+        }
+        samples.sort_by_key(|s| (s.coll_id, s.edge));
+        samples
     }
 }
 
@@ -685,12 +728,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_creates_distinct_communicators_for_concurrent_requests() {
+    fn pool_gives_each_collective_its_own_communicator_over_one_device_set() {
         let pool = CommunicatorPool::for_testing(4);
         let devices = gpus(&[0, 1, 2, 3]);
-        let c1 = pool.allocate(&devices).unwrap();
-        let c2 = pool.allocate(&devices).unwrap();
+        let c1 = pool.communicator_for(1, &devices).unwrap();
+        let c2 = pool.communicator_for(2, &devices).unwrap();
         assert_ne!(c1.id(), c2.id());
+        let again = pool.communicator_for(1, &devices).unwrap();
+        assert!(Arc::ptr_eq(&c1, &again), "later ranks share the mesh");
+        assert_eq!(
+            pool.communicator_for(1, &gpus(&[1, 0, 2, 3])).unwrap_err(),
+            TransportError::DeviceSetMismatch(1)
+        );
+        c1.connector_between(0, 1).unwrap();
+        let stamped: Vec<_> = pool.edge_samples().iter().map(|s| s.coll_id).collect();
+        assert_eq!(stamped, [Some(1)]);
+        pool.forget_device(GpuId(3));
+        assert!(pool.edge_samples().is_empty());
+        let fresh = pool.communicator_for(1, &gpus(&[1, 0])).unwrap();
+        assert_ne!(fresh.id(), c1.id());
     }
 
     #[test]
@@ -698,7 +754,7 @@ mod tests {
         use crate::fault::{FaultSpec, StallKind};
 
         let pool = CommunicatorPool::for_testing(4);
-        let comm = pool.allocate(&gpus(&[0, 1, 2, 3])).unwrap();
+        let comm = pool.communicator_for(0, &gpus(&[0, 1, 2, 3])).unwrap();
         let conn = comm.connector_between(1, 2).unwrap();
         let edge = conn.edge().unwrap();
         assert_eq!(edge.src, GpuId(1));
@@ -734,7 +790,7 @@ mod tests {
         use crate::fault::FaultSpec;
 
         let pool = CommunicatorPool::for_testing(2);
-        let comm = pool.allocate(&gpus(&[0, 1])).unwrap();
+        let comm = pool.communicator_for(0, &gpus(&[0, 1])).unwrap();
         let conn = comm.connector_between(0, 1).unwrap();
         let edge = conn.edge().unwrap();
         // Kill the physical lane and quarantine it, as recovery would.

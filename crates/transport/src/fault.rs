@@ -385,13 +385,6 @@ pub enum SuperviseOutcome {
     Stalled(StallReport),
 }
 
-impl SuperviseOutcome {
-    /// Whether a stall was detected.
-    pub fn is_stalled(&self) -> bool {
-        matches!(self, SuperviseOutcome::Stalled(_))
-    }
-}
-
 /// Compare the edge samples at the start of the stall window against the
 /// current ones and produce a [`StallReport`].
 ///

@@ -60,6 +60,9 @@ pub enum TransportError {
         /// The channel of the missing edge.
         channel: communicator::ChannelId,
     },
+    /// Two ranks asked for the communicator of one collective id with
+    /// different device sets.
+    DeviceSetMismatch(u64),
 }
 
 impl std::fmt::Display for TransportError {
@@ -82,6 +85,12 @@ impl std::fmt::Display for TransportError {
                 write!(
                     f,
                     "channels were not built for the edge to rank {peer} on {channel}"
+                )
+            }
+            TransportError::DeviceSetMismatch(id) => {
+                write!(
+                    f,
+                    "collective {id} was registered with a different device set elsewhere"
                 )
             }
         }

@@ -189,11 +189,11 @@ pub fn run_compiled_bytes(
             // One thread per rank, each making lane passes until its program
             // is done, yielding after a stuck pass so its peers' threads run.
             std::thread::spawn(move || {
-                let mut run = LaneRun::new(&program);
+                let mut run = LaneRun::default();
                 loop {
                     match run.pass(7, &program, &table, op, &send, &recv).unwrap() {
                         LanePass::Done => break,
-                        LanePass::Moved => {}
+                        LanePass::Moved(_) => {}
                         LanePass::Stuck => std::thread::yield_now(),
                     }
                     assert!(

@@ -13,11 +13,11 @@ use common::{
     descriptor_for, family_matrix, gpus, inputs_for, plans_for, run_compiled, run_reference,
 };
 use dfccl_collectives::{
-    algorithm, execute_ready_instr, instr_ready, AlgorithmKind, CollectiveDescriptor,
-    CollectiveKind, CompiledProgram, DataType, DeviceBuffer, PendingSends, ReduceOp, StepOutcome,
+    algorithm, AlgorithmKind, CollectiveDescriptor, CollectiveKind, CompiledProgram, DataType,
+    DeviceBuffer, LanePass, LaneRun, ReduceOp,
 };
 use dfccl_transport::{ChannelId, Communicator, CommunicatorId, LinkModel, Topology};
-use gpu_sim::GpuId;
+use gpu_sim::{EdgeWait, GpuId, WaitSide};
 
 #[test]
 fn compiled_execution_is_bit_identical_to_interpreted_for_every_family() {
@@ -56,11 +56,12 @@ fn compiled_execution_is_bit_identical_to_interpreted_for_every_family() {
 
 #[test]
 fn a_stalled_lane_never_blocks_ready_lanes() {
-    // Single-threaded lane scheduling: rank 0's striped sender program over
-    // 1-slot connectors, with the peer draining only channels 1 and 2. The
-    // channel-0 lane stalls after its first send fills the connector; the
-    // other lanes must drain to completion regardless — the head-of-line
-    // independence a single global step cursor cannot provide.
+    // Single-threaded lane passes, the loop both stacks run: rank 0's
+    // striped sender program over 1-slot connectors, with the peer draining
+    // only channels 1 and 2. The channel-0 lane stalls after its first send
+    // fills the connector; the other lanes must drain to completion
+    // regardless — the head-of-line independence a single global step
+    // cursor cannot provide.
     let n = 2;
     let count = 12; // chunk 1 × K=3 → 4 sends per lane
     let desc = descriptor_for(CollectiveKind::SendRecv, count, n);
@@ -89,27 +90,11 @@ fn a_stalled_lane_never_blocks_ready_lanes() {
 
     let send = DeviceBuffer::from_f32(&(0..count).map(|i| i as f32).collect::<Vec<_>>());
     let recv = DeviceBuffer::zeroed(4);
-    let mut pending = PendingSends::default();
-    let mut cursors = vec![0u32; program.lane_count()];
+    let mut run = LaneRun::default();
+    let mut drained = [0usize; 3];
+    let mut last = None;
     for _ in 0..100 {
-        for (li, lane) in program.lanes().iter().enumerate() {
-            let cur = cursors[li] as usize;
-            if cur >= lane.len() {
-                continue;
-            }
-            let idx = lane.instr_ids()[cur];
-            if !program.instr_eligible(idx, &cursors)
-                || !instr_ready(&program, idx, &table, &pending)
-            {
-                continue;
-            }
-            let out =
-                execute_ready_instr(7, &program, idx, &table, None, &send, &recv, &mut pending)
-                    .unwrap();
-            if out == StepOutcome::Completed {
-                cursors[li] += 1;
-            }
-        }
+        last = Some(run.pass(7, &program, &table, None, &send, &recv).unwrap());
         // The peer drains channels 1 and 2 only; channel 0 stays wedged.
         for c in [1u32, 2] {
             while channels1
@@ -117,23 +102,28 @@ fn a_stalled_lane_never_blocks_ready_lanes() {
                 .unwrap()
                 .try_recv()
                 .is_some()
-            {}
+            {
+                drained[c as usize] += 1;
+            }
         }
     }
-    for (li, lane) in program.lanes().iter().enumerate() {
-        match lane.channel() {
-            ChannelId(0) => assert_eq!(
-                cursors[li], 1,
-                "the stalled lane sits behind its full 1-slot connector"
-            ),
-            _ => assert_eq!(
-                cursors[li] as usize,
-                lane.len(),
-                "lane {} must drain despite the stalled channel-0 lane",
-                lane.channel()
-            ),
-        }
-    }
+    assert_eq!(last, Some(LanePass::Stuck), "the run cannot finish");
+    assert_eq!(
+        drained[1..],
+        [4, 4],
+        "lanes 1 and 2 must drain despite the stalled channel-0 lane"
+    );
+    let ch0 = channels1.recv_on(0, ChannelId(0)).unwrap();
+    assert_eq!(ch0.len(), 1, "the stalled lane sent its first chunk only");
+    assert_eq!(
+        run.waits(&program, &table, &desc.devices),
+        [EdgeWait {
+            peer: GpuId(1),
+            channel: 0,
+            side: WaitSide::Send,
+        }],
+        "only the channel-0 lane is left, behind its full 1-slot connector"
+    );
 }
 
 #[test]
