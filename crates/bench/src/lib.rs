@@ -32,7 +32,6 @@ pub fn modelled_completion_us(
         DEFAULT_CHUNK_ELEMS,
         topo,
         &LinkModel::table2_testbed(),
-        None,
     )
     .expect("a supported family builds an acyclic plan set");
     Some(ns / 1_000.0)

@@ -14,6 +14,9 @@
 //!
 //! Connector capacity is not modelled (plans are chunk-major, so the
 //! in-flight window is O(1) and capacity shifts all algorithms equally).
+//! Neither is link health: a quarantined `(src, dst, channel)` label is
+//! rerouted onto a spare lane of the same link by the communicator mesh, so
+//! a plan costs the same whichever labels are dead.
 //!
 //! ## Channels
 //!
@@ -39,9 +42,7 @@
 //! partials its intra lane reduced. Ring, tree and pairwise plans are one
 //! phase, so their lanes run fully free.
 
-use dfccl_transport::{
-    ChannelId, EdgeId, LinkHealth, LinkModel, LinkParams, Topology, TransportError,
-};
+use dfccl_transport::{ChannelId, LinkModel, LinkParams, Topology, TransportError};
 use gpu_sim::GpuId;
 
 use crate::collective::CollectiveDescriptor;
@@ -80,27 +81,8 @@ pub fn estimate_completion_ns(
     link: &LinkModel,
     dtype: DataType,
 ) -> Result<f64, CostError> {
-    estimate_completion_ns_with_health(plans, devices, topology, link, dtype, None)
-}
-
-/// [`estimate_completion_ns`] constrained by a link-health map: a send over a
-/// quarantined `(src, dst, channel)` edge can never complete, so its lane —
-/// and every lane waiting on it — stalls, and the estimate reports
-/// [`CostError::Stalled`] instead of a finite time. This is what lets the
-/// recovery layer *prove* a candidate re-plan avoids the dead edges before
-/// resubmitting it: a plan that estimates finite under the current health map
-/// touches no quarantined edge.
-pub fn estimate_completion_ns_with_health(
-    plans: &[Plan],
-    devices: &[GpuId],
-    topology: &Topology,
-    link: &LinkModel,
-    dtype: DataType,
-    health: Option<&LinkHealth>,
-) -> Result<f64, CostError> {
     let n = plans.len();
     let elem = dtype.size_bytes();
-    let health = health.filter(|h| !h.is_clean());
     let k = plans
         .iter()
         .flat_map(|p| &p.steps)
@@ -202,15 +184,6 @@ pub fn estimate_completion_ns_with_health(
                     }
                 }
                 if let Some(dst) = step.send_to {
-                    if health.is_some_and(|h| {
-                        h.is_dead(EdgeId {
-                            src: devices[r],
-                            dst: devices[dst],
-                            channel: step.channel,
-                        })
-                    }) {
-                        break; // the edge can never deliver: the lane stalls
-                    }
                     let pair = &mut params[r * n + dst];
                     let link_params = match *pair {
                         Some(p) => p,
@@ -249,8 +222,7 @@ pub fn estimate_completion_ns_with_health(
     }
 }
 
-/// One `(rank, channel)` lane of [`estimate_completion_ns_with_health`]'s
-/// walk.
+/// One `(rank, channel)` lane of [`estimate_completion_ns`]'s walk.
 struct Lane {
     rank: usize,
     channel: ChannelId,
@@ -262,8 +234,8 @@ struct Lane {
     clock: f64,
 }
 
-/// One rank's phase barrier in [`estimate_completion_ns_with_health`]'s
-/// walk: only steps of the open phase may run.
+/// One rank's phase barrier in [`estimate_completion_ns`]'s walk: only
+/// steps of the open phase may run.
 struct Gate {
     /// Index into `phase_of` of the rank's first step.
     first_step: usize,
@@ -280,20 +252,18 @@ struct Gate {
 
 /// Modelled completion time of `desc` under family `kind`: every member's
 /// plan, built at `chunk_elems` and the descriptor's channel count, walked
-/// under `link` and constrained by `health` as in
-/// [`estimate_completion_ns_with_health`]. This is the one quantity the
-/// selector minimises ([`crate::AlgorithmSelector::select`]) and the Fig. 8
-/// model columns print.
+/// under `link` as in [`estimate_completion_ns`]. This is the one quantity
+/// the selector minimises ([`crate::AlgorithmSelector::select`]) and the
+/// Fig. 8 model columns print.
 pub fn estimate_family_ns(
     desc: &CollectiveDescriptor,
     kind: AlgorithmKind,
     chunk_elems: usize,
     topology: &Topology,
     link: &LinkModel,
-    health: Option<&LinkHealth>,
 ) -> Result<f64, CostError> {
     let plans = member_plans(desc, kind, chunk_elems, topology).map_err(CostError::Collective)?;
-    estimate_completion_ns_with_health(&plans, &desc.devices, topology, link, desc.dtype, health)
+    estimate_completion_ns(&plans, &desc.devices, topology, link, desc.dtype)
 }
 
 /// Every member's plan of `desc` under family `kind`, in rank order, built
@@ -443,57 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_edges_stall_the_estimate_until_avoided() {
-        use dfccl_transport::LinkHealth;
-
-        let n = 4;
-        let topo = Topology::flat(n);
-        let link = LinkModel::table2_testbed();
-        let desc = CollectiveDescriptor::all_reduce(64, DataType::F32, ReduceOp::Sum, gpus(n));
-        let ring = plans_for(&desc, AlgorithmKind::Ring, &topo, 1024);
-        let health = LinkHealth::new();
-        // Clean health reproduces the unconstrained estimate bit for bit.
-        let base = estimate_completion_ns(&ring, &gpus(n), &topo, &link, DataType::F32).unwrap();
-        let clean = estimate_completion_ns_with_health(
-            &ring,
-            &gpus(n),
-            &topo,
-            &link,
-            DataType::F32,
-            Some(&health),
-        )
-        .unwrap();
-        assert_eq!(base, clean);
-        // Quarantine a ring edge: the ring schedule can no longer complete.
-        health.quarantine(EdgeId {
-            src: GpuId(1),
-            dst: GpuId(2),
-            channel: ChannelId(0),
-        });
-        let err = estimate_completion_ns_with_health(
-            &ring,
-            &gpus(n),
-            &topo,
-            &link,
-            DataType::F32,
-            Some(&health),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CostError::Stalled { .. }), "{err:?}");
-        // The tree family avoids the quarantined edge and stays finite.
-        let tree = plans_for(&desc, AlgorithmKind::DoubleBinaryTree, &topo, 1024);
-        estimate_completion_ns_with_health(
-            &tree,
-            &gpus(n),
-            &topo,
-            &link,
-            DataType::F32,
-            Some(&health),
-        )
-        .unwrap();
-    }
-
-    #[test]
     fn a_step_behind_a_phase_barrier_waits_for_the_earlier_phase() {
         // Rank 0 sends 16 elements to rank 1 on channel 0 and receives them
         // back on channel 1. Rank 1 receives them into its recv buffer on
@@ -555,7 +474,6 @@ mod tests {
             crate::DEFAULT_CHUNK_ELEMS,
             &topo,
             &LinkModel::table2_testbed(),
-            None,
         )
         .unwrap();
         let inter_busy = (2 << 20) as f64 / 5.5;

@@ -67,9 +67,7 @@ use crate::primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 use crate::redop::ReduceOp;
 use crate::selector::AlgorithmSelector;
 use crate::CollectiveError;
-use dfccl_transport::{
-    ChannelId, ConnectorTable, LinkHealth, RankChannels, Topology, TransportError,
-};
+use dfccl_transport::{ChannelId, ConnectorTable, RankChannels, Topology, TransportError};
 use gpu_sim::GpuId;
 
 /// A byte range in a local device buffer, pre-resolved from an element range
@@ -447,11 +445,6 @@ pub struct PlanKey {
     pub channels: Option<usize>,
     /// Chunk granularity the plans were built at.
     pub chunk_elems: usize,
-    /// The domain's [`dfccl_transport::LinkHealth`] generation the plans were
-    /// selected under. A quarantine or heal bumps the generation, so plans
-    /// chosen against a stale health view miss instead of riding a dead edge
-    /// (0 forever in a domain that never sees a failure).
-    pub health_epoch: u64,
 }
 
 /// A cached, validated plan together with its compiled program. Cloning is
@@ -462,9 +455,6 @@ pub struct CachedPlan {
     pub plan: Arc<Plan>,
     /// Its connector-free compiled program.
     pub program: Arc<CompiledProgram>,
-    /// Whether selection had to avoid a quarantined edge (family change or
-    /// mesh reroute) — surfaced as the `plans_degraded` telemetry counter.
-    pub degraded: bool,
 }
 
 /// Upper bound on distinct shapes a [`PlanCache`] retains. Far above the
@@ -481,14 +471,14 @@ pub const PLAN_CACHE_MAX_SHAPES: usize = 4096;
 /// shared `Arc`s without selecting, building, validating or lowering
 /// anything.
 ///
-/// Invalidation: a plan depends on its key, the domain's fixed topology, and
-/// the domain's link-health view — the latter enters the key as
-/// [`PlanKey::health_epoch`], so a quarantine or heal retires stale entries
-/// by construction (they miss and eventually evict). Elastic membership
-/// removes a device from the domain instead; that is the one event that
-/// *deletes* entries, via [`PlanCache::invalidate_device`]. A cache must not
-/// outlive or be shared across domains with different topologies. Size is
-/// bounded by [`PLAN_CACHE_MAX_SHAPES`].
+/// Invalidation: a plan depends on its key and the domain's fixed topology
+/// only. Link health is not part of it: a quarantined label is rerouted in
+/// the communicator mesh the plan binds to, so a plan stays valid across a
+/// quarantine, and members registering before and after one share it.
+/// Elastic membership removes a device from the domain instead; that is the
+/// one event that *deletes* entries, via [`PlanCache::invalidate_device`].
+/// A cache must not outlive or be shared across domains with different
+/// topologies. Size is bounded by [`PLAN_CACHE_MAX_SHAPES`].
 #[derive(Default)]
 pub struct PlanCache {
     /// Two-level map: ordered device set → [`PlanKey`] → every member's
@@ -515,7 +505,7 @@ impl PlanCache {
     }
 
     /// The cached plan+program for `desc` as registered by `rank`. The first
-    /// request of a shape selects under `health` and compiles every member's
+    /// request of a shape selects its family and compiles every member's
     /// plan; later requests, from any member, are hits.
     pub fn get_or_compile(
         &self,
@@ -524,7 +514,6 @@ impl PlanCache {
         rank: usize,
         chunk_elems: usize,
         topology: &Topology,
-        health: &LinkHealth,
     ) -> Result<CachedPlan, CollectiveError> {
         let key = PlanKey {
             kind: desc.kind,
@@ -535,7 +524,6 @@ impl PlanCache {
             algorithm: desc.algorithm,
             channels: desc.channels,
             chunk_elems,
-            health_epoch: health.generation(),
         };
         {
             let shapes = self.shapes.lock();
@@ -552,7 +540,7 @@ impl PlanCache {
         // Select and build outside the lock: concurrent first registrations
         // of one shape may build twice, but registration never blocks behind
         // another shape's plan construction. Last insert wins.
-        let (kind, degraded) = selector.select_at_chunk(desc, chunk_elems, topology, Some(health));
+        let kind = selector.select_at_chunk(desc, chunk_elems, topology);
         let n = desc.num_ranks();
         let members = member_plans(desc, kind, chunk_elems, topology)?
             .into_iter()
@@ -562,7 +550,6 @@ impl PlanCache {
                 Ok(CachedPlan {
                     program: Arc::new(CompiledProgram::compile(&plan, desc.dtype)),
                     plan: Arc::new(plan),
-                    degraded,
                 })
             })
             .collect::<Result<Arc<[CachedPlan]>, CollectiveError>>()?;
@@ -768,14 +755,12 @@ mod tests {
         let cache = PlanCache::new();
         let topo = Topology::flat(4);
         let sel = AlgorithmSelector::default();
-        let health = LinkHealth::new();
         let a = cache
-            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 0, 1024, &topo, &health)
+            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 0, 1024, &topo)
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        assert!(!a.degraded);
         let b = cache
-            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 0, 1024, &topo, &health)
+            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 0, 1024, &topo)
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(&a.plan, &b.plan), "hits share the plan");
@@ -786,14 +771,14 @@ mod tests {
         // Another member of the same shape is a hit: the first request
         // compiled every member's plan, all of one family.
         let peer = cache
-            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 1, 1024, &topo, &health)
+            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 1, 1024, &topo)
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
         assert_eq!(peer.plan.algorithm, a.plan.algorithm);
         assert_ne!(peer.plan.steps, a.plan.steps, "rank 1's own plan");
         // A different count or channel count is a different shape.
         cache
-            .get_or_compile(&sel, &all_reduce(1 << 19, 4), 0, 1024, &topo, &health)
+            .get_or_compile(&sel, &all_reduce(1 << 19, 4), 0, 1024, &topo)
             .unwrap();
         cache
             .get_or_compile(
@@ -802,51 +787,44 @@ mod tests {
                 0,
                 1024,
                 &topo,
-                &health,
             )
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (2, 3));
         assert_eq!(cache.len(), 3);
         // A rank outside the device set is an error, not a panic.
         assert!(matches!(
-            cache.get_or_compile(&sel, &all_reduce(1 << 20, 4), 4, 1024, &topo, &health),
+            cache.get_or_compile(&sel, &all_reduce(1 << 20, 4), 4, 1024, &topo),
             Err(CollectiveError::InvalidRank { rank: 4, size: 4 })
         ));
     }
 
     #[test]
-    fn plan_cache_misses_across_health_epochs_and_marks_degraded_plans() {
-        use dfccl_transport::EdgeId;
+    fn a_quarantine_leaves_cached_plans_and_their_hits_untouched() {
+        use dfccl_transport::{EdgeId, LinkHealth};
 
         let cache = PlanCache::new();
         let topo = Topology::flat(4);
         let sel = AlgorithmSelector::default();
         let health = LinkHealth::new();
         let desc = all_reduce(1 << 20, 4); // bandwidth-bound -> ring
-        let healthy = cache
-            .get_or_compile(&sel, &desc, 0, 1024, &topo, &health)
-            .unwrap();
-        assert_eq!(healthy.plan.algorithm, AlgorithmKind::Ring);
-        // Quarantine a ring edge: the next request is a *miss* (new epoch)
-        // and selection degrades to the family that avoids it, recursive
-        // doubling, whose pairs (0,1), (2,3), (0,2), (1,3) never use 1→2.
+        let before = cache.get_or_compile(&sel, &desc, 0, 1024, &topo).unwrap();
+        assert_eq!(before.plan.algorithm, AlgorithmKind::Ring);
+        // Quarantine an edge the ring sends over. Selection never reads the
+        // health map (the mesh reroutes the label), so the cached shape
+        // keeps its plan and the next requests are hits on it.
         health.quarantine(EdgeId {
             src: GpuId(1),
             dst: GpuId(2),
             channel: ChannelId(0),
         });
-        let degraded = cache
-            .get_or_compile(&sel, &desc, 0, 1024, &topo, &health)
-            .unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert!(degraded.degraded);
-        assert_eq!(degraded.plan.algorithm, AlgorithmKind::Pairwise);
-        // Same epoch, same shape: served from cache, still marked degraded.
-        let again = cache
-            .get_or_compile(&sel, &desc, 0, 1024, &topo, &health)
-            .unwrap();
-        assert!(again.degraded);
-        assert!(Arc::ptr_eq(&degraded.plan, &again.plan));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
+        let after = cache.get_or_compile(&sel, &desc, 0, 1024, &topo).unwrap();
+        assert!(Arc::ptr_eq(&before.plan, &after.plan));
+        assert!(Arc::ptr_eq(&before.program, &after.program));
+        // A member registering after the quarantine runs the same family.
+        let peer = cache.get_or_compile(&sel, &desc, 1, 1024, &topo).unwrap();
+        assert_eq!(peer.plan.algorithm, AlgorithmKind::Ring);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 1, 1));
     }
 
     #[test]
@@ -854,12 +832,11 @@ mod tests {
         let cache = PlanCache::new();
         let topo = Topology::flat(6);
         let sel = AlgorithmSelector::default();
-        let health = LinkHealth::new();
         cache
-            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 0, 1024, &topo, &health)
+            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 0, 1024, &topo)
             .unwrap();
         cache
-            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 1, 1024, &topo, &health)
+            .get_or_compile(&sel, &all_reduce(1 << 20, 4), 1, 1024, &topo)
             .unwrap();
         let other = CollectiveDescriptor::all_reduce(
             1 << 20,
@@ -867,18 +844,13 @@ mod tests {
             ReduceOp::Sum,
             vec![GpuId(4), GpuId(5)],
         );
-        cache
-            .get_or_compile(&sel, &other, 0, 1024, &topo, &health)
-            .unwrap();
+        cache.get_or_compile(&sel, &other, 0, 1024, &topo).unwrap();
         assert_eq!(cache.len(), 2, "both members share one shape");
         // Removing GPU 2 drops the shape over [0, 1, 2, 3], not the [4, 5] one.
         assert_eq!(cache.invalidate_device(GpuId(2)), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.invalidate_device(GpuId(2)), 0);
-        let hit = cache
-            .get_or_compile(&sel, &other, 0, 1024, &topo, &health)
-            .unwrap();
-        assert!(!hit.degraded);
+        cache.get_or_compile(&sel, &other, 0, 1024, &topo).unwrap();
         assert_eq!(cache.hits(), 2, "surviving shape still serves hits");
     }
 
@@ -887,12 +859,11 @@ mod tests {
         let cache = PlanCache::new();
         let topo = Topology::flat(4);
         let sel = AlgorithmSelector::default();
-        let health = LinkHealth::new();
         // A strict per-collective override that cannot schedule the kind.
         let bad = CollectiveDescriptor::all_gather(16, DataType::F32, gpus(4))
             .with_algorithm(AlgorithmKind::DoubleBinaryTree);
         assert!(matches!(
-            cache.get_or_compile(&sel, &bad, 0, 16, &topo, &health),
+            cache.get_or_compile(&sel, &bad, 0, 16, &topo),
             Err(CollectiveError::UnsupportedAlgorithm { .. })
         ));
         assert!(cache.is_empty(), "errors are not cached");

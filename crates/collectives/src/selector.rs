@@ -16,8 +16,13 @@
 //! estimate honours the plans' phase barriers, so a pipelined family is
 //! credited only with the overlap its data dependencies allow. The
 //! selection is a pure function of the descriptor, the chunk size, the
-//! topology and the link-health view, with no rank in it, so every member
-//! of a collective resolves the same family.
+//! topology and the selector, with no rank in it, so every member of a
+//! collective resolves the same family. Link health is deliberately not an
+//! input: members that register on either side of a quarantine would
+//! otherwise resolve different families and wedge each other. A dead lane is
+//! avoided by the communicator mesh instead, which reroutes every
+//! quarantined label onto a spare lane whatever the family
+//! ([`dfccl_transport::LinkHealth::reroute`]).
 //!
 //! K and the chunk size are inputs, not searched: the model gives every
 //! channel lane the link's full bandwidth, so an argmin over K would always
@@ -36,7 +41,7 @@ use crate::cost::estimate_family_ns;
 use crate::plan::{algorithm, AlgorithmKind, Plan};
 use crate::ring::DEFAULT_CHUNK_ELEMS;
 use crate::CollectiveError;
-use dfccl_transport::{LinkHealth, LinkModel, Topology};
+use dfccl_transport::{LinkModel, Topology};
 use std::sync::OnceLock;
 
 /// Picks each collective's algorithm family by minimising the modelled
@@ -61,41 +66,19 @@ impl AlgorithmSelector {
     /// unsupported, so the caller surfaces a clear error), then the global
     /// override (skipped when unsupported), then the cost-model argmin.
     pub fn select(&self, desc: &CollectiveDescriptor, topology: &Topology) -> AlgorithmKind {
-        self.select_at_chunk(desc, DEFAULT_CHUNK_ELEMS, topology, None)
-            .0
+        self.select_at_chunk(desc, DEFAULT_CHUNK_ELEMS, topology)
     }
 
-    /// [`AlgorithmSelector::select`] constrained by the domain's link-health
-    /// map. Returns the chosen kind plus a `degraded` flag (true when a
-    /// quarantined edge lies inside `desc`'s device set).
-    pub fn select_with_health(
-        &self,
-        desc: &CollectiveDescriptor,
-        topology: &Topology,
-        health: &LinkHealth,
-    ) -> (AlgorithmKind, bool) {
-        self.select_at_chunk(desc, DEFAULT_CHUNK_ELEMS, topology, Some(health))
-    }
-
-    /// The family for `desc` with plans chunked at `chunk_elems`, plus the
-    /// `degraded` flag of [`AlgorithmSelector::select_with_health`].
-    ///
-    /// A healthy device set takes the argmin of [`estimate_family_ns`]. A
-    /// degraded one takes the argmin over the same estimate under `health`:
-    /// a family whose plans send over a quarantined edge stalls and drops
-    /// out. If every family stalls, the healthy argmin is kept and the mesh
-    /// reroute ([`dfccl_transport::LinkHealth::reroute`]) carries it. A
-    /// family whose plans fail to build drops out too; when none is left
-    /// the first supported family is returned so building it reports why.
+    /// The family for `desc` with plans chunked at `chunk_elems`: the argmin
+    /// of [`estimate_family_ns`] unless an override pins it. A family whose
+    /// plans fail to build drops out; when none is left the first supported
+    /// family is returned so building it reports why.
     pub(crate) fn select_at_chunk(
         &self,
         desc: &CollectiveDescriptor,
         chunk_elems: usize,
         topology: &Topology,
-        health: Option<&LinkHealth>,
-    ) -> (AlgorithmKind, bool) {
-        let health = health.filter(|h| topology.degraded_for(&desc.devices, h));
-        let degraded = health.is_some();
+    ) -> AlgorithmKind {
         let supported = |kind: &AlgorithmKind| algorithm(*kind).supports(desc, topology);
         let pinned = desc.algorithm.or(self.force.filter(supported));
         let mut candidates = AlgorithmKind::ALL.into_iter().filter(supported);
@@ -103,29 +86,22 @@ impl AlgorithmSelector {
         // Nothing to compare: the override, the only family, or ring (whose
         // build then reports why it cannot schedule the descriptor).
         if pinned.is_some() || candidates.next().is_none() {
-            let kind = pinned.or(first).unwrap_or(AlgorithmKind::Ring);
-            return (kind, degraded);
+            return pinned.or(first).unwrap_or(AlgorithmKind::Ring);
         }
         // The link model every selection is made under, built once.
         static TABLE2: OnceLock<LinkModel> = OnceLock::new();
         let link = TABLE2.get_or_init(LinkModel::table2_testbed);
-        let argmin = |health: Option<&LinkHealth>| {
-            let mut best: Option<(f64, AlgorithmKind)> = None;
-            for kind in AlgorithmKind::ALL.into_iter().filter(supported) {
-                if let Ok(ns) = estimate_family_ns(desc, kind, chunk_elems, topology, link, health)
-                {
-                    if best.is_none_or(|(b, _)| ns < b) {
-                        best = Some((ns, kind));
-                    }
+        let mut best: Option<(f64, AlgorithmKind)> = None;
+        for kind in AlgorithmKind::ALL.into_iter().filter(supported) {
+            if let Ok(ns) = estimate_family_ns(desc, kind, chunk_elems, topology, link) {
+                if best.is_none_or(|(b, _)| ns < b) {
+                    best = Some((ns, kind));
                 }
             }
-            best.map(|(_, kind)| kind)
-        };
-        let kind = argmin(health)
-            .or_else(|| health.and_then(|_| argmin(None)))
+        }
+        best.map(|(_, kind)| kind)
             .or(first)
-            .expect("two families support the descriptor");
-        (kind, degraded)
+            .expect("two families support the descriptor")
     }
 
     /// The channel count in effect for `desc`: the per-collective override
@@ -145,7 +121,7 @@ impl AlgorithmSelector {
         max_chunk_elems: usize,
         topology: &Topology,
     ) -> Result<Plan, CollectiveError> {
-        let (kind, _) = self.select_at_chunk(desc, max_chunk_elems, topology, None);
+        let kind = self.select_at_chunk(desc, max_chunk_elems, topology);
         algorithm(kind).build_plan_striped(
             desc,
             rank,
@@ -222,7 +198,6 @@ mod tests {
 
         let sel = AlgorithmSelector::default();
         let link = LinkModel::table2_testbed();
-        let health = LinkHealth::new();
         let chunk = DEFAULT_CHUNK_ELEMS;
         let servers = Topology::two_eight_gpu_servers();
         let mut checked = 0;
@@ -282,10 +257,9 @@ mod tests {
                                 ),
                             }
                             .with_channels(k);
-                            let (chosen, _) = sel.select_at_chunk(&desc, chunk, topo, None);
-                            let cost = |family| {
-                                estimate_family_ns(&desc, family, chunk, topo, &link, None)
-                            };
+                            let chosen = sel.select_at_chunk(&desc, chunk, topo);
+                            let cost =
+                                |family| estimate_family_ns(&desc, family, chunk, topo, &link);
                             let best = cost(chosen).expect("the chosen family builds");
                             for family in AlgorithmKind::ALL {
                                 if algorithm(family).supports(&desc, topo) {
@@ -301,7 +275,7 @@ mod tests {
                             let cache = PlanCache::new();
                             for rank in 0..n {
                                 let plan = cache
-                                    .get_or_compile(&sel, &desc, rank, chunk, topo, &health)
+                                    .get_or_compile(&sel, &desc, rank, chunk, topo)
                                     .unwrap()
                                     .plan;
                                 assert_eq!(plan.algorithm, chosen, "{kind} n={n} rank {rank}");
@@ -375,49 +349,6 @@ mod tests {
         // Unsupported global override falls through to the policy.
         let ag = CollectiveDescriptor::all_gather(16, DataType::F32, gpus(4));
         assert_eq!(sel.select(&ag, &topo), AlgorithmKind::Ring);
-    }
-
-    #[test]
-    fn health_fallback_swaps_ring_for_tree_only_when_degraded() {
-        use dfccl_transport::{ChannelId, EdgeId, LinkHealth};
-
-        let sel = AlgorithmSelector::default();
-        let topo = Topology::flat(8);
-        let health = LinkHealth::new();
-        let desc = all_reduce(1 << 20, 8); // bandwidth-bound -> ring
-        assert_eq!(
-            sel.select_with_health(&desc, &topo, &health),
-            (AlgorithmKind::Ring, false)
-        );
-        // Quarantine a ring edge: selection degrades to the tree family.
-        health.quarantine(EdgeId {
-            src: GpuId(2),
-            dst: GpuId(3),
-            channel: ChannelId(0),
-        });
-        assert_eq!(
-            sel.select_with_health(&desc, &topo, &health),
-            (AlgorithmKind::DoubleBinaryTree, true)
-        );
-        // A device set avoiding the dead edge is unaffected.
-        let small = all_reduce(1 << 20, 2);
-        assert_eq!(
-            sel.select_with_health(&small, &topo, &health),
-            (AlgorithmKind::Ring, false)
-        );
-        // A strict per-collective override stays put but is flagged degraded
-        // (the mesh reroute covers it).
-        let forced = all_reduce(1 << 20, 8).with_algorithm(AlgorithmKind::Ring);
-        assert_eq!(
-            sel.select_with_health(&forced, &topo, &health),
-            (AlgorithmKind::Ring, true)
-        );
-        // A family without a fallback keeps its schedule, flagged degraded.
-        let a2a = CollectiveDescriptor::all_to_all(64, DataType::F32, gpus(8));
-        assert_eq!(
-            sel.select_with_health(&a2a, &topo, &health),
-            (AlgorithmKind::Pairwise, true)
-        );
     }
 
     #[test]

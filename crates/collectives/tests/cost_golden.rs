@@ -209,7 +209,6 @@ fn estimate_bits(
         DEFAULT_CHUNK_ELEMS,
         &topo,
         &LinkModel::table2_testbed(),
-        None,
     )
     .unwrap_or_else(|e| panic!("{kind} n={n} {bytes} B K={k} {topo_name}: {e:?}"))
     .to_bits()

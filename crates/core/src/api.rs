@@ -20,12 +20,13 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use dfccl_collectives::{
-    plan_fusion, validate_buffers, AlgorithmKind, CollectiveDescriptor, CollectiveError, DataType,
-    DeviceBuffer, GraphOp, PlanCache, RecordedCollective, ReduceOp, FUSED_COLL_ID_BASE,
+    plan_fusion, validate_buffers, AlgorithmKind, CollectiveDescriptor, CollectiveError,
+    CompiledProgram, DataType, DeviceBuffer, GraphOp, Plan, PlanCache, RecordedCollective,
+    ReduceOp, FUSED_COLL_ID_BASE,
 };
 use dfccl_transport::{
-    Communicator, CommunicatorPool, EdgeSample, FaultInjector, LinkHealth, LinkModel, Topology,
-    TransportError,
+    Communicator, CommunicatorPool, ConnectorTable, EdgeSample, FaultInjector, LinkHealth,
+    LinkModel, Topology, TransportError,
 };
 use gpu_sim::{GpuDevice, GpuId, GpuSpec, MemoryUsage, SyncKind};
 use parking_lot::Mutex;
@@ -36,7 +37,6 @@ use crate::cq::{build_cq, CqKind};
 use crate::daemon::{
     CapturedGraph, DaemonShared, GraphNode, RegisteredCollective, World, GRAPH_ID_BASE,
 };
-use crate::recovery::RetryPolicy;
 use crate::sq::{Sqe, SubmissionQueue};
 use crate::telemetry::{CollectiveStats, DaemonStatsSnapshot, TelemetrySnapshot, TenantStats};
 use crate::tenant::{AdmissionError, TenantHandle, TenantId, TenantQuota};
@@ -142,20 +142,6 @@ impl std::fmt::Display for DfcclError {
                     "{gpu} cannot be removed: collective {coll_id} has work in flight"
                 )
             }
-        }
-    }
-}
-
-impl DfcclError {
-    /// Whether retrying the same call later can succeed without operator
-    /// action: rank-wide SQ backpressure and per-tenant
-    /// [`AdmissionError::AtQuota`] both clear as completions drain.
-    /// [`RankCtx::run_with_retry`] keys off this.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            DfcclError::SubmissionQueueFull => true,
-            DfcclError::Admission(e) => e.is_retryable(),
-            _ => false,
         }
     }
 }
@@ -334,15 +320,6 @@ impl DfcclDomain {
         TenantHandle { id, quota }
     }
 
-    /// The implicit tenant that un-tenanted registrations run under, with
-    /// the unlimited [`TenantQuota::default`].
-    pub fn default_tenant(&self) -> TenantHandle {
-        TenantHandle {
-            id: TenantId::DEFAULT,
-            quota: TenantQuota::default(),
-        }
-    }
-
     fn tenant_quota(&self, id: TenantId) -> Option<TenantQuota> {
         if id == TenantId::DEFAULT {
             return Some(TenantQuota::default());
@@ -357,11 +334,11 @@ impl DfcclDomain {
         Arc::clone(self.pool.fault_injector())
     }
 
-    /// The domain's link-health map: edges quarantined here are avoided by
-    /// the algorithm selector and the cost model, force plan-cache misses
-    /// (the health generation is part of the plan key) and are rerouted in
-    /// the connector mesh. Healthy domains never mutate it, so the fast
-    /// paths stay branch-predictable.
+    /// The domain's link-health map: a connector whose label is quarantined
+    /// here is rerouted onto a spare lane of the same link when the mesh
+    /// wires it, whatever family its plan runs. Plan selection never reads
+    /// it. Healthy domains never mutate it, so the fast paths stay
+    /// branch-predictable.
     pub fn link_health(&self) -> Arc<LinkHealth> {
         Arc::clone(self.pool.link_health())
     }
@@ -647,7 +624,7 @@ impl RankCtx {
             },
         )?;
         let communicator = self.domain.pool.communicator_for(coll_id, &desc.devices)?;
-        let (reg, _) = self.plan_and_bind(coll_id, desc, rank, tenant, communicator)?;
+        let reg = self.plan_and_bind(coll_id, desc, rank, tenant, communicator)?;
         // Admission: the residency check is the last fallible step, so a
         // rejected registration leaves no partial state behind (connectors
         // bound above are shared, communicator allocation is idempotent).
@@ -662,11 +639,10 @@ impl RankCtx {
         Ok(reg)
     }
 
-    /// Plan-and-bind, shared by registration and recovery: select and compile
-    /// `desc`'s plan for `rank` through the domain's plan cache (counting a
-    /// degraded plan), then bind the program to exactly the connectors the
-    /// plan addresses in `communicator`'s mesh. Returns the unpublished
-    /// registration and whether its plan is degraded.
+    /// Plan-and-bind for registration: select and compile `desc`'s plan for
+    /// `rank` through the domain's plan cache, then bind it to
+    /// `communicator`'s mesh ([`bind_table`]). Returns the unpublished
+    /// registration.
     fn plan_and_bind(
         &self,
         coll_id: u64,
@@ -674,7 +650,7 @@ impl RankCtx {
         rank: usize,
         tenant: TenantId,
         communicator: Arc<Communicator>,
-    ) -> Result<(RegisteredCollective, bool), DfcclError> {
+    ) -> Result<RegisteredCollective, DfcclError> {
         let domain = &self.domain;
         let cached = domain.plan_cache.get_or_compile(
             &domain.config.algorithm_selector(),
@@ -682,15 +658,9 @@ impl RankCtx {
             rank,
             domain.config.chunk_elems,
             domain.topology(),
-            domain.pool.link_health(),
         )?;
-        if cached.degraded {
-            self.shared.telemetry.record_plan_degraded();
-        }
-        let channels =
-            communicator.channels(rank, cached.plan.send_edges(), cached.plan.recv_edges())?;
-        let table = cached.program.bind(&channels)?;
-        let reg = RegisteredCollective {
+        let table = bind_table(&communicator, rank, &cached.plan, &cached.program)?;
+        Ok(RegisteredCollective {
             coll_id,
             desc,
             rank,
@@ -699,8 +669,7 @@ impl RankCtx {
             plan: cached.plan,
             program: cached.program,
             table,
-        };
-        Ok((reg, cached.degraded))
+        })
     }
 
     /// Resolve (registering on first use) the fused collective a capture
@@ -874,44 +843,18 @@ impl RankCtx {
         Ok(handle)
     }
 
-    /// Invoke a registered collective, retrying typed backpressure under
-    /// `policy`: rank-wide [`DfcclError::SubmissionQueueFull`] and retryable
-    /// per-tenant admission errors ([`AdmissionError::AtQuota`]) are retried
-    /// with decorrelated-jitter backoff; every other error fails fast.
-    /// Returns the completion handle of the admitted invocation.
-    pub fn run_with_retry(
-        &self,
-        policy: &RetryPolicy,
-        coll_id: u64,
-        send: &DeviceBuffer,
-        recv: &DeviceBuffer,
-    ) -> Result<CompletionHandle, DfcclError> {
-        policy.run(
-            || {
-                let handle = CompletionHandle::new();
-                self.run(
-                    coll_id,
-                    send.clone(),
-                    recv.clone(),
-                    handle.completion_callback(),
-                )?;
-                Ok(handle)
-            },
-            DfcclError::is_retryable,
-        )
-    }
-
     /// The rank's daemon-shared state (recovery-coordinator plumbing).
     pub(crate) fn shared_state(&self) -> &Arc<DaemonShared> {
         &self.shared
     }
 
-    /// Recovery-path re-registration: re-plan a registered collective under
-    /// the current link-health generation and swap the registration in
-    /// place. Same collective id, same tenant, no residency re-charge — the
-    /// caller's handle to the collective is untouched. Returns whether the
-    /// re-planned schedule is degraded (selected around a quarantined edge).
-    pub(crate) fn reregister_for_recovery(&self, coll_id: u64) -> Result<bool, DfcclError> {
+    /// Recovery's rebind: bind a registered collective's own plan to its
+    /// communicator's mesh again and swap the registration in place. The
+    /// coordinator purged the connectors on quarantined labels, so the ones
+    /// the plan addresses come back rerouted. Same id, tenant, plan and
+    /// family; no plan-cache lookup and no residency re-charge — the
+    /// caller's handle to the collective is untouched.
+    pub(crate) fn rebind_for_recovery(&self, coll_id: u64) -> Result<(), DfcclError> {
         let old = self
             .shared
             .registered
@@ -919,22 +862,16 @@ impl RankCtx {
             .get(&coll_id)
             .cloned()
             .ok_or(DfcclError::NotRegistered(coll_id))?;
-        // Rebinding materialises exactly the connectors the new plan
-        // addresses; labels quarantined since the original registration were
-        // purged by the coordinator, so these come back rerouted.
-        let (reg, degraded) = self.plan_and_bind(
-            coll_id,
-            old.desc.clone(),
-            old.rank,
-            old.tenant,
-            Arc::clone(&old.communicator),
-        )?;
+        let reg = RegisteredCollective {
+            table: bind_table(&old.communicator, old.rank, &old.plan, &old.program)?,
+            ..RegisteredCollective::clone(&old)
+        };
         self.shared
             .registered
             .write()
             .insert(coll_id, Arc::new(reg));
         self.shared.bump_registry_generation();
-        Ok(degraded)
+        Ok(())
     }
 
     /// Start capturing an iteration graph: record the step's collective
@@ -1218,6 +1155,20 @@ impl GraphRecorder<'_> {
             .insert(graph_id, Arc::clone(&graph));
         Ok(graph)
     }
+}
+
+/// Bind `rank`'s compiled `program` to exactly the connectors its `plan`
+/// addresses in `communicator`'s mesh. The mesh wires a quarantined label
+/// onto a spare lane ([`LinkHealth::reroute`]), so this is where a plan is
+/// routed around a dead edge, at registration and at recovery's rebind.
+fn bind_table(
+    communicator: &Communicator,
+    rank: usize,
+    plan: &Plan,
+    program: &CompiledProgram,
+) -> Result<ConnectorTable, DfcclError> {
+    let channels = communicator.channels(rank, plan.send_edges(), plan.recv_edges())?;
+    Ok(program.bind(&channels)?)
 }
 
 // ---------------------------------------------------------------------------

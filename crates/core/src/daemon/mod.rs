@@ -94,6 +94,7 @@ pub use world::{Carrier, World};
 
 /// Static context of a registered collective on one rank: everything that is
 /// fixed at registration time (Sec. 4.2).
+#[derive(Clone)]
 pub struct RegisteredCollective {
     /// The collective id chosen by the user at registration.
     pub coll_id: u64,

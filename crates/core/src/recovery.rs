@@ -1,7 +1,7 @@
 //! Self-healing collectives: the recovery coordinator that closes the loop
 //! from a watchdog [`StallReport`] back to forward progress.
 //!
-//! The state machine is **detect → quarantine → re-plan → resubmit**
+//! The state machine is **detect → quarantine → rebind → resubmit**
 //! (DESIGN.md §7):
 //!
 //! 1. **Detect** — [`RecoveryCoordinator::supervise`] wraps the transport
@@ -9,16 +9,15 @@
 //!    workload; a stall deadline expiring with zero progress yields a
 //!    [`StallReport`] naming the guilty edges and collectives.
 //! 2. **Quarantine** — the report's failed edges are marked dead in the
-//!    domain's [`dfccl_transport::LinkHealth`] map. Every downstream consumer
-//!    observes the quarantine: the plan cache misses (the health generation
-//!    is part of the key), the selector re-plans around the edge, the cost
-//!    model refuses schedules that cross it, and the communicator mesh
-//!    relabels new connectors onto rerouted physical channels.
-//! 3. **Re-plan** — each stalled collective is re-registered through the
-//!    plan cache on every rank. Degraded mode either takes the cheapest
-//!    family whose modelled plans avoid the dead edge or, when every family
-//!    rides it, keeps the cheapest and reroutes the striped channel around
-//!    it; either way the schedule is one of the ordinary families, so the
+//!    domain's [`dfccl_transport::LinkHealth`] map, and the stalled
+//!    collectives' meshes drop the connectors on those labels. The mesh is
+//!    the map's only reader: a connector wired on a quarantined label is
+//!    relabelled onto a spare lane of the same link
+//!    ([`dfccl_transport::LinkHealth::reroute`]).
+//! 3. **Rebind** — each stalled collective's own plan is bound again to its
+//!    purged mesh on every rank, so its connectors come back rerouted. The
+//!    plan, its family and the plan cache are untouched: every member keeps
+//!    running the schedule all members agreed on at registration, and the
 //!    paper's deadlock-freedom argument applies unchanged.
 //! 4. **Resubmit** — partially-executed invocations are rolled back and
 //!    **re-executed from their source buffers** (chunks already reduced into
@@ -34,8 +33,7 @@
 //!    feeds the replay the wrong operand.
 //!
 //! A typed [`RetryPolicy`] (bounded attempts, decorrelated-jitter backoff)
-//! governs both the coordinator's resubmission loop and the API-level
-//! retryable-admission path ([`crate::RankCtx::run_with_retry`]).
+//! governs the coordinator's supervise loop.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -48,9 +46,8 @@ use crate::api::{DfcclError, RankCtx};
 use crate::context::DynamicContext;
 use crate::telemetry::TelemetryEventKind;
 
-/// Bounded-retry policy with decorrelated-jitter backoff, shared by the
-/// recovery coordinator's resubmission loop and
-/// [`crate::RankCtx::run_with_retry`].
+/// Bounded-retry policy with decorrelated-jitter backoff for the recovery
+/// coordinator's supervise loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts before giving up (minimum 1).
@@ -102,31 +99,6 @@ impl RetryPolicy {
             rng: self.seed | 1,
         }
     }
-
-    /// Run `op` until it succeeds, fails non-retryably, or the attempt
-    /// budget is spent (the last error is returned). Sleeps a
-    /// decorrelated-jitter backoff between attempts.
-    pub fn run<T, E>(
-        &self,
-        mut op: impl FnMut() -> Result<T, E>,
-        retryable: impl Fn(&E) -> bool,
-    ) -> Result<T, E> {
-        let budget = self.max_attempts.max(1);
-        let mut backoff = self.backoff();
-        let mut attempt = 0;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= budget || !retryable(&e) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(backoff.next());
-                }
-            }
-        }
-    }
 }
 
 /// Decorrelated-jitter backoff state: each delay is drawn uniformly from
@@ -167,15 +139,12 @@ impl Backoff {
 pub struct RecoveryOutcome {
     /// Edges newly quarantined in the domain's link-health map.
     pub quarantined: Vec<EdgeId>,
-    /// Collectives that were rolled back and re-planned.
+    /// Collectives that were rolled back and rebound.
     pub collectives: Vec<u64>,
     /// Invocations rolled back and resubmitted (across all ranks).
     pub rolled_back: usize,
     /// Silent ghost replays injected to re-align rank round counts.
     pub ghost_replays: usize,
-    /// Ranks whose re-planned schedule is degraded (avoids a quarantined
-    /// edge).
-    pub degraded_plans: usize,
 }
 
 /// Why a recovery attempt (or a whole supervised run) failed.
@@ -194,7 +163,7 @@ pub enum RecoveryError {
         /// The collective that would not quiesce.
         coll_id: u64,
     },
-    /// Re-registration of a rolled-back collective failed.
+    /// Rebinding a rolled-back collective failed.
     Api(DfcclError),
 }
 
@@ -213,7 +182,7 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::QuiesceTimeout { coll_id } => {
                 write!(f, "collective {coll_id} did not quiesce for recovery")
             }
-            RecoveryError::Api(e) => write!(f, "recovery re-registration failed: {e}"),
+            RecoveryError::Api(e) => write!(f, "recovery rebind failed: {e}"),
         }
     }
 }
@@ -283,7 +252,7 @@ impl RecoveryCoordinator {
 
     /// One recovery pass over `ranks` for the stall described by `report`:
     /// quarantine the failed edges, roll back the stalled collectives,
-    /// re-plan them around the quarantine, and resubmit the rolled-back
+    /// rebind them to their rerouted meshes, and resubmit the rolled-back
     /// invocations under their original submission sequence (the CQE a
     /// caller eventually sees is the one it was promised at `run` time).
     pub fn recover(
@@ -297,9 +266,7 @@ impl RecoveryCoordinator {
         let mut outcome = RecoveryOutcome::default();
 
         // 1. Quarantine: mark the guilty edges dead in the domain health
-        // map. This bumps the health generation, so every later plan-cache
-        // lookup re-plans, and new connectors for those physical labels are
-        // rerouted.
+        // map. Connectors wired on those labels from now on are rerouted.
         let health = first.domain().link_health();
         for sample in &report.failed_edges {
             if health.quarantine(sample.edge) {
@@ -360,17 +327,14 @@ impl RecoveryCoordinator {
             }
         }
 
-        // 4. Re-plan: re-register each stalled collective through the plan
-        // cache under the new health generation (same id, same tenant, no
-        // residency re-charge).
+        // 4. Rebind: bind each stalled collective's own plan to its purged
+        // mesh (same id, tenant and plan, no residency re-charge).
         for ctx in ranks {
             for &coll in &colls {
                 if !ctx.shared_state().registered.read().contains_key(&coll) {
                     continue;
                 }
-                if ctx.reregister_for_recovery(coll)? {
-                    outcome.degraded_plans += 1;
-                }
+                ctx.rebind_for_recovery(coll)?;
             }
         }
 
@@ -462,49 +426,6 @@ mod tests {
             assert!(d <= cap, "{d:?} exceeds decorrelated cap {cap:?}");
             prev = d;
         }
-    }
-
-    #[test]
-    fn retry_run_respects_budget_and_retryability() {
-        let policy = RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_backoff(Duration::ZERO, Duration::ZERO);
-        // Retryable errors are retried up to the budget.
-        let mut calls = 0;
-        let out: Result<(), &str> = policy.run(
-            || {
-                calls += 1;
-                Err("again")
-            },
-            |_| true,
-        );
-        assert!(out.is_err());
-        assert_eq!(calls, 3, "budget is total attempts");
-        // Non-retryable errors fail fast.
-        let mut calls = 0;
-        let out: Result<(), &str> = policy.run(
-            || {
-                calls += 1;
-                Err("fatal")
-            },
-            |_| false,
-        );
-        assert!(out.is_err());
-        assert_eq!(calls, 1);
-        // Success on a later attempt stops the loop.
-        let mut calls = 0;
-        let out: Result<u32, &str> = policy.run(
-            || {
-                calls += 1;
-                if calls < 3 {
-                    Err("again")
-                } else {
-                    Ok(calls)
-                }
-            },
-            |_| true,
-        );
-        assert_eq!(out.unwrap(), 3);
     }
 
     #[test]

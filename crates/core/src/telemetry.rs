@@ -193,10 +193,8 @@ pub struct TelemetryCounters {
     pub recovered: u64,
     /// Recovery passes started for collectives on this rank.
     pub recoveries_attempted: u64,
-    /// Recovery passes that rolled back, re-planned and resubmitted.
+    /// Recovery passes that rolled back, rebound and resubmitted.
     pub recoveries_succeeded: u64,
-    /// Registrations served a plan that had to avoid a quarantined edge.
-    pub plans_degraded: u64,
 }
 
 /// The daemon's rank-wide counters and Fig. 7 component means (the
@@ -316,7 +314,6 @@ pub struct Telemetry {
     primitive_exec_time: NanoMean,
     recoveries_attempted: AtomicU64,
     recoveries_succeeded: AtomicU64,
-    plans_degraded: AtomicU64,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -352,7 +349,6 @@ impl Telemetry {
             primitive_exec_time: NanoMean::default(),
             recoveries_attempted: AtomicU64::new(0),
             recoveries_succeeded: AtomicU64::new(0),
-            plans_degraded: AtomicU64::new(0),
         })
     }
 
@@ -474,14 +470,9 @@ impl Telemetry {
         self.recoveries_attempted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a recovery pass that re-planned and resubmitted successfully.
+    /// Count a recovery pass that rebound and resubmitted successfully.
     pub fn record_recovery_success(&self) {
         self.recoveries_succeeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a registration served a degraded (edge-avoiding) plan.
-    pub fn record_plan_degraded(&self) {
-        self.plans_degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Per-collective rows, keyed by collective id (summed over tenants).
@@ -518,7 +509,6 @@ impl Telemetry {
             recovered: t.recovered,
             recoveries_attempted: self.recoveries_attempted.load(Ordering::Relaxed),
             recoveries_succeeded: self.recoveries_succeeded.load(Ordering::Relaxed),
-            plans_degraded: self.plans_degraded.load(Ordering::Relaxed),
         }
     }
 
@@ -622,8 +612,8 @@ impl std::fmt::Display for TelemetrySnapshot {
         )?;
         writeln!(
             f,
-            "recovery: {} attempted, {} succeeded, {} re-executed, {} degraded plans",
-            c.recoveries_attempted, c.recoveries_succeeded, c.recovered, c.plans_degraded
+            "recovery: {} attempted, {} succeeded, {} re-executed",
+            c.recoveries_attempted, c.recoveries_succeeded, c.recovered
         )?;
         writeln!(
             f,
@@ -814,16 +804,13 @@ mod tests {
         t.record_recovery_attempt();
         t.record_recovery_attempt();
         t.record_recovery_success();
-        t.record_plan_degraded();
         let c = t.counters();
         assert_eq!(c.recoveries_attempted, 2);
         assert_eq!(c.recoveries_succeeded, 1);
-        assert_eq!(c.plans_degraded, 1);
         let snap = t.snapshot(Vec::new(), &TenantTable::new(TenantQuota::default()));
         let s = snap.to_string();
         assert!(s.contains("2 attempted"), "{s}");
         assert!(s.contains("1 succeeded"), "{s}");
-        assert!(s.contains("1 degraded plans"), "{s}");
     }
 
     #[test]

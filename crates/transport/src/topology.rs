@@ -189,22 +189,6 @@ impl Topology {
     pub fn machine_of(&self, gpu: GpuId) -> Option<usize> {
         self.locate(gpu).map(|(m, _)| m)
     }
-
-    /// Whether a plan over `devices` (a subset of this topology) has to avoid
-    /// at least one quarantined edge — i.e. selection should consider a
-    /// degraded family or a reroute. Edges whose endpoints are not all in
-    /// both `devices` and the topology cannot constrain the plan.
-    pub fn degraded_for(&self, devices: &[GpuId], health: &crate::health::LinkHealth) -> bool {
-        if health.is_clean() {
-            return false;
-        }
-        health.dead_edges().iter().any(|e| {
-            devices.contains(&e.src)
-                && devices.contains(&e.dst)
-                && self.contains(e.src)
-                && self.contains(e.dst)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -328,28 +312,6 @@ mod tests {
         ));
         assert!(!t.contains(GpuId(99)));
         assert!(t.contains(GpuId(1)));
-    }
-
-    #[test]
-    fn degraded_for_scopes_quarantine_to_the_device_set() {
-        use crate::communicator::ChannelId;
-        use crate::fault::EdgeId;
-        use crate::health::LinkHealth;
-
-        let t = Topology::two_servers();
-        let h = LinkHealth::new();
-        assert!(!t.degraded_for(&t.gpus(), &h));
-        h.quarantine(EdgeId {
-            src: GpuId(0),
-            dst: GpuId(8),
-            channel: ChannelId(0),
-        });
-        assert!(t.degraded_for(&t.gpus(), &h));
-        // A device set excluding either endpoint is unconstrained.
-        assert!(!t.degraded_for(&[GpuId(0), GpuId(1), GpuId(2)], &h));
-        // An edge outside the topology never degrades it.
-        let flat = Topology::flat(4);
-        assert!(!flat.degraded_for(&flat.gpus(), &h));
     }
 
     #[test]

@@ -27,8 +27,8 @@ use dfccl_repro::dfccl::{
 };
 use dfccl_repro::gpu_sim::{GpuId, GpuSpec};
 use dfccl_repro::transport::{
-    supervise_with_probe, EdgeId, FaultSpec, LinkClass, LinkModel, LinkParams, StallKind,
-    SuperviseOutcome, Topology,
+    supervise_with_probe, ChannelId, EdgeId, FaultSpec, LinkClass, LinkModel, LinkParams,
+    StallKind, SuperviseOutcome, Topology,
 };
 
 /// Extra seeded edge choices per sweep combination (CI widens this).
@@ -238,7 +238,7 @@ fn dead_edge_yields_a_stall_report_naming_it_then_healing_completes() {
     let victim = EdgeId {
         src: GpuId(0),
         dst: GpuId(1),
-        channel: dfccl_repro::transport::ChannelId(0),
+        channel: ChannelId(0),
     };
     assert!(
         domain.edge_samples().iter().any(|s| s.edge == victim),
@@ -554,7 +554,7 @@ fn test_recovery() -> RecoveryCoordinator {
 /// One auto-recovery sweep case: register the collective, kill a seeded edge
 /// of its communicator after the first chunk — and never heal it. The
 /// [`RecoveryCoordinator`] must detect the stall, quarantine the edge,
-/// re-plan around it, roll the stalled invocations back and resubmit them,
+/// reroute around it, roll the stalled invocations back and resubmit them,
 /// and the final result must match a fault-free run bit for bit.
 fn recovery_round(
     family: AlgorithmKind,
@@ -735,9 +735,9 @@ fn kill_edge_auto_recovers_bit_exact_for_hierarchical() {
 
 /// The ISSUE acceptance scenario, self-healing edition: a dead inter-node
 /// edge on a two-server cluster is **never healed**. The coordinator's
-/// supervise loop must quarantine it, re-plan around it, and finish the
+/// supervise loop must quarantine it, reroute around it, and finish the
 /// collective bit-exact against the fault-free oracle — and a collective
-/// registered afterwards must be planned without the quarantined edge.
+/// registered afterwards must be wired without the quarantined edge.
 #[test]
 fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
     let devices = vec![GpuId(0), GpuId(1), GpuId(8), GpuId(9)];
@@ -815,7 +815,7 @@ fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
     }
 
     // The quarantine outlives the incident: a collective registered *after*
-    // the failure must be planned without the dead edge.
+    // the failure must be wired without the dead edge.
     for rank in &ranks {
         rank.register_all_reduce(2, count, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
             .unwrap();
@@ -825,7 +825,7 @@ fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
             .edge_samples()
             .iter()
             .any(|s| s.coll_id == Some(2) && s.edge == victim),
-        "a post-failure plan must not be laid over the quarantined edge"
+        "a post-failure collective must not be wired over the quarantined edge"
     );
     let mut handles2 = Vec::new();
     let mut recvs2 = Vec::new();
@@ -840,11 +840,92 @@ fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
     for h in &handles2 {
         assert!(
             h.wait_for_timeout(1, Duration::from_secs(60)),
-            "the degraded plan must complete without recovery"
+            "the rerouted collective must complete without recovery"
         );
     }
     for (r, recv) in recvs2.iter().enumerate() {
-        assert_eq!(recv.to_f32_vec(), expected, "rank {r} on the degraded plan");
+        assert_eq!(recv.to_f32_vec(), expected, "rank {r} on the rerouted mesh");
+    }
+    for rank in ranks {
+        assert!(rank.collective_errors().is_empty());
+        rank.destroy();
+    }
+}
+
+/// Selection never reads link health, so members that register on either
+/// side of a quarantine still resolve one family. Rank 0 registers a 4 MiB
+/// all-reduce on a healthy domain (the cost model picks the ring); then the
+/// ring edge 1→2 is quarantined, its label killed outright, and ranks 1–3
+/// register. A selector that re-ran its argmin under the health map would
+/// hand them a family that avoids 1→2 while rank 0 keeps the ring, and the
+/// invocation would wedge. Instead every rank runs the ring, the mesh wires
+/// 1→2 onto a spare lane, and the invocation completes bit-exact at
+/// connector capacity 1 without recovery.
+#[test]
+fn members_registering_across_a_quarantine_run_one_family() {
+    let n = 4;
+    let devices: Vec<GpuId> = (0..n).map(GpuId).collect();
+    let config = DfcclConfig {
+        chunk_elems: 4096,
+        ..fault_config()
+    };
+    let domain = DfcclDomain::new(Topology::flat(n), mild_links(), GpuSpec::rtx_3090(), config);
+    let count = 1 << 20; // 4 MiB of f32
+    let desc =
+        CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices.clone());
+    let ranks: Vec<RankCtx> = devices
+        .iter()
+        .map(|&g| domain.init_rank(g).unwrap())
+        .collect();
+    ranks[0].register(1, desc.clone()).unwrap();
+    let dead = EdgeId {
+        src: GpuId(1),
+        dst: GpuId(2),
+        channel: ChannelId(0),
+    };
+    assert!(domain.link_health().quarantine(dead));
+    domain.fault_injector().script(dead, FaultSpec::dead());
+    for rank in &ranks[1..] {
+        rank.register(1, desc.clone()).unwrap();
+    }
+    let families: Vec<_> = ranks.iter().map(|r| r.algorithm_of(1)).collect();
+    assert!(
+        families.iter().all(|f| *f == families[0]),
+        "members registered across a quarantine disagree on the family: {families:?}"
+    );
+    assert_eq!(families[0], Some(AlgorithmKind::Ring));
+    assert!(
+        !domain
+            .edge_samples()
+            .iter()
+            .any(|s| s.coll_id == Some(1) && s.edge == dead),
+        "no connector may be wired on the quarantined label"
+    );
+
+    let inputs: Vec<Vec<f32>> = (0..n)
+        .map(|r| (0..count).map(|i| ((r * 31 + i * 7) % 97) as f32).collect())
+        .collect();
+    let mut handles = Vec::new();
+    let mut recvs = Vec::new();
+    for (r, rank) in ranks.iter().enumerate() {
+        let recv = DeviceBuffer::zeroed(count * 4);
+        recvs.push(recv.clone());
+        handles.push(
+            rank.run_awaitable(1, DeviceBuffer::from_f32(&inputs[r]), recv)
+                .unwrap(),
+        );
+    }
+    for (r, h) in handles.iter().enumerate() {
+        assert!(
+            h.wait_for_timeout(1, Duration::from_secs(60)),
+            "rank {r}: the all-reduce wedged"
+        );
+    }
+    let expected: Vec<f32> = (0..count)
+        .map(|i| (0..n).map(|r| inputs[r][i]).sum())
+        .collect();
+    for (r, recv) in recvs.iter().enumerate() {
+        assert_eq!(recv.to_f32_vec(), expected, "rank {r}");
     }
     for rank in ranks {
         assert!(rank.collective_errors().is_empty());
