@@ -33,7 +33,8 @@
 //!    feeds the replay the wrong operand.
 //!
 //! A typed [`RetryPolicy`] (bounded attempts, decorrelated-jitter backoff)
-//! governs the coordinator's supervise loop.
+//! governs the coordinator's supervise loop; [`RetryPolicy::run`] applies it
+//! to any fallible operation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -46,8 +47,9 @@ use crate::api::{DfcclError, RankCtx};
 use crate::context::DynamicContext;
 use crate::telemetry::TelemetryEventKind;
 
-/// Bounded-retry policy with decorrelated-jitter backoff for the recovery
-/// coordinator's supervise loop.
+/// Bounded-retry policy with decorrelated-jitter backoff: the recovery
+/// coordinator's supervise loop, and any caller's retry loop through
+/// [`RetryPolicy::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts before giving up (minimum 1).
@@ -97,6 +99,31 @@ impl RetryPolicy {
             policy: *self,
             prev: self.base_backoff,
             rng: self.seed | 1,
+        }
+    }
+
+    /// Run `op` until it succeeds, fails non-retryably, or the attempt
+    /// budget is spent (the last error is returned). Sleeps a
+    /// decorrelated-jitter backoff between attempts.
+    pub fn run<T, E>(
+        &self,
+        mut op: impl FnMut() -> Result<T, E>,
+        retryable: impl Fn(&E) -> bool,
+    ) -> Result<T, E> {
+        let budget = self.max_attempts.max(1);
+        let mut backoff = self.backoff();
+        let mut attempt = 0;
+        loop {
+            match op() {
+                Ok(v) => return Ok(v),
+                Err(e) => {
+                    attempt += 1;
+                    if attempt >= budget || !retryable(&e) {
+                        return Err(e);
+                    }
+                    std::thread::sleep(backoff.next());
+                }
+            }
         }
     }
 }
@@ -426,6 +453,49 @@ mod tests {
             assert!(d <= cap, "{d:?} exceeds decorrelated cap {cap:?}");
             prev = d;
         }
+    }
+
+    #[test]
+    fn retry_run_respects_budget_and_retryability() {
+        let policy = RetryPolicy::default()
+            .with_max_attempts(3)
+            .with_backoff(Duration::ZERO, Duration::ZERO);
+        // Retryable errors are retried up to the budget.
+        let mut calls = 0;
+        let out: Result<(), &str> = policy.run(
+            || {
+                calls += 1;
+                Err("again")
+            },
+            |_| true,
+        );
+        assert!(out.is_err());
+        assert_eq!(calls, 3, "budget is total attempts");
+        // Non-retryable errors fail fast.
+        let mut calls = 0;
+        let out: Result<(), &str> = policy.run(
+            || {
+                calls += 1;
+                Err("fatal")
+            },
+            |_| false,
+        );
+        assert!(out.is_err());
+        assert_eq!(calls, 1);
+        // Success on a later attempt stops the loop.
+        let mut calls = 0;
+        let out: Result<u32, &str> = policy.run(
+            || {
+                calls += 1;
+                if calls < 3 {
+                    Err("again")
+                } else {
+                    Ok(calls)
+                }
+            },
+            |_| true,
+        );
+        assert_eq!(out.unwrap(), 3);
     }
 
     #[test]

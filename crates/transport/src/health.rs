@@ -8,8 +8,9 @@
 //! ([`LinkHealth::reroute`]), so a dead lane is routed around, never
 //! retried. Plan selection does not read this map: every member of a
 //! collective resolves the same family whatever the map held when it
-//! registered, and the reroute carries that family's traffic off every
-//! quarantined label.
+//! registered. The reroute reaches connectors wired (or purged and rebound)
+//! after a quarantine; one wired before it keeps its label until recovery
+//! purges it.
 //!
 //! The map is inert until the first quarantine: a healthy domain pays one
 //! relaxed atomic load per query.
@@ -115,7 +116,8 @@ impl LinkHealth {
     /// from the same shared map, and distinct logical channels map to
     /// distinct spare lanes — so a plan keeps exactly its logical channel
     /// structure (and with it the capacity-1 deadlock-freedom argument),
-    /// whatever family it runs, while its traffic leaves the dead lane.
+    /// whatever family it runs, while the connectors wired through this
+    /// label leave the dead lane.
     pub fn reroute(&self, src: GpuId, dst: GpuId, channel: ChannelId) -> ChannelId {
         if self.is_clean() {
             return channel;

@@ -853,16 +853,16 @@ fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
 }
 
 /// Selection never reads link health, so members that register on either
-/// side of a quarantine still resolve one family. Rank 0 registers a 4 MiB
-/// all-reduce on a healthy domain (the cost model picks the ring); then the
-/// ring edge 1→2 is quarantined, its label killed outright, and ranks 1–3
-/// register. A selector that re-ran its argmin under the health map would
-/// hand them a family that avoids 1→2 while rank 0 keeps the ring, and the
-/// invocation would wedge. Instead every rank runs the ring, the mesh wires
-/// 1→2 onto a spare lane, and the invocation completes bit-exact at
-/// connector capacity 1 without recovery.
-#[test]
-fn members_registering_across_a_quarantine_run_one_family() {
+/// side of a quarantine still resolve one family. Rank `first` registers a
+/// 4 MiB all-reduce on a healthy `flat(4)` (the cost model picks the ring);
+/// then the ring edge 1→2 is quarantined, its label killed outright, and the
+/// other ranks register. A selector that re-ran its argmin under the health
+/// map would hand them a family that avoids 1→2 while `first` keeps the
+/// ring, and the invocation would wedge. Instead every rank runs the ring
+/// and the invocation completes bit-exact at connector capacity 1 under a
+/// [`RecoveryCoordinator`]. Returns the recoveries it took and whether a
+/// connector sat on the dead label after registration.
+fn register_across_a_quarantine(first: usize) -> (u32, bool) {
     let n = 4;
     let devices: Vec<GpuId> = (0..n).map(GpuId).collect();
     let config = DfcclConfig {
@@ -877,7 +877,7 @@ fn members_registering_across_a_quarantine_run_one_family() {
         .iter()
         .map(|&g| domain.init_rank(g).unwrap())
         .collect();
-    ranks[0].register(1, desc.clone()).unwrap();
+    ranks[first].register(1, desc.clone()).unwrap();
     let dead = EdgeId {
         src: GpuId(1),
         dst: GpuId(2),
@@ -885,8 +885,10 @@ fn members_registering_across_a_quarantine_run_one_family() {
     };
     assert!(domain.link_health().quarantine(dead));
     domain.fault_injector().script(dead, FaultSpec::dead());
-    for rank in &ranks[1..] {
-        rank.register(1, desc.clone()).unwrap();
+    for (r, rank) in ranks.iter().enumerate() {
+        if r != first {
+            rank.register(1, desc.clone()).unwrap();
+        }
     }
     let families: Vec<_> = ranks.iter().map(|r| r.algorithm_of(1)).collect();
     assert!(
@@ -894,13 +896,13 @@ fn members_registering_across_a_quarantine_run_one_family() {
         "members registered across a quarantine disagree on the family: {families:?}"
     );
     assert_eq!(families[0], Some(AlgorithmKind::Ring));
-    assert!(
-        !domain
+    let on_dead_label = || {
+        domain
             .edge_samples()
             .iter()
-            .any(|s| s.coll_id == Some(1) && s.edge == dead),
-        "no connector may be wired on the quarantined label"
-    );
+            .any(|s| s.coll_id == Some(1) && s.edge == dead)
+    };
+    let wired_dead = on_dead_label();
 
     let inputs: Vec<Vec<f32>> = (0..n)
         .map(|r| (0..count).map(|i| ((r * 31 + i * 7) % 97) as f32).collect())
@@ -915,22 +917,56 @@ fn members_registering_across_a_quarantine_run_one_family() {
                 .unwrap(),
         );
     }
-    for (r, h) in handles.iter().enumerate() {
-        assert!(
-            h.wait_for_timeout(1, Duration::from_secs(60)),
-            "rank {r}: the all-reduce wedged"
-        );
-    }
+    let done = || {
+        handles
+            .iter()
+            .all(|h| h.wait_for_timeout(1, Duration::ZERO))
+    };
+    let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
+    let recoveries = test_recovery()
+        .supervise(&rank_refs, &done, Duration::from_millis(200))
+        .unwrap_or_else(|e| panic!("rank {first} first: recovery failed: {e}"));
+    assert!(
+        !on_dead_label(),
+        "rank {first} first: a connector still sits on the quarantined label"
+    );
     let expected: Vec<f32> = (0..count)
         .map(|i| (0..n).map(|r| inputs[r][i]).sum())
         .collect();
     for (r, recv) in recvs.iter().enumerate() {
-        assert_eq!(recv.to_f32_vec(), expected, "rank {r}");
+        assert_eq!(recv.to_f32_vec(), expected, "rank {first} first: rank {r}");
     }
     for rank in ranks {
         assert!(rank.collective_errors().is_empty());
         rank.destroy();
     }
+    (recoveries, wired_dead)
+}
+
+/// Rank 0 never wires 1→2, so every connector on it is wired after the
+/// quarantine: the mesh puts it on a spare lane and no recovery is needed.
+#[test]
+fn members_registering_across_a_quarantine_run_one_family() {
+    let (recoveries, wired_dead) = register_across_a_quarantine(0);
+    assert!(
+        !wired_dead,
+        "no connector may be wired on the quarantined label"
+    );
+    assert_eq!(
+        recoveries, 0,
+        "the rerouted ring must complete without recovery"
+    );
+}
+
+/// Rank 1, the sender on 1→2, registers first and wires it on the label
+/// that later dies. The reroute only reaches connectors wired (or purged and
+/// rebound) after the quarantine, so this one stalls until recovery purges
+/// it and rebinds every member's ring onto the spare lane.
+#[test]
+fn a_member_wired_before_the_quarantine_recovers_onto_the_reroute() {
+    let (recoveries, wired_dead) = register_across_a_quarantine(1);
+    assert!(wired_dead, "rank 1 wired 1→2 before the quarantine");
+    assert!(recoveries >= 1, "the dead label must trigger recovery");
 }
 
 /// Recovery in the middle of a preemption storm: four collectives over
