@@ -10,13 +10,14 @@
 //! of only the engines that own unfinished supervised work.
 //!
 //! A send refused by a faulted link is not a structural wait: the link may
-//! heal. [`wait_all_or_stall`] gives such a round a stall deadline that any
-//! kernel progress resets, and classifies the stall from per-edge samples
-//! into a [`StallReport`]. [`wait_all_or_deadlock`] has no deadline.
+//! heal. [`wait_all_or_stall`] keeps sweeping such a round until an edge
+//! has refused [`dfccl_transport::FAILED_EDGE_RUN`] sends in a row
+//! (counted by the edge, not timed), then classifies the stall from one
+//! snapshot of per-edge samples into a [`StallReport`].
+//! [`wait_all_or_deadlock`] has no probe: it decides quiet sweeps only.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dfccl_transport::fault::{classify_stall, EdgeSample, StallReport};
 use gpu_sim::{DeviceEngine, GpuId, KernelHandle, StepReport};
@@ -48,7 +49,7 @@ pub fn wait_all_or_deadlock(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
 ) -> DeadlockOutcome {
-    match step_until_stuck(handles, engines, None, &Vec::new) {
+    match step_until_stuck(handles, engines, &Vec::new) {
         None => DeadlockOutcome::AllCompleted,
         Some(_) => DeadlockOutcome::Deadlock {
             unfinished: tear_down(handles, engines),
@@ -56,60 +57,41 @@ pub fn wait_all_or_deadlock(
     }
 }
 
-/// Outcome of supervising kernels with per-edge visibility: either everything
-/// completed, or a structured [`StallReport`] naming the failed/stalled edges
-/// and collectives.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StallOutcome {
-    /// Every kernel reached a terminal state.
-    AllCompleted,
-    /// The round deadlocked, or no kernel progressed for a full stall
-    /// deadline while a link refused sends; the report classifies the stall
-    /// (wedge vs link failure) and names the implicated edges, collectives
-    /// and unfinished kernels.
-    Stalled(StallReport),
-}
-
-/// Step `engines` until every handle is terminal, until the round deadlocks,
-/// or until `stall_deadline` passes with no kernel progress while a link
-/// refuses sends. A stall is classified by comparing the `probe` samples
-/// taken when progress stopped with fresh ones.
+/// Step `engines` until every handle is terminal (`None`), until the round
+/// deadlocks, or until a sweep moves nothing while one of the `probe`'s
+/// edges has failed. The report classifies the stall from that sweep's
+/// samples (wedge vs link failure) and names the implicated edges,
+/// collectives and unfinished kernels.
 pub fn wait_all_or_stall(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
-    stall_deadline: Duration,
     probe: &dyn Fn() -> Vec<EdgeSample>,
-) -> StallOutcome {
-    let Some(window_start) = step_until_stuck(handles, engines, Some(stall_deadline), probe) else {
-        return StallOutcome::AllCompleted;
-    };
-    let mut report = classify_stall(&window_start, &probe());
+) -> Option<StallReport> {
+    let samples = step_until_stuck(handles, engines, probe)?;
+    let mut report = classify_stall(&samples);
     report.unfinished = tear_down(handles, engines);
-    StallOutcome::Stalled(report)
+    Some(report)
 }
 
-/// Sweep `engines` until every handle is terminal (`None`), until a quiet
-/// sweep, or until `stall_deadline` passes without progress. Returns the
-/// edge samples taken when progress stopped.
+/// Sweep `engines` until every handle is terminal (`None`), or until a
+/// sweep that progressed nothing is quiet or finds a failed edge in the
+/// `probe`. Returns that sweep's edge samples.
 fn step_until_stuck(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
-    stall_deadline: Option<Duration>,
     probe: &dyn Fn() -> Vec<EdgeSample>,
 ) -> Option<Vec<EdgeSample>> {
-    let mut stalled: Option<(Instant, Vec<EdgeSample>)> = None;
     while !handles.iter().all(|h| h.status().is_terminal()) {
         let mut sweep = StepReport::default();
         for e in engines {
             sweep += e.step();
         }
         if sweep.progressed() {
-            stalled = None;
             continue;
         }
-        let (since, window_start) = stalled.get_or_insert_with(|| (Instant::now(), probe()));
-        if sweep.is_quiet() || stall_deadline.is_some_and(|d| since.elapsed() >= d) {
-            return Some(std::mem::take(window_start));
+        let samples = probe();
+        if sweep.is_quiet() || samples.iter().any(EdgeSample::has_failed) {
+            return Some(samples);
         }
         std::thread::yield_now();
     }
@@ -209,11 +191,9 @@ mod tests {
     #[test]
     fn slow_link_with_progress_probe_is_not_a_false_positive() {
         // Regression test for the stall-vs-slow confusion: a 2-rank ring
-        // all-reduce over a link whose modelled per-chunk delay (~25 ms)
-        // multiplies out well beyond the 120 ms stall deadline. With the
-        // domain's edge samples as the probe, every transferred chunk resets
-        // the deadline and the round must complete — a fixed deadline
-        // reports this exact scenario as wedged.
+        // all-reduce over a link whose modelled per-chunk delay is ~25 ms.
+        // A slow link refuses nothing, so no edge fails and the round must
+        // complete — a fixed deadline reports this exact scenario as wedged.
         use crate::nccl_like::NcclDomain;
         use dfccl_collectives::{CollectiveDescriptor, DataType, DeviceBuffer, ReduceOp};
         use dfccl_transport::{LinkClass, LinkModel, LinkParams, Topology};
@@ -253,13 +233,9 @@ mod tests {
             recvs.push(recv.clone());
             handles.push(r.launch_collective(0, StreamId(1), send, recv).unwrap());
         }
-        let stall_deadline = Duration::from_millis(120);
-        let outcome = wait_all_or_stall(&handles, &domain.engines(), stall_deadline, &|| {
-            domain.edge_samples()
-        });
+        let outcome = wait_all_or_stall(&handles, &domain.engines(), &|| domain.edge_samples());
         assert_eq!(
-            outcome,
-            StallOutcome::AllCompleted,
+            outcome, None,
             "slow-but-progressing round misreported as wedged"
         );
         for recv in recvs {
@@ -326,14 +302,9 @@ mod tests {
             let recv = DeviceBuffer::zeroed(count * 4);
             handles.push(r.launch_collective(0, StreamId(1), send, recv).unwrap());
         }
-        let outcome = wait_all_or_stall(
-            &handles,
-            &domain.engines(),
-            Duration::from_millis(200),
-            &|| domain.edge_samples(),
-        );
+        let outcome = wait_all_or_stall(&handles, &domain.engines(), &|| domain.edge_samples());
         match outcome {
-            StallOutcome::Stalled(report) => {
+            Some(report) => {
                 assert_eq!(report.kind, StallKind::LinkFailure, "{report}");
                 assert!(
                     report.failed_edges.iter().any(|s| s.edge == dead_edge),

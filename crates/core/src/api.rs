@@ -1870,7 +1870,7 @@ mod tests {
         // The domain-level probe covers the same edges without coll stamps
         // from any particular rank's registry.
         assert!(!domain.edge_samples().is_empty());
-        assert!(domain.fault_injector().scripted().is_empty());
+        assert!(!domain.fault_injector().is_active());
         for ctx in ranks {
             ctx.destroy();
         }

@@ -84,6 +84,16 @@ impl DynamicContext {
     }
 }
 
+/// One collective's rounds on one rank, as the stall detector counts them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Rounds {
+    /// Invocations completed here (silent replays excluded).
+    pub completed: u64,
+    /// Invocations pending here, plus the one out in a slice. A silent
+    /// replay re-runs a round already counted in `completed`: not held.
+    pub held: u64,
+}
+
 /// Outcome of a context checkout, reporting whether the modelled active-slot
 /// cache hit (no load cost) or missed (load cost charged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +122,8 @@ struct PerCollective {
     /// slice. Recovery must wait for this to clear before it owns every
     /// pending context.
     in_slice: bool,
+    /// The invocation out in the slice is a silent replay.
+    ghost_in_slice: bool,
     /// Invocations of this collective completed on this rank (silent
     /// replays excluded). Ranks compare these counts during recovery to
     /// find who ran ahead.
@@ -172,6 +184,7 @@ impl ContextStore {
             }
             let ctx = entry.pending.pop_front()?;
             entry.in_slice = true;
+            entry.ghost_in_slice = ctx.silent_replay;
             ctx
         };
         let load = {
@@ -245,6 +258,17 @@ impl ContextStore {
         ids.into_iter().map(|(_, id)| id).collect()
     }
 
+    /// Every collective's [`Rounds`] on this rank, read under one lock.
+    pub(crate) fn rounds(&self) -> HashMap<u64, Rounds> {
+        let rounds = |e: &PerCollective| Rounds {
+            completed: e.completed,
+            held: e.pending.iter().filter(|c| !c.silent_replay).count() as u64
+                + u64::from(e.in_slice && !e.ghost_in_slice),
+        };
+        let map = self.per_coll.lock();
+        map.iter().map(|(&id, e)| (id, rounds(e))).collect()
+    }
+
     /// Total pending invocations across all collectives.
     pub fn total_pending(&self) -> usize {
         self.per_coll.lock().values().map(|e| e.pending.len()).sum()
@@ -303,17 +327,6 @@ impl ContextStore {
             entry.pending.push_front(ctx);
         }
         entry.recovering = false;
-    }
-
-    /// Invocations of `coll_id` completed on this rank (silent replays
-    /// excluded). Recovery compares these across ranks to find who ran
-    /// ahead.
-    pub fn completed_count(&self, coll_id: u64) -> u64 {
-        self.per_coll
-            .lock()
-            .get(&coll_id)
-            .map(|e| e.completed)
-            .unwrap_or(0)
     }
 
     /// Identity and buffers of the last completed (non-silent) round of
@@ -446,23 +459,31 @@ mod tests {
     }
 
     #[test]
-    fn completed_counts_skip_silent_replays() {
+    fn rounds_skip_silent_replays() {
         let s = store();
+        let rounds = |s: &ContextStore| {
+            let r = s.rounds()[&1];
+            (r.completed, r.held)
+        };
         s.enqueue_invocation(1, ctx(7));
         let (c, _) = s.checkout_current(1).unwrap();
+        assert_eq!(rounds(&s), (0, 1), "the invocation out in its slice");
         s.recycle(1, c);
-        assert_eq!(s.completed_count(1), 1);
+        assert_eq!(rounds(&s), (1, 0), "(completed, held)");
         let (seq, _, _, graph) = s.last_completed(1).unwrap();
         assert_eq!(seq, 7);
         assert!(graph.is_none());
-        // A ghost replay completes without advancing the count.
+        // A ghost replay re-runs the counted round: it is never held, and
+        // completes without advancing the count.
         let mut ghost = ctx(7);
         ghost.silent_replay = true;
         s.enqueue_invocation(1, ghost);
+        assert_eq!(rounds(&s), (1, 0), "pending ghost");
         let (c, _) = s.checkout_current(1).unwrap();
         assert!(c.silent_replay);
+        assert_eq!(rounds(&s), (1, 0), "ghost in its slice");
         s.recycle(1, c);
-        assert_eq!(s.completed_count(1), 1, "silent replay not counted");
+        assert_eq!(rounds(&s), (1, 0), "(completed, held)");
         assert!(!s.in_slice(1));
     }
 

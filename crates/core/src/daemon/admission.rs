@@ -82,6 +82,9 @@ impl DaemonCore {
                 telemetry.record_queue_len(sqe.coll_id, tenant, self.scheduler.len() as u64);
             }
             self.shared.telemetry.record_preparing(prep_start.elapsed());
+            self.shared
+                .admitted
+                .fetch_add(fetched as u64, Ordering::Release);
         }
         self.sqe_batch = batch;
         fetched_total

@@ -181,6 +181,11 @@ pub struct DaemonShared {
     final_exit: AtomicBool,
     /// SQ read cursor; persists across daemon restarts.
     sq_cursor: Mutex<SqCursor>,
+    /// SQEs whose invocations are in the context store: a gap to
+    /// `sq.inserted()` is a submission still on its way there. Bumped with
+    /// `Release` after a batch is enqueued; the stall detector loads it with
+    /// `Acquire` before it reads the store.
+    pub(crate) admitted: AtomicU64,
     /// Invocations submitted but not yet completed.
     pub outstanding: AtomicU64,
     /// Bumped by the recovery coordinator after it reinstalls rolled-back
@@ -233,6 +238,7 @@ impl DaemonShared {
             running: AtomicBool::new(false),
             final_exit: AtomicBool::new(false),
             sq_cursor: Mutex::new(SqCursor::default()),
+            admitted: AtomicU64::new(0),
             outstanding: AtomicU64::new(0),
             rescan: AtomicU64::new(0),
             carrier,

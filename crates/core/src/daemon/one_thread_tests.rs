@@ -10,14 +10,15 @@ use std::sync::Arc;
 use dfccl_collectives::{
     AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp,
 };
-use dfccl_transport::{LinkModel, StallKind, StallReport, Topology};
+use dfccl_transport::{FaultSpec, LinkModel, StallKind, StallReport, Topology};
 use gpu_sim::{GpuId, GpuSpec};
 use parking_lot::Mutex;
 
 use super::world::{HeldWorld, Wish};
 use crate::api::{DfcclDomain, DfcclError, RankCtx};
 use crate::config::{DfcclConfig, SpinPolicy};
-use crate::recovery::{RecoveryCoordinator, RetryPolicy};
+use crate::recovery::{detect_stall, RecoveryCoordinator, RecoveryOutcome, RetryPolicy};
+use crate::telemetry::TelemetryEventKind;
 use crate::tenant::TenantQuota;
 
 /// SplitMix64: the test's only source of disorder.
@@ -370,7 +371,10 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         )
         .unwrap();
     }
-    let completed = |r: usize| ranks[r].shared_state().contexts.completed_count(1);
+    let completed = |r: usize| {
+        let rounds = ranks[r].shared_state().contexts.rounds();
+        rounds.get(&1).map_or(0, |x| x.completed)
+    };
     let round_robin = |step: usize| Some(step % RANKS);
     step_until(
         &mut world,
@@ -413,6 +417,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         stalled_edges: Vec::new(),
         stalled_collectives: vec![1],
         unfinished: Vec::new(),
+        missing: Vec::new(),
     };
     let refs: Vec<&RankCtx> = ranks.iter().collect();
     let outcome = RecoveryCoordinator::new(RetryPolicy::default())
@@ -444,6 +449,10 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
             if first_change.is_none() && recvs[ahead].to_vec() != at_callback {
                 first_change = Some(step);
             }
+            // The ghost re-runs a round its rank already counts: while it
+            // runs, nobody is missing a round.
+            let verdict = detect_stall(&refs);
+            assert!(verdict.is_none(), "step {step}: {verdict:?}");
             ranks.iter().all(drained) && seen.iter().all(|s| s.lock().is_some())
         },
     );
@@ -464,6 +473,123 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         assert_eq!(recv.to_f32_vec(), expected, "rank {r}");
     }
     tear_down(&mut world, &ranks, "ghost replay");
+}
+
+/// Each rank's telemetry as `(coll_id, kind)` pairs, oldest first.
+type EventTrail = Vec<Vec<(u64, TelemetryEventKind)>>;
+
+/// A four-rank ring all-reduce at connector capacity 1 whose seeded edge
+/// dies after `after` chunks, on one thread: the seats step in a seeded
+/// order and the stall detector runs after every step. A link failure
+/// closes the open slices (recovery owns every context) and is recovered on
+/// the spot; the world then steps on until every rank holds the oracle's
+/// sum. Returns each rank's event trail and the recoveries.
+fn run_recovery_world(seed: u64, after: u64) -> (EventTrail, Vec<RecoveryOutcome>) {
+    const RANKS: usize = 4;
+    const COUNT: usize = 64;
+    let config = DfcclConfig {
+        chunk_elems: 4,
+        connector_capacity: 1,
+        spin: SpinPolicy::Fixed { threshold: 3 },
+        ..DfcclConfig::for_testing()
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(RANKS),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, RANKS);
+    let desc =
+        CollectiveDescriptor::all_reduce(COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1, 2, 3]))
+            .with_algorithm(AlgorithmKind::Ring);
+    for rank in &ranks {
+        rank.register(1, desc.clone()).unwrap();
+    }
+    let mut rng = Rng(seed);
+    let edges = domain.edge_samples();
+    let victim = edges[(rng.next() % edges.len() as u64) as usize].edge;
+    domain
+        .fault_injector()
+        .script(victim, FaultSpec::dead().after_chunks(after));
+
+    let inputs: Vec<Vec<f32>> = (0..RANKS).map(|_| rng.small_f32s(COUNT)).collect();
+    let expected = oracle(&desc, &inputs).remove(0);
+    let recvs: Vec<DeviceBuffer> = (0..RANKS)
+        .map(|_| DeviceBuffer::zeroed(COUNT * 4))
+        .collect();
+    let fired = Arc::new(AtomicUsize::new(0));
+    for (r, rank) in ranks.iter().enumerate() {
+        let fired = Arc::clone(&fired);
+        let callback = Box::new(move || {
+            fired.fetch_add(1, Ordering::AcqRel);
+        });
+        let send = DeviceBuffer::from_f32(&inputs[r]);
+        rank.run(1, send, recvs[r].clone(), callback).unwrap();
+    }
+
+    let what = format!("recovery world, seed {seed}, {victim} dead after {after} chunks");
+    let refs: Vec<&RankCtx> = ranks.iter().collect();
+    let coordinator = RecoveryCoordinator::new(RetryPolicy::default());
+    let mut outcomes = Vec::new();
+    let mut steps = 0;
+    while fired.load(Ordering::Acquire) < RANKS {
+        steps += 1;
+        assert!(steps < 1_000_000, "{what}: not drained");
+        world.step(GpuId((rng.next() % RANKS as u64) as usize));
+        let Some(report) = detect_stall(&refs) else {
+            continue;
+        };
+        assert_eq!(report.kind, StallKind::LinkFailure, "{what}: {report}");
+        for r in 0..RANKS {
+            if let Some(core) = world.core(GpuId(r)) {
+                if core.slice.is_some() {
+                    core.preempt_slice();
+                }
+            }
+        }
+        outcomes.push(coordinator.recover(&refs, &report).unwrap());
+    }
+    assert!(
+        !outcomes.is_empty(),
+        "{what}: the dead edge forced no recovery"
+    );
+    assert_eq!(domain.link_health().dead_edges(), vec![victim], "{what}");
+    for (r, recv) in recvs.iter().enumerate() {
+        assert_eq!(recv.to_f32_vec(), expected, "{what}: rank {r}");
+    }
+    let rolled_back: usize = outcomes.iter().map(|o| o.rolled_back).sum();
+    let recovered: u64 = ranks.iter().map(|r| r.telemetry().counters.recovered).sum();
+    assert_eq!(recovered, rolled_back as u64, "{what}");
+    let trails = ranks
+        .iter()
+        .map(|r| {
+            let events = r.telemetry().events;
+            events.iter().map(|e| (e.coll_id, e.kind)).collect()
+        })
+        .collect();
+    tear_down(&mut world, &ranks, &what);
+    (trails, outcomes)
+}
+
+/// Recovery on a held world is a function of the seed: the detector's
+/// verdict needs no clock, so two runs of one seed take the same steps,
+/// recover at the same point and leave the same event trail on every rank.
+/// Each ring edge carries 24 chunks: an early kill rolls every rank back, a
+/// kill before the last chunk lets the other ranks complete first, so they
+/// ghost-replay the round while the detector keeps watching.
+#[test]
+fn a_dead_edge_recovers_identically_on_a_held_world() {
+    for (seed, after) in [(1, 1), (2, 5), (3, 12), (4, 23), (5, 23), (6, 23)] {
+        let (trails, outcomes) = run_recovery_world(seed, after);
+        let (replayed, replayed_outcomes) = run_recovery_world(seed, after);
+        let ghosts: usize = outcomes.iter().map(|o| o.ghost_replays).sum();
+        eprintln!("recovery world, seed {seed}, dead after {after}: {outcomes:?}");
+        assert!(after < 23 || ghosts > 0, "seed {seed}: no rank ran ahead");
+        assert_eq!(outcomes, replayed_outcomes, "seed {seed}");
+        assert_eq!(trails, replayed, "seed {seed}");
+    }
 }
 
 /// `tests/tenancy.rs::weighted_tenant_outpaces_light_tenant_under_preemption_storm`'s

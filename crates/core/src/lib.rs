@@ -79,7 +79,10 @@ pub use daemon::{
     is_graph_id, CapturedGraph, DaemonShared, GraphNode, RegisteredCollective, GRAPH_ID_BASE,
 };
 pub use park::Parker;
-pub use recovery::{Backoff, RecoveryCoordinator, RecoveryError, RecoveryOutcome, RetryPolicy};
+pub use recovery::{
+    detect_stall, watch_for_stall, Backoff, RecoveryCoordinator, RecoveryError, RecoveryOutcome,
+    RetryPolicy,
+};
 pub use sq::{Sqe, SubmissionQueue};
 pub use task_queue::{TaskEntry, TaskQueue, TenantScheduler};
 pub use telemetry::{

@@ -1,13 +1,15 @@
-//! Self-healing collectives: the recovery coordinator that closes the loop
-//! from a watchdog [`StallReport`] back to forward progress.
+//! Self-healing collectives: the stall detector and the recovery
+//! coordinator that closes the loop from a [`StallReport`] back to forward
+//! progress.
 //!
 //! The state machine is **detect → quarantine → rebind → resubmit**
-//! (DESIGN.md §7):
+//! (DESIGN.md §9):
 //!
-//! 1. **Detect** — [`RecoveryCoordinator::supervise`] wraps the transport
-//!    watchdog ([`dfccl_transport::supervise_with_probe`]) around a running
-//!    workload; a stall deadline expiring with zero progress yields a
-//!    [`StallReport`] naming the guilty edges and collectives.
+//! 1. **Detect** — [`detect_stall`] decides without a clock: preemption
+//!    completes every collective whose members all hold a round of it, so
+//!    the domain is stuck only behind a failed edge (a link failure, which
+//!    [`RecoveryCoordinator::supervise`] recovers from) or a member missing
+//!    a round (a wedge, returned as [`RecoveryError::Wedged`]).
 //! 2. **Quarantine** — the report's failed edges are marked dead in the
 //!    domain's [`dfccl_transport::LinkHealth`] map, and the stalled
 //!    collectives' meshes drop the connectors on those labels. The mesh is
@@ -32,23 +34,25 @@
 //!    so an in-place invocation, or a send buffer reused after its callback,
 //!    feeds the replay the wrong operand.
 //!
-//! A typed [`RetryPolicy`] (bounded attempts, decorrelated-jitter backoff)
-//! governs the coordinator's supervise loop; [`RetryPolicy::run`] applies it
-//! to any fallible operation.
+//! A typed [`RetryPolicy`] bounds the coordinator's attempts;
+//! [`RetryPolicy::run`] applies it, with a decorrelated-jitter backoff, to
+//! any fallible operation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dfccl_collectives::DeviceBuffer;
-use dfccl_transport::{supervise_with_probe, EdgeId, StallReport, SuperviseOutcome};
+use dfccl_transport::{classify_stall, EdgeId, StallKind, StallReport};
+use gpu_sim::GpuId;
 
 use crate::api::{DfcclError, RankCtx};
 use crate::context::DynamicContext;
 use crate::telemetry::TelemetryEventKind;
 
-/// Bounded-retry policy with decorrelated-jitter backoff: the recovery
-/// coordinator's supervise loop, and any caller's retry loop through
+/// Bounded-retry policy: the recovery coordinator's attempt budget, and any
+/// caller's retry loop (with decorrelated-jitter backoff) through
 /// [`RetryPolicy::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -162,7 +166,7 @@ impl Backoff {
 }
 
 /// What one successful [`RecoveryCoordinator::recover`] pass did.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryOutcome {
     /// Edges newly quarantined in the domain's link-health map.
     pub quarantined: Vec<EdgeId>,
@@ -181,9 +185,13 @@ pub enum RecoveryError {
     Exhausted {
         /// Recovery attempts made.
         attempts: u32,
-        /// Human-readable summary of the final stall.
-        last_report: String,
+        /// The stall the last attempt would have recovered from.
+        last_report: Box<StallReport>,
     },
+    /// The domain is wedged: no pending collective can run, and the
+    /// report's `missing` names the members that have not submitted the
+    /// rounds their peers wait on. Nothing was rolled back.
+    Wedged(Box<StallReport>),
     /// A collective's in-flight execution slice did not check its context
     /// back in within the quiesce deadline.
     QuiesceTimeout {
@@ -206,6 +214,7 @@ impl std::fmt::Display for RecoveryError {
                     "recovery exhausted after {attempts} attempts: {last_report}"
                 )
             }
+            RecoveryError::Wedged(report) => write!(f, "domain wedged: {report}"),
             RecoveryError::QuiesceTimeout { coll_id } => {
                 write!(f, "collective {coll_id} did not quiesce for recovery")
             }
@@ -222,14 +231,94 @@ impl From<DfcclError> for RecoveryError {
     }
 }
 
-/// Drives stall recovery for a set of rank contexts of one domain.
-pub struct RecoveryCoordinator {
-    policy: RetryPolicy,
-}
+/// How long [`watch_for_stall`] waits between two checks. It sets how soon
+/// a verdict is seen, never which verdict.
+const STALL_POLL: Duration = Duration::from_millis(1);
 
 /// How long recovery waits for an in-flight execution slice to check its
 /// context back in before declaring the collective unquiesceable.
 const QUIESCE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Decide from what every rank holds whether the domain of `ranks` (every
+/// member of the collectives pending there) is stuck. No verdict while a
+/// submission is on its way into a context store or a pending collective
+/// can run; else a [`StallKind::LinkFailure`] if an edge of a pending
+/// collective failed, or a [`StallKind::Wedge`] whose `missing` names each
+/// member with fewer rounds (completed plus held) than the lowest round
+/// pending on any member. Reads no clock: a held world calls it per step.
+pub fn detect_stall(ranks: &[&RankCtx]) -> Option<StallReport> {
+    let mut rounds = HashMap::new();
+    for ctx in ranks {
+        let shared = ctx.shared_state();
+        let admitted = shared.admitted.load(Ordering::Acquire);
+        rounds.insert(ctx.gpu(), shared.contexts.rounds());
+        if shared.sq.inserted() > admitted {
+            return None;
+        }
+    }
+    let pending: BTreeSet<u64> = rounds
+        .values()
+        .flatten()
+        .filter(|(_, r)| r.held > 0)
+        .map(|(&id, _)| id)
+        .collect();
+    if pending.is_empty() {
+        return None;
+    }
+    let mut samples = ranks[0].domain().edge_samples();
+    samples.retain(|s| s.coll_id.is_some_and(|c| pending.contains(&c)));
+    let mut report = classify_stall(&samples);
+    if report.kind == StallKind::LinkFailure {
+        return Some(report);
+    }
+    for &coll in &pending {
+        // Unregistered, it fails when its slice opens: it can run.
+        let members = ranks.iter().find_map(|ctx| {
+            let registered = ctx.shared_state().registered.read();
+            registered.get(&coll).map(|reg| reg.desc.devices.clone())
+        })?;
+        let of = |g: &GpuId| {
+            let held = rounds.get(g).and_then(|held| held.get(&coll));
+            held.copied().unwrap_or_default()
+        };
+        let lowest = members
+            .iter()
+            .map(of)
+            .filter(|r| r.held > 0)
+            .map(|r| r.completed + 1)
+            .min()?;
+        let missing: Vec<_> = members
+            .iter()
+            .filter(|&g| of(g).completed + of(g).held < lowest)
+            .map(|&g| (coll, g))
+            .collect();
+        if missing.is_empty() {
+            return None;
+        }
+        report.missing.extend(missing);
+    }
+    report.stalled_collectives = pending.into_iter().collect();
+    Some(report)
+}
+
+/// Run [`detect_stall`] over `ranks` every [`STALL_POLL`] until `done`
+/// (`None`) or a verdict.
+pub fn watch_for_stall(ranks: &[&RankCtx], done: &dyn Fn() -> bool) -> Option<StallReport> {
+    loop {
+        if done() {
+            return None;
+        }
+        if let Some(report) = detect_stall(ranks) {
+            return Some(report);
+        }
+        std::thread::sleep(STALL_POLL);
+    }
+}
+
+/// Drives stall recovery for a set of rank contexts of one domain.
+pub struct RecoveryCoordinator {
+    policy: RetryPolicy,
+}
 
 impl RecoveryCoordinator {
     /// A coordinator with the given retry policy.
@@ -237,44 +326,32 @@ impl RecoveryCoordinator {
         RecoveryCoordinator { policy }
     }
 
-    /// The retry policy in effect.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// Supervise `done` over the domain of `ranks`: run the transport
-    /// watchdog and, on every detected stall, [`RecoveryCoordinator::recover`]
-    /// automatically — up to the policy's attempt budget. Returns the number
-    /// of recoveries performed (0 for a fault-free run).
+    /// Supervise `done` over the domain of `ranks` ([`watch_for_stall`]):
+    /// recover from every link failure at once, up to the policy's attempt
+    /// budget, and return a wedge as [`RecoveryError::Wedged`] untouched.
+    /// Returns the number of recoveries performed (0 for a fault-free run).
+    /// `done` should wait on work already submitted: a member that submits
+    /// its round later (from a callback, say) is missing until it does.
     pub fn supervise(
         &self,
         ranks: &[&RankCtx],
         done: &dyn Fn() -> bool,
-        stall_deadline: Duration,
     ) -> Result<u32, RecoveryError> {
-        let Some(first) = ranks.first() else {
-            return Ok(0);
-        };
-        let domain = Arc::clone(first.domain());
-        let probe = move || domain.edge_samples();
         let mut attempts: u32 = 0;
-        let mut backoff = self.policy.backoff();
-        loop {
-            match supervise_with_probe(done, stall_deadline, &probe) {
-                SuperviseOutcome::AllCompleted => return Ok(attempts),
-                SuperviseOutcome::Stalled(report) => {
-                    attempts += 1;
-                    if attempts > self.policy.max_attempts.max(1) {
-                        return Err(RecoveryError::Exhausted {
-                            attempts,
-                            last_report: report.to_string(),
-                        });
-                    }
-                    self.recover(ranks, &report)?;
-                    std::thread::sleep(backoff.next());
-                }
+        while let Some(report) = watch_for_stall(ranks, done) {
+            if report.kind == StallKind::Wedge {
+                return Err(RecoveryError::Wedged(Box::new(report)));
             }
+            attempts += 1;
+            if attempts > self.policy.max_attempts.max(1) {
+                return Err(RecoveryError::Exhausted {
+                    attempts,
+                    last_report: Box::new(report),
+                });
+            }
+            self.recover(ranks, &report)?;
         }
+        Ok(attempts)
     }
 
     /// One recovery pass over `ranks` for the stall described by `report`:
@@ -301,15 +378,7 @@ impl RecoveryCoordinator {
             }
         }
 
-        // Which collectives to roll back: the report's attribution, falling
-        // back to every collective with pending work (a wedge report may
-        // carry no attribution).
-        let mut colls: BTreeSet<u64> = report.stalled_collectives.iter().copied().collect();
-        if colls.is_empty() {
-            for ctx in ranks {
-                colls.extend(ctx.shared_state().contexts.incomplete_ids());
-            }
-        }
+        let colls: BTreeSet<u64> = report.stalled_collectives.iter().copied().collect();
 
         // 2. Roll back: drain each stalled collective's pending invocations
         // on every rank and wait for in-flight slices to finish. Drained
@@ -373,15 +442,19 @@ impl RecoveryCoordinator {
             let participants: Vec<usize> = (0..ranks.len())
                 .filter(|&r| drained.contains_key(&(r, coll)))
                 .collect();
+            let completed = |r: usize| {
+                let rounds = ranks[r].shared_state().contexts.rounds();
+                rounds.get(&coll).map_or(0, |x| x.completed)
+            };
             let min_done = participants
                 .iter()
-                .map(|&r| ranks[r].shared_state().contexts.completed_count(coll))
+                .map(|&r| completed(r))
                 .min()
                 .unwrap_or(0);
             for &r in &participants {
                 let shared = ranks[r].shared_state();
                 let mut rebuilt = Vec::new();
-                if shared.contexts.completed_count(coll) > min_done {
+                if completed(r) > min_done {
                     if let Some((run_seq, send, recv, _)) = shared.contexts.last_completed(coll) {
                         // The round's CQE has fired: `recv` is the caller's
                         // again. The ghost only has to feed its peers, so it
@@ -507,6 +580,7 @@ mod tests {
             stalled_edges: Vec::new(),
             stalled_collectives: vec![1],
             unfinished: Vec::new(),
+            missing: Vec::new(),
         };
         let outcome = coordinator.recover(&[], &report).unwrap();
         assert!(outcome.collectives.is_empty());

@@ -588,11 +588,6 @@ impl TelemetrySnapshot {
     pub fn dead_edges(&self) -> impl Iterator<Item = &EdgeSample> {
         self.edges.iter().filter(|e| e.dead)
     }
-
-    /// The edges whose sends have been bounced by fault injection.
-    pub fn faulted_edges(&self) -> impl Iterator<Item = &EdgeSample> {
-        self.edges.iter().filter(|e| e.stats.fault_rejections > 0)
-    }
 }
 
 impl std::fmt::Display for TelemetrySnapshot {
@@ -864,6 +859,7 @@ mod tests {
                 link: LinkClass::InterNode,
                 queued: 2,
                 dead: true,
+                refusal_run: 5,
                 stats: ConnectorStats {
                     fault_rejections: 5,
                     ..ConnectorStats::default()
@@ -872,7 +868,6 @@ mod tests {
             &table,
         );
         assert_eq!(snap.dead_edges().count(), 1);
-        assert_eq!(snap.faulted_edges().count(), 1);
         assert_eq!(snap.tenants.len(), 1);
         let s = snap.to_string();
         assert!(s.contains("1 submits"), "{s}");

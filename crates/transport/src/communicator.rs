@@ -394,6 +394,7 @@ impl Communicator {
                 link: c.link(),
                 queued: c.len(),
                 dead: c.is_dead(),
+                refusal_run: c.refusal_run(),
                 stats: c.stats(),
             })
             .collect();
@@ -764,7 +765,6 @@ mod tests {
         // Script a dead link on the pool: the already-created connector sees it.
         pool.fault_injector().script(edge, FaultSpec::dead());
         assert!(!conn.send_ready());
-        let before = comm.edge_samples();
         let bounced = conn.try_send(ChunkMsg {
             coll_id: 1,
             chunk_index: 0,
@@ -776,8 +776,14 @@ mod tests {
         assert_eq!(after.len(), 1);
         assert_eq!(after[0].edge, edge);
         assert_eq!(after[0].stats.fault_rejections, 1);
+        assert_eq!(
+            after[0].refusal_run, 2,
+            "the dead poll and the bounced send"
+        );
 
-        let report = crate::fault::classify_stall(&before, &after);
+        // The sender keeps polling the dead link until its run fails it.
+        while !conn.send_ready() && conn.refusal_run() < crate::fault::FAILED_EDGE_RUN {}
+        let report = crate::fault::classify_stall(&comm.edge_samples());
         assert_eq!(report.kind, StallKind::LinkFailure);
         assert_eq!(report.failed_edges[0].edge, edge);
 

@@ -58,9 +58,9 @@ pub enum SendError {
     Full(ChunkMsg),
     /// The link rejected the chunk — dead or flaky (fault-injected) or
     /// unreachable under the cost model. The message is handed back so the
-    /// sender can stage and retry it; a permanently dead link then shows up
-    /// as a preempted collective the watchdog classifies via the edge's
-    /// `fault_rejections` counter.
+    /// sender can stage and retry it. Each refusal lengthens the edge's
+    /// refusal run ([`crate::EdgeSample::refusal_run`]); a run of
+    /// [`crate::fault::FAILED_EDGE_RUN`] declares the edge failed.
     Faulted(ChunkMsg),
 }
 
@@ -92,6 +92,8 @@ struct SenderCounters {
     full_rejections: AtomicU64,
     fault_rejections: AtomicU64,
     send_attempts: AtomicU64,
+    /// Sends refused in a row by the link (a full ring is not a refusal).
+    refusal_run: AtomicU64,
 }
 
 /// The counters only the receiving rank writes: a receiver spinning on an
@@ -214,13 +216,17 @@ impl Connector {
     /// primitive busy-waits on (bounded by its spin threshold); a full ring
     /// counts a `full_rejections`. A dead link reports not-ready, so the
     /// sender's spin bound trips and the collective is preempted instead of
-    /// burning its slice on a link that cannot drain.
+    /// burning its slice on a link that cannot drain (a refusal).
     pub fn send_ready(&self) -> bool {
         if self.queue.is_full() {
             self.sender.full_rejections.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        !self.is_dead()
+        if self.is_dead() {
+            self.sender.refusal_run.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        true
     }
 
     /// Whether a recv would currently succeed. This is the condition a recv
@@ -237,8 +243,8 @@ impl Connector {
     /// Publish a chunk. Charges the modelled link transfer time *before* the
     /// chunk becomes visible to the peer, then pushes it into the ring. A
     /// fault-injected or unreachable link returns [`SendError::Faulted`]
-    /// without spinning; the sender stages and retries the chunk exactly as
-    /// it would on a full ring.
+    /// without spinning and lengthens the refusal run; the sender stages and
+    /// retries the chunk exactly as it would on a full ring.
     pub fn try_send(&self, msg: ChunkMsg) -> Result<(), SendError> {
         let sender = &self.sender;
         if self.queue.is_full() {
@@ -251,21 +257,19 @@ impl Connector {
             match inj.decide(edge, sender.chunks_sent.load(Ordering::Relaxed), attempt) {
                 FaultDecision::Allow => {}
                 FaultDecision::Slow(f) => factor = f,
-                FaultDecision::Reject => {
-                    sender.fault_rejections.fetch_add(1, Ordering::Relaxed);
-                    return Err(SendError::Faulted(msg));
-                }
+                FaultDecision::Reject => return Err(self.refuse(msg)),
             }
         }
         let bytes = msg.data.len();
         if !self.model.try_charge_scaled(self.link, bytes, factor) {
-            sender.fault_rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(SendError::Faulted(msg));
+            return Err(self.refuse(msg));
         }
         match self.queue.push(msg) {
             Ok(()) => {
                 sender.chunks_sent.fetch_add(1, Ordering::Relaxed);
                 sender.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+                // Only the sender writes the run: a plain store ends it.
+                sender.refusal_run.store(0, Ordering::Relaxed);
                 Ok(())
             }
             Err(msg) => {
@@ -273,6 +277,21 @@ impl Connector {
                 Err(SendError::Full(msg))
             }
         }
+    }
+
+    /// Count a send the link refused and hand the chunk back.
+    fn refuse(&self, msg: ChunkMsg) -> SendError {
+        let sender = &self.sender;
+        sender.fault_rejections.fetch_add(1, Ordering::Relaxed);
+        sender.refusal_run.fetch_add(1, Ordering::Relaxed);
+        SendError::Faulted(msg)
+    }
+
+    /// Sends the link refused in a row: refused `try_send`s and `send_ready`
+    /// polls that found the link dead, since the last accepted send. A full
+    /// ring neither lengthens nor ends the run.
+    pub(crate) fn refusal_run(&self) -> u64 {
+        self.sender.refusal_run.load(Ordering::Relaxed)
     }
 
     /// Consume the oldest buffered chunk, if any.
@@ -410,6 +429,81 @@ mod tests {
         let c = Connector::with_edge(2, LinkClass::Local, model, Some(edge), Some(inj));
         assert!(!c.send_ready());
         assert_eq!(c.stats().full_rejections, 0);
+    }
+
+    fn dead_edge_connector(capacity: usize) -> (Arc<Connector>, Arc<FaultInjector>, EdgeId) {
+        let edge = EdgeId {
+            src: gpu_sim::GpuId(0),
+            dst: gpu_sim::GpuId(1),
+            channel: crate::ChannelId(0),
+        };
+        let inj = FaultInjector::new(1);
+        let c = Connector::with_edge(
+            capacity,
+            LinkClass::Local,
+            Arc::new(LinkModel::zero_cost()),
+            Some(edge),
+            Some(Arc::clone(&inj)),
+        );
+        (c, inj, edge)
+    }
+
+    #[test]
+    fn every_refusal_lengthens_the_run_and_a_full_ring_does_not() {
+        let (c, inj, edge) = dead_edge_connector(1);
+        c.try_send(msg(0)).unwrap();
+        assert!(!c.send_ready(), "full");
+        assert!(c.try_send(msg(1)).is_err());
+        assert_eq!(
+            c.refusal_run(),
+            0,
+            "a full ring is back-pressure, not a refusal"
+        );
+        c.try_recv().unwrap();
+        inj.script(edge, crate::fault::FaultSpec::dead());
+        for expected in 1..=3 {
+            assert!(!c.send_ready());
+            assert_eq!(c.refusal_run(), expected, "a dead send_ready");
+        }
+        for expected in 4..=5 {
+            assert!(matches!(c.try_send(msg(2)), Err(SendError::Faulted(_))));
+            assert_eq!(c.refusal_run(), expected, "a refused try_send");
+        }
+    }
+
+    #[test]
+    fn one_accepted_send_ends_the_run() {
+        let (c, inj, edge) = dead_edge_connector(4);
+        inj.script(edge, crate::fault::FaultSpec::dead());
+        assert!(!c.send_ready());
+        assert!(c.try_send(msg(0)).is_err());
+        assert_eq!(c.refusal_run(), 2);
+        inj.clear();
+        c.try_send(msg(0)).unwrap();
+        assert_eq!(c.refusal_run(), 0);
+    }
+
+    #[test]
+    fn a_thirty_percent_flaky_edge_never_reaches_the_failure_run() {
+        let (c, inj, edge) = dead_edge_connector(1);
+        inj.set_seed(0x5eed);
+        inj.script(edge, crate::fault::FaultSpec::flaky(0.3));
+        let (mut longest, mut refused) = (0, 0u64);
+        for i in 0..100_000u32 {
+            match c.try_send(msg(i)) {
+                Ok(()) => {
+                    c.try_recv().unwrap();
+                }
+                Err(SendError::Faulted(_)) => refused += 1,
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+            longest = longest.max(c.refusal_run());
+        }
+        assert!(refused > 25_000, "{refused} refusals in 100 000 attempts");
+        assert!(
+            longest < crate::fault::FAILED_EDGE_RUN,
+            "a 30% flaky edge refused {longest} sends in a row"
+        );
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl LinkHealth {
         added
     }
 
-    /// Remove `edge` from quarantine (an operator repaired the link).
-    pub fn heal(&self, edge: EdgeId) -> bool {
-        let mut dead = self.dead.write();
-        let removed = dead.remove(&edge);
-        if removed && dead.is_empty() {
-            self.active.store(false, Ordering::Release);
-        }
-        removed
-    }
-
     /// Whether `edge` is quarantined.
     pub fn is_dead(&self, edge: EdgeId) -> bool {
         if self.is_clean() {
@@ -162,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_and_heal_toggle_the_edge() {
+    fn quarantine_marks_one_directed_edge() {
         let h = LinkHealth::new();
         assert!(h.quarantine(edge(0, 1, 0)));
         assert!(!h.quarantine(edge(0, 1, 0)), "re-quarantine is a no-op");
@@ -170,9 +160,6 @@ mod tests {
         assert!(h.is_dead(edge(0, 1, 0)));
         assert!(!h.is_dead(edge(1, 0, 0)), "direction matters");
         assert_eq!(h.dead_edges(), vec![edge(0, 1, 0)]);
-        assert!(h.heal(edge(0, 1, 0)));
-        assert!(h.is_clean());
-        assert!(!h.heal(edge(0, 1, 0)), "healing a healthy edge is a no-op");
     }
 
     #[test]

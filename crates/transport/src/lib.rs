@@ -33,8 +33,8 @@ pub use communicator::{
 };
 pub use connector::{ChunkMsg, Connector, ConnectorStats, SendError};
 pub use fault::{
-    classify_stall, supervise_with_probe, total_progress, EdgeId, EdgeSample, FaultDecision,
-    FaultInjector, FaultKind, FaultSpec, FaultTrigger, StallKind, StallReport, SuperviseOutcome,
+    classify_stall, EdgeId, EdgeSample, FaultDecision, FaultInjector, FaultKind, FaultSpec,
+    FaultTrigger, StallKind, StallReport, FAILED_EDGE_RUN,
 };
 pub use health::{LinkHealth, REROUTE_CHANNEL_BASE};
 pub use linkmodel::{LinkModel, LinkParams};

@@ -7,7 +7,8 @@
 //!   complete bit-exact at connector capacity 1 (a degraded link slows a
 //!   collective down, it never corrupts or wedges it).
 //! * A dead edge must produce a [`StallReport`] naming exactly that
-//!   `(src, dst, channel)` edge and the collective stuck behind it.
+//!   `(src, dst, channel)` edge and the collective stuck behind it; a member
+//!   that never submits must produce a wedge naming that member.
 //! * The ISSUE acceptance scenario: a dead inter-node edge on a two-server
 //!   cluster yields a link-failure report (and the telemetry snapshot shows
 //!   the dead edge), then healing lets the collective finish bit-exact; a
@@ -23,12 +24,12 @@ use std::time::Duration;
 use dfccl_repro::collectives::DeviceBuffer;
 use dfccl_repro::collectives::{AlgorithmKind, CollectiveDescriptor, DataType, ReduceOp};
 use dfccl_repro::dfccl::{
-    DfcclConfig, DfcclDomain, RankCtx, RecoveryCoordinator, RetryPolicy, SpinPolicy,
+    watch_for_stall, DfcclConfig, DfcclDomain, RankCtx, RecoveryCoordinator, RecoveryError,
+    RetryPolicy, SpinPolicy,
 };
 use dfccl_repro::gpu_sim::{GpuId, GpuSpec};
 use dfccl_repro::transport::{
-    supervise_with_probe, ChannelId, EdgeId, FaultSpec, LinkClass, LinkModel, LinkParams,
-    StallKind, SuperviseOutcome, Topology,
+    ChannelId, EdgeId, FaultSpec, LinkClass, LinkModel, LinkParams, StallKind, Topology,
 };
 
 /// Extra seeded edge choices per sweep combination (CI widens this).
@@ -265,10 +266,9 @@ fn dead_edge_yields_a_stall_report_naming_it_then_healing_completes() {
             .iter()
             .all(|h| h.wait_for_timeout(1, Duration::ZERO))
     };
-    let probe = || domain.edge_samples();
-    let outcome = supervise_with_probe(&done, Duration::from_millis(300), &probe);
-    let SuperviseOutcome::Stalled(report) = outcome else {
-        panic!("a dead edge must stall the collective, got {outcome:?}");
+    let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
+    let Some(report) = watch_for_stall(&rank_refs, &done) else {
+        panic!("a dead edge must stall the collective");
     };
     assert_eq!(report.kind, StallKind::LinkFailure, "{report}");
     assert!(
@@ -284,6 +284,79 @@ fn dead_edge_yields_a_stall_report_naming_it_then_healing_completes() {
             h.wait_for_timeout(1, Duration::from_secs(60)),
             "healing the edge must un-stall the collective"
         );
+    }
+    for rank in ranks {
+        assert!(rank.collective_errors().is_empty());
+        rank.destroy();
+    }
+}
+
+/// A member that never submits is a typed wedge, not a link failure: on
+/// `flat(4)` at connector capacity 1, a four-rank all-reduce is registered on
+/// every rank but invoked on ranks 0–2 only. The supervisor names the missing
+/// `(collective, member)` pair and rolls nothing back; once gpu3 submits,
+/// the round completes bit-exact on every rank.
+#[test]
+fn a_member_that_never_submits_is_a_typed_wedge_naming_it() {
+    let n = 4;
+    let domain = DfcclDomain::new(
+        Topology::flat(n),
+        mild_links(),
+        GpuSpec::rtx_3090(),
+        fault_config(),
+    );
+    let devices: Vec<GpuId> = (0..n).map(GpuId).collect();
+    let count = 64;
+    let ranks: Vec<RankCtx> = devices
+        .iter()
+        .map(|&g| domain.init_rank(g).unwrap())
+        .collect();
+    for rank in &ranks {
+        rank.register_all_reduce(1, count, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
+            .unwrap();
+    }
+    let inputs: Vec<Vec<f32>> = (0..n)
+        .map(|r| (0..count).map(|i| ((r * 23 + i * 3) % 61) as f32).collect())
+        .collect();
+    let recvs: Vec<DeviceBuffer> = (0..n).map(|_| DeviceBuffer::zeroed(count * 4)).collect();
+    let run = |r: usize| {
+        ranks[r]
+            .run_awaitable(1, DeviceBuffer::from_f32(&inputs[r]), recvs[r].clone())
+            .unwrap()
+    };
+    let mut handles: Vec<_> = (0..n - 1).map(run).collect();
+
+    let done = || {
+        handles
+            .iter()
+            .all(|h| h.wait_for_timeout(1, Duration::ZERO))
+    };
+    let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
+    let outcome = test_recovery().supervise(&rank_refs, &done);
+    let Err(RecoveryError::Wedged(report)) = outcome else {
+        panic!("a member that never submits must be a typed wedge, got {outcome:?}");
+    };
+    assert_eq!(report.kind, StallKind::Wedge, "{report}");
+    assert_eq!(report.missing, vec![(1, GpuId(3))], "{report}");
+    assert_eq!(report.stalled_collectives, vec![1], "{report}");
+    for rank in &ranks {
+        let snap = rank.telemetry();
+        assert_eq!(snap.counters.recoveries_attempted, 0, "{snap}");
+    }
+
+    // The missing member submits: the round completes everywhere.
+    handles.push(run(n - 1));
+    for h in &handles {
+        assert!(
+            h.wait_for_timeout(1, Duration::from_secs(60)),
+            "the round must complete once every member submitted"
+        );
+    }
+    let expected: Vec<f32> = (0..count)
+        .map(|i| (0..n).map(|r| inputs[r][i]).sum())
+        .collect();
+    for (r, recv) in recvs.iter().enumerate() {
+        assert_eq!(recv.to_f32_vec(), expected, "rank {r}");
     }
     for rank in ranks {
         assert!(rank.collective_errors().is_empty());
@@ -342,10 +415,9 @@ fn dead_inter_node_edge_is_identified_and_healable_on_two_servers() {
             .iter()
             .all(|h| h.wait_for_timeout(1, Duration::ZERO))
     };
-    let probe = || domain.edge_samples();
-    let outcome = supervise_with_probe(&done, Duration::from_millis(400), &probe);
-    let SuperviseOutcome::Stalled(report) = outcome else {
-        panic!("dead inter-node edge must stall the all-reduce, got {outcome:?}");
+    let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
+    let Some(report) = watch_for_stall(&rank_refs, &done) else {
+        panic!("dead inter-node edge must stall the all-reduce");
     };
     assert_eq!(report.kind, StallKind::LinkFailure, "{report}");
     assert!(
@@ -434,19 +506,18 @@ fn slow_inter_node_edge_completes_with_zero_watchdog_false_positives() {
         );
     }
 
-    // A tight 150 ms no-progress deadline: 100× on a 4.5 µs-latency link is
-    // ~0.5 ms per chunk, so progress ticks well inside every window. Any
-    // false positive fails the test.
+    // 100× on a 4.5 µs-latency link is ~0.5 ms per chunk. A slow link
+    // refuses nothing and every member holds the round, so any verdict is a
+    // false positive and fails the test.
     let done = || {
         handles
             .iter()
             .all(|h| h.wait_for_timeout(1, Duration::ZERO))
     };
-    let probe = || domain.edge_samples();
-    let outcome = supervise_with_probe(&done, Duration::from_millis(150), &probe);
+    let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
+    let outcome = watch_for_stall(&rank_refs, &done);
     assert_eq!(
-        outcome,
-        SuperviseOutcome::AllCompleted,
+        outcome, None,
         "a slow-but-progressing edge must never be reported as a stall"
     );
     let expected: Vec<f32> = (0..count)
@@ -542,13 +613,9 @@ fn flaky_edge_retries_to_a_bit_exact_result() {
     }
 }
 
-/// A tight retry policy for recovery tests: fast backoff, a few attempts.
+/// A tight retry policy for recovery tests: a few attempts.
 fn test_recovery() -> RecoveryCoordinator {
-    RecoveryCoordinator::new(
-        RetryPolicy::default()
-            .with_max_attempts(4)
-            .with_backoff(Duration::from_micros(50), Duration::from_millis(2)),
-    )
+    RecoveryCoordinator::new(RetryPolicy::default().with_max_attempts(4))
 }
 
 /// One auto-recovery sweep case: register the collective, kill a seeded edge
@@ -642,7 +709,7 @@ fn recovery_round(
     };
     let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
     let recoveries = test_recovery()
-        .supervise(&rank_refs, &done, Duration::from_millis(200))
+        .supervise(&rank_refs, &done)
         .unwrap_or_else(|e| {
             panic!("{family} n={n} K={channels} seed={seed}: recovery failed: {e}")
         });
@@ -787,7 +854,7 @@ fn dead_inter_node_edge_auto_recovers_without_manual_heal() {
     };
     let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
     let recoveries = test_recovery()
-        .supervise(&rank_refs, &done, Duration::from_millis(300))
+        .supervise(&rank_refs, &done)
         .expect("supervised run must recover, not exhaust");
     assert!(
         recoveries >= 1,
@@ -924,7 +991,7 @@ fn register_across_a_quarantine(first: usize) -> (u32, bool) {
     };
     let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
     let recoveries = test_recovery()
-        .supervise(&rank_refs, &done, Duration::from_millis(200))
+        .supervise(&rank_refs, &done)
         .unwrap_or_else(|e| panic!("rank {first} first: recovery failed: {e}"));
     assert!(
         !on_dead_label(),
@@ -1118,7 +1185,7 @@ fn recovery_survives_a_preemption_storm() {
         };
         let rank_refs: Vec<&RankCtx> = ranks.iter().collect();
         let recoveries = test_recovery()
-            .supervise(&rank_refs, &done, Duration::from_millis(200))
+            .supervise(&rank_refs, &done)
             .unwrap_or_else(|e| panic!("seed {seed}: storm recovery failed: {e}"));
         assert!(recoveries >= 1, "seed {seed}: {victim} must force recovery");
         assert!(domain.link_health().dead_edges().contains(&victim));
