@@ -25,8 +25,8 @@ use dfccl_collectives::{
 };
 use dfccl_transport::{CommunicatorPool, ConnectorTable, LinkModel, Topology, TransportError};
 use gpu_sim::{
-    DeviceEngine, GpuDevice, GpuId, GpuSpec, Kernel, KernelCtx, KernelHandle, KernelOutcome,
-    KernelPoll, LaunchError, StreamId,
+    DeviceEngine, EdgeWait, GpuDevice, GpuId, GpuSpec, Kernel, KernelCtx, KernelHandle,
+    KernelOutcome, KernelPoll, LaunchError, StreamId,
 };
 use parking_lot::Mutex;
 
@@ -109,6 +109,9 @@ struct CollectiveKernel {
     send: DeviceBuffer,
     recv: DeviceBuffer,
     run: LaneRun,
+    /// What the last stuck pass waits on (kept to report it without
+    /// allocating per poll).
+    waits: Vec<EdgeWait>,
 }
 
 impl Kernel for CollectiveKernel {
@@ -124,7 +127,7 @@ impl Kernel for CollectiveKernel {
         13 * 1024
     }
 
-    fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll {
+    fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll<'_> {
         let reg = &*self.reg;
         let pass = self.run.pass(
             self.coll_id,
@@ -138,7 +141,10 @@ impl Kernel for CollectiveKernel {
             Ok(LanePass::Done) => KernelPoll::Ready(KernelOutcome::Completed),
             Ok(LanePass::Moved(_)) => KernelPoll::Moved,
             Ok(LanePass::Stuck) => {
-                KernelPoll::Pending(self.run.waits(&reg.program, &reg.table, &reg.desc.devices))
+                let devices = &reg.desc.devices;
+                self.run
+                    .waits(&reg.program, &reg.table, devices, &mut self.waits);
+                KernelPoll::Pending(&self.waits)
             }
             Err(e) => KernelPoll::Ready(KernelOutcome::Failed(e.to_string())),
         }
@@ -313,6 +319,7 @@ impl NcclRank {
             send,
             recv,
             run: LaneRun::default(),
+            waits: Vec::new(),
         };
         Ok(self.engine.launch(stream, Box::new(kernel))?)
     }

@@ -143,8 +143,8 @@ mod tests {
             "waits-for-gpu1".to_string()
         }
 
-        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll {
-            KernelPoll::Pending(vec![EdgeWait {
+        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll<'_> {
+            KernelPoll::Pending(&[EdgeWait {
                 peer: GpuId(1),
                 channel: 0,
                 side: WaitSide::Recv,

@@ -455,17 +455,19 @@ impl LaneRun {
         })
     }
 
-    /// The edges the lane heads wait on after a stuck pass, naming rank `r`
-    /// as `devices[r]`. A staged chunk waits to send on its channel; a head
-    /// held back by a phase barrier waits on another lane of this program
-    /// and names no edge. A send into a connector that has room waits on a
-    /// link that refused it, not on the peer.
+    /// Fill `waits` with the edges the lane heads wait on after a stuck
+    /// pass, naming rank `r` as `devices[r]`; the caller keeps the buffer, so
+    /// a stuck pass allocates nothing. A staged chunk waits to send on its
+    /// channel; a head held back by a phase barrier waits on another lane of
+    /// this program and names no edge. A send into a connector that has
+    /// room waits on a link that refused it, not on the peer.
     pub fn waits(
         &self,
         program: &CompiledProgram,
         table: &ConnectorTable,
         devices: &[GpuId],
-    ) -> Vec<EdgeWait> {
+        waits: &mut Vec<EdgeWait>,
+    ) {
         let wait = |peer: usize, channel: ChannelId, side| EdgeWait {
             peer: devices[peer],
             channel: channel.0,
@@ -475,7 +477,7 @@ impl LaneRun {
             Some(true) => WaitSide::Send,
             _ => WaitSide::Refused,
         };
-        let mut waits = Vec::new();
+        waits.clear();
         for (lane, &cur) in program.lanes().iter().zip(&self.cursors) {
             if let Some(p) = self.pending.on(lane.channel()) {
                 let side = send_side(program.send_conn_for(p.peer, p.channel));
@@ -497,7 +499,6 @@ impl LaneRun {
                 waits.push(wait(instr.send_peer as usize, instr.channel, side));
             }
         }
-        waits
     }
 }
 
@@ -719,9 +720,11 @@ mod tests {
         assert_eq!(pass(&mut run), Ok(LanePass::Moved(1)));
         assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
         assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
+        let mut waits = Vec::new();
+        run.waits(&program, &table, &desc.devices, &mut waits);
         assert_eq!(
-            run.waits(&program, &table, &desc.devices),
-            vec![EdgeWait {
+            waits,
+            [EdgeWait {
                 peer: GpuId(1),
                 channel: 0,
                 side: WaitSide::Recv,
@@ -746,13 +749,20 @@ mod tests {
         assert_eq!(pass(&mut run), Ok(LanePass::Moved(1)));
         assert_eq!(pass(&mut run), Ok(LanePass::Stuck));
         let devices = [GpuId(0), GpuId(1), GpuId(2)];
+        let mut waits = vec![EdgeWait {
+            peer: GpuId(0),
+            channel: 9,
+            side: WaitSide::Recv,
+        }];
+        run.waits(&program, &table, &devices, &mut waits);
         assert_eq!(
-            run.waits(&program, &table, &devices),
-            vec![EdgeWait {
+            waits,
+            [EdgeWait {
                 peer: GpuId(2),
                 channel: 0,
                 side: WaitSide::Send,
-            }]
+            }],
+            "the buffer is refilled, not appended to"
         );
         downstream.try_recv().unwrap();
         assert_eq!(pass(&mut run), Ok(LanePass::Done));

@@ -1,14 +1,16 @@
 //! The user-facing DFCCL API (Listing 1 of the paper).
 //!
 //! * [`DfcclDomain`] — cluster-level state shared by all ranks in this
-//!   process: topology, link model, GPU device models and the communicator
-//!   pool. In the real system this state is implicit in the machine; here it
-//!   is explicit so tests and benchmarks can build arbitrary clusters.
+//!   process: topology, link model, one launch engine per GPU device model
+//!   and the communicator pool. In the real system this state is implicit in
+//!   the machine; here it is explicit so tests and benchmarks can build
+//!   arbitrary clusters.
 //! * [`RankCtx`] — the per-GPU rank context created by [`dfccl_init`]. It owns
 //!   that GPU's daemon state ([`DaemonShared`]: the SQ/CQ pair, the callback
-//!   map, the context store). Its daemon core and its poller step run on one
-//!   of the domain's carrier threads ([`crate::daemon::World`]), shared with
-//!   other ranks.
+//!   map, the context store). Its daemon kernel runs on the GPU's engine
+//!   ([`RankCtx::engine`], where compute kernels run too), and one of the
+//!   domain's carrier threads ([`crate::daemon::World`]), shared with other
+//!   ranks, steps that engine and runs its poller step.
 //! * [`dfccl_register_all_reduce`]-style functions register a collective once;
 //!   [`dfccl_run_all_reduce`]-style functions invoke it repeatedly, each time
 //!   with a callback that the rank's carrier runs when the collective
@@ -28,7 +30,7 @@ use dfccl_transport::{
     Communicator, CommunicatorPool, ConnectorTable, EdgeSample, FaultInjector, LinkHealth,
     LinkModel, Topology, TransportError,
 };
-use gpu_sim::{GpuDevice, GpuId, GpuSpec, MemoryUsage, SyncKind};
+use gpu_sim::{DeviceEngine, GpuDevice, GpuId, GpuSpec, MemoryUsage};
 use parking_lot::Mutex;
 
 use crate::callback::{Callback, CallbackMap, CompletionHandle};
@@ -185,7 +187,8 @@ pub struct PlanCacheStats {
 pub struct DfcclDomain {
     topology: Arc<Topology>,
     pool: Arc<CommunicatorPool>,
-    devices: HashMap<GpuId, Arc<GpuDevice>>,
+    /// One launch engine per GPU, all in one step group as the baseline's.
+    engines: HashMap<GpuId, Arc<DeviceEngine>>,
     config: DfcclConfig,
     /// Memoized plan building + compilation, keyed by collective shape.
     /// Repeat registrations of an identical shape (per-layer collectives,
@@ -210,7 +213,7 @@ pub struct DfcclDomain {
     /// changes can sweep registrations and captured graphs across live
     /// ranks without the domain keeping dead ranks alive.
     rank_shareds: Mutex<Vec<(GpuId, Weak<DaemonShared>)>>,
-    /// The carrier threads that step every rank's daemon core and poller.
+    /// The carrier threads that step every rank's engine and poller.
     world: World,
 }
 
@@ -228,17 +231,19 @@ impl DfcclDomain {
             Arc::new(link_model),
             config.connector_capacity,
         );
-        let devices = topology
-            .gpus()
-            .into_iter()
-            .map(|g| (g, GpuDevice::new(g, gpu_spec.clone())))
+        let gpus = topology.gpus();
+        let devices = gpus.iter().map(|&g| GpuDevice::new(g, gpu_spec.clone()));
+        let engines = gpus
+            .iter()
+            .copied()
+            .zip(DeviceEngine::group(devices))
             .collect();
         let membership = topology.gpus().into_iter().collect();
         let world = World::new(topology.gpu_count());
         Arc::new(DfcclDomain {
             topology,
             pool,
-            devices,
+            engines,
             config,
             plan_cache: PlanCache::new(),
             tenants: Mutex::new(HashMap::new()),
@@ -286,9 +291,9 @@ impl DfcclDomain {
         &self.world
     }
 
-    /// The device model for `gpu`, if it exists in the topology.
-    pub fn device(&self, gpu: GpuId) -> Option<Arc<GpuDevice>> {
-        self.devices.get(&gpu).cloned()
+    /// Carrier threads started and not joined yet.
+    pub fn carrier_threads(&self) -> usize {
+        self.world.threads()
     }
 
     /// The domain's plan cache (hit/miss counters are exposed for tests and
@@ -463,7 +468,7 @@ impl DfcclDomain {
 
     /// Initialise a rank context for `gpu` (the `dfcclInit` call).
     pub fn init_rank(self: &Arc<Self>, gpu: GpuId) -> Result<RankCtx, DfcclError> {
-        let device = self.device(gpu).ok_or(DfcclError::UnknownGpu(gpu))?;
+        let engine = self.engines.get(&gpu).ok_or(DfcclError::UnknownGpu(gpu))?;
         let index = self.topology.gpus().iter().position(|&g| g == gpu);
         let carrier = self
             .world
@@ -484,7 +489,7 @@ impl DfcclDomain {
         ));
         let shared = DaemonShared::new(
             gpu,
-            Arc::clone(&device),
+            Arc::clone(engine),
             config.clone(),
             sq,
             cq,
@@ -494,7 +499,8 @@ impl DfcclDomain {
         // Account for the daemon kernel's global-memory footprint (collective
         // context buffer per block, plus the completion counters and other
         // shared bookkeeping — 11 KB in the paper).
-        let context_buffer = device
+        let context_buffer = engine
+            .device()
             .alloc_global(CONTEXT_BUFFER_PER_BLOCK * config.daemon_blocks as usize + 11 * 1024)
             .ok();
         // Track the rank for elastic-membership sweeps (pruning entries
@@ -508,7 +514,6 @@ impl DfcclDomain {
         Ok(RankCtx {
             domain: Arc::clone(self),
             gpu,
-            device,
             shared,
             next_seq: Mutex::new(0),
             next_graph_id: AtomicU64::new(1),
@@ -522,7 +527,6 @@ impl DfcclDomain {
 pub struct RankCtx {
     domain: Arc<DfcclDomain>,
     gpu: GpuId,
-    device: Arc<GpuDevice>,
     shared: Arc<DaemonShared>,
     /// Sequence number of the next SQE. Its lock is held across each push:
     /// the SQ has a single producer, and two threads pushing at once could
@@ -544,9 +548,10 @@ impl RankCtx {
         &self.domain
     }
 
-    /// The device model of this rank's GPU.
-    pub fn device(&self) -> &Arc<GpuDevice> {
-        &self.device
+    /// The launch engine of this rank's GPU, which runs its daemon kernel:
+    /// compute kernels launched here share the daemon's slots and barriers.
+    pub fn engine(&self) -> &Arc<DeviceEngine> {
+        &self.shared.engine
     }
 
     fn check_alive(&self) -> Result<(), DfcclError> {
@@ -933,13 +938,12 @@ impl RankCtx {
         Ok(handle)
     }
 
-    /// Issue a `cudaDeviceSynchronize()`-style synchronization on this rank's
-    /// GPU and wait for it (bounded by `timeout`). Returns whether the
-    /// synchronization completed. With DFCCL the daemon kernel quits
-    /// voluntarily so the synchronization always eventually completes.
+    /// A `cudaDeviceSynchronize()`: issue the engine's barrier and wait for
+    /// it without stepping (a zero `timeout` only issues it); the carrier
+    /// steps, and the daemon quits voluntarily so that it drains.
     pub fn device_synchronize(&self, timeout: Duration) -> bool {
-        let waiter = self.device.request_synchronize(SyncKind::Explicit);
-        waiter.wait_timeout(timeout)
+        let engine = self.engine();
+        engine.synchronize_timeout(Some(Duration::ZERO)) || engine.wait_for_barriers(timeout)
     }
 
     /// The algorithm the selector chose for a registered collective.
@@ -983,7 +987,7 @@ impl RankCtx {
 
     /// Memory usage of this rank's GPU (Sec. 6.2 accounting).
     pub fn memory_usage(&self) -> MemoryUsage {
-        self.device.memory_usage()
+        self.engine().device().memory_usage()
     }
 
     /// Errors recorded against collectives on this rank (empty in healthy runs).
@@ -1039,8 +1043,14 @@ impl RankCtx {
 }
 
 impl Drop for RankCtx {
+    /// [`RankCtx::destroy`], but only asks while the thread unwinds: a
+    /// wedged collective would keep the rank owing work forever.
     fn drop(&mut self) {
-        self.destroy();
+        if !std::thread::panicking() {
+            self.destroy();
+        } else if !self.destroyed.swap(true, Ordering::AcqRel) {
+            self.shared.leave();
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! collective in FIFO order.
 //!
 //! The poller step runs on the rank's carrier (`daemon/world.rs`), a thread
-//! that also steps the daemon cores and pollers of other ranks. A callback
+//! that also steps the engines and pollers of other ranks. A callback
 //! must therefore not block: see [`Callback`].
 
 use std::collections::{HashMap, VecDeque};

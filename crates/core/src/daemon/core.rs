@@ -1,17 +1,17 @@
-//! [`DaemonCore`]: one daemon-kernel incarnation as a steppable state
-//! machine (Algorithm 1's decision loop, without its waits).
+//! [`DaemonCore`]: the daemon kernel (Algorithm 1's decision loop, without
+//! its waits) as a [`Kernel`] on its GPU's [`gpu_sim::DeviceEngine`].
 //!
-//! [`DaemonCore::poll`] performs one bounded step and reports what happened;
-//! it contains no wait of any kind (CI greps this file and the stage files
-//! for one). The rank's seat on its carrier (`world.rs`) claims the core,
-//! decides when to call it again and releases it; a unit test may claim one
-//! to poll it directly.
+//! Each poll performs one bounded step: `Moved`, `Pending` with the edges a
+//! fruitless lane pass waits on (none when idle or the CQ is full), or
+//! `Ready` when the kernel quits. It contains no wait of any kind (CI greps
+//! this file and the stage files for one). The rank's seat (`world.rs`)
+//! launches it; a unit test may poll a core directly.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gpu_sim::ResidencyGuard;
+use gpu_sim::{EdgeWait, Kernel, KernelCtx, KernelOutcome, KernelPoll};
 
 use super::complete::CQ_WRITE_BATCH;
 use super::slice::Slice;
@@ -19,40 +19,6 @@ use super::{DaemonShared, RegisteredCollective};
 use crate::cq::Cqe;
 use crate::sq::Sqe;
 use crate::task_queue::TenantScheduler;
-
-/// What a [`Progress::Blocked`] core is waiting for. Nothing the core itself
-/// can do will clear it; another party has to move first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockedOn {
-    /// No lane of the open slice could move: a peer has to send, or drain,
-    /// on one of its connectors.
-    Connectors,
-    /// The CQ refused part of the completion batch (retained): the poller
-    /// has to drain.
-    CqSpace,
-    /// The device refused kernel residency (a device synchronization is
-    /// pending or every slot is taken).
-    Residency,
-}
-
-/// Outcome of one [`DaemonCore::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
-    /// The step moved work: primitives executed by a lane pass, SQEs
-    /// admitted by a between-passes step. `Advanced(0)` still means "not
-    /// idle" (a lane pass only put staged chunks on the wire, a slice
-    /// closed, or the pass just ended had advanced).
-    Advanced(usize),
-    /// The step could not move; see [`BlockedOn`].
-    Blocked(BlockedOn),
-    /// A between-passes step fetched nothing and no slice has advanced since
-    /// the previous one — including when every scheduled collective was
-    /// preempted fruitlessly, so a core can be retired with work queued (the
-    /// seat re-claims it while work is owed).
-    Idle,
-    /// The incarnation is over (final exit, or [`DaemonCore::retire`]).
-    Exited,
-}
 
 /// Core-local, lock-free cache of the registered-collective table, stamped
 /// with the registry generation. Steady-state lookups (the overwhelmingly
@@ -79,15 +45,17 @@ impl RegistryCache {
     }
 }
 
-/// One daemon-kernel incarnation. Obtained from `DaemonShared::try_claim`
-/// (at most one per rank exists at a time); ends with [`Progress::Exited`],
-/// [`DaemonCore::retire`] or drop.
+/// One daemon-kernel incarnation, launched by the rank's seat; ends with
+/// `Ready` (a voluntary quit or the final exit), `retire` or drop.
 pub struct DaemonCore {
     pub(super) shared: Arc<DaemonShared>,
-    /// Kernel residency on the device, held from the first successful poll
-    /// until the incarnation ends.
-    residency: Option<ResidencyGuard>,
+    /// Whether the engine has polled it yet, i.e. made it resident.
+    started: bool,
     retired: bool,
+    /// Consecutive between-passes steps that found nothing to do.
+    idle_passes: u32,
+    /// What the last fruitless lane pass waits on.
+    pub(super) waits: Vec<EdgeWait>,
     pub(super) registry: RegistryCache,
     pub(super) scheduler: TenantScheduler,
     /// CQEs accounted but not yet published.
@@ -104,13 +72,13 @@ pub struct DaemonCore {
 }
 
 impl DaemonCore {
-    /// Start an incarnation over `shared`, whose `running` flag the caller
-    /// has just won.
+    /// An incarnation over `shared`, to be launched on its engine.
     pub(super) fn new(shared: Arc<DaemonShared>) -> Self {
-        shared.telemetry.record_daemon_start();
         DaemonCore {
-            residency: None,
+            started: false,
             retired: false,
+            idle_passes: 0,
+            waits: Vec::new(),
             registry: RegistryCache::default(),
             scheduler: TenantScheduler::new(false),
             completions: Vec::with_capacity(CQ_WRITE_BATCH),
@@ -123,64 +91,39 @@ impl DaemonCore {
         }
     }
 
-    /// One step: a lane pass of the open slice (opening the next scheduled
-    /// one first if none is open) or, when the pass's order is exhausted,
-    /// the between-passes step complete → rescan → admission → schedule.
-    pub fn poll(&mut self) -> Progress {
-        if self.retired {
-            return Progress::Exited;
-        }
-        if self.residency.is_none() {
-            if let Err(progress) = self.acquire_residency() {
-                return progress;
-            }
-        }
-        while self.slice.is_none() {
-            let Some(coll_id) = self.order.next() else {
-                return self.between_passes();
-            };
-            self.open_slice(coll_id);
-        }
-        self.lane_pass()
-    }
-
-    /// Become a resident kernel, then rebuild the scheduling lanes from the
-    /// contexts that survived the previous incarnation (preempted or
-    /// never-started invocations). While a device synchronization is pending
-    /// the device rejects new residents.
-    fn acquire_residency(&mut self) -> Result<(), Progress> {
+    /// The first poll, resident at last: rebuild the scheduling lanes from
+    /// the contexts the previous incarnation left. `false` when nothing is
+    /// left to do and the incarnation ended at once.
+    fn start(&mut self) -> bool {
+        self.started = true;
         // SQEs still unread when the exit was forced are owed, not pending.
         if self.shared.final_exit_requested() && !self.shared.owes_work() {
             self.retire(false);
-            return Err(Progress::Exited);
+            return false;
         }
-        let config = &self.shared.config;
-        let guard = self
-            .shared
-            .device
-            .try_acquire_residency(config.daemon_blocks, config.shared_mem_per_block)
-            .map_err(|_| Progress::Blocked(BlockedOn::Residency))?;
-        self.residency = Some(guard);
+        self.shared.telemetry.record_daemon_start();
         // Sample the rescan generation before the rebuild, so a recovery
         // reinstall racing it is re-observed by the first between-passes
         // step instead of lost.
         self.rescan_seen = self.shared.rescan.load(Ordering::Acquire);
         self.rebuild_lanes();
         // Inherited work makes the first pass active: it runs at once
-        // instead of being reported `Idle` before its first slice.
+        // instead of being reported idle before its first slice.
         self.pass_active = !self.scheduler.is_empty();
-        Ok(())
+        true
     }
 
     /// The step between two passes. Publishes the ended pass's completions
     /// first — the poller and `destroy` key off `outstanding`, which only
     /// moves at publication — then picks up recovery reinstalls and new
     /// SQEs and schedules the next pass. The idle decision comes last, in
-    /// the same step as the SQ scan, so a holder that samples the wake-up
-    /// generation before `poll` cannot wait through a submission.
-    fn between_passes(&mut self) -> Progress {
+    /// the same step as the SQ scan, so no waiter misses a submission; it
+    /// quits after `idle_passes_before_quit`, or two while a barrier waits
+    /// for the kernel.
+    fn between_passes(&mut self, ctx: &KernelCtx) -> KernelPoll<'_> {
         if !self.publish() {
-            return Progress::Blocked(BlockedOn::CqSpace);
+            // The CQ refused part of the batch: the carrier drains it.
+            return KernelPoll::Pending(&[]);
         }
         // Recovery reinstalled contexts without SQEs: re-scan the context
         // store for collectives the scheduler is not tracking.
@@ -199,25 +142,28 @@ impl DaemonCore {
         );
         self.order = order.into_iter();
         if std::mem::take(&mut self.pass_active) || rescanned || fetched > 0 {
-            return Progress::Advanced(fetched);
+            self.idle_passes = 0;
+            return KernelPoll::Moved;
         }
         let shared = &self.shared;
-        if shared.final_exit_requested()
+        let exit = shared.final_exit_requested()
             && self.scheduler.is_empty()
-            && !shared.sq.has_pending(&shared.sq_cursor.lock())
-        {
-            self.retire(false);
-            return Progress::Exited;
+            && !shared.sq.has_pending(&shared.sq_cursor.lock());
+        self.idle_passes += 1;
+        let quit = self.idle_passes >= shared.config.idle_passes_before_quit
+            || (self.idle_passes >= 2 && ctx.barrier_pending);
+        if exit || quit {
+            self.retire(!exit);
+            return KernelPoll::Ready(KernelOutcome::Completed);
         }
-        Progress::Idle
+        KernelPoll::Pending(&[])
     }
 
     /// End the incarnation: return an open slice to the context store,
-    /// publish what the CQ will take, release residency (letting pending
-    /// device synchronizations drain) and announce that no daemon is
-    /// running. `voluntary` marks a quit chosen by the holder (idle budget,
-    /// pending synchronization) as opposed to the final exit. Idempotent;
-    /// also runs on drop, so a holder that unwinds cannot strand the rank.
+    /// publish what the CQ will take and ring the carrier, whose seat
+    /// launches a successor while work is owed. `voluntary` marks a quit
+    /// (idle budget, pending barrier), not the final exit. Idempotent; also
+    /// runs on drop, so an engine tearing the kernel down strands nothing.
     pub fn retire(&mut self, voluntary: bool) {
         if std::mem::replace(&mut self.retired, true) {
             return;
@@ -229,8 +175,37 @@ impl DaemonCore {
         if voluntary {
             self.shared.telemetry.record_voluntary_quit();
         }
-        self.residency = None;
-        self.shared.mark_not_running();
+        self.shared.notify_daemon();
+    }
+}
+
+impl Kernel for DaemonCore {
+    fn name(&self) -> String {
+        format!("dfccl-daemon-{}", self.shared.gpu)
+    }
+
+    fn grid_blocks(&self) -> u32 {
+        self.shared.config.daemon_blocks
+    }
+
+    fn shared_mem_per_block(&self) -> usize {
+        self.shared.config.shared_mem_per_block
+    }
+
+    /// One step: a lane pass of the open slice (opening the next scheduled
+    /// one first if none is open) or, when the pass's order is exhausted,
+    /// the between-passes step complete → rescan → admission → schedule.
+    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll<'_> {
+        if self.retired || (!self.started && !self.start()) {
+            return KernelPoll::Ready(KernelOutcome::Completed);
+        }
+        while self.slice.is_none() {
+            let Some(coll_id) = self.order.next() else {
+                return self.between_passes(ctx);
+            };
+            self.open_slice(coll_id);
+        }
+        self.lane_pass()
     }
 }
 

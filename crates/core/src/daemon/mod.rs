@@ -1,36 +1,37 @@
 //! The daemon kernel: execution, preemption and scheduling of collectives
 //! (Sec. 4, Algorithm 1).
 //!
-//! One daemon kernel serves each GPU. It is split into a **core** that
-//! decides and a **carrier** that waits:
+//! One daemon kernel serves each GPU, a kernel on that GPU's
+//! [`gpu_sim::DeviceEngine`] beside whatever compute kernels the caller
+//! launches there ([`crate::RankCtx::engine`]). It is split into a kernel
+//! that decides and a carrier that waits:
 //!
-//! * [`DaemonCore`] (`core.rs`) is one incarnation of the kernel as a
-//!   steppable state machine. [`DaemonCore::poll`] performs one bounded step
-//!   — one pass over the lanes of the collective holding the core, or the
-//!   step between two scheduling passes — and returns a [`Progress`]. It
-//!   contains no sleep, yield, spin or park: the paper's deadlock-freedom
-//!   argument is about these decisions, not about how a host thread waits.
-//! * A carrier (`world.rs`) is the only production caller of `poll`. Each
-//!   domain owns a [`World`] of C = min(GPUs, available parallelism)
-//!   carrier threads; a carrier sweeps the ranks it owns, doing each rank's
-//!   poller step (`poller.rs`) and one `poll`, then waits as little as its
+//! * [`DaemonCore`] (`core.rs`) is one incarnation of the kernel, a
+//!   [`gpu_sim::Kernel`] whose every poll performs one bounded step — one
+//!   pass over the lanes of the collective holding the core, or the step
+//!   between two scheduling passes. It contains no sleep, yield, spin or
+//!   park: the paper's deadlock-freedom argument is about these decisions,
+//!   not about how a host thread waits.
+//! * A carrier (`world.rs`) steps the engines. Each domain owns a [`World`]
+//!   of C = min(GPUs, available parallelism) carrier threads; a carrier
+//!   sweeps the ranks it owns, doing each rank's poller step (`poller.rs`),
+//!   launching a daemon kernel when work is owed and none is on the engine,
+//!   and stepping the rank's engine once. It then waits as little as its
 //!   hottest rank allows:
 //!
-//! | `poll` returns | from | the rank wants |
+//! | the daemon's poll returns | from | the rank wants |
 //! |---|---|---|
-//! | `Advanced(n)` | a lane pass that moved, a slice that closed, a between-passes step that fetched or followed progress | to be polled again; idle count reset |
-//! | `Blocked(Connectors)` | a fruitless lane pass (the `threshold`-th in a row also preempts) | a `spin_loop` |
-//! | `Blocked(CqSpace)` | complete: the CQ refused part of the batch (retained) | its CQ drained on the next sweep |
-//! | `Blocked(Residency)` | the device refused residency (synchronization pending) | a park ≤ `restart_backoff` |
-//! | `Idle` | a between-passes step: nothing fetched, nothing advanced since the last one | a `yield_now` for `idle_spin_passes`, then a park; the core is retired after `idle_passes_before_quit` (2 if a device synchronization is pending) |
-//! | `Exited` | exit SQE read (or exit forced) and nothing left | nothing: the core is gone |
+//! | `Moved` | a lane pass that moved, a slice that closed, a between-passes step that fetched or followed progress | to be stepped again; quiet count reset |
+//! | `Pending(edges)` | a fruitless lane pass, naming what its lane heads wait on (the `threshold`-th in a row also preempts) | a `spin_loop` |
+//! | `Pending(none)` | a between-passes step that found nothing to do, or a CQ that refused part of the batch (retained) | a `yield_now` for `idle_spin_passes` quiet steps, then a park ≤ `restart_backoff` |
+//! | `Ready` | the exit SQE read (or exit forced) and nothing left; or a voluntary quit: `idle_passes_before_quit` idle steps, 2 if a barrier on the engine waits for the kernel | to be stepped again: a successor is launched while work is owed |
 //!
 //! The carrier parks on its bell only when every rank it owns wants to park.
-//! The rank's seat on its carrier is the only owner of its core: it claims
-//! one (`DaemonShared::try_claim`, at most one per rank: the `running` flag)
-//! whenever work is owed (`DaemonShared::owes_work`), steps it and releases
-//! it. Invokers, recovery and `destroy` only ring the bell. A test
-//! holds the carriers on its own thread and steps the seats itself.
+//! The rank's seat on its carrier is the only thing that launches its daemon
+//! kernel, on the daemon stream whose FIFO keeps one incarnation at a time;
+//! the engine's residency check and barriers decide when it starts.
+//! Invokers, recovery and `destroy` only ring the bell. A test holds the
+//! carriers on its own thread and steps the seats itself.
 //!
 //! ## The pipeline, one file per stage
 //!
@@ -50,12 +51,12 @@
 //!   once per batch).
 //!
 //! State that must outlive an incarnation ([`DaemonShared`]: SQ cursor,
-//! context store, graph runs, `outstanding`, the claim and leave flags) stays
-//! here. The control path is signal-driven end to end (see
-//! [`crate::park::Parker`]): an invoker pushing an SQE, a published CQE
-//! batch and a released core all ring the carrier's bell, and the carrier
-//! dropping a rank signals the `shut_down` waiting for it. A daemon that quit
-//! is restarted by its seat on the next bell that finds work owed.
+//! context store, graph runs, `outstanding`, the leave flags) stays here.
+//! The control path is signal-driven end to end (see [`crate::park::Parker`]):
+//! an invoker pushing an SQE, a published CQE batch and a retired kernel all
+//! ring the carrier's bell, and the carrier dropping a rank signals the
+//! `shut_down` waiting for it. A daemon that quit is relaunched by its seat
+//! on the next bell that finds work owed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,7 +65,7 @@ use std::time::Duration;
 
 use dfccl_collectives::{CollectiveDescriptor, CompiledProgram, Plan};
 use dfccl_transport::{Communicator, ConnectorTable};
-use gpu_sim::{GpuDevice, GpuId};
+use gpu_sim::{DeviceEngine, GpuId};
 use parking_lot::{Mutex, RwLock};
 
 use crate::callback::CallbackMap;
@@ -88,7 +89,7 @@ mod slice;
 mod tests;
 mod world;
 
-pub use self::core::{BlockedOn, DaemonCore, Progress};
+pub use self::core::DaemonCore;
 pub use graph::{CapturedGraph, GraphNode};
 pub use world::{Carrier, World};
 
@@ -142,8 +143,8 @@ pub fn is_graph_id(coll_id: u64) -> bool {
 pub struct DaemonShared {
     /// The GPU this daemon serves.
     pub gpu: GpuId,
-    /// The device model (residency + synchronization interplay).
-    pub device: Arc<GpuDevice>,
+    /// The GPU's launch engine: the daemon kernel runs on it.
+    pub engine: Arc<DeviceEngine>,
     /// Runtime configuration.
     pub config: DfcclConfig,
     /// The submission queue.
@@ -175,8 +176,6 @@ pub struct DaemonShared {
     pub tenants: Arc<TenantTable>,
     /// Collectives that failed with a protocol error, and why.
     pub errors: Mutex<HashMap<u64, String>>,
-    /// Whether a daemon core is currently claimed.
-    running: AtomicBool,
     /// Set when the exiting SQE has been read (or destroy was requested).
     final_exit: AtomicBool,
     /// SQ read cursor; persists across daemon restarts.
@@ -210,7 +209,7 @@ impl DaemonShared {
     /// Create the shared state for one rank, stepped by `carrier`.
     pub fn new(
         gpu: GpuId,
-        device: Arc<GpuDevice>,
+        engine: Arc<DeviceEngine>,
         config: DfcclConfig,
         sq: Arc<SubmissionQueue>,
         cq: Arc<CqKind>,
@@ -222,7 +221,7 @@ impl DaemonShared {
         let tenants = TenantTable::new(TenantQuota::default());
         Arc::new(DaemonShared {
             gpu,
-            device,
+            engine,
             config,
             sq,
             cq,
@@ -235,7 +234,6 @@ impl DaemonShared {
             telemetry,
             tenants,
             errors: Mutex::new(HashMap::new()),
-            running: AtomicBool::new(false),
             final_exit: AtomicBool::new(false),
             sq_cursor: Mutex::new(SqCursor::default()),
             admitted: AtomicU64::new(0),
@@ -254,29 +252,11 @@ impl DaemonShared {
         self.carrier.attach(Arc::clone(self));
     }
 
-    /// Claim this rank's daemon core, if no incarnation holds it and there
-    /// is still something for one to do. Only the rank's seat claims in
-    /// production; tests claim to poll a core directly.
-    pub(crate) fn try_claim(self: &Arc<Self>) -> Option<DaemonCore> {
-        if self.final_exit_requested() && !self.owes_work() {
-            return None;
-        }
-        self.running
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .ok()?;
-        Some(DaemonCore::new(Arc::clone(self)))
-    }
-
     /// Whether a core has work here — the paper's event-driven starting
     /// rule: invocations owe CQEs, or contexts are pending without one (a
     /// recovery ghost replay owes no CQE).
     pub(crate) fn owes_work(&self) -> bool {
         self.outstanding() > 0 || self.contexts.total_pending() > 0
-    }
-
-    /// Whether a daemon core is currently claimed.
-    pub fn is_running(&self) -> bool {
-        self.running.load(Ordering::Acquire)
     }
 
     /// Whether the exiting SQE has been consumed (or exit was forced).
@@ -319,13 +299,6 @@ impl DaemonShared {
         self.notify_daemon();
     }
 
-    /// Mark the daemon core as released and ring the carrier, whose seat
-    /// re-claims it if work is still owed.
-    fn mark_not_running(&self) {
-        self.running.store(false, Ordering::Release);
-        self.notify_daemon();
-    }
-
     /// Force the exit flag (set as well by reading the exiting SQE) and ring
     /// the carrier so the daemon observes it at once.
     pub fn request_exit(&self) {
@@ -333,15 +306,19 @@ impl DaemonShared {
         self.notify_daemon();
     }
 
+    /// Ask for the final exit without waiting for it.
+    pub fn leave(&self) {
+        self.leaving.store(true, Ordering::Release);
+        self.request_exit();
+    }
+
     /// The final exit (`dfcclDestroy`, after the exiting SQE was pushed):
     /// the seat lets the daemon drain what is owed and read the exit, then
     /// drops the rank once its last callback ran; this waits for that and
     /// joins the carrier thread if the rank was its last. On a carrier
-    /// thread (a callback destroying a rank) it cannot wait for a carrier
-    /// and only asks.
+    /// thread (a callback destroying a rank) it cannot wait and only asks.
     pub fn shut_down(&self) {
-        self.leaving.store(true, Ordering::Release);
-        self.request_exit();
+        self.leave();
         if world::on_carrier() {
             return;
         }

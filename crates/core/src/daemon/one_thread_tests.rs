@@ -1,19 +1,24 @@
 //! Whole worlds on one thread: the test holds the domain's carriers
 //! (`World::hold`) and steps each rank's seat — the production step: poller
-//! drain and callbacks, claim, one `poll` — in an order picked from the
-//! seed. No carrier thread runs and nothing reads a clock, so the schedule,
-//! and the step count printed, are functions of the seed.
+//! drain and callbacks, a daemon launch, one engine step — in an order
+//! picked from the seed. No carrier thread runs and nothing reads a clock,
+//! so the schedule, and the step count printed, are functions of the seed.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dfccl_collectives::{
     AlgorithmKind, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer, ReduceOp,
 };
 use dfccl_transport::{FaultSpec, LinkModel, StallKind, StallReport, Topology};
-use gpu_sim::{GpuId, GpuSpec};
+use gpu_sim::{
+    FnKernel, GpuId, GpuSpec, Kernel, KernelCtx, KernelHandle, KernelOutcome, KernelPoll,
+    KernelStatus, StreamId,
+};
 use parking_lot::Mutex;
 
+use super::tests::resident;
 use super::world::{HeldWorld, Wish};
 use crate::api::{DfcclDomain, DfcclError, RankCtx};
 use crate::config::{DfcclConfig, SpinPolicy};
@@ -105,6 +110,18 @@ fn step_until(
     }
     let owed: Vec<u64> = ranks.iter().map(RankCtx::outstanding).collect();
     panic!("{what}: not drained after {budget} steps; last wish per seat {last:?}, outstanding per rank {owed:?}");
+}
+
+/// Preempt the open slice of every rank's running daemon kernel, as its spin
+/// threshold would, so a recovery pass finds every context in the store.
+fn close_open_slices(world: &mut HeldWorld, ranks: usize) {
+    for r in 0..ranks {
+        world.with_core(GpuId(r), |core| {
+            if core.slice.is_some() {
+                core.preempt_slice();
+            }
+        });
+    }
 }
 
 /// Destroy every rank (on the test's carrier thread that only asks), then
@@ -325,7 +342,7 @@ fn a_skipped_core_fails_the_budget_instead_of_hanging() {
 /// completed rank ghost-replay the round. A tree rank accumulates partial
 /// sums in its recv buffer, so a ghost replaying into the caller's buffer
 /// shows them to a caller whose CQE already fired. The ghost owes no CQE:
-/// only the pending context makes the completed rank's seat claim a core.
+/// only the pending context makes the completed rank's seat launch a daemon.
 #[test]
 fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     const RANKS: usize = 4;
@@ -394,7 +411,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
         1_000,
         "the completed rank's callback and quit",
         |_| Some(ahead),
-        |_| seen[ahead].lock().is_some() && !ahead_shared.is_running(),
+        |_| seen[ahead].lock().is_some() && !resident(&ahead_shared),
     );
     let at_callback = seen[ahead].lock().clone().unwrap();
     assert_eq!(
@@ -404,13 +421,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
 
     // Close the stalled ranks' open slices, so recovery finds every context
     // in the store.
-    for r in 0..RANKS {
-        if let Some(core) = world.core(GpuId(r)) {
-            if core.slice.is_some() {
-                core.preempt_slice();
-            }
-        }
-    }
+    close_open_slices(&mut world, RANKS);
     let report = StallReport {
         kind: StallKind::Wedge,
         failed_edges: Vec::new(),
@@ -430,7 +441,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     let ghost = queued[0].clone();
     contexts.end_recovery(1, queued);
     assert_eq!(ahead_shared.outstanding(), 0, "the ghost owes no CQE");
-    assert!(!ahead_shared.is_running(), "no core holds the ghost yet");
+    assert!(!resident(&ahead_shared), "no daemon holds the ghost yet");
     let starts = ranks[ahead].stats().daemon_starts;
     let drained = |r: &RankCtx| {
         let shared = r.shared_state();
@@ -458,7 +469,7 @@ fn a_ghost_replay_never_writes_the_completed_ranks_buffer() {
     );
     assert!(
         ranks[ahead].stats().daemon_starts > starts,
-        "rank {ahead}'s seat claimed a core for the ghost"
+        "rank {ahead}'s seat launched a daemon for the ghost"
     );
     assert!(ghost.silent_replay);
     assert!(
@@ -542,13 +553,7 @@ fn run_recovery_world(seed: u64, after: u64) -> (EventTrail, Vec<RecoveryOutcome
             continue;
         };
         assert_eq!(report.kind, StallKind::LinkFailure, "{what}: {report}");
-        for r in 0..RANKS {
-            if let Some(core) = world.core(GpuId(r)) {
-                if core.slice.is_some() {
-                    core.preempt_slice();
-                }
-            }
-        }
+        close_open_slices(&mut world, RANKS);
         outcomes.push(coordinator.recover(&refs, &report).unwrap());
     }
     assert!(
@@ -589,6 +594,164 @@ fn a_dead_edge_recovers_identically_on_a_held_world() {
         assert!(after < 23 || ghosts > 0, "seed {seed}: no rank ran ahead");
         assert_eq!(outcomes, replayed_outcomes, "seed {seed}");
         assert_eq!(trails, replayed, "seed {seed}");
+    }
+}
+
+/// A compute kernel that finishes in its `.0`-th poll.
+struct Compute(u64);
+
+impl Kernel for Compute {
+    fn name(&self) -> String {
+        "compute".to_string()
+    }
+
+    fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll<'_> {
+        self.0 -= 1;
+        if self.0 > 0 {
+            return KernelPoll::Moved;
+        }
+        KernelPoll::Ready(KernelOutcome::Completed)
+    }
+}
+
+/// Submit all-reduce `coll` (every element `r * 10 + coll + 1`) on rank `r`,
+/// counting its callback in `fired`; returns the recv buffer.
+fn run_all_reduce(
+    rank: &RankCtx,
+    coll: u64,
+    count: usize,
+    fired: &Arc<AtomicUsize>,
+) -> DeviceBuffer {
+    let value = (rank.gpu().0 * 10) as f32 + coll as f32 + 1.0;
+    let recv = DeviceBuffer::zeroed(count * 4);
+    let fired = Arc::clone(fired);
+    let callback = Box::new(move || {
+        fired.fetch_add(1, Ordering::AcqRel);
+    });
+    let send = DeviceBuffer::from_f32(&vec![value; count]);
+    rank.run(coll, send, recv.clone(), callback).unwrap();
+    recv
+}
+
+/// The DFCCL twin of the baseline's Fig. 1(d) deadlock
+/// (`nccl_like::tests::fig1d_disorder_with_device_sync_deadlocks_despite_resources`)
+/// on one held world. Each GPU runs a compute kernel on a compute stream of
+/// its engine; rank 0 submits all-reduce 0, rank 1 all-reduce 1, and once
+/// both daemons are resident each rank synchronizes its device. Neither
+/// all-reduce can finish before the other rank submits it, after its
+/// synchronization: the baseline's kernels hold the barrier forever, while
+/// each daemon preempts its stuck collective, idles and quits voluntarily,
+/// so both barriers drain. Then each rank submits the other all-reduce and
+/// all four complete. Returns each rank's event trail.
+fn run_fig1d_world(seed: u64) -> EventTrail {
+    const COUNT: usize = 32;
+    let config = DfcclConfig {
+        chunk_elems: 8,
+        connector_capacity: 1,
+        spin: SpinPolicy::Fixed { threshold: 3 },
+        ..DfcclConfig::for_testing()
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(2),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, 2);
+    for rank in &ranks {
+        for coll in [0, 1] {
+            let (devices, op) = (gpus(&[0, 1]), ReduceOp::Sum);
+            rank.register_all_reduce(coll, COUNT, DataType::F32, op, devices, 0)
+                .unwrap();
+        }
+    }
+    let what = format!("fig. 1(d) world, seed {seed}");
+    let mut rng = Rng(seed);
+    let compute: Vec<_> = ranks
+        .iter()
+        .map(|rank| {
+            let polls = 4 + rng.next() % 4;
+            let kernel = Box::new(Compute(polls));
+            rank.engine().launch(StreamId(1), kernel).unwrap()
+        })
+        .collect();
+    let fired = Arc::new(AtomicUsize::new(0));
+    let mut recvs = vec![
+        (0, run_all_reduce(&ranks[0], 0, COUNT, &fired)),
+        (1, run_all_reduce(&ranks[1], 1, COUNT, &fired)),
+    ];
+    let mut pick = |_| Some((rng.next() % 2) as usize);
+    let resident = |r: &RankCtx| resident(r.shared_state());
+    step_until(&mut world, &ranks, 1_000, &what, &mut pick, |_| {
+        ranks.iter().all(resident)
+    });
+
+    // A kernel launched after a barrier starts once the barrier drained: it
+    // reads how many voluntary quits the rank's daemon had made by then.
+    let mut after_sync = Vec::new();
+    let mut quits_at_drain = Vec::new();
+    for (r, rank) in ranks.iter().enumerate() {
+        assert!(
+            !rank.device_synchronize(Duration::ZERO),
+            "{what}: rank {r}'s daemon holds the barrier"
+        );
+        let quits = Arc::new(AtomicU64::new(u64::MAX));
+        let (seen, ledger) = (
+            Arc::clone(&quits),
+            Arc::clone(&rank.shared_state().telemetry),
+        );
+        let marker = FnKernel::new("after-sync", move |_| {
+            seen.store(ledger.daemon_stats().voluntary_quits, Ordering::Release);
+            KernelOutcome::Completed
+        });
+        after_sync.push(rank.engine().launch(StreamId(2), Box::new(marker)).unwrap());
+        quits_at_drain.push(quits);
+    }
+    let drained = |h: &KernelHandle| h.status() == KernelStatus::Completed;
+    step_until(&mut world, &ranks, 100_000, &what, &mut pick, |_| {
+        after_sync.iter().all(drained)
+    });
+    for r in 0..2 {
+        let quits = quits_at_drain[r].load(Ordering::Acquire);
+        assert!(
+            quits >= 1,
+            "{what}: rank {r}'s barrier drained before its daemon quit"
+        );
+        assert!(drained(&compute[r]), "{what}: rank {r}'s compute kernel");
+    }
+    assert_eq!(
+        fired.load(Ordering::Acquire),
+        0,
+        "{what}: nothing could complete"
+    );
+
+    // After the synchronization each rank submits the other all-reduce.
+    recvs.push((1, run_all_reduce(&ranks[0], 1, COUNT, &fired)));
+    recvs.push((0, run_all_reduce(&ranks[1], 0, COUNT, &fired)));
+    step_until(&mut world, &ranks, 100_000, &what, &mut pick, |_| {
+        fired.load(Ordering::Acquire) == 4
+    });
+    for (coll, recv) in &recvs {
+        let sum = (0..2).map(|r| (r * 10) as f32 + *coll as f32 + 1.0).sum();
+        assert_eq!(recv.to_f32_vec(), vec![sum; COUNT], "{what}: coll {coll}");
+    }
+    assert!(ranks.iter().all(|r| r.collective_errors().is_empty()));
+    let trails = ranks
+        .iter()
+        .map(|r| {
+            let events = r.telemetry().events;
+            events.iter().map(|e| (e.coll_id, e.kind)).collect()
+        })
+        .collect();
+    tear_down(&mut world, &ranks, &what);
+    trails
+}
+
+#[test]
+fn fig1d_disorder_with_device_sync_completes_on_one_held_world() {
+    for seed in 1..=4 {
+        assert_eq!(run_fig1d_world(seed), run_fig1d_world(seed), "seed {seed}");
     }
 }
 

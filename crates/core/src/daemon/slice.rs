@@ -12,8 +12,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dfccl_collectives::LanePass;
+use gpu_sim::KernelPoll;
 
-use super::core::{BlockedOn, DaemonCore, Progress};
+use super::core::DaemonCore;
 use super::RegisteredCollective;
 use crate::context::{ContextLoad, DynamicContext};
 use crate::telemetry::TelemetryEventKind;
@@ -79,10 +80,10 @@ impl DaemonCore {
     /// One pass of the open slice's lane run: each lane's head instruction
     /// is polled once and run if ready, so a stalled channel never
     /// head-of-line-blocks a ready one. Each completed primitive raises the
-    /// spin threshold; the `threshold`-th consecutive pass that neither ran
-    /// a primitive nor put a staged chunk on the wire preempts the
-    /// collective (its context saved, the next one scheduled).
-    pub(super) fn lane_pass(&mut self) -> Progress {
+    /// spin threshold; a pass that neither ran one nor put a staged chunk on
+    /// the wire is `Pending` on its lane heads' edges, and the `threshold`-th
+    /// in a row preempts the collective (context saved, next one scheduled).
+    pub(super) fn lane_pass(&mut self) -> KernelPoll<'_> {
         let slice = self.slice.as_mut().expect("lane pass needs an open slice");
         let (reg, ctx) = (&*slice.reg, &mut slice.ctx);
         let start = Instant::now();
@@ -112,22 +113,28 @@ impl DaemonCore {
                 }
                 slice.polls = 0;
                 self.pass_active = true;
-                Progress::Advanced(ran)
+                KernelPoll::Moved
             }
             Ok(LanePass::Stuck) => {
+                // A fruitless run moves no cursor: its first pass names it.
+                if slice.polls == 0 {
+                    let devices = &reg.desc.devices;
+                    ctx.run
+                        .waits(&reg.program, &reg.table, devices, &mut self.waits);
+                }
                 slice.polls += 1;
                 if slice.polls >= slice.threshold {
                     self.preempt_slice();
                 }
-                Progress::Blocked(BlockedOn::Connectors)
+                KernelPoll::Pending(&self.waits)
             }
             Ok(LanePass::Done) => {
                 self.finish_slice(None);
-                Progress::Advanced(0)
+                KernelPoll::Moved
             }
             Err(e) => {
                 self.finish_slice(Some(e.to_string()));
-                Progress::Advanced(0)
+                KernelPoll::Moved
             }
         }
     }

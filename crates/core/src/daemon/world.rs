@@ -1,4 +1,4 @@
-//! The world runner: a few carrier threads step every rank's daemon core and
+//! The world runner: a few carrier threads step every rank's engine and
 //! poller.
 //!
 //! On a GPU each daemon kernel and each CPU poller runs on hardware of its
@@ -8,17 +8,16 @@
 //! `Topology::gpus`, machine-major) belongs to carrier ⌊r·C/N⌋ — contiguous
 //! blocks, so intra-node hops stay on one carrier.
 //!
-//! A carrier sweeps the ranks it owns, each held in a `Seat`: the only owner
-//! of the rank's [`DaemonCore`]. A seat's step does the poller's job — drains
-//! the CQ when the rank's `cq_ready` generation moved and runs the callbacks
-//! (`poller.rs`) — then claims a core if none is held and work is owed
-//! (`DaemonShared::owes_work`), polls it once and maps the
-//! [`Progress`] to what the rank wants next (`Wish`) with the per-rank idle
-//! policy (`idle_spin_passes`, `idle_passes_before_quit`, retiring while a
-//! device synchronization is pending). After the sweep the carrier waits as
-//! little as its hottest rank allows, parking on its one bell only when
-//! every rank it owns wants to park. `carrier_wait` is the only wait in this
-//! file; CI greps the rest of it, and the pipeline stage files, for one.
+//! A carrier sweeps the ranks it owns, each held in a `Seat`, the only
+//! launcher of the rank's [`DaemonCore`] kernel. A seat's step drains the CQ
+//! if its `cq_ready` generation moved and runs the callbacks (`poller.rs`),
+//! launches a daemon kernel on the rank's engine if work is owed and none is
+//! there, steps the engine once and maps its `StepReport` to a `Wish`:
+//! progress polls again, a wait on named edges spins, quiet steps yield for
+//! `idle_spin_passes`, then park. After the sweep the carrier waits as little
+//! as its hottest rank allows, parking on its one bell only when every rank
+//! wants to park. `carrier_wait` is the only wait in this file; CI greps the
+//! rest of it, and the pipeline stage files, for one.
 //!
 //! A carrier thread starts when its first rank attaches and exits when its
 //! last rank leaves, so a domain with no live rank holds no thread. A test
@@ -31,9 +30,10 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use gpu_sim::{KernelHandle, StreamId};
 use parking_lot::Mutex;
 
-use super::core::{BlockedOn, DaemonCore, Progress};
+use super::core::DaemonCore;
 use super::{poller, DaemonShared};
 use crate::cq::Cqe;
 use crate::park::Parker;
@@ -79,13 +79,19 @@ impl World {
     pub fn carrier(&self, index: usize) -> &Arc<Carrier> {
         &self.carriers[index * self.carriers.len() / self.gpus]
     }
+
+    /// Carrier threads started and not joined yet.
+    pub fn threads(&self) -> usize {
+        let started = |c: &Arc<Carrier>| c.roster.lock().thread.is_some();
+        self.carriers.iter().filter(|c| started(c)).count()
+    }
 }
 
 /// One carrier thread and the ranks it steps.
 pub struct Carrier {
     index: usize,
     /// Rung by every rank the carrier owns: SQE pushes, exit and rescan
-    /// requests, CQE publication, a core released.
+    /// requests, CQE publication, a retired daemon.
     pub(super) bell: Parker,
     roster: Mutex<Roster>,
     /// Bumped by every attach, so the thread re-reads the roster only then.
@@ -303,11 +309,16 @@ impl Sweep {
     }
 }
 
-/// One rank as its carrier holds it: the only owner of its core.
+/// The engine stream whose FIFO runs one daemon incarnation at a time.
+const DAEMON_STREAM: StreamId = StreamId(usize::MAX);
+
+/// One rank as its carrier holds it: the only launcher of its daemon kernel.
 struct Seat {
     shared: Arc<DaemonShared>,
-    core: Option<DaemonCore>,
-    idle_passes: u32,
+    /// The daemon kernel launched last, until it is seen finished.
+    daemon: Option<KernelHandle>,
+    /// Steps in a row that made no progress and waited on no edge.
+    quiet_steps: u32,
     /// The `cq_ready` generation the last drain saw.
     cq_seen: u64,
     /// Dozing until the bell moves past the first value or the instant
@@ -319,16 +330,17 @@ impl Seat {
     fn new(shared: Arc<DaemonShared>) -> Self {
         Seat {
             shared,
-            core: None,
-            idle_passes: 0,
+            daemon: None,
+            quiet_steps: 0,
             cq_seen: 0,
             doze: None,
         }
     }
 
-    /// Drain the CQ if something was published, claim a core if none is
-    /// held and work is owed, then poll it once. `None` when the rank is
-    /// leaving and nothing is owed any more.
+    /// Drain the CQ if something was published, launch a daemon kernel if
+    /// none is on the engine and work is owed, then step the engine once
+    /// and say what the rank wants next. `None` when the rank is leaving
+    /// and nothing is owed any more.
     fn step(&mut self, batch: &mut Vec<Cqe>) -> Option<Wish> {
         let shared = &self.shared;
         // Draining the slot CQ scans every slot: only when it moved.
@@ -337,11 +349,23 @@ impl Seat {
             self.cq_seen = published;
             poller::drain(shared, batch);
         }
-        if self.core.is_none() && shared.owes_work() {
-            self.core = shared.try_claim();
-            self.idle_passes = 0;
+        if self.daemon.as_ref().is_some_and(KernelHandle::is_terminal) {
+            self.daemon = None;
         }
-        let Some(core) = self.core.as_mut() else {
+        if self.daemon.is_none() && shared.owes_work() {
+            let daemon = Box::new(DaemonCore::new(Arc::clone(shared)));
+            self.daemon = shared.engine.launch(DAEMON_STREAM, daemon).ok();
+        }
+        let step = shared.engine.step();
+        // Another thread stepping the engine makes it busy.
+        if step.progressed() || step.busy > 0 {
+            self.quiet_steps = 0;
+            return Some(Wish::Poll);
+        }
+        if step.waiting > 0 {
+            return Some(Wish::Spin);
+        }
+        if self.daemon.is_none() {
             // `owes_work` first: `outstanding` falls only after the CQE is
             // in the CQ.
             let leaving = shared.leaving.load(Ordering::Acquire);
@@ -350,42 +374,15 @@ impl Seat {
             }
             // A submission or a recovery reinstall rings the bell.
             return Some(Wish::Park);
-        };
-        let config = &shared.config;
-        Some(match core.poll() {
-            Progress::Advanced(_) => {
-                self.idle_passes = 0;
-                Wish::Poll
-            }
-            Progress::Blocked(BlockedOn::Connectors) => Wish::Spin,
-            // This carrier is the poller: drain on the next sweep.
-            Progress::Blocked(BlockedOn::CqSpace) => {
-                self.cq_seen = self.cq_seen.wrapping_sub(1);
-                Wish::Poll
-            }
-            // An exit request rings the bell; the end of the device
-            // synchronization is found on the next timed attempt.
-            Progress::Blocked(BlockedOn::Residency) => Wish::Park,
-            Progress::Idle => {
-                self.idle_passes += 1;
-                // Quit early when a device synchronization waits on this
-                // daemon; otherwise yield briefly (a burst may still be
-                // arriving), then park, and quit once the budget is spent.
-                let sync_blocked = self.idle_passes >= 2 && shared.device.sync_pending();
-                if sync_blocked || self.idle_passes >= config.idle_passes_before_quit {
-                    core.retire(true);
-                    self.core = None;
-                    Wish::Poll
-                } else if self.idle_passes <= config.idle_spin_passes {
-                    Wish::Yield
-                } else {
-                    Wish::Park
-                }
-            }
-            Progress::Exited => {
-                self.core = None;
-                Wish::Poll
-            }
+        }
+        // Idle, or the CQ is full (its publication rang the bell, so a
+        // park returns at once): yield briefly — a burst may still be
+        // arriving — then park.
+        self.quiet_steps += 1;
+        Some(if self.quiet_steps <= shared.config.idle_spin_passes {
+            Wish::Yield
+        } else {
+            Wish::Park
         })
     }
 }
@@ -454,10 +451,18 @@ impl HeldWorld {
         wish
     }
 
-    /// The core `gpu`'s seat holds, if any.
-    pub(super) fn core(&mut self, gpu: gpu_sim::GpuId) -> Option<&mut DaemonCore> {
-        let seat = self.seats.iter_mut().find(|s| s.shared.gpu == gpu)?;
-        seat.core.as_mut()
+    /// Run `f` on the daemon kernel running on `gpu`'s engine, if any.
+    pub(super) fn with_core<R>(
+        &mut self,
+        gpu: gpu_sim::GpuId,
+        f: impl FnOnce(&mut DaemonCore) -> R,
+    ) -> Option<R> {
+        let seat = self.seats.iter().find(|s| s.shared.gpu == gpu)?;
+        let seq = seat.daemon.as_ref()?.seq();
+        seat.shared.engine.with_running(seq, |kernel| {
+            let any: &mut dyn std::any::Any = kernel;
+            f(any.downcast_mut().expect("the daemon stream runs daemons"))
+        })
     }
 }
 

@@ -16,13 +16,14 @@
 //! * The **daemon kernel** ([`daemon`]) — one per GPU — fetches SQEs, keeps a
 //!   task queue, executes each collective's primitive sequence under spin
 //!   thresholds, preempts collectives that are stuck, saves/restores their
-//!   dynamic context, emits CQEs, and quits voluntarily when idle so device
-//!   synchronizations can drain. Its decisions live in a steppable
-//!   [`daemon::DaemonCore`].
+//!   dynamic context, emits CQEs, and quits voluntarily when idle or when a
+//!   device synchronization waits for it. It is a kernel
+//!   ([`daemon::DaemonCore`]) on its GPU's launch engine
+//!   ([`RankCtx::engine`]), beside the caller's compute kernels.
 //! * The **poller** drains the [`cq`] and runs the callbacks.
 //! * A domain's few **carrier** threads ([`daemon::World`], min(GPUs,
-//!   available parallelism) of them) step every rank's daemon core and
-//!   poller, and do all the waiting.
+//!   available parallelism) of them) step every rank's engine and poller,
+//!   and do all the waiting.
 //!
 //! ## Quick start
 //!

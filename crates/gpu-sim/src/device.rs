@@ -1,27 +1,18 @@
-//! The GPU device model: residency slots, memory accounting and device-wide
-//! synchronization.
+//! The GPU device model: residency slots and memory accounting.
 //!
 //! A *resident kernel* occupies one of the device's concurrent-kernel slots
 //! (the stand-in for streaming-multiprocessor resources). Residency is the
 //! resource that is mutually exclusive and held while a collective busy-waits,
 //! which is what makes disordered collectives deadlock (Sec. 2.3 of the paper).
-//!
-//! Device-wide synchronization ([`GpuDevice::request_synchronize`]) models
-//! `cudaDeviceSynchronize()` and the implicit synchronization operations
-//! (page-locked host memory allocation, CPU-initiated GPU memory operations):
-//! the synchronization completes only when every currently-resident kernel has
-//! released its residency, and **no new residency can be acquired while a
-//! synchronization is pending**. DFCCL's daemon kernel observes
-//! [`GpuDevice::sync_pending`] and voluntarily quits so the synchronization can
-//! drain (Sec. 4.4).
+//! The device's [`crate::DeviceEngine`] grants the slots to the kernels it
+//! starts and holds its synchronization barriers.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::sync::{SyncKind, SyncShared, SyncWaiter};
 use crate::GpuError;
 
 /// Identifier of a GPU in the simulated cluster. Globally unique.
@@ -88,30 +79,10 @@ pub struct MemoryUsage {
     pub shared_peak: usize,
 }
 
-/// Counters describing scheduling activity on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeviceCounters {
-    /// Number of residencies acquired over the device lifetime.
-    pub residencies_acquired: u64,
-    /// Number of synchronization operations requested.
-    pub syncs_requested: u64,
-    /// Number of synchronization operations that have completed.
-    pub syncs_completed: u64,
-    /// Number of failed residency acquisitions (slot exhaustion or pending sync).
-    pub residency_rejections: u64,
-}
-
-struct PendingSync {
-    waits_for: HashSet<u64>,
-    shared: Arc<SyncShared>,
-}
-
+#[derive(Default)]
 struct DeviceState {
-    next_residency: u64,
-    resident: HashSet<u64>,
+    resident: usize,
     resident_shared_bytes: usize,
-    pending_syncs: Vec<PendingSync>,
-    counters: DeviceCounters,
 }
 
 /// A simulated GPU device. Cheap to share via [`Arc`].
@@ -119,15 +90,11 @@ pub struct GpuDevice {
     id: GpuId,
     spec: GpuSpec,
     state: Mutex<DeviceState>,
-    /// Notified whenever a slot frees. Nothing waits on it any more, but
-    /// dropping it shrinks every `GpuDevice` allocation, which was measured
-    /// to change how often the benchmark's `large_bandwidth` set-up re-faults
-    /// its buffers (glibc heap trimming at domain teardown; ROADMAP item 11).
+    /// Notified whenever a slot frees ([`GpuDevice::wait_while`]).
     residency_cv: Condvar,
     global_allocated: AtomicUsize,
     global_peak: AtomicUsize,
     shared_peak: AtomicUsize,
-    syncs_completed: AtomicU64,
 }
 
 impl std::fmt::Debug for GpuDevice {
@@ -145,18 +112,11 @@ impl GpuDevice {
         Arc::new(GpuDevice {
             id,
             spec,
-            state: Mutex::new(DeviceState {
-                next_residency: 0,
-                resident: HashSet::new(),
-                resident_shared_bytes: 0,
-                pending_syncs: Vec::new(),
-                counters: DeviceCounters::default(),
-            }),
+            state: Mutex::new(DeviceState::default()),
             residency_cv: Condvar::new(),
             global_allocated: AtomicUsize::new(0),
             global_peak: AtomicUsize::new(0),
             shared_peak: AtomicUsize::new(0),
-            syncs_completed: AtomicU64::new(0),
         })
     }
 
@@ -172,9 +132,8 @@ impl GpuDevice {
 
     /// Try to acquire a kernel-residency slot without blocking.
     ///
-    /// Fails if all residency slots are busy, if the requested shared memory
-    /// does not fit, or if a device synchronization is pending (new work may
-    /// not start until the synchronization drains).
+    /// Fails if all residency slots are busy or if the requested shared
+    /// memory does not fit.
     pub fn try_acquire_residency(
         self: &Arc<Self>,
         blocks: u32,
@@ -187,63 +146,39 @@ impl GpuDevice {
             });
         }
         let mut st = self.state.lock();
-        if !st.pending_syncs.is_empty()
-            || st.resident.len() >= self.spec.max_resident_kernels as usize
-        {
-            st.counters.residency_rejections += 1;
+        if st.resident >= self.spec.max_resident_kernels as usize {
             return Err(GpuError::ResidencyUnavailable);
         }
-        let id = st.next_residency;
-        st.next_residency += 1;
-        st.resident.insert(id);
+        st.resident += 1;
         let shared_bytes = shared_mem_per_block.saturating_mul(blocks as usize);
         st.resident_shared_bytes += shared_bytes;
         let peak = st.resident_shared_bytes;
-        st.counters.residencies_acquired += 1;
         drop(st);
         self.shared_peak.fetch_max(peak, Ordering::Relaxed);
         Ok(ResidencyGuard {
             device: Arc::clone(self),
-            id,
             shared_bytes,
         })
     }
 
     /// Number of kernels currently resident.
     pub fn resident_kernels(&self) -> usize {
-        self.state.lock().resident.len()
+        self.state.lock().resident
     }
 
-    /// Whether a device synchronization is pending (some earlier kernels have
-    /// not yet drained). The DFCCL daemon kernel polls this to decide when to
-    /// quit voluntarily.
-    pub fn sync_pending(&self) -> bool {
-        !self.state.lock().pending_syncs.is_empty()
-    }
-
-    /// Request a device-wide synchronization of the given kind.
-    ///
-    /// The returned waiter completes once every kernel resident at the moment
-    /// of the request has released its residency. While any synchronization is
-    /// pending, new residency acquisitions are rejected.
-    pub fn request_synchronize(&self, kind: SyncKind) -> SyncWaiter {
+    /// Block while `pending()` holds, for at most `timeout`, waking each
+    /// time a slot frees. `pending` is read under the device lock, so a
+    /// condition that a kernel's retirement clears before its slot frees is
+    /// never slept through. Returns whether it still holds.
+    pub(crate) fn wait_while(&self, pending: impl Fn() -> bool, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
-        st.counters.syncs_requested += 1;
-        let shared = Arc::new(SyncShared::new(kind));
-        if st.resident.is_empty() {
-            shared.complete();
-            self.syncs_completed.fetch_add(1, Ordering::Relaxed);
-            let mut counters = st.counters;
-            counters.syncs_completed += 1;
-            st.counters = counters;
-        } else {
-            let waits_for = st.resident.clone();
-            st.pending_syncs.push(PendingSync {
-                waits_for,
-                shared: Arc::clone(&shared),
-            });
+        while pending() {
+            if self.residency_cv.wait_until(&mut st, deadline).timed_out() {
+                return pending();
+            }
         }
-        SyncWaiter::new(shared)
+        false
     }
 
     /// Memory usage snapshot.
@@ -255,11 +190,6 @@ impl GpuDevice {
             global_peak: self.global_peak.load(Ordering::Relaxed),
             shared_peak: self.shared_peak.load(Ordering::Relaxed),
         }
-    }
-
-    /// Scheduling counters snapshot.
-    pub fn counters(&self) -> DeviceCounters {
-        self.state.lock().counters
     }
 
     /// Allocate `bytes` of global (device) memory. The allocation is released
@@ -292,31 +222,19 @@ impl GpuDevice {
         }
     }
 
-    fn release_residency(&self, id: u64, shared_bytes: usize) {
+    fn release_residency(&self, shared_bytes: usize) {
         let mut st = self.state.lock();
-        st.resident.remove(&id);
+        st.resident -= 1;
         st.resident_shared_bytes = st.resident_shared_bytes.saturating_sub(shared_bytes);
-        let mut completed = 0u64;
-        st.pending_syncs.retain_mut(|sync| {
-            sync.waits_for.remove(&id);
-            if sync.waits_for.is_empty() {
-                sync.shared.complete();
-                completed += 1;
-            }
-            !sync.waits_for.is_empty()
-        });
-        st.counters.syncs_completed += completed;
         drop(st);
-        self.syncs_completed.fetch_add(completed, Ordering::Relaxed);
         self.residency_cv.notify_all();
     }
 }
 
 /// RAII guard representing one resident kernel. Dropping it releases the
-/// residency slot and may complete pending synchronizations.
+/// residency slot.
 pub struct ResidencyGuard {
     device: Arc<GpuDevice>,
-    id: u64,
     shared_bytes: usize,
 }
 
@@ -324,7 +242,6 @@ impl std::fmt::Debug for ResidencyGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResidencyGuard")
             .field("device", &self.device.id())
-            .field("id", &self.id)
             .finish()
     }
 }
@@ -338,7 +255,7 @@ impl ResidencyGuard {
 
 impl Drop for ResidencyGuard {
     fn drop(&mut self) {
-        self.device.release_residency(self.id, self.shared_bytes);
+        self.device.release_residency(self.shared_bytes);
     }
 }
 
@@ -366,7 +283,6 @@ impl Drop for GlobalAllocation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn residency_slots_are_bounded() {
@@ -390,38 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_completes_immediately_when_idle() {
-        let dev = GpuDevice::new(GpuId(0), GpuSpec::tiny(2));
-        let w = dev.request_synchronize(SyncKind::Explicit);
-        assert!(w.is_complete());
-        assert!(!dev.sync_pending());
-    }
-
-    #[test]
-    fn sync_waits_for_resident_kernels_and_blocks_new_ones() {
-        let dev = GpuDevice::new(GpuId(0), GpuSpec::tiny(4));
-        let guard = dev.try_acquire_residency(1, 0).unwrap();
-        let w = dev.request_synchronize(SyncKind::Explicit);
-        assert!(!w.is_complete());
-        assert!(dev.sync_pending());
-        // New residency is rejected while the sync is pending.
-        assert!(dev.try_acquire_residency(1, 0).is_err());
-        drop(guard);
-        assert!(w.wait_timeout(Duration::from_secs(1)));
-        assert!(!dev.sync_pending());
-        assert!(dev.try_acquire_residency(1, 0).is_ok());
-    }
-
-    #[test]
-    fn sync_only_waits_for_kernels_resident_at_request_time() {
-        let dev = GpuDevice::new(GpuId(0), GpuSpec::tiny(4));
-        let g1 = dev.try_acquire_residency(1, 0).unwrap();
-        let w = dev.request_synchronize(SyncKind::ImplicitPinnedAlloc);
-        drop(g1);
-        assert!(w.wait_timeout(Duration::from_millis(200)));
-    }
-
-    #[test]
     fn global_memory_accounting() {
         let dev = GpuDevice::new(GpuId(0), GpuSpec::tiny(1));
         let total = dev.spec().global_mem;
@@ -441,20 +325,5 @@ mod tests {
         drop(g);
         assert_eq!(dev.memory_usage().shared_allocated, 0);
         assert_eq!(dev.memory_usage().shared_peak, 4096);
-    }
-
-    #[test]
-    fn counters_track_activity() {
-        let dev = GpuDevice::new(GpuId(0), GpuSpec::tiny(1));
-        let g = dev.try_acquire_residency(1, 0).unwrap();
-        let _ = dev.try_acquire_residency(1, 0);
-        let w = dev.request_synchronize(SyncKind::Explicit);
-        drop(g);
-        assert!(w.wait_timeout(Duration::from_secs(1)));
-        let c = dev.counters();
-        assert_eq!(c.residencies_acquired, 1);
-        assert_eq!(c.residency_rejections, 1);
-        assert_eq!(c.syncs_requested, 1);
-        assert_eq!(c.syncs_completed, 1);
     }
 }

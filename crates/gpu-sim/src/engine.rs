@@ -8,20 +8,25 @@
 //!   residency slot ([`crate::GpuDevice::try_acquire_residency`]); otherwise it
 //!   waits while *holding its queue position* (hold-and-wait).
 //! * **Synchronization barriers** — a barrier
-//!   ([`DeviceEngine::synchronize_timeout`]) completes once every kernel
-//!   launched before it has finished, and kernels launched *after* it do not
-//!   start until then.
+//!   ([`DeviceEngine::synchronize_timeout`], the device's only
+//!   synchronization) completes once every kernel launched before it has
+//!   finished, and kernels launched *after* it do not start until then. A
+//!   running kernel sees a pending barrier in [`KernelCtx::barrier_pending`];
+//!   DFCCL's daemon quits voluntarily on it, the baseline's kernels cannot.
 //! * **No preemption** — a started kernel keeps its slot until its poll
 //!   returns [`KernelPoll::Ready`]; only teardown drops it, marked `Aborted`.
 //!
 //! The engine owns no thread: the threads that wait on it step it
-//! ([`KernelHandle::wait`], `synchronize_timeout`, a watchdog), each step
-//! try-locking the engine so no kernel is polled by two threads at once. A
+//! ([`KernelHandle::wait`], `synchronize_timeout`, a watchdog, DFCCL's
+//! carriers), each step try-locking the engine so no kernel is polled by two
+//! threads at once. A step that has nothing queued to start locks only the
+//! running kernels, and a fruitless poll allocates nothing. A
 //! sweep in which nothing starts, moves or retires and no link refuses a
 //! send leaves every engine as it found it; unless a thread launches more
 //! work, every later sweep is the same, so it decides a deadlock.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,6 +69,8 @@ pub struct StepReport {
     pub moved: usize,
     /// Kernels retired, freeing their slot, stream and barriers.
     pub retired: usize,
+    /// Polls in which a kernel waited on a named edge.
+    pub waiting: usize,
     /// Polls in which a kernel waited on a link that refused its send.
     pub refused: usize,
     /// Engines skipped because another thread was stepping them.
@@ -79,7 +86,7 @@ impl StepReport {
     /// Whether the step changed nothing and can change nothing by being
     /// repeated: no progress, no refused send, and no engine skipped.
     pub fn is_quiet(&self) -> bool {
-        *self == StepReport::default()
+        !self.progressed() && self.refused + self.busy == 0
     }
 }
 
@@ -88,6 +95,7 @@ impl std::ops::AddAssign for StepReport {
         self.started += other.started;
         self.moved += other.moved;
         self.retired += other.retired;
+        self.waiting += other.waiting;
         self.refused += other.refused;
         self.busy += other.busy;
     }
@@ -167,11 +175,13 @@ impl Queues {
     }
 
     /// Forget a finished kernel and the barriers that waited only for it.
-    fn retire(&mut self, seq: u64, stream: StreamId) {
+    /// Returns whether a barrier is still pending.
+    fn retire(&mut self, seq: u64, stream: StreamId) -> bool {
         self.incomplete.remove(&seq);
         self.busy_streams.remove(&stream);
         let oldest = self.incomplete.first().copied();
         self.barriers.retain(|&b| oldest.is_some_and(|o| o < b));
+        !self.barriers.is_empty()
     }
 
     fn take_seq(&mut self) -> u64 {
@@ -184,6 +194,11 @@ impl Queues {
 pub(crate) struct EngineCore {
     device: Arc<GpuDevice>,
     queues: Mutex<Queues>,
+    /// Kernels launched and not started yet: a step with none skips
+    /// `start_eligible` and its lock.
+    queued: AtomicUsize,
+    /// Mirrors `!queues.barriers.is_empty()` for the step's `KernelCtx`.
+    barrier_pending: AtomicBool,
     /// The started kernels. Its lock is the step lock: a step try-locks it.
     running: Mutex<Vec<RunningKernel>>,
 }
@@ -195,11 +210,15 @@ impl EngineCore {
             report.busy = 1;
             return report;
         };
-        self.start_eligible(&mut running, &mut report);
+        if self.queued.load(Ordering::Acquire) > 0 {
+            self.start_eligible(&mut running, &mut report);
+        }
+        let barrier_pending = self.barrier_pending.load(Ordering::Acquire);
         running.retain_mut(|k| {
             let ctx = KernelCtx {
                 device: self.device.id(),
                 seq: k.seq,
+                barrier_pending,
             };
             let outcome = match k.kernel.poll(&ctx) {
                 KernelPoll::Ready(outcome) => outcome,
@@ -208,14 +227,22 @@ impl EngineCore {
                     return true;
                 }
                 KernelPoll::Pending(waits) => {
+                    if !waits.is_empty() {
+                        report.waiting += 1;
+                    }
                     if waits.iter().any(|w| w.side == WaitSide::Refused) {
                         report.refused += 1;
                     }
-                    k.waits = waits;
+                    k.waits.clear();
+                    k.waits.extend_from_slice(waits);
                     return true;
                 }
             };
-            self.queues.lock().retire(k.seq, k.stream);
+            let mut q = self.queues.lock();
+            let pending = q.retire(k.seq, k.stream);
+            // Under the lock, so a barrier issued meanwhile is not lost.
+            self.barrier_pending.store(pending, Ordering::Release);
+            drop(q);
             k.shared.set_status(match outcome {
                 KernelOutcome::Completed => KernelStatus::Completed,
                 KernelOutcome::Failed(e) => KernelStatus::Failed(e),
@@ -250,6 +277,7 @@ impl EngineCore {
                 continue;
             };
             let k = queue.pop_front().expect("an eligible head is queued");
+            self.queued.fetch_sub(1, Ordering::AcqRel);
             q.busy_streams.insert(sid);
             k.shared.set_status(KernelStatus::Running);
             running.push(RunningKernel {
@@ -308,6 +336,8 @@ impl DeviceEngine {
                 Arc::new(EngineCore {
                     device,
                     queues: Mutex::new(Queues::default()),
+                    queued: AtomicUsize::new(0),
+                    barrier_pending: AtomicBool::new(false),
                     running: Mutex::new(Vec::new()),
                 })
             })
@@ -353,6 +383,7 @@ impl DeviceEngine {
         }
         let seq = q.take_seq();
         q.incomplete.insert(seq);
+        self.core.queued.fetch_add(1, Ordering::AcqRel);
         q.streams
             .entry(stream)
             .or_default()
@@ -383,6 +414,7 @@ impl DeviceEngine {
             let seq = q.take_seq();
             if !q.barrier_satisfied(seq) {
                 q.barriers.push(seq);
+                self.core.barrier_pending.store(true, Ordering::Release);
             }
             seq
         };
@@ -395,6 +427,15 @@ impl DeviceEngine {
             }
             self.group.step_or_yield();
         }
+    }
+
+    /// Wait, without stepping, until no barrier is pending here or `timeout`
+    /// passes; returns whether none is. For an engine other threads step
+    /// (DFCCL's carriers), where a waiter that stepped every engine of the
+    /// group would only take the CPU from them.
+    pub fn wait_for_barriers(&self, timeout: Duration) -> bool {
+        let pending = || self.core.barrier_pending.load(Ordering::Acquire);
+        !self.core.device.wait_while(pending, timeout)
     }
 
     /// Make one pass over this engine: start the eligible stream heads, then
@@ -425,12 +466,24 @@ impl DeviceEngine {
         })
     }
 
+    /// Run `f` on the running kernel `seq`, between two steps, or return
+    /// `None` when no such kernel is running here. Blocks while another
+    /// thread steps this engine. A test that steps the engine itself reaches
+    /// a kernel's state through it, downcasting the `dyn Kernel` (`Any`).
+    pub fn with_running<R>(&self, seq: u64, f: impl FnOnce(&mut dyn Kernel) -> R) -> Option<R> {
+        let mut running = self.core.running.lock();
+        let k = running.iter_mut().find(|k| k.seq == seq)?;
+        Some(f(k.kernel.as_mut()))
+    }
+
     /// Drop every queued and running kernel, marked `Aborted`, releasing
     /// their residency slots and every barrier. Used by the deadlock
     /// watchdog to tear down deadlocked scenarios.
     pub fn abort_all(&self) {
         let running = std::mem::take(&mut *self.core.running.lock());
         let mut q = self.core.queues.lock();
+        self.core.queued.store(0, Ordering::Release);
+        self.core.barrier_pending.store(false, Ordering::Release);
         let queued = q.streams.values_mut().flat_map(|queue| queue.drain(..));
         for shared in queued
             .map(|k| k.shared)
@@ -494,7 +547,7 @@ mod tests {
             self.name.to_string()
         }
 
-        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll {
+        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll<'_> {
             if !std::mem::replace(&mut self.started, true) {
                 self.log.lock().push((self.name, true));
             }
@@ -515,8 +568,8 @@ mod tests {
             "never".to_string()
         }
 
-        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll {
-            KernelPoll::Pending(self.0.clone())
+        fn poll(&mut self, _ctx: &KernelCtx) -> KernelPoll<'_> {
+            KernelPoll::Pending(&self.0)
         }
     }
 
@@ -701,5 +754,69 @@ mod tests {
         assert_eq!(blocked(&starved), Some(BlockedOn::Residency));
         assert_eq!(blocked(&fenced), Some(BlockedOn::Barrier));
         assert!(log.lock().is_empty());
+    }
+
+    /// A kernel that finishes at the first poll that sees a pending
+    /// barrier, as DFCCL's daemon quits voluntarily; it counts its polls.
+    struct QuitsOnBarrier(u32);
+
+    impl Kernel for QuitsOnBarrier {
+        fn name(&self) -> String {
+            "quits-on-barrier".to_string()
+        }
+
+        fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll<'_> {
+            self.0 += 1;
+            if ctx.barrier_pending {
+                return KernelPoll::Ready(KernelOutcome::Completed);
+            }
+            KernelPoll::Pending(&[])
+        }
+    }
+
+    #[test]
+    fn a_running_kernel_sees_a_barrier_issued_after_it_and_can_release_it() {
+        let engine = engine_with_slots(2);
+        let h = engine
+            .launch(StreamId(1), Box::new(QuitsOnBarrier(0)))
+            .unwrap();
+        assert_eq!(engine.step().started, 1);
+        assert!(engine.step().is_quiet());
+        let polls = |e: &DeviceEngine| {
+            e.with_running(h.seq(), |k| {
+                let any: &mut dyn std::any::Any = k;
+                any.downcast_mut::<QuitsOnBarrier>().unwrap().0
+            })
+        };
+        assert_eq!(polls(&engine), Some(2));
+        assert!(!engine.synchronize_timeout(Some(Duration::ZERO)));
+        assert!(!h.is_terminal());
+        assert!(!engine.wait_for_barriers(Duration::ZERO));
+        assert_eq!(engine.step().retired, 1, "it quits on the barrier");
+        assert!(engine.wait_for_barriers(Duration::ZERO));
+        assert!(h.is_terminal());
+        assert_eq!(h.status(), KernelStatus::Completed);
+        assert_eq!(polls(&engine), None, "no longer running");
+        // The barrier drained with it: a new one is satisfied at once.
+        assert!(engine.synchronize_timeout(Some(Duration::ZERO)));
+    }
+
+    #[test]
+    fn a_waiter_that_does_not_step_wakes_when_another_thread_drains_the_barrier() {
+        let engine = engine_with_slots(2);
+        let log = Log::default();
+        let h = engine.launch(StreamId(1), busy("slow", 50, &log)).unwrap();
+        assert!(!engine.synchronize_timeout(Some(Duration::ZERO)));
+        let stepper = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                while !h.is_terminal() {
+                    engine.step();
+                }
+            })
+        };
+        assert!(engine.wait_for_barriers(Duration::from_secs(60)));
+        stepper.join().unwrap();
+        assert_eq!(ends(&log), ["slow"]);
     }
 }

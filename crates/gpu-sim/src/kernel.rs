@@ -3,9 +3,13 @@
 //! A kernel is a state machine that each [`crate::DeviceEngine::step`] polls
 //! once; [`Kernel::poll`] never blocks and says whether the kernel finished,
 //! moved, or waits — and on what. A waiting kernel keeps its residency slot
-//! (hold-and-wait) until it finishes (no preemption). DFCCL launches no
-//! per-collective kernels: its daemons run on their own carriers.
+//! (hold-and-wait) until it finishes (no preemption). The NCCL-like baseline
+//! launches one kernel per collective; DFCCL launches one daemon kernel per
+//! GPU, which finishes on its own — voluntarily quits — when it idles or
+//! when [`KernelCtx::barrier_pending`] says a synchronization waits for it.
 
+use std::any::Any;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,14 +63,15 @@ impl std::fmt::Display for EdgeWait {
 
 /// The result of one [`Kernel::poll`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KernelPoll {
+pub enum KernelPoll<'a> {
     /// The kernel finished; the engine retires it and frees its slot.
     Ready(KernelOutcome),
     /// The kernel did work this poll and has more to do.
     Moved,
     /// The kernel moved nothing this poll. It waits on these edges (empty
-    /// when it waits on nothing the engine can name).
-    Pending(Vec<EdgeWait>),
+    /// when it waits on nothing the engine can name), borrowed from the
+    /// kernel so that a fruitless poll allocates nothing.
+    Pending(&'a [EdgeWait]),
 }
 
 /// Externally observable status of a launched kernel.
@@ -98,10 +103,14 @@ pub struct KernelCtx {
     pub device: GpuId,
     /// Launch sequence number on that device's engine.
     pub seq: u64,
+    /// A synchronization barrier issued on the engine has not drained. It
+    /// waits for every running kernel, since none starts after it.
+    pub barrier_pending: bool,
 }
 
-/// A unit of GPU work.
-pub trait Kernel: Send + 'static {
+/// A unit of GPU work. `Any`, so that a test stepping an engine can reach a
+/// running kernel's state ([`crate::DeviceEngine::with_running`]).
+pub trait Kernel: Any + Send {
     /// Human-readable name, used in diagnostics.
     fn name(&self) -> String;
 
@@ -118,7 +127,7 @@ pub trait Kernel: Send + 'static {
     /// Advance the kernel without blocking. The engine polls a started
     /// kernel once per step until it returns [`KernelPoll::Ready`], and
     /// never polls it again after that.
-    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll;
+    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll<'_>;
 }
 
 /// A kernel built from a closure that runs to completion in its first poll;
@@ -161,7 +170,7 @@ where
         self.shared_mem
     }
 
-    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll {
+    fn poll(&mut self, ctx: &KernelCtx) -> KernelPoll<'_> {
         let f = self.f.take().expect("a finished kernel is never polled");
         KernelPoll::Ready(f(ctx))
     }
@@ -169,17 +178,22 @@ where
 
 pub(crate) struct KernelShared {
     status: Mutex<KernelStatus>,
+    /// Set with a terminal status: read without the lock.
+    terminal: AtomicBool,
 }
 
 impl KernelShared {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(KernelShared {
             status: Mutex::new(KernelStatus::Queued),
+            terminal: AtomicBool::new(false),
         })
     }
 
     pub(crate) fn set_status(&self, status: KernelStatus) {
+        let terminal = status.is_terminal();
         *self.status.lock() = status;
+        self.terminal.store(terminal, Ordering::Release);
     }
 }
 
@@ -229,6 +243,12 @@ impl KernelHandle {
         self.shared.status.lock().clone()
     }
 
+    /// Whether the kernel reached a terminal state: `status().is_terminal()`
+    /// without taking its lock, for a poller that asks on every step.
+    pub fn is_terminal(&self) -> bool {
+        self.shared.terminal.load(Ordering::Acquire)
+    }
+
     /// Step the kernel's engines until it reaches a terminal state. A kernel
     /// that can never finish keeps this call stepping forever, as a wedged
     /// CUDA kernel would.
@@ -244,9 +264,8 @@ impl KernelHandle {
 
     fn wait_until(&self, deadline: Option<Instant>) -> KernelStatus {
         loop {
-            let status = self.status();
-            if status.is_terminal() || deadline.is_some_and(|d| Instant::now() >= d) {
-                return status;
+            if self.is_terminal() || deadline.is_some_and(|d| Instant::now() >= d) {
+                return self.status();
             }
             self.group.step_or_yield();
         }
@@ -274,6 +293,7 @@ mod tests {
         let ctx = KernelCtx {
             device: GpuId(3),
             seq: 7,
+            barrier_pending: false,
         };
         assert_eq!(k.poll(&ctx), KernelPoll::Ready(KernelOutcome::Completed));
     }

@@ -5,18 +5,19 @@
 //! execution environment that GPU-collective deadlocks depend on:
 //!
 //! * [`GpuDevice`] — a device with a bounded number of *resident kernel* slots
-//!   (streaming-multiprocessor resources), shared/global memory accounting and
-//!   device-wide synchronization semantics.
-//! * [`DeviceEngine`] — a CUDA-style launch engine: per-stream FIFO ordering,
-//!   cross-stream concurrency bounded by the device's residency slots, and
-//!   synchronization barriers that prevent later-launched kernels from starting
-//!   until all earlier kernels drain. It owns no thread: waiting threads step
-//!   it, and a sweep in which nothing can move is a deadlock.
+//!   (streaming-multiprocessor resources) and shared/global memory accounting.
+//! * [`DeviceEngine`] — a CUDA-style launch engine, one per device and the
+//!   only way onto it: per-stream FIFO ordering, cross-stream concurrency
+//!   bounded by the device's residency slots, and synchronization barriers
+//!   (the device's one synchronization) that prevent later-launched kernels
+//!   from starting until all earlier kernels drain. It owns no thread:
+//!   waiting threads step it, and a sweep in which nothing can move is a
+//!   deadlock.
 //! * [`Kernel`] — the unit of work launched on a stream, a state machine the
 //!   engine polls. The NCCL-like baseline implements collectives as kernels
 //!   that hold their slot until their peers let them finish; DFCCL's daemon
-//!   kernel instead acquires residency on the [`GpuDevice`] directly and
-//!   cooperates with synchronization by *voluntarily quitting*.
+//!   is a kernel on the same engine that cooperates with a pending barrier
+//!   by *voluntarily quitting* (Sec. 4.4).
 //!
 //! The model deliberately reproduces the three conditions that make GPU
 //! collectives deadlock-prone (Sec. 2.3 of the paper): mutual exclusion of
@@ -28,7 +29,6 @@ pub mod device;
 pub mod engine;
 pub mod kernel;
 pub mod stream;
-pub mod sync;
 
 pub use clock::{busy_spin, TimeScale};
 pub use device::{GpuDevice, GpuId, GpuSpec, MemoryUsage, ResidencyGuard};
@@ -38,7 +38,6 @@ pub use kernel::{
     WaitSide,
 };
 pub use stream::StreamId;
-pub use sync::{SyncKind, SyncWaiter};
 
 /// Errors produced by the GPU model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub enum GpuError {
     OutOfGlobalMemory { requested: usize, available: usize },
     /// A shared-memory request exceeded the per-block capacity.
     OutOfSharedMemory { requested: usize, available: usize },
-    /// Kernel residency could not be acquired (all slots busy or sync pending).
+    /// Kernel residency could not be acquired (all slots busy).
     ResidencyUnavailable,
 }
 

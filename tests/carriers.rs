@@ -1,6 +1,6 @@
-//! The carrier world's thread budget and teardown. Its own test binary, so
-//! no other domain's threads share the process while it counts them.
-#![cfg(target_os = "linux")]
+//! The carrier world's thread budget and teardown, counted from the
+//! domain's own ledger of carrier threads started and not joined yet
+//! (`/proc/self/task` can still list a thread that was joined).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,15 +9,6 @@ use std::time::Duration;
 use dfccl_repro::collectives::{DataType, DeviceBuffer, ReduceOp};
 use dfccl_repro::dfccl::DfcclDomain;
 use dfccl_repro::gpu_sim::GpuId;
-
-/// Threads of this process whose name starts with `dfccl-`.
-fn dfccl_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with("dfccl-"))
-        .count()
-}
 
 #[test]
 fn a_four_rank_domain_runs_on_few_carriers_and_destroy_leaves_none() {
@@ -49,7 +40,7 @@ fn a_four_rank_domain_runs_on_few_carriers_and_destroy_leaves_none() {
                 rank.run_awaitable(1, send, recv).unwrap()
             })
             .collect();
-        peak = peak.max(dfccl_threads());
+        peak = peak.max(domain.carrier_threads());
         for handle in handles {
             assert!(handle.wait_for_timeout(1, Duration::from_secs(30)));
         }
@@ -88,5 +79,9 @@ fn a_four_rank_domain_runs_on_few_carriers_and_destroy_leaves_none() {
             "rank {r}'s destroy returned before its last callback ran"
         );
     }
-    assert_eq!(dfccl_threads(), 0, "carrier threads outlived every rank");
+    assert_eq!(
+        domain.carrier_threads(),
+        0,
+        "carrier threads outlived every rank"
+    );
 }

@@ -115,8 +115,10 @@ fn a_stalled_lane_never_blocks_ready_lanes() {
     );
     let ch0 = channels1.recv_on(0, ChannelId(0)).unwrap();
     assert_eq!(ch0.len(), 1, "the stalled lane sent its first chunk only");
+    let mut waits = Vec::new();
+    run.waits(&program, &table, &desc.devices, &mut waits);
     assert_eq!(
-        run.waits(&program, &table, &desc.devices),
+        waits,
         [EdgeWait {
             peer: GpuId(1),
             channel: 0,
