@@ -30,7 +30,7 @@ use dfccl_collectives::{
     ReduceOp,
 };
 use dfccl_transport::{LinkModel, Topology};
-use gpu_sim::{GpuId, GpuSpec, StreamId};
+use gpu_sim::{GpuId, GpuSpec, KernelStatus, StreamId};
 
 fn topology_for(gpus: usize) -> Topology {
     match gpus {
@@ -90,7 +90,8 @@ fn time_nccl(
             );
         }
         for h in handles {
-            h.wait_timeout(Duration::from_secs(120));
+            let status = h.wait_timeout(Duration::from_secs(120));
+            assert_eq!(status, KernelStatus::Completed, "baseline {}", desc.kind);
         }
     }
     start.elapsed() / iters as u32

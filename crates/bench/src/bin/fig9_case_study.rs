@@ -23,7 +23,7 @@ use dfccl_baseline::NcclDomain;
 use dfccl_bench::{arg_num, fmt_us, print_row};
 use dfccl_collectives::{CollectiveDescriptor, DataType, DeviceBuffer};
 use dfccl_transport::{LinkModel, Topology};
-use gpu_sim::{GpuId, GpuSpec, StreamId};
+use gpu_sim::{GpuId, GpuSpec, KernelStatus, StreamId};
 
 const GPUS: usize = 8;
 
@@ -94,7 +94,8 @@ fn measure(bytes: usize, iters: usize, compression: f64) -> [(String, Duration, 
             handles.push(rank.launch_collective(1, StreamId(1), send, recv).unwrap());
         }
         for h in handles {
-            h.wait_timeout(Duration::from_secs(60));
+            let status = h.wait_timeout(Duration::from_secs(60));
+            assert_eq!(status, KernelStatus::Completed, "baseline all-reduce");
         }
         // Approximate the kernel body time as the time from launch to
         // completion minus the measured launch overhead of the engine.

@@ -233,10 +233,11 @@ impl DfcclDomain {
         );
         let gpus = topology.gpus();
         let devices = gpus.iter().map(|&g| GpuDevice::new(g, gpu_spec.clone()));
+        // The carriers step the engines: a wait on one steps nothing.
         let engines = gpus
             .iter()
             .copied()
-            .zip(DeviceEngine::group(devices))
+            .zip(DeviceEngine::carried(devices))
             .collect();
         let membership = topology.gpus().into_iter().collect();
         let world = World::new(topology.gpu_count());
@@ -550,6 +551,8 @@ impl RankCtx {
 
     /// The launch engine of this rank's GPU, which runs its daemon kernel:
     /// compute kernels launched here share the daemon's slots and barriers.
+    /// The domain's carriers step it, so a wait on a kernel launched here
+    /// sleeps until a carrier has run it.
     pub fn engine(&self) -> &Arc<DeviceEngine> {
         &self.shared.engine
     }
@@ -942,8 +945,7 @@ impl RankCtx {
     /// it without stepping (a zero `timeout` only issues it); the carrier
     /// steps, and the daemon quits voluntarily so that it drains.
     pub fn device_synchronize(&self, timeout: Duration) -> bool {
-        let engine = self.engine();
-        engine.synchronize_timeout(Some(Duration::ZERO)) || engine.wait_for_barriers(timeout)
+        self.engine().synchronize_timeout(Some(timeout))
     }
 
     /// The algorithm the selector chose for a registered collective.

@@ -749,6 +749,26 @@ fn run_fig1d_world(seed: u64) -> EventTrail {
 }
 
 #[test]
+fn a_wait_on_a_carried_engine_steps_nothing() {
+    let domain = DfcclDomain::flat_for_testing(2);
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, 2);
+    let compute = FnKernel::new("compute", |_| KernelOutcome::Completed);
+    let h = ranks[0]
+        .engine()
+        .launch(StreamId(1), Box::new(compute))
+        .unwrap();
+    // Only the seat steps the engine: the waiting thread does not.
+    assert_eq!(
+        h.wait_timeout(Duration::from_millis(50)),
+        KernelStatus::Queued
+    );
+    world.step(GpuId(0));
+    assert_eq!(h.status(), KernelStatus::Completed);
+    tear_down(&mut world, &ranks, "carried wait");
+}
+
+#[test]
 fn fig1d_disorder_with_device_sync_completes_on_one_held_world() {
     for seed in 1..=4 {
         assert_eq!(run_fig1d_world(seed), run_fig1d_world(seed), "seed {seed}");

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -90,7 +90,8 @@ pub struct GpuDevice {
     id: GpuId,
     spec: GpuSpec,
     state: Mutex<DeviceState>,
-    /// Notified whenever a slot frees ([`GpuDevice::wait_while`]).
+    /// Notified whenever a slot frees or an engine drops queued kernels
+    /// ([`GpuDevice::wait_while`]).
     residency_cv: Condvar,
     global_allocated: AtomicUsize,
     global_peak: AtomicUsize,
@@ -166,19 +167,32 @@ impl GpuDevice {
         self.state.lock().resident
     }
 
-    /// Block while `pending()` holds, for at most `timeout`, waking each
-    /// time a slot frees. `pending` is read under the device lock, so a
-    /// condition that a kernel's retirement clears before its slot frees is
-    /// never slept through. Returns whether it still holds.
-    pub(crate) fn wait_while(&self, pending: impl Fn() -> bool, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+    /// Block while `pending()` holds, until `deadline` (`None`: forever),
+    /// waking each time a slot frees or [`GpuDevice::wake_waiters`] runs.
+    /// `pending` is read under the device lock, so a condition that a
+    /// kernel's retirement clears before its slot frees is never slept
+    /// through. Returns whether it still holds.
+    pub(crate) fn wait_while(&self, pending: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
         let mut st = self.state.lock();
         while pending() {
-            if self.residency_cv.wait_until(&mut st, deadline).timed_out() {
-                return pending();
+            match deadline {
+                None => self.residency_cv.wait(&mut st),
+                Some(d) => {
+                    if self.residency_cv.wait_until(&mut st, d).timed_out() {
+                        return pending();
+                    }
+                }
             }
         }
         false
+    }
+
+    /// Wake every [`GpuDevice::wait_while`] to re-read its condition, for a
+    /// change that freed no slot (teardown of queued kernels). Under the
+    /// device lock, so a waiter between its read and its sleep is not missed.
+    pub(crate) fn wake_waiters(&self) {
+        let _st = self.state.lock();
+        self.residency_cv.notify_all();
     }
 
     /// Memory usage snapshot.

@@ -17,22 +17,24 @@
 //!   returns [`KernelPoll::Ready`]; only teardown drops it, marked `Aborted`.
 //!
 //! The engine owns no thread: the threads that wait on it step it
-//! ([`KernelHandle::wait`], `synchronize_timeout`, a watchdog, DFCCL's
-//! carriers), each step try-locking the engine so no kernel is polled by two
-//! threads at once. A step that has nothing queued to start locks only the
-//! running kernels, and a fruitless poll allocates nothing. A
-//! sweep in which nothing starts, moves or retires and no link refuses a
-//! send leaves every engine as it found it; unless a thread launches more
-//! work, every later sweep is the same, so it decides a deadlock.
+//! ([`KernelHandle::wait`], `synchronize_timeout`, a watchdog), each step
+//! try-locking the engine so no kernel is polled by two threads at once. On
+//! a *carried* engine ([`DeviceEngine::carried`]) only its owner's threads
+//! step it (DFCCL's carriers), and a waiter sleeps until its kernel or
+//! barrier settles. A step that has nothing queued to start locks only the
+//! running kernels, and a fruitless poll allocates nothing. A sweep in
+//! which nothing starts, moves or retires and no link refuses a send leaves
+//! every engine as it found it; unless a thread launches more work, every
+//! later sweep is the same, so it decides a deadlock.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::device::{GpuDevice, ResidencyGuard};
+use crate::device::{GpuDevice, GpuId, ResidencyGuard};
 use crate::kernel::{
     EdgeWait, Kernel, KernelCtx, KernelHandle, KernelOutcome, KernelPoll, KernelShared,
     KernelStatus, WaitSide,
@@ -175,13 +177,13 @@ impl Queues {
     }
 
     /// Forget a finished kernel and the barriers that waited only for it.
-    /// Returns whether a barrier is still pending.
-    fn retire(&mut self, seq: u64, stream: StreamId) -> bool {
+    /// Returns the oldest barrier still pending, or [`NO_BARRIER`].
+    fn retire(&mut self, seq: u64, stream: StreamId) -> u64 {
         self.incomplete.remove(&seq);
         self.busy_streams.remove(&stream);
         let oldest = self.incomplete.first().copied();
         self.barriers.retain(|&b| oldest.is_some_and(|o| o < b));
-        !self.barriers.is_empty()
+        self.barriers.first().copied().unwrap_or(NO_BARRIER)
     }
 
     fn take_seq(&mut self) -> u64 {
@@ -191,14 +193,20 @@ impl Queues {
     }
 }
 
+/// `EngineCore::oldest_barrier` when no barrier is pending.
+const NO_BARRIER: u64 = u64::MAX;
+
 pub(crate) struct EngineCore {
     device: Arc<GpuDevice>,
     queues: Mutex<Queues>,
     /// Kernels launched and not started yet: a step with none skips
     /// `start_eligible` and its lock.
     queued: AtomicUsize,
-    /// Mirrors `!queues.barriers.is_empty()` for the step's `KernelCtx`.
-    barrier_pending: AtomicBool,
+    /// Mirrors `queues.barriers.first()` ([`NO_BARRIER`] when empty), stored
+    /// under the queue lock: barriers drain in issue order, so barrier `b`
+    /// has drained once this exceeds `b`. Read without a lock by the step's
+    /// `KernelCtx` and by a waiter.
+    oldest_barrier: AtomicU64,
     /// The started kernels. Its lock is the step lock: a step try-locks it.
     running: Mutex<Vec<RunningKernel>>,
 }
@@ -213,7 +221,7 @@ impl EngineCore {
         if self.queued.load(Ordering::Acquire) > 0 {
             self.start_eligible(&mut running, &mut report);
         }
-        let barrier_pending = self.barrier_pending.load(Ordering::Acquire);
+        let barrier_pending = self.oldest_barrier.load(Ordering::Acquire) != NO_BARRIER;
         running.retain_mut(|k| {
             let ctx = KernelCtx {
                 device: self.device.id(),
@@ -239,9 +247,9 @@ impl EngineCore {
                 }
             };
             let mut q = self.queues.lock();
-            let pending = q.retire(k.seq, k.stream);
+            let oldest = q.retire(k.seq, k.stream);
             // Under the lock, so a barrier issued meanwhile is not lost.
-            self.barrier_pending.store(pending, Ordering::Release);
+            self.oldest_barrier.store(oldest, Ordering::Release);
             drop(q);
             k.shared.set_status(match outcome {
                 KernelOutcome::Completed => KernelStatus::Completed,
@@ -291,24 +299,52 @@ impl EngineCore {
             report.started += 1;
         }
     }
+
+    /// Whether barrier `barrier`, issued here, has drained.
+    fn drained(&self, barrier: u64) -> bool {
+        self.oldest_barrier.load(Ordering::Acquire) > barrier
+    }
 }
 
-/// The engines of one [`DeviceEngine::group`] call: a wait on one of them
-/// steps them all.
+/// The engines of one [`DeviceEngine::group`] or [`DeviceEngine::carried`]
+/// call: a wait on one of them steps them all, unless they are carried.
 pub(crate) struct StepGroup {
     engines: Vec<Arc<EngineCore>>,
+    /// Threads of the engines' owner step them: a waiter steps nothing.
+    carried: bool,
 }
 
 impl StepGroup {
-    /// Step every engine once; yield the thread if nothing progressed, so
-    /// the threads that launch or wait elsewhere get to run.
-    pub(crate) fn step_or_yield(&self) {
-        let mut sweep = StepReport::default();
-        for e in &self.engines {
-            sweep += e.step();
+    /// Wait until `done()` or `deadline` (`None`: forever); returns whether
+    /// `done()` holds. Steps every engine of the group between reads,
+    /// yielding when a sweep moved nothing; on carried engines it sleeps
+    /// instead, woken on `device` whenever a kernel there retires or is
+    /// dropped. `done` must read no engine lock.
+    pub(crate) fn wait_until(
+        &self,
+        device: GpuId,
+        done: impl Fn() -> bool,
+        deadline: Option<Instant>,
+    ) -> bool {
+        if self.carried {
+            let core = self.engines.iter().find(|e| e.device.id() == device);
+            let core = core.expect("a kernel's device is in its step group");
+            return !core.device.wait_while(|| !done(), deadline);
         }
-        if !sweep.progressed() {
-            std::thread::yield_now();
+        loop {
+            if done() {
+                return true;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
+            let mut sweep = StepReport::default();
+            for e in &self.engines {
+                sweep += e.step();
+            }
+            if !sweep.progressed() {
+                std::thread::yield_now();
+            }
         }
     }
 }
@@ -330,6 +366,18 @@ impl DeviceEngine {
     /// One engine per device, all in one step group: waiting on any of them
     /// steps them all, in the order given.
     pub fn group(devices: impl IntoIterator<Item = Arc<GpuDevice>>) -> Vec<Arc<Self>> {
+        Self::build(devices, false)
+    }
+
+    /// One engine per device, stepped by threads the caller runs (DFCCL's
+    /// carriers). A [`KernelHandle::wait`] or `synchronize_timeout` on one
+    /// steps nothing: it sleeps until the kernel or barrier settles, which
+    /// only a step from those threads, or teardown, brings about.
+    pub fn carried(devices: impl IntoIterator<Item = Arc<GpuDevice>>) -> Vec<Arc<Self>> {
+        Self::build(devices, true)
+    }
+
+    fn build(devices: impl IntoIterator<Item = Arc<GpuDevice>>, carried: bool) -> Vec<Arc<Self>> {
         let cores: Vec<Arc<EngineCore>> = devices
             .into_iter()
             .map(|device| {
@@ -337,13 +385,14 @@ impl DeviceEngine {
                     device,
                     queues: Mutex::new(Queues::default()),
                     queued: AtomicUsize::new(0),
-                    barrier_pending: AtomicBool::new(false),
+                    oldest_barrier: AtomicU64::new(NO_BARRIER),
                     running: Mutex::new(Vec::new()),
                 })
             })
             .collect();
         let group = Arc::new(StepGroup {
             engines: cores.clone(),
+            carried,
         });
         cores
             .into_iter()
@@ -401,12 +450,13 @@ impl DeviceEngine {
         })
     }
 
-    /// Issue a device-wide synchronization barrier and step the group until
-    /// every kernel launched before it has finished, or until `timeout`
-    /// elapses (`None` waits forever). Returns whether it drained. A barrier
-    /// that times out stays in force: later kernels still wait for it, as
-    /// they would behind a real `cudaDeviceSynchronize()` that never returns.
-    /// With a zero timeout the barrier is issued without stepping.
+    /// Issue a device-wide synchronization barrier and wait until every
+    /// kernel launched before it has finished, or until `timeout` elapses
+    /// (`None` waits forever): step the group, or, on a carried engine,
+    /// sleep. Returns whether it drained. A barrier that times out stays in
+    /// force: later kernels still wait for it, as they would behind a real
+    /// `cudaDeviceSynchronize()` that never returns. With a zero timeout the
+    /// barrier is issued without stepping.
     pub fn synchronize_timeout(&self, timeout: Option<Duration>) -> bool {
         let deadline = timeout.map(|t| Instant::now() + t);
         let barrier = {
@@ -414,28 +464,13 @@ impl DeviceEngine {
             let seq = q.take_seq();
             if !q.barrier_satisfied(seq) {
                 q.barriers.push(seq);
-                self.core.barrier_pending.store(true, Ordering::Release);
+                self.core.oldest_barrier.fetch_min(seq, Ordering::AcqRel);
             }
             seq
         };
-        loop {
-            if self.core.queues.lock().barrier_satisfied(barrier) {
-                return true;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return false;
-            }
-            self.group.step_or_yield();
-        }
-    }
-
-    /// Wait, without stepping, until no barrier is pending here or `timeout`
-    /// passes; returns whether none is. For an engine other threads step
-    /// (DFCCL's carriers), where a waiter that stepped every engine of the
-    /// group would only take the CPU from them.
-    pub fn wait_for_barriers(&self, timeout: Duration) -> bool {
-        let pending = || self.core.barrier_pending.load(Ordering::Acquire);
-        !self.core.device.wait_while(pending, timeout)
+        let device = self.core.device.id();
+        self.group
+            .wait_until(device, || self.core.drained(barrier), deadline)
     }
 
     /// Make one pass over this engine: start the eligible stream heads, then
@@ -477,13 +512,15 @@ impl DeviceEngine {
     }
 
     /// Drop every queued and running kernel, marked `Aborted`, releasing
-    /// their residency slots and every barrier. Used by the deadlock
-    /// watchdog to tear down deadlocked scenarios.
+    /// their residency slots and every barrier, and wake whoever sleeps on
+    /// them. Used by the deadlock watchdog to tear down deadlocked scenarios.
     pub fn abort_all(&self) {
         let running = std::mem::take(&mut *self.core.running.lock());
         let mut q = self.core.queues.lock();
         self.core.queued.store(0, Ordering::Release);
-        self.core.barrier_pending.store(false, Ordering::Release);
+        self.core
+            .oldest_barrier
+            .store(NO_BARRIER, Ordering::Release);
         let queued = q.streams.values_mut().flat_map(|queue| queue.drain(..));
         for shared in queued
             .map(|k| k.shared)
@@ -494,6 +531,9 @@ impl DeviceEngine {
         q.incomplete.clear();
         q.busy_streams.clear();
         q.barriers.clear();
+        drop(q);
+        // A queued kernel frees no slot: nothing else wakes its waiter.
+        self.core.device.wake_waiters();
     }
 
     /// Refuse further launches and drop outstanding work, as
@@ -519,6 +559,12 @@ mod tests {
 
     fn engine_with_slots(slots: u32) -> Arc<DeviceEngine> {
         DeviceEngine::new(GpuDevice::new(GpuId(0), GpuSpec::tiny(slots)))
+    }
+
+    /// An engine whose waiters step nothing: the test steps it.
+    fn carried_engine_with_slots(slots: u32) -> Arc<DeviceEngine> {
+        let device = GpuDevice::new(GpuId(0), GpuSpec::tiny(slots));
+        DeviceEngine::carried([device]).pop().unwrap()
     }
 
     /// Start and end marks of test kernels, in the order they happened.
@@ -791,9 +837,7 @@ mod tests {
         assert_eq!(polls(&engine), Some(2));
         assert!(!engine.synchronize_timeout(Some(Duration::ZERO)));
         assert!(!h.is_terminal());
-        assert!(!engine.wait_for_barriers(Duration::ZERO));
         assert_eq!(engine.step().retired, 1, "it quits on the barrier");
-        assert!(engine.wait_for_barriers(Duration::ZERO));
         assert!(h.is_terminal());
         assert_eq!(h.status(), KernelStatus::Completed);
         assert_eq!(polls(&engine), None, "no longer running");
@@ -803,10 +847,15 @@ mod tests {
 
     #[test]
     fn a_waiter_that_does_not_step_wakes_when_another_thread_drains_the_barrier() {
-        let engine = engine_with_slots(2);
+        let engine = carried_engine_with_slots(2);
         let log = Log::default();
         let h = engine.launch(StreamId(1), busy("slow", 50, &log)).unwrap();
-        assert!(!engine.synchronize_timeout(Some(Duration::ZERO)));
+        // Nothing steps a carried engine but its owner: waits time out.
+        assert_eq!(
+            h.wait_timeout(Duration::from_millis(10)),
+            KernelStatus::Queued
+        );
+        assert!(!engine.synchronize_timeout(Some(Duration::from_millis(10))));
         let stepper = {
             let engine = Arc::clone(&engine);
             std::thread::spawn(move || {
@@ -815,8 +864,29 @@ mod tests {
                 }
             })
         };
-        assert!(engine.wait_for_barriers(Duration::from_secs(60)));
+        assert!(engine.synchronize_timeout(Some(Duration::from_secs(60))));
         stepper.join().unwrap();
         assert_eq!(ends(&log), ["slow"]);
+    }
+
+    #[test]
+    fn teardown_of_a_queued_kernel_wakes_its_carried_waiter() {
+        // A queued kernel frees no slot when it is dropped.
+        let engine = carried_engine_with_slots(1);
+        let h = engine
+            .launch(StreamId(1), Box::new(Never(Vec::new())))
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let h = h.clone();
+            std::thread::spawn(move || tx.send(h.wait()).unwrap())
+        };
+        // Let the waiter fall asleep first; a late one sees the status.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(h.status(), KernelStatus::Queued);
+        engine.abort_all();
+        let woke = rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(woke, Ok(KernelStatus::Aborted));
+        waiter.join().unwrap();
     }
 }

@@ -201,6 +201,8 @@ impl KernelShared {
 ///
 /// Waiting is what drives the device: a waiting thread steps every engine
 /// of the kernel's step group until the kernel reaches a terminal state.
+/// On a carried engine ([`crate::DeviceEngine::carried`]) its owner's
+/// threads step instead, and a waiter sleeps until the kernel settles.
 #[derive(Clone)]
 pub struct KernelHandle {
     pub(crate) shared: Arc<KernelShared>,
@@ -249,26 +251,23 @@ impl KernelHandle {
         self.shared.terminal.load(Ordering::Acquire)
     }
 
-    /// Step the kernel's engines until it reaches a terminal state. A kernel
-    /// that can never finish keeps this call stepping forever, as a wedged
-    /// CUDA kernel would.
+    /// Wait until the kernel reaches a terminal state, stepping its engines
+    /// unless they are carried. A kernel that can never finish keeps this
+    /// call waiting forever, as a wedged CUDA kernel would.
     pub fn wait(&self) -> KernelStatus {
         self.wait_until(None)
     }
 
-    /// Step the kernel's engines until it reaches a terminal state or
-    /// `timeout` elapses; returns the status at that point.
+    /// [`KernelHandle::wait`], but only until `timeout` elapses; returns
+    /// the status at that point.
     pub fn wait_timeout(&self, timeout: Duration) -> KernelStatus {
         self.wait_until(Some(Instant::now() + timeout))
     }
 
     fn wait_until(&self, deadline: Option<Instant>) -> KernelStatus {
-        loop {
-            if self.is_terminal() || deadline.is_some_and(|d| Instant::now() >= d) {
-                return self.status();
-            }
-            self.group.step_or_yield();
-        }
+        self.group
+            .wait_until(self.device, || self.is_terminal(), deadline);
+        self.status()
     }
 }
 

@@ -11,8 +11,9 @@
 //!   bounded by the device's residency slots, and synchronization barriers
 //!   (the device's one synchronization) that prevent later-launched kernels
 //!   from starting until all earlier kernels drain. It owns no thread:
-//!   waiting threads step it, and a sweep in which nothing can move is a
-//!   deadlock.
+//!   waiting threads step it — or, on a carried engine, its owner's threads
+//!   (DFCCL's carriers) while waiters sleep — and a sweep in which nothing
+//!   can move is a deadlock.
 //! * [`Kernel`] — the unit of work launched on a stream, a state machine the
 //!   engine polls. The NCCL-like baseline implements collectives as kernels
 //!   that hold their slot until their peers let them finish; DFCCL's daemon

@@ -12,11 +12,17 @@
 //! * [`moe`] — the MoE expert-parallel workload: dispatch all-to-all →
 //!   expert compute → combine all-to-all per layer, overlapped with
 //!   data-parallel gradient all-reduces on the same devices;
-//! * [`trainer`] — a training-loop driver that runs a plan for N iterations
+//! * [`trainer`] — the training workload: a plan run for N iterations
 //!   against DFCCL or against NCCL-like kernels coordinated by one of the
 //!   Sec. 2.5 orchestration strategies, reporting per-iteration times,
 //!   throughput and its coefficient of variation.
+//!
+//! Both workloads are per-iteration bodies over one private driver
+//! (`driver.rs`): it builds either stack's domain, runs one thread per GPU
+//! with a barrier-aligned, timed iteration, bounds every wait and tears the
+//! domain down, so neither workload branches on the stack.
 
+mod driver;
 pub mod model;
 pub mod moe;
 pub mod parallelism;

@@ -7,25 +7,24 @@
 //! whatever order they become ready: the paper's Fig. 1 disorder setting made
 //! real on the dense connector mesh.
 //!
-//! With DFCCL the combines and gradient all-reduces are submitted
-//! asynchronously (jittered per GPU) and the daemon's preemption untangles
-//! the disorder; with the NCCL-like baseline every kernel is blocking, so the
-//! driver imposes the orchestration strategy's consistent launch order — the
-//! CPU coordination DFCCL exists to remove. The deliberately *disordered*
-//! baseline runs (which wedge) live in `tests/stress.rs`, not here.
+//! It runs on the per-GPU loop of `driver.rs`. With DFCCL the combines and
+//! gradient all-reduces are submitted asynchronously (jittered per GPU) and
+//! the daemon's preemption untangles the disorder; with the NCCL-like
+//! baseline every kernel is blocking, so the gradients go in the
+//! orchestration strategy's consistent launch order — the CPU coordination
+//! DFCCL exists to remove. The deliberately *disordered* baseline runs
+//! (which wedge) live in `tests/stress.rs`, not here.
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dfccl::{DfcclConfig, DfcclDomain};
-use dfccl_baseline::orchestration::build_strategy;
-use dfccl_baseline::NcclDomain;
-use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
-use dfccl_transport::{LinkModel, Topology};
-use gpu_sim::{busy_spin, GpuId, GpuSpec, StreamId};
+use dfccl::DfcclConfig;
+use dfccl_collectives::{CollectiveDescriptor, DataType, ReduceOp};
+use dfccl_transport::LinkModel;
+use gpu_sim::{GpuId, StreamId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::driver::{jitter, Run};
 use crate::trainer::{BackendKind, TrainingReport};
 
 /// Collective-id base for the data-parallel gradient all-reduces (dispatch
@@ -91,20 +90,18 @@ impl MoeConfig {
     /// disorder probability. Seeded, so a (seed, gpu, iteration) triple always
     /// produces the same order — stress runs are reproducible.
     pub fn backward_order(&self, gpu: usize, iteration: u64) -> Vec<u64> {
-        let mut order: Vec<u64> = (0..self.grad_buckets)
+        let mut order = self.gradients();
+        let mut rng = StdRng::seed_from_u64(self.seed ^ ((gpu as u64) << 32) ^ (iteration << 16));
+        jitter(&mut order, self.disorder_prob, &mut rng);
+        order
+    }
+
+    /// The gradient all-reduces in backward ready order: reverse layer order.
+    fn gradients(&self) -> Vec<u64> {
+        (0..self.grad_buckets)
             .rev()
             .map(|b| self.dp_id(b))
-            .collect();
-        if self.disorder_prob > 0.0 {
-            let mut rng =
-                StdRng::seed_from_u64(self.seed ^ ((gpu as u64) << 32) ^ (iteration << 16));
-            for i in 0..order.len().saturating_sub(1) {
-                if rng.gen_bool(self.disorder_prob.min(1.0)) {
-                    order.swap(i, i + 1);
-                }
-            }
-        }
-        order
+            .collect()
     }
 }
 
@@ -120,249 +117,54 @@ pub fn train_moe(
         gpus.len() >= 2,
         "expert parallelism needs at least two GPUs"
     );
-    let per_gpu_times = match backend {
-        BackendKind::Dfccl => moe_dfccl(gpus, cfg),
-        BackendKind::NcclOrchestrated(strategy) => moe_nccl(gpus, strategy, cfg),
+    let all_to_all =
+        CollectiveDescriptor::all_to_all(cfg.slice_elems, DataType::F32, gpus.to_vec());
+    let (count, sum) = (cfg.bucket_elems, ReduceOp::Sum);
+    let all_reduce = CollectiveDescriptor::all_reduce(count, DataType::F32, sum, gpus.to_vec());
+    let layers = (0..cfg.layers).flat_map(|l| [cfg.dispatch_id(l), cfg.combine_id(l)]);
+    let run = Run {
+        backend,
+        gpus,
+        links: LinkModel::zero_cost(),
+        config: DfcclConfig {
+            chunk_elems: cfg.chunk_elems,
+            ..DfcclConfig::for_testing()
+        },
+        collectives: layers
+            .map(|id| (id, all_to_all.clone()))
+            .chain((0..cfg.grad_buckets).map(|b| (cfg.dp_id(b), all_reduce.clone())))
+            .collect(),
+        iterations: cfg.iterations,
     };
-    let iterations = per_gpu_times.first().map(Vec::len).unwrap_or(0);
-    let mut iteration_times = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        let max = per_gpu_times
-            .iter()
-            .map(|ts| ts[i])
-            .max()
-            .unwrap_or(Duration::ZERO);
-        iteration_times.push(max);
-    }
+    let gradients = cfg.gradients();
+    let iteration_times = run.drive(|it| {
+        let mut in_flight = Vec::new();
+        for l in 0..cfg.layers {
+            // Dispatch must land before the expert can compute...
+            let dispatch = it.submit(cfg.dispatch_id(l), StreamId(1));
+            it.wait(dispatch);
+            it.compute(cfg.expert_compute);
+            // ...but the combine overlaps the next layer's dispatch and the
+            // backward all-reduces — a second live communicator per rank.
+            // Every GPU submits combines in the same layer order: blocking
+            // kernels tolerate no disorder.
+            in_flight.push(it.submit(cfg.combine_id(l), StreamId(2 + l % 2)));
+        }
+        let order = it.order(&gradients, || {
+            cfg.backward_order(it.gpu, it.iteration as u64)
+        });
+        for (k, id) in order.into_iter().enumerate() {
+            in_flight.push(it.submit(id, StreamId(1 + k % 3)));
+        }
+        for s in in_flight {
+            it.wait(s);
+        }
+    });
     TrainingReport {
         backend: format!("MoE {backend}"),
         iteration_times,
         samples_per_iteration,
     }
-}
-
-fn a2a_buffers(cfg: &MoeConfig, n: usize) -> (DeviceBuffer, DeviceBuffer) {
-    let bytes = cfg.slice_elems * n * 4;
-    (DeviceBuffer::zeroed(bytes), DeviceBuffer::zeroed(bytes))
-}
-
-fn dp_buffers(cfg: &MoeConfig) -> (DeviceBuffer, DeviceBuffer) {
-    let bytes = cfg.bucket_elems * 4;
-    (DeviceBuffer::zeroed(bytes), DeviceBuffer::zeroed(bytes))
-}
-
-fn moe_dfccl(gpus: &[GpuId], cfg: &MoeConfig) -> Vec<Vec<Duration>> {
-    let n = gpus.len();
-    let domain = DfcclDomain::new(
-        Topology::flat(n),
-        LinkModel::zero_cost(),
-        GpuSpec::rtx_3090(),
-        DfcclConfig {
-            chunk_elems: cfg.chunk_elems,
-            ..DfcclConfig::for_testing()
-        },
-    );
-    let ranks: Vec<Arc<dfccl::RankCtx>> = gpus
-        .iter()
-        .map(|&g| Arc::new(domain.init_rank(g).expect("rank init")))
-        .collect();
-    for rank in &ranks {
-        for l in 0..cfg.layers {
-            for id in [cfg.dispatch_id(l), cfg.combine_id(l)] {
-                rank.register_all_to_all(id, cfg.slice_elems, DataType::F32, gpus.to_vec(), 0)
-                    .expect("register all-to-all");
-            }
-        }
-        for b in 0..cfg.grad_buckets {
-            rank.register_all_reduce(
-                cfg.dp_id(b),
-                cfg.bucket_elems,
-                DataType::F32,
-                ReduceOp::Sum,
-                gpus.to_vec(),
-                0,
-            )
-            .expect("register all-reduce");
-        }
-    }
-    let barrier = Arc::new(Barrier::new(n));
-    let cfg = Arc::new(cfg.clone());
-    let mut joins = Vec::new();
-    for (gpu_idx, rank) in ranks.iter().enumerate() {
-        let rank = Arc::clone(rank);
-        let barrier = Arc::clone(&barrier);
-        let cfg = Arc::clone(&cfg);
-        joins.push(std::thread::spawn(move || {
-            let n = rank.domain().topology().gpu_count();
-            let mut times = Vec::with_capacity(cfg.iterations);
-            // A wedge names how long the wait ran and how often this rank
-            // preempted, so a slow drain reads apart from a true deadlock.
-            let waited = |since: Instant| {
-                format!(
-                    "after {:.1?} ({} preemptions on this rank)",
-                    since.elapsed(),
-                    rank.stats().preemptions
-                )
-            };
-            for iter in 0..cfg.iterations {
-                barrier.wait();
-                let start = Instant::now();
-                let mut handles = Vec::new();
-                for l in 0..cfg.layers {
-                    // Dispatch must land before the expert can compute...
-                    let (send, recv) = a2a_buffers(&cfg, n);
-                    let handle = rank
-                        .run_awaitable(cfg.dispatch_id(l), send, recv)
-                        .expect("dispatch");
-                    let since = Instant::now();
-                    assert!(
-                        handle.wait_for_timeout(1, Duration::from_secs(60)),
-                        "gpu {gpu_idx} iter {iter}: dispatch of layer {l} wedged {}",
-                        waited(since)
-                    );
-                    busy_spin(cfg.expert_compute);
-                    // ...but the combine overlaps the next layer's dispatch
-                    // and the backward all-reduces — a second live
-                    // communicator per rank.
-                    let (send, recv) = a2a_buffers(&cfg, n);
-                    handles.push(
-                        rank.run_awaitable(cfg.combine_id(l), send, recv)
-                            .expect("combine"),
-                    );
-                }
-                for id in cfg.backward_order(gpu_idx, iter as u64) {
-                    let (send, recv) = dp_buffers(&cfg);
-                    handles.push(rank.run_awaitable(id, send, recv).expect("all-reduce"));
-                }
-                for h in handles {
-                    let since = Instant::now();
-                    assert!(
-                        h.wait_for_timeout(1, Duration::from_secs(60)),
-                        "gpu {gpu_idx} iter {iter}: an in-flight collective wedged {}",
-                        waited(since)
-                    );
-                }
-                times.push(start.elapsed());
-                barrier.wait();
-            }
-            times
-        }));
-    }
-    let result: Vec<Vec<Duration>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-    for rank in &ranks {
-        assert!(
-            rank.collective_errors().is_empty(),
-            "MoE run recorded collective errors"
-        );
-        rank.destroy();
-    }
-    result
-}
-
-fn moe_nccl(
-    gpus: &[GpuId],
-    strategy_kind: dfccl_baseline::StrategyKind,
-    cfg: &MoeConfig,
-) -> Vec<Vec<Duration>> {
-    let n = gpus.len();
-    let domain = NcclDomain::new(
-        Topology::flat(n),
-        LinkModel::zero_cost(),
-        GpuSpec::rtx_3090(),
-        cfg.chunk_elems,
-    );
-    let ranks: Vec<Arc<dfccl_baseline::NcclRank>> = gpus
-        .iter()
-        .map(|&g| Arc::new(domain.init_rank(g).expect("rank init")))
-        .collect();
-    for rank in &ranks {
-        for l in 0..cfg.layers {
-            for id in [cfg.dispatch_id(l), cfg.combine_id(l)] {
-                rank.register(
-                    id,
-                    dfccl_collectives::CollectiveDescriptor::all_to_all(
-                        cfg.slice_elems,
-                        DataType::F32,
-                        gpus.to_vec(),
-                    ),
-                )
-                .expect("register all-to-all");
-            }
-        }
-        for b in 0..cfg.grad_buckets {
-            rank.register(
-                cfg.dp_id(b),
-                dfccl_collectives::CollectiveDescriptor::all_reduce(
-                    cfg.bucket_elems,
-                    DataType::F32,
-                    ReduceOp::Sum,
-                    gpus.to_vec(),
-                ),
-            )
-            .expect("register all-reduce");
-        }
-    }
-    let barrier = Arc::new(Barrier::new(n));
-    let cfg = Arc::new(cfg.clone());
-    let mut joins = Vec::new();
-    for rank in &ranks {
-        let rank = Arc::clone(rank);
-        let barrier = Arc::clone(&barrier);
-        let cfg = Arc::clone(&cfg);
-        joins.push(std::thread::spawn(move || {
-            let strategy = build_strategy(strategy_kind);
-            let mut times = Vec::with_capacity(cfg.iterations);
-            for iter in 0..cfg.iterations {
-                barrier.wait();
-                let start = Instant::now();
-                let mut handles = Vec::new();
-                for l in 0..cfg.layers {
-                    let (send, recv) = a2a_buffers(&cfg, n);
-                    let dispatch = rank
-                        .launch_collective(cfg.dispatch_id(l), StreamId(1), send, recv)
-                        .expect("dispatch");
-                    assert_eq!(
-                        dispatch.wait_timeout(Duration::from_secs(60)),
-                        gpu_sim::KernelStatus::Completed,
-                        "baseline dispatch of layer {l} did not complete (iter {iter})"
-                    );
-                    busy_spin(cfg.expert_compute);
-                    let (send, recv) = a2a_buffers(&cfg, n);
-                    // Combines stay in flight, but in the same layer order on
-                    // every GPU — blocking kernels tolerate no disorder.
-                    handles.push(
-                        rank.launch_collective(cfg.combine_id(l), StreamId(2 + l % 2), send, recv)
-                            .expect("combine"),
-                    );
-                }
-                // The orchestration strategy imposes one consistent gradient
-                // order and charges its coordination cost.
-                let ready: Vec<u64> = (0..cfg.grad_buckets).rev().map(|b| cfg.dp_id(b)).collect();
-                let imposed = strategy.imposed_order(&ready);
-                busy_spin(strategy.iteration_overhead(ready.len(), n, iter as u64));
-                for (k, id) in imposed.iter().enumerate() {
-                    let (send, recv) = dp_buffers(&cfg);
-                    handles.push(
-                        rank.launch_collective(*id, StreamId(1 + k % 3), send, recv)
-                            .expect("all-reduce"),
-                    );
-                }
-                for h in handles {
-                    assert_eq!(
-                        h.wait_timeout(Duration::from_secs(60)),
-                        gpu_sim::KernelStatus::Completed,
-                        "a baseline kernel wedged or failed (iter {iter})"
-                    );
-                }
-                times.push(start.elapsed());
-                barrier.wait();
-            }
-            times
-        }));
-    }
-    let result: Vec<Vec<Duration>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-    domain.shutdown();
-    result
 }
 
 #[cfg(test)]

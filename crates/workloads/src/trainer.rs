@@ -1,28 +1,26 @@
-//! The training-loop driver: runs a [`TrainingPlan`] for N iterations against
+//! The training workload: runs a [`TrainingPlan`] for N iterations against
 //! either DFCCL or the NCCL-like baseline under a CPU orchestration strategy,
 //! and reports per-iteration times / throughput (the quantities plotted in
 //! Figs. 10, 12 and 13).
 //!
-//! One thread per GPU executes the per-iteration schedule: simulated compute
-//! (a busy-spin proportional to the plan's compute units), then the GPU's
-//! collectives. With DFCCL the collectives are submitted asynchronously in
-//! whatever order they become ready (optionally jittered per GPU — DFCCL
-//! tolerates the disorder); with the baseline they are launched as blocking
-//! kernels in the orchestration strategy's imposed order, and the strategy's
-//! per-iteration coordination cost is charged on every GPU.
+//! Each GPU's iteration, on the per-GPU loop of `driver.rs`: simulated
+//! compute (proportional to the plan's compute units), then the GPU's
+//! collectives, all in flight before the first wait. DFCCL takes them in
+//! the order they become ready, jittered per GPU ([`TrainerConfig`]'s
+//! `dfccl_disorder_prob`) — DFCCL tolerates the disorder; the baseline
+//! launches them as blocking kernels in the orchestration strategy's
+//! imposed order, and pays the strategy's per-iteration coordination cost.
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dfccl::{DfcclConfig, DfcclDomain};
-use dfccl_baseline::orchestration::build_strategy;
-use dfccl_baseline::{NcclDomain, StrategyKind};
-use dfccl_collectives::DeviceBuffer;
-use dfccl_transport::{LinkModel, Topology};
-use gpu_sim::{busy_spin, GpuSpec, StreamId};
+use dfccl::DfcclConfig;
+use dfccl_baseline::StrategyKind;
+use dfccl_transport::LinkModel;
+use gpu_sim::StreamId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
+use crate::driver::{jitter, Run};
 use crate::parallelism::TrainingPlan;
 
 /// Which communication backend a training run uses.
@@ -90,6 +88,20 @@ impl TrainerConfig {
             dfccl_disorder_prob: 0.2,
             seed: 7,
         }
+    }
+
+    /// GPU `gpu`'s DFCCL submission order in each iteration: `ready`, with
+    /// adjacent collectives swapped at `dfccl_disorder_prob`, drawn from one
+    /// RNG stream per GPU seeded by `seed`.
+    fn dfccl_orders(&self, ready: &[u64], gpu: usize) -> Vec<Vec<u64>> {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ ((gpu as u64) << 32));
+        (0..self.iterations)
+            .map(|_| {
+                let mut order = ready.to_vec();
+                jitter(&mut order, self.dfccl_disorder_prob, &mut rng);
+                order
+            })
+            .collect()
     }
 
     fn link_model(&self) -> LinkModel {
@@ -177,196 +189,57 @@ pub fn train(
     cfg: &TrainerConfig,
     samples_per_iteration: usize,
 ) -> TrainingReport {
-    let per_gpu_times = match backend {
-        BackendKind::Dfccl => train_dfccl(plan, cfg),
-        BackendKind::NcclOrchestrated(strategy) => train_nccl(plan, strategy, cfg),
-    };
-    // Iteration time = slowest GPU that iteration.
-    let iterations = per_gpu_times.first().map(Vec::len).unwrap_or(0);
-    let mut iteration_times = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        let max = per_gpu_times
+    let ready: Vec<Vec<u64>> = plan
+        .ready_order
+        .iter()
+        .map(|order| {
+            order
+                .iter()
+                .map(|&ci| plan.collectives[ci].coll_id)
+                .collect()
+        })
+        .collect();
+    // Drawn up front: each GPU's RNG stream runs on across iterations.
+    let jittered: Vec<Vec<Vec<u64>>> = ready
+        .iter()
+        .enumerate()
+        .map(|(gpu, ready)| cfg.dfccl_orders(ready, gpu))
+        .collect();
+    let nanos = plan.compute_units * cfg.compute_time_per_unit.as_nanos() as f64;
+    let compute = Duration::from_nanos(nanos as u64);
+    let run = Run {
+        backend,
+        gpus: &plan.gpus,
+        links: cfg.link_model(),
+        config: DfcclConfig {
+            chunk_elems: cfg.chunk_elems,
+            ..DfcclConfig::default()
+        },
+        collectives: plan
+            .collectives
             .iter()
-            .map(|ts| ts[i])
-            .max()
-            .unwrap_or(Duration::ZERO);
-        iteration_times.push(max);
-    }
+            .map(|pc| (pc.coll_id, pc.desc.clone()))
+            .collect(),
+        iterations: cfg.iterations,
+    };
+    let iteration_times = run.drive(|it| {
+        it.compute(compute);
+        let order = it.order(&ready[it.gpu], || jittered[it.gpu][it.iteration].clone());
+        // Spread collectives over a few streams, as frameworks do.
+        let submitted: Vec<_> = order
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| it.submit(id, StreamId(1 + k % 3)))
+            .collect();
+        for s in submitted {
+            it.wait(s);
+        }
+    });
     TrainingReport {
         backend: backend.to_string(),
         iteration_times,
         samples_per_iteration,
     }
-}
-
-fn compute_spin(plan: &TrainingPlan, cfg: &TrainerConfig) {
-    let nanos = plan.compute_units * cfg.compute_time_per_unit.as_nanos() as f64;
-    busy_spin(Duration::from_nanos(nanos as u64));
-}
-
-fn train_dfccl(plan: &TrainingPlan, cfg: &TrainerConfig) -> Vec<Vec<Duration>> {
-    let n = plan.gpus.len();
-    let domain = DfcclDomain::new(
-        Topology::flat(n),
-        cfg.link_model(),
-        GpuSpec::rtx_3090(),
-        DfcclConfig {
-            chunk_elems: cfg.chunk_elems,
-            ..DfcclConfig::default()
-        },
-    );
-    // Register every collective on every participating rank.
-    let ranks: Vec<Arc<dfccl::RankCtx>> = plan
-        .gpus
-        .iter()
-        .map(|&g| Arc::new(domain.init_rank(g).expect("rank init")))
-        .collect();
-    for pc in &plan.collectives {
-        for gpu in &pc.desc.devices {
-            let rank = &ranks[gpu.0];
-            rank.register(pc.coll_id, pc.desc.clone())
-                .expect("register");
-        }
-    }
-    let barrier = Arc::new(Barrier::new(n));
-    let plan = Arc::new(plan.clone());
-    let cfg = Arc::new(cfg.clone());
-    let mut joins = Vec::new();
-    for (gpu_idx, rank) in ranks.iter().enumerate().take(n) {
-        let rank = Arc::clone(rank);
-        let barrier = Arc::clone(&barrier);
-        let plan = Arc::clone(&plan);
-        let cfg = Arc::clone(&cfg);
-        joins.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ (gpu_idx as u64) << 32);
-            let mut times = Vec::with_capacity(cfg.iterations);
-            for _iter in 0..cfg.iterations {
-                barrier.wait();
-                let start = Instant::now();
-                compute_spin(&plan, &cfg);
-                // Natural per-GPU invocation order, possibly jittered.
-                let mut order = plan.ready_order[gpu_idx].clone();
-                if cfg.dfccl_disorder_prob > 0.0 {
-                    for i in 0..order.len().saturating_sub(1) {
-                        if rng.gen_bool(cfg.dfccl_disorder_prob.min(1.0)) {
-                            order.swap(i, i + 1);
-                        }
-                    }
-                }
-                let mut handles = Vec::with_capacity(order.len());
-                for ci in order {
-                    let pc = &plan.collectives[ci];
-                    let rank_idx = pc
-                        .desc
-                        .devices
-                        .iter()
-                        .position(|&d| d == plan.gpus[gpu_idx])
-                        .expect("gpu participates");
-                    let send = DeviceBuffer::zeroed(pc.desc.send_bytes(rank_idx));
-                    let recv = DeviceBuffer::zeroed(pc.desc.recv_bytes(rank_idx).max(4));
-                    handles.push(
-                        rank.run_awaitable(pc.coll_id, send, recv)
-                            .expect("run collective"),
-                    );
-                }
-                for h in handles {
-                    h.wait_for(1);
-                }
-                times.push(start.elapsed());
-                barrier.wait();
-            }
-            times
-        }));
-    }
-    let result: Vec<Vec<Duration>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-    for rank in &ranks {
-        rank.destroy();
-    }
-    result
-}
-
-fn train_nccl(
-    plan: &TrainingPlan,
-    strategy_kind: StrategyKind,
-    cfg: &TrainerConfig,
-) -> Vec<Vec<Duration>> {
-    let n = plan.gpus.len();
-    let domain = NcclDomain::new(
-        Topology::flat(n),
-        cfg.link_model(),
-        GpuSpec::rtx_3090(),
-        cfg.chunk_elems,
-    );
-    let ranks: Vec<Arc<dfccl_baseline::NcclRank>> = plan
-        .gpus
-        .iter()
-        .map(|&g| Arc::new(domain.init_rank(g).expect("rank init")))
-        .collect();
-    for pc in &plan.collectives {
-        for gpu in &pc.desc.devices {
-            ranks[gpu.0]
-                .register(pc.coll_id, pc.desc.clone())
-                .expect("register");
-        }
-    }
-    let barrier = Arc::new(Barrier::new(n));
-    let plan = Arc::new(plan.clone());
-    let cfg = Arc::new(cfg.clone());
-    let mut joins = Vec::new();
-    for (gpu_idx, rank) in ranks.iter().enumerate().take(n) {
-        let rank = Arc::clone(rank);
-        let barrier = Arc::clone(&barrier);
-        let plan = Arc::clone(&plan);
-        let cfg = Arc::clone(&cfg);
-        joins.push(std::thread::spawn(move || {
-            let strategy = build_strategy(strategy_kind);
-            let mut times = Vec::with_capacity(cfg.iterations);
-            for iter in 0..cfg.iterations {
-                barrier.wait();
-                let start = Instant::now();
-                compute_spin(&plan, &cfg);
-                // The CPU orchestration strategy imposes a consistent launch
-                // order and charges its per-iteration coordination cost.
-                let ready: Vec<u64> = plan.ready_order[gpu_idx]
-                    .iter()
-                    .map(|&ci| plan.collectives[ci].coll_id)
-                    .collect();
-                let imposed = strategy.imposed_order(&ready);
-                busy_spin(strategy.iteration_overhead(ready.len(), plan.gpus.len(), iter as u64));
-                let mut handles = Vec::with_capacity(imposed.len());
-                for (k, coll_id) in imposed.iter().enumerate() {
-                    let pc = plan
-                        .collectives
-                        .iter()
-                        .find(|c| c.coll_id == *coll_id)
-                        .expect("planned collective");
-                    let rank_idx = pc
-                        .desc
-                        .devices
-                        .iter()
-                        .position(|&d| d == plan.gpus[gpu_idx])
-                        .expect("gpu participates");
-                    let send = DeviceBuffer::zeroed(pc.desc.send_bytes(rank_idx));
-                    let recv = DeviceBuffer::zeroed(pc.desc.recv_bytes(rank_idx).max(4));
-                    // Spread collectives over a few streams, as frameworks do.
-                    let stream = StreamId(1 + (k % 3));
-                    handles.push(
-                        rank.launch_collective(*coll_id, stream, send, recv)
-                            .expect("launch collective"),
-                    );
-                }
-                for h in handles {
-                    h.wait_timeout(Duration::from_secs(60));
-                }
-                times.push(start.elapsed());
-                barrier.wait();
-            }
-            times
-        }));
-    }
-    let result: Vec<Vec<Duration>> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-    domain.shutdown();
-    result
 }
 
 #[cfg(test)]
@@ -452,6 +325,42 @@ mod tests {
         let curve = report.cumulative_throughput();
         assert_eq!(curve.len(), 3);
         assert!(curve.iter().all(|&t| t > 0.0));
+    }
+
+    #[test]
+    fn dfccl_orders_are_seed_stable_and_keep_one_stream_per_gpu() {
+        use rand::Rng;
+        let cfg = TrainerConfig {
+            dfccl_disorder_prob: 0.5,
+            ..TrainerConfig::fast_test(6)
+        };
+        let ready: Vec<u64> = (10..18).collect();
+        assert_eq!(cfg.dfccl_orders(&ready, 1), cfg.dfccl_orders(&ready, 1));
+        // The orders the trainer drew inline before the driver: one stream
+        // per GPU, seeded once, drawn on across iterations.
+        for gpu in 0..4 {
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((gpu as u64) << 32));
+            for order in cfg.dfccl_orders(&ready, gpu) {
+                let mut expected = ready.clone();
+                for i in 0..expected.len() - 1 {
+                    if rng.gen_bool(0.5) {
+                        expected.swap(i, i + 1);
+                    }
+                }
+                assert_eq!(order, expected, "gpu {gpu}");
+            }
+        }
+        let orders = cfg.dfccl_orders(&ready, 2);
+        assert_eq!(orders.len(), 6);
+        assert!(
+            orders.iter().any(|o| *o != orders[0]),
+            "disorder never produced a different order"
+        );
+        let ordered = TrainerConfig {
+            dfccl_disorder_prob: 0.0,
+            ..cfg
+        };
+        assert_eq!(ordered.dfccl_orders(&ready, 2), vec![ready.clone(); 6]);
     }
 
     #[test]
