@@ -6,7 +6,8 @@
 //! twenty-fold raise after a successful primitive). For each run the harness
 //! prints, per collective id, the number of context switches (preemptions) and
 //! the task-queue length observed when its SQE was fetched, plus the achieved
-//! throughput. The paper's observation to reproduce: the naive policy shows
+//! wall-clock throughput and the modelled context load/save time the ranks'
+//! ledgers accrued. The paper's observation to reproduce: the naive policy shows
 //! spiky context-switch counts / queue lengths and a throughput collapse, the
 //! adaptive policy flattens both.
 //!
@@ -15,10 +16,10 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dfccl::{DfcclConfig, DfcclDomain, SpinPolicy};
-use dfccl_bench::{arg_num, print_row};
+use dfccl_bench::{arg_num, fmt_us, print_row};
 use dfccl_collectives::DeviceBuffer;
 use dfccl_transport::{LinkModel, Topology};
 use dfccl_workloads::{data_parallel_plan, DnnModel};
@@ -26,7 +27,13 @@ use gpu_sim::{GpuId, GpuSpec};
 
 const GPUS: usize = 4;
 
-fn run(policy: SpinPolicy, iterations: usize, batch: usize) -> (f64, Vec<(u64, u64, u64)>) {
+/// One run's wall throughput, the modelled context load/save time its ranks
+/// accrued, and GPU 0's per-collective rows.
+fn run(
+    policy: SpinPolicy,
+    iterations: usize,
+    batch: usize,
+) -> (f64, Duration, Vec<(u64, u64, u64)>) {
     let model = DnnModel::resnet50();
     let devices: Vec<GpuId> = (0..GPUS).map(GpuId).collect();
     let plan = data_parallel_plan(&model, &devices, batch);
@@ -86,10 +93,11 @@ fn run(policy: SpinPolicy, iterations: usize, batch: usize) -> (f64, Vec<(u64, u
         .map(|(&id, s)| (id, s.preemptions, s.queue_len_at_fetch))
         .collect();
     rows.sort_unstable();
+    let context_time = ranks.iter().map(|r| r.modelled_context_time()).sum();
     for rank in ranks {
         rank.destroy();
     }
-    (throughput, rows)
+    (throughput, context_time, rows)
 }
 
 fn main() {
@@ -108,6 +116,11 @@ fn main() {
         adaptive.0,
         adaptive.0 / naive.0.max(1e-9)
     );
+    println!(
+        "modelled context load/save time, all GPUs: naive = {} µs, adaptive = {} µs",
+        fmt_us(naive.1),
+        fmt_us(adaptive.1)
+    );
     println!("\nper-collective statistics on GPU 0 (collective id, context switches, task-queue length at fetch):");
     let widths = [14, 22, 22, 22, 22];
     print_row(
@@ -121,10 +134,10 @@ fn main() {
         &widths,
     );
     let adaptive_map: std::collections::HashMap<u64, (u64, u64)> =
-        adaptive.1.iter().map(|&(id, p, q)| (id, (p, q))).collect();
+        adaptive.2.iter().map(|&(id, p, q)| (id, (p, q))).collect();
     let mut naive_max = 0u64;
     let mut adaptive_max = 0u64;
-    for (id, preempt, qlen) in &naive.1 {
+    for (id, preempt, qlen) in &naive.2 {
         let (ap, aq) = adaptive_map.get(id).copied().unwrap_or((0, 0));
         naive_max = naive_max.max(*preempt);
         adaptive_max = adaptive_max.max(ap);

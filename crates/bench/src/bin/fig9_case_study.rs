@@ -60,7 +60,8 @@ fn measure(bytes: usize, iters: usize, compression: f64) -> [(String, Duration, 
         }
     }
     let dfccl_e2e = start.elapsed() / iters as u32;
-    // Core execution = preparing + primitive execution, from the daemon stats.
+    // Core execution = preparing (the modelled context load) + primitive
+    // execution (wall clock), from the daemon stats.
     let stats = ranks[0].stats();
     let per_collective_prims = stats.primitives_executed / stats.collectives_completed.max(1);
     let dfccl_core = stats.mean_preparing.unwrap_or_default()

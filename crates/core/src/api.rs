@@ -975,6 +975,12 @@ impl RankCtx {
         self.shared.telemetry.daemon_stats()
     }
 
+    /// The modelled context load and save time this rank's ledger accrued
+    /// (Fig. 11 data; the time is modelled, so no wall clock carries it).
+    pub fn modelled_context_time(&self) -> Duration {
+        self.shared.telemetry.modelled_context_time()
+    }
+
     /// Per-collective statistics for this rank (Fig. 11 data).
     pub fn per_collective_stats(&self) -> HashMap<u64, CollectiveStats> {
         self.shared.telemetry.per_collective()

@@ -12,16 +12,6 @@ use std::time::Duration;
 
 use dfccl_collectives::AlgorithmSelector;
 
-/// Charge a modelled host-memory cost by busy-spinning for `ns` nanoseconds
-/// (no-op for non-positive costs). The single entry point of the cost model:
-/// both the SQ reader and the CQ writers charge through here, so the
-/// SQ-vs-CQ cost comparison the benchmarks rely on cannot drift.
-pub(crate) fn charge(ns: f64) {
-    if ns > 0.0 {
-        gpu_sim::busy_spin(Duration::from_nanos(ns as u64));
-    }
-}
-
 /// Which completion-queue implementation the runtime uses (Sec. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CqVariant {
@@ -132,9 +122,13 @@ impl SpinPolicy {
     }
 }
 
-/// Modelled host-memory operation costs used by the CQ variants, so that the
-/// Fig. 7(c) comparison has the right shape without real PCIe hardware, and
-/// the daemon's modelled context load/save costs.
+/// Modelled host-memory operation costs: what the GPU pays to reach the SQ
+/// and CQ in page-locked host memory over PCIe, and to load or save a
+/// collective context. They are model inputs, never executed: the SQ, each
+/// CQ variant and the context store turn them into the modelled cost of an
+/// operation (`SubmissionQueue::read_cost`, `CqKind::write_cost`, the
+/// store's load and save), and the daemon records that cost in the rank's
+/// ledger, where Fig. 7 reads it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostMemCosts {
     /// One ordinary host-memory read/write issued from the GPU, in nanoseconds.
@@ -144,9 +138,9 @@ pub struct HostMemCosts {
     /// One `atomicCAS_system` on host memory, in nanoseconds.
     pub cas_system_ns: f64,
     /// One host-memory operation of the daemon's SQ reader (Fig. 7(a)'s
-    /// "reading SQE" component), in nanoseconds. An unbatched SQE read pays
-    /// three of these (head check, slot state, payload); a batched fetch pays
-    /// the head check once per batch and two per entry.
+    /// "reading SQE" component), in nanoseconds. A fetch of n SQEs costs
+    /// `1 + 2n` of these: the head check once, slot state and payload per
+    /// entry.
     pub sq_read_op_ns: f64,
     /// Loading one collective context into shared memory, in nanoseconds.
     pub context_load_ns: f64,
@@ -156,9 +150,9 @@ pub struct HostMemCosts {
 
 impl Default for HostMemCosts {
     fn default() -> Self {
-        // Calibrated so the three CQ variants land near the paper's
-        // 6.9 µs / 4.8 µs / 2.0 µs CQE-write times, and an unbatched SQE
-        // read near the ~3 µs of Fig. 7(a).
+        // The three CQ variants' one-CQE writes model the paper's
+        // 6.9 µs / 4.8 µs / 2.0 µs exactly, and a one-SQE read costs the
+        // ~3 µs of Fig. 7(a).
         HostMemCosts {
             host_op_ns: 1_200.0,
             fence_ns: 900.0,
@@ -171,7 +165,7 @@ impl Default for HostMemCosts {
 }
 
 impl HostMemCosts {
-    /// A cost model that charges nothing (for logic-only tests).
+    /// A cost model in which every operation is free (for logic-only tests).
     pub fn free() -> Self {
         HostMemCosts {
             host_op_ns: 0.0,

@@ -9,15 +9,15 @@
 //! The store models the paper's memory hierarchy: a small direct-mapped cache
 //! of *active context slots* ("shared memory") in front of the *collective
 //! context buffer* ("global memory"). Loading a context that is not in an
-//! active slot charges the modelled load cost; saving charges the save cost,
-//! and the *lazy-saving* optimisation skips the save when the collective made
-//! no progress since it was loaded.
+//! active slot costs the modelled load; saving costs the modelled save, and
+//! the *lazy-saving* optimisation skips the save when the collective made no
+//! progress since it was last saved. Both costs are modelled, not executed:
+//! the store reports them and the daemon records them in the rank's ledger.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use dfccl_collectives::{DeviceBuffer, LaneRun};
-use gpu_sim::busy_spin;
 use parking_lot::Mutex;
 
 use crate::config::HostMemCosts;
@@ -95,13 +95,14 @@ pub(crate) struct Rounds {
 }
 
 /// Outcome of a context checkout, reporting whether the modelled active-slot
-/// cache hit (no load cost) or missed (load cost charged).
+/// cache hit (nothing to load) or missed, with the modelled load cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContextLoad {
     /// The context was already in an active slot.
     CacheHit,
-    /// The context was loaded from the context buffer in global memory.
-    CacheMiss,
+    /// The context was loaded from the context buffer in global memory, at
+    /// this modelled cost.
+    CacheMiss(Duration),
 }
 
 #[derive(Default)]
@@ -145,8 +146,8 @@ pub struct ContextStore {
 }
 
 impl ContextStore {
-    /// Create a store with `active_slots` cache slots, charging the modelled
-    /// context load/save costs of `costs`.
+    /// Create a store with `active_slots` cache slots whose context loads
+    /// and saves are modelled at `costs`.
     pub fn new(active_slots: usize, costs: HostMemCosts) -> Self {
         ContextStore {
             per_coll: Mutex::new(HashMap::new()),
@@ -171,8 +172,8 @@ impl ContextStore {
         entry.pending.len()
     }
 
-    /// Take the current (front) invocation of `coll_id` for execution.
-    /// Charges the load cost unless the collective is in an active slot.
+    /// Take the current (front) invocation of `coll_id` for execution,
+    /// reporting the load cost unless the collective is in an active slot.
     /// Returns `None` while the collective is under recovery, so the daemon
     /// parks it until the coordinator reinstalls its contexts.
     pub fn checkout_current(&self, coll_id: u64) -> Option<(DynamicContext, ContextLoad)> {
@@ -194,24 +195,18 @@ impl ContextStore {
                 ContextLoad::CacheHit
             } else {
                 slots[idx] = Some(coll_id);
-                ContextLoad::CacheMiss
+                ContextLoad::CacheMiss(self.load_cost)
             }
         };
-        if load == ContextLoad::CacheMiss {
-            busy_spin(self.load_cost);
-        }
         Some((ctx, load))
     }
 
-    /// Put back a preempted, incomplete invocation. Charges the save cost only
-    /// if the collective progressed since its last save (lazy saving). Returns
-    /// `true` if the save cost was actually paid.
-    pub fn checkin_incomplete(&self, coll_id: u64, mut ctx: DynamicContext) -> bool {
-        let saved = ctx.progressed_since_save;
-        if saved {
-            busy_spin(self.save_cost);
-            ctx.progressed_since_save = false;
-        }
+    /// Put back a preempted, incomplete invocation. It is saved only if the
+    /// collective progressed since its last save (lazy saving): returns the
+    /// modelled save cost then, `None` when the save was skipped.
+    pub fn checkin_incomplete(&self, coll_id: u64, mut ctx: DynamicContext) -> Option<Duration> {
+        let saved = ctx.progressed_since_save.then_some(self.save_cost);
+        ctx.progressed_since_save = false;
         ctx.preempted = true;
         let mut map = self.per_coll.lock();
         let entry = map.entry(coll_id).or_default();
@@ -347,9 +342,12 @@ mod tests {
         DynamicContext::new(seq, DeviceBuffer::zeroed(4), DeviceBuffer::zeroed(4))
     }
 
+    /// A store under the default cost model: a load costs 450 ns, a save 50.
     fn store() -> ContextStore {
-        ContextStore::new(4, HostMemCosts::free())
+        ContextStore::new(4, HostMemCosts::default())
     }
+
+    const MISS: ContextLoad = ContextLoad::CacheMiss(Duration::from_nanos(450));
 
     #[test]
     fn enqueue_checkout_round_trip() {
@@ -372,7 +370,7 @@ mod tests {
         s.enqueue_invocation(1, ctx(1));
         let (mut c, _) = s.checkout_current(1).unwrap();
         c.progressed_since_save = true;
-        assert!(s.checkin_incomplete(1, c));
+        assert_eq!(s.checkin_incomplete(1, c), Some(Duration::from_nanos(50)));
         let (c, _) = s.checkout_current(1).unwrap();
         assert_eq!(c.run_seq, 0, "preempted invocation stays in front");
         assert!(c.preempted);
@@ -397,7 +395,7 @@ mod tests {
         s.enqueue_invocation(2, ctx(0));
         let (c, _) = s.checkout_current(2).unwrap();
         assert!(!c.preempted);
-        assert!(!s.checkin_incomplete(2, c), "no progress, no save cost");
+        assert_eq!(s.checkin_incomplete(2, c), None, "no progress, no save");
         let (c, _) = s.checkout_current(2).unwrap();
         assert!(
             c.preempted,
@@ -410,7 +408,7 @@ mod tests {
         let s = store();
         s.enqueue_invocation(3, ctx(0));
         let (c, load) = s.checkout_current(3).unwrap();
-        assert_eq!(load, ContextLoad::CacheMiss);
+        assert_eq!(load, MISS);
         s.checkin_incomplete(3, c);
         let (_, load) = s.checkout_current(3).unwrap();
         assert_eq!(load, ContextLoad::CacheHit);
@@ -418,18 +416,18 @@ mod tests {
 
     #[test]
     fn direct_mapped_slots_conflict_on_collisions() {
-        let s = ContextStore::new(2, HostMemCosts::free());
+        let s = ContextStore::new(2, HostMemCosts::default());
         // Collective ids 0 and 2 both map to slot 0.
         s.enqueue_invocation(0, ctx(0));
         s.enqueue_invocation(2, ctx(0));
         let (c0, l0) = s.checkout_current(0).unwrap();
-        assert_eq!(l0, ContextLoad::CacheMiss);
+        assert_eq!(l0, MISS);
         s.checkin_incomplete(0, c0);
         let (c2, l2) = s.checkout_current(2).unwrap();
-        assert_eq!(l2, ContextLoad::CacheMiss, "conflicting id evicts the slot");
+        assert_eq!(l2, MISS, "conflicting id evicts the slot");
         s.checkin_incomplete(2, c2);
         let (_, l0_again) = s.checkout_current(0).unwrap();
-        assert_eq!(l0_again, ContextLoad::CacheMiss, "evicted id misses again");
+        assert_eq!(l0_again, MISS, "evicted id misses again");
     }
 
     #[test]

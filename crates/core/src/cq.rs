@@ -6,11 +6,11 @@
 //! The paper compares three designs (Sec. 5, Fig. 7(c)):
 //!
 //! * **vanilla ring buffer** — at least five host-memory operations plus a
-//!   memory fence per CQE (≈6.9 µs measured);
+//!   memory fence per CQE (6.9 µs measured);
 //! * **optimized ring buffer** — packs the tail and the collective id into one
-//!   64-bit atomic word, removing the fence (four operations, ≈4.8 µs);
+//!   64-bit atomic word, removing the fence (four operations, 4.8 µs);
 //! * **optimized slot CQ** — abandons ring semantics; a block publishes a CQE
-//!   with a single `atomicCAS_system` into any writable slot (≈2.0 µs).
+//!   with a single `atomicCAS_system` into any writable slot (2.0 µs).
 //!
 //! This module implements all three behind [`CqKind`], an enum whose inherent
 //! methods dispatch statically — the runtime hot path pays no vtable
@@ -30,13 +30,17 @@
 //!   stays linear (which is exactly why Fig. 7(c) crowns it for singles).
 //! * [`CqKind::drain_into`] consumes every published CQE in one pass, reading
 //!   the head once and publishing the new head once. The consumer side runs on
-//!   the CPU against local memory, so no modelled host cost is charged.
+//!   the CPU against local memory, so it has no modelled host cost.
 //!
-//! The modelled host-memory costs come from [`HostMemCosts`].
+//! The host-memory writes are modelled, not executed: [`CqKind::write_cost`]
+//! is each variant's formula over [`HostMemCosts`] for a round that
+//! published n entries (a `push` is a round of one), and the daemon records
+//! it in the rank's ledger.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use crate::config::{charge, CqVariant, HostMemCosts};
+use crate::config::{CqVariant, HostMemCosts};
 
 /// One completion-queue entry: "collective `coll_id` completed".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +106,21 @@ impl CqKind {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The modelled host-memory cost of one publication round that accepted
+    /// `n` entries (`push` is a round of one). The rings pay their head and
+    /// tail reads and tail CAS once per round: the vanilla ring adds a fence
+    /// and two writes (payload, validity) per entry, the optimized ring one
+    /// packed write per entry. The slot CQ pays one system CAS per entry.
+    pub fn write_cost(&self, n: usize) -> Duration {
+        let n = n as f64;
+        let ns = match self {
+            CqKind::VanillaRing(q) => (3.0 + 2.0 * n) * q.costs.host_op_ns + q.costs.fence_ns,
+            CqKind::OptimizedRing(q) => (3.0 + n) * q.costs.host_op_ns,
+            CqKind::OptimizedSlot(q) => n * q.costs.cas_system_ns,
+        };
+        Duration::from_nanos(ns as u64)
     }
 
     /// Which variant this is.
@@ -181,10 +200,10 @@ impl VanillaRingCq {
         // The payload write and the validity publication are ordered by the
         // fence. In this reproduction the payload and validity share one word,
         // so a single release store both publishes and stays safe against slot
-        // recycling; the full five-operation + fence cost is still charged.
+        // recycling; the model still prices all five operations and the
+        // fence (`CqKind::write_cost`).
         std::sync::atomic::fence(Ordering::SeqCst);
         self.slots[idx].store(cqe.coll_id, Ordering::Release);
-        charge(5.0 * self.costs.host_op_ns + self.costs.fence_ns);
         true
     }
 
@@ -194,7 +213,7 @@ impl VanillaRingCq {
         }
         // Batched protocol round: the head/tail reads, the tail CAS and the
         // fence are paid once for the whole run; only the payload + validity
-        // writes (2 ops each) scale with the batch.
+        // writes (2 ops each) scale with the batch (`CqKind::write_cost`).
         let Some((first, taken)) = self.claim(cqes.len() as u64) else {
             return 0;
         };
@@ -203,7 +222,6 @@ impl VanillaRingCq {
             let idx = ((first + i as u64) % self.slots.len() as u64) as usize;
             self.slots[idx].store(cqe.coll_id, Ordering::Release);
         }
-        charge((3.0 + 2.0 * taken as f64) * self.costs.host_op_ns + self.costs.fence_ns);
         taken as usize
     }
 
@@ -336,7 +354,6 @@ impl OptimizedRingCq {
         };
         let idx = (pos % self.slots.len() as u64) as usize;
         self.slots[idx].store(pack(pos + 1, cqe.coll_id), Ordering::Release);
-        charge(4.0 * self.costs.host_op_ns);
         true
     }
 
@@ -353,7 +370,6 @@ impl OptimizedRingCq {
             let idx = (pos % self.slots.len() as u64) as usize;
             self.slots[idx].store(pack(pos + 1, cqe.coll_id), Ordering::Release);
         }
-        charge((3.0 + taken as f64) * self.costs.host_op_ns);
         taken as usize
     }
 
@@ -438,7 +454,6 @@ impl OptimizedSlotCq {
                 .compare_exchange(EMPTY_SLOT, cqe.coll_id, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
-                charge(self.costs.cas_system_ns);
                 return true;
             }
         }
@@ -469,7 +484,6 @@ impl OptimizedSlotCq {
             }
             break;
         }
-        charge(accepted as f64 * self.costs.cas_system_ns);
         accepted
     }
 
@@ -765,53 +779,34 @@ mod tests {
         }
     }
 
+    /// The cost of one round that published `n` entries on `variant`, in
+    /// ns, under the default model.
+    fn write_ns(variant: CqVariant, n: usize) -> u128 {
+        build_cq(variant, 64, HostMemCosts::default())
+            .write_cost(n)
+            .as_nanos()
+    }
+
     #[test]
     fn modelled_costs_order_the_variants() {
-        // With the default cost model, writing a CQE must be slowest for the
-        // vanilla ring and fastest for the slot CQ (the Fig. 7(c) ordering).
-        let costs = HostMemCosts::default();
-        let time_one_push = |variant| {
-            let cq = build_cq(variant, 8, costs);
-            let start = std::time::Instant::now();
-            cq.push(Cqe { coll_id: 1 });
-            start.elapsed()
-        };
-        let t_vanilla = time_one_push(CqVariant::VanillaRing);
-        let t_ring = time_one_push(CqVariant::OptimizedRing);
-        let t_slot = time_one_push(CqVariant::OptimizedSlot);
-        assert!(
-            t_vanilla > t_ring,
-            "vanilla {t_vanilla:?} vs ring {t_ring:?}"
-        );
-        assert!(t_ring > t_slot, "ring {t_ring:?} vs slot {t_slot:?}");
+        // One CQE costs the paper's Fig. 7(c) times exactly: slowest on the
+        // vanilla ring, fastest on the slot CQ.
+        assert_eq!(write_ns(CqVariant::VanillaRing, 1), 6_900);
+        assert_eq!(write_ns(CqVariant::OptimizedRing, 1), 4_800);
+        assert_eq!(write_ns(CqVariant::OptimizedSlot, 1), 2_000);
     }
 
     #[test]
     fn batched_push_amortizes_modelled_ring_costs() {
-        // Batched publication on the ring variants must charge less per CQE
-        // than per-entry publication (the claim and fence amortize), while the
+        // A 16-CQE round pays the ring variants' claim and fence once; the
         // slot CQ's cost stays linear in the batch size.
-        let costs = HostMemCosts::default();
-        let batch: Vec<Cqe> = (0..16).map(|i| Cqe { coll_id: i }).collect();
-        let time_batch = |cq: &CqKind| {
-            let start = std::time::Instant::now();
-            assert_eq!(cq.push_n(&batch), batch.len());
-            start.elapsed()
-        };
-        let time_singles = |cq: &CqKind| {
-            let start = std::time::Instant::now();
-            for &cqe in &batch {
-                assert!(cq.push(cqe));
-            }
-            start.elapsed()
-        };
-        for v in [CqVariant::VanillaRing, CqVariant::OptimizedRing] {
-            let batched = time_batch(&build_cq(v, 64, costs));
-            let singles = time_singles(&build_cq(v, 64, costs));
-            assert!(
-                batched.as_secs_f64() < 0.8 * singles.as_secs_f64(),
-                "{v:?}: batch {batched:?} not cheaper than singles {singles:?}"
-            );
+        let singles = |v| 16 * write_ns(v, 1);
+        assert_eq!(write_ns(CqVariant::VanillaRing, 16), 42_900);
+        assert_eq!(singles(CqVariant::VanillaRing), 110_400);
+        assert_eq!(write_ns(CqVariant::OptimizedRing, 16), 22_800);
+        assert_eq!(singles(CqVariant::OptimizedRing), 76_800);
+        for n in [0, 1, 7, 16] {
+            assert_eq!(write_ns(CqVariant::OptimizedSlot, n), n as u128 * 2_000);
         }
     }
 

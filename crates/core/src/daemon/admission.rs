@@ -5,7 +5,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use super::core::DaemonCore;
 use super::{is_graph_id, RegisteredCollective};
@@ -47,7 +46,6 @@ impl DaemonCore {
         // whole core); the allocation is put back for the next step.
         let mut batch = std::mem::take(&mut self.sqe_batch);
         loop {
-            let read_start = Instant::now();
             batch.clear();
             let fetched = {
                 let mut cursor = self.shared.sq_cursor.lock();
@@ -58,11 +56,10 @@ impl DaemonCore {
             if fetched == 0 {
                 break;
             }
-            self.shared
-                .telemetry
-                .record_sqe_read(read_start.elapsed(), fetched as u64);
+            let shared = &self.shared;
+            let read = shared.sq.read_cost(fetched);
+            shared.telemetry.record_sqe_read(read, fetched as u64);
             fetched_total += fetched;
-            let prep_start = Instant::now();
             for sqe in batch.drain(..) {
                 if sqe.exit {
                     self.shared.final_exit.store(true, Ordering::Release);
@@ -81,7 +78,6 @@ impl DaemonCore {
                 telemetry.record(sqe.coll_id, tenant, TelemetryEventKind::Fetch);
                 telemetry.record_queue_len(sqe.coll_id, tenant, self.scheduler.len() as u64);
             }
-            self.shared.telemetry.record_preparing(prep_start.elapsed());
             self.shared
                 .admitted
                 .fetch_add(fetched as u64, Ordering::Release);

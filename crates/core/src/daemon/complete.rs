@@ -3,7 +3,6 @@
 //! waiting for CQ space.
 
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use super::core::DaemonCore;
 use crate::context::GraphTag;
@@ -67,12 +66,12 @@ impl DaemonCore {
             return true;
         }
         let shared = &self.shared;
-        let write_start = Instant::now();
         let published = shared.cq.push_n(&self.completions);
         if published > 0 {
+            let write = shared.cq.write_cost(published);
             shared
                 .telemetry
-                .record_cqe_write_time(write_start.elapsed(), published as u64);
+                .record_cqe_write_time(write, published as u64);
             // `outstanding` moves only after publication: the carrier's leave
             // condition and `destroy` read it as "no CQE is still owed".
             let previous = shared

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use super::tests::resident;
 use super::world::{HeldWorld, Wish};
 use crate::api::{DfcclDomain, DfcclError, RankCtx};
-use crate::config::{DfcclConfig, SpinPolicy};
+use crate::config::{CqVariant, DfcclConfig, HostMemCosts, SpinPolicy};
 use crate::recovery::{detect_stall, RecoveryCoordinator, RecoveryOutcome, RetryPolicy};
 use crate::telemetry::TelemetryEventKind;
 use crate::tenant::TenantQuota;
@@ -1046,4 +1046,81 @@ fn destroy_with_a_full_sq_drains_fires_every_callback_and_leaves() {
     for recv in &recvs {
         assert_eq!(recv.to_f32_vec(), vec![3.0; COUNT]);
     }
+}
+
+/// Under the default cost model the ledger's SQE-read and CQE-write totals
+/// are the SQ's and the vanilla ring's formulas summed over the batches the
+/// daemon fetched (`admitted` moved) and published (`outstanding` fell) in
+/// each step: `(1 + 2n) · 1 000` ns per fetch of n, `(3 + 2n) · 1 200 + 900`
+/// per publication of n. Nothing is measured by a clock.
+#[test]
+fn the_ledger_accrues_the_modelled_sq_and_cq_cost_of_each_batch() {
+    const COUNT: usize = 16;
+    let config = DfcclConfig {
+        host_costs: HostMemCosts::default(),
+        cq_variant: CqVariant::VanillaRing,
+        ..DfcclConfig::for_testing()
+    };
+    let domain = DfcclDomain::new(
+        Topology::flat(2),
+        LinkModel::zero_cost(),
+        GpuSpec::rtx_3090(),
+        config,
+    );
+    let mut world = domain.world().hold();
+    let ranks = init_ranks(&domain, 2);
+    for rank in &ranks {
+        for coll in 0..3 {
+            rank.register_all_reduce(coll, COUNT, DataType::F32, ReduceOp::Sum, gpus(&[0, 1]), 0)
+                .unwrap();
+        }
+    }
+    let fired = Arc::new(AtomicUsize::new(0));
+    for _ in 0..2 {
+        for coll in 0..3 {
+            for rank in &ranks {
+                run_all_reduce(rank, coll, COUNT, &fired);
+            }
+        }
+    }
+    // Per rank: (admitted, outstanding) after its last step, the expected
+    // [SQE-read, CQE-write] totals and the largest [fetch, publication].
+    let mut seen = [(0, 6); 2];
+    let mut expected = [[0u64; 2]; 2];
+    let mut largest = [[0u64; 2]; 2];
+    let mut step = 0;
+    while fired.load(Ordering::Acquire) < 12 {
+        assert!(step < 100_000, "not drained after {step} steps");
+        let r = step % 2;
+        step += 1;
+        world.step(GpuId(r));
+        let shared = ranks[r].shared_state();
+        let now = (
+            shared.admitted.load(Ordering::Acquire),
+            shared.outstanding(),
+        );
+        let (fetched, published) = (now.0 - seen[r].0, seen[r].1 - now.1);
+        seen[r] = now;
+        if fetched > 0 {
+            expected[r][0] += (1 + 2 * fetched) * 1_000;
+        }
+        if published > 0 {
+            expected[r][1] += (3 + 2 * published) * 1_200 + 900;
+        }
+        largest[r] = [largest[r][0].max(fetched), largest[r][1].max(published)];
+    }
+    for (r, rank) in ranks.iter().enumerate() {
+        assert_eq!(seen[r], (6, 0), "rank {r} admitted and published all six");
+        assert_eq!(
+            rank.shared_state().telemetry.sq_cq_totals_ns(),
+            expected[r],
+            "rank {r}: batches (largest fetch, publication) {:?}",
+            largest[r]
+        );
+        assert!(
+            largest[r][0] > 1 && largest[r][1] > 1,
+            "rank {r}: {largest:?}"
+        );
+    }
+    tear_down(&mut world, &ranks, "ledger cost world");
 }

@@ -16,7 +16,7 @@ use gpu_sim::KernelPoll;
 
 use super::core::DaemonCore;
 use super::RegisteredCollective;
-use crate::context::{ContextLoad, DynamicContext};
+use crate::context::DynamicContext;
 use crate::telemetry::TelemetryEventKind;
 use crate::tenant::TenantId;
 
@@ -49,15 +49,11 @@ impl DaemonCore {
             self.scheduler.remove(coll_id);
             return;
         };
-        let prep_start = Instant::now();
         let Some((ctx, load)) = shared.contexts.checkout_current(coll_id) else {
             self.scheduler.remove(coll_id);
             return;
         };
-        shared.telemetry.record_context_load();
-        if load == ContextLoad::CacheMiss {
-            shared.telemetry.record_preparing(prep_start.elapsed());
-        }
+        shared.telemetry.record_context_load(load);
         if ctx.preempted {
             shared
                 .telemetry

@@ -6,14 +6,16 @@
 //! becomes writable again (Sec. 5, "Implementation Details of the Daemon
 //! Kernel"). In this reproduction the daemon core usually registers as a
 //! single consumer, but the protocol is implemented (and tested) for any
-//! consumer count.
+//! consumer count. The daemon's reads over PCIe are modelled, not executed
+//! ([`SubmissionQueue::read_cost`]).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::time::Duration;
 
 use dfccl_collectives::DeviceBuffer;
 use parking_lot::Mutex;
 
-use crate::config::{charge, HostMemCosts};
+use crate::config::HostMemCosts;
 
 /// One submission-queue entry: "run collective `coll_id` on these buffers".
 #[derive(Debug, Clone)]
@@ -84,22 +86,20 @@ pub struct SubmissionQueue {
     consumer_count: u32,
     inserted: AtomicU64,
     /// Modelled cost of the daemon's host-memory reads (the SQ lives in
-    /// page-locked host memory; the daemon kernel reads it over PCIe).
+    /// page-locked host memory; the daemon kernel reads it over PCIe), the
+    /// input of [`SubmissionQueue::read_cost`].
     costs: HostMemCosts,
 }
 
 impl SubmissionQueue {
     /// Create a queue with `capacity` slots read by `consumer_count` consumers
-    /// and no modelled read costs (logic-only use and tests).
+    /// whose modelled reads are free (logic-only use and tests).
     pub fn new(capacity: usize, consumer_count: u32) -> Self {
         Self::with_costs(capacity, consumer_count, HostMemCosts::free())
     }
 
-    /// Create a queue that charges the modelled host-memory read costs: an
-    /// unbatched [`SubmissionQueue::read_next`] pays three read operations
-    /// (head check, slot state, payload); a batched
-    /// [`SubmissionQueue::fetch_batch`] pays the head check once per batch
-    /// and two operations per entry.
+    /// Create a queue whose reads are modelled at `costs`: see
+    /// [`SubmissionQueue::read_cost`].
     pub fn with_costs(capacity: usize, consumer_count: u32, costs: HostMemCosts) -> Self {
         assert!(capacity > 0, "SQ capacity must be positive");
         assert!(consumer_count > 0, "SQ needs at least one consumer");
@@ -148,29 +148,7 @@ impl SubmissionQueue {
     /// Read the next SQE for the consumer owning `cursor`, if one is available.
     /// Every consumer sees every SQE exactly once, in insertion order.
     pub fn read_next(&self, cursor: &mut SqCursor) -> Option<Sqe> {
-        if cursor.next >= self.head.load(Ordering::Acquire) {
-            return None;
-        }
-        let pos = cursor.next;
-        let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-        if slot.state.load(Ordering::Acquire) != SLOT_FULL
-            || slot.write_seq.load(Ordering::Relaxed) != pos
-        {
-            // The producer has advanced `head` but this consumer lags so far
-            // behind that the slot was already recycled — cannot happen while
-            // the producer respects the writability protocol.
-            return None;
-        }
-        let sqe = slot.data.lock().clone()?;
-        cursor.next = pos + 1;
-        let readers = slot.readers.fetch_add(1, Ordering::AcqRel) + 1;
-        if readers == self.consumer_count {
-            // Last reader marks the slot writable again.
-            *slot.data.lock() = None;
-            slot.state.store(SLOT_EMPTY, Ordering::Release);
-        }
-        charge(3.0 * self.costs.sq_read_op_ns);
-        Some(sqe)
+        self.take_next(cursor, self.head.load(Ordering::Acquire))
     }
 
     /// Read up to `max` SQEs for the consumer owning `cursor` in one protocol
@@ -183,38 +161,48 @@ impl SubmissionQueue {
     /// [`SubmissionQueue::read_next`] calls: every consumer sees every SQE
     /// exactly once, in insertion order.
     pub fn fetch_batch(&self, cursor: &mut SqCursor, max: usize, out: &mut Vec<Sqe>) -> usize {
-        if max == 0 {
-            return 0;
-        }
         let head = self.head.load(Ordering::Acquire);
         let mut read = 0usize;
-        while read < max && cursor.next < head {
-            let pos = cursor.next;
-            let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-            if slot.state.load(Ordering::Acquire) != SLOT_FULL
-                || slot.write_seq.load(Ordering::Relaxed) != pos
-            {
-                // The slot for this position is not (or no longer) published;
-                // stop the batch and let the caller retry later.
-                break;
-            }
-            let Some(sqe) = slot.data.lock().clone() else {
+        while read < max {
+            let Some(sqe) = self.take_next(cursor, head) else {
                 break;
             };
-            cursor.next = pos + 1;
-            let readers = slot.readers.fetch_add(1, Ordering::AcqRel) + 1;
-            if readers == self.consumer_count {
-                *slot.data.lock() = None;
-                slot.state.store(SLOT_EMPTY, Ordering::Release);
-            }
             out.push(sqe);
             read += 1;
         }
-        if read > 0 {
-            // One head check for the whole batch, two reads per entry.
-            charge((1.0 + 2.0 * read as f64) * self.costs.sq_read_op_ns);
-        }
         read
+    }
+
+    /// Take the SQE at `cursor` if the producer published it below `head`.
+    /// A slot that is not (or no longer) published for this position stops
+    /// the read; the caller retries later.
+    fn take_next(&self, cursor: &mut SqCursor, head: u64) -> Option<Sqe> {
+        let pos = cursor.next;
+        if pos >= head {
+            return None;
+        }
+        let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
+        if slot.state.load(Ordering::Acquire) != SLOT_FULL
+            || slot.write_seq.load(Ordering::Relaxed) != pos
+        {
+            return None;
+        }
+        let sqe = slot.data.lock().clone()?;
+        cursor.next = pos + 1;
+        let readers = slot.readers.fetch_add(1, Ordering::AcqRel) + 1;
+        if readers == self.consumer_count {
+            // Last reader marks the slot writable again.
+            *slot.data.lock() = None;
+            slot.state.store(SLOT_EMPTY, Ordering::Release);
+        }
+        Some(sqe)
+    }
+
+    /// The modelled host-memory cost of reading `n` SQEs in one fetch: the
+    /// head check once, slot state and payload per entry, `(1 + 2n)` reads
+    /// (a [`SubmissionQueue::read_next`] is a fetch of one).
+    pub fn read_cost(&self, n: usize) -> Duration {
+        Duration::from_nanos(((1 + 2 * n) as f64 * self.costs.sq_read_op_ns) as u64)
     }
 
     /// Whether any SQE is pending for a consumer at `cursor`.
@@ -393,5 +381,12 @@ mod tests {
     #[should_panic(expected = "at least one consumer")]
     fn zero_consumers_rejected() {
         let _ = SubmissionQueue::new(4, 0);
+    }
+
+    #[test]
+    fn a_fetch_of_n_costs_one_head_check_and_two_reads_per_entry() {
+        let sq = SubmissionQueue::with_costs(4, 1, HostMemCosts::default());
+        assert_eq!(sq.read_cost(1), Duration::from_nanos(3_000));
+        assert_eq!(sq.read_cost(16), Duration::from_nanos(33_000));
     }
 }

@@ -11,7 +11,9 @@
 //! the totals always agree, and separate reads agree once the rank is
 //! quiescent. **Daemon mechanics** that belong to no invocation (context
 //! loads and saves, daemon starts and quits, the Fig. 7 component times,
-//! recovery passes) are relaxed atomics beside the rows.
+//! recovery passes) are relaxed atomics beside the rows. Of the component
+//! times only the primitive time is a clock's: the others accrue the
+//! modelled costs the SQ, the CQ and the context store report.
 //!
 //! A snapshot joins the ledger with the transport's per-edge progress
 //! samples ([`dfccl_transport::EdgeSample`]), so a stress test can assert
@@ -26,6 +28,7 @@ use std::time::{Duration, Instant};
 use dfccl_transport::EdgeSample;
 use parking_lot::Mutex;
 
+use crate::context::ContextLoad;
 use crate::tenant::{TenantId, TenantState, TenantTable};
 
 /// What happened to a collective at one point of its lifecycle.
@@ -66,9 +69,9 @@ impl TelemetryEventKind {
     }
 }
 
-/// One recorded event. `at` is the modelled-time offset from telemetry
-/// creation (the simulation charges modelled costs by spinning, so wall
-/// clock *is* the modelled clock).
+/// One recorded event. `at` is the wall-clock offset from telemetry
+/// creation; the modelled host-memory costs are not in it (they accrue in
+/// the ledger's component times instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryEvent {
     /// Monotone sequence number across the daemon (gaps mean dropped events).
@@ -201,7 +204,9 @@ pub struct TelemetryCounters {
 /// `RankCtx::stats` view of the ledger). `context_switches`, `cqes_written`
 /// and `lazy_save_skips` are derived, not counted: every preemption switches
 /// the core to the next collective and saves or skips one context, and every
-/// completion owes one CQE.
+/// completion owes one CQE. `mean_sqe_read` (per SQE), `mean_preparing` (per
+/// context load from global memory) and `mean_cqe_write` (per CQE) are means
+/// of modelled host-memory costs; `mean_primitive_exec` is wall clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DaemonStatsSnapshot {
     pub preemptions: u64,
@@ -263,6 +268,10 @@ impl NanoMean {
     fn count(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
     }
+
+    fn total(&self) -> Duration {
+        Duration::from_nanos(self.total_ns.load(Ordering::Relaxed))
+    }
 }
 
 /// What the ledger's mutex guards: the rows, the queue-length high-water
@@ -305,7 +314,8 @@ pub struct Telemetry {
     epoch: Instant,
     ledger: Mutex<Ledger>,
     context_loads: AtomicU64,
-    context_saves: AtomicU64,
+    /// The modelled save time; its sample count is the saves.
+    context_save_time: NanoMean,
     voluntary_quits: AtomicU64,
     daemon_starts: AtomicU64,
     sqe_read_time: NanoMean,
@@ -340,7 +350,7 @@ impl Telemetry {
                 ..Ledger::default()
             }),
             context_loads: AtomicU64::new(0),
-            context_saves: AtomicU64::new(0),
+            context_save_time: NanoMean::default(),
             voluntary_quits: AtomicU64::new(0),
             daemon_starts: AtomicU64::new(0),
             sqe_read_time: NanoMean::default(),
@@ -419,17 +429,21 @@ impl Telemetry {
             .queue_len_at_fetch = len;
     }
 
-    /// Record a context load (and its modelled duration, folded into the
-    /// "preparing" component of Fig. 7).
-    pub fn record_context_load(&self) {
+    /// Record a context checkout; a cache miss's modelled load cost is the
+    /// "preparing" component of Fig. 7.
+    pub fn record_context_load(&self, load: ContextLoad) {
         self.context_loads.fetch_add(1, Ordering::Relaxed);
+        if let ContextLoad::CacheMiss(cost) = load {
+            self.preparing_time.record(cost, 1);
+        }
     }
 
-    /// Record the context save of a preemption; `saved` is false when the
-    /// lazy-saving optimisation skipped it (no progress since the last save).
-    pub fn record_context_save(&self, saved: bool) {
-        if saved {
-            self.context_saves.fetch_add(1, Ordering::Relaxed);
+    /// Record the context save of a preemption at its modelled cost; `None`
+    /// when the lazy-saving optimisation skipped it (no progress since the
+    /// last save).
+    pub fn record_context_save(&self, saved: Option<Duration>) {
+        if let Some(cost) = saved {
+            self.context_save_time.record(cost, 1);
         }
     }
 
@@ -443,18 +457,14 @@ impl Telemetry {
         self.daemon_starts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record that reading a batch of `n` SQEs took `d` (the mean is per SQE).
+    /// Record the modelled cost `d` of reading a batch of `n` SQEs (the
+    /// mean is per SQE).
     pub fn record_sqe_read(&self, d: Duration, n: u64) {
         self.sqe_read_time.record(d, n);
     }
 
-    /// Record the preparing overhead (SQE parse + context load) of one pass.
-    pub fn record_preparing(&self, d: Duration) {
-        self.preparing_time.record(d, 1);
-    }
-
-    /// Record that publishing a batch of `n` CQEs took `d` (the mean is per
-    /// CQE; the CQEs themselves are counted by their `Complete`).
+    /// Record the modelled cost `d` of publishing a batch of `n` CQEs (the
+    /// mean is per CQE; the CQEs themselves are counted by their `Complete`).
     pub fn record_cqe_write_time(&self, d: Duration, n: u64) {
         self.cqe_write_time.record(d, n);
     }
@@ -473,6 +483,11 @@ impl Telemetry {
     /// Count a recovery pass that rebound and resubmitted successfully.
     pub fn record_recovery_success(&self) {
         self.recoveries_succeeded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The modelled context load and save time accrued so far (Fig. 11).
+    pub fn modelled_context_time(&self) -> Duration {
+        self.preparing_time.total() + self.context_save_time.total()
     }
 
     /// Per-collective rows, keyed by collective id (summed over tenants).
@@ -518,7 +533,7 @@ impl Telemetry {
             let ledger = self.ledger.lock();
             (ledger.total(), ledger.max_queue_len)
         };
-        let context_saves = self.context_saves.load(Ordering::Relaxed);
+        let context_saves = self.context_save_time.count();
         DaemonStatsSnapshot {
             preemptions: t.preemptions,
             context_switches: t.preemptions,
@@ -657,6 +672,14 @@ impl std::fmt::Display for TelemetrySnapshot {
 }
 
 #[cfg(test)]
+impl Telemetry {
+    /// The accrued SQE-read and CQE-write time, in ns.
+    pub(crate) fn sq_cq_totals_ns(&self) -> [u64; 2] {
+        [&self.sqe_read_time, &self.cqe_write_time].map(|t| t.total().as_nanos() as u64)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::tenant::{TenantHandle, TenantQuota};
@@ -750,7 +773,8 @@ mod tests {
     #[test]
     fn derived_daemon_counters_follow_their_facts() {
         let t = Telemetry::new(0);
-        for saved in [true, false, true] {
+        let save = Some(Duration::from_nanos(50));
+        for saved in [save, None, save] {
             t.record(4, T0, TelemetryEventKind::Preempt);
             t.record_context_save(saved);
         }
@@ -760,6 +784,7 @@ mod tests {
         let s = t.daemon_stats();
         assert_eq!((s.preemptions, s.context_switches), (3, 3));
         assert_eq!((s.context_saves, s.lazy_save_skips), (2, 1));
+        assert_eq!(t.modelled_context_time(), Duration::from_nanos(100));
         assert_eq!((s.collectives_completed, s.cqes_written), (1, 1));
         assert_eq!(s.primitives_executed, 2);
         assert_eq!(s.mean_primitive_exec, Some(Duration::from_micros(15)));
@@ -772,13 +797,15 @@ mod tests {
         t.record_cqe_write_time(Duration::from_micros(8), 4);
         t.record_cqe_write_time(Duration::from_micros(1), 0); // no-op
         t.record_sqe_read(Duration::from_micros(6), 3);
-        t.record_preparing(Duration::from_micros(1));
-        t.record_context_load();
+        t.record_context_load(ContextLoad::CacheMiss(Duration::from_micros(1)));
+        t.record_context_load(ContextLoad::CacheHit);
         let s = t.daemon_stats();
         assert_eq!(s.mean_cqe_write, Some(Duration::from_micros(2)));
         assert_eq!(s.mean_sqe_read, Some(Duration::from_micros(2)));
+        // Preparing is the load of a miss; a hit loads nothing.
         assert_eq!(s.mean_preparing, Some(Duration::from_micros(1)));
-        assert_eq!(s.context_loads, 1);
+        assert_eq!(s.context_loads, 2);
+        assert_eq!(t.modelled_context_time(), Duration::from_micros(1));
         assert_eq!((s.cqes_written, s.sqes_fetched), (0, 0));
     }
 

@@ -11,6 +11,7 @@
 //! collective, and does not interact with the deadlock mechanisms studied
 //! here).
 
+use deadlock_sim::GroupingPolicy;
 use dfccl_collectives::{CollectiveDescriptor, DataType, ReduceOp};
 use gpu_sim::GpuId;
 
@@ -153,7 +154,9 @@ pub fn tensor_parallel_plan(
 /// stage there are `dp` TP groups of size `tp`; GPUs holding the same shard
 /// across TP groups form DP groups of size `dp`. Per iteration every TP group
 /// runs two all-reduces per stage layer, and every DP group runs one gradient
-/// all-reduce per bucket of its stage's parameters.
+/// all-reduce per bucket of its stage's parameters. The groups, and the GPU
+/// layout, are [`GroupingPolicy::ThreeD`]'s (groups of one GPU have no
+/// collective).
 pub fn three_d_hybrid_plan(
     model: &DnnModel,
     tp: usize,
@@ -167,7 +170,6 @@ pub fn three_d_hybrid_plan(
     );
     let gpu_count = tp * dp * pp;
     let gpus: Vec<GpuId> = (0..gpu_count).map(GpuId).collect();
-    let gpu_at = |p: usize, d: usize, t: usize| GpuId(p * tp * dp + d * tp + t);
 
     let layers_per_stage = (model.layers / pp.max(1)).max(1);
     let act_elems = (per_gpu_batch * model.hidden.max(1)).max(1);
@@ -175,41 +177,32 @@ pub fn three_d_hybrid_plan(
     let dp_buckets = (model.gradient_buckets / pp.max(1)).max(1);
     let bucket_elems = (stage_params / dp_buckets).max(1);
 
+    let policy = GroupingPolicy::ThreeD {
+        tp,
+        dp,
+        pp,
+        tp_collectives: 2 * layers_per_stage, // forward + backward per layer
+        dp_collectives: dp_buckets,
+    };
+    // `build_groups` lists the `pp * dp` TP groups first, then the DP groups.
+    let tp_groups = pp * dp;
     let mut collectives = Vec::new();
     let mut ready: Vec<Vec<usize>> = vec![Vec::new(); gpu_count];
-    let mut next_id = 0u64;
-
-    // TP all-reduces (forward + backward per stage layer), one set per TP group.
-    if tp >= 2 {
-        for p in 0..pp {
-            for d in 0..dp {
-                let group: Vec<GpuId> = (0..tp).map(|t| gpu_at(p, d, t)).collect();
-                for _layer in 0..layers_per_stage {
-                    for _dir in 0..2 {
-                        let idx = collectives.len();
-                        collectives.push(f32_all_reduce(next_id, act_elems, group.clone()));
-                        next_id += 1;
-                        for g in &group {
-                            ready[g.0].push(idx);
-                        }
-                    }
-                }
-            }
+    for group in policy.build_groups() {
+        if group.gpus.len() < 2 {
+            continue;
         }
-    }
-    // DP gradient all-reduces, one set per DP group.
-    if dp >= 2 {
-        for p in 0..pp {
-            for t in 0..tp {
-                let group: Vec<GpuId> = (0..dp).map(|d| gpu_at(p, d, t)).collect();
-                for _bucket in 0..dp_buckets {
-                    let idx = collectives.len();
-                    collectives.push(f32_all_reduce(next_id, bucket_elems, group.clone()));
-                    next_id += 1;
-                    for g in &group {
-                        ready[g.0].push(idx);
-                    }
-                }
+        let elems = if group.id < tp_groups {
+            act_elems
+        } else {
+            bucket_elems
+        };
+        let devices: Vec<GpuId> = group.gpus.iter().copied().map(GpuId).collect();
+        for _ in 0..group.collectives {
+            let idx = collectives.len();
+            collectives.push(f32_all_reduce(idx as u64, elems, devices.clone()));
+            for &g in &group.gpus {
+                ready[g].push(idx);
             }
         }
     }
@@ -288,6 +281,69 @@ mod tests {
         let sizes: std::collections::HashSet<usize> =
             plan.collectives.iter().map(|c| c.desc.count).collect();
         assert!(sizes.len() >= 2);
+    }
+
+    /// The tp = dp = pp = 2 plan of a four-layer model, collective by
+    /// collective: id (its index), device set and element count, then each
+    /// GPU's ready order.
+    #[test]
+    fn three_d_plan_matches_its_golden_layout() {
+        let model = DnnModel {
+            name: "tiny".to_string(),
+            parameters: 4_096,
+            layers: 4,
+            hidden: 32,
+            gradient_buckets: 4,
+            compute_per_sample: 0.1,
+        };
+        let plan = three_d_hybrid_plan(&model, 2, 2, 2, 4);
+        const GOLDEN: [([usize; 2], usize); 24] = [
+            ([0, 1], 128),
+            ([0, 1], 128),
+            ([0, 1], 128),
+            ([0, 1], 128),
+            ([2, 3], 128),
+            ([2, 3], 128),
+            ([2, 3], 128),
+            ([2, 3], 128),
+            ([4, 5], 128),
+            ([4, 5], 128),
+            ([4, 5], 128),
+            ([4, 5], 128),
+            ([6, 7], 128),
+            ([6, 7], 128),
+            ([6, 7], 128),
+            ([6, 7], 128),
+            ([0, 2], 512),
+            ([0, 2], 512),
+            ([1, 3], 512),
+            ([1, 3], 512),
+            ([4, 6], 512),
+            ([4, 6], 512),
+            ([5, 7], 512),
+            ([5, 7], 512),
+        ];
+        assert_eq!(plan.collectives.len(), GOLDEN.len());
+        for (i, (c, (devices, count))) in plan.collectives.iter().zip(GOLDEN).enumerate() {
+            assert_eq!(c.coll_id, i as u64);
+            assert_eq!(
+                c.desc.devices,
+                devices.map(GpuId).to_vec(),
+                "collective {i}"
+            );
+            assert_eq!(c.desc.count, count, "collective {i}");
+        }
+        let ready: [[usize; 6]; 8] = [
+            [0, 1, 2, 3, 16, 17],
+            [0, 1, 2, 3, 18, 19],
+            [4, 5, 6, 7, 16, 17],
+            [4, 5, 6, 7, 18, 19],
+            [8, 9, 10, 11, 20, 21],
+            [8, 9, 10, 11, 22, 23],
+            [12, 13, 14, 15, 20, 21],
+            [12, 13, 14, 15, 22, 23],
+        ];
+        assert_eq!(plan.ready_order, ready.map(|r| r.to_vec()).to_vec());
     }
 
     #[test]
