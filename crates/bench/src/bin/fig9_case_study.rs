@@ -2,10 +2,13 @@
 //! all-gather with a small (4 KB) and a large (4 MB) buffer on eight GPUs,
 //! DFCCL vs. the NCCL-like baseline.
 //!
-//! Core execution time is the part spent inside the collective itself
-//! (preparing overheads + primitive execution for DFCCL; the kernel body for
-//! NCCL); the difference to end-to-end latency is the I/O path (SQ/CQ and
-//! callback for DFCCL, launch + completion observation for NCCL). The paper's
+//! Core execution time is the part spent inside the collective itself:
+//! preparing overheads plus primitive execution for DFCCL, the kernel body
+//! for NCCL. The two halves come from different clocks — DFCCL's preparing
+//! is the modelled context load, primitive execution and the kernel body
+//! are wall time — so they print as two columns, not one sum. The
+//! difference to end-to-end latency is the I/O path (SQ/CQ and callback for
+//! DFCCL, launch + completion observation for NCCL). The paper's
 //! observation to reproduce: with a small buffer DFCCL's end-to-end latency is
 //! a few µs *higher* than NCCL's even though its core execution is shorter;
 //! with a large buffer the shorter core execution wins and DFCCL's end-to-end
@@ -27,7 +30,11 @@ use gpu_sim::{GpuId, GpuSpec, KernelStatus, StreamId};
 
 const GPUS: usize = 8;
 
-fn measure(bytes: usize, iters: usize, compression: f64) -> [(String, Duration, Duration); 2] {
+/// One library's row: end-to-end latency (wall), the modelled preparing
+/// time (DFCCL only) and the primitive execution or kernel body (wall).
+type Row = (String, Duration, Option<Duration>, Duration);
+
+fn measure(bytes: usize, iters: usize, compression: f64) -> [Row; 2] {
     let devices: Vec<GpuId> = (0..GPUS).map(GpuId).collect();
     let count = bytes / 4;
     let desc = CollectiveDescriptor::all_gather(count, DataType::F32, devices.clone());
@@ -60,12 +67,12 @@ fn measure(bytes: usize, iters: usize, compression: f64) -> [(String, Duration, 
         }
     }
     let dfccl_e2e = start.elapsed() / iters as u32;
-    // Core execution = preparing (the modelled context load) + primitive
-    // execution (wall clock), from the daemon stats.
+    // Core execution, from the daemon stats: preparing (the modelled
+    // context load) and primitive execution (wall clock), kept apart.
     let stats = ranks[0].stats();
     let per_collective_prims = stats.primitives_executed / stats.collectives_completed.max(1);
-    let dfccl_core = stats.mean_preparing.unwrap_or_default()
-        + stats.mean_primitive_exec.unwrap_or_default() * per_collective_prims as u32;
+    let dfccl_preparing = stats.mean_preparing.unwrap_or_default();
+    let dfccl_prims = stats.mean_primitive_exec.unwrap_or_default() * per_collective_prims as u32;
     for rank in &ranks {
         rank.destroy();
     }
@@ -107,8 +114,13 @@ fn measure(bytes: usize, iters: usize, compression: f64) -> [(String, Duration, 
     ndomain.shutdown();
 
     [
-        ("NCCL".to_string(), nccl_e2e, nccl_core),
-        ("DFCCL".to_string(), dfccl_e2e, dfccl_core),
+        ("NCCL".to_string(), nccl_e2e, None, nccl_core),
+        (
+            "DFCCL".to_string(),
+            dfccl_e2e,
+            Some(dfccl_preparing),
+            dfccl_prims,
+        ),
     ]
 }
 
@@ -117,19 +129,24 @@ fn main() {
     let compression: f64 = arg_num("--compression", 100.0);
     println!("Fig. 9 — all-gather end-to-end latency vs. core execution time on {GPUS} GPUs");
     println!("(paper: 4 KB → 45.1/39.3 µs NCCL vs 49.4/38.9 µs DFCCL; 4 MB → 855.2/847.9 µs vs 851.8/828.0 µs)\n");
-    let widths = [10, 10, 22, 22];
+    let widths = [10, 10, 22, 24, 28];
     print_row(
         &[
             "buffer".into(),
             "library".into(),
-            "end-to-end latency µs".into(),
-            "core execution µs".into(),
+            "end-to-end µs (wall)".into(),
+            "preparing µs (modelled)".into(),
+            "primitives/kernel µs (wall)".into(),
         ],
         &widths,
     );
     for (label, bytes) in [("4KB", 4 * 1024usize), ("4MB", 4 * 1024 * 1024)] {
-        for (lib, e2e, core) in measure(bytes, iters, compression) {
-            print_row(&[label.into(), lib, fmt_us(e2e), fmt_us(core)], &widths);
+        for (lib, e2e, preparing, body) in measure(bytes, iters, compression) {
+            let preparing = preparing.map_or_else(|| "-".into(), fmt_us);
+            print_row(
+                &[label.into(), lib, fmt_us(e2e), preparing, fmt_us(body)],
+                &widths,
+            );
         }
     }
     println!("\nExpected shape: DFCCL's core execution is the shorter of the two at both sizes;");

@@ -111,8 +111,8 @@ pub struct CollectiveDescriptor {
     /// `K` parallel connectors per `(src, dst)` edge. `None` is unstriped
     /// (`K = 1`).
     pub channels: Option<usize>,
-    /// Opt this collective out of graph-capture fusion: even when it is a
-    /// small all-reduce recorded between fusable neighbours, the fusion pass
+    /// Opt this collective out of graph-capture fusion: even when it is an
+    /// all-reduce recorded between fusable neighbours, the fusion pass
     /// leaves it as its own node (e.g. a gradient bucket the application
     /// inspects between iterations).
     pub no_fuse: bool,

@@ -318,15 +318,18 @@ pub fn execute_ready_instr(
             }
             let op = op.ok_or(ExecError::MissingReduceOp)?;
             // Reduce inside the received chunk and pass that allocation on,
-            // in the instruction's operand order. The read lock ends with
-            // this statement, before `write_range` below takes a write lock:
-            // send and recv may be one allocation.
-            local_buf.with_read(|local| {
-                let local = &local[src.off..src.off + src.len];
+            // in the instruction's operand order, one piece of the local
+            // range at a time: a fused node's buffers are views whose pieces
+            // are its members, each element-aligned, so a piecewise reduce
+            // is bit-exact. The read locks end with this statement, before
+            // `write_range` below takes a write lock: send and recv may be
+            // one allocation.
+            local_buf.with_range(src.off, src.len, |at, local| {
+                let data = &mut data[at..at + local.len()];
                 if instr.incoming_first {
-                    reduce_into(&mut data, local, program.dtype(), op);
+                    reduce_into(data, local, program.dtype(), op);
                 } else {
-                    reduce_from(local, &mut data, program.dtype(), op);
+                    reduce_from(local, data, program.dtype(), op);
                 }
             });
             data

@@ -1,4 +1,4 @@
-//! Iteration-graph IR and the DDP-style small-all-reduce fusion pass.
+//! Iteration-graph IR and the DDP-style all-reduce fusion pass.
 //!
 //! Training traffic is the same per-step collective sequence replayed
 //! millions of times. Graph capture records that sequence once — descriptor,
@@ -11,27 +11,55 @@
 //!   buffers, the CUDA-Graph fixed-address contract).
 //! * [`GraphOp`] — one node of the rewritten graph: an unchanged single
 //!   collective, or a [`FusedAllReduce`] coalescing a bucket of consecutive
-//!   small all-reduces.
-//! * [`plan_fusion`] — the pass. It is a pure, deterministic function of the
-//!   recorded sequence and the threshold, so SPMD ranks that capture the
-//!   same iteration independently produce the same bucketization and the
-//!   same synthesized fused collective ids — a requirement, because ranks
-//!   resolve communicators by collective id.
+//!   all-reduces.
+//! * [`plan_fusion_by_cost`] — the pass. It partitions the recorded sequence
+//!   into buckets minimising the summed cost of the buckets' fused
+//!   all-reduces, ties going to fewer nodes; the runtime prices a bucket with
+//!   the cost model the selector minimises, so a bucket pays each
+//!   collective's fixed cost (SQE, context, CQE and the ring's per-step α)
+//!   once. [`plan_fusion`] is the same pass at unit cost: the fewest nodes.
+//!   Both are pure, deterministic functions of the recorded sequence, the
+//!   cap and the cost, so SPMD ranks that capture the same iteration
+//!   independently produce the same bucketization and the same synthesized
+//!   fused collective ids — a requirement, because ranks resolve
+//!   communicators by collective id.
 //!
 //! ## Fusion legality
 //!
-//! Two adjacent recorded collectives may share a bucket iff both are
+//! A run of consecutive recorded collectives may share a bucket iff all are
 //! all-reduces over the same ordered device set with the same element type,
-//! operator, priority and per-collective algorithm/channel overrides, each at
-//! most `fusion_threshold_bytes` of payload, and neither opted out via
-//! [`CollectiveDescriptor::with_no_fuse`]. Under those conditions the fused
-//! all-reduce — element count the sum of the bucket, payload the
-//! concatenation of the members' byte ranges — computes exactly the
-//! element-wise reduction each member would have computed: all-reduce is
-//! element-wise, so concatenating inputs concatenates outputs, and every rank
-//! slices its own segments back out at fixed offsets. No cross-element
-//! reassociation is introduced; only the *schedule* of the elements changes,
-//! which the per-collective bit-exactness argument already covers.
+//! operator, priority and per-collective algorithm/channel overrides, none
+//! opted out via [`CollectiveDescriptor::with_no_fuse`], their payloads sum
+//! to at most the cap (`fusion_threshold_bytes`, DDP's `bucket_cap_mb`), and
+//! no allocation in the run is both read (a member's send buffer) and
+//! written (a member's recv buffer) — an in-place member is one case. Under
+//! those conditions the fused all-reduce — element count the sum of the
+//! bucket, payload the concatenation of the members' byte ranges — computes
+//! exactly the element-wise reduction each member would have computed:
+//! all-reduce is element-wise, so concatenating inputs concatenates outputs.
+//! No cross-element reassociation is introduced; only the *schedule* of the
+//! elements changes, which the per-collective bit-exactness argument already
+//! covers.
+//!
+//! ## No copies
+//!
+//! A fused node's [`FusedAllReduce::send_stage`] and
+//! [`FusedAllReduce::recv_stage`] are concatenated views
+//! ([`DeviceBuffer::concat`]) over its members' buffers, so the fused
+//! all-reduce reads and writes them in place. The aliasing rule keeps that
+//! exact when a rolled-back node re-executes: it rereads its members' send
+//! buffers, which nothing in the bucket writes.
+//!
+//! ## The partition
+//!
+//! The pass runs over *blocks*: maximal runs of consecutive fusable records
+//! with equal descriptors that may legally share a bucket (split where the
+//! cap would be exceeded or buffers alias). A bucket is a run of whole
+//! blocks, so a DDP step of a few repeated tensor shapes costs a handful of
+//! estimates, not one per pair of records. Never splitting a block is exact
+//! when fusing equal shapes never costs more than running them apart, as
+//! under the α-β walk, where a bucket pays its per-step α once. A bucket
+//! spans at most 64 blocks, which bounds the estimates per block.
 
 use crate::buffer::DeviceBuffer;
 use crate::collective::{CollectiveDescriptor, CollectiveKind};
@@ -41,6 +69,10 @@ use crate::collective::{CollectiveDescriptor, CollectiveKind};
 /// this base (the bit above it is reserved for graph replay ids); the
 /// runtime's registration path enforces this.
 pub const FUSED_COLL_ID_BASE: u64 = 1 << 62;
+
+/// The most blocks one bucket may span: it bounds the buckets the pass
+/// prices per block, so the pass stays linear in the recorded blocks.
+const MAX_BUCKET_BLOCKS: usize = 64;
 
 /// The deterministic id of the fused all-reduce replacing a bucket whose
 /// first member is `first`: every rank records the same sequence, so every
@@ -64,24 +96,24 @@ pub struct RecordedCollective {
 }
 
 /// One member of a fused all-reduce: which recorded collective it came from
-/// and where its payload sits in the fused staging buffers.
+/// and where its payload sits in the fused views.
 #[derive(Debug, Clone)]
 pub struct FusedSegment {
-    /// The original collective id (for error attribution).
+    /// The original collective id (the fused node is accounted to the
+    /// tenant that registered its first member).
     pub coll_id: u64,
-    /// The member's recorded send buffer (read by [`FusedAllReduce::gather`]).
+    /// The member's recorded send buffer.
     pub send: DeviceBuffer,
-    /// The member's recorded recv buffer (written by
-    /// [`FusedAllReduce::scatter`]).
+    /// The member's recorded recv buffer.
     pub recv: DeviceBuffer,
-    /// Byte offset of this member's payload in the staging buffers.
+    /// Byte offset of this member's payload in the fused views.
     pub byte_off: usize,
     /// Byte length of this member's payload.
     pub byte_len: usize,
 }
 
-/// A bucket of consecutive small same-shape all-reduces coalesced into one
-/// striped all-reduce over concatenated byte ranges.
+/// A bucket of consecutive compatible all-reduces coalesced into one
+/// all-reduce over the concatenation of their byte ranges.
 #[derive(Debug, Clone)]
 pub struct FusedAllReduce {
     /// The synthesized collective id ([`fused_coll_id`] of the first member).
@@ -89,51 +121,24 @@ pub struct FusedAllReduce {
     /// The fused descriptor: the members' shared shape with the summed
     /// element count.
     pub desc: CollectiveDescriptor,
-    /// The members, in recorded order, with their scatter offsets.
+    /// The members, in recorded order, with their offsets.
     pub segments: Vec<FusedSegment>,
-    /// Concatenated send payload the fused collective reads.
+    /// The members' send buffers, concatenated as a view (no copy).
     pub send_stage: DeviceBuffer,
-    /// Concatenated recv payload the fused collective writes.
+    /// The members' recv buffers, concatenated as a view (no copy).
     pub recv_stage: DeviceBuffer,
 }
 
 impl FusedAllReduce {
-    /// Copy every member's send payload into the staging buffer at its
-    /// segment offset. Runs on the submitting thread at replay time, before
-    /// the graph SQE is pushed, so the daemon only ever sees the staged
-    /// concatenation.
-    pub fn gather(&self) {
-        // One stage-buffer lock for the whole pass and no per-segment
-        // allocation: with thousands of fused members this copy loop is on
-        // the replay hot path, and a `read_range` round-trip per segment
-        // (temporary Vec + two extra lock acquisitions) dominates the cost
-        // of replaying a large fused bucket.
-        self.send_stage.with_write(|dst| {
-            for seg in &self.segments {
-                seg.send.with_read(|src| {
-                    dst[seg.byte_off..seg.byte_off + seg.byte_len]
-                        .copy_from_slice(&src[..seg.byte_len]);
-                });
-            }
-        });
-    }
+    /// Does nothing: [`FusedAllReduce::send_stage`] is a view over the
+    /// members' send buffers, so there is nothing to gather. Kept for
+    /// callers of the former staging copy.
+    pub fn gather(&self) {}
 
-    /// Copy every member's slice of the fused result back into that member's
-    /// recorded recv buffer. Runs on the daemon after the fused collective
-    /// completes, before the graph's single completion is published.
-    pub fn scatter(&self) {
-        // Mirror of `gather`: one stage lock, no temporaries. This runs on
-        // the daemon thread right before the graph's completion is
-        // published, so every nanosecond here delays the CQE.
-        self.recv_stage.with_read(|src| {
-            for seg in &self.segments {
-                seg.recv.with_write(|dst| {
-                    dst[..seg.byte_len]
-                        .copy_from_slice(&src[seg.byte_off..seg.byte_off + seg.byte_len]);
-                });
-            }
-        });
-    }
+    /// Does nothing: [`FusedAllReduce::recv_stage`] is a view over the
+    /// members' recv buffers, so the fused result is already in place. Kept
+    /// for callers of the former staging copy.
+    pub fn scatter(&self) {}
 }
 
 /// One node of a captured iteration graph after the fusion pass.
@@ -141,7 +146,7 @@ impl FusedAllReduce {
 pub enum GraphOp {
     /// An unchanged recorded collective.
     Single(RecordedCollective),
-    /// A coalesced bucket of small all-reduces.
+    /// A coalesced bucket of all-reduces.
     Fused(FusedAllReduce),
 }
 
@@ -179,12 +184,19 @@ impl GraphOp {
     }
 }
 
-/// Whether `rec` is a candidate bucket member at all (shape compatibility
-/// with its neighbours is checked separately).
-fn fusable(rec: &RecordedCollective, threshold_bytes: usize) -> bool {
+fn payload_bytes(rec: &RecordedCollective) -> usize {
+    rec.desc.count * rec.desc.dtype.size_bytes()
+}
+
+/// Whether `rec` may join a bucket at all under `cap_bytes` (shape
+/// compatibility and aliasing with the other members are checked
+/// separately). A zero cap disables fusion.
+fn fusable(rec: &RecordedCollective, cap_bytes: usize) -> bool {
     rec.desc.kind == CollectiveKind::AllReduce
         && !rec.desc.no_fuse
-        && rec.desc.count * rec.desc.dtype.size_bytes() <= threshold_bytes
+        && cap_bytes > 0
+        && payload_bytes(rec) <= cap_bytes
+        && !rec.send.same_allocation(&rec.recv)
 }
 
 /// Whether two candidates may share a bucket: everything that shapes the
@@ -198,14 +210,29 @@ fn compatible(a: &CollectiveDescriptor, b: &CollectiveDescriptor) -> bool {
         && a.channels == b.channels
 }
 
-fn fuse(bucket: Vec<RecordedCollective>) -> FusedAllReduce {
-    debug_assert!(bucket.len() >= 2);
-    let elem = bucket[0].desc.dtype.size_bytes();
+/// Whether joining `a` and `b` in one bucket would make an allocation both
+/// read and written: a send buffer of one is a recv buffer of the other
+/// (each is assumed legal on its own).
+fn aliases(a: &[RecordedCollective], b: &[RecordedCollective]) -> bool {
+    a.iter().any(|x| {
+        b.iter()
+            .any(|y| x.send.same_allocation(&y.recv) || y.send.same_allocation(&x.recv))
+    })
+}
+
+/// The descriptor of the all-reduce fusing `bucket`: the members' shared
+/// shape with the summed element count. A fused node never re-fuses.
+fn fused_desc(bucket: &[RecordedCollective]) -> CollectiveDescriptor {
     let mut desc = bucket[0].desc.clone();
     desc.count = bucket.iter().map(|r| r.desc.count).sum();
-    // A fused node never re-fuses (the pass runs once per capture, but the
-    // flag also documents the synthesized descriptor's provenance).
     desc.no_fuse = true;
+    desc
+}
+
+fn fuse(bucket: Vec<RecordedCollective>) -> FusedAllReduce {
+    debug_assert!(bucket.len() >= 2);
+    let desc = fused_desc(&bucket);
+    let elem = desc.dtype.size_bytes();
     let coll_id = fused_coll_id(bucket[0].coll_id);
     let mut segments = Vec::with_capacity(bucket.len());
     let mut off = 0usize;
@@ -220,50 +247,152 @@ fn fuse(bucket: Vec<RecordedCollective>) -> FusedAllReduce {
         });
         off += len;
     }
+    let view = |buf: fn(&FusedSegment) -> &DeviceBuffer| {
+        DeviceBuffer::concat(segments.iter().map(|s| (buf(s).clone(), s.byte_len)))
+    };
     FusedAllReduce {
         coll_id,
         desc,
+        send_stage: view(|s| &s.send),
+        recv_stage: view(|s| &s.recv),
         segments,
-        send_stage: DeviceBuffer::zeroed(off),
-        recv_stage: DeviceBuffer::zeroed(off),
     }
 }
 
-fn flush(ops: &mut Vec<GraphOp>, bucket: &mut Vec<RecordedCollective>) {
-    if bucket.len() >= 2 {
-        flush_always(ops, bucket);
-    } else {
-        ops.extend(bucket.drain(..).map(GraphOp::Single));
-    }
+/// A maximal run of consecutive records with equal descriptors that may
+/// share a bucket, or one record that may not.
+struct Block {
+    /// Its records, `start..end` of the recorded sequence.
+    start: usize,
+    end: usize,
+    /// Their summed payload.
+    bytes: usize,
+    fusable: bool,
 }
 
-fn flush_always(ops: &mut Vec<GraphOp>, bucket: &mut Vec<RecordedCollective>) {
-    ops.push(GraphOp::Fused(fuse(std::mem::take(bucket))));
-}
-
-/// The fusion pass: rewrite a recorded sequence into graph nodes, coalescing
-/// every maximal run of ≥ 2 consecutive compatible small all-reduces (see the
-/// module docs for the legality rule) into one [`FusedAllReduce`]. A
-/// `threshold_bytes` of 0 disables fusion entirely. Deterministic, so SPMD
-/// ranks agree on the bucketization and the synthesized ids.
-pub fn plan_fusion(records: Vec<RecordedCollective>, threshold_bytes: usize) -> Vec<GraphOp> {
-    let mut ops = Vec::with_capacity(records.len());
-    let mut bucket: Vec<RecordedCollective> = Vec::new();
-    for rec in records {
-        if fusable(&rec, threshold_bytes) {
-            if let Some(last) = bucket.last() {
-                if !compatible(&last.desc, &rec.desc) {
-                    flush(&mut ops, &mut bucket);
-                }
+fn blocks(records: &[RecordedCollective], cap_bytes: usize) -> Vec<Block> {
+    let mut blocks: Vec<Block> = Vec::new();
+    for (i, rec) in records.iter().enumerate() {
+        let fits = fusable(rec, cap_bytes);
+        let bytes = payload_bytes(rec);
+        if let Some(b) = blocks.last_mut() {
+            if fits
+                && b.fusable
+                && records[b.start].desc == rec.desc
+                && b.bytes + bytes <= cap_bytes
+                && !aliases(&records[b.start..i], std::slice::from_ref(rec))
+            {
+                b.end = i + 1;
+                b.bytes += bytes;
+                continue;
             }
-            bucket.push(rec);
-        } else {
-            flush(&mut ops, &mut bucket);
-            ops.push(GraphOp::Single(rec));
         }
+        blocks.push(Block {
+            start: i,
+            end: i + 1,
+            bytes,
+            fusable: fits,
+        });
     }
-    flush(&mut ops, &mut bucket);
-    ops
+    blocks
+}
+
+/// Whether cost `a` is below `b`, or `None` for a tie: costs within one part
+/// in 10⁹ of each other, where sums of modelled times differ only by
+/// rounding (one bucket of the replay step's 56 all-reduces and its two
+/// blocks apart both read 366.785 µs).
+fn cheaper(a: f64, b: f64) -> Option<bool> {
+    if (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) {
+        None
+    } else {
+        Some(a < b)
+    }
+}
+
+/// The fusion pass at unit cost: rewrite a recorded sequence into the
+/// fewest graph nodes, each bucket of ≥ 2 legal members (see the module
+/// docs) fused into one [`FusedAllReduce`] of at most `threshold_bytes`
+/// payload. A `threshold_bytes` of 0 disables fusion entirely.
+/// Deterministic, so SPMD ranks agree on the bucketization and the
+/// synthesized ids.
+pub fn plan_fusion(records: Vec<RecordedCollective>, threshold_bytes: usize) -> Vec<GraphOp> {
+    plan_fusion_by_cost(records, threshold_bytes, |_| 1.0)
+}
+
+/// The fusion pass: partition a recorded sequence into legal buckets (see
+/// the module docs) of at most `cap_bytes` payload each, minimising the sum
+/// of `cost` over the buckets' fused descriptors; among partitions of equal
+/// cost (to rounding), the one with fewer nodes wins, and among those the
+/// first found.
+/// A bucket of one record stays a [`GraphOp::Single`]; a record that may
+/// not fuse is never priced. A `cap_bytes` of 0 disables fusion entirely.
+/// Deterministic for a deterministic `cost`.
+pub fn plan_fusion_by_cost(
+    records: Vec<RecordedCollective>,
+    cap_bytes: usize,
+    mut cost: impl FnMut(&CollectiveDescriptor) -> f64,
+) -> Vec<GraphOp> {
+    let blocks = blocks(&records, cap_bytes);
+    // best[j]: the cheapest partition of blocks[..j] as (cost, nodes, first
+    // block of its last bucket).
+    let mut best: Vec<(f64, usize, usize)> = Vec::with_capacity(blocks.len() + 1);
+    best.push((0.0, 0, 0));
+    for (last, block) in blocks.iter().enumerate() {
+        let (c, n, _) = best[last];
+        if !block.fusable {
+            // Alone in every partition: its cost is a constant, unpriced.
+            best.push((c, n + 1, last));
+            continue;
+        }
+        let head = &records[block.start].desc;
+        let mut bytes = 0;
+        let mut choice: Option<(f64, usize, usize)> = None;
+        for first in (last.saturating_sub(MAX_BUCKET_BLOCKS - 1)..=last).rev() {
+            let b = &blocks[first];
+            bytes += b.bytes;
+            let legal = b.fusable
+                && compatible(&records[b.start].desc, head)
+                && bytes <= cap_bytes
+                && !aliases(&records[b.start..b.end], &records[b.end..block.end]);
+            if !legal {
+                break;
+            }
+            let (c, n, _) = best[first];
+            let cand = (
+                c + cost(&fused_desc(&records[b.start..block.end])),
+                n + 1,
+                first,
+            );
+            if choice.is_none_or(|(bc, bn, _)| match cheaper(cand.0, bc) {
+                Some(better) => better,
+                None => cand.1 < bn,
+            }) {
+                choice = Some(cand);
+            }
+        }
+        best.push(choice.expect("a fusable block is a legal bucket on its own"));
+    }
+    // Walk the choices back into bucket sizes, then emit them in order.
+    let mut sizes = Vec::new();
+    let mut j = blocks.len();
+    while j > 0 {
+        let first = best[j].2;
+        sizes.push(blocks[j - 1].end - blocks[first].start);
+        j = first;
+    }
+    let mut records = records.into_iter();
+    sizes
+        .into_iter()
+        .rev()
+        .map(|len| {
+            let mut bucket: Vec<_> = records.by_ref().take(len).collect();
+            if len == 1 {
+                GraphOp::Single(bucket.pop().expect("one record"))
+            } else {
+                GraphOp::Fused(fuse(bucket))
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -373,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scatter_move_segment_payloads() {
+    fn fused_views_read_and_write_the_members_in_place() {
         let a = small_ar(1, 2);
         let b = small_ar(2, 3);
         a.send.replace(vec![1; 8]);
@@ -382,15 +511,146 @@ mod tests {
         let GraphOp::Fused(f) = &ops[0] else {
             panic!("fused");
         };
-        f.gather();
+        // The send view reads the members' current bytes: nothing staged.
         assert_eq!(
             f.send_stage.to_vec(),
             [vec![1u8; 8], vec![2u8; 12]].concat()
         );
-        f.recv_stage.replace((0u8..20).collect());
-        f.scatter();
+        b.send.write_range(0, &[3; 4]);
+        assert_eq!(f.send_stage.read_range(6, 4), vec![1, 1, 3, 3]);
+        // A write across the member boundary lands in both members.
+        f.recv_stage.write_range(0, &(0u8..20).collect::<Vec<_>>());
         assert_eq!(a.recv.to_vec(), (0u8..8).collect::<Vec<_>>());
         assert_eq!(b.recv.to_vec(), (8u8..20).collect::<Vec<_>>());
+        // gather and scatter have nothing left to move.
+        f.gather();
+        f.scatter();
+        assert_eq!(a.recv.to_vec(), (0u8..8).collect::<Vec<_>>());
+        assert!(!f.send_stage.same_allocation(&a.send));
+    }
+
+    /// Records over distinct fresh buffers with the given f32 counts.
+    fn seq(counts: &[usize]) -> Vec<RecordedCollective> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| small_ar(i as u64 + 1, c))
+            .collect()
+    }
+
+    /// Each node as (first collective id, member count).
+    fn shape_of(ops: &[GraphOp]) -> Vec<(u64, usize)> {
+        ops.iter()
+            .map(|op| match op {
+                GraphOp::Single(r) => (r.coll_id, 1),
+                GraphOp::Fused(f) => (f.segments[0].coll_id, f.segments.len()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_partition_is_deterministic_and_ties_go_to_fewer_nodes() {
+        let counts = [4, 4, 6, 6, 2, 4];
+        // Linear cost: every partition costs the same, so fewer nodes wins
+        // and everything fuses.
+        let linear = |d: &CollectiveDescriptor| d.count as f64;
+        let once = plan_fusion_by_cost(seq(&counts), 1024, linear);
+        assert_eq!(shape_of(&once), vec![(1, 6)]);
+        for _ in 0..3 {
+            let again = plan_fusion_by_cost(seq(&counts), 1024, linear);
+            assert_eq!(shape_of(&again), shape_of(&once));
+            assert_eq!(again[0].coll_id(), once[0].coll_id());
+        }
+        // A fixed cost per bucket plus a convex payload term: one bucket of
+        // all 26 elements costs 10 + 676, while the blocks {4, 4}, {6, 6},
+        // {2}, {4} apart cost 4 × 10 + 64 + 144 + 4 + 16 = 268, the
+        // cheapest partition into runs of whole blocks.
+        let convex = |d: &CollectiveDescriptor| 10.0 + (d.count * d.count) as f64;
+        let ops = plan_fusion_by_cost(seq(&counts), 1024, convex);
+        assert_eq!(shape_of(&ops), vec![(1, 2), (3, 2), (5, 1), (6, 1)]);
+        assert_eq!(ops.iter().map(|op| convex(op.desc())).sum::<f64>(), 268.0);
+    }
+
+    #[test]
+    fn a_cap_no_fuse_an_incompatible_shape_and_an_alias_each_break_a_bucket() {
+        // The cap bounds a bucket's total payload: 4 × 16 B under 48 B.
+        let ops = plan_fusion(seq(&[4, 4, 4, 4]), 48);
+        assert_eq!(shape_of(&ops), vec![(1, 3), (4, 1)]);
+        // no_fuse.
+        let mut recs = seq(&[4, 4, 4]);
+        recs[1].desc.no_fuse = true;
+        assert_eq!(
+            shape_of(&plan_fusion(recs, 1024)),
+            vec![(1, 1), (2, 1), (3, 1)]
+        );
+        // An incompatible shape (another operator).
+        let mut recs = seq(&[4, 4, 4, 4]);
+        recs[2].desc.op = Some(ReduceOp::Max);
+        assert_eq!(
+            shape_of(&plan_fusion(recs, 1024)),
+            vec![(1, 2), (3, 1), (4, 1)]
+        );
+        // An in-place member stays a single node.
+        let mut recs = seq(&[4, 4, 4, 4]);
+        recs[2].recv = recs[2].send.clone();
+        assert_eq!(
+            shape_of(&plan_fusion(recs, 1024)),
+            vec![(1, 2), (3, 1), (4, 1)]
+        );
+        // A member reading what an earlier member writes splits the run
+        // between them, whichever way round.
+        let mut recs = seq(&[4, 4, 4, 4]);
+        recs[2].send = recs[0].recv.clone();
+        assert_eq!(shape_of(&plan_fusion(recs, 1024)), vec![(1, 2), (3, 2)]);
+        let mut recs = seq(&[4, 4, 4, 4]);
+        recs[3].recv = recs[1].send.clone();
+        assert_eq!(shape_of(&plan_fusion(recs, 1024)), vec![(1, 3), (4, 1)]);
+    }
+
+    #[test]
+    fn ddp_replay_partitions_below_the_greedy_buckets_under_the_selector() {
+        // The replay workload's step: 8 × 256 KiB then 48 × 4 KiB f32
+        // all-reduces on 4 flat ranks, priced like the runtime prices them
+        // (the selector's argmin estimate at the default chunk).
+        let topo = dfccl_transport::Topology::flat(4);
+        let selector = crate::AlgorithmSelector::default();
+        let ar =
+            |count| CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(4));
+        let records: Vec<_> = (0..56u64)
+            .map(|i| {
+                let desc = ar(if i < 8 { 64 * 1024 } else { 1024 });
+                let bytes = desc.count * 4;
+                RecordedCollective {
+                    coll_id: i + 1,
+                    desc,
+                    send: DeviceBuffer::zeroed(bytes),
+                    recv: DeviceBuffer::zeroed(bytes),
+                }
+            })
+            .collect();
+        let cost = |d: &CollectiveDescriptor| {
+            selector
+                .select_priced(d, crate::ring::DEFAULT_CHUNK_ELEMS, &topo)
+                .1
+        };
+        let mut priced = 0;
+        let ops = plan_fusion_by_cost(records, 25 << 20, |d| {
+            priced += 1;
+            cost(d)
+        });
+        assert_eq!(priced, 3, "two blocks: each alone and both together");
+        let chosen = ops.iter().map(|op| cost(op.desc())).sum::<f64>() / 1e3;
+        let greedy = (8.0 * cost(&ar(64 * 1024)) + cost(&ar(48 * 1024))) / 1e3;
+        eprintln!(
+            "ddp_replay partition: {} node(s), {chosen:.9} us; greedy {greedy:.9} us; all 56 {:.9} us",
+            ops.len(),
+            cost(&ar(8 * 64 * 1024 + 48 * 1024)) / 1e3
+        );
+        assert!((chosen - 366.785).abs() < 1e-3, "partition reads {chosen}");
+        assert!((greedy - 409.985).abs() < 1e-3, "greedy reads {greedy}");
+        // Apart or together the blocks cost the same to rounding: the tie
+        // goes to one node.
+        assert_eq!(shape_of(&ops), vec![(1, 56)]);
     }
 
     #[test]

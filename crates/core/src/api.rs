@@ -22,7 +22,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use dfccl_collectives::{
-    plan_fusion, validate_buffers, AlgorithmKind, CollectiveDescriptor, CollectiveError,
+    plan_fusion_by_cost, validate_buffers, AlgorithmKind, CollectiveDescriptor, CollectiveError,
     CompiledProgram, DataType, DeviceBuffer, GraphOp, Plan, PlanCache, RecordedCollective,
     ReduceOp, FUSED_COLL_ID_BASE,
 };
@@ -75,8 +75,8 @@ pub enum DfcclError {
     ReservedCollectiveId(u64),
     /// A graph capture ended with no recorded collectives.
     EmptyGraph,
-    /// The graph already has a replay in flight; its staging and recv buffers
-    /// are fixed addresses, so replays of one graph must not overlap.
+    /// The graph already has a replay in flight; its recorded buffers are
+    /// fixed addresses, so replays of one graph must not overlap.
     GraphReplayInFlight(u64),
     /// The graph was captured on a different rank; its nodes hold that rank's
     /// connectors and cannot be replayed here.
@@ -884,7 +884,7 @@ impl RankCtx {
 
     /// Start capturing an iteration graph: record the step's collective
     /// invocations once with [`GraphRecorder::record`], then
-    /// [`GraphRecorder::finish`] compiles them (including the small-all-reduce
+    /// [`GraphRecorder::finish`] compiles them (including the all-reduce
     /// fusion pass) into an immutable [`CapturedGraph`] that
     /// [`RankCtx::replay`] submits whole.
     pub fn begin_capture(&self) -> Result<GraphRecorder<'_>, DfcclError> {
@@ -913,14 +913,6 @@ impl RankCtx {
             .is_err()
         {
             return Err(DfcclError::GraphReplayInFlight(graph.graph_id));
-        }
-        // Stage fused inputs on the invoker thread, before the SQE becomes
-        // visible: the daemon may start executing nodes the moment it drains
-        // the queue.
-        for node in &graph.nodes {
-            if let GraphOp::Fused(fused) = &node.op {
-                fused.gather();
-            }
         }
         let empty = || DeviceBuffer::zeroed(0);
         let submitted = self.submit(graph.tenant(), graph.graph_id, empty(), empty(), callback);
@@ -1114,12 +1106,14 @@ impl GraphRecorder<'_> {
 
     /// Compile the recorded sequence into a replayable graph.
     ///
-    /// Runs the fusion pass (consecutive small same-shape all-reduces fuse
-    /// into one striped collective, see
-    /// [`dfccl_collectives::plan_fusion`]), registers each fused collective
-    /// under its deterministic reserved id — every rank capturing the same
-    /// step derives the same id, so the fused communicators line up across
-    /// ranks without coordination — and resolves every node's registration so
+    /// Runs the fusion pass (consecutive compatible all-reduces are
+    /// partitioned into buckets of at most `fusion_threshold_bytes` by the
+    /// modelled cost the selector minimises, see
+    /// [`dfccl_collectives::plan_fusion_by_cost`]; each shape is priced once
+    /// per domain, in its plan cache), registers each fused collective under
+    /// its deterministic reserved id — every rank capturing the same step
+    /// derives the same id, so the fused communicators line up across ranks
+    /// without coordination — and resolves every node's registration so
     /// replay touches neither the registry write lock nor the plan cache.
     pub fn finish(self) -> Result<Arc<CapturedGraph>, DfcclError> {
         let ctx = self.ctx;
@@ -1127,8 +1121,16 @@ impl GraphRecorder<'_> {
         if self.records.is_empty() {
             return Err(DfcclError::EmptyGraph);
         }
-        let threshold = ctx.domain.config.fusion_threshold_bytes;
-        let ops = plan_fusion(self.records, threshold);
+        let domain = &ctx.domain;
+        let selector = domain.config.algorithm_selector();
+        let ops = plan_fusion_by_cost(self.records, domain.config.fusion_threshold_bytes, |desc| {
+            domain.plan_cache.cost_ns(
+                &selector,
+                desc,
+                domain.config.chunk_elems,
+                domain.topology(),
+            )
+        });
         let mut nodes = Vec::with_capacity(ops.len());
         for op in ops {
             let coll_id = op.coll_id();
@@ -1692,7 +1694,15 @@ mod tests {
         // fuses the small ones into a single node, replays produce exactly the
         // sums individual submission would, and each replay costs one
         // completion per rank.
-        let domain = DfcclDomain::flat_for_testing(2);
+        let domain = DfcclDomain::new(
+            Topology::flat(2),
+            LinkModel::zero_cost(),
+            GpuSpec::rtx_3090(),
+            DfcclConfig {
+                fusion_threshold_bytes: 64 * 1024,
+                ..DfcclConfig::for_testing()
+            },
+        );
         let n = 2;
         let counts = [8usize, 12, 4, 50_000]; // last exceeds the 64 KiB threshold
         let ranks: Vec<_> = (0..n)

@@ -219,11 +219,13 @@ pub struct DfcclConfig {
     /// Shared memory the daemon kernel reserves per block (task queue + active
     /// context slots), bytes.
     pub shared_mem_per_block: usize,
-    /// Graph-capture fusion threshold: consecutive captured all-reduces of
-    /// the same (device set, dtype, operator) shape whose payloads are each
-    /// at most this many bytes are coalesced into one fused all-reduce when
-    /// the recorded graph is finalized (the DDP gradient-bucketing idiom).
-    /// `0` disables fusion;
+    /// Graph-capture bucket cap (DDP's `bucket_cap_mb`): the largest total
+    /// payload, in bytes, one fused all-reduce may hold. When a recorded
+    /// graph is finalized, consecutive compatible all-reduces are
+    /// partitioned into buckets of at most this many bytes by the modelled
+    /// cost the selector minimises, each bucket run as one all-reduce over
+    /// its members' buffers in place. Default 25 MiB, DDP's default. `0`
+    /// disables fusion;
     /// [`CollectiveDescriptor::with_no_fuse`](dfccl_collectives::CollectiveDescriptor::with_no_fuse)
     /// opts a single collective out.
     pub fusion_threshold_bytes: usize,
@@ -254,7 +256,7 @@ impl Default for DfcclConfig {
             sq_fetch_batch: 64,
             daemon_blocks: 4,
             shared_mem_per_block: 13 * 1024,
-            fusion_threshold_bytes: 64 * 1024,
+            fusion_threshold_bytes: 25 << 20,
             tenant_arbitration: TenantArbitration::WeightedFair,
             tenant_quantum: 4,
         }
@@ -360,7 +362,7 @@ mod tests {
     #[test]
     fn fusion_threshold_defaults_to_ddp_scale_buckets() {
         let c = DfcclConfig::default();
-        assert_eq!(c.fusion_threshold_bytes, 64 * 1024);
+        assert_eq!(c.fusion_threshold_bytes, 25 << 20);
         let off = DfcclConfig {
             fusion_threshold_bytes: 0,
             ..DfcclConfig::default()

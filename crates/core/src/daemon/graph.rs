@@ -36,10 +36,10 @@ pub struct CapturedGraph {
     pub gpu: GpuId,
     /// The nodes, in recorded submission order, after the fusion pass.
     pub nodes: Vec<GraphNode>,
-    /// Guards against overlapping replays of one graph: the staging buffers
-    /// and recorded recv buffers are fixed addresses, so a second in-flight
-    /// replay would race the first. Set by `replay`, cleared by the daemon
-    /// after the final node's completion (and scatter).
+    /// Guards against overlapping replays of one graph: the recorded
+    /// buffers, which fused nodes address in place, are fixed addresses, so
+    /// a second in-flight replay would race the first. Set by `replay`,
+    /// cleared by the daemon after the final node's completion.
     pub(crate) in_flight: AtomicBool,
 }
 
@@ -54,7 +54,8 @@ impl CapturedGraph {
         self.nodes.is_empty()
     }
 
-    /// How many of the recorded collectives were coalesced into fused nodes.
+    /// How many of the nodes are fused buckets (not how many recorded
+    /// collectives they coalesce).
     pub fn fused_nodes(&self) -> usize {
         self.nodes
             .iter()
@@ -127,15 +128,13 @@ impl DaemonCore {
         }
     }
 
-    /// Route a graph-tagged invocation's completion: scatter a fused node's
-    /// result back into its members' recorded recv buffers, count the node
-    /// down against its run, and — when the run's last node finishes — tear
-    /// the run down, clear the graph's in-flight guard and enqueue the
-    /// graph's single CQE. A failed node records its error under the *graph*
-    /// id (first failure wins) and still counts down, so the replay's
-    /// completion always fires.
+    /// Route a graph-tagged invocation's completion: count the node down
+    /// against its run and — when the run's last node finishes — tear the
+    /// run down, clear the graph's in-flight guard and enqueue the graph's
+    /// single CQE (a fused node wrote its members' recv buffers in place). A
+    /// failed node records its error under the *graph* id (first failure
+    /// wins) and still counts down, so the replay's completion always fires.
     pub(super) fn complete_graph_node(&mut self, tag: GraphTag, failed: Option<String>) {
-        let ok = failed.is_none();
         if let Some(reason) = failed {
             self.shared
                 .errors
@@ -150,11 +149,6 @@ impl DaemonCore {
                 debug_assert!(false, "graph node completed without a matching run");
                 return;
             };
-            if ok {
-                if let GraphOp::Fused(fused) = &state.graph.nodes[tag.node as usize].op {
-                    fused.scatter();
-                }
-            }
             state.remaining -= 1;
             if state.remaining == 0 {
                 Some(runs.remove(&key).expect("run present").graph)

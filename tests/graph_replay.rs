@@ -1,5 +1,5 @@
 //! The graph layer's integration contract: capturing an iteration and
-//! replaying it as one SQE — including the small-all-reduce fusion pass —
+//! replaying it as one SQE — including the all-reduce fusion pass —
 //! produces results bit-identical to registering and submitting the same
 //! sequence individually, across every algorithm family × rank count 2–8 ×
 //! channel count K ∈ {1, 2, 3} at connector capacity 1, and the contract
@@ -19,8 +19,8 @@ fn gpus(n: usize) -> Vec<GpuId> {
 }
 
 /// The recorded step: a short sequence of same-kind collectives. For
-/// all-reduce the first three are below the fusion threshold and compatible,
-/// so the capture coalesces them into one fused node; the fourth opts out via
+/// all-reduce the first three are compatible and cheaper together, so the
+/// capture coalesces them into one fused node; the fourth opts out via
 /// `no_fuse` and must stay a single node.
 fn step_descriptors(kind: CollectiveKind, n: usize) -> Vec<CollectiveDescriptor> {
     let make = |count: usize| -> CollectiveDescriptor {
@@ -267,8 +267,9 @@ fn pairwise_all_reduce_in_place_reaches_the_host_sum() {
     // collective (send == recv): every level after the first sends and
     // reduces the partial the previous level wrote into that allocation.
     // Checked against the sum computed on the host, not against another run
-    // of the same plans — once submitted individually, once captured (the
-    // three small all-reduces fused) and replayed, both in place.
+    // of the same plans — once submitted individually, once captured and
+    // replayed, both in place (so nothing fuses: an in-place member may not
+    // share a bucket).
     for n in [2usize, 4, 8] {
         for k in [1usize, 2, 3] {
             let config = DfcclConfig {
@@ -422,5 +423,138 @@ fn replay_matches_individual_submission_under_preemption_storm() {
     for ctx in ranks {
         assert!(ctx.collective_errors().is_empty());
         ctx.destroy();
+    }
+}
+
+#[test]
+fn a_bucket_holding_a_large_tensor_replays_bit_exact_and_an_in_place_member_stays_single() {
+    // A DDP-shaped step at connector capacity 1: one 256 KiB all-reduce,
+    // three 4 KiB ones, then a 4 KiB one recorded in place (send == recv).
+    // The fused node reads and writes its members' buffers in place, with
+    // the plan's ranges crossing the 256 KiB member's end; the in-place
+    // member may not join a bucket, so it stays a single node. Replay must
+    // equal individual submission bit for bit.
+    use dfccl_collectives::GraphOp;
+    let counts = [64 * 1024usize, 1024, 1024, 1024, 1024];
+    let in_place = counts.len() - 1;
+    for algo in [AlgorithmKind::Ring, AlgorithmKind::Pairwise] {
+        for n in [2usize, 4] {
+            for k in [1usize, 2] {
+                let config = DfcclConfig {
+                    connector_capacity: 1,
+                    ..DfcclConfig::for_testing()
+                };
+                let domain = DfcclDomain::new(
+                    Topology::flat(n),
+                    LinkModel::zero_cost(),
+                    GpuSpec::rtx_3090(),
+                    config,
+                );
+                let descs: Vec<_> = counts
+                    .iter()
+                    .map(|&c| {
+                        CollectiveDescriptor::all_reduce(c, DataType::F32, ReduceOp::Sum, gpus(n))
+                            .with_algorithm(algo)
+                            .with_channels(k)
+                    })
+                    .collect();
+                let ranks: Vec<_> = (0..n)
+                    .map(|g| domain.init_rank(GpuId(g)).unwrap())
+                    .collect();
+                for ctx in &ranks {
+                    for (i, desc) in descs.iter().enumerate() {
+                        ctx.register(i as u64 + 1, desc.clone()).unwrap();
+                    }
+                }
+                let inputs: Vec<_> = (0..n).map(|r| inputs_for(&descs, r)).collect();
+                // Per rank and collective: (send, recv), one buffer in place.
+                let buffers = || -> Vec<Vec<(DeviceBuffer, DeviceBuffer)>> {
+                    inputs
+                        .iter()
+                        .map(|rank| {
+                            rank.iter()
+                                .enumerate()
+                                .map(|(i, v)| {
+                                    let send = DeviceBuffer::from_f32(v);
+                                    if i == in_place {
+                                        (send.clone(), send)
+                                    } else {
+                                        (send, DeviceBuffer::zeroed(v.len() * 4))
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect()
+                };
+                let results = |bufs: &[Vec<(DeviceBuffer, DeviceBuffer)>]| -> Vec<Vec<Vec<f32>>> {
+                    bufs.iter()
+                        .map(|rank| rank.iter().map(|(_, recv)| recv.to_f32_vec()).collect())
+                        .collect()
+                };
+                let wait = |handles: Vec<dfccl::CompletionHandle>, what: &str| {
+                    for h in handles {
+                        assert!(
+                            h.wait_for_timeout(1, Duration::from_secs(60)),
+                            "{algo} n={n} K={k}: {what} wedged"
+                        );
+                    }
+                };
+
+                let individual = buffers();
+                let mut handles = Vec::new();
+                for (ctx, rank) in ranks.iter().zip(&individual) {
+                    for (i, (send, recv)) in rank.iter().enumerate() {
+                        handles.push(
+                            ctx.run_awaitable(i as u64 + 1, send.clone(), recv.clone())
+                                .unwrap(),
+                        );
+                    }
+                }
+                wait(handles, "individual submission");
+                let oracle = results(&individual);
+
+                let recorded = buffers();
+                let mut graphs = Vec::new();
+                for (ctx, rank) in ranks.iter().zip(&recorded) {
+                    let mut rec = ctx.begin_capture().unwrap();
+                    for (i, (send, recv)) in rank.iter().enumerate() {
+                        rec.record(i as u64 + 1, send.clone(), recv.clone())
+                            .unwrap();
+                    }
+                    let graph = rec.finish().unwrap();
+                    let GraphOp::Fused(first) = &graph.nodes[0].op else {
+                        panic!("{algo} n={n} K={k}: the 256 KiB member must be fused");
+                    };
+                    assert_eq!(first.segments[0].byte_len, 256 * 1024);
+                    let last = &graph.nodes[graph.len() - 1].op;
+                    assert!(
+                        matches!(last, GraphOp::Single(r) if r.coll_id == in_place as u64 + 1),
+                        "{algo} n={n} K={k}: the in-place member must stay a single node"
+                    );
+                    graphs.push(graph);
+                }
+                for round in 0..2 {
+                    for (rank, input) in recorded.iter().zip(&inputs) {
+                        let bytes = input[in_place].iter().flat_map(|v| v.to_le_bytes());
+                        rank[in_place].0.replace(bytes.collect());
+                    }
+                    let handles = ranks
+                        .iter()
+                        .zip(&graphs)
+                        .map(|(ctx, g)| ctx.replay_awaitable(g).unwrap())
+                        .collect();
+                    wait(handles, "replay");
+                    assert_eq!(
+                        results(&recorded),
+                        oracle,
+                        "{algo} n={n} K={k} round {round}: replay diverges from individual submission"
+                    );
+                }
+                for ctx in ranks {
+                    assert!(ctx.collective_errors().is_empty());
+                    ctx.destroy();
+                }
+            }
+        }
     }
 }
