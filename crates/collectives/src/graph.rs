@@ -12,17 +12,17 @@
 //! * [`GraphOp`] — one node of the rewritten graph: an unchanged single
 //!   collective, or a [`FusedAllReduce`] coalescing a bucket of consecutive
 //!   all-reduces.
-//! * [`plan_fusion_by_cost`] — the pass. It partitions the recorded sequence
-//!   into buckets minimising the summed cost of the buckets' fused
-//!   all-reduces, ties going to fewer nodes; the runtime prices a bucket with
-//!   the cost model the selector minimises, so a bucket pays each
-//!   collective's fixed cost (SQE, context, CQE and the ring's per-step α)
-//!   once. [`plan_fusion`] is the same pass at unit cost: the fewest nodes.
-//!   Both are pure, deterministic functions of the recorded sequence, the
-//!   cap and the cost, so SPMD ranks that capture the same iteration
-//!   independently produce the same bucketization and the same synthesized
-//!   fused collective ids — a requirement, because ranks resolve
-//!   communicators by collective id.
+//! * [`plan_fusion`] — the pass. It splits the recorded sequence into the
+//!   fewest legal buckets, DDP's gradient bucketing: a greedy fill extends
+//!   the open bucket while the next record may join it and closes it
+//!   otherwise, so a bucket pays each collective's fixed cost (SQE, context,
+//!   CQE and the ring's per-step α) once. Legality holds for every
+//!   sub-run of a legal bucket, so the greedy fill is the fewest nodes. It
+//!   is a pure, deterministic function of the recorded sequence and the
+//!   cap, so SPMD ranks that capture the same iteration independently
+//!   produce the same bucketization and the same synthesized fused
+//!   collective ids — a requirement, because ranks resolve communicators by
+//!   collective id.
 //!
 //! ## Fusion legality
 //!
@@ -32,14 +32,15 @@
 //! opted out via [`CollectiveDescriptor::with_no_fuse`], their payloads sum
 //! to at most the cap (`fusion_threshold_bytes`, DDP's `bucket_cap_mb`), and
 //! no allocation in the run is both read (a member's send buffer) and
-//! written (a member's recv buffer) — an in-place member is one case. Under
-//! those conditions the fused all-reduce — element count the sum of the
-//! bucket, payload the concatenation of the members' byte ranges — computes
-//! exactly the element-wise reduction each member would have computed:
-//! all-reduce is element-wise, so concatenating inputs concatenates outputs.
-//! No cross-element reassociation is introduced; only the *schedule* of the
-//! elements changes, which the per-collective bit-exactness argument already
-//! covers.
+//! written (a member's recv buffer) — an in-place member is one case — nor
+//! written by two members, whose chunks would land in it in no fixed order.
+//! Under those conditions the fused all-reduce — element count the sum of
+//! the bucket, payload the concatenation of the members' byte ranges —
+//! computes exactly the element-wise reduction each member would have
+//! computed: all-reduce is element-wise, so concatenating inputs
+//! concatenates outputs. No cross-element reassociation is introduced; only
+//! the *schedule* of the elements changes, which the per-collective
+//! bit-exactness argument already covers.
 //!
 //! ## No copies
 //!
@@ -49,17 +50,6 @@
 //! all-reduce reads and writes them in place. The aliasing rule keeps that
 //! exact when a rolled-back node re-executes: it rereads its members' send
 //! buffers, which nothing in the bucket writes.
-//!
-//! ## The partition
-//!
-//! The pass runs over *blocks*: maximal runs of consecutive fusable records
-//! with equal descriptors that may legally share a bucket (split where the
-//! cap would be exceeded or buffers alias). A bucket is a run of whole
-//! blocks, so a DDP step of a few repeated tensor shapes costs a handful of
-//! estimates, not one per pair of records. Never splitting a block is exact
-//! when fusing equal shapes never costs more than running them apart, as
-//! under the α-β walk, where a bucket pays its per-step α once. A bucket
-//! spans at most 64 blocks, which bounds the estimates per block.
 
 use crate::buffer::DeviceBuffer;
 use crate::collective::{CollectiveDescriptor, CollectiveKind};
@@ -69,10 +59,6 @@ use crate::collective::{CollectiveDescriptor, CollectiveKind};
 /// this base (the bit above it is reserved for graph replay ids); the
 /// runtime's registration path enforces this.
 pub const FUSED_COLL_ID_BASE: u64 = 1 << 62;
-
-/// The most blocks one bucket may span: it bounds the buckets the pass
-/// prices per block, so the pass stays linear in the recorded blocks.
-const MAX_BUCKET_BLOCKS: usize = 64;
 
 /// The deterministic id of the fused all-reduce replacing a bucket whose
 /// first member is `first`: every rank records the same sequence, so every
@@ -210,29 +196,26 @@ fn compatible(a: &CollectiveDescriptor, b: &CollectiveDescriptor) -> bool {
         && a.channels == b.channels
 }
 
-/// Whether joining `a` and `b` in one bucket would make an allocation both
-/// read and written: a send buffer of one is a recv buffer of the other
-/// (each is assumed legal on its own).
-fn aliases(a: &[RecordedCollective], b: &[RecordedCollective]) -> bool {
-    a.iter().any(|x| {
-        b.iter()
-            .any(|y| x.send.same_allocation(&y.recv) || y.send.same_allocation(&x.recv))
+/// Whether `rec` joining `bucket` would make an allocation both read and
+/// written (a send buffer of one member is a recv buffer of another) or
+/// written twice (two members share a recv allocation). Each is assumed
+/// legal on its own.
+fn aliases(bucket: &[RecordedCollective], rec: &RecordedCollective) -> bool {
+    bucket.iter().any(|x| {
+        x.send.same_allocation(&rec.recv)
+            || rec.send.same_allocation(&x.recv)
+            || x.recv.same_allocation(&rec.recv)
     })
-}
-
-/// The descriptor of the all-reduce fusing `bucket`: the members' shared
-/// shape with the summed element count. A fused node never re-fuses.
-fn fused_desc(bucket: &[RecordedCollective]) -> CollectiveDescriptor {
-    let mut desc = bucket[0].desc.clone();
-    desc.count = bucket.iter().map(|r| r.desc.count).sum();
-    desc.no_fuse = true;
-    desc
 }
 
 fn fuse(bucket: Vec<RecordedCollective>) -> FusedAllReduce {
     debug_assert!(bucket.len() >= 2);
-    let desc = fused_desc(&bucket);
-    let elem = desc.dtype.size_bytes();
+    let elem = bucket[0].desc.dtype.size_bytes();
+    let mut desc = bucket[0].desc.clone();
+    desc.count = bucket.iter().map(|r| r.desc.count).sum();
+    // A fused node never re-fuses (the pass runs once per capture, but the
+    // flag also documents the synthesized descriptor's provenance).
+    desc.no_fuse = true;
     let coll_id = fused_coll_id(bucket[0].coll_id);
     let mut segments = Vec::with_capacity(bucket.len());
     let mut off = 0usize;
@@ -259,140 +242,44 @@ fn fuse(bucket: Vec<RecordedCollective>) -> FusedAllReduce {
     }
 }
 
-/// A maximal run of consecutive records with equal descriptors that may
-/// share a bucket, or one record that may not.
-struct Block {
-    /// Its records, `start..end` of the recorded sequence.
-    start: usize,
-    end: usize,
-    /// Their summed payload.
-    bytes: usize,
-    fusable: bool,
-}
-
-fn blocks(records: &[RecordedCollective], cap_bytes: usize) -> Vec<Block> {
-    let mut blocks: Vec<Block> = Vec::new();
-    for (i, rec) in records.iter().enumerate() {
-        let fits = fusable(rec, cap_bytes);
-        let bytes = payload_bytes(rec);
-        if let Some(b) = blocks.last_mut() {
-            if fits
-                && b.fusable
-                && records[b.start].desc == rec.desc
-                && b.bytes + bytes <= cap_bytes
-                && !aliases(&records[b.start..i], std::slice::from_ref(rec))
-            {
-                b.end = i + 1;
-                b.bytes += bytes;
-                continue;
-            }
-        }
-        blocks.push(Block {
-            start: i,
-            end: i + 1,
-            bytes,
-            fusable: fits,
-        });
-    }
-    blocks
-}
-
-/// Whether cost `a` is below `b`, or `None` for a tie: costs within one part
-/// in 10⁹ of each other, where sums of modelled times differ only by
-/// rounding (one bucket of the replay step's 56 all-reduces and its two
-/// blocks apart both read 366.785 µs).
-fn cheaper(a: f64, b: f64) -> Option<bool> {
-    if (a - b).abs() <= 1e-9 * a.abs().max(b.abs()) {
-        None
+fn flush(ops: &mut Vec<GraphOp>, bucket: &mut Vec<RecordedCollective>) {
+    if bucket.len() >= 2 {
+        ops.push(GraphOp::Fused(fuse(std::mem::take(bucket))));
     } else {
-        Some(a < b)
+        ops.extend(bucket.drain(..).map(GraphOp::Single));
     }
 }
 
-/// The fusion pass at unit cost: rewrite a recorded sequence into the
-/// fewest graph nodes, each bucket of ≥ 2 legal members (see the module
-/// docs) fused into one [`FusedAllReduce`] of at most `threshold_bytes`
-/// payload. A `threshold_bytes` of 0 disables fusion entirely.
-/// Deterministic, so SPMD ranks agree on the bucketization and the
-/// synthesized ids.
+/// The fusion pass: rewrite a recorded sequence into the fewest graph nodes,
+/// each bucket of ≥ 2 legal members (see the module docs) fused into one
+/// [`FusedAllReduce`] of at most `threshold_bytes` payload. A
+/// `threshold_bytes` of 0 disables fusion entirely. Deterministic, so SPMD
+/// ranks agree on the bucketization and the synthesized ids.
 pub fn plan_fusion(records: Vec<RecordedCollective>, threshold_bytes: usize) -> Vec<GraphOp> {
-    plan_fusion_by_cost(records, threshold_bytes, |_| 1.0)
-}
-
-/// The fusion pass: partition a recorded sequence into legal buckets (see
-/// the module docs) of at most `cap_bytes` payload each, minimising the sum
-/// of `cost` over the buckets' fused descriptors; among partitions of equal
-/// cost (to rounding), the one with fewer nodes wins, and among those the
-/// first found.
-/// A bucket of one record stays a [`GraphOp::Single`]; a record that may
-/// not fuse is never priced. A `cap_bytes` of 0 disables fusion entirely.
-/// Deterministic for a deterministic `cost`.
-pub fn plan_fusion_by_cost(
-    records: Vec<RecordedCollective>,
-    cap_bytes: usize,
-    mut cost: impl FnMut(&CollectiveDescriptor) -> f64,
-) -> Vec<GraphOp> {
-    let blocks = blocks(&records, cap_bytes);
-    // best[j]: the cheapest partition of blocks[..j] as (cost, nodes, first
-    // block of its last bucket).
-    let mut best: Vec<(f64, usize, usize)> = Vec::with_capacity(blocks.len() + 1);
-    best.push((0.0, 0, 0));
-    for (last, block) in blocks.iter().enumerate() {
-        let (c, n, _) = best[last];
-        if !block.fusable {
-            // Alone in every partition: its cost is a constant, unpriced.
-            best.push((c, n + 1, last));
+    let mut ops = Vec::with_capacity(records.len());
+    let mut bucket: Vec<RecordedCollective> = Vec::new();
+    let mut bytes = 0;
+    for rec in records {
+        if !fusable(&rec, threshold_bytes) {
+            flush(&mut ops, &mut bucket);
+            ops.push(GraphOp::Single(rec));
             continue;
         }
-        let head = &records[block.start].desc;
-        let mut bytes = 0;
-        let mut choice: Option<(f64, usize, usize)> = None;
-        for first in (last.saturating_sub(MAX_BUCKET_BLOCKS - 1)..=last).rev() {
-            let b = &blocks[first];
-            bytes += b.bytes;
-            let legal = b.fusable
-                && compatible(&records[b.start].desc, head)
-                && bytes <= cap_bytes
-                && !aliases(&records[b.start..b.end], &records[b.end..block.end]);
-            if !legal {
-                break;
-            }
-            let (c, n, _) = best[first];
-            let cand = (
-                c + cost(&fused_desc(&records[b.start..block.end])),
-                n + 1,
-                first,
-            );
-            if choice.is_none_or(|(bc, bn, _)| match cheaper(cand.0, bc) {
-                Some(better) => better,
-                None => cand.1 < bn,
-            }) {
-                choice = Some(cand);
-            }
+        let len = payload_bytes(&rec);
+        let joins = bucket.first().is_some_and(|head| {
+            compatible(&head.desc, &rec.desc)
+                && bytes + len <= threshold_bytes
+                && !aliases(&bucket, &rec)
+        });
+        if !joins {
+            flush(&mut ops, &mut bucket);
+            bytes = 0;
         }
-        best.push(choice.expect("a fusable block is a legal bucket on its own"));
+        bytes += len;
+        bucket.push(rec);
     }
-    // Walk the choices back into bucket sizes, then emit them in order.
-    let mut sizes = Vec::new();
-    let mut j = blocks.len();
-    while j > 0 {
-        let first = best[j].2;
-        sizes.push(blocks[j - 1].end - blocks[first].start);
-        j = first;
-    }
-    let mut records = records.into_iter();
-    sizes
-        .into_iter()
-        .rev()
-        .map(|len| {
-            let mut bucket: Vec<_> = records.by_ref().take(len).collect();
-            if len == 1 {
-                GraphOp::Single(bucket.pop().expect("one record"))
-            } else {
-                GraphOp::Fused(fuse(bucket))
-            }
-        })
-        .collect()
+    flush(&mut ops, &mut bucket);
+    ops
 }
 
 #[cfg(test)]
@@ -549,26 +436,22 @@ mod tests {
     }
 
     #[test]
-    fn the_partition_is_deterministic_and_ties_go_to_fewer_nodes() {
+    fn the_partition_is_deterministic_and_fills_each_bucket_to_the_cap() {
+        // 64 B hold 16 f32: {4, 4, 6} then {6, 2, 4}. No partition of these
+        // runs into 64 B buckets has fewer than two nodes (26 elements).
         let counts = [4, 4, 6, 6, 2, 4];
-        // Linear cost: every partition costs the same, so fewer nodes wins
-        // and everything fuses.
-        let linear = |d: &CollectiveDescriptor| d.count as f64;
-        let once = plan_fusion_by_cost(seq(&counts), 1024, linear);
-        assert_eq!(shape_of(&once), vec![(1, 6)]);
+        let once = plan_fusion(seq(&counts), 64);
+        assert_eq!(shape_of(&once), vec![(1, 3), (4, 3)]);
         for _ in 0..3 {
-            let again = plan_fusion_by_cost(seq(&counts), 1024, linear);
+            let again = plan_fusion(seq(&counts), 64);
             assert_eq!(shape_of(&again), shape_of(&once));
-            assert_eq!(again[0].coll_id(), once[0].coll_id());
+            assert_eq!(
+                again.iter().map(GraphOp::coll_id).collect::<Vec<_>>(),
+                once.iter().map(GraphOp::coll_id).collect::<Vec<_>>()
+            );
         }
-        // A fixed cost per bucket plus a convex payload term: one bucket of
-        // all 26 elements costs 10 + 676, while the blocks {4, 4}, {6, 6},
-        // {2}, {4} apart cost 4 × 10 + 64 + 144 + 4 + 16 = 268, the
-        // cheapest partition into runs of whole blocks.
-        let convex = |d: &CollectiveDescriptor| 10.0 + (d.count * d.count) as f64;
-        let ops = plan_fusion_by_cost(seq(&counts), 1024, convex);
-        assert_eq!(shape_of(&ops), vec![(1, 2), (3, 2), (5, 1), (6, 1)]);
-        assert_eq!(ops.iter().map(|op| convex(op.desc())).sum::<f64>(), 268.0);
+        // A cap holding everything makes one node.
+        assert_eq!(shape_of(&plan_fusion(seq(&counts), 1024)), vec![(1, 6)]);
     }
 
     #[test]
@@ -605,52 +488,56 @@ mod tests {
         let mut recs = seq(&[4, 4, 4, 4]);
         recs[3].recv = recs[1].send.clone();
         assert_eq!(shape_of(&plan_fusion(recs, 1024)), vec![(1, 3), (4, 1)]);
+        // Two members writing one allocation split too; two reading one
+        // do not.
+        let mut recs = seq(&[4, 4, 4, 4]);
+        recs[2].recv = recs[1].recv.clone();
+        assert_eq!(shape_of(&plan_fusion(recs, 1024)), vec![(1, 2), (3, 2)]);
+        let mut recs = seq(&[4, 4, 4, 4]);
+        recs[2].send = recs[1].send.clone();
+        assert_eq!(shape_of(&plan_fusion(recs, 1024)), vec![(1, 4)]);
     }
 
     #[test]
-    fn ddp_replay_partitions_below_the_greedy_buckets_under_the_selector() {
+    fn ddp_replay_fuses_into_one_bucket_below_the_per_tensor_buckets() {
         // The replay workload's step: 8 × 256 KiB then 48 × 4 KiB f32
-        // all-reduces on 4 flat ranks, priced like the runtime prices them
-        // (the selector's argmin estimate at the default chunk).
+        // all-reduces on 4 flat ranks, each node priced at the estimate of
+        // the family the selector picks at the default chunk.
         let topo = dfccl_transport::Topology::flat(4);
+        let link = dfccl_transport::LinkModel::table2_testbed();
         let selector = crate::AlgorithmSelector::default();
+        let chunk = crate::ring::DEFAULT_CHUNK_ELEMS;
         let ar =
             |count| CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(4));
-        let records: Vec<_> = (0..56u64)
-            .map(|i| {
-                let desc = ar(if i < 8 { 64 * 1024 } else { 1024 });
-                let bytes = desc.count * 4;
-                RecordedCollective {
-                    coll_id: i + 1,
-                    desc,
-                    send: DeviceBuffer::zeroed(bytes),
-                    recv: DeviceBuffer::zeroed(bytes),
-                }
-            })
-            .collect();
         let cost = |d: &CollectiveDescriptor| {
-            selector
-                .select_priced(d, crate::ring::DEFAULT_CHUNK_ELEMS, &topo)
-                .1
+            let kind = selector.select_at_chunk(d, chunk, &topo);
+            crate::estimate_family_ns(d, kind, chunk, &topo, &link).unwrap() / 1e3
         };
-        let mut priced = 0;
-        let ops = plan_fusion_by_cost(records, 25 << 20, |d| {
-            priced += 1;
-            cost(d)
-        });
-        assert_eq!(priced, 3, "two blocks: each alone and both together");
-        let chosen = ops.iter().map(|op| cost(op.desc())).sum::<f64>() / 1e3;
-        let greedy = (8.0 * cost(&ar(64 * 1024)) + cost(&ar(48 * 1024))) / 1e3;
-        eprintln!(
-            "ddp_replay partition: {} node(s), {chosen:.9} us; greedy {greedy:.9} us; all 56 {:.9} us",
-            ops.len(),
-            cost(&ar(8 * 64 * 1024 + 48 * 1024)) / 1e3
-        );
-        assert!((chosen - 366.785).abs() < 1e-3, "partition reads {chosen}");
-        assert!((greedy - 409.985).abs() < 1e-3, "greedy reads {greedy}");
-        // Apart or together the blocks cost the same to rounding: the tie
-        // goes to one node.
+        let step = || -> Vec<RecordedCollective> {
+            (0..56u64)
+                .map(|i| {
+                    let desc = ar(if i < 8 { 64 * 1024 } else { 1024 });
+                    let bytes = desc.count * 4;
+                    RecordedCollective {
+                        coll_id: i + 1,
+                        desc,
+                        send: DeviceBuffer::zeroed(bytes),
+                        recv: DeviceBuffer::zeroed(bytes),
+                    }
+                })
+                .collect()
+        };
+        let price = |ops: &[GraphOp]| ops.iter().map(|op| cost(op.desc())).sum::<f64>();
+        // DDP's 25 MiB cap holds the whole 2 240 KiB step: one node.
+        let ops = plan_fusion(step(), 25 << 20);
         assert_eq!(shape_of(&ops), vec![(1, 56)]);
+        // Fusing only tensors of at most 64 KiB, as before the cap, ran nine
+        // nodes: the eight large ones apart and one of the 48 small ones.
+        let fused = price(&ops);
+        let apart = 8.0 * cost(&ar(64 * 1024)) + cost(&ar(48 * 1024));
+        eprintln!("ddp_replay step: one node {fused:.9} us, nine nodes {apart:.9} us");
+        assert!((fused - 366.785).abs() < 1e-3, "one node reads {fused}");
+        assert!((apart - 409.985).abs() < 1e-3, "nine nodes read {apart}");
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub use executor::{
     LanePass, LaneRun, PendingSend, PendingSends, StepOutcome,
 };
 pub use graph::{
-    fused_coll_id, plan_fusion, plan_fusion_by_cost, FusedAllReduce, FusedSegment, GraphOp,
-    RecordedCollective, FUSED_COLL_ID_BASE,
+    fused_coll_id, plan_fusion, FusedAllReduce, FusedSegment, GraphOp, RecordedCollective,
+    FUSED_COLL_ID_BASE,
 };
 pub use hierarchical::HierarchicalAlgorithm;
 pub use plan::{algorithm, Algorithm, AlgorithmKind, Plan};

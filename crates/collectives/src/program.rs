@@ -469,10 +469,7 @@ pub const PLAN_CACHE_MAX_SHAPES: usize = 4096;
 /// and compiles every member's plan; every later registration of the shape —
 /// the other members', and repeats for per-layer collectives — returns the
 /// shared `Arc`s without selecting, building, validating or lowering
-/// anything. Beside the plans sits each shape's modelled cost
-/// ([`PlanCache::cost_ns`]), which the graph fusion pass prices buckets
-/// with; a shape priced before it is registered compiles the family its
-/// pricing chose, without selecting again.
+/// anything.
 ///
 /// Invalidation: a plan depends on its key and the domain's fixed topology
 /// only. Link health is not part of it: a quarantined label is rerouted in
@@ -499,29 +496,6 @@ struct Shapes {
     by_devices: HashMap<Vec<GpuId>, HashMap<PlanKey, Arc<[CachedPlan]>>>,
     /// Total cached shapes across every device set (the eviction bound).
     total: usize,
-    /// Each priced shape's selected family and modelled completion ns, keyed
-    /// like the plans. A map of its own: a domain that never captures a
-    /// graph allocates nothing for it.
-    priced: HashMap<Vec<GpuId>, HashMap<PlanKey, (AlgorithmKind, f64)>>,
-}
-
-fn plan_key(desc: &CollectiveDescriptor, chunk_elems: usize) -> PlanKey {
-    PlanKey {
-        kind: desc.kind,
-        count: desc.count,
-        dtype: desc.dtype,
-        op: desc.op,
-        root: desc.root,
-        algorithm: desc.algorithm,
-        channels: desc.channels,
-        chunk_elems,
-    }
-}
-
-impl Shapes {
-    fn price_of(&self, desc: &CollectiveDescriptor, key: &PlanKey) -> Option<(AlgorithmKind, f64)> {
-        self.priced.get(desc.devices.as_slice())?.get(key).copied()
-    }
 }
 
 impl PlanCache {
@@ -541,8 +515,17 @@ impl PlanCache {
         chunk_elems: usize,
         topology: &Topology,
     ) -> Result<CachedPlan, CollectiveError> {
-        let key = plan_key(desc, chunk_elems);
-        let priced = {
+        let key = PlanKey {
+            kind: desc.kind,
+            count: desc.count,
+            dtype: desc.dtype,
+            op: desc.op,
+            root: desc.root,
+            algorithm: desc.algorithm,
+            channels: desc.channels,
+            chunk_elems,
+        };
+        {
             let shapes = self.shapes.lock();
             if let Some(cached) = shapes
                 .by_devices
@@ -553,15 +536,11 @@ impl PlanCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(cached.clone());
             }
-            shapes.price_of(desc, &key)
-        };
+        }
         // Select and build outside the lock: concurrent first registrations
         // of one shape may build twice, but registration never blocks behind
         // another shape's plan construction. Last insert wins.
-        let kind = priced.map_or_else(
-            || selector.select_at_chunk(desc, chunk_elems, topology),
-            |(kind, _)| kind,
-        );
+        let kind = selector.select_at_chunk(desc, chunk_elems, topology);
         let n = desc.num_ranks();
         let members = member_plans(desc, kind, chunk_elems, topology)?
             .into_iter()
@@ -604,37 +583,6 @@ impl PlanCache {
         Ok(cached)
     }
 
-    /// The modelled completion time of `desc`, ns: the
-    /// [`estimate_family_ns`](crate::estimate_family_ns) of the family
-    /// `selector` picks at `chunk_elems` (the minimum of its argmin, or the
-    /// pinned family's estimate), computed once per shape. Infinite when no
-    /// family's plans build.
-    pub fn cost_ns(
-        &self,
-        selector: &AlgorithmSelector,
-        desc: &CollectiveDescriptor,
-        chunk_elems: usize,
-        topology: &Topology,
-    ) -> f64 {
-        let key = plan_key(desc, chunk_elems);
-        if let Some((_, ns)) = self.shapes.lock().price_of(desc, &key) {
-            return ns;
-        }
-        let priced = selector.select_priced(desc, chunk_elems, topology);
-        let mut shapes = self.shapes.lock();
-        // The same bound as the plans: a memo, so dropping it only costs
-        // estimates.
-        if shapes.priced.values().map(HashMap::len).sum::<usize>() >= PLAN_CACHE_MAX_SHAPES {
-            shapes.priced.clear();
-        }
-        shapes
-            .priced
-            .entry(desc.devices.clone())
-            .or_default()
-            .insert(key, priced);
-        priced.1
-    }
-
     /// Drop every cached shape whose device set contains `gpu` — the elastic
     /// membership path: a removed rank's plans must never be served again,
     /// even if the rank later rejoins (its mesh is rebuilt lazily). Returns
@@ -652,7 +600,6 @@ impl PlanCache {
             }
         });
         shapes.total -= dropped;
-        shapes.priced.retain(|devices, _| !devices.contains(&gpu));
         dropped
     }
 
@@ -905,38 +852,6 @@ mod tests {
         assert_eq!(cache.invalidate_device(GpuId(2)), 0);
         cache.get_or_compile(&sel, &other, 0, 1024, &topo).unwrap();
         assert_eq!(cache.hits(), 2, "surviving shape still serves hits");
-    }
-
-    #[test]
-    fn a_shape_is_priced_once_and_compiles_the_family_its_price_chose() {
-        let cache = PlanCache::new();
-        let topo = Topology::flat(4);
-        let sel = AlgorithmSelector::default();
-        let desc = all_reduce(1 << 20, 4);
-        let (kind, ns) = sel.select_priced(&desc, 1024, &topo);
-        let family = crate::estimate_family_ns(
-            &desc,
-            kind,
-            1024,
-            &topo,
-            &dfccl_transport::LinkModel::table2_testbed(),
-        )
-        .unwrap();
-        assert_eq!(ns, family, "the price is the argmin's own estimate");
-        assert_eq!(cache.cost_ns(&sel, &desc, 1024, &topo), ns);
-        assert_eq!(cache.cost_ns(&sel, &desc, 1024, &topo), ns);
-        // Pricing is not registering: no plan, hit or miss yet.
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 0));
-        let cached = cache.get_or_compile(&sel, &desc, 0, 1024, &topo).unwrap();
-        assert_eq!(cached.plan.algorithm, kind);
-        // A pinned family is priced at its own estimate.
-        let pinned = desc.clone().with_algorithm(AlgorithmKind::DoubleBinaryTree);
-        let tree = cache.cost_ns(&sel, &pinned, 1024, &topo);
-        assert!(
-            tree > ns,
-            "the tree is not the argmin at 4 MiB: {tree} vs {ns}"
-        );
-        assert_eq!(cache.invalidate_device(GpuId(0)), 1);
     }
 
     #[test]

@@ -79,36 +79,6 @@ impl AlgorithmSelector {
         chunk_elems: usize,
         topology: &Topology,
     ) -> AlgorithmKind {
-        self.choose(desc, chunk_elems, topology, false).0
-    }
-
-    /// The family [`AlgorithmSelector::select_at_chunk`] picks and its
-    /// [`estimate_family_ns`]: the minimum the argmin found, or the pinned
-    /// family's estimate. Infinite when no family's plans build (building
-    /// the plan then reports why).
-    pub(crate) fn select_priced(
-        &self,
-        desc: &CollectiveDescriptor,
-        chunk_elems: usize,
-        topology: &Topology,
-    ) -> (AlgorithmKind, f64) {
-        let (kind, ns) = self.choose(desc, chunk_elems, topology, true);
-        (kind, ns.unwrap_or(f64::INFINITY))
-    }
-
-    /// The selection, with the chosen family's estimate when the argmin
-    /// computed it or `price` asks for it.
-    fn choose(
-        &self,
-        desc: &CollectiveDescriptor,
-        chunk_elems: usize,
-        topology: &Topology,
-        price: bool,
-    ) -> (AlgorithmKind, Option<f64>) {
-        // The link model every selection is made under, built once.
-        static TABLE2: OnceLock<LinkModel> = OnceLock::new();
-        let link = TABLE2.get_or_init(LinkModel::table2_testbed);
-        let estimate = |kind| estimate_family_ns(desc, kind, chunk_elems, topology, link).ok();
         let supported = |kind: &AlgorithmKind| algorithm(*kind).supports(desc, topology);
         let pinned = desc.algorithm.or(self.force.filter(supported));
         let mut candidates = AlgorithmKind::ALL.into_iter().filter(supported);
@@ -116,21 +86,22 @@ impl AlgorithmSelector {
         // Nothing to compare: the override, the only family, or ring (whose
         // build then reports why it cannot schedule the descriptor).
         if pinned.is_some() || candidates.next().is_none() {
-            let kind = pinned.or(first).unwrap_or(AlgorithmKind::Ring);
-            return (kind, if price { estimate(kind) } else { None });
+            return pinned.or(first).unwrap_or(AlgorithmKind::Ring);
         }
+        // The link model every selection is made under, built once.
+        static TABLE2: OnceLock<LinkModel> = OnceLock::new();
+        let link = TABLE2.get_or_init(LinkModel::table2_testbed);
         let mut best: Option<(f64, AlgorithmKind)> = None;
         for kind in AlgorithmKind::ALL.into_iter().filter(supported) {
-            if let Some(ns) = estimate(kind) {
+            if let Ok(ns) = estimate_family_ns(desc, kind, chunk_elems, topology, link) {
                 if best.is_none_or(|(b, _)| ns < b) {
                     best = Some((ns, kind));
                 }
             }
         }
-        match best {
-            Some((ns, kind)) => (kind, Some(ns)),
-            None => (first.expect("two families support the descriptor"), None),
-        }
+        best.map(|(_, kind)| kind)
+            .or(first)
+            .expect("two families support the descriptor")
     }
 
     /// The channel count in effect for `desc`: the per-collective override

@@ -22,7 +22,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use dfccl_collectives::{
-    plan_fusion_by_cost, validate_buffers, AlgorithmKind, CollectiveDescriptor, CollectiveError,
+    plan_fusion, validate_buffers, AlgorithmKind, CollectiveDescriptor, CollectiveError,
     CompiledProgram, DataType, DeviceBuffer, GraphOp, Plan, PlanCache, RecordedCollective,
     ReduceOp, FUSED_COLL_ID_BASE,
 };
@@ -1106,14 +1106,12 @@ impl GraphRecorder<'_> {
 
     /// Compile the recorded sequence into a replayable graph.
     ///
-    /// Runs the fusion pass (consecutive compatible all-reduces are
-    /// partitioned into buckets of at most `fusion_threshold_bytes` by the
-    /// modelled cost the selector minimises, see
-    /// [`dfccl_collectives::plan_fusion_by_cost`]; each shape is priced once
-    /// per domain, in its plan cache), registers each fused collective under
-    /// its deterministic reserved id — every rank capturing the same step
-    /// derives the same id, so the fused communicators line up across ranks
-    /// without coordination — and resolves every node's registration so
+    /// Runs the fusion pass (consecutive compatible all-reduces fill buckets
+    /// of at most `fusion_threshold_bytes` each, see
+    /// [`dfccl_collectives::plan_fusion`]), registers each fused collective
+    /// under its deterministic reserved id — every rank capturing the same
+    /// step derives the same id, so the fused communicators line up across
+    /// ranks without coordination — and resolves every node's registration so
     /// replay touches neither the registry write lock nor the plan cache.
     pub fn finish(self) -> Result<Arc<CapturedGraph>, DfcclError> {
         let ctx = self.ctx;
@@ -1121,16 +1119,8 @@ impl GraphRecorder<'_> {
         if self.records.is_empty() {
             return Err(DfcclError::EmptyGraph);
         }
-        let domain = &ctx.domain;
-        let selector = domain.config.algorithm_selector();
-        let ops = plan_fusion_by_cost(self.records, domain.config.fusion_threshold_bytes, |desc| {
-            domain.plan_cache.cost_ns(
-                &selector,
-                desc,
-                domain.config.chunk_elems,
-                domain.topology(),
-            )
-        });
+        let threshold = ctx.domain.config.fusion_threshold_bytes;
+        let ops = plan_fusion(self.records, threshold);
         let mut nodes = Vec::with_capacity(ops.len());
         for op in ops {
             let coll_id = op.coll_id();

@@ -221,9 +221,8 @@ pub struct DfcclConfig {
     pub shared_mem_per_block: usize,
     /// Graph-capture bucket cap (DDP's `bucket_cap_mb`): the largest total
     /// payload, in bytes, one fused all-reduce may hold. When a recorded
-    /// graph is finalized, consecutive compatible all-reduces are
-    /// partitioned into buckets of at most this many bytes by the modelled
-    /// cost the selector minimises, each bucket run as one all-reduce over
+    /// graph is finalized, consecutive compatible all-reduces fill buckets
+    /// of at most this many bytes, each bucket run as one all-reduce over
     /// its members' buffers in place. Default 25 MiB, DDP's default. `0`
     /// disables fusion;
     /// [`CollectiveDescriptor::with_no_fuse`](dfccl_collectives::CollectiveDescriptor::with_no_fuse)
