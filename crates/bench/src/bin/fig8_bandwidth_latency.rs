@@ -26,8 +26,8 @@ use dfccl_bench::{
     algo_bandwidth_gbps, arg_num, byte_sweep, fmt_bytes, fmt_us, modelled_completion_us, print_row,
 };
 use dfccl_collectives::{
-    AlgorithmKind, AlgorithmSelector, CollectiveDescriptor, CollectiveKind, DataType, DeviceBuffer,
-    ReduceOp,
+    estimate_family_ns, AlgorithmKind, AlgorithmSelector, CollectiveDescriptor, CollectiveKind,
+    DataType, DeviceBuffer, ReduceOp,
 };
 use dfccl_transport::{LinkModel, Topology};
 use gpu_sim::{GpuId, GpuSpec, KernelStatus, StreamId};
@@ -167,11 +167,13 @@ fn run_panel(kind: CollectiveKind, gpus: usize, sizes: &[usize], iters: usize, c
 }
 
 /// The algorithm-family sweep: modelled completion times of the all-reduce
-/// under each family (Table 2 link parameters, no time compression), plus
-/// the family the selector picks — by construction the cheapest column,
-/// since it minimises the same estimate. The estimates are deterministic —
-/// they show the algorithmic shape even on hosts with fewer cores than
-/// simulated GPUs.
+/// under each family at 32 Ki-element chunks (Table 2 link parameters, no
+/// time compression), plus the family and chunk the selector picks under the
+/// runtime's default chunk cap, with its modelled time — never above the
+/// cheapest column, since it minimises the same estimate over the chunk
+/// ladder too; where it is below, a larger chunk won. The estimates are
+/// deterministic — they show the algorithmic shape even on hosts with fewer
+/// cores than simulated GPUs.
 fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
     let topo = if gpus > 8 {
         Topology::two_eight_gpu_servers()
@@ -180,6 +182,8 @@ fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
     };
     let devices: Vec<GpuId> = (0..gpus).map(GpuId).collect();
     let selector = AlgorithmSelector::default();
+    let cap = DfcclConfig::default().chunk_elems;
+    let link = LinkModel::table2_testbed();
     let columns = [
         (AlgorithmKind::Ring, "ring µs"),
         (AlgorithmKind::DoubleBinaryTree, "tree µs"),
@@ -188,7 +192,7 @@ fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
     ];
 
     println!("\n=== all-reduce algorithm sweep on {gpus} GPUs (modelled µs) ===");
-    let widths = [8, 12, 12, 12, 12, 14];
+    let widths = [8, 12, 12, 12, 12, 22];
     let header = std::iter::once("bytes")
         .chain(columns.iter().map(|&(_, label)| label))
         .chain(std::iter::once("selector"))
@@ -206,7 +210,12 @@ fn run_algorithm_panel(gpus: usize, sizes: &[usize]) {
                     .iter()
                     .map(|&(kind, _)| fmt(modelled_completion_us(&desc, kind, &topo))),
             )
-            .chain(std::iter::once(selector.select(&desc, &topo).to_string()))
+            .chain(std::iter::once({
+                let (kind, chunk) = selector.choose(&desc, cap, &topo);
+                let ns = estimate_family_ns(&desc, kind, chunk, &topo, &link)
+                    .expect("the chosen family builds");
+                format!("{kind}@{}K {:.1}", chunk / 1024, ns / 1_000.0)
+            }))
             .collect::<Vec<_>>();
         print_row(&row, &widths);
     }

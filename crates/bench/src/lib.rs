@@ -13,11 +13,12 @@ use dfccl_collectives::{
 use dfccl_transport::{LinkModel, Topology};
 
 /// Modelled completion time of `desc` under `algo` over `topo` with the
-/// Table 2 link parameters at the runtime's default chunk size, in
-/// microseconds — the quantity the selector minimises, so the Fig. 8 model
-/// columns, the crossover assertions and the selector's choice all read the
-/// same estimate. `None` when the algorithm cannot schedule the descriptor
-/// over this topology.
+/// Table 2 link parameters at the chunk ladder's first rung
+/// ([`DEFAULT_CHUNK_ELEMS`], 32 Ki elements), in microseconds — the estimate
+/// the selector minimises over families and chunk rungs
+/// ([`dfccl_collectives::AlgorithmSelector::choose`]), taken at one rung, so
+/// the Fig. 8 per-family columns show where a larger chunk wins. `None` when
+/// the algorithm cannot schedule the descriptor over this topology.
 pub fn modelled_completion_us(
     desc: &CollectiveDescriptor,
     algo: AlgorithmKind,

@@ -502,15 +502,15 @@ mod tests {
     fn ddp_replay_fuses_into_one_bucket_below_the_per_tensor_buckets() {
         // The replay workload's step: 8 × 256 KiB then 48 × 4 KiB f32
         // all-reduces on 4 flat ranks, each node priced at the estimate of
-        // the family the selector picks at the default chunk.
+        // the family and chunk the selector picks under the whole ladder.
         let topo = dfccl_transport::Topology::flat(4);
         let link = dfccl_transport::LinkModel::table2_testbed();
         let selector = crate::AlgorithmSelector::default();
-        let chunk = crate::ring::DEFAULT_CHUNK_ELEMS;
+        let cap = crate::CHUNK_LADDER[2];
         let ar =
             |count| CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, gpus(4));
         let cost = |d: &CollectiveDescriptor| {
-            let kind = selector.select_at_chunk(d, chunk, &topo);
+            let (kind, chunk) = selector.choose(d, cap, &topo);
             crate::estimate_family_ns(d, kind, chunk, &topo, &link).unwrap() / 1e3
         };
         let step = || -> Vec<RecordedCollective> {
@@ -528,7 +528,8 @@ mod tests {
                 .collect()
         };
         let price = |ops: &[GraphOp]| ops.iter().map(|op| cost(op.desc())).sum::<f64>();
-        // DDP's 25 MiB cap holds the whole 2 240 KiB step: one node.
+        // DDP's 25 MiB cap holds the whole 2 240 KiB step: one node, whose
+        // ring sends one 512 Ki chunk per slice.
         let ops = plan_fusion(step(), 25 << 20);
         assert_eq!(shape_of(&ops), vec![(1, 56)]);
         // Fusing only tensors of at most 64 KiB, as before the cap, ran nine
@@ -536,7 +537,7 @@ mod tests {
         let fused = price(&ops);
         let apart = 8.0 * cost(&ar(64 * 1024)) + cost(&ar(48 * 1024));
         eprintln!("ddp_replay step: one node {fused:.9} us, nine nodes {apart:.9} us");
-        assert!((fused - 366.785).abs() < 1e-3, "one node reads {fused}");
+        assert!((fused - 323.585).abs() < 1e-3, "one node reads {fused}");
         assert!((apart - 409.985).abs() < 1e-3, "nine nodes read {apart}");
     }
 

@@ -64,7 +64,7 @@ pub use primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 pub use program::{ByteRange, CachedPlan, CompiledProgram, Instr, Lane, PlanCache, PlanKey};
 pub use redop::ReduceOp;
 pub use ring::{build_plan, build_plan_striped, RingAlgorithm, DEFAULT_CHUNK_ELEMS};
-pub use selector::AlgorithmSelector;
+pub use selector::{AlgorithmSelector, CHUNK_LADDER};
 pub use tree::DoubleBinaryTreeAlgorithm;
 
 /// Errors raised while building or validating collectives.

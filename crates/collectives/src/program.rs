@@ -422,8 +422,8 @@ impl CompiledProgram {
 /// chunking are fixed — callers must not share a cache across topologies,
 /// selectors or chunk configurations beyond the keyed `chunk_elems`). There
 /// is no rank in it: the selection is made once per shape and holds every
-/// member's plan, so every member registers the same family. The ordered
-/// device set is keyed separately, as the outer level of the cache's
+/// member's plan, so every member registers the same family and chunk. The
+/// ordered device set is keyed separately, as the outer level of the cache's
 /// two-level map, so the hit path can probe it with a borrowed `&[GpuId]`
 /// instead of cloning the descriptor's `Vec<GpuId>`; everything left in this
 /// key is `Copy`, so building a probe key allocates nothing.
@@ -443,7 +443,8 @@ pub struct PlanKey {
     pub algorithm: Option<AlgorithmKind>,
     /// The descriptor's channel-count override, if any.
     pub channels: Option<usize>,
-    /// Chunk granularity the plans were built at.
+    /// The chunk cap the family and chunk were chosen under
+    /// ([`AlgorithmSelector::choose`]).
     pub chunk_elems: usize,
 }
 
@@ -465,11 +466,11 @@ pub struct CachedPlan {
 pub const PLAN_CACHE_MAX_SHAPES: usize = 4096;
 
 /// Memoized selection, plan building and compilation keyed by collective
-/// shape ([`PlanKey`]). The first registration of a shape selects its family
-/// and compiles every member's plan; every later registration of the shape —
-/// the other members', and repeats for per-layer collectives — returns the
-/// shared `Arc`s without selecting, building, validating or lowering
-/// anything.
+/// shape ([`PlanKey`]). The first registration of a shape chooses its family
+/// and chunk and compiles every member's plan; every later registration of
+/// the shape — the other members', and repeats for per-layer collectives —
+/// returns the shared `Arc`s without selecting, building, validating or
+/// lowering anything.
 ///
 /// Invalidation: a plan depends on its key and the domain's fixed topology
 /// only. Link health is not part of it: a quarantined label is rerouted in
@@ -504,8 +505,10 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The cached plan+program for `desc` as registered by `rank`. The first
-    /// request of a shape selects its family and compiles every member's
+    /// The cached plan+program for `desc` as registered by `rank`, chunks
+    /// capped at `chunk_elems`. The first request of a shape chooses its
+    /// family and chunk ([`AlgorithmSelector::choose`], the choice
+    /// [`AlgorithmSelector::build_plan`] makes) and compiles every member's
     /// plan; later requests, from any member, are hits.
     pub fn get_or_compile(
         &self,
@@ -540,9 +543,9 @@ impl PlanCache {
         // Select and build outside the lock: concurrent first registrations
         // of one shape may build twice, but registration never blocks behind
         // another shape's plan construction. Last insert wins.
-        let kind = selector.select_at_chunk(desc, chunk_elems, topology);
+        let (kind, chunk) = selector.choose(desc, chunk_elems, topology);
         let n = desc.num_ranks();
-        let members = member_plans(desc, kind, chunk_elems, topology)?
+        let members = member_plans(desc, kind, chunk, topology)?
             .into_iter()
             .enumerate()
             .map(|(r, plan)| {

@@ -3,30 +3,38 @@
 //! Every collective runs the family the Table 2 cost model rates fastest,
 //! as NCCL and GC3 pick theirs by minimising a cost model: for each family
 //! that can schedule the descriptor, [`estimate_family_ns`] builds every
-//! member's plan at the descriptor's channel count and the plans' chunk size
-//! and walks them under [`LinkModel::table2_testbed`]; the lowest modelled
-//! completion wins, ties going to the earlier family in
-//! [`AlgorithmKind::ALL`]. So the crossovers depend on the rank count as
-//! well as the bytes: an all-reduce on 2, 4 or 8 ranks runs the pairwise
-//! family's recursive doubling (`log₂ n` hops) up to 128 KiB and the ring
-//! from 192 KiB, a 64 B one on 6 ranks runs the ring, and hierarchical wins
+//! member's plan at the descriptor's channel count and a chunk size and walks
+//! them under [`LinkModel::table2_testbed`]; the lowest modelled completion
+//! wins, ties going to the earlier family in [`AlgorithmKind::ALL`]. So the
+//! crossovers depend on the rank count as well as the bytes: at 32 Ki-element
+//! chunks an all-reduce on 2, 4 or 8 ranks runs the pairwise family's
+//! recursive doubling (`log₂ n` hops) up to 128 KiB and the ring from
+//! 192 KiB, a 64 B one on 6 ranks runs the ring, and hierarchical wins
 //! across nodes wherever it is cheaper — at 4 MiB on two nodes of two by
 //! running its intra-node and inter-node lanes at once (508 µs, against
 //! 892 µs for its stages in sequence and 1 360 µs for the flat ring). The
 //! estimate honours the plans' phase barriers, so a pipelined family is
 //! credited only with the overlap its data dependencies allow. The
-//! selection is a pure function of the descriptor, the chunk size, the
+//! selection is a pure function of the descriptor, the chunk cap, the
 //! topology and the selector, with no rank in it, so every member of a
-//! collective resolves the same family. Link health is deliberately not an
-//! input: members that register on either side of a quarantine would
-//! otherwise resolve different families and wedge each other. A dead lane is
-//! avoided by the communicator mesh instead, which reroutes every
-//! quarantined label onto a spare lane whatever the family
+//! collective resolves the same family and chunk. Link health is
+//! deliberately not an input: members that register on either side of a
+//! quarantine would otherwise resolve different families and wedge each
+//! other. A dead lane is avoided by the communicator mesh instead, which
+//! reroutes every quarantined label onto a spare lane whatever the family
 //! ([`dfccl_transport::LinkHealth::reroute`]).
 //!
-//! K and the chunk size are inputs, not searched: the model gives every
-//! channel lane the link's full bandwidth, so an argmin over K would always
-//! take the largest K. (Hierarchical plans use 2K channels: K per lane.)
+//! The chunk is chosen with the family, in one argmin over family ×
+//! [`CHUNK_LADDER`] rung, capped by the caller's connector-slot size: the
+//! model gives a ring no pipelining credit inside a lane, so a large payload
+//! pays α once per chunk, and fewer, larger chunks can win (`ddp_replay`'s
+//! fused 2 240 KiB ring on 4 ranks reads 366.8 µs at 32 Ki elements and
+//! 323.6 µs at 512 Ki). Ties go to the smaller rung. The ladder stops at the
+//! first rung that holds the descriptor's largest per-rank buffer — a larger
+//! chunk could not change a plan — so a small shape costs one estimate per
+//! family. K is an input, not searched: the model gives every channel lane
+//! the link's full bandwidth, so an argmin over K would always take the
+//! largest K. (Hierarchical plans use 2K channels: K per lane.)
 //!
 //! The choice can be forced per collective (via
 //! [`CollectiveDescriptor::algorithm`]) or, for a whole baseline run, by a
@@ -44,6 +52,11 @@ use crate::CollectiveError;
 use dfccl_transport::{LinkModel, Topology};
 use std::sync::OnceLock;
 
+/// The chunk sizes, in elements, the selector tries for each family: 32 Ki,
+/// 128 Ki and 512 Ki (128 KiB, 512 KiB and 2 MiB of f32). A fixed array, so
+/// a selection allocates nothing beyond its estimates.
+pub const CHUNK_LADDER: [usize; 3] = [DEFAULT_CHUNK_ELEMS, 128 * 1024, 512 * 1024];
+
 /// Picks each collective's algorithm family by minimising the modelled
 /// completion time over the families that can schedule it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -59,49 +72,72 @@ impl AlgorithmSelector {
         AlgorithmSelector { force: Some(kind) }
     }
 
-    /// Choose the algorithm for `desc` over `topology`, modelled at the
-    /// default chunk size ([`DEFAULT_CHUNK_ELEMS`]).
+    /// Choose the algorithm family for `desc` over `topology` with plans
+    /// chunked at [`DEFAULT_CHUNK_ELEMS`], the ladder's first rung (so no
+    /// chunk is searched).
     ///
     /// Precedence: per-collective override (strict — returned even if
     /// unsupported, so the caller surfaces a clear error), then the global
     /// override (skipped when unsupported), then the cost-model argmin.
     pub fn select(&self, desc: &CollectiveDescriptor, topology: &Topology) -> AlgorithmKind {
-        self.select_at_chunk(desc, DEFAULT_CHUNK_ELEMS, topology)
+        self.choose(desc, DEFAULT_CHUNK_ELEMS, topology).0
     }
 
-    /// The family for `desc` with plans chunked at `chunk_elems`: the argmin
-    /// of [`estimate_family_ns`] unless an override pins it. A family whose
-    /// plans fail to build drops out; when none is left the first supported
-    /// family is returned so building it reports why.
-    pub(crate) fn select_at_chunk(
+    /// The family and chunk size for `desc` with chunks capped at
+    /// `max_chunk_elems`: the argmin of [`estimate_family_ns`] over every
+    /// candidate family at every [`CHUNK_LADDER`] rung (each capped at
+    /// `max_chunk_elems`), in rung-major order so ties go to the smaller
+    /// chunk and then to the earlier family. An override pins the family,
+    /// not the chunk. A candidate whose plans fail to build drops out; when
+    /// none is left the first candidate is returned at the smallest rung so
+    /// building it reports why. This is the one choice registration
+    /// ([`crate::PlanCache::get_or_compile`]) and [`Self::build_plan`] make.
+    pub fn choose(
         &self,
         desc: &CollectiveDescriptor,
-        chunk_elems: usize,
+        max_chunk_elems: usize,
         topology: &Topology,
-    ) -> AlgorithmKind {
+    ) -> (AlgorithmKind, usize) {
         let supported = |kind: &AlgorithmKind| algorithm(*kind).supports(desc, topology);
         let pinned = desc.algorithm.or(self.force.filter(supported));
-        let mut candidates = AlgorithmKind::ALL.into_iter().filter(supported);
-        let first = candidates.next();
-        // Nothing to compare: the override, the only family, or ring (whose
-        // build then reports why it cannot schedule the descriptor).
-        if pinned.is_some() || candidates.next().is_none() {
-            return pinned.or(first).unwrap_or(AlgorithmKind::Ring);
+        let candidates = || {
+            AlgorithmKind::ALL
+                .into_iter()
+                .filter(move |kind| pinned.map_or_else(|| supported(kind), |p| *kind == p))
+        };
+        // Ring when nothing is a candidate: its build then reports why it
+        // cannot schedule the descriptor.
+        let first = candidates().next().unwrap_or(AlgorithmKind::Ring);
+        let largest = (0..desc.num_ranks())
+            .map(|r| desc.send_elems(r).max(desc.recv_elems(r)))
+            .max()
+            .unwrap_or(0);
+        // A rung past the cap is the cap; a chunk that holds every buffer
+        // builds the same plans as any larger one.
+        let last_rung = |chunk: usize| chunk >= largest || chunk >= max_chunk_elems;
+        let smallest = CHUNK_LADDER[0].min(max_chunk_elems);
+        // Nothing to compare: one candidate at one rung.
+        if last_rung(smallest) && candidates().nth(1).is_none() {
+            return (first, smallest);
         }
         // The link model every selection is made under, built once.
         static TABLE2: OnceLock<LinkModel> = OnceLock::new();
         let link = TABLE2.get_or_init(LinkModel::table2_testbed);
-        let mut best: Option<(f64, AlgorithmKind)> = None;
-        for kind in AlgorithmKind::ALL.into_iter().filter(supported) {
-            if let Ok(ns) = estimate_family_ns(desc, kind, chunk_elems, topology, link) {
-                if best.is_none_or(|(b, _)| ns < b) {
-                    best = Some((ns, kind));
+        let mut best: Option<(f64, AlgorithmKind, usize)> = None;
+        for rung in CHUNK_LADDER {
+            let chunk = rung.min(max_chunk_elems);
+            for kind in candidates() {
+                if let Ok(ns) = estimate_family_ns(desc, kind, chunk, topology, link) {
+                    if best.is_none_or(|(b, ..)| ns < b) {
+                        best = Some((ns, kind, chunk));
+                    }
                 }
             }
+            if last_rung(chunk) {
+                break;
+            }
         }
-        best.map(|(_, kind)| kind)
-            .or(first)
-            .expect("two families support the descriptor")
+        best.map_or((first, smallest), |(_, kind, chunk)| (kind, chunk))
     }
 
     /// The channel count in effect for `desc`: the per-collective override
@@ -111,8 +147,9 @@ impl AlgorithmSelector {
         desc.channels.unwrap_or(1)
     }
 
-    /// Select an algorithm at `max_chunk_elems` and compile `rank`'s plan
-    /// with it, striped across the channel count in effect
+    /// Choose the family and chunk for `desc` under the cap
+    /// `max_chunk_elems` ([`AlgorithmSelector::choose`]) and compile `rank`'s
+    /// plan with them, striped across the channel count in effect
     /// ([`AlgorithmSelector::channels_for`]).
     pub fn build_plan(
         &self,
@@ -121,11 +158,11 @@ impl AlgorithmSelector {
         max_chunk_elems: usize,
         topology: &Topology,
     ) -> Result<Plan, CollectiveError> {
-        let kind = self.select_at_chunk(desc, max_chunk_elems, topology);
+        let (kind, chunk_elems) = self.choose(desc, max_chunk_elems, topology);
         algorithm(kind).build_plan_striped(
             desc,
             rank,
-            max_chunk_elems,
+            chunk_elems,
             self.channels_for(desc),
             topology,
         )
@@ -191,14 +228,20 @@ mod tests {
     #[test]
     fn the_chosen_family_is_the_modelled_minimum_and_every_member_agrees() {
         // Every kind x 2-8 ranks x 64 B-4 MiB x {flat, two equal nodes, two
-        // 8-GPU servers} x K in {1, 2}: no supported family models faster
-        // than the chosen one, and every member's cached plan runs it.
+        // 8-GPU servers} x K in {1, 2}, chunks capped at the ladder's top:
+        // no supported family at any rung the ladder reaches models faster
+        // than the chosen (family, chunk), which is never worse than the
+        // best family at 32 Ki, and every member's cached plan is the
+        // chosen family's plan at the chosen chunk. A cap below the first
+        // rung is the one chunk tried.
         use crate::program::PlanCache;
         use crate::CollectiveKind;
 
         let sel = AlgorithmSelector::default();
         let link = LinkModel::table2_testbed();
-        let chunk = DEFAULT_CHUNK_ELEMS;
+        let cap = CHUNK_LADDER[2];
+        let small_cap = 8 * 1024;
+        let mut above_first_rung = 0;
         let servers = Topology::two_eight_gpu_servers();
         let mut checked = 0;
         for n in 2..=8usize {
@@ -257,30 +300,59 @@ mod tests {
                                 ),
                             }
                             .with_channels(k);
-                            let chosen = sel.select_at_chunk(&desc, chunk, topo);
-                            let cost =
-                                |family| estimate_family_ns(&desc, family, chunk, topo, &link);
-                            let best = cost(chosen).expect("the chosen family builds");
-                            for family in AlgorithmKind::ALL {
-                                if algorithm(family).supports(&desc, topo) {
-                                    if let Ok(ns) = cost(family) {
+                            let case = format!("{kind} n={n} {bytes} B K={k}");
+                            let (chosen, chunk) = sel.choose(&desc, cap, topo);
+                            let cost = |family, chunk| {
+                                estimate_family_ns(&desc, family, chunk, topo, &link).ok()
+                            };
+                            let supported = AlgorithmKind::ALL
+                                .into_iter()
+                                .filter(|f| algorithm(*f).supports(&desc, topo));
+                            let best = cost(chosen, chunk).expect("the chosen family builds");
+                            // The ladder stops at the first rung that holds
+                            // the largest per-rank buffer.
+                            let largest = (0..n)
+                                .map(|r| desc.send_elems(r).max(desc.recv_elems(r)))
+                                .max()
+                                .unwrap();
+                            let reached = CHUNK_LADDER
+                                .iter()
+                                .position(|&r| r >= largest)
+                                .map_or(CHUNK_LADDER.len(), |i| i + 1);
+                            for rung in &CHUNK_LADDER[..reached] {
+                                for family in supported.clone() {
+                                    if let Some(ns) = cost(family, *rung) {
                                         assert!(
                                             best <= ns,
-                                            "{kind} n={n} {bytes} B K={k}: {chosen} {best} \
-                                             vs {family} {ns}"
+                                            "{case}: {chosen}@{chunk} {best} vs {family}@{rung} {ns}"
                                         );
                                     }
                                 }
                             }
-                            let cache = PlanCache::new();
-                            for rank in 0..n {
-                                let plan = cache
-                                    .get_or_compile(&sel, &desc, rank, chunk, topo)
-                                    .unwrap()
-                                    .plan;
-                                assert_eq!(plan.algorithm, chosen, "{kind} n={n} rank {rank}");
+                            let at_first_rung = supported
+                                .clone()
+                                .filter_map(|f| cost(f, DEFAULT_CHUNK_ELEMS))
+                                .fold(f64::INFINITY, f64::min);
+                            assert!(best <= at_first_rung, "{case}: {best} vs {at_first_rung}");
+                            above_first_rung += usize::from(chunk > DEFAULT_CHUNK_ELEMS);
+                            let (small_family, small_chunk) = sel.choose(&desc, small_cap, topo);
+                            assert_eq!(small_chunk, small_cap, "{case}: one rung below 32 Ki");
+                            for (cap, family, chunk) in
+                                [(cap, chosen, chunk), (small_cap, small_family, small_cap)]
+                            {
+                                let cache = PlanCache::new();
+                                for rank in 0..n {
+                                    let plan = cache
+                                        .get_or_compile(&sel, &desc, rank, cap, topo)
+                                        .unwrap()
+                                        .plan;
+                                    let want = algorithm(family)
+                                        .build_plan_striped(&desc, rank, chunk, k, topo)
+                                        .unwrap();
+                                    assert_eq!(*plan, want, "{case} cap {cap} rank {rank}");
+                                }
+                                assert_eq!(cache.misses(), 1, "one selection per shape");
                             }
-                            assert_eq!(cache.misses(), 1, "one selection per shape");
                             checked += 1;
                         }
                     }
@@ -288,6 +360,7 @@ mod tests {
             }
         }
         assert!(checked > 500, "{checked} cases");
+        assert!(above_first_rung > 0, "no case chose a chunk above 32 Ki");
     }
 
     #[test]

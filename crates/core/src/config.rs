@@ -181,7 +181,12 @@ impl HostMemCosts {
 /// Full runtime configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DfcclConfig {
-    /// Maximum elements per connector chunk.
+    /// Maximum elements per connector chunk: the connector-slot cap. Each
+    /// collective's chunk is chosen with its family, the cheapest modelled
+    /// rung of [`dfccl_collectives::CHUNK_LADDER`] at or below this cap
+    /// ([`dfccl_collectives::AlgorithmSelector::choose`]); a cap below the
+    /// ladder's first rung is the one chunk tried. The default, 512 Ki
+    /// elements (2 MiB of f32), admits the whole ladder.
     pub chunk_elems: usize,
     /// Chunk slots per connector.
     pub connector_capacity: usize,
@@ -241,7 +246,7 @@ pub struct DfcclConfig {
 impl Default for DfcclConfig {
     fn default() -> Self {
         DfcclConfig {
-            chunk_elems: 32 * 1024,
+            chunk_elems: 512 * 1024,
             connector_capacity: 8,
             sq_capacity: 1024,
             cq_capacity: 1024,

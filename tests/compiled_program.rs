@@ -2,7 +2,8 @@
 //! programs execute bit-identically to the reference oracle across every
 //! algorithm family × collective kind × rank count × channel count, a
 //! stalled lane never blocks a ready one, lane cursors survive preemption
-//! storms, and the plan cache serves repeat registrations end to end.
+//! storms, the plan cache serves repeat registrations end to end, and the
+//! benchmark's plan rebuild reproduces every plan its workloads register.
 
 mod common;
 
@@ -267,4 +268,104 @@ fn plan_cache_serves_repeat_registrations_through_the_full_stack() {
         assert!(ctx.collective_errors().is_empty());
         ctx.destroy();
     }
+}
+
+#[test]
+fn the_benchmark_rebuild_reproduces_every_registered_plan() {
+    // Every shape the repository benchmark's five workloads register, at the
+    // default config's chunk cap: each member's cached plan (what
+    // registration runs) is step for step the plan `build_plan` rebuilds
+    // (what `modelled_cost_per_op` estimates), and every member's plan is
+    // the one (family, chunk) choice's.
+    use dfccl::DfcclConfig;
+    use dfccl_collectives::PlanCache;
+
+    let cap = DfcclConfig::default().chunk_elems;
+    let sel = DfcclConfig::default().algorithm_selector();
+    let ar = |count, members: &[usize]| {
+        let devices = members.iter().map(|&m| GpuId(m)).collect();
+        CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices)
+    };
+    let all = [0, 1, 2, 3];
+    let disorder = 4096;
+    let shapes: Vec<(&str, CollectiveDescriptor, Topology)> = vec![
+        ("small_unloaded 64 B", ar(16, &[0, 1]), Topology::flat(2)),
+        ("small_pipelined 64 B", ar(16, &all), Topology::flat(4)),
+        (
+            "large_bandwidth 4 MiB",
+            ar(1 << 20, &all),
+            Topology::uniform_cluster(2, 2),
+        ),
+        (
+            "disorder all-to-all",
+            CollectiveDescriptor::all_to_all(disorder / 4, DataType::F32, gpus(4)),
+            Topology::flat(4),
+        ),
+        (
+            "disorder all-reduce 0-3",
+            ar(disorder, &all),
+            Topology::flat(4),
+        ),
+        (
+            "disorder all-reduce 0,1",
+            ar(disorder, &[0, 1]),
+            Topology::flat(4),
+        ),
+        (
+            "disorder all-reduce 2,3",
+            ar(disorder, &[2, 3]),
+            Topology::flat(4),
+        ),
+        (
+            "disorder all-reduce 1,2",
+            ar(disorder, &[1, 2]),
+            Topology::flat(4),
+        ),
+        (
+            "disorder all-reduce 0,3",
+            ar(disorder, &[0, 3]),
+            Topology::flat(4),
+        ),
+        (
+            "disorder all-gather",
+            CollectiveDescriptor::all_gather(disorder, DataType::F32, vec![GpuId(0), GpuId(2)]),
+            Topology::flat(4),
+        ),
+        (
+            "disorder broadcast",
+            CollectiveDescriptor::broadcast(disorder, DataType::F32, 0, vec![GpuId(1), GpuId(3)]),
+            Topology::flat(4),
+        ),
+        ("ddp_replay 256 KiB", ar(64 * 1024, &all), Topology::flat(4)),
+        ("ddp_replay 4 KiB", ar(1024, &all), Topology::flat(4)),
+        (
+            "ddp_replay fused 2 240 KiB",
+            ar(560 * 1024, &all),
+            Topology::flat(4),
+        ),
+    ];
+    for (name, desc, topo) in &shapes {
+        let (kind, chunk) = sel.choose(desc, cap, topo);
+        let cache = PlanCache::new();
+        for rank in 0..desc.num_ranks() {
+            let registered = cache
+                .get_or_compile(&sel, desc, rank, cap, topo)
+                .unwrap()
+                .plan;
+            let rebuilt = sel.build_plan(desc, rank, cap, topo).unwrap();
+            assert_eq!(*registered, rebuilt, "{name} rank {rank}");
+            let chosen = algorithm(kind)
+                .build_plan_striped(desc, rank, chunk, 1, topo)
+                .unwrap();
+            assert_eq!(rebuilt, chosen, "{name} rank {rank}: {kind}@{chunk}");
+        }
+        assert_eq!(cache.misses(), 1, "{name}: one choice per shape");
+    }
+    // Where the chunk choice lands: the fused ring sends one 512 Ki chunk
+    // per slice, the 4 MiB all-reduce across nodes stays hierarchical at
+    // 32 Ki, and a 64 B one fits the first rung.
+    let choice = |i: usize| sel.choose(&shapes[i].1, cap, &shapes[i].2);
+    assert_eq!(choice(13), (AlgorithmKind::Ring, 512 * 1024));
+    assert_eq!(choice(2), (AlgorithmKind::Hierarchical, 32 * 1024));
+    assert_eq!(choice(1), (AlgorithmKind::Pairwise, 32 * 1024));
 }
