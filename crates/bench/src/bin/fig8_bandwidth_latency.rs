@@ -141,8 +141,13 @@ fn run_panel(kind: CollectiveKind, gpus: usize, sizes: &[usize], iters: usize, c
             rank.destroy();
         }
 
-        // NCCL-like side.
-        let ndomain = NcclDomain::new(topo.clone(), link.clone(), GpuSpec::rtx_3090(), 32 * 1024);
+        // NCCL-like side, its ring chunked under the same cap.
+        let ndomain = NcclDomain::new(
+            topo.clone(),
+            link.clone(),
+            GpuSpec::rtx_3090(),
+            DfcclConfig::default().chunk_elems,
+        );
         let nranks: Vec<Arc<dfccl_baseline::NcclRank>> = devices
             .iter()
             .map(|&g| Arc::new(ndomain.init_rank(g).unwrap()))

@@ -29,7 +29,9 @@ use crate::primitive::{PrimitiveKind, PrimitiveStep, SrcBuf};
 use crate::CollectiveError;
 use dfccl_transport::Topology;
 
-/// Default maximum number of elements per chunk (128 KiB of f32).
+/// The chunk ladder's first rung, in elements (128 KiB of f32): the chunk
+/// [`crate::AlgorithmSelector::select`] and the Fig. 8 per-family columns
+/// model at ([`crate::CHUNK_LADDER`]).
 pub const DEFAULT_CHUNK_ELEMS: usize = 32 * 1024;
 
 /// The ring schedule generator.

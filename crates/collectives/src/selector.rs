@@ -321,9 +321,10 @@ mod tests {
                                 .map_or(CHUNK_LADDER.len(), |i| i + 1);
                             for rung in &CHUNK_LADDER[..reached] {
                                 for family in supported.clone() {
+                                    // Ties go to the smaller rung.
                                     if let Some(ns) = cost(family, *rung) {
                                         assert!(
-                                            best <= ns,
+                                            best < ns || (best == ns && *rung >= chunk),
                                             "{case}: {chosen}@{chunk} {best} vs {family}@{rung} {ns}"
                                         );
                                     }
