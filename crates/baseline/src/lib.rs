@@ -31,4 +31,4 @@ pub use orchestration::{
     HorovodCoordinator, KungFuOrdering, MegatronManual, OneFlowStaticSort, OrchestrationStrategy,
     StrategyKind,
 };
-pub use watchdog::{wait_all_or_deadlock, wait_all_or_stall, DeadlockOutcome};
+pub use watchdog::{wait_all_or_deadlock, wait_all_or_stall, wait_or_deadlock, DeadlockOutcome};

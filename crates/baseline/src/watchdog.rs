@@ -25,7 +25,7 @@ use gpu_sim::{DeviceEngine, GpuId, KernelHandle, StepReport};
 /// Result of supervising a set of collective kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeadlockOutcome {
-    /// Every kernel reached a terminal state.
+    /// Every kernel reached a terminal state (or the caller's `done` held).
     AllCompleted,
     /// A sweep could move nothing while kernels were still queued or
     /// running: the round is deadlocked.
@@ -49,7 +49,21 @@ pub fn wait_all_or_deadlock(
     handles: &[KernelHandle],
     engines: &[Arc<DeviceEngine>],
 ) -> DeadlockOutcome {
-    match step_until_stuck(handles, engines, &Vec::new) {
+    wait_or_deadlock(handles, engines, &|| {
+        handles.iter().all(|h| h.is_terminal())
+    })
+}
+
+/// [`wait_all_or_deadlock`], done as soon as `done()` holds rather than
+/// once every handle is terminal (reported as `AllCompleted`): a host that
+/// goes on when one of its waits ends, and may then launch what the other
+/// kernels wait on, is stuck only if none of its waits can end.
+pub fn wait_or_deadlock(
+    handles: &[KernelHandle],
+    engines: &[Arc<DeviceEngine>],
+    done: &dyn Fn() -> bool,
+) -> DeadlockOutcome {
+    match step_until_stuck(done, engines, &Vec::new) {
         None => DeadlockOutcome::AllCompleted,
         Some(_) => DeadlockOutcome::Deadlock {
             unfinished: tear_down(handles, engines),
@@ -67,21 +81,22 @@ pub fn wait_all_or_stall(
     engines: &[Arc<DeviceEngine>],
     probe: &dyn Fn() -> Vec<EdgeSample>,
 ) -> Option<StallReport> {
-    let samples = step_until_stuck(handles, engines, probe)?;
+    let done = || handles.iter().all(|h| h.is_terminal());
+    let samples = step_until_stuck(&done, engines, probe)?;
     let mut report = classify_stall(&samples);
     report.unfinished = tear_down(handles, engines);
     Some(report)
 }
 
-/// Sweep `engines` until every handle is terminal (`None`), or until a
-/// sweep that progressed nothing is quiet or finds a failed edge in the
-/// `probe`. Returns that sweep's edge samples.
+/// Sweep `engines` until `done()` (`None`), or until a sweep that
+/// progressed nothing is quiet or finds a failed edge in the `probe`.
+/// Returns that sweep's edge samples.
 fn step_until_stuck(
-    handles: &[KernelHandle],
+    done: &dyn Fn() -> bool,
     engines: &[Arc<DeviceEngine>],
     probe: &dyn Fn() -> Vec<EdgeSample>,
 ) -> Option<Vec<EdgeSample>> {
-    while !handles.iter().all(|h| h.status().is_terminal()) {
+    while !done() {
         let mut sweep = StepReport::default();
         for e in engines {
             sweep += e.step();

@@ -15,88 +15,68 @@
 //! cargo run --release -p dfccl-bench --bin fig11_adaptive_scheduling -- [--iterations 10]
 //! ```
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
-use dfccl::{DfcclConfig, DfcclDomain, SpinPolicy};
+use dfccl::{DfcclConfig, RankCtx, SpinPolicy};
 use dfccl_bench::{arg_num, fmt_us, print_row};
-use dfccl_collectives::DeviceBuffer;
 use dfccl_transport::{LinkModel, Topology};
-use dfccl_workloads::{data_parallel_plan, DnnModel};
-use gpu_sim::{GpuId, GpuSpec};
+use dfccl_workloads::{data_parallel_plan, BackendKind, DnnModel, Run};
+use gpu_sim::{GpuId, StreamId};
 
 const GPUS: usize = 4;
 
+/// GPU 0's context switches and task-queue length at fetch, per collective.
+type Rows = BTreeMap<u64, (u64, u64)>;
+
 /// One run's wall throughput, the modelled context load/save time its ranks
 /// accrued, and GPU 0's per-collective rows.
-fn run(
-    policy: SpinPolicy,
-    iterations: usize,
-    batch: usize,
-) -> (f64, Duration, Vec<(u64, u64, u64)>) {
+fn run(policy: SpinPolicy, iterations: usize, batch: usize) -> (f64, Duration, Rows) {
     let model = DnnModel::resnet50();
     let devices: Vec<GpuId> = (0..GPUS).map(GpuId).collect();
     let plan = data_parallel_plan(&model, &devices, batch);
-    let domain = DfcclDomain::new(
-        Topology::single_server(),
-        LinkModel::table2_compressed(1_000.0),
-        GpuSpec::rtx_3090(),
-        DfcclConfig {
+    let run = Run {
+        backend: BackendKind::Dfccl,
+        gpus: &devices,
+        topology: Topology::single_server(),
+        links: LinkModel::table2_compressed(1_000.0),
+        config: DfcclConfig {
             spin: policy,
             ..DfcclConfig::default()
         },
-    );
-    let ranks: Vec<Arc<dfccl::RankCtx>> = devices
-        .iter()
-        .map(|&g| Arc::new(domain.init_rank(g).unwrap()))
-        .collect();
-    for pc in &plan.collectives {
-        for rank in &ranks {
-            rank.register(pc.coll_id, pc.desc.clone()).unwrap();
-        }
-    }
-    let start = Instant::now();
-    let mut joins = Vec::new();
-    for (gpu_idx, rank) in ranks.iter().enumerate() {
-        let rank = Arc::clone(rank);
-        let plan = plan.clone();
-        joins.push(std::thread::spawn(move || {
-            for iter in 0..iterations {
-                let mut handles = Vec::new();
-                for (k, &ci) in plan.ready_order[gpu_idx].iter().enumerate() {
-                    let pc = &plan.collectives[ci];
-                    // GPU 2 lags slightly behind the others, the trigger of the
-                    // Fig. 11 spike under the naive policy.
-                    if gpu_idx == 2 && k == 0 && iter == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    let send = DeviceBuffer::zeroed(pc.desc.send_bytes(gpu_idx));
-                    let recv = DeviceBuffer::zeroed(pc.desc.recv_bytes(gpu_idx));
-                    handles.push(rank.run_awaitable(pc.coll_id, send, recv).unwrap());
-                }
-                for h in handles {
-                    h.wait_for(1);
-                }
+        collectives: plan
+            .collectives
+            .iter()
+            .map(|pc| (pc.coll_id, pc.desc.clone()))
+            .collect(),
+        iterations,
+    };
+    let read = |ranks: &[&RankCtx]| {
+        let stats = ranks[0].per_collective_stats();
+        let rows = stats
+            .iter()
+            .map(|(&id, s)| (id, (s.preemptions, s.queue_len_at_fetch)));
+        let context_time = ranks.iter().map(|r| r.modelled_context_time()).sum();
+        (context_time, rows.collect())
+    };
+    let body = |it: &dfccl_workloads::Iteration<'_>| {
+        let mut submitted = Vec::new();
+        for (k, &ci) in plan.ready_order[it.gpu].iter().enumerate() {
+            // GPU 2 lags slightly behind the others, the trigger of the
+            // Fig. 11 spike under the naive policy.
+            if (it.gpu, k, it.iteration) == (2, 0, 0) {
+                std::thread::sleep(Duration::from_millis(2));
             }
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-    let elapsed = start.elapsed();
+            submitted.push(it.submit(plan.collectives[ci].coll_id, StreamId(1)));
+        }
+        for s in submitted {
+            it.wait(s);
+        }
+    };
+    let (times, (context_time, rows)) = run.drive(body, read).expect("DFCCL never deadlocks");
+    let elapsed: Duration = times.iter().sum();
     let samples = batch * GPUS * iterations;
     let throughput = samples as f64 / elapsed.as_secs_f64();
-
-    let per_coll = ranks[0].per_collective_stats();
-    let mut rows: Vec<(u64, u64, u64)> = per_coll
-        .iter()
-        .map(|(&id, s)| (id, s.preemptions, s.queue_len_at_fetch))
-        .collect();
-    rows.sort_unstable();
-    let context_time = ranks.iter().map(|r| r.modelled_context_time()).sum();
-    for rank in ranks {
-        rank.destroy();
-    }
     (throughput, context_time, rows)
 }
 
@@ -133,12 +113,10 @@ fn main() {
         ],
         &widths,
     );
-    let adaptive_map: std::collections::HashMap<u64, (u64, u64)> =
-        adaptive.2.iter().map(|&(id, p, q)| (id, (p, q))).collect();
     let mut naive_max = 0u64;
     let mut adaptive_max = 0u64;
-    for (id, preempt, qlen) in &naive.2 {
-        let (ap, aq) = adaptive_map.get(id).copied().unwrap_or((0, 0));
+    for (id, (preempt, qlen)) in &naive.2 {
+        let (ap, aq) = adaptive.2.get(id).copied().unwrap_or((0, 0));
         naive_max = naive_max.max(*preempt);
         adaptive_max = adaptive_max.max(ap);
         print_row(

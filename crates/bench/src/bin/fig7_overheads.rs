@@ -11,13 +11,12 @@
 //! cargo run --release -p dfccl-bench --bin fig7_overheads -- [--iterations 50]
 //! ```
 
-use std::sync::Arc;
-
-use dfccl::{build_cq, CqVariant, DfcclConfig, DfcclDomain, HostMemCosts};
+use dfccl::{build_cq, CqVariant, DfcclConfig, HostMemCosts};
 use dfccl_bench::{arg_num, fmt_us};
-use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
+use dfccl_collectives::{CollectiveDescriptor, DataType, ReduceOp};
 use dfccl_transport::{LinkModel, Topology};
-use gpu_sim::{GpuId, GpuSpec};
+use dfccl_workloads::{BackendKind, Run};
+use gpu_sim::{GpuId, StreamId};
 
 const GPUS: usize = 8;
 
@@ -27,38 +26,25 @@ fn main() {
     println!(
         "Fig. 7(b) — workload-independent time overheads, modelled (all-reduce on {GPUS} GPUs)\n"
     );
-    let domain = DfcclDomain::new(
-        Topology::single_server(),
-        LinkModel::table2_compressed(500.0),
-        GpuSpec::rtx_3090(),
-        DfcclConfig::default(),
-    );
     let devices: Vec<GpuId> = (0..GPUS).map(GpuId).collect();
-    let ranks: Vec<Arc<dfccl::RankCtx>> = devices
-        .iter()
-        .map(|&g| Arc::new(domain.init_rank(g).unwrap()))
-        .collect();
     let count = 64 * 1024;
-    for rank in &ranks {
-        rank.register_all_reduce(1, count, DataType::F32, ReduceOp::Sum, devices.clone(), 0)
-            .unwrap();
-    }
-    let mut joins = Vec::new();
-    for rank in &ranks {
-        let rank = Arc::clone(rank);
-        joins.push(std::thread::spawn(move || {
-            for _ in 0..iterations {
-                let send = DeviceBuffer::from_f32(&vec![1.0; count]);
-                let recv = DeviceBuffer::zeroed(count * 4);
-                let h = rank.run_awaitable(1, send, recv).unwrap();
-                h.wait_for(1);
-            }
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-    let stats = ranks[0].stats();
+    let config = DfcclConfig::default();
+    let run = Run {
+        backend: BackendKind::Dfccl,
+        gpus: &devices,
+        topology: Topology::single_server(),
+        links: LinkModel::table2_compressed(500.0),
+        config: config.clone(),
+        collectives: vec![(
+            1,
+            CollectiveDescriptor::all_reduce(count, DataType::F32, ReduceOp::Sum, devices.clone()),
+        )],
+        iterations,
+    };
+    let read = |ranks: &[&dfccl::RankCtx]| (ranks[0].stats(), ranks[0].memory_usage());
+    let (_, (stats, usage)) = run
+        .drive(|it| it.wait(it.submit(1, StreamId(1))), read)
+        .expect("DFCCL never deadlocks");
     println!("  modelled on GPU 0 over {iterations} iterations (paper: 5.3 / 1.2 / 2.0 µs):");
     for (name, mean) in [
         ("read SQE:", stats.mean_sqe_read),
@@ -70,20 +56,15 @@ fn main() {
     }
 
     println!("\nSec. 6.2 — workload-independent memory overheads");
-    let usage = ranks[0].memory_usage();
-    let cfg = domain.config();
     println!(
         "    shared memory per block (task queue + active context slots): {} KB",
-        cfg.shared_mem_per_block / 1024
+        config.shared_mem_per_block / 1024
     );
     println!(
         "    global memory (context buffer x {} blocks + shared bookkeeping): {:.1} MB",
-        cfg.daemon_blocks,
+        config.daemon_blocks,
         usage.global_allocated as f64 / (1024.0 * 1024.0)
     );
-    for rank in ranks {
-        rank.destroy();
-    }
 
     println!("\nFig. 7(c) — time to write one CQE to the three CQ designs");
     println!("  (modelled host-memory costs; paper: 6.9 / 4.8 / 2.0 µs)");

@@ -14,15 +14,13 @@
 //! cargo run --release -p dfccl-bench --bin sec61_deadlock_prevention -- [--iterations 20] [--program 0|1|2]
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use dfccl::{DfcclConfig, DfcclDomain};
-use dfccl_baseline::{wait_all_or_deadlock, NcclDomain};
+use dfccl::DfcclConfig;
+use dfccl_baseline::StrategyKind;
 use dfccl_bench::arg_num;
-use dfccl_collectives::{DataType, DeviceBuffer, ReduceOp};
+use dfccl_collectives::{CollectiveDescriptor, DataType, ReduceOp};
 use dfccl_transport::{LinkModel, Topology};
-use gpu_sim::{GpuId, GpuSpec, StreamId};
+use dfccl_workloads::{BackendKind, Run};
+use gpu_sim::{GpuId, StreamId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -39,166 +37,87 @@ const SIZES: [usize; 8] = [
     1 << 20,
 ];
 
-fn gpu_ids() -> Vec<GpuId> {
-    (0..GPUS).map(GpuId).collect()
-}
-
-fn dfccl_program(iterations: usize, with_sync: bool) {
-    let domain = DfcclDomain::new(
-        Topology::single_server(),
-        LinkModel::table2_compressed(200.0),
-        GpuSpec::rtx_3090(),
-        DfcclConfig::default(),
-    );
-    let ranks: Vec<Arc<dfccl::RankCtx>> = (0..GPUS)
-        .map(|g| Arc::new(domain.init_rank(GpuId(g)).unwrap()))
-        .collect();
-    for (coll_id, size) in SIZES.iter().enumerate() {
-        let count = size / 4;
-        for rank in &ranks {
-            rank.register_all_reduce(
-                coll_id as u64,
-                count,
-                DataType::F32,
-                ReduceOp::Sum,
-                gpu_ids(),
-                0,
-            )
-            .unwrap();
-        }
-    }
-    let mut joins = Vec::new();
-    for (g, rank) in ranks.iter().enumerate() {
-        let rank = Arc::clone(rank);
-        joins.push(std::thread::spawn(move || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(g as u64 + 1);
-            for _ in 0..iterations {
-                // A unique random launch order per GPU per iteration.
-                let mut order: Vec<u64> = (0..SIZES.len() as u64).collect();
-                order.shuffle(&mut rng);
-                let mut handles = Vec::new();
-                for (k, coll_id) in order.iter().enumerate() {
-                    let count = SIZES[*coll_id as usize] / 4;
-                    let send = DeviceBuffer::from_f32(&vec![1.0; count]);
-                    let recv = DeviceBuffer::zeroed(count * 4);
-                    handles.push(rank.run_awaitable(*coll_id, send, recv).unwrap());
-                    if with_sync && k == SIZES.len() / 2 {
-                        // cudaDeviceSynchronize() between the collectives.
-                        assert!(
-                            rank.device_synchronize(Duration::from_secs(60)),
-                            "device synchronization must complete under DFCCL"
-                        );
-                    }
-                }
-                for h in handles {
-                    assert!(
-                        h.wait_for_timeout(1, Duration::from_secs(120)),
-                        "all-reduce timed out"
-                    );
-                }
-            }
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-    println!(
-        "  DFCCL: all {GPUS} GPUs completed {} all-reduces x {iterations} iterations, 0 deadlocks",
-        SIZES.len()
-    );
-    let stats = ranks[0].stats();
-    println!(
-        "  GPU0: preemptions/block = {:.0}, voluntary quits = {}, daemon starts = {}, context saves = {}",
-        ranks[0].preemptions_per_block(),
-        stats.voluntary_quits,
-        stats.daemon_starts,
-        stats.context_saves,
-    );
-    for rank in ranks {
-        rank.destroy();
-    }
-}
-
-fn nccl_program(with_sync: bool) {
-    let domain = NcclDomain::new(
-        Topology::single_server(),
-        LinkModel::table2_compressed(200.0),
-        GpuSpec::rtx_3090(),
-        32 * 1024,
-    );
-    let ranks: Vec<Arc<dfccl_baseline::NcclRank>> = (0..GPUS)
-        .map(|g| Arc::new(domain.init_rank(GpuId(g)).unwrap()))
-        .collect();
-    for (coll_id, size) in SIZES.iter().enumerate() {
-        for rank in &ranks {
-            rank.register(
-                coll_id as u64,
-                dfccl_collectives::CollectiveDescriptor::all_reduce(
-                    size / 4,
-                    DataType::F32,
-                    ReduceOp::Sum,
-                    gpu_ids(),
-                ),
-            )
-            .unwrap();
-        }
-    }
-    let mut handles = Vec::new();
-    let mut joins = Vec::new();
-    for (g, rank) in ranks.iter().enumerate() {
-        let rank = Arc::clone(rank);
-        joins.push(std::thread::spawn(move || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(g as u64 + 1);
+/// Run one program on `backend`: each iteration, every GPU launches the
+/// eight all-reduces on one stream in its own random order (with a device
+/// synchronization after the fifth under `with_sync`), then waits for them.
+/// The baseline runs unorchestrated: the body never asks for an order.
+fn program(backend: BackendKind, iterations: usize, with_sync: bool) {
+    let gpus: Vec<GpuId> = (0..GPUS).map(GpuId).collect();
+    // A unique random launch order per GPU per iteration.
+    let mut orders = vec![Vec::<Vec<u64>>::new(); GPUS];
+    for (g, orders) in orders.iter_mut().enumerate() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(g as u64 + 1);
+        for _ in 0..iterations {
             let mut order: Vec<u64> = (0..SIZES.len() as u64).collect();
             order.shuffle(&mut rng);
-            let mut local = Vec::new();
-            for (k, coll_id) in order.iter().enumerate() {
-                let count = SIZES[*coll_id as usize] / 4;
-                let send = DeviceBuffer::from_f32(&vec![1.0; count]);
-                let recv = DeviceBuffer::zeroed(count * 4);
+            orders.push(order);
+        }
+    }
+    let all_reduce = |size: usize| {
+        CollectiveDescriptor::all_reduce(size / 4, DataType::F32, ReduceOp::Sum, gpus.clone())
+    };
+    let run = Run {
+        backend,
+        gpus: &gpus,
+        topology: Topology::single_server(),
+        links: LinkModel::table2_compressed(200.0),
+        config: DfcclConfig::default(),
+        collectives: (0..).zip(SIZES.map(all_reduce)).collect(),
+        iterations,
+    };
+    let outcome = run.drive(
+        |it| {
+            let mut submitted = Vec::new();
+            for (k, &coll_id) in orders[it.gpu][it.iteration].iter().enumerate() {
                 // Single stream per GPU (the single-queue programming model).
-                let stream = StreamId(1);
-                local.push(
-                    rank.launch_collective(*coll_id, stream, send, recv)
-                        .unwrap(),
-                );
+                submitted.push(it.submit(coll_id, StreamId(1)));
                 if with_sync && k == SIZES.len() / 2 {
-                    let _ = rank.device_synchronize_timeout(Duration::from_millis(500));
+                    // cudaDeviceSynchronize() between the collectives.
+                    it.synchronize();
                 }
             }
-            local
-        }));
-    }
-    for j in joins {
-        handles.extend(j.join().unwrap());
-    }
-    let outcome = wait_all_or_deadlock(&handles, &domain.engines());
-    println!(
-        "  NCCL-like baseline: {}",
-        if outcome.is_deadlock() {
-            "DEADLOCK (100% of attempts, as in the paper)"
-        } else {
-            "completed (unexpected)"
-        }
+            for s in submitted {
+                it.wait(s);
+            }
+        },
+        |ranks| {
+            ranks
+                .first()
+                .map(|r| (r.preemptions_per_block(), r.stats()))
+        },
     );
-    domain.shutdown();
+    match outcome {
+        Ok((_, Some((per_block, stats)))) => {
+            println!(
+                "  DFCCL: all {GPUS} GPUs completed {} all-reduces x {iterations} iterations, 0 deadlocks",
+                SIZES.len()
+            );
+            println!(
+                "  GPU0: preemptions/block = {per_block:.0}, voluntary quits = {}, daemon starts = {}, context saves = {}",
+                stats.voluntary_quits, stats.daemon_starts, stats.context_saves,
+            );
+        }
+        Ok((_, None)) => println!("  NCCL-like baseline: completed (unexpected)"),
+        Err(_) => println!("  NCCL-like baseline: DEADLOCK (100% of attempts, as in the paper)"),
+    }
 }
 
 fn main() {
     let iterations: usize = arg_num("--iterations", 20);
-    let program: usize = arg_num("--program", 0);
+    let program_no: usize = arg_num("--program", 0);
+    let baseline = BackendKind::NcclOrchestrated(StrategyKind::OneFlowStaticSort);
 
-    if program == 0 || program == 1 {
+    if program_no == 0 || program_no == 1 {
         println!("Program 1 — disordered launch orders, no GPU synchronization");
-        dfccl_program(iterations, false);
-        nccl_program(false);
+        program(BackendKind::Dfccl, iterations, false);
+        program(baseline, iterations, false);
     }
-    if program == 0 || program == 2 {
+    if program_no == 0 || program_no == 2 {
         println!(
             "\nProgram 2 — disordered launch orders with cudaDeviceSynchronize between collectives"
         );
-        dfccl_program(iterations, true);
-        nccl_program(true);
+        program(BackendKind::Dfccl, iterations, true);
+        program(baseline, iterations, true);
     }
     println!(
         "\nPaper reference: DFCCL never deadlocks (≈18,000 preemptions per block in program 1,"

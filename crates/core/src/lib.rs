@@ -81,8 +81,7 @@ pub use daemon::{
 };
 pub use park::Parker;
 pub use recovery::{
-    detect_stall, watch_for_stall, Backoff, RecoveryCoordinator, RecoveryError, RecoveryOutcome,
-    RetryPolicy,
+    detect_stall, watch_for_stall, RecoveryCoordinator, RecoveryError, RecoveryOutcome, RetryPolicy,
 };
 pub use sq::{Sqe, SubmissionQueue};
 pub use task_queue::{TaskEntry, TaskQueue, TenantScheduler};

@@ -34,9 +34,7 @@
 //!    so an in-place invocation, or a send buffer reused after its callback,
 //!    feeds the replay the wrong operand.
 //!
-//! A typed [`RetryPolicy`] bounds the coordinator's attempts;
-//! [`RetryPolicy::run`] applies it, with a decorrelated-jitter backoff, to
-//! any fallible operation.
+//! A typed [`RetryPolicy`] bounds the coordinator's attempts.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
@@ -51,29 +49,16 @@ use crate::api::{DfcclError, RankCtx};
 use crate::context::DynamicContext;
 use crate::telemetry::TelemetryEventKind;
 
-/// Bounded-retry policy: the recovery coordinator's attempt budget, and any
-/// caller's retry loop (with decorrelated-jitter backoff) through
-/// [`RetryPolicy::run`].
+/// The recovery coordinator's attempt budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts before giving up (minimum 1).
     pub max_attempts: u32,
-    /// Lower bound of every backoff draw.
-    pub base_backoff: Duration,
-    /// Upper clamp of every backoff draw.
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter stream (tests pin it).
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(50),
-            seed: 0x9e37_79b9_7f4a_7c15,
-        }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
@@ -82,86 +67,6 @@ impl RetryPolicy {
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
         self.max_attempts = attempts;
         self
-    }
-
-    /// Set the backoff bounds.
-    pub fn with_backoff(mut self, base: Duration, max: Duration) -> Self {
-        self.base_backoff = base;
-        self.max_backoff = max;
-        self
-    }
-
-    /// Set the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// A fresh backoff state for one retry sequence.
-    pub fn backoff(&self) -> Backoff {
-        Backoff {
-            policy: *self,
-            prev: self.base_backoff,
-            rng: self.seed | 1,
-        }
-    }
-
-    /// Run `op` until it succeeds, fails non-retryably, or the attempt
-    /// budget is spent (the last error is returned). Sleeps a
-    /// decorrelated-jitter backoff between attempts.
-    pub fn run<T, E>(
-        &self,
-        mut op: impl FnMut() -> Result<T, E>,
-        retryable: impl Fn(&E) -> bool,
-    ) -> Result<T, E> {
-        let budget = self.max_attempts.max(1);
-        let mut backoff = self.backoff();
-        let mut attempt = 0;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= budget || !retryable(&e) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(backoff.next());
-                }
-            }
-        }
-    }
-}
-
-/// Decorrelated-jitter backoff state: each delay is drawn uniformly from
-/// `[base, 3 * previous]` and clamped to `max` ("decorrelated jitter" —
-/// successive delays grow but never synchronize across retriers).
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    policy: RetryPolicy,
-    prev: Duration,
-    rng: u64,
-}
-
-impl Backoff {
-    /// The next delay to sleep. Not an `Iterator`: the stream is infinite
-    /// and every draw succeeds, so an `Option` wrapper would only obscure
-    /// the call sites.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Duration {
-        // splitmix64 step for the jitter draw.
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-
-        let lo = self.policy.base_backoff.as_nanos() as u64;
-        let hi = (self.prev.as_nanos() as u64).saturating_mul(3).max(lo);
-        let span = hi - lo;
-        let drawn = if span == 0 { lo } else { lo + z % (span + 1) };
-        let capped = drawn.min(self.policy.max_backoff.as_nanos() as u64);
-        self.prev = Duration::from_nanos(capped);
-        self.prev
     }
 }
 
@@ -502,74 +407,6 @@ impl RecoveryCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_draws_stay_within_bounds_and_are_deterministic() {
-        let policy = RetryPolicy::default()
-            .with_backoff(Duration::from_micros(100), Duration::from_millis(10))
-            .with_seed(42);
-        let mut a = policy.backoff();
-        let mut b = policy.backoff();
-        let mut prev = policy.base_backoff;
-        for _ in 0..50 {
-            let d = a.next();
-            assert_eq!(d, b.next(), "same seed, same stream");
-            assert!(d >= policy.base_backoff, "below base: {d:?}");
-            assert!(d <= policy.max_backoff, "above clamp: {d:?}");
-            // Decorrelated jitter: bounded by 3x the previous draw.
-            let cap = Duration::from_nanos(
-                (prev.as_nanos() as u64)
-                    .saturating_mul(3)
-                    .max(policy.base_backoff.as_nanos() as u64)
-                    .min(policy.max_backoff.as_nanos() as u64),
-            );
-            assert!(d <= cap, "{d:?} exceeds decorrelated cap {cap:?}");
-            prev = d;
-        }
-    }
-
-    #[test]
-    fn retry_run_respects_budget_and_retryability() {
-        let policy = RetryPolicy::default()
-            .with_max_attempts(3)
-            .with_backoff(Duration::ZERO, Duration::ZERO);
-        // Retryable errors are retried up to the budget.
-        let mut calls = 0;
-        let out: Result<(), &str> = policy.run(
-            || {
-                calls += 1;
-                Err("again")
-            },
-            |_| true,
-        );
-        assert!(out.is_err());
-        assert_eq!(calls, 3, "budget is total attempts");
-        // Non-retryable errors fail fast.
-        let mut calls = 0;
-        let out: Result<(), &str> = policy.run(
-            || {
-                calls += 1;
-                Err("fatal")
-            },
-            |_| false,
-        );
-        assert!(out.is_err());
-        assert_eq!(calls, 1);
-        // Success on a later attempt stops the loop.
-        let mut calls = 0;
-        let out: Result<u32, &str> = policy.run(
-            || {
-                calls += 1;
-                if calls < 3 {
-                    Err("again")
-                } else {
-                    Ok(calls)
-                }
-            },
-            |_| true,
-        );
-        assert_eq!(out.unwrap(), 3);
-    }
 
     #[test]
     fn recover_with_no_ranks_is_a_no_op() {

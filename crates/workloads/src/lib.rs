@@ -17,10 +17,10 @@
 //!   Sec. 2.5 orchestration strategies, reporting per-iteration times,
 //!   throughput and its coefficient of variation.
 //!
-//! Both workloads are per-iteration bodies over one private driver
-//! (`driver.rs`): it builds either stack's domain, runs one thread per GPU
-//! with a barrier-aligned, timed iteration, bounds every wait and tears the
-//! domain down, so neither workload branches on the stack.
+//! Both workloads and the per-GPU figure bins are bodies over one driver
+//! ([`Run`]): it builds either stack's domain, runs one thread per GPU with
+//! a gate-aligned, timed iteration, decides a stuck run by the stack's own
+//! detector rather than a clock, and tears the domain down.
 
 mod driver;
 pub mod model;
@@ -28,6 +28,7 @@ pub mod moe;
 pub mod parallelism;
 pub mod trainer;
 
+pub use driver::{Iteration, Run, Submission};
 pub use model::DnnModel;
 pub use moe::{train_moe, MoeConfig};
 pub use parallelism::{

@@ -19,12 +19,12 @@ use std::time::Duration;
 
 use dfccl::DfcclConfig;
 use dfccl_collectives::{CollectiveDescriptor, DataType, ReduceOp};
-use dfccl_transport::LinkModel;
+use dfccl_transport::{LinkModel, Topology};
 use gpu_sim::{GpuId, StreamId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::driver::{jitter, Run};
+use crate::driver::{jitter, Iteration, Run};
 use crate::trainer::{BackendKind, TrainingReport};
 
 /// Collective-id base for the data-parallel gradient all-reduces (dispatch
@@ -125,6 +125,7 @@ pub fn train_moe(
     let run = Run {
         backend,
         gpus,
+        topology: Topology::flat(gpus.len()),
         links: LinkModel::zero_cost(),
         config: DfcclConfig {
             chunk_elems: cfg.chunk_elems,
@@ -137,7 +138,7 @@ pub fn train_moe(
         iterations: cfg.iterations,
     };
     let gradients = cfg.gradients();
-    let iteration_times = run.drive(|it| {
+    let body = |it: &Iteration<'_>| {
         let mut in_flight = Vec::new();
         for l in 0..cfg.layers {
             // Dispatch must land before the expert can compute...
@@ -159,7 +160,8 @@ pub fn train_moe(
         for s in in_flight {
             it.wait(s);
         }
-    });
+    };
+    let (iteration_times, ()) = run.drive(body, |_| ()).expect("the run deadlocked");
     TrainingReport {
         backend: format!("MoE {backend}"),
         iteration_times,

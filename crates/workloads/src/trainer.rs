@@ -15,12 +15,12 @@ use std::time::Duration;
 
 use dfccl::DfcclConfig;
 use dfccl_baseline::StrategyKind;
-use dfccl_transport::LinkModel;
+use dfccl_transport::{LinkModel, Topology};
 use gpu_sim::StreamId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::driver::{jitter, Run};
+use crate::driver::{jitter, Iteration, Run};
 use crate::parallelism::TrainingPlan;
 
 /// Which communication backend a training run uses.
@@ -48,10 +48,8 @@ pub struct TrainerConfig {
     pub iterations: usize,
     /// Wall-clock time charged per compute unit of the plan.
     pub compute_time_per_unit: Duration,
-    /// Compression factor applied to the Table 2 link model (higher = faster).
-    pub link_compression: f64,
-    /// Use zero-cost links instead of the Table 2 model (fast logic tests).
-    pub zero_cost_links: bool,
+    /// The links' cost model.
+    pub links: LinkModel,
     /// Chunk size (elements) for collective plans.
     pub chunk_elems: usize,
     /// With DFCCL, randomly swap adjacent ready collectives on each GPU each
@@ -67,8 +65,7 @@ impl Default for TrainerConfig {
         TrainerConfig {
             iterations: 200,
             compute_time_per_unit: Duration::from_nanos(40),
-            link_compression: 1_000.0,
-            zero_cost_links: false,
+            links: LinkModel::table2_compressed(1_000.0),
             chunk_elems: 32 * 1024,
             dfccl_disorder_prob: 0.05,
             seed: 0xD0F,
@@ -82,8 +79,7 @@ impl TrainerConfig {
         TrainerConfig {
             iterations,
             compute_time_per_unit: Duration::ZERO,
-            zero_cost_links: true,
-            link_compression: 1.0,
+            links: LinkModel::zero_cost(),
             chunk_elems: 8 * 1024,
             dfccl_disorder_prob: 0.2,
             seed: 7,
@@ -102,14 +98,6 @@ impl TrainerConfig {
                 order
             })
             .collect()
-    }
-
-    fn link_model(&self) -> LinkModel {
-        if self.zero_cost_links {
-            LinkModel::zero_cost()
-        } else {
-            LinkModel::table2_compressed(self.link_compression)
-        }
     }
 }
 
@@ -210,7 +198,8 @@ pub fn train(
     let run = Run {
         backend,
         gpus: &plan.gpus,
-        links: cfg.link_model(),
+        topology: Topology::flat(plan.gpus.len()),
+        links: cfg.links.clone(),
         config: DfcclConfig {
             chunk_elems: cfg.chunk_elems,
             ..DfcclConfig::default()
@@ -222,7 +211,7 @@ pub fn train(
             .collect(),
         iterations: cfg.iterations,
     };
-    let iteration_times = run.drive(|it| {
+    let body = |it: &Iteration<'_>| {
         it.compute(compute);
         let order = it.order(&ready[it.gpu], || jittered[it.gpu][it.iteration].clone());
         // Spread collectives over a few streams, as frameworks do.
@@ -234,7 +223,8 @@ pub fn train(
         for s in submitted {
             it.wait(s);
         }
-    });
+    };
+    let (iteration_times, ()) = run.drive(body, |_| ()).expect("the run deadlocked");
     TrainingReport {
         backend: backend.to_string(),
         iteration_times,

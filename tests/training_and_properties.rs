@@ -34,8 +34,7 @@ fn data_parallel_training_throughput_relationship() {
     let plan = data_parallel_plan(&tiny_model(), &gpus, 16);
     let cfg = TrainerConfig {
         iterations: 5,
-        zero_cost_links: false,
-        link_compression: 10_000.0,
+        links: LinkModel::table2_compressed(10_000.0),
         ..TrainerConfig::fast_test(5)
     };
     let dfccl = train(&plan, BackendKind::Dfccl, &cfg, 64);
